@@ -44,12 +44,14 @@ AssignmentProblem random_instance(std::size_t apps, std::size_t servers, std::ui
   for (std::size_t i = 0; i < apps; ++i) {
     for (std::size_t j = 0; j < servers; ++j) {
       if (rng.bernoulli(0.1)) continue;
-      p.set_cost(i, j, rng.uniform(0.5, 10.0));
+      // Draw into locals: argument evaluation order is unspecified.
+      const double cost = rng.uniform(0.5, 10.0);
       if (unit_slot) {
-        p.set_demand(i, j, 0, 1.0);
+        p.add_pair(i, j, cost, {1.0});
       } else {
-        p.set_demand(i, j, 0, rng.uniform(0.2, 1.2));
-        p.set_demand(i, j, 1, rng.uniform(0.2, 1.2));
+        const double memory = rng.uniform(0.2, 1.2);
+        const double compute = rng.uniform(0.2, 1.2);
+        p.add_pair(i, j, cost, {memory, compute});
       }
     }
   }
@@ -90,11 +92,10 @@ AssignmentProblem block_instance(std::size_t blocks, std::size_t apps_per, std::
     for (std::size_t i = 0; i < apps_per; ++i) {
       for (std::size_t j = 0; j < servers_per; ++j) {
         if (rng.bernoulli(0.1)) continue;
-        const std::size_t row = b * apps_per + i;
-        const std::size_t col = b * servers_per + j;
-        p.set_cost(row, col, rng.uniform(0.5, 10.0));
-        p.set_demand(row, col, 0, rng.uniform(0.2, 1.2));
-        p.set_demand(row, col, 1, rng.uniform(0.2, 1.2));
+        const double cost = rng.uniform(0.5, 10.0);
+        const double memory = rng.uniform(0.2, 1.2);
+        const double compute = rng.uniform(0.2, 1.2);
+        p.add_pair(b * apps_per + i, b * servers_per + j, cost, {memory, compute});
       }
     }
   }

@@ -86,6 +86,7 @@
 #include "geo/spatial_index.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "runner/scenario_grid.hpp"
 #include "runner/scenario_runner.hpp"
 #include "serve/event_loop.hpp"
@@ -263,7 +264,13 @@ int cmd_simulate(const std::string& region_name, const std::string& policy_name,
   config.epochs = epochs;
   config.workload.arrivals_per_site = 0.5;
   config.workload.model_weights = {1.0, 1.0, 1.0, 0.0};
+  // Decision time is the core.place span's wall time over the run (the
+  // placement service's own phase), averaged per epoch.
+  const obs::Phase place("core.place");
+  const std::uint64_t place_ns_before = place.total_ns().value();
   const core::SimulationResult result = simulation.run(config);
+  const double place_ms =
+      static_cast<double>(place.total_ns().value() - place_ns_before) / 1e6;
   std::cout << core::describe(config.policy) << " over " << epochs << " epochs on "
             << region.name << ":\n"
             << "  carbon: " << util::format_fixed(result.telemetry.total_carbon_g(), 1)
@@ -273,7 +280,8 @@ int cmd_simulate(const std::string& region_name, const std::string& policy_name,
             << "  mean RTT: " << util::format_fixed(result.telemetry.mean_rtt_ms(), 2)
             << " ms\n"
             << "  placed/rejected: " << result.apps_placed << "/" << result.apps_rejected
-            << "\n  mean decision time: " << util::format_fixed(result.mean_solve_ms, 2)
+            << "\n  mean decision time: "
+            << util::format_fixed(epochs > 0 ? place_ms / static_cast<double>(epochs) : 0.0, 2)
             << " ms\n";
   return 0;
 }

@@ -37,21 +37,14 @@ PlacementResult PlacementService::place(const PlacementInput& input,
   result.used_exact_solver = solution.stats.heuristic_shards == 0;
 
   // Commit: power on activated servers first (Eq. 5), then host.
+  // evaluate() reports a server on only if it started on or received an
+  // app, and power states have not changed since the build, so every server
+  // switched on here carries load.
   for (std::size_t j = 0; j < built.servers.size(); ++j) {
     sim::EdgeServer& server = *built.servers[j].server;
     if (!server.powered_on() && !solution.powered_on.empty() && solution.powered_on[j]) {
-      // Only power on servers that actually received load.
-      bool used = false;
-      for (std::size_t i = 0; i < apps.size(); ++i) {
-        if (solution.assignment[i] == j) {
-          used = true;
-          break;
-        }
-      }
-      if (used) {
-        server.set_powered_on(true);
-        result.activated.push_back(j);
-      }
+      server.set_powered_on(true);
+      result.activated.push_back(j);
     }
   }
 
@@ -74,10 +67,10 @@ PlacementResult PlacementService::place(const PlacementInput& input,
     decision.app = apps[i].id;
     decision.site = ref.site;
     decision.server = ref.server->id();
-    const std::size_t cell = built.index(i, j);
-    decision.rtt_ms = built.rtt_ms[cell];
-    decision.energy_wh = built.energy_wh[cell];
-    decision.carbon_g = built.carbon_g[cell];
+    const std::size_t p = built.problem.find_pair(i, j);
+    decision.rtt_ms = built.rtt_ms[p];
+    decision.energy_wh = built.energy_wh[p];
+    decision.carbon_g = built.carbon_g[p];
     result.decisions.push_back(decision);
   }
   return result;

@@ -8,19 +8,11 @@
 namespace carbonedge::core {
 namespace {
 
-using solver::kInfinity;
-
-/// Min/max over finite entries of a matrix (for Eq. 8 normalization).
-std::pair<double, double> finite_range(const std::vector<double>& values) {
-  double lo = kInfinity;
-  double hi = -kInfinity;
-  for (const double v : values) {
-    if (v >= kInfinity) continue;
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (lo > hi) return {0.0, 0.0};
-  return {lo, hi};
+/// Min/max over the feasible pairs' values (for Eq. 8 normalization).
+std::pair<double, double> value_range(const std::vector<double>& values) {
+  if (values.empty()) return {0.0, 0.0};
+  const auto [lo, hi] = std::ranges::minmax_element(values);
+  return {*lo, *hi};
 }
 
 }  // namespace
@@ -35,11 +27,7 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
   built.servers = input.cluster->all_servers();
   const std::size_t num_apps = apps.size();
   const std::size_t num_servers = built.servers.size();
-  const std::size_t cells = num_apps * num_servers;
 
-  built.energy_wh.assign(cells, kInfinity);
-  built.carbon_g.assign(cells, kInfinity);
-  built.rtt_ms.assign(cells, kInfinity);
   built.activation_energy_wh.assign(num_servers, 0.0);
   built.activation_carbon_g.assign(num_servers, 0.0);
   built.mean_intensity.assign(num_servers, 0.0);
@@ -58,40 +46,46 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
     }
   }
 
-  // Physical matrices over feasible (latency + model-support + fit) pairs.
-  // Per-app site RTTs are gathered once ahead of the server loop: a banded
-  // provider enumerates only the origin's neighborhood (every other site is
-  // +inf, exactly what the Eq. 2 filter drops), so the inner loop does an
-  // array lookup instead of a provider query per server — and the build
-  // stops scaling with n^2 site pairs under sparse geographies.
+  // Feasible (latency + model-support) pairs in (app, server) order, with
+  // their physical quantities and resource demands. all_servers() is
+  // site-major, so site s owns the columns [site_first[s], site_first[s+1])
+  // and visiting an app's candidate sites in ascending order yields its
+  // servers ascending. A banded provider lists only the origin's
+  // neighborhood (every other site is +inf, exactly what the Eq. 2 filter
+  // drops), so the build touches the band rather than every server.
   const std::size_t num_sites = input.cluster->sites().size();
-  std::vector<double> site_rtt(num_sites, kInfinity);
+  std::vector<std::size_t> site_first(num_sites + 1, 0);
+  for (const auto& ref : built.servers) ++site_first[ref.site + 1];
+  for (std::size_t s = 0; s < num_sites; ++s) site_first[s + 1] += site_first[s];
+  std::vector<std::size_t> pair_app;
+  std::vector<std::size_t> pair_server;
+  std::vector<double> pair_demand;  // memory MB, compute per pair
   for (std::size_t i = 0; i < num_apps; ++i) {
     const sim::Application& app = apps[i];
+    const auto add_site = [&](std::size_t s) {
+      const double rtt = 2.0 * input.latency->one_way_ms(app.origin_site, s);
+      if (rtt > app.latency_limit_rtt_ms + 1e-9) return;  // Eq. 2 filter
+      for (std::size_t j = site_first[s]; j < site_first[s + 1]; ++j) {
+        const sim::EdgeServer& server = *built.servers[j].server;
+        if (server.failed()) continue;  // crashed servers take no load
+        const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
+        if (!prof.supported) continue;
+        const double watts = prof.profile.energy_j * app.rps;  // dynamic draw
+        const double energy = watts * input.epoch_hours;       // Wh over the epoch
+        built.energy_wh.push_back(energy);
+        built.carbon_g.push_back(energy / 1000.0 * built.mean_intensity[j]);
+        built.rtt_ms.push_back(rtt);
+        pair_app.push_back(i);
+        pair_server.push_back(j);
+        pair_demand.push_back(prof.profile.memory_mb);
+        pair_demand.push_back(sim::compute_demand_per_rps(app.model, server.device()) * app.rps);
+      }
+    };
     const std::span<const std::uint32_t> near = input.latency->neighbors(app.origin_site);
     if (near.empty()) {
-      for (std::size_t s = 0; s < num_sites; ++s) {
-        site_rtt[s] = 2.0 * input.latency->one_way_ms(app.origin_site, s);
-      }
+      for (std::size_t s = 0; s < num_sites; ++s) add_site(s);
     } else {
-      std::fill(site_rtt.begin(), site_rtt.end(), kInfinity);
-      for (const std::uint32_t s : near) {
-        site_rtt[s] = 2.0 * input.latency->one_way_ms(app.origin_site, s);
-      }
-    }
-    for (std::size_t j = 0; j < num_servers; ++j) {
-      const auto& ref = built.servers[j];
-      if (ref.server->failed()) continue;  // crashed servers take no load
-      const double rtt = site_rtt[ref.site];
-      if (rtt > app.latency_limit_rtt_ms + 1e-9) continue;  // Eq. 2 filter
-      const sim::ProfileResult prof = sim::profile_of(app.model, ref.server->device());
-      if (!prof.supported) continue;
-      const std::size_t cell = built.index(i, j);
-      const double watts = prof.profile.energy_j * app.rps;  // dynamic draw
-      const double energy = watts * input.epoch_hours;       // Wh over the epoch
-      built.energy_wh[cell] = energy;
-      built.carbon_g[cell] = energy / 1000.0 * built.mean_intensity[j];
-      built.rtt_ms[cell] = rtt;
+      for (const std::uint32_t s : near) add_site(s);
     }
   }
 
@@ -103,47 +97,34 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
     problem.set_capacity(j, 1, server.compute_free());
     problem.set_initially_on(j, server.powered_on());
   }
-  for (std::size_t i = 0; i < num_apps; ++i) {
-    const sim::Application& app = apps[i];
-    for (std::size_t j = 0; j < num_servers; ++j) {
-      if (built.rtt_ms[built.index(i, j)] >= kInfinity) continue;
-      const sim::EdgeServer& server = *built.servers[j].server;
-      const sim::WorkloadProfile prof = sim::require_profile(app.model, server.device());
-      problem.set_demand(i, j, 0, prof.memory_mb);
-      problem.set_demand(i, j, 1, sim::compute_demand_per_rps(app.model, server.device()) * app.rps);
-    }
-  }
 
   // Policy-specific objective.
-  const auto [energy_lo, energy_hi] = finite_range(built.energy_wh);
-  const auto [carbon_lo, carbon_hi] = finite_range(built.carbon_g);
-  for (std::size_t i = 0; i < num_apps; ++i) {
-    for (std::size_t j = 0; j < num_servers; ++j) {
-      const std::size_t cell = built.index(i, j);
-      if (built.rtt_ms[cell] >= kInfinity) continue;
-      double cost = 0.0;
-      switch (policy.kind) {
-        case PolicyKind::kLatencyAware:
-          cost = built.rtt_ms[cell];
-          break;
-        case PolicyKind::kEnergyAware:
-          cost = built.energy_wh[cell];
-          break;
-        case PolicyKind::kIntensityAware:
-          cost = built.mean_intensity[j];
-          break;
-        case PolicyKind::kCarbonEdge:
-          cost = built.carbon_g[cell];
-          break;
-        case PolicyKind::kMultiObjective: {
-          const double e = util::minmax_normalize(built.energy_wh[cell], energy_lo, energy_hi);
-          const double c = util::minmax_normalize(built.carbon_g[cell], carbon_lo, carbon_hi);
-          cost = policy.alpha * e + (1.0 - policy.alpha) * c;
-          break;
-        }
+  const auto [energy_lo, energy_hi] = value_range(built.energy_wh);
+  const auto [carbon_lo, carbon_hi] = value_range(built.carbon_g);
+  for (std::size_t p = 0; p < pair_app.size(); ++p) {
+    const std::size_t j = pair_server[p];
+    double cost = 0.0;
+    switch (policy.kind) {
+      case PolicyKind::kLatencyAware:
+        cost = built.rtt_ms[p];
+        break;
+      case PolicyKind::kEnergyAware:
+        cost = built.energy_wh[p];
+        break;
+      case PolicyKind::kIntensityAware:
+        cost = built.mean_intensity[j];
+        break;
+      case PolicyKind::kCarbonEdge:
+        cost = built.carbon_g[p];
+        break;
+      case PolicyKind::kMultiObjective: {
+        const double e = util::minmax_normalize(built.energy_wh[p], energy_lo, energy_hi);
+        const double c = util::minmax_normalize(built.carbon_g[p], carbon_lo, carbon_hi);
+        cost = policy.alpha * e + (1.0 - policy.alpha) * c;
+        break;
       }
-      problem.set_cost(i, j, cost);
     }
+    problem.add_pair(pair_app[p], j, cost, {pair_demand[2 * p], pair_demand[2 * p + 1]});
   }
   // Activation costs in the policy's own units (Eq. 6's second term for
   // CarbonEdge; energy for Energy-aware; normalized blend for Eq. 8).

@@ -25,14 +25,14 @@ struct PlacementInput {
   double epoch_hours = 1.0;                  // energy integration window
 };
 
-/// The built problem plus the physical matrices behind the policy costs,
+/// The built problem plus the physical quantities behind the policy costs,
 /// kept for accounting and for the multi-objective normalization.
 struct BuiltProblem {
   solver::AssignmentProblem problem{0, 0, 1};
   std::vector<sim::EdgeCluster::ServerRef> servers;  // column order
-  // Row-major [app x server] physical quantities (kInfinity where
-  // infeasible): per-epoch dynamic energy (Wh), operational carbon (g), and
-  // network round-trip (ms).
+  // Per-pair physical quantities, indexed like the problem's pairs:
+  // per-epoch dynamic energy (Wh), operational carbon (g), and network
+  // round-trip (ms).
   std::vector<double> energy_wh;
   std::vector<double> carbon_g;
   std::vector<double> rtt_ms;
@@ -40,10 +40,6 @@ struct BuiltProblem {
   std::vector<double> activation_energy_wh;
   std::vector<double> activation_carbon_g;
   std::vector<double> mean_intensity;  // Ī per server column
-
-  [[nodiscard]] std::size_t index(std::size_t app, std::size_t server) const noexcept {
-    return app * servers.size() + server;
-  }
 };
 
 /// Build the assignment problem for a batch of applications under `policy`.

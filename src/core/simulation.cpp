@@ -128,8 +128,7 @@ SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
   // reuses lanes this simulation already leased (they idle during the
   // solve phase) instead of drawing the budget down further every epoch.
   solver::AssignmentOptions solver_options = config_.solver_options;
-  if (shard_pool_ != nullptr && solver_options.shard_threads == 0 &&
-      solver_options.shard_pool == nullptr) {
+  if (shard_pool_ != nullptr && solver_options.shard_pool == nullptr) {
     solver_options.shard_pool = shard_pool_.get();
   }
   // Forward the (possibly injected) budget so a serial-capped run keeps
@@ -445,7 +444,6 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   input.forecast_horizon_hours = config_.forecast_horizon_hours;
   input.epoch_hours = config_.epoch_hours;
   const PlacementResult placement = service_.place(input, batch);
-  result_.total_solve_ms += placement.solve_time_ms;
   orchestrator_.deploy(placement);
 
   std::unordered_map<sim::AppId, const sim::Application*> by_id;
@@ -615,8 +613,6 @@ SimulationResult SimulationEngine::finish() {
     if (!displaced_from_.contains(app.id)) ++result_.apps_expired_deferred;
   }
 
-  result_.mean_solve_ms =
-      config_.epochs > 0 ? result_.total_solve_ms / static_cast<double>(config_.epochs) : 0.0;
   result_.mean_deploy_ms = orchestrator_.mean_deploy_ms();
 
   // Mirror the run's counters into the process registry (integer sums over

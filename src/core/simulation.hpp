@@ -86,8 +86,6 @@ struct SimulationConfig {
 
 struct SimulationResult {
   sim::Telemetry telemetry;
-  double total_solve_ms = 0.0;
-  double mean_solve_ms = 0.0;
   double mean_deploy_ms = 0.0;
   std::uint64_t apps_placed = 0;
   std::uint64_t apps_rejected = 0;
@@ -168,8 +166,8 @@ class SimulationEngine {
   /// response-histogram sink here; never needed by the batch driver).
   [[nodiscard]] sim::Telemetry& telemetry() noexcept { return result_.telemetry; }
 
-  /// Final accounting (expired-deferred reconciliation, solve/deploy
-  /// means). The engine is spent afterwards — step() must not be called.
+  /// Final accounting (expired-deferred reconciliation, deploy mean). The
+  /// engine is spent afterwards — step() must not be called.
   [[nodiscard]] SimulationResult finish();
 
  private:
@@ -271,12 +269,6 @@ class EdgeSimulation {
   }
 
  private:
-  struct HostedApp {
-    sim::Application app;
-    std::size_t site = 0;
-    std::uint32_t server = 0;
-  };
-
   sim::EdgeCluster pristine_;
   const carbon::CarbonIntensityService* carbon_;
   std::unique_ptr<const geo::LatencyProvider> latency_;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "solver/decompose.hpp"
 #include "solver/flow.hpp"
+#include "solver/lp.hpp"
 
 namespace carbonedge::solver {
 
@@ -64,6 +66,34 @@ obs::Phase& milp_phase() {
   return phase;
 }
 
+/// The pairs regrouped by server: of(j) lists server j's (app, pair)
+/// entries, apps ascending.
+class ServerColumns {
+ public:
+  using Entry = std::pair<std::size_t, std::size_t>;
+
+  explicit ServerColumns(const AssignmentProblem& problem)
+      : start_(problem.num_servers() + 1, 0), entries_(problem.num_pairs()) {
+    for (std::size_t p = 0; p < problem.num_pairs(); ++p) ++start_[problem.server(p) + 1];
+    for (std::size_t j = 0; j < problem.num_servers(); ++j) start_[j + 1] += start_[j];
+    std::vector<std::size_t> fill(start_.begin(), start_.end() - 1);
+    for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        entries_[fill[problem.server(p)]++] = {i, p};
+      }
+    }
+  }
+
+  [[nodiscard]] std::span<const Entry> of(std::size_t server) const noexcept {
+    return std::span<const Entry>(entries_).subspan(start_[server],
+                                                    start_[server + 1] - start_[server]);
+  }
+
+ private:
+  std::vector<std::size_t> start_;
+  std::vector<Entry> entries_;
+};
+
 }  // namespace
 
 AssignmentProblem::AssignmentProblem(std::size_t num_apps, std::size_t num_servers,
@@ -71,19 +101,28 @@ AssignmentProblem::AssignmentProblem(std::size_t num_apps, std::size_t num_serve
     : num_apps_(num_apps),
       num_servers_(num_servers),
       num_resources_(num_resources == 0 ? 1 : num_resources),
-      cost_(num_apps * num_servers, kInfinity),
-      demand_(num_apps * num_servers * num_resources_, 0.0),
       capacity_(num_servers * num_resources_, 0.0),
       activation_cost_(num_servers, 0.0),
       initially_on_(num_servers, 1) {}
 
-void AssignmentProblem::set_cost(std::size_t app, std::size_t server, double cost) {
-  cost_[app * num_servers_ + server] = cost;
-}
-
-void AssignmentProblem::set_demand(std::size_t app, std::size_t server, std::size_t resource,
-                                   double demand) {
-  demand_[(app * num_servers_ + server) * num_resources_ + resource] = demand;
+void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cost,
+                                 std::span<const double> demand) {
+  if (app >= num_apps_ || server >= num_servers_) {
+    throw std::invalid_argument("add_pair: app or server out of range");
+  }
+  if (!std::isfinite(cost)) throw std::invalid_argument("add_pair: cost must be finite");
+  if (demand.size() != num_resources_) {
+    throw std::invalid_argument("add_pair: need one demand per resource");
+  }
+  // row_start_.size() - 1 is the app the last pair was added for.
+  if (app + 1 < row_start_.size() ||
+      (app + 1 == row_start_.size() && server <= server_.back())) {
+    throw std::invalid_argument("add_pair: pairs must arrive in ascending (app, server) order");
+  }
+  while (row_start_.size() <= app) row_start_.push_back(num_pairs());
+  server_.push_back(static_cast<std::uint32_t>(server));
+  cost_.push_back(cost);
+  demand_.insert(demand_.end(), demand.begin(), demand.end());
 }
 
 void AssignmentProblem::set_capacity(std::size_t server, std::size_t resource, double capacity) {
@@ -103,29 +142,13 @@ bool AssignmentProblem::is_unit_slot() const noexcept {
   for (std::size_t j = 0; j < num_servers_; ++j) {
     const double cap = capacity(j, 0);
     if (std::abs(cap - std::round(cap)) > 1e-9) return false;
-    bool has_feasible = false;
-    for (std::size_t i = 0; i < num_apps_; ++i) {
-      if (!feasible_pair(i, j)) continue;
-      has_feasible = true;
-      if (std::abs(demand(i, j, 0) - 1.0) > 1e-9) return false;
-    }
-    if (has_feasible && !initially_on(j) && activation_cost(j) != 0.0) return false;
+  }
+  for (std::size_t p = 0; p < num_pairs(); ++p) {
+    const std::size_t j = server_[p];
+    if (std::abs(demand(p, 0) - 1.0) > 1e-9) return false;
+    if (!initially_on(j) && activation_cost(j) != 0.0) return false;
   }
   return true;
-}
-
-FeasiblePairs enumerate_feasible_pairs(const AssignmentProblem& problem) {
-  FeasiblePairs pairs;
-  pairs.row_start.assign(problem.num_apps() + 1, 0);
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    for (std::size_t j = 0; j < problem.num_servers(); ++j) {
-      if (problem.feasible_pair(i, j)) {
-        pairs.servers.push_back(static_cast<std::uint32_t>(j));
-      }
-    }
-    pairs.row_start[i + 1] = pairs.servers.size();
-  }
-  return pairs;
 }
 
 AssignmentSolution evaluate(const AssignmentProblem& problem,
@@ -145,7 +168,9 @@ AssignmentSolution evaluate(const AssignmentProblem& problem,
       ++solution.unassigned_count;
       continue;
     }
-    total += problem.cost(i, j);
+    const std::size_t p = problem.find_pair(i, j);
+    if (p == kNoPair) continue;  // infeasible pair: validate() below rejects it
+    total += problem.cost(p);
     if (!solution.powered_on[j]) {
       solution.powered_on[j] = 1;
       total += problem.activation_cost(j);
@@ -162,11 +187,11 @@ bool validate(const AssignmentProblem& problem, const AssignmentSolution& soluti
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
     const std::size_t j = solution.assignment[i];
     if (j == kUnassigned) continue;
-    if (j >= problem.num_servers()) return false;
-    if (!problem.feasible_pair(i, j)) return false;  // Eq. 2 (latency) encoded as inf cost
+    const std::size_t p = problem.find_pair(i, j);
+    if (p == kNoPair) return false;  // Eq. 2 (latency) or out-of-range server
     if (!solution.powered_on.empty() && !solution.powered_on[j]) return false;  // Eq. 5
     for (std::size_t k = 0; k < problem.num_resources(); ++k) {
-      load[j * problem.num_resources() + k] += problem.demand(i, j, k);
+      load[j * problem.num_resources() + k] += problem.demand(p, k);
     }
   }
   for (std::size_t j = 0; j < problem.num_servers(); ++j) {
@@ -191,37 +216,26 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   const obs::Span span(milp_phase());
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
+  const std::size_t pairs = problem.num_pairs();
+  const ServerColumns columns(problem);  // capacity and linking rows list apps ascending
 
   LinearProgram lp;
   std::vector<int> integer_vars;
-  // Variable maps: x_var[i][j] >= 0 only for feasible pairs; y_var[j] only
-  // for initially-off servers with at least one feasible pair.
-  std::vector<std::vector<int>> x_var(apps, std::vector<int>(servers, -1));
-  std::vector<int> y_var(servers, -1);
-
-  for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (!problem.feasible_pair(i, j)) continue;
-      x_var[i][j] = lp.add_variable(problem.cost(i, j), 0.0, 1.0);
-      integer_vars.push_back(x_var[i][j]);
-    }
+  // Variables: x_p for pair p is LP variable p; then y_j for each
+  // initially-off server with at least one pair.
+  for (std::size_t p = 0; p < pairs; ++p) {
+    integer_vars.push_back(lp.add_variable(problem.cost(p), 0.0, 1.0));
   }
+  std::vector<int> y_var(servers, -1);
   for (std::size_t j = 0; j < servers; ++j) {
-    if (problem.initially_on(j)) continue;
-    bool any = false;
-    for (std::size_t i = 0; i < apps && !any; ++i) any = x_var[i][j] >= 0;
-    if (!any) continue;
+    if (problem.initially_on(j) || columns.of(j).empty()) continue;
     y_var[j] = lp.add_variable(problem.activation_cost(j), 0.0, 1.0);
     integer_vars.push_back(y_var[j]);
   }
 
   // Eq. 3: each app placed exactly once.
   for (std::size_t i = 0; i < apps; ++i) {
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (x_var[i][j] >= 0) terms.emplace_back(x_var[i][j], 1.0);
-    }
-    if (terms.empty()) {
+    if (problem.row_begin(i) == problem.row_end(i)) {
       AssignmentSolution infeasible;
       infeasible.assignment.assign(apps, kUnassigned);
       infeasible.unassigned_count = apps;
@@ -231,22 +245,24 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
       // isolates each unplaceable app as its own singleton component.
       infeasible.stats.components = 1;
       for (std::size_t a = 0; a < apps; ++a) {
-        bool any = false;
-        for (std::size_t j = 0; j < servers && !any; ++j) any = problem.feasible_pair(a, j);
-        if (!any) ++infeasible.stats.unplaceable_apps;
+        if (problem.row_begin(a) == problem.row_end(a)) ++infeasible.stats.unplaceable_apps;
       }
       return infeasible;  // some app has no feasible server at all
+    }
+    std::vector<std::pair<int, double>> terms;
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      terms.emplace_back(static_cast<int>(p), 1.0);
     }
     lp.add_constraint(std::move(terms), Sense::kEqual, 1.0);
   }
   // Eq. 1: capacity per server/resource, gated by y for off servers.
   for (std::size_t j = 0; j < servers; ++j) {
+    if (columns.of(j).empty()) continue;
     for (std::size_t k = 0; k < problem.num_resources(); ++k) {
       std::vector<std::pair<int, double>> terms;
-      for (std::size_t i = 0; i < apps; ++i) {
-        if (x_var[i][j] >= 0) terms.emplace_back(x_var[i][j], problem.demand(i, j, k));
+      for (const auto& [i, p] : columns.of(j)) {
+        terms.emplace_back(static_cast<int>(p), problem.demand(p, k));
       }
-      if (terms.empty()) continue;
       if (y_var[j] >= 0) {
         terms.emplace_back(y_var[j], -problem.capacity(j, k));
         lp.add_constraint(std::move(terms), Sense::kLessEqual, 0.0);
@@ -260,9 +276,8 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
     // per-pair rows are the tightest linear linking and make incumbent
     // pruning bite far earlier (fewer B&B nodes per exact solve).
     if (y_var[j] >= 0) {
-      for (std::size_t i = 0; i < apps; ++i) {
-        if (x_var[i][j] < 0) continue;
-        lp.add_constraint({{x_var[i][j], 1.0}, {y_var[j], -1.0}}, Sense::kLessEqual, 0.0);
+      for (const auto& [i, p] : columns.of(j)) {
+        lp.add_constraint({{static_cast<int>(p), 1.0}, {y_var[j], -1.0}}, Sense::kLessEqual, 0.0);
       }
     }
   }
@@ -274,8 +289,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
     improve_local_search(problem, greedy);
     std::vector<double> values(lp.num_variables(), 0.0);
     for (std::size_t i = 0; i < apps; ++i) {
-      const std::size_t j = greedy.assignment[i];
-      if (j != kUnassigned && x_var[i][j] >= 0) values[static_cast<std::size_t>(x_var[i][j])] = 1.0;
+      values[problem.find_pair(i, greedy.assignment[i])] = 1.0;
     }
     for (std::size_t j = 0; j < servers; ++j) {
       if (y_var[j] >= 0 && greedy.powered_on[j]) values[static_cast<std::size_t>(y_var[j])] = 1.0;
@@ -306,9 +320,9 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
 
   std::vector<std::size_t> assignment(apps, kUnassigned);
   for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (x_var[i][j] >= 0 && milp.values[static_cast<std::size_t>(x_var[i][j])] > 0.5) {
-        assignment[i] = j;
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      if (milp.values[p] > 0.5) {
+        assignment[i] = problem.server(p);
         break;
       }
     }
@@ -336,12 +350,10 @@ AssignmentSolution solve_flow(const AssignmentProblem& problem) {
   for (std::size_t i = 0; i < apps; ++i) {
     network.add_arc(source, 1 + i, 1, 0.0);
   }
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> pair_arcs(apps);
+  // Pair p's arc is arc apps + p.
   for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (!problem.feasible_pair(i, j)) continue;
-      const std::size_t arc = network.add_arc(1 + i, 1 + apps + j, 1, problem.cost(i, j));
-      pair_arcs[i].emplace_back(j, arc);
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      network.add_arc(1 + i, 1 + apps + problem.server(p), 1, problem.cost(p));
     }
   }
   for (std::size_t j = 0; j < servers; ++j) {
@@ -353,9 +365,9 @@ AssignmentSolution solve_flow(const AssignmentProblem& problem) {
 
   std::vector<std::size_t> assignment(apps, kUnassigned);
   for (std::size_t i = 0; i < apps; ++i) {
-    for (const auto& [j, arc] : pair_arcs[i]) {
-      if (network.flow_on(arc) > 0) {
-        assignment[i] = j;
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      if (network.flow_on(apps + p) > 0) {
+        assignment[i] = problem.server(p);
         break;
       }
     }
@@ -375,12 +387,9 @@ namespace {
 struct GreedyState {
   std::vector<double> remaining;       // server x resource
   std::vector<std::uint8_t> planned_on;
-  std::vector<std::size_t> load_count;  // apps per server
 
   explicit GreedyState(const AssignmentProblem& p)
-      : remaining(p.num_servers() * p.num_resources()),
-        planned_on(p.num_servers()),
-        load_count(p.num_servers(), 0) {
+      : remaining(p.num_servers() * p.num_resources()), planned_on(p.num_servers()) {
     for (std::size_t j = 0; j < p.num_servers(); ++j) {
       planned_on[j] = p.initially_on(j) ? 1 : 0;
       for (std::size_t k = 0; k < p.num_resources(); ++k) {
@@ -389,26 +398,27 @@ struct GreedyState {
     }
   }
 
-  [[nodiscard]] bool fits(const AssignmentProblem& p, std::size_t i, std::size_t j) const {
+  [[nodiscard]] bool fits(const AssignmentProblem& p, std::size_t pair) const {
+    const std::size_t j = p.server(pair);
     for (std::size_t k = 0; k < p.num_resources(); ++k) {
-      if (p.demand(i, j, k) > remaining[j * p.num_resources() + k] + 1e-9) return false;
+      if (p.demand(pair, k) > remaining[j * p.num_resources() + k] + 1e-9) return false;
     }
     return true;
   }
 
-  [[nodiscard]] double effective_cost(const AssignmentProblem& p, std::size_t i,
-                                      std::size_t j) const {
-    double c = p.cost(i, j);
+  [[nodiscard]] double effective_cost(const AssignmentProblem& p, std::size_t pair) const {
+    const std::size_t j = p.server(pair);
+    double c = p.cost(pair);
     if (!planned_on[j]) c += p.activation_cost(j);
     return c;
   }
 
-  void commit(const AssignmentProblem& p, std::size_t i, std::size_t j) {
+  void commit(const AssignmentProblem& p, std::size_t pair) {
+    const std::size_t j = p.server(pair);
     for (std::size_t k = 0; k < p.num_resources(); ++k) {
-      remaining[j * p.num_resources() + k] -= p.demand(i, j, k);
+      remaining[j * p.num_resources() + k] -= p.demand(pair, k);
     }
     planned_on[j] = 1;
-    ++load_count[j];
   }
 };
 
@@ -416,7 +426,6 @@ struct GreedyState {
 
 AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
-  const std::size_t servers = problem.num_servers();
   GreedyState state(problem);
   std::vector<std::size_t> assignment(apps, kUnassigned);
   std::vector<std::uint8_t> placed(apps, 0);
@@ -425,26 +434,26 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
     // Pick the unplaced app with the largest regret (gap between its best
     // and second-best feasible option); ties favor the costlier best option.
     std::size_t pick = kUnassigned;
-    std::size_t pick_server = kUnassigned;
+    std::size_t pick_pair = kNoPair;
     double pick_regret = -1.0;
     double pick_best_cost = -kInfinity;
     for (std::size_t i = 0; i < apps; ++i) {
       if (placed[i]) continue;
       double best = kInfinity;
       double second = kInfinity;
-      std::size_t best_server = kUnassigned;
-      for (std::size_t j = 0; j < servers; ++j) {
-        if (!problem.feasible_pair(i, j) || !state.fits(problem, i, j)) continue;
-        const double c = state.effective_cost(problem, i, j);
+      std::size_t best_pair = kNoPair;
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        if (!state.fits(problem, p)) continue;
+        const double c = state.effective_cost(problem, p);
         if (c < best) {
           second = best;
           best = c;
-          best_server = j;
+          best_pair = p;
         } else if (c < second) {
           second = c;
         }
       }
-      if (best_server == kUnassigned) {
+      if (best_pair == kNoPair) {
         // This app can no longer be placed; greedy fails over to a partial
         // answer which evaluate() marks infeasible.
         continue;
@@ -455,13 +464,13 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
         pick_regret = regret;
         pick_best_cost = best;
         pick = i;
-        pick_server = best_server;
+        pick_pair = best_pair;
       }
     }
     if (pick == kUnassigned) break;  // nothing placeable remains
-    assignment[pick] = pick_server;
+    assignment[pick] = problem.server(pick_pair);
     placed[pick] = 1;
-    state.commit(problem, pick, pick_server);
+    state.commit(problem, pick_pair);
   }
   AssignmentSolution solution = evaluate(problem, assignment);
   solution.stats.components = 1;
@@ -475,14 +484,30 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
   const std::size_t servers = problem.num_servers();
   const std::size_t resources = problem.num_resources();
 
+  // pair_of[i]: the pair app i currently uses (kNoPair when unplaced, or
+  // placed on a pair the problem lacks — such apps are never moved).
+  std::vector<std::size_t> pair_of(apps, kNoPair);
   std::vector<double> load(servers * resources, 0.0);
   std::vector<std::size_t> count(servers, 0);
   for (std::size_t i = 0; i < apps; ++i) {
     const std::size_t j = solution.assignment[i];
     if (j == kUnassigned) continue;
-    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(i, j, k);
+    pair_of[i] = problem.find_pair(i, j);
+    if (pair_of[i] == kNoPair) continue;
+    for (std::size_t k = 0; k < resources; ++k) {
+      load[j * resources + k] += problem.demand(pair_of[i], k);
+    }
     ++count[j];
   }
+  // Swap-scan lookups without row searches: app a's pairs scattered by
+  // server, and the apps after `after` that have a pair on `server`.
+  std::vector<std::size_t> a_pair_on(servers, kNoPair);
+  const ServerColumns columns(problem);
+  const auto partners = [&](std::size_t server, std::size_t after) {
+    const std::span<const ServerColumns::Entry> column = columns.of(server);
+    const auto first = std::ranges::upper_bound(column, after, {}, &ServerColumns::Entry::first);
+    return column.subspan(static_cast<std::size_t>(first - column.begin()));
+  };
 
   const auto activation_delta_gain = [&](std::size_t j) {
     // Cost of powering on j if it is off and currently unused.
@@ -492,13 +517,13 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
     // Saving from vacating the last app of an initially-off server.
     return (!problem.initially_on(j) && count[j] == 1) ? problem.activation_cost(j) : 0.0;
   };
-  const auto fits_after = [&](std::size_t i, std::size_t to, std::size_t ignore_app) {
+  // Would pair `pair` fit on its server `to`, after `leaving` (a pair on
+  // `to`, or kNoPair) moves off it?
+  const auto fits_after = [&](std::size_t pair, std::size_t to, std::size_t leaving) {
     for (std::size_t k = 0; k < resources; ++k) {
       double used = load[to * resources + k];
-      if (ignore_app != kUnassigned && solution.assignment[ignore_app] == to) {
-        used -= problem.demand(ignore_app, to, k);
-      }
-      if (used + problem.demand(i, to, k) > problem.capacity(to, k) + 1e-9) return false;
+      if (leaving != kNoPair) used -= problem.demand(leaving, k);
+      if (used + problem.demand(pair, k) > problem.capacity(to, k) + 1e-9) return false;
     }
     return true;
   };
@@ -511,21 +536,23 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
     // now lives on its new server and further candidate targets must be
     // evaluated against that.
     for (std::size_t i = 0; i < apps; ++i) {
+      if (pair_of[i] == kNoPair) continue;
       std::size_t from = solution.assignment[i];
-      if (from == kUnassigned) continue;
-      for (std::size_t to = 0; to < servers; ++to) {
-        if (to == from || !problem.feasible_pair(i, to)) continue;
-        if (!fits_after(i, to, kUnassigned)) continue;
-        const double delta = problem.cost(i, to) - problem.cost(i, from) +
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        const std::size_t to = problem.server(p);
+        if (to == from) continue;
+        if (!fits_after(p, to, kNoPair)) continue;
+        const double delta = problem.cost(p) - problem.cost(pair_of[i]) +
                              activation_delta_gain(to) - activation_delta_release(from);
         if (delta < -1e-9) {
           for (std::size_t k = 0; k < resources; ++k) {
-            load[from * resources + k] -= problem.demand(i, from, k);
-            load[to * resources + k] += problem.demand(i, to, k);
+            load[from * resources + k] -= problem.demand(pair_of[i], k);
+            load[to * resources + k] += problem.demand(p, k);
           }
           --count[from];
           ++count[to];
           solution.assignment[i] = to;
+          pair_of[i] = p;
           from = to;
           improved = true;
           ++improvements;
@@ -533,30 +560,42 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
       }
     }
 
-    // Pairwise swaps. `sa` is refreshed after every applied swap — app a
-    // moved, so later candidates must see its new server.
+    // Pairwise swaps of a with each later app b that has a pair on a's
+    // server sa, ascending. `sa` is refreshed after every applied swap — app
+    // a moved, so later candidates come from its new server.
     for (std::size_t a = 0; a < apps; ++a) {
+      if (pair_of[a] == kNoPair) continue;
+      for (std::size_t p = problem.row_begin(a); p < problem.row_end(a); ++p) {
+        a_pair_on[problem.server(p)] = p;
+      }
       std::size_t sa = solution.assignment[a];
-      if (sa == kUnassigned) continue;
-      for (std::size_t b = a + 1; b < apps; ++b) {
+      for (auto column = partners(sa, a); !column.empty();) {
+        const auto [b, b_to_sa] = column.front();
+        column = column.subspan(1);
+        if (pair_of[b] == kNoPair) continue;
         const std::size_t sb = solution.assignment[b];
-        if (sb == kUnassigned || sb == sa) continue;
-        if (!problem.feasible_pair(a, sb) || !problem.feasible_pair(b, sa)) continue;
-        if (!fits_after(a, sb, b) || !fits_after(b, sa, a)) continue;
-        const double delta = problem.cost(a, sb) + problem.cost(b, sa) -
-                             problem.cost(a, sa) - problem.cost(b, sb);
+        if (sb == sa) continue;
+        const std::size_t a_to_sb = a_pair_on[sb];
+        if (a_to_sb == kNoPair) continue;
+        if (!fits_after(a_to_sb, sb, pair_of[b]) || !fits_after(b_to_sa, sa, pair_of[a])) continue;
+        const double delta = problem.cost(a_to_sb) + problem.cost(b_to_sa) -
+                             problem.cost(pair_of[a]) - problem.cost(pair_of[b]);
         if (delta < -1e-9) {
           for (std::size_t k = 0; k < resources; ++k) {
-            load[sa * resources + k] += problem.demand(b, sa, k) - problem.demand(a, sa, k);
-            load[sb * resources + k] += problem.demand(a, sb, k) - problem.demand(b, sb, k);
+            load[sa * resources + k] += problem.demand(b_to_sa, k) - problem.demand(pair_of[a], k);
+            load[sb * resources + k] += problem.demand(a_to_sb, k) - problem.demand(pair_of[b], k);
           }
           solution.assignment[a] = sb;
           solution.assignment[b] = sa;
+          pair_of[a] = a_to_sb;
+          pair_of[b] = b_to_sa;
           sa = sb;
+          column = partners(sa, b);
           improved = true;
           ++improvements;
         }
       }
+      for (const std::uint32_t j : problem.row_servers(a)) a_pair_on[j] = kNoPair;
     }
 
     if (!improved) break;
@@ -600,9 +639,8 @@ AssignmentSolution solve_auto(const AssignmentProblem& problem, const Assignment
   // already exact and near-linear in the pair count, so decomposing would
   // only perturb equal-cost tie-breaking. Everything else is sharded so
   // exact_size_limit applies per connected component.
-  AssignmentSolution solution = !options.shard || problem.is_unit_slot()
-                                    ? solve_unsharded(problem, options)
-                                    : solve_sharded(problem, options);
+  AssignmentSolution solution = problem.is_unit_slot() ? solve_unsharded(problem, options)
+                                                       : solve_sharded(problem, options);
   SolverMetrics& metrics = solver_metrics();
   metrics.solves.add();
   metrics.components.add(solution.stats.components);

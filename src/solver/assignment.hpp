@@ -2,12 +2,16 @@
 // filtering) and its solution paths.
 //
 // An AssignmentProblem has `num_apps` applications to place on
-// `num_servers` servers with multi-dimensional capacities. cost(i,j) is the
-// objective contribution of placing app i on server j (the policies encode
-// E_ij * Ī_j, energy, or blended objectives here); +infinity marks a
-// latency-infeasible pair (Eq. 2 pre-filtered). Servers that are initially
-// off incur activation_cost(j) once if they receive any application
-// (Eq. 6's second term; Eq. 4-5 power-state constraints).
+// `num_servers` servers with multi-dimensional capacities. Only feasible
+// pairs exist: each app owns a row of (server, cost, demands) pairs, servers
+// ascending, appended with add_pair in (app, server) order. A pair that is
+// absent is infeasible (Eq. 2's latency filter, or a model the device cannot
+// run) — there is no sentinel cost. cost is the objective contribution of
+// placing the app on that server (the policies encode E_ij * Ī_j, energy, or
+// blended objectives here). Servers that are initially off incur
+// activation_cost(j) once if they receive any application (Eq. 6's second
+// term; Eq. 4-5 power-state constraints). Every solver walks rows, so its
+// work scales with the feasible support rather than apps x servers.
 //
 // Three solution paths, cross-validated in tests:
 //  * solve_exact   — branch-and-bound MILP; exact, testbed scale.
@@ -21,11 +25,12 @@
 // cheapest exact path that applies per component, else the heuristic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
-#include "solver/lp.hpp"
 #include "solver/milp.hpp"
 
 namespace carbonedge::util {
@@ -37,6 +42,9 @@ namespace carbonedge::solver {
 
 inline constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
 
+/// find_pair's answer for a pair the problem does not contain (infeasible).
+inline constexpr std::size_t kNoPair = static_cast<std::size_t>(-1);
+
 class AssignmentProblem {
  public:
   AssignmentProblem(std::size_t num_apps, std::size_t num_servers, std::size_t num_resources = 1);
@@ -44,19 +52,46 @@ class AssignmentProblem {
   [[nodiscard]] std::size_t num_apps() const noexcept { return num_apps_; }
   [[nodiscard]] std::size_t num_servers() const noexcept { return num_servers_; }
   [[nodiscard]] std::size_t num_resources() const noexcept { return num_resources_; }
+  [[nodiscard]] std::size_t num_pairs() const noexcept { return server_.size(); }
 
-  void set_cost(std::size_t app, std::size_t server, double cost);
-  [[nodiscard]] double cost(std::size_t app, std::size_t server) const noexcept {
-    return cost_[app * num_servers_ + server];
-  }
-  [[nodiscard]] bool feasible_pair(std::size_t app, std::size_t server) const noexcept {
-    return cost(app, server) < kInfinity;
+  /// Append the feasible pair (app, server) with its objective cost and one
+  /// demand per resource. Pairs arrive in strictly ascending (app, server)
+  /// order. Throws std::invalid_argument on an out-of-order, duplicate or
+  /// out-of-range pair, a non-finite cost, or a demand count other than
+  /// num_resources().
+  void add_pair(std::size_t app, std::size_t server, double cost, std::span<const double> demand);
+  void add_pair(std::size_t app, std::size_t server, double cost,
+                std::initializer_list<double> demand) {
+    add_pair(app, server, cost, std::span<const double>(demand.begin(), demand.size()));
   }
 
-  void set_demand(std::size_t app, std::size_t server, std::size_t resource, double demand);
-  [[nodiscard]] double demand(std::size_t app, std::size_t server,
-                              std::size_t resource) const noexcept {
-    return demand_[(app * num_servers_ + server) * num_resources_ + resource];
+  /// Pairs are numbered in (app, server) order; app `app` owns the indices
+  /// [row_begin(app), row_end(app)), servers ascending.
+  [[nodiscard]] std::size_t row_begin(std::size_t app) const noexcept {
+    return app < row_start_.size() ? row_start_[app] : num_pairs();
+  }
+  [[nodiscard]] std::size_t row_end(std::size_t app) const noexcept { return row_begin(app + 1); }
+  [[nodiscard]] std::span<const std::uint32_t> row_servers(std::size_t app) const noexcept {
+    return std::span<const std::uint32_t>(server_).subspan(row_begin(app),
+                                                           row_end(app) - row_begin(app));
+  }
+
+  [[nodiscard]] std::size_t server(std::size_t pair) const noexcept { return server_[pair]; }
+  [[nodiscard]] double cost(std::size_t pair) const noexcept { return cost_[pair]; }
+  [[nodiscard]] double demand(std::size_t pair, std::size_t resource) const noexcept {
+    return demand_[pair * num_resources_ + resource];
+  }
+  [[nodiscard]] std::span<const double> demands(std::size_t pair) const noexcept {
+    return std::span<const double>(demand_).subspan(pair * num_resources_, num_resources_);
+  }
+
+  /// The pair (app, server), or kNoPair when it is infeasible: a binary
+  /// search over the app's row.
+  [[nodiscard]] std::size_t find_pair(std::size_t app, std::size_t server) const noexcept {
+    const std::span<const std::uint32_t> row = row_servers(app);
+    const auto it = std::lower_bound(row.begin(), row.end(), server);
+    if (it == row.end() || *it != server) return kNoPair;
+    return row_begin(app) + static_cast<std::size_t>(it - row.begin());
   }
 
   void set_capacity(std::size_t server, std::size_t resource, double capacity);
@@ -73,40 +108,26 @@ class AssignmentProblem {
     return initially_on_[server] != 0;
   }
 
-  /// True if the flow path applies: one resource, every feasible pair has
-  /// demand exactly 1, integral capacities, and no activation cost on any
-  /// initially-off server that has a feasible pair.
+  /// True if the flow path applies: one resource, every pair has demand
+  /// exactly 1, integral capacities, and no activation cost on any
+  /// initially-off server that has a pair.
   [[nodiscard]] bool is_unit_slot() const noexcept;
 
  private:
   std::size_t num_apps_;
   std::size_t num_servers_;
   std::size_t num_resources_;
+  // Pair storage. row_start_ holds the first pair of apps 0..size()-1 (the
+  // apps a pair has been added for, and any skipped before them); rows of
+  // later apps are empty and start at num_pairs().
+  std::vector<std::size_t> row_start_;
+  std::vector<std::uint32_t> server_;
   std::vector<double> cost_;
-  std::vector<double> demand_;
+  std::vector<double> demand_;  // num_resources_ per pair
   std::vector<double> capacity_;
   std::vector<double> activation_cost_;
   std::vector<std::uint8_t> initially_on_;
 };
-
-/// Row-compressed snapshot of the feasible-pair graph: per app, the
-/// ascending list of servers with finite cost. Built in one pass over the
-/// cost matrix and shared by consumers that would otherwise re-scan all
-/// apps x servers cells per question (component decomposition, feasibility
-/// probes) — with a banded latency geography the row lists are short, so
-/// everything downstream of the build scales with the feasible support
-/// instead of n^2.
-struct FeasiblePairs {
-  std::vector<std::size_t> row_start;  // apps + 1 offsets into `servers`
-  std::vector<std::uint32_t> servers;  // concatenated per-app server lists
-
-  [[nodiscard]] std::span<const std::uint32_t> of(std::size_t app) const noexcept {
-    return std::span<const std::uint32_t>(servers).subspan(
-        row_start[app], row_start[app + 1] - row_start[app]);
-  }
-};
-
-[[nodiscard]] FeasiblePairs enumerate_feasible_pairs(const AssignmentProblem& problem);
 
 /// How a solver call answered: the decomposition shape and the path that
 /// solved each shard. Solvers fill this in on the solutions they return;
@@ -118,7 +139,6 @@ struct SolveStats {
   std::size_t heuristic_shards = 0; // components solved by greedy + local search
   std::size_t unplaceable_apps = 0; // apps with no feasible server at all
   std::size_t milp_nodes = 0;       // total B&B nodes across exact shards
-  std::size_t largest_shard_apps = 0;
 };
 
 struct AssignmentSolution {
@@ -144,29 +164,20 @@ struct AssignmentOptions {
   std::size_t local_search_rounds = 20;
   /// Use the exact MILP when num_apps*num_servers is at most this (testbed
   /// scale); larger instances take the flow or greedy + local-search path.
-  /// With sharding the limit applies per connected component, so large
-  /// batches that decompose into testbed-scale shards still solve exactly.
+  /// The limit applies per connected component, so large batches that
+  /// decompose into testbed-scale shards still solve exactly. It compares
+  /// the component's apps x servers, not its pair count.
   std::size_t exact_size_limit = 64;
-  /// Decompose into connected components of the feasible-pair graph before
-  /// solving (exact — see decompose.hpp). Disable to force the monolithic
-  /// paths. Unit-slot instances always stay monolithic: min-cost flow is
-  /// already exact and near-linear, so sharding them buys nothing.
-  bool shard = true;
-  /// Worker threads for component dispatch. The result is bit-identical for
-  /// every thread count. 0 defers to `shard_pool` when set, and otherwise
-  /// to the process worker budget (util::ParallelismBudget — components run
-  /// on leased lanes, inline when the budget is spent).
-  std::size_t shard_threads = 0;
-  /// Borrowed pool for component dispatch (non-owning; only read when
-  /// shard_threads == 0). EdgeSimulation lends its per-run shard pool here
-  /// so the placement solve reuses lanes the simulation already leased
-  /// instead of drawing the budget down further every epoch.
+  /// Borrowed pool for component dispatch (non-owning). EdgeSimulation
+  /// lends its per-run shard pool here so the placement solve reuses lanes
+  /// the simulation already leased instead of drawing the budget down
+  /// further every epoch. The result is bit-identical for every pool width.
   util::ThreadPool* shard_pool = nullptr;
   /// Budget the default dispatch path leases from when no pool was lent
   /// (non-owning; nullptr = util::global_budget()). EdgeSimulation forwards
   /// its injected budget here so a 1-lane budget keeps the solver serial
-  /// too. Like shard_pool/shard_threads, an execution vehicle — never part
-  /// of a result fingerprint.
+  /// too. Like shard_pool, an execution vehicle — never part of a result
+  /// fingerprint.
   util::ParallelismBudget* budget = nullptr;
 };
 

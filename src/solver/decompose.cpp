@@ -41,14 +41,12 @@ class UnionFind {
 std::vector<Component> connected_components(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
-  // One pass over the cost matrix up front; the union-find then walks only
-  // the feasible support (short rows under banded geographies) in the same
-  // ascending order as the old dense double scan — identical components.
-  const FeasiblePairs pairs = enumerate_feasible_pairs(problem);
+  // The union-find walks the pair rows (short under banded geographies),
+  // apps ascending and servers ascending within a row.
   UnionFind uf(apps + servers);
   std::vector<std::uint8_t> server_used(servers, 0);
   for (std::size_t i = 0; i < apps; ++i) {
-    for (const std::uint32_t j : pairs.of(i)) {
+    for (const std::uint32_t j : problem.row_servers(i)) {
       uf.unite(i, apps + j);
       server_used[j] = 1;
     }
@@ -85,14 +83,16 @@ AssignmentProblem extract_component(const AssignmentProblem& problem,
     sub.set_activation_cost(jj, problem.activation_cost(j));
     sub.set_initially_on(jj, problem.initially_on(j));
   }
+  // Every pair of a member app lands on a member server; component.servers
+  // is ascending, so the local index is a binary search and each copied
+  // row stays ascending.
   for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
     const std::size_t i = component.apps[ii];
-    for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
-      const std::size_t j = component.servers[jj];
-      sub.set_cost(ii, jj, problem.cost(i, j));
-      for (std::size_t k = 0; k < resources; ++k) {
-        sub.set_demand(ii, jj, k, problem.demand(i, j, k));
-      }
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      const auto local = std::lower_bound(component.servers.begin(), component.servers.end(),
+                                          problem.server(p));
+      sub.add_pair(ii, static_cast<std::size_t>(local - component.servers.begin()),
+                   problem.cost(p), problem.demands(p));
     }
   }
   return sub;
@@ -120,9 +120,6 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
     // A lone (sub-spanning) component gains nothing from dispatch; skip the
     // pool round trip that every re-optimization epoch would otherwise pay.
     body(0);
-  } else if (options.shard_threads != 0) {
-    util::ThreadPool pool(options.shard_threads);
-    util::parallel_for(pool, 0, components.size(), body, /*chunk=*/1);
   } else if (options.shard_pool != nullptr) {
     // Lanes the caller already leased (EdgeSimulation's per-run shard
     // pool, idle during the solve phase) — no extra budget draw.
@@ -150,7 +147,6 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
   stats.components = components.size();
   for (std::size_t c = 0; c < components.size(); ++c) {
     const Component& component = components[c];
-    stats.largest_shard_apps = std::max(stats.largest_shard_apps, component.apps.size());
     if (component.servers.empty()) {
       stats.unplaceable_apps += component.apps.size();
       continue;

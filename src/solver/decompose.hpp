@@ -42,8 +42,9 @@ struct Component {
                                                   const Component& component);
 
 /// Solve by decomposition: each component goes through solve_unsharded
-/// (exact_size_limit applies per component) on `options.shard_threads` pool
-/// workers with disjoint result slots, and the sub-solutions are stitched
+/// (exact_size_limit applies per component) on `options.shard_pool` (or
+/// lanes leased from the budget) with disjoint result slots, and the
+/// sub-solutions are stitched
 /// back. Exact whenever every component is solved exactly; the returned
 /// stats report the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,

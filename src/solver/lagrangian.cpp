@@ -15,9 +15,7 @@ LagrangianResult lagrangian_lower_bound(const AssignmentProblem& problem,
 
   // Infeasibility check: every app needs at least one feasible pair.
   for (std::size_t i = 0; i < apps; ++i) {
-    bool any = false;
-    for (std::size_t j = 0; j < servers && !any; ++j) any = problem.feasible_pair(i, j);
-    if (!any) {
+    if (problem.row_begin(i) == problem.row_end(i)) {
       result.feasible_instance = false;
       result.lower_bound = -kInfinity;
       return result;
@@ -25,33 +23,34 @@ LagrangianResult lagrangian_lower_bound(const AssignmentProblem& problem,
   }
 
   std::vector<double> lambda(servers * resources, 0.0);
-  std::vector<std::size_t> argmin(apps, 0);
+  std::vector<std::size_t> argmin(apps, 0);  // the pair each app's relaxed choice uses
 
   // Evaluate L(lambda) and the subgradient of the capacity constraints.
   const auto evaluate = [&](std::vector<double>& subgradient) {
     double value = 0.0;
     for (std::size_t i = 0; i < apps; ++i) {
       double best = kInfinity;
-      std::size_t best_j = 0;
-      for (std::size_t j = 0; j < servers; ++j) {
-        if (!problem.feasible_pair(i, j)) continue;
-        double penalized = problem.cost(i, j);
+      std::size_t best_pair = 0;
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        const std::size_t j = problem.server(p);
+        double penalized = problem.cost(p);
         for (std::size_t k = 0; k < resources; ++k) {
-          penalized += lambda[j * resources + k] * problem.demand(i, j, k);
+          penalized += lambda[j * resources + k] * problem.demand(p, k);
         }
         if (penalized < best) {
           best = penalized;
-          best_j = j;
+          best_pair = p;
         }
       }
       value += best;
-      argmin[i] = best_j;
+      argmin[i] = best_pair;
     }
     std::fill(subgradient.begin(), subgradient.end(), 0.0);
     for (std::size_t i = 0; i < apps; ++i) {
-      const std::size_t j = argmin[i];
+      const std::size_t p = argmin[i];
+      const std::size_t j = problem.server(p);
       for (std::size_t k = 0; k < resources; ++k) {
-        subgradient[j * resources + k] += problem.demand(i, j, k);
+        subgradient[j * resources + k] += problem.demand(p, k);
       }
     }
     for (std::size_t j = 0; j < servers; ++j) {
@@ -80,8 +79,8 @@ LagrangianResult lagrangian_lower_bound(const AssignmentProblem& problem,
       upper = 0.0;
       for (std::size_t i = 0; i < apps; ++i) {
         double worst = 0.0;
-        for (std::size_t j = 0; j < servers; ++j) {
-          if (problem.feasible_pair(i, j)) worst = std::max(worst, problem.cost(i, j));
+        for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+          worst = std::max(worst, problem.cost(p));
         }
         upper += worst;
       }

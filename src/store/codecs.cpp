@@ -14,7 +14,7 @@ namespace {
 // Per-kind payload schemas; bump when a codec's field list changes.
 constexpr std::uint32_t kTraceSchema = 1;
 constexpr std::uint32_t kLatencySchema = 1;
-constexpr std::uint32_t kOutcomeSchema = 1;
+constexpr std::uint32_t kOutcomeSchema = 2;
 constexpr std::uint32_t kSiteCatalogSchema = 1;
 
 void require_schema(std::uint32_t got, std::uint32_t want, const char* what) {
@@ -141,8 +141,6 @@ geo::LatencyMatrix decode_latency_matrix(std::string_view payload) {
 std::string encode_outcome(const core::SimulationResult& result) {
   ByteWriter w;
   w.u32(kOutcomeSchema);
-  w.f64(result.total_solve_ms);
-  w.f64(result.mean_solve_ms);
   w.f64(result.mean_deploy_ms);
   w.u64(result.apps_placed);
   w.u64(result.apps_rejected);
@@ -196,8 +194,6 @@ core::SimulationResult decode_outcome(std::string_view payload) {
   ByteReader r(payload);
   require_schema(r.u32(), kOutcomeSchema, "outcome");
   core::SimulationResult result;
-  result.total_solve_ms = r.f64();
-  result.mean_solve_ms = r.f64();
   result.mean_deploy_ms = r.f64();
   result.apps_placed = r.u64();
   result.apps_rejected = r.u64();

@@ -2,19 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
 namespace {
 
-// Tiny helper: fully feasible 2-resource problem with unit demands.
-AssignmentProblem simple_problem(std::size_t apps, std::size_t servers) {
+// Tiny helper: single-resource problem with unit demands and cost i+j.
+// Every pair is feasible unless `feasible` rejects it (latency-infeasible).
+AssignmentProblem simple_problem(
+    std::size_t apps, std::size_t servers,
+    const std::function<bool(std::size_t, std::size_t)>& feasible = nullptr) {
   AssignmentProblem p(apps, servers, 1);
   for (std::size_t j = 0; j < servers; ++j) p.set_capacity(j, 0, static_cast<double>(apps));
   for (std::size_t i = 0; i < apps; ++i) {
     for (std::size_t j = 0; j < servers; ++j) {
-      p.set_cost(i, j, static_cast<double>(i + j));
-      p.set_demand(i, j, 0, 1.0);
+      if (feasible && !feasible(i, j)) continue;
+      p.add_pair(i, j, static_cast<double>(i + j), {1.0});
     }
   }
   return p;
@@ -22,8 +29,47 @@ AssignmentProblem simple_problem(std::size_t apps, std::size_t servers) {
 
 TEST(AssignmentProblem, DefaultsAreInfeasibleCosts) {
   const AssignmentProblem p(2, 2, 1);
-  EXPECT_FALSE(p.feasible_pair(0, 0));
+  EXPECT_EQ(p.num_pairs(), 0u);
+  EXPECT_EQ(p.find_pair(0, 0), kNoPair);
   EXPECT_TRUE(p.initially_on(0));
+}
+
+TEST(AssignmentProblem, RowsHoldPairsInAddOrder) {
+  AssignmentProblem p(4, 3, 2);
+  p.add_pair(1, 0, 2.0, {0.5, 0.25});
+  p.add_pair(1, 2, 3.0, {1.5, 1.25});
+  p.add_pair(3, 1, 4.0, {2.5, 2.25});
+  EXPECT_EQ(p.num_pairs(), 3u);
+  EXPECT_EQ(p.row_begin(0), p.row_end(0));  // skipped app: empty row
+  EXPECT_EQ(p.row_end(1) - p.row_begin(1), 2u);
+  EXPECT_EQ(p.row_begin(2), p.row_end(2));
+  EXPECT_EQ(p.row_end(3) - p.row_begin(3), 1u);
+  const std::size_t pair = p.find_pair(1, 2);
+  ASSERT_NE(pair, kNoPair);
+  EXPECT_EQ(p.server(pair), 2u);
+  EXPECT_EQ(p.cost(pair), 3.0);
+  EXPECT_EQ(p.demand(pair, 1), 1.25);
+  EXPECT_EQ(p.find_pair(1, 1), kNoPair);
+  EXPECT_EQ(p.find_pair(0, 0), kNoPair);
+}
+
+TEST(AssignmentProblem, AddPairRejectsBrokenContract) {
+  AssignmentProblem p(3, 3, 1);
+  p.add_pair(1, 1, 1.0, {1.0});
+  EXPECT_THROW(p.add_pair(1, 0, 1.0, {1.0}), std::invalid_argument);  // descending server
+  EXPECT_THROW(p.add_pair(1, 1, 1.0, {1.0}), std::invalid_argument);  // duplicate
+  EXPECT_THROW(p.add_pair(0, 2, 1.0, {1.0}), std::invalid_argument);  // earlier app
+  EXPECT_THROW(p.add_pair(1, 3, 1.0, {1.0}), std::invalid_argument);  // server out of range
+  EXPECT_THROW(p.add_pair(3, 0, 1.0, {1.0}), std::invalid_argument);  // app out of range
+  EXPECT_THROW(p.add_pair(2, 0, std::numeric_limits<double>::quiet_NaN(), {1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(p.add_pair(2, 0, kInfinity, {1.0}), std::invalid_argument);
+  EXPECT_THROW(p.add_pair(2, 0, -kInfinity, {1.0}), std::invalid_argument);
+  EXPECT_THROW(p.add_pair(2, 0, 1.0, {1.0, 2.0}), std::invalid_argument);  // demand count
+  EXPECT_EQ(p.num_pairs(), 1u);  // rejected pairs leave no trace
+  p.add_pair(1, 2, 1.0, {1.0});
+  p.add_pair(2, 0, 1.0, {1.0});
+  EXPECT_EQ(p.num_pairs(), 3u);
 }
 
 TEST(Evaluate, ComputesCostAndPowerStates) {
@@ -53,8 +99,9 @@ TEST(Validate, RejectsCapacityViolation) {
 }
 
 TEST(Validate, RejectsInfeasiblePairUse) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_cost(0, 1, kInfinity);  // latency-infeasible
+  // Pair (0, 1) is latency-infeasible.
+  const AssignmentProblem p =
+      simple_problem(2, 2, [](std::size_t i, std::size_t j) { return !(i == 0 && j == 1); });
   AssignmentSolution sol;
   sol.assignment = {1, 0};
   sol.powered_on = {1, 1};
@@ -105,10 +152,8 @@ TEST(SolveExact, WeighsActivationAgainstPlacement) {
     p.set_initially_on(1, false);
     p.set_activation_cost(1, 5.0);
     for (std::size_t i = 0; i < apps; ++i) {
-      p.set_cost(i, 0, 4.0);
-      p.set_cost(i, 1, 1.0);
-      p.set_demand(i, 0, 0, 1.0);
-      p.set_demand(i, 1, 0, 1.0);
+      p.add_pair(i, 0, 4.0, {1.0});
+      p.add_pair(i, 1, 1.0, {1.0});
     }
     return p;
   };
@@ -121,7 +166,7 @@ TEST(SolveExact, WeighsActivationAgainstPlacement) {
 }
 
 TEST(SolveExact, InfeasibleWhenAppHasNoServer) {
-  AssignmentProblem p(1, 1, 1);  // cost left at infinity
+  AssignmentProblem p(1, 1, 1);  // no pairs added
   const AssignmentSolution sol = solve_exact(p);
   EXPECT_FALSE(sol.feasible);
   EXPECT_EQ(sol.unassigned_count, 1u);
@@ -141,8 +186,12 @@ TEST(SolveFlow, MatchesExactOnUnitSlotInstances) {
 }
 
 TEST(UnitSlotDetection, RejectsNonUnitDemand) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_demand(0, 1, 0, 2.0);
+  AssignmentProblem p(2, 2, 1);
+  for (std::size_t j = 0; j < 2; ++j) p.set_capacity(j, 0, 2.0);
+  p.add_pair(0, 0, 0.0, {1.0});
+  p.add_pair(0, 1, 1.0, {2.0});
+  p.add_pair(1, 0, 1.0, {1.0});
+  p.add_pair(1, 1, 2.0, {1.0});
   EXPECT_FALSE(p.is_unit_slot());
 }
 
@@ -183,13 +232,10 @@ TEST(LocalSearch, FixesGreedyMisstep) {
   AssignmentProblem p(2, 2, 1);
   p.set_capacity(0, 0, 1.0);
   p.set_capacity(1, 0, 1.0);
-  p.set_cost(0, 0, 5.0);
-  p.set_cost(0, 1, 1.0);
-  p.set_cost(1, 0, 1.0);
-  p.set_cost(1, 1, 5.0);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) p.set_demand(i, j, 0, 1.0);
-  }
+  p.add_pair(0, 0, 5.0, {1.0});
+  p.add_pair(0, 1, 1.0, {1.0});
+  p.add_pair(1, 0, 1.0, {1.0});
+  p.add_pair(1, 1, 5.0, {1.0});
   AssignmentSolution sol = evaluate(p, {0, 1});  // the bad crossing, cost 10
   EXPECT_DOUBLE_EQ(sol.total_cost, 10.0);
   const std::size_t moves = improve_local_search(p, sol);
@@ -214,11 +260,11 @@ TEST(SolveAuto, UsesFlowForUnitSlot) {
 // back and return an answer that places every placeable app and is never
 // worse than greedy + local search.
 TEST(SolveAuto, FlowPathFallsBackWhenAppsComeBackUnassigned) {
-  AssignmentProblem p = simple_problem(3, 2);
+  // App 2 has no feasible server at all.
+  AssignmentProblem p =
+      simple_problem(3, 2, [](std::size_t i, std::size_t) { return i != 2; });
   p.set_capacity(0, 0, 1.0);
   p.set_capacity(1, 0, 1.0);
-  p.set_cost(2, 0, kInfinity);  // app 2 has no feasible server at all
-  p.set_cost(2, 1, kInfinity);
   ASSERT_TRUE(p.is_unit_slot());
 
   const AssignmentSolution sol = solve_auto(p);
@@ -277,9 +323,11 @@ TEST_P(RandomAssignment, SolverHierarchyHolds) {
   for (std::size_t i = 0; i < apps; ++i) {
     for (std::size_t j = 0; j < servers; ++j) {
       if (rng.bernoulli(0.15)) continue;  // latency-infeasible pair
-      p.set_cost(i, j, rng.uniform(0.0, 10.0));
-      p.set_demand(i, j, 0, rng.uniform(0.3, 1.5));
-      p.set_demand(i, j, 1, rng.uniform(0.3, 1.5));
+      // Draw into locals: argument evaluation order is unspecified.
+      const double cost = rng.uniform(0.0, 10.0);
+      const double memory = rng.uniform(0.3, 1.5);
+      const double compute = rng.uniform(0.3, 1.5);
+      p.add_pair(i, j, cost, {memory, compute});
     }
   }
 

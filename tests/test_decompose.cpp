@@ -3,16 +3,19 @@
 #include <gtest/gtest.h>
 
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace carbonedge::solver {
 namespace {
 
 // K independent blocks glued into one problem: block-diagonal feasibility,
 // two resources, one cold spare per block so activation decisions are in
-// play. Mirrors a latency-filtered multi-metro batch.
+// play. Mirrors a latency-filtered multi-metro batch. `strand_app` (if in
+// range) still draws its pairs but keeps none of them.
 AssignmentProblem block_instance(std::size_t blocks, std::size_t apps_per,
                                  std::size_t servers_per, std::uint64_t seed,
-                                 double infeasible_p = 0.1) {
+                                 double infeasible_p = 0.1,
+                                 std::size_t strand_app = kUnassigned) {
   util::Rng rng(seed);
   AssignmentProblem p(blocks * apps_per, blocks * servers_per, 2);
   for (std::size_t b = 0; b < blocks; ++b) {
@@ -26,14 +29,39 @@ AssignmentProblem block_instance(std::size_t blocks, std::size_t apps_per,
       for (std::size_t j = 0; j < servers_per; ++j) {
         if (rng.bernoulli(infeasible_p)) continue;
         const std::size_t row = b * apps_per + i;
-        const std::size_t col = b * servers_per + j;
-        p.set_cost(row, col, rng.uniform(0.5, 10.0));
-        p.set_demand(row, col, 0, rng.uniform(0.2, 1.2));
-        p.set_demand(row, col, 1, rng.uniform(0.2, 1.2));
+        // Draw into locals: argument evaluation order is unspecified.
+        const double cost = rng.uniform(0.5, 10.0);
+        const double memory = rng.uniform(0.2, 1.2);
+        const double compute = rng.uniform(0.2, 1.2);
+        if (row == strand_app) continue;
+        p.add_pair(row, b * servers_per + j, cost, {memory, compute});
       }
     }
   }
   return p;
+}
+
+// Copy of `p` with the pair (app, server) spliced into app's row.
+AssignmentProblem with_pair(const AssignmentProblem& p, std::size_t app, std::size_t server,
+                            double cost, std::initializer_list<double> demand) {
+  AssignmentProblem copy(p.num_apps(), p.num_servers(), p.num_resources());
+  for (std::size_t j = 0; j < p.num_servers(); ++j) {
+    for (std::size_t k = 0; k < p.num_resources(); ++k) copy.set_capacity(j, k, p.capacity(j, k));
+    copy.set_activation_cost(j, p.activation_cost(j));
+    copy.set_initially_on(j, p.initially_on(j));
+  }
+  for (std::size_t i = 0; i < p.num_apps(); ++i) {
+    bool spliced = i != app;
+    for (std::size_t q = p.row_begin(i); q < p.row_end(i); ++q) {
+      if (!spliced && p.server(q) > server) {
+        copy.add_pair(app, server, cost, demand);
+        spliced = true;
+      }
+      copy.add_pair(i, p.server(q), p.cost(q), p.demands(q));
+    }
+    if (!spliced) copy.add_pair(app, server, cost, demand);
+  }
+  return copy;
 }
 
 TEST(ConnectedComponents, SplitsBlockDiagonalInstances) {
@@ -48,18 +76,18 @@ TEST(ConnectedComponents, SplitsBlockDiagonalInstances) {
 
 TEST(ConnectedComponents, UnplaceableAppIsAnAppOnlySingleton) {
   AssignmentProblem p(3, 2, 1);
-  p.set_cost(0, 0, 1.0);
-  p.set_cost(2, 1, 1.0);  // app 1 has no feasible server
+  p.add_pair(0, 0, 1.0, {0.0});
+  p.add_pair(2, 1, 1.0, {0.0});  // app 1 has no feasible server
   const std::vector<Component> components = connected_components(p);
   ASSERT_EQ(components.size(), 3u);
   EXPECT_EQ(components[1].apps, (std::vector<std::size_t>{1}));
   EXPECT_TRUE(components[1].servers.empty());
 }
 
-TEST(ConnectedComponents, ServerWithoutFeasiblePairsJoinsNoComponent) {
+TEST(ConnectedComponents, ServerWithoutPairsJoinsNoComponent) {
   AssignmentProblem p(2, 3, 1);
-  p.set_cost(0, 0, 1.0);
-  p.set_cost(1, 2, 1.0);  // server 1 never appears
+  p.add_pair(0, 0, 1.0, {0.0});
+  p.add_pair(1, 2, 1.0, {0.0});  // server 1 never appears
   const std::vector<Component> components = connected_components(p);
   ASSERT_EQ(components.size(), 2u);
   for (const Component& component : components) {
@@ -68,12 +96,11 @@ TEST(ConnectedComponents, ServerWithoutFeasiblePairsJoinsNoComponent) {
 }
 
 TEST(ConnectedComponents, BridgingAppMergesBlocks) {
-  AssignmentProblem p = block_instance(2, 2, 2, 7, /*infeasible_p=*/0.0);
+  const AssignmentProblem p = block_instance(2, 2, 2, 7, /*infeasible_p=*/0.0);
   ASSERT_EQ(connected_components(p).size(), 2u);
-  p.set_cost(0, 3, 5.0);  // app 0 can now reach block 2's server
-  p.set_demand(0, 3, 0, 0.5);
-  p.set_demand(0, 3, 1, 0.5);
-  EXPECT_EQ(connected_components(p).size(), 1u);
+  // App 0 can now reach block 2's server.
+  const AssignmentProblem bridged = with_pair(p, 0, 3, 5.0, {0.5, 0.5});
+  EXPECT_EQ(connected_components(bridged).size(), 1u);
 }
 
 TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
@@ -85,12 +112,18 @@ TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
     ASSERT_EQ(sub.num_servers(), component.servers.size());
     ASSERT_EQ(sub.num_resources(), p.num_resources());
     for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
+      const std::size_t i = component.apps[ii];
+      // Every pair of the app survives, in row order.
+      ASSERT_EQ(sub.row_end(ii) - sub.row_begin(ii), p.row_end(i) - p.row_begin(i));
       for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
-        const std::size_t i = component.apps[ii];
         const std::size_t j = component.servers[jj];
-        EXPECT_EQ(sub.cost(ii, jj), p.cost(i, j));
+        const std::size_t sub_pair = sub.find_pair(ii, jj);
+        const std::size_t pair = p.find_pair(i, j);
+        ASSERT_EQ(sub_pair == kNoPair, pair == kNoPair);
+        if (pair == kNoPair) continue;
+        EXPECT_EQ(sub.cost(sub_pair), p.cost(pair));
         for (std::size_t k = 0; k < p.num_resources(); ++k) {
-          EXPECT_EQ(sub.demand(ii, jj, k), p.demand(i, j, k));
+          EXPECT_EQ(sub.demand(sub_pair, k), p.demand(pair, k));
         }
       }
     }
@@ -144,11 +177,9 @@ TEST_P(ShardedVsUnsharded, AutoCostNeverWorseThanMonolithicAuto) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const AssignmentProblem p = block_instance(2 + seed % 4, 3, 2, seed * 2953 + 5);
 
-  AssignmentOptions sharded_options;  // defaults: shard = true
-  AssignmentOptions mono_options;
-  mono_options.shard = false;
-  const AssignmentSolution sharded = solve_auto(p, sharded_options);
-  const AssignmentSolution mono = solve_auto(p, mono_options);
+  const AssignmentOptions options;
+  const AssignmentSolution sharded = solve_auto(p, options);
+  const AssignmentSolution mono = solve_unsharded(p, options);
 
   // Sharding never loses a placement the monolith found (each component is
   // testbed scale here, so every shard solves exactly); the reverse can
@@ -170,10 +201,12 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ShardedVsUnsharded, ::testing::Range(0, 30));
 TEST(SolveSharded, BitIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
     const AssignmentProblem p = block_instance(5, 3, 2, seed);
+    util::ThreadPool one_lane(1);
+    util::ThreadPool four_lanes(4);
     AssignmentOptions one;
-    one.shard_threads = 1;
+    one.shard_pool = &one_lane;
     AssignmentOptions many;
-    many.shard_threads = 4;
+    many.shard_pool = &four_lanes;
     const AssignmentSolution serial = solve_sharded(p, one);
     const AssignmentSolution parallel = solve_sharded(p, many);
     // Bit-identical, not approximately equal: disjoint slots mean the
@@ -188,8 +221,8 @@ TEST(SolveSharded, BitIdenticalAcrossThreadCounts) {
 TEST(SolveSharded, UnplaceableAppsAreIsolatedNotContagious) {
   // One app with no feasible server must not drag the rest of the batch
   // off the exact path: the other components still solve and stitch.
-  AssignmentProblem p = block_instance(2, 2, 2, 21, /*infeasible_p=*/0.0);
-  for (std::size_t j = 0; j < p.num_servers(); ++j) p.set_cost(2, j, kInfinity);
+  const AssignmentProblem p =
+      block_instance(2, 2, 2, 21, /*infeasible_p=*/0.0, /*strand_app=*/2);
   AssignmentOptions options;
   const AssignmentSolution sharded = solve_sharded(p, options);
   EXPECT_FALSE(sharded.feasible);  // the batch as a whole is not fully placed
@@ -205,7 +238,7 @@ TEST(SolveAuto, ShardingKeepsLargeMultiComponentBatchesExact) {
   // monolith, yet every component is 6 pairs. The sharded auto must agree
   // with the (limit-free) monolithic exact optimum.
   const AssignmentProblem p = block_instance(6, 3, 2, 1234);
-  AssignmentOptions options;  // exact_size_limit = 64, shard = true
+  AssignmentOptions options;  // exact_size_limit = 64
   const AssignmentSolution sharded = solve_auto(p, options);
   const AssignmentSolution exact = solve_exact(p);
   ASSERT_TRUE(exact.feasible);
@@ -223,8 +256,7 @@ TEST(SolveAuto, UnitSlotInstancesStayMonolithic) {
   for (std::size_t b = 0; b < 2; ++b) {
     for (std::size_t i = 0; i < 2; ++i) {
       for (std::size_t j = 0; j < 2; ++j) {
-        p.set_cost(2 * b + i, 2 * b + j, static_cast<double>(i + j + 1));
-        p.set_demand(2 * b + i, 2 * b + j, 0, 1.0);
+        p.add_pair(2 * b + i, 2 * b + j, static_cast<double>(i + j + 1), {1.0});
       }
     }
     p.set_capacity(2 * b, 0, 1.0);
@@ -243,8 +275,7 @@ TEST(SolveSharded, SingleComponentSpanningProblemSkipsExtraction) {
   AssignmentProblem p(2, 2, 1);
   for (std::size_t i = 0; i < 2; ++i) {
     for (std::size_t j = 0; j < 2; ++j) {
-      p.set_cost(i, j, static_cast<double>(i + j + 1));
-      p.set_demand(i, j, 0, 1.0);
+      p.add_pair(i, j, static_cast<double>(i + j + 1), {1.0});
     }
     p.set_capacity(i, 0, 2.0);
   }

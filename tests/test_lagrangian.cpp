@@ -12,8 +12,7 @@ AssignmentProblem simple(std::size_t apps, std::size_t servers, double cap) {
   for (std::size_t j = 0; j < servers; ++j) p.set_capacity(j, 0, cap);
   for (std::size_t i = 0; i < apps; ++i) {
     for (std::size_t j = 0; j < servers; ++j) {
-      p.set_cost(i, j, static_cast<double>(i + 2 * j + 1));
-      p.set_demand(i, j, 0, 1.0);
+      p.add_pair(i, j, static_cast<double>(i + 2 * j + 1), {1.0});
     }
   }
   return p;
@@ -49,9 +48,11 @@ TEST(Lagrangian, BoundNeverExceedsOptimum) {
     for (std::size_t i = 0; i < apps; ++i) {
       for (std::size_t j = 0; j < servers; ++j) {
         if (rng.bernoulli(0.1)) continue;
-        p.set_cost(i, j, rng.uniform(0.5, 10.0));
-        p.set_demand(i, j, 0, rng.uniform(0.2, 1.2));
-        p.set_demand(i, j, 1, rng.uniform(0.2, 1.2));
+        // Draw into locals: argument evaluation order is unspecified.
+        const double cost = rng.uniform(0.5, 10.0);
+        const double memory = rng.uniform(0.2, 1.2);
+        const double compute = rng.uniform(0.2, 1.2);
+        p.add_pair(i, j, cost, {memory, compute});
       }
     }
     const AssignmentSolution exact = solve_exact(p);
@@ -74,8 +75,7 @@ TEST(Lagrangian, CertifiesGreedyQualityAtScale) {
   for (std::size_t j = 0; j < servers; ++j) p.set_capacity(j, 0, 4.0);
   for (std::size_t i = 0; i < apps; ++i) {
     for (std::size_t j = 0; j < servers; ++j) {
-      p.set_cost(i, j, rng.uniform(1.0, 10.0));
-      p.set_demand(i, j, 0, 1.0);
+      p.add_pair(i, j, rng.uniform(1.0, 10.0), {1.0});
     }
   }
   AssignmentSolution heuristic = solve_greedy(p);
@@ -94,7 +94,7 @@ TEST(Lagrangian, CertifiesGreedyQualityAtScale) {
 }
 
 TEST(Lagrangian, InfeasibleInstanceFlagged) {
-  AssignmentProblem p(2, 2, 1);  // all costs at infinity
+  AssignmentProblem p(2, 2, 1);  // no feasible pairs
   const LagrangianResult lr = lagrangian_lower_bound(p);
   EXPECT_FALSE(lr.feasible_instance);
   EXPECT_EQ(lr.lower_bound, -kInfinity);

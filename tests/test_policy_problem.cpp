@@ -70,11 +70,12 @@ TEST(BuildProblem, LatencyFilterMarksDistantServersInfeasible) {
   const BuiltProblem built = build_problem(f.input(), apps, PolicyConfig::carbon_edge());
   for (std::size_t j = 0; j < 5; ++j) {
     if (j == 1) {
-      EXPECT_TRUE(built.problem.feasible_pair(0, j));
+      EXPECT_NE(built.problem.find_pair(0, j), solver::kNoPair);
     } else {
-      EXPECT_FALSE(built.problem.feasible_pair(0, j));
+      EXPECT_EQ(built.problem.find_pair(0, j), solver::kNoPair);
     }
   }
+  EXPECT_EQ(built.problem.num_pairs(), 1u);
 }
 
 TEST(BuildProblem, UnsupportedModelsAreInfeasible) {
@@ -82,7 +83,7 @@ TEST(BuildProblem, UnsupportedModelsAreInfeasible) {
   const std::vector<sim::Application> apps = {
       app_at(0, 20.0, sim::ModelType::kSciCpu)};  // CPU app on GPU-only cluster
   const BuiltProblem built = build_problem(f.input(), apps, PolicyConfig::carbon_edge());
-  for (std::size_t j = 0; j < 5; ++j) EXPECT_FALSE(built.problem.feasible_pair(0, j));
+  for (std::size_t j = 0; j < 5; ++j) EXPECT_EQ(built.problem.find_pair(0, j), solver::kNoPair);
 }
 
 TEST(BuildProblem, CarbonCostIsEnergyTimesIntensity) {
@@ -90,11 +91,10 @@ TEST(BuildProblem, CarbonCostIsEnergyTimesIntensity) {
   const std::vector<sim::Application> apps = {app_at(0, 40.0)};
   const BuiltProblem built = build_problem(f.input(7), apps, PolicyConfig::carbon_edge());
   for (std::size_t j = 0; j < 5; ++j) {
-    if (!built.problem.feasible_pair(0, j)) continue;
-    const std::size_t cell = built.index(0, j);
-    EXPECT_NEAR(built.carbon_g[cell],
-                built.energy_wh[cell] / 1000.0 * built.mean_intensity[j], 1e-9);
-    EXPECT_NEAR(built.problem.cost(0, j), built.carbon_g[cell], 1e-12);
+    const std::size_t p = built.problem.find_pair(0, j);
+    if (p == solver::kNoPair) continue;
+    EXPECT_NEAR(built.carbon_g[p], built.energy_wh[p] / 1000.0 * built.mean_intensity[j], 1e-9);
+    EXPECT_NEAR(built.problem.cost(p), built.carbon_g[p], 1e-12);
   }
 }
 
@@ -114,12 +114,15 @@ TEST(BuildProblem, PolicyObjectivesDiffer) {
   const BuiltProblem latency = build_problem(f.input(), apps, PolicyConfig::latency_aware());
   const BuiltProblem energy = build_problem(f.input(), apps, PolicyConfig::energy_aware());
   const BuiltProblem intensity = build_problem(f.input(), apps, PolicyConfig::intensity_aware());
+  // The policy changes costs only: all three share one pair layout.
+  ASSERT_EQ(energy.problem.num_pairs(), latency.problem.num_pairs());
+  ASSERT_EQ(intensity.problem.num_pairs(), latency.problem.num_pairs());
   for (std::size_t j = 0; j < 5; ++j) {
-    if (!latency.problem.feasible_pair(0, j)) continue;
-    const std::size_t cell = latency.index(0, j);
-    EXPECT_NEAR(latency.problem.cost(0, j), latency.rtt_ms[cell], 1e-12);
-    EXPECT_NEAR(energy.problem.cost(0, j), energy.energy_wh[cell], 1e-12);
-    EXPECT_NEAR(intensity.problem.cost(0, j), intensity.mean_intensity[j], 1e-12);
+    const std::size_t p = latency.problem.find_pair(0, j);
+    if (p == solver::kNoPair) continue;
+    EXPECT_NEAR(latency.problem.cost(p), latency.rtt_ms[p], 1e-12);
+    EXPECT_NEAR(energy.problem.cost(p), energy.energy_wh[p], 1e-12);
+    EXPECT_NEAR(intensity.problem.cost(p), intensity.mean_intensity[j], 1e-12);
   }
 }
 
@@ -129,17 +132,19 @@ TEST(BuildProblem, MultiObjectiveEndpointsMatchPureObjectives) {
   const BuiltProblem alpha0 = build_problem(f.input(), apps, PolicyConfig::multi_objective(0.0));
   const BuiltProblem alpha1 = build_problem(f.input(), apps, PolicyConfig::multi_objective(1.0));
   // alpha=0 costs are normalized carbon: ordering matches carbon ordering.
+  // alpha only changes costs, so both problems share one pair layout.
+  ASSERT_EQ(alpha1.problem.num_pairs(), alpha0.problem.num_pairs());
   for (std::size_t i = 0; i < apps.size(); ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
       for (std::size_t k = j + 1; k < 5; ++k) {
-        if (!alpha0.problem.feasible_pair(i, j) || !alpha0.problem.feasible_pair(i, k)) continue;
-        const bool carbon_less =
-            alpha0.carbon_g[alpha0.index(i, j)] < alpha0.carbon_g[alpha0.index(i, k)];
-        const bool cost_less = alpha0.problem.cost(i, j) < alpha0.problem.cost(i, k);
+        const std::size_t pj = alpha0.problem.find_pair(i, j);
+        const std::size_t pk = alpha0.problem.find_pair(i, k);
+        if (pj == solver::kNoPair || pk == solver::kNoPair) continue;
+        const bool carbon_less = alpha0.carbon_g[pj] < alpha0.carbon_g[pk];
+        const bool cost_less = alpha0.problem.cost(pj) < alpha0.problem.cost(pk);
         EXPECT_EQ(carbon_less, cost_less);
-        const bool energy_less =
-            alpha1.energy_wh[alpha1.index(i, j)] < alpha1.energy_wh[alpha1.index(i, k)];
-        const bool cost1_less = alpha1.problem.cost(i, j) < alpha1.problem.cost(i, k);
+        const bool energy_less = alpha1.energy_wh[pj] < alpha1.energy_wh[pk];
+        const bool cost1_less = alpha1.problem.cost(pj) < alpha1.problem.cost(pk);
         EXPECT_EQ(energy_less, cost1_less);
       }
     }
@@ -179,8 +184,10 @@ TEST(BuildProblem, EnergyScalesWithEpochHours) {
   in2.epoch_hours = 2.0;
   const BuiltProblem b1 = build_problem(in1, apps, PolicyConfig::energy_aware());
   const BuiltProblem b2 = build_problem(in2, apps, PolicyConfig::energy_aware());
-  const std::size_t cell = b1.index(0, 0);
-  EXPECT_NEAR(b2.energy_wh[cell], 2.0 * b1.energy_wh[cell], 1e-9);
+  const std::size_t p = b1.problem.find_pair(0, 0);
+  ASSERT_NE(p, solver::kNoPair);
+  ASSERT_EQ(b2.problem.find_pair(0, 0), p);
+  EXPECT_NEAR(b2.energy_wh[p], 2.0 * b1.energy_wh[p], 1e-9);
 }
 
 }  // namespace
