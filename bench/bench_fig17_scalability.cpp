@@ -28,7 +28,7 @@ namespace {
 struct Instance {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService service;
-  geo::LatencyMatrix latency;
+  geo::LatencyProvider latency;
   std::vector<sim::Application> apps;
 };
 
@@ -38,9 +38,9 @@ Instance make_instance(std::size_t servers, std::size_t apps) {
       sim::make_uniform_cluster(region,
                                 (servers + region.cities.size() - 1) / region.cities.size(),
                                 sim::DeviceType::kA2),
-      carbon::CarbonIntensityService{}, geo::LatencyMatrix{}, {}};
+      carbon::CarbonIntensityService{}, geo::LatencyProvider{}, {}};
   inst.service.add_region(region);
-  inst.latency = geo::LatencyMatrix(geo::LatencyModel{}, inst.cluster.cities());
+  inst.latency = geo::LatencyProvider(geo::LatencyModel{}, inst.cluster.cities());
   sim::WorkloadParams params;
   params.model_weights = {1.0, 1.0, 1.0, 0.0};
   params.latency_limit_rtt_ms = 30.0;

@@ -24,12 +24,12 @@ namespace {
 struct Testbed {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService service;
-  geo::LatencyMatrix latency;
+  geo::LatencyProvider latency;
 
   Testbed()
       : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)) {
     service.add_region(geo::florida_region());
-    latency = geo::LatencyMatrix(geo::LatencyModel{}, cluster.cities());
+    latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 };
 

@@ -85,7 +85,7 @@ endif()
 set(CATALOG_KEY ${CMAKE_MATCH_1})
 
 # Radius query (spatial index, exact distances) and a 12-site banded sweep
-# (sparse LatencyProvider through region construction, solver, and engine).
+# (banded LatencyProvider through region construction, solver, and engine).
 set(PROBE_catalog_radius "catalog;--dir;${CATALOG_STORE};radius;${CATALOG_KEY};52.0;5.0;400")
 set(PROBE_catalog_sweep "catalog;--dir;${CATALOG_STORE};sweep;${CATALOG_KEY};24;--max-sites=12;--band=12")
 foreach(probe catalog_radius catalog_sweep)

@@ -686,8 +686,8 @@ int cmd_catalog_sweep(const store::ArtifactStore& artifacts, std::vector<std::st
       geo::catalog_region(catalog, "catalog " + key.substr(0, 8), max_sites);
 
   // The same engine knobs as `sweep --single`, collapsed to one CarbonEdge
-  // cell; --band switches the cell's geography to the sparse
-  // BandedLatencyMatrix. No sweep store is attached even though a --dir is
+  // cell; --band keeps only in-band latency neighbors in the cell's
+  // geography. No sweep store is attached even though a --dir is
   // in hand: the determinism gate reruns this at several thread counts and
   // must diff recomputations, not a warm resume.
   core::SimulationConfig config;

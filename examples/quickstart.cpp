@@ -31,7 +31,7 @@ int main() {
 
   // 2. Build an edge cluster: one NVIDIA A2 server per city.
   sim::EdgeCluster cluster = sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2);
-  const geo::LatencyMatrix latency(geo::LatencyModel{}, cluster.cities());
+  const geo::LatencyProvider latency(geo::LatencyModel{}, cluster.cities());
 
   // 3. A batch of arriving applications: one ResNet50 inference service per
   //    city, 5 req/s each, 20 ms round-trip SLO.

@@ -1,6 +1,5 @@
 #include "carbon/trace_io.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -33,17 +32,13 @@ void write_rows(util::CsvWriter& writer, const CarbonTrace& trace, bool with_mix
   }
 }
 
-// Data row r (0-based) sits on this 1-based text line: line 1 is the
-// header. (Quoted cells with embedded newlines would shift this, but no
-// trace exporter emits them.)
-std::size_t line_of(std::size_t row) { return row + 2; }
-
 [[noreturn]] void parse_fail(std::size_t row, const std::string& what) {
-  throw std::runtime_error("trace csv line " + std::to_string(line_of(row)) + ": " + what);
+  throw std::runtime_error("trace csv line " + std::to_string(util::data_line(row)) + ": " +
+                           what);
 }
 
-// Strict full-cell numeric parses: trailing garbage ("12abc"), empty cells,
-// and out-of-range values all fail with the offending line and cell.
+// Strict full-cell hour parse: trailing garbage ("12abc"), empty cells, and
+// out-of-range values all fail with the offending line and cell.
 std::size_t parse_hour(const std::string& cell, std::size_t row) {
   try {
     std::size_t consumed = 0;
@@ -53,23 +48,6 @@ std::size_t parse_hour(const std::string& cell, std::size_t row) {
   } catch (const std::exception&) {
     parse_fail(row, "invalid hour '" + cell + "'");
   }
-}
-
-double parse_value(const std::string& cell, std::size_t row, const char* column) {
-  double value = 0.0;
-  try {
-    std::size_t consumed = 0;
-    value = std::stod(cell, &consumed);
-    if (consumed != cell.size()) throw std::invalid_argument("trailing characters");
-  } catch (const std::exception&) {
-    parse_fail(row, std::string("invalid ") + column + " '" + cell + "'");
-  }
-  // NaN/inf would silently poison every mean/forecast downstream, and a
-  // negative intensity or generation share is physically meaningless —
-  // reject them at the door instead of ingesting them.
-  if (!std::isfinite(value)) parse_fail(row, std::string("non-finite ") + column + " '" + cell + "'");
-  if (value < 0.0) parse_fail(row, std::string("negative ") + column + " '" + cell + "'");
-  return value;
 }
 
 }  // namespace
@@ -121,11 +99,13 @@ std::vector<CarbonTrace> read_traces_csv(const std::string& text) {
                         std::to_string(it->second.size()) + ", got " + std::to_string(hour) +
                         ")");
     }
-    it->second.push_back(parse_value(row[ci_col], r, "intensity"));
+    it->second.push_back(
+        util::parse_nonnegative(row[ci_col], "trace csv", util::data_line(r), "intensity"));
     if (with_mix) {
       GenerationMix mix;
       for (const EnergySource s : kAllSources) {
-        mix.set(s, parse_value(row[mix_cols[index_of(s)]], r, "mix share"));
+        mix.set(s, util::parse_nonnegative(row[mix_cols[index_of(s)]], "trace csv",
+                                           util::data_line(r), "mix share"));
       }
       mixes[zone].push_back(mix);
     }

@@ -81,12 +81,7 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
         pair_demand.push_back(sim::compute_demand_per_rps(app.model, server.device()) * app.rps);
       }
     };
-    const std::span<const std::uint32_t> near = input.latency->neighbors(app.origin_site);
-    if (near.empty()) {
-      for (std::size_t s = 0; s < num_sites; ++s) add_site(s);
-    } else {
-      for (const std::uint32_t s : near) add_site(s);
-    }
+    for (const std::uint32_t s : input.latency->neighbors(app.origin_site)) add_site(s);
   }
 
   // Assemble the assignment problem: 2 resources (memory MB, compute).

@@ -8,7 +8,6 @@
 
 #include "carbon/caltime.hpp"
 #include "geo/site.hpp"
-#include "geo/sparse_latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/thread_pool.hpp"
@@ -392,15 +391,9 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
         const std::string& zone = cluster_.sites()[entry.site].zone();
         const double current_rate = carbon_rate_g(entry.app, current, zone);
         double best_rate = current_rate;
-        // A banded provider narrows the scan to the origin's neighborhood;
-        // sites it skips are +inf RTT, i.e. exactly the ones the filter
-        // below would drop, and best_rate is an order-independent min — so
-        // the verdicts match the dense scan bit for bit.
-        const std::span<const std::uint32_t> near =
-            latency_->neighbors(entry.app.origin_site);
-        const std::size_t candidates = near.empty() ? cluster_.size() : near.size();
-        for (std::size_t n = 0; n < candidates; ++n) {
-          const std::size_t site = near.empty() ? n : near[n];
+        // Only the origin's row: sites outside it are +inf RTT, i.e.
+        // exactly the ones the filter below would drop.
+        for (const std::size_t site : latency_->neighbors(entry.app.origin_site)) {
           const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, site);
           if (rtt > entry.app.latency_limit_rtt_ms + 1e-9) continue;
           for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
@@ -509,12 +502,10 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       // not cover power state, and activating a cold server here would
       // bypass the optimizer's Eq. 5 activation decision, so off servers
       // are skipped.
-      // Neighbor prefilter as in the veto scan: candidates stay in
-      // ascending site order, so "first feasible" is the same server.
-      const std::span<const std::uint32_t> near = latency_->neighbors(app.origin_site);
-      const std::size_t candidates = near.empty() ? cluster_.size() : near.size();
-      for (std::size_t n = 0; n < candidates && target == nullptr; ++n) {
-        const std::size_t site = near.empty() ? n : near[n];
+      // The origin's row, as in the veto scan: sites stay in ascending
+      // order, so "first feasible" is the lowest such site's server.
+      for (const std::size_t site : latency_->neighbors(app.origin_site)) {
+        if (target != nullptr) break;
         if (2.0 * latency_->one_way_ms(app.origin_site, site) >
             app.latency_limit_rtt_ms + 1e-9) {
           continue;
@@ -639,12 +630,9 @@ EdgeSimulation::EdgeSimulation(sim::EdgeCluster cluster,
                                double latency_band_one_way_ms)
     : pristine_(std::move(cluster)), carbon_(&carbon) {
   const std::vector<geo::City> cities = pristine_.cities();
-  if (latency_band_one_way_ms > 0.0) {
-    latency_ = std::make_unique<geo::BandedLatencyMatrix>(
-        latency_model, cities, latency_band_one_way_ms);
-  } else {
-    latency_ = std::make_unique<geo::LatencyMatrix>(latency_model, cities);
-  }
+  latency_ = latency_band_one_way_ms > 0.0
+                 ? geo::LatencyProvider(latency_model, cities, latency_band_one_way_ms)
+                 : geo::LatencyProvider(latency_model, cities);
   for (const geo::City& city : cities) {
     if (!carbon_->has_zone(city.name)) {
       throw std::invalid_argument("carbon service has no trace for zone " + city.name);
@@ -655,7 +643,7 @@ EdgeSimulation::EdgeSimulation(sim::EdgeCluster cluster,
 SimulationResult EdgeSimulation::run(const SimulationConfig& config) {
   // Fresh state per run: the engine starts from a pristine cluster copy and
   // the workload stream depends only on the config seed.
-  SimulationEngine engine(pristine_, *carbon_, *latency_, config, budget_, lane_cap_);
+  SimulationEngine engine(pristine_, *carbon_, latency_, config, budget_, lane_cap_);
   sim::WorkloadGenerator generator(config.workload, engine.cluster());
   for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
     engine.step(generator.arrivals(epoch));

@@ -241,10 +241,10 @@ class SimulationEngine {
 /// including the fully serial engine.
 class EdgeSimulation {
  public:
-  /// `latency_band_one_way_ms == 0` builds the dense LatencyMatrix over the
-  /// cluster's sites; a positive band builds the sparse BandedLatencyMatrix
-  /// instead (pairs beyond the band are never-feasible), which is what lets
-  /// 1000+-site geographies skip the n^2 materialization. The band is a
+  /// `latency_band_one_way_ms == 0` builds full latency rows (every site
+  /// pair) over the cluster's sites; a positive band keeps only in-band
+  /// neighbors (pairs beyond the band are never-feasible), which is what
+  /// lets 1000+-site geographies skip the n^2 materialization. The band is a
   /// construction-time property of the geography, not a per-run config
   /// knob, because the serving mode builds engines from latency() directly.
   EdgeSimulation(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
@@ -262,7 +262,7 @@ class EdgeSimulation {
   /// the first cell monopolize them.
   void set_lane_cap(std::size_t lanes) noexcept { lane_cap_ = lanes; }
 
-  [[nodiscard]] const geo::LatencyProvider& latency() const noexcept { return *latency_; }
+  [[nodiscard]] const geo::LatencyProvider& latency() const noexcept { return latency_; }
   [[nodiscard]] const sim::EdgeCluster& pristine_cluster() const noexcept { return pristine_; }
   [[nodiscard]] const carbon::CarbonIntensityService& carbon_service() const noexcept {
     return *carbon_;
@@ -271,7 +271,7 @@ class EdgeSimulation {
  private:
   sim::EdgeCluster pristine_;
   const carbon::CarbonIntensityService* carbon_;
-  std::unique_ptr<const geo::LatencyProvider> latency_;
+  geo::LatencyProvider latency_;
   util::ParallelismBudget* budget_ = nullptr;  // nullptr = util::global_budget()
   std::size_t lane_cap_ = 0;
 };

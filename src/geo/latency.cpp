@@ -1,7 +1,11 @@
 #include "geo/latency.hpp"
 
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
+#include "geo/coord.hpp"
+#include "geo/spatial_index.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge::geo {
@@ -32,22 +36,62 @@ double LatencyModel::one_way_ms(const City& a, const City& b) const noexcept {
   return params_.base_ms + km / params_.fiber_km_per_ms * inflation;
 }
 
-LatencyMatrix::LatencyMatrix(std::size_t count, std::vector<double> one_way_values)
-    : count_(count), values_(std::move(one_way_values)) {
-  if (values_.size() != count_ * count_) {
-    throw std::invalid_argument("latency matrix: values size must be count^2");
+LatencyProvider::LatencyProvider(const LatencyModel& model, std::span<const City> cities) {
+  const std::size_t count = cities.size();
+  std::vector<double> values(count * count, 0.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::size_t j = i + 1; j < count; ++j) {
+      const double ms = model.one_way_ms(cities[i], cities[j]);
+      values[i * count + j] = ms;
+      values[j * count + i] = ms;
+    }
+  }
+  assign_full_rows(count, std::move(values));
+}
+
+LatencyProvider::LatencyProvider(const LatencyModel& model, std::span<const City> cities,
+                                 double band_one_way_ms)
+    : band_ms_(band_one_way_ms) {
+  const LatencyModelParams& p = model.params();
+  if (band_ms_ <= p.base_ms) {
+    throw std::invalid_argument("banded latency: band must exceed the base one-way latency");
+  }
+  // Conservative model inversion: no in-band pair can be farther than this.
+  const double radius_km = (band_ms_ - p.base_ms) * p.fiber_km_per_ms / p.inflation_min;
+
+  const SpatialIndex index(cities);
+  row_start_.assign(cities.size() + 1, 0);
+  for (std::size_t i = 0; i < cities.size(); ++i) {
+    // Candidates ascending; the exact model decides membership, so the band
+    // is symmetric and bit-identical to the full rows on its support.
+    for (const std::uint32_t j : index.within_radius(cities[i].location, radius_km)) {
+      const double ms =
+          i == static_cast<std::size_t>(j) ? 0.0 : model.one_way_ms(cities[i], cities[j]);
+      if (ms <= band_ms_) {
+        sites_.push_back(j);
+        values_.push_back(ms);
+      }
+    }
+    row_start_[i + 1] = sites_.size();
   }
 }
 
-LatencyMatrix::LatencyMatrix(const LatencyModel& model, std::span<const City> cities)
-    : count_(cities.size()), values_(cities.size() * cities.size(), 0.0) {
-  for (std::size_t i = 0; i < count_; ++i) {
-    for (std::size_t j = i + 1; j < count_; ++j) {
-      const double ms = model.one_way_ms(cities[i], cities[j]);
-      values_[i * count_ + j] = ms;
-      values_[j * count_ + i] = ms;
-    }
+LatencyProvider::LatencyProvider(std::size_t count, std::vector<double> one_way_values) {
+  if (one_way_values.size() != count * count) {
+    throw std::invalid_argument("latency provider: values size must be count^2");
   }
+  assign_full_rows(count, std::move(one_way_values));
+}
+
+void LatencyProvider::assign_full_rows(std::size_t count, std::vector<double> values) {
+  row_start_.resize(count + 1);
+  sites_.resize(count * count);
+  for (std::size_t i = 0; i <= count; ++i) row_start_[i] = i * count;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::iota(sites_.begin() + static_cast<std::ptrdiff_t>(i * count),
+              sites_.begin() + static_cast<std::ptrdiff_t>((i + 1) * count), std::uint32_t{0});
+  }
+  values_ = std::move(values);
 }
 
 }  // namespace carbonedge::geo

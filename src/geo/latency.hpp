@@ -1,7 +1,7 @@
-// Network latency model.
+// Network latency: the model and the site-indexed provider built from it.
 //
-// Substitutes for the WonderNetwork ping matrix: one-way latency between two
-// cities is modeled as
+// LatencyModel substitutes for the WonderNetwork ping matrix: one-way
+// latency between two cities is modeled as
 //
 //   one_way_ms = base + distance_km / fiber_km_per_ms * inflation(pair)
 //
@@ -10,9 +10,17 @@
 // plus a penalty when the pair crosses a country border (inter-AS routing
 // detours). Calibrated against Table 1 of the paper: Florida pairs land in
 // 1.9-7.2 ms one-way, Central-EU pairs in 4-16 ms.
+//
+// LatencyProvider has one layout: per-site rows of (neighbor site, one-way
+// ms), ascending by site. Full rows are the dense matrix (every pair, O(1)
+// lookups); a band keeps only in-band neighbors, which is what lets
+// 1000+-site geographies skip the n^2 pair table.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -49,61 +57,83 @@ class LatencyModel {
 };
 
 /// Site-indexed latency oracle: what placement and the simulation engine
-/// consume (L_ij in Table 2). Implementations are either dense
-/// (LatencyMatrix) or banded-sparse (BandedLatencyMatrix in
-/// sparse_latency.hpp); out-of-band pairs report +infinity one-way, which
-/// the RTT feasibility filters treat as "never feasible".
+/// consume (L_ij in Table 2).
+///
+/// One layout: per-site rows of (neighbor site, one-way ms), ascending by
+/// site. A dense geography is a provider whose rows are full (every site
+/// listed); a banded geography keeps only the pairs whose modeled one-way
+/// latency is within the band, so memory and the feasibility loops scale
+/// with the neighborhood instead of n^2 on 1000+-site catalogs. Pairs
+/// outside a row report +infinity one-way, which the RTT feasibility
+/// filters treat as "never feasible".
 class LatencyProvider {
  public:
-  virtual ~LatencyProvider() = default;
+  LatencyProvider() = default;
+  /// Every pair of `cities`: the upper triangle is computed once and
+  /// mirrored, so L(i,j) == L(j,i) bit for bit.
+  LatencyProvider(const LatencyModel& model, std::span<const City> cities);
+  /// Only pairs within `band_one_way_ms` (diagonal always present).
+  /// Candidates come from a SpatialIndex radius query with the conservative
+  /// inversion of the model (one_way = base + km/fiber * inflation with
+  /// inflation >= inflation_min, so an in-band pair has km <= (band - base)
+  /// * fiber / inflation_min); each is then scored with the exact model, so
+  /// stored values are bit-identical to the full rows. Throws
+  /// std::invalid_argument when the band cannot even hold the zero-distance
+  /// base latency.
+  LatencyProvider(const LatencyModel& model, std::span<const City> cities,
+                  double band_one_way_ms);
+  /// From raw row-major one-way values (count x count), stored as full
+  /// rows; used by the CSV replay path (latency_io.hpp). Throws
+  /// std::invalid_argument on a size mismatch.
+  LatencyProvider(std::size_t count, std::vector<double> one_way_values);
 
   /// Number of sites the provider covers (indices are [0, size())).
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
+  [[nodiscard]] std::size_t size() const noexcept {
+    return row_start_.empty() ? 0 : row_start_.size() - 1;
+  }
 
-  /// One-way latency in ms between site indices; +infinity when the pair is
-  /// outside the provider's band.
-  [[nodiscard]] virtual double one_way_ms(std::size_t i,
-                                          std::size_t j) const noexcept = 0;
+  /// One-way latency in ms between site indices; +infinity when j is not in
+  /// row i. A full row is indexed directly (O(1) on dense geographies);
+  /// otherwise the row is binary-searched.
+  [[nodiscard]] double one_way_ms(std::size_t i, std::size_t j) const noexcept {
+    const std::size_t first = row_start_[i];
+    const std::size_t last = row_start_[i + 1];
+    if (last - first == size()) return values_[first + j];
+    const auto row_begin = sites_.begin() + static_cast<std::ptrdiff_t>(first);
+    const auto row_end = sites_.begin() + static_cast<std::ptrdiff_t>(last);
+    const auto it = std::lower_bound(row_begin, row_end, static_cast<std::uint32_t>(j));
+    if (it == row_end || *it != static_cast<std::uint32_t>(j)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return values_[static_cast<std::size_t>(it - sites_.begin())];
+  }
 
   /// Round-trip latency (2x one-way).
   [[nodiscard]] double rtt_ms(std::size_t i, std::size_t j) const noexcept {
     return 2.0 * one_way_ms(i, j);
   }
 
-  /// Candidate sites with finite latency from site `i`, indices ascending.
-  /// An empty span means "unconstrained": every site may be finite (the
-  /// dense provider), and callers must fall back to scanning all sites.
-  /// This is a prefilter only — entries may still be infeasible for a given
-  /// RTT limit; it exists so feasibility loops over thousands of sites skip
-  /// the out-of-band majority.
-  [[nodiscard]] virtual std::span<const std::uint32_t> neighbors(
-      std::size_t /*i*/) const noexcept {
-    return {};
+  /// The sites of row i, ascending: every site with finite latency from i
+  /// (0..size()-1 for a full row). A prefilter only — entries may still be
+  /// infeasible for a given RTT limit.
+  [[nodiscard]] std::span<const std::uint32_t> neighbors(std::size_t i) const noexcept {
+    return std::span<const std::uint32_t>(sites_).subspan(row_start_[i],
+                                                          row_start_[i + 1] - row_start_[i]);
   }
 
- protected:
-  LatencyProvider() = default;
-  LatencyProvider(const LatencyProvider&) = default;
-  LatencyProvider& operator=(const LatencyProvider&) = default;
-};
-
-/// Dense symmetric one-way latency matrix over an ordered set of cities.
-class LatencyMatrix final : public LatencyProvider {
- public:
-  LatencyMatrix() = default;
-  LatencyMatrix(const LatencyModel& model, std::span<const City> cities);
-  /// From raw row-major one-way values (count x count); used by the CSV
-  /// replay path (latency_io.hpp). Throws on size mismatch.
-  LatencyMatrix(std::size_t count, std::vector<double> one_way_values);
-
-  [[nodiscard]] double one_way_ms(std::size_t i,
-                                  std::size_t j) const noexcept override {
-    return values_[i * count_ + j];
-  }
-  [[nodiscard]] std::size_t size() const noexcept override { return count_; }
+  /// The band the rows were cut at; +infinity when every pair is stored.
+  [[nodiscard]] double band_one_way_ms() const noexcept { return band_ms_; }
+  /// Stored (directed) entries, diagonal included — the measure of how far
+  /// below n^2 a band stays.
+  [[nodiscard]] std::size_t stored_entries() const noexcept { return sites_.size(); }
 
  private:
-  std::size_t count_ = 0;
+  /// Full rows over `count` sites with `values` (row-major count x count).
+  void assign_full_rows(std::size_t count, std::vector<double> values);
+
+  double band_ms_ = std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> row_start_;
+  std::vector<std::uint32_t> sites_;  // ascending within each row
   std::vector<double> values_;
 };
 

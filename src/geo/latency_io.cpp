@@ -24,7 +24,7 @@ void write_latency_csv(std::ostream& out, std::span<const City> cities,
   }
 }
 
-LatencyMatrix read_latency_csv(const std::string& text, std::span<const City> cities) {
+LatencyProvider read_latency_csv(const std::string& text, std::span<const City> cities) {
   const util::CsvDocument doc = util::parse_csv(text);
   const std::size_t from_col = doc.column("from");
   const std::size_t to_col = doc.column("to");
@@ -34,9 +34,10 @@ LatencyMatrix read_latency_csv(const std::string& text, std::span<const City> ci
     throw std::runtime_error("latency csv: missing from/to/one_way_ms columns");
   }
   std::map<std::pair<std::string, std::string>, double> pairs;
-  for (const auto& row : doc.rows) {
-    const double ms = std::stod(row[ms_col]);
-    if (ms < 0.0) throw std::runtime_error("latency csv: negative latency");
+  for (std::size_t r = 0; r < doc.rows.size(); ++r) {
+    const auto& row = doc.rows[r];
+    const double ms =
+        util::parse_nonnegative(row[ms_col], "latency csv", util::data_line(r), "one_way_ms");
     pairs[{std::min(row[from_col], row[to_col]), std::max(row[from_col], row[to_col])}] = ms;
   }
   std::vector<double> values(cities.size() * cities.size(), 0.0);
@@ -53,7 +54,7 @@ LatencyMatrix read_latency_csv(const std::string& text, std::span<const City> ci
       values[j * cities.size() + i] = it->second;
     }
   }
-  return LatencyMatrix(cities.size(), std::move(values));
+  return LatencyProvider(cities.size(), std::move(values));
 }
 
 void save_latency(const std::filesystem::path& path, std::span<const City> cities,
@@ -63,7 +64,7 @@ void save_latency(const std::filesystem::path& path, std::span<const City> citie
   write_latency_csv(file, cities, model);
 }
 
-LatencyMatrix load_latency(const std::filesystem::path& path, std::span<const City> cities) {
+LatencyProvider load_latency(const std::filesystem::path& path, std::span<const City> cities) {
   std::ifstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("latency csv: cannot read " + path.string());
   std::ostringstream buffer;

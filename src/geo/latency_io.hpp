@@ -1,4 +1,4 @@
-// Latency matrix import/export in a WonderNetwork-style CSV schema:
+// Latency import/export in a WonderNetwork-style CSV schema:
 //
 //   from,to,distance_km,one_way_ms,rtt_ms
 //
@@ -21,16 +21,18 @@ namespace carbonedge::geo {
 void write_latency_csv(std::ostream& out, std::span<const City> cities,
                        const LatencyModel& model);
 
-/// Build a LatencyMatrix for `cities` from CSV text in the schema above.
-/// Missing pairs throw std::runtime_error; extra pairs are ignored; the
-/// direction of a pair does not matter.
-[[nodiscard]] LatencyMatrix read_latency_csv(const std::string& text,
-                                             std::span<const City> cities);
+/// Build a full-row LatencyProvider for `cities` from CSV text in the
+/// schema above. Missing pairs and one_way_ms cells that are not a finite,
+/// non-negative number (util::parse_nonnegative; the message names the
+/// line) throw std::runtime_error; extra pairs are ignored; the direction
+/// of a pair does not matter.
+[[nodiscard]] LatencyProvider read_latency_csv(const std::string& text,
+                                               std::span<const City> cities);
 
 /// File conveniences.
 void save_latency(const std::filesystem::path& path, std::span<const City> cities,
                   const LatencyModel& model);
-[[nodiscard]] LatencyMatrix load_latency(const std::filesystem::path& path,
-                                         std::span<const City> cities);
+[[nodiscard]] LatencyProvider load_latency(const std::filesystem::path& path,
+                                           std::span<const City> cities);
 
 }  // namespace carbonedge::geo

@@ -61,8 +61,8 @@ struct Scenario {
   /// empty keeps the service default, the oracle).
   std::string forecaster;
   /// One-way latency band for the cell's geography (EdgeSimulation ctor);
-  /// 0 keeps the dense LatencyMatrix, positive builds the sparse
-  /// BandedLatencyMatrix so planet-scale regions skip the n^2 pair table.
+  /// 0 stores full latency rows, positive keeps only in-band neighbors so
+  /// planet-scale regions skip the n^2 pair table.
   double latency_band_ms = 0.0;
   core::SimulationConfig config;
 };

@@ -41,7 +41,6 @@ bool parse_header(std::string_view bytes, Header& header) noexcept {
 const char* to_string(ArtifactKind kind) noexcept {
   switch (kind) {
     case ArtifactKind::kCarbonTrace: return "trace";
-    case ArtifactKind::kLatencyMatrix: return "latency";
     case ArtifactKind::kSweepOutcome: return "sweep";
     case ArtifactKind::kSiteCatalog: return "catalog";
   }

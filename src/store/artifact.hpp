@@ -30,10 +30,11 @@ static_assert(std::endian::native == std::endian::little,
 
 /// What an artifact's payload encodes (part of the on-disk header).
 enum class ArtifactKind : std::uint32_t {
-  kCarbonTrace = 1,    // hourly intensity series + optional generation mixes
-  kLatencyMatrix = 2,  // dense one-way latency matrix
-  kSweepOutcome = 3,   // one scenario cell's SimulationResult
-  kSiteCatalog = 4,    // compiled site catalog (columnar city table)
+  kCarbonTrace = 1,   // hourly intensity series + optional generation mixes
+  // 2 is retired (a dense latency matrix kind): never reuse it, so files
+  // written with it can never decode as another kind.
+  kSweepOutcome = 3,  // one scenario cell's SimulationResult
+  kSiteCatalog = 4,   // compiled site catalog (columnar city table)
 };
 
 [[nodiscard]] const char* to_string(ArtifactKind kind) noexcept;

@@ -58,13 +58,12 @@ obs::Phase& gc_phase() {
   return phase;
 }
 
-constexpr ArtifactKind kAllKinds[] = {ArtifactKind::kCarbonTrace, ArtifactKind::kLatencyMatrix,
-                                      ArtifactKind::kSweepOutcome, ArtifactKind::kSiteCatalog};
+constexpr ArtifactKind kAllKinds[] = {ArtifactKind::kCarbonTrace, ArtifactKind::kSweepOutcome,
+                                      ArtifactKind::kSiteCatalog};
 
 const char* dir_name(ArtifactKind kind) {
   switch (kind) {
     case ArtifactKind::kCarbonTrace: return "traces";
-    case ArtifactKind::kLatencyMatrix: return "latency";
     case ArtifactKind::kSweepOutcome: return "sweeps";
     case ArtifactKind::kSiteCatalog: return "catalogs";
   }

@@ -4,8 +4,8 @@
 //
 //   <root>/traces/<key>.ceaf     synthesized carbon traces (L2 tier of
 //                                carbon::TraceCache)
-//   <root>/latency/<key>.ceaf    latency matrices
 //   <root>/sweeps/<key>.ceaf     per-scenario SimulationResults (SweepStore)
+//   <root>/catalogs/<key>.ceaf   compiled site catalogs
 //   <root>/locks/<kind>-<key>.lock   advisory cross-process locks
 //
 // Keys are caller-supplied content hashes (util::Fingerprint hex digests),

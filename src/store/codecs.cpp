@@ -13,7 +13,6 @@ namespace {
 
 // Per-kind payload schemas; bump when a codec's field list changes.
 constexpr std::uint32_t kTraceSchema = 1;
-constexpr std::uint32_t kLatencySchema = 1;
 constexpr std::uint32_t kOutcomeSchema = 2;
 constexpr std::uint32_t kSiteCatalogSchema = 1;
 
@@ -84,8 +83,8 @@ geo::CompiledSiteCatalog decode_site_catalog(std::string_view payload) {
   ByteReader r(payload);
   require_schema(r.u32(), kSiteCatalogSchema, "site catalog");
   const std::uint64_t count = r.u64();
-  // Same wrap guard as the latency codec: a checksum-valid but hostile count
-  // must not drive the reserve/loop arithmetic below.
+  // Wrap guard: a checksum-valid but hostile count must not drive the
+  // reserve/loop arithmetic below.
   if (count > (std::uint64_t{1} << 24)) {
     throw std::runtime_error("artifact: implausible site catalog size");
   }
@@ -109,33 +108,6 @@ geo::CompiledSiteCatalog decode_site_catalog(std::string_view payload) {
   // CompiledSiteCatalog's constructor re-validates (dense ids, unique
   // names, coordinate ranges) — decode shares the ingest-time invariants.
   return geo::CompiledSiteCatalog(std::move(sites));
-}
-
-std::string encode_latency_matrix(const geo::LatencyMatrix& matrix) {
-  ByteWriter w;
-  w.u32(kLatencySchema);
-  w.u64(matrix.size());
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    for (std::size_t j = 0; j < matrix.size(); ++j) w.f64(matrix.one_way_ms(i, j));
-  }
-  return w.take();
-}
-
-geo::LatencyMatrix decode_latency_matrix(std::string_view payload) {
-  ByteReader r(payload);
-  require_schema(r.u32(), kLatencySchema, "latency");
-  const std::uint64_t count = r.u64();
-  // Guard the count*count arithmetic below: a hostile (yet checksum-valid)
-  // payload could otherwise wrap it to a small number and desynchronize
-  // the size the LatencyMatrix constructor checks against.
-  if (count > (std::uint64_t{1} << 24)) {
-    throw std::runtime_error("artifact: implausible latency matrix size");
-  }
-  std::vector<double> values;
-  values.reserve(count * count);
-  for (std::uint64_t i = 0; i < count * count; ++i) values.push_back(r.f64());
-  r.expect_exhausted();
-  return geo::LatencyMatrix(count, std::move(values));
 }
 
 std::string encode_outcome(const core::SimulationResult& result) {

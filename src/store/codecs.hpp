@@ -15,7 +15,6 @@
 #include "carbon/trace.hpp"
 #include "core/simulation.hpp"
 #include "geo/catalog.hpp"
-#include "geo/latency.hpp"
 
 namespace carbonedge::store {
 
@@ -30,10 +29,6 @@ namespace carbonedge::store {
 /// payload (duplicate names, out-of-range coordinates) still throws.
 [[nodiscard]] std::string encode_site_catalog(const geo::SiteCatalog& catalog);
 [[nodiscard]] geo::CompiledSiteCatalog decode_site_catalog(std::string_view payload);
-
-/// Dense one-way latency matrix (row-major column of doubles).
-[[nodiscard]] std::string encode_latency_matrix(const geo::LatencyMatrix& matrix);
-[[nodiscard]] geo::LatencyMatrix decode_latency_matrix(std::string_view payload);
 
 /// One sweep cell's full SimulationResult: run-level counters, the complete
 /// per-epoch/per-site telemetry series, and the response-time histogram —

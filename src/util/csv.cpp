@@ -1,5 +1,6 @@
 #include "util/csv.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -104,6 +105,28 @@ CsvDocument load_csv(const std::filesystem::path& path, bool has_header) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return parse_csv(buffer.str(), has_header);
+}
+
+double parse_nonnegative(const std::string& cell, std::string_view source, std::size_t line,
+                         std::string_view column) {
+  const auto fail = [&](std::string_view what) {
+    throw std::runtime_error(std::string(source) + " line " + std::to_string(line) + ": " +
+                             std::string(what) + " " + std::string(column) + " '" + cell + "'");
+  };
+  double value = 0.0;
+  try {
+    std::size_t consumed = 0;
+    value = std::stod(cell, &consumed);
+    if (consumed != cell.size()) throw std::invalid_argument("trailing characters");
+  } catch (const std::exception&) {
+    fail("invalid");
+  }
+  // NaN/inf would silently poison every mean and every `rtt > limit` test
+  // downstream (NaN compares false), and a negative value is physically
+  // meaningless: reject them at the door instead of ingesting them.
+  if (!std::isfinite(value)) fail("non-finite");
+  if (value < 0.0) fail("negative");
+  return value;
 }
 
 std::string csv_escape(std::string_view cell) {

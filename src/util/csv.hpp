@@ -28,6 +28,18 @@ struct CsvDocument {
 /// Load and parse a CSV file. Throws std::runtime_error if unreadable.
 [[nodiscard]] CsvDocument load_csv(const std::filesystem::path& path, bool has_header = true);
 
+/// 1-based text line of data row `row` (0-based) under a header on line 1.
+/// (Quoted cells with embedded newlines would shift this, but no exporter
+/// in this repo emits them.)
+[[nodiscard]] constexpr std::size_t data_line(std::size_t row) noexcept { return row + 2; }
+
+/// Strict full-cell parse of a finite, non-negative number. Trailing
+/// garbage ("3.5ms"), empty cells, NaN/inf and negatives all throw
+/// std::runtime_error "<source> line <line>: invalid|non-finite|negative
+/// <column> '<cell>'".
+[[nodiscard]] double parse_nonnegative(const std::string& cell, std::string_view source,
+                                       std::size_t line, std::string_view column);
+
 /// Incremental CSV writer.
 class CsvWriter {
  public:

@@ -133,19 +133,6 @@ TEST(ArtifactFormat, IntensityOnlyTraceRoundTrips) {
   EXPECT_DOUBLE_EQ(loaded.at(1), 20.5);
 }
 
-TEST(ArtifactFormat, LatencyMatrixRoundTripsBitExact) {
-  const auto cities = geo::florida_region().resolve();
-  const geo::LatencyMatrix original(geo::LatencyModel{}, cities);
-  const geo::LatencyMatrix loaded = decode_latency_matrix(encode_latency_matrix(original));
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    for (std::size_t j = 0; j < original.size(); ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.one_way_ms(i, j)),
-                std::bit_cast<std::uint64_t>(original.one_way_ms(i, j)));
-    }
-  }
-}
-
 TEST(ArtifactFormat, CorruptionIsDetected) {
   TempStoreDir tmp;
   std::filesystem::create_directories(tmp.dir);
@@ -176,7 +163,7 @@ TEST(ArtifactStore, SaveLoadListAndCorruptEntriesCountAsMisses) {
   EXPECT_EQ(store.load(ArtifactKind::kCarbonTrace, "k1"), std::nullopt);
 
   store.save(ArtifactKind::kCarbonTrace, "k1", "payload-one");
-  store.save(ArtifactKind::kLatencyMatrix, "k2", "payload-two");
+  store.save(ArtifactKind::kSiteCatalog, "k2", "payload-two");
   EXPECT_TRUE(store.contains(ArtifactKind::kCarbonTrace, "k1"));
   EXPECT_EQ(store.load(ArtifactKind::kCarbonTrace, "k1"), "payload-one");
   // A key is namespaced by kind.

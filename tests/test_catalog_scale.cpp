@@ -18,7 +18,6 @@
 #include "geo/latency.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
-#include "geo/sparse_latency.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
 #include "sim/workload.hpp"
@@ -86,15 +85,11 @@ std::string run_banded(const geo::SiteCatalog& catalog, std::size_t lanes) {
       geo::LatencyModel{}, /*latency_band_one_way_ms=*/8.0);
   util::ParallelismBudget budget(lanes);
   simulation.set_parallelism_budget(&budget);
-  core::SimulationResult result = simulation.run(scale_config());
+  const core::SimulationResult result = simulation.run(scale_config());
   if (lanes > 1) {
     // The comparison is only meaningful if the shard pool really engaged.
     EXPECT_GT(budget.peak_lanes(), 1u);
   }
-  // The wall-clock deploy mean is the one sanctioned nondeterministic part
-  // of a result; zero it so the byte comparison covers everything else
-  // (counters, per-site telemetry, histograms) and nothing spurious.
-  result.mean_deploy_ms = 0.0;
   return store::encode_outcome(result);
 }
 
@@ -104,7 +99,7 @@ TEST(CatalogScale, ThousandSiteBandedSweepIsLaneCountInvariant) {
 
   // The geography stays sparse: the 8 ms band must keep the support far
   // below the 10^6 dense pairs (this is what makes n=1000 tractable).
-  const geo::BandedLatencyMatrix banded(geo::LatencyModel{}, catalog.all(), 8.0);
+  const geo::LatencyProvider banded(geo::LatencyModel{}, catalog.all(), 8.0);
   EXPECT_LT(banded.stored_entries(), 1000u * 1000u / 4u);
 
   const std::string serial = run_banded(catalog, 1);
@@ -126,7 +121,7 @@ TEST(CatalogScale, ThousandSiteBandedBatchStaysSparse) {
   service.add_region(region, params);
   sim::EdgeCluster cluster = sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2);
   const std::vector<geo::City> cities = cluster.cities();
-  const geo::BandedLatencyMatrix banded(geo::LatencyModel{}, cities, 8.0);
+  const geo::LatencyProvider banded(geo::LatencyModel{}, cities, 8.0);
 
   std::vector<sim::Application> apps;
   for (std::size_t site = 0; site < cluster.size(); site += 2) {

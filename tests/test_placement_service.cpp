@@ -8,11 +8,11 @@ namespace {
 struct Fixture {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService carbon;
-  geo::LatencyMatrix latency;
+  geo::LatencyProvider latency;
 
   Fixture() : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)) {
     carbon.add_region(geo::florida_region());
-    latency = geo::LatencyMatrix(geo::LatencyModel{}, cluster.cities());
+    latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
   PlacementInput input(carbon::HourIndex now = 12) {

@@ -10,12 +10,12 @@ namespace {
 struct Fixture {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService carbon;
-  geo::LatencyMatrix latency;
+  geo::LatencyProvider latency;
 
   explicit Fixture(sim::DeviceType device = sim::DeviceType::kA2)
       : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, device)) {
     carbon.add_region(geo::florida_region());
-    latency = geo::LatencyMatrix(geo::LatencyModel{}, cluster.cities());
+    latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
   PlacementInput input(carbon::HourIndex now = 12) {

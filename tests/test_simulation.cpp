@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "store/codecs.hpp"
+
 namespace carbonedge::core {
 namespace {
 
@@ -110,6 +114,31 @@ TEST(Simulation, ReoptimizationMigratesApps) {
   EXPECT_GT(result.migrations, 0u);
   EXPECT_GT(result.migration_carbon_g, 0.0);
   EXPECT_EQ(result.apps_rejected, 0u);
+}
+
+TEST(Simulation, FullRowsAndWideBandGiveIdenticalOutcomes) {
+  // One latency layout, one behaviour: band 0 stores full rows directly,
+  // and a band wide enough to keep every pair reaches full rows through
+  // the banded constructor. Placement, re-optimization, the migration veto
+  // and the rejected-migrant fallback must not tell them apart.
+  const auto region = geo::cdn_region(geo::Continent::kNorthAmerica);
+  const auto service = make_service(region);
+  SimulationConfig config = testbed_config(48);
+  config.workload.arrivals_per_site = 0.5;
+  config.reoptimize_every = 12;
+  config.migration.cost_aware = true;
+  const auto run_with_band = [&](double band_ms) {
+    EdgeSimulation simulation(sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2),
+                              service, geo::LatencyModel{}, band_ms);
+    const std::size_t sites = simulation.latency().size();
+    EXPECT_EQ(simulation.latency().stored_entries(), sites * sites);
+    const SimulationResult result = simulation.run(config);
+    EXPECT_GT(result.apps_placed, 0u);
+    EXPECT_GT(result.migrations + result.migrations_skipped, 0u);
+    return store::encode_outcome(result);
+  };
+  const std::string full_rows = run_with_band(0.0);
+  EXPECT_EQ(full_rows, run_with_band(1e6));
 }
 
 TEST(Simulation, BasePowerAccountingIncreasesEnergy) {
