@@ -1,4 +1,4 @@
-// Ablation: the server-activation term of Eq. 6 (DESIGN.md section 5).
+// Ablation: the server-activation term of Eq. 6.
 // Starts a mesoscale cluster with most servers powered off and compares
 // CarbonEdge with the activation term enabled vs zeroed out, with full
 // (base + dynamic) energy accounting. Without the term, placement powers on

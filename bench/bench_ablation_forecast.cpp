@@ -1,7 +1,7 @@
-// Ablation: forecast quality for the mean forecast Ī_j (DESIGN.md section
-// 5). Compares oracle / persistence / moving-average / diurnal forecasters:
-// (a) MAPE against the true trace and (b) end-to-end carbon savings when
-// CarbonEdge places with each forecaster.
+// Ablation: forecast quality for the mean forecast Ī_j. Compares oracle /
+// persistence / moving-average / diurnal forecasters: (a) MAPE against the
+// true trace and (b) end-to-end carbon savings when CarbonEdge places with
+// each forecaster.
 //
 // (b) is a ScenarioGrid over the forecaster axis (forecaster x policy, 8
 // month-long cells) dispatched in parallel by the ScenarioRunner; (a) is

@@ -1,8 +1,8 @@
-// Ablation: solver path selection (DESIGN.md section 5). Compares the exact
-// MILP, min-cost flow (on unit-slot restrictions), and regret-greedy +
-// local-search on the same placement instances: solution quality (objective
-// vs exact), runtime, and B&B node counts (the per-pair x<=y linking rows
-// shrink these). A second table shards block-diagonal instances through
+// Ablation: solver path selection (README.md, "Solver architecture").
+// Compares the exact MILP, min-cost flow (on unit-slot restrictions), and
+// regret-greedy + local-search on the same placement instances: solution
+// quality (objective vs exact), runtime, and B&B node counts (the per-pair
+// x<=y linking rows shrink these). A second table shards block-diagonal instances through
 // connected-component decomposition and reports component counts, per-path
 // shard totals, node savings, and wall-clock speedup over the monolithic
 // exact solve. Justifies solve_auto's size thresholds and sharding default.

@@ -1,6 +1,6 @@
 // Shared helpers for the benchmark harness. Every bench binary reproduces
-// one table or figure of the paper (see DESIGN.md's experiment index),
-// printing the same rows/series the paper reports.
+// one table or figure of the paper, named by its file name (README.md,
+// "Run"), printing the same rows/series the paper reports.
 #pragma once
 
 #include <algorithm>

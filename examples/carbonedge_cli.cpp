@@ -464,8 +464,10 @@ int cmd_export(const std::string& region_name, const std::string& path) {
   const geo::Region region = region_by_name(region_name);
   const auto& catalog = carbon::ZoneCatalog::builtin();
   const carbon::TraceSynthesizer synthesizer;
-  const std::vector<carbon::CarbonTrace> traces =
-      synthesizer.synthesize(catalog.specs_for(region.resolve()));
+  std::vector<carbon::CarbonTrace> traces;
+  for (const carbon::ZoneSpec& zone : catalog.specs_for(region.resolve())) {
+    traces.push_back(synthesizer.synthesize(zone));
+  }
   carbon::save_traces(path, traces);
   std::cout << "wrote " << traces.size() << " zone traces ("
             << traces.front().hours() << " hours each) to " << path << "\n";

@@ -1,6 +1,7 @@
 // Grid-dispatch trace synthesizer.
 //
-// Substitutes for the proprietary Electricity Maps dataset (see DESIGN.md).
+// Substitutes for the proprietary Electricity Maps traces the paper uses; the
+// zone mixes it runs on are calibrated in carbon/zone.hpp.
 // For each zone we simulate one year of hourly grid operation:
 //
 //   demand(t)   diurnal shape (overnight trough, morning ramp, evening
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "carbon/caltime.hpp"
 #include "carbon/trace.hpp"
@@ -58,9 +58,6 @@ class TraceSynthesizer {
 
   /// Synthesize the hourly trace for one zone.
   [[nodiscard]] CarbonTrace synthesize(const ZoneSpec& zone) const;
-
-  /// Synthesize traces for several zones (order preserved).
-  [[nodiscard]] std::vector<CarbonTrace> synthesize(const std::vector<ZoneSpec>& zones) const;
 
   [[nodiscard]] const SynthesizerParams& params() const noexcept { return params_; }
 

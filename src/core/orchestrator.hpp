@@ -5,7 +5,8 @@
 // latency the paper measures in Section 6.5 (~1 s per application).
 //
 // This is a faithful state machine over simulated step latencies rather
-// than a Kubernetes client (see DESIGN.md substitution table).
+// than a Kubernetes client: the evaluation needs the recipe's latency, not
+// a live cluster.
 #pragma once
 
 #include <cstdint>

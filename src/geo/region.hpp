@@ -4,10 +4,10 @@
 // carbon zones each, a four-zone macro comparison (Figure 1), and a
 // continental CDN deployment derived from Akamai edge locations. This module
 // reconstructs all of them from a SiteCatalog (the builtin city database by
-// default); the CDN set is synthesized population-weighted (see DESIGN.md
-// substitution table). catalog_region() additionally turns any compiled
-// catalog into an experiment geography, which is how sweeps reach the
-// 1000+-site regime.
+// default); the CDN set stands in for the Akamai locations, chosen by metro
+// population (see cdn_region below). catalog_region() additionally turns any
+// compiled catalog into an experiment geography, which is how sweeps reach
+// the 1000+-site regime.
 //
 // Name resolution happens exactly once, at region construction: a Region
 // carries stable SiteIds plus the catalog that issued them, and everything

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "geo/region.hpp"
+#include "util/hash.hpp"
 
 namespace carbonedge::carbon {
 namespace {
@@ -76,7 +77,8 @@ TEST(Synthesizer, DeterministicPerZoneAndSeed) {
 
 TEST(Synthesizer, IndependentOfGenerationOrder) {
   const TraceSynthesizer synth;
-  const auto batch = synth.synthesize(std::vector<ZoneSpec>{spec("Bern"), spec("Munich")});
+  std::vector<CarbonTrace> batch;
+  for (const char* city : {"Bern", "Munich"}) batch.push_back(synth.synthesize(spec(city)));
   const CarbonTrace solo = synth.synthesize(spec("Munich"));
   EXPECT_DOUBLE_EQ(batch[1].at(1234), solo.at(1234));
 }
@@ -148,6 +150,57 @@ TEST(Synthesizer, CoalZoneMixIsCoalDominated) {
   const TraceSynthesizer synth;
   const GenerationMix avg = synth.synthesize(spec("Warsaw")).average_mix();
   EXPECT_GT(avg.at(EnergySource::kCoal), 0.4);
+}
+
+// Digest of every intensity value and every mix share of the 80 CDN zones
+// (North America then Europe, 40 sites each, region order) at default
+// SynthesizerParams. The constant was printed by this test, built in Release
+// with g++ 12 on x86-64, against the synthesizer that still evaluated every
+// day and hour-of-day term inside its hourly loop. Tabulating those terms
+// must not move a single bit of any trace.
+TEST(Synthesizer, CdnZonesMatchRecordedDigest) {
+  const TraceSynthesizer synth;
+  util::Fingerprint fp;
+  std::size_t zones = 0;
+  for (const geo::Continent continent : {geo::Continent::kNorthAmerica, geo::Continent::kEurope}) {
+    for (const geo::City& city : geo::cdn_region(continent, 40).resolve()) {
+      const CarbonTrace trace = synth.synthesize(catalog().spec_for(city));
+      for (const double v : trace.values()) fp.mix(v);
+      for (const GenerationMix& mix : trace.mixes()) {
+        for (const double share : mix.shares()) fp.mix(share);
+      }
+      ++zones;
+    }
+  }
+  EXPECT_EQ(zones, 80u);
+  EXPECT_EQ(fp.digest().hex(), "d71d44e021719845aa29b5ce7cbff627");
+}
+
+// A trace over N hours is the first N hours of any longer trace: nothing in
+// the synthesis may depend on the horizon. Latitude 69.6 covers midnight sun
+// and polar night; 8760 + 36 hours crosses the day-of-year wrap.
+TEST(Synthesizer, ShorterHorizonIsAPrefix) {
+  constexpr std::uint32_t kLongest = kHoursPerYear + 36;
+  for (const double latitude : {69.6, -33.9, 1.3, 45.0}) {
+    ZoneSpec zone = spec("Kingman");  // 22% solar: clear-sky terms reach the mix
+    zone.latitude_deg = latitude;
+    SynthesizerParams params;
+    params.hours = kLongest;
+    const CarbonTrace full = TraceSynthesizer(params).synthesize(zone);
+    ASSERT_EQ(full.hours(), kLongest);
+    for (const std::uint32_t hours : {1u, 36u, 336u, kHoursPerYear, kLongest}) {
+      params.hours = hours;
+      const CarbonTrace part = TraceSynthesizer(params).synthesize(zone);
+      ASSERT_EQ(part.hours(), hours);
+      ASSERT_EQ(part.mixes().size(), hours);
+      for (std::uint32_t h = 0; h < hours; ++h) {
+        ASSERT_EQ(part.at(h), full.at(h)) << "latitude " << latitude << " hours " << hours
+                                          << " hour " << h;
+        ASSERT_EQ(part.mixes()[h].shares(), full.mixes()[h].shares())
+            << "latitude " << latitude << " hours " << hours << " hour " << h;
+      }
+    }
+  }
 }
 
 TEST(Synthesizer, ShorterHorizonSupported) {
