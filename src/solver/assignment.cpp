@@ -422,37 +422,54 @@ struct GreedyState {
   }
 };
 
+/// An unplaced app's cheapest and second-cheapest effective cost over the
+/// pairs that still fit, and the pair that attains the cheapest (kNoPair
+/// when none fits).
+struct GreedyOption {
+  double best = kInfinity;
+  double second = kInfinity;
+  std::size_t best_pair = kNoPair;
+};
+
+GreedyOption scan_row(const AssignmentProblem& problem, const GreedyState& state, std::size_t app) {
+  GreedyOption option;
+  for (std::size_t p = problem.row_begin(app); p < problem.row_end(app); ++p) {
+    if (!state.fits(problem, p)) continue;
+    const double c = state.effective_cost(problem, p);
+    if (c < option.best) {
+      option.second = option.best;
+      option.best = c;
+      option.best_pair = p;
+    } else if (c < option.second) {
+      option.second = c;
+    }
+  }
+  return option;
+}
+
 }  // namespace
 
 AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   const std::size_t apps = problem.num_apps();
   GreedyState state(problem);
+  const ServerColumns columns(problem);
   std::vector<std::size_t> assignment(apps, kUnassigned);
   std::vector<std::uint8_t> placed(apps, 0);
+  // option[i] always equals a fresh scan_row of unplaced app i. A commit on
+  // server j changes only j's remaining capacity and power state, so only
+  // the apps with a pair on j need a rescan.
+  std::vector<GreedyOption> option(apps);
+  for (std::size_t i = 0; i < apps; ++i) option[i] = scan_row(problem, state, i);
 
   for (std::size_t round = 0; round < apps; ++round) {
     // Pick the unplaced app with the largest regret (gap between its best
     // and second-best feasible option); ties favor the costlier best option.
     std::size_t pick = kUnassigned;
-    std::size_t pick_pair = kNoPair;
     double pick_regret = -1.0;
     double pick_best_cost = -kInfinity;
     for (std::size_t i = 0; i < apps; ++i) {
       if (placed[i]) continue;
-      double best = kInfinity;
-      double second = kInfinity;
-      std::size_t best_pair = kNoPair;
-      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-        if (!state.fits(problem, p)) continue;
-        const double c = state.effective_cost(problem, p);
-        if (c < best) {
-          second = best;
-          best = c;
-          best_pair = p;
-        } else if (c < second) {
-          second = c;
-        }
-      }
+      const auto [best, second, best_pair] = option[i];
       if (best_pair == kNoPair) {
         // This app can no longer be placed; greedy fails over to a partial
         // answer which evaluate() marks infeasible.
@@ -464,13 +481,16 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
         pick_regret = regret;
         pick_best_cost = best;
         pick = i;
-        pick_pair = best_pair;
       }
     }
     if (pick == kUnassigned) break;  // nothing placeable remains
+    const std::size_t pick_pair = option[pick].best_pair;
     assignment[pick] = problem.server(pick_pair);
     placed[pick] = 1;
     state.commit(problem, pick_pair);
+    for (const auto& [i, p] : columns.of(problem.server(pick_pair))) {
+      if (!placed[i]) option[i] = scan_row(problem, state, i);
+    }
   }
   AssignmentSolution solution = evaluate(problem, assignment);
   solution.stats.components = 1;

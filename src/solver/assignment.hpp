@@ -184,6 +184,12 @@ struct AssignmentOptions {
 [[nodiscard]] AssignmentSolution solve_exact(const AssignmentProblem& problem,
                                              const MilpOptions& options = {});
 [[nodiscard]] AssignmentSolution solve_flow(const AssignmentProblem& problem);
+/// Regret greedy: each round places the unplaced app with the largest gap
+/// between its cheapest and second-cheapest fitting option (ties go to the
+/// costlier cheapest option), until none can be placed. Each app's options
+/// are cached; a commit rescans only the apps with a pair on the committed
+/// server, so a round costs one pass over the cached options plus the rows
+/// of that server's column.
 [[nodiscard]] AssignmentSolution solve_greedy(const AssignmentProblem& problem);
 
 /// Relocate/swap improvement; returns the number of improving moves applied.

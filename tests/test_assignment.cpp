@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "util/random.hpp"
 
@@ -27,15 +31,11 @@ AssignmentProblem simple_problem(
   return p;
 }
 
-TEST(AssignmentProblem, DefaultsAreInfeasibleCosts) {
-  const AssignmentProblem p(2, 2, 1);
-  EXPECT_EQ(p.num_pairs(), 0u);
-  EXPECT_EQ(p.find_pair(0, 0), kNoPair);
-  EXPECT_TRUE(p.initially_on(0));
-}
-
 TEST(AssignmentProblem, RowsHoldPairsInAddOrder) {
   AssignmentProblem p(4, 3, 2);
+  EXPECT_EQ(p.num_pairs(), 0u);  // a new problem has no pairs and every server on
+  EXPECT_EQ(p.find_pair(0, 0), kNoPair);
+  EXPECT_TRUE(p.initially_on(0));
   p.add_pair(1, 0, 2.0, {0.5, 0.25});
   p.add_pair(1, 2, 3.0, {1.5, 1.25});
   p.add_pair(3, 1, 4.0, {2.5, 2.25});
@@ -224,6 +224,135 @@ TEST(SolveGreedy, HandlesTightCapacities) {
   std::array<int, 4> used{};
   for (const std::size_t j : sol.assignment) ++used[j];
   for (const int u : used) EXPECT_EQ(u, 1);
+}
+
+// The regret greedy as it was first written, kept as an oracle: every round
+// rescans the whole row of every unplaced app against the current capacity
+// and power state. solve_greedy must make exactly the same picks.
+AssignmentSolution full_rescan_greedy(const AssignmentProblem& problem) {
+  const std::size_t apps = problem.num_apps();
+  const std::size_t resources = problem.num_resources();
+  std::vector<double> remaining(problem.num_servers() * resources);
+  std::vector<std::uint8_t> planned_on(problem.num_servers());
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    planned_on[j] = problem.initially_on(j) ? 1 : 0;
+    for (std::size_t k = 0; k < resources; ++k) remaining[j * resources + k] = problem.capacity(j, k);
+  }
+  const auto fits = [&](std::size_t pair) {
+    const std::size_t j = problem.server(pair);
+    for (std::size_t k = 0; k < resources; ++k) {
+      if (problem.demand(pair, k) > remaining[j * resources + k] + 1e-9) return false;
+    }
+    return true;
+  };
+  const auto effective_cost = [&](std::size_t pair) {
+    const std::size_t j = problem.server(pair);
+    double c = problem.cost(pair);
+    if (!planned_on[j]) c += problem.activation_cost(j);
+    return c;
+  };
+
+  std::vector<std::size_t> assignment(apps, kUnassigned);
+  std::vector<std::uint8_t> placed(apps, 0);
+  for (std::size_t round = 0; round < apps; ++round) {
+    std::size_t pick = kUnassigned;
+    std::size_t pick_pair = kNoPair;
+    double pick_regret = -1.0;
+    double pick_best_cost = -kInfinity;
+    for (std::size_t i = 0; i < apps; ++i) {
+      if (placed[i]) continue;
+      double best = kInfinity;
+      double second = kInfinity;
+      std::size_t best_pair = kNoPair;
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        if (!fits(p)) continue;
+        const double c = effective_cost(p);
+        if (c < best) {
+          second = best;
+          best = c;
+          best_pair = p;
+        } else if (c < second) {
+          second = c;
+        }
+      }
+      if (best_pair == kNoPair) continue;
+      const double regret = (second == kInfinity) ? kInfinity : second - best;
+      if (regret > pick_regret || (regret == pick_regret && best > pick_best_cost)) {
+        pick_regret = regret;
+        pick_best_cost = best;
+        pick = i;
+        pick_pair = best_pair;
+      }
+    }
+    if (pick == kUnassigned) break;
+    assignment[pick] = problem.server(pick_pair);
+    placed[pick] = 1;
+    const std::size_t j = problem.server(pick_pair);
+    for (std::size_t k = 0; k < resources; ++k) {
+      remaining[j * resources + k] -= problem.demand(pick_pair, k);
+    }
+    planned_on[j] = 1;
+  }
+  return evaluate(problem, assignment);
+}
+
+// A random sparse instance for the greedy oracle. One seed in three draws
+// integer costs, activation costs and demands from small ranges, so equal
+// regrets and equal best costs are common (the tie rule decides most
+// picks); one in four sizes capacity below total demand, so some apps are
+// stranded and the answers compared are partial.
+AssignmentProblem random_greedy_instance(std::uint64_t seed) {
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 11);
+  const bool ties = seed % 3 == 0;
+  const bool tight = seed % 4 == 1;
+  const std::size_t resources = 1 + rng.uniform_index(3);
+  const std::size_t apps = 4 + rng.uniform_index(45);
+  const std::size_t servers = 2 + rng.uniform_index(14);
+  const double drop = rng.uniform(0.15, 0.60);
+  const double per_server = static_cast<double>(apps) / static_cast<double>(servers);
+  AssignmentProblem p(apps, servers, resources);
+  for (std::size_t j = 0; j < servers; ++j) {
+    for (std::size_t k = 0; k < resources; ++k) {
+      const double scale = tight ? rng.uniform(0.3, 0.9) : rng.uniform(1.2, 3.0);
+      p.set_capacity(j, k, ties ? std::floor(scale * per_server * 1.5) : scale * per_server);
+    }
+    if (rng.bernoulli(0.35)) {
+      p.set_initially_on(j, false);
+      const double activation =
+          ties ? static_cast<double>(rng.uniform_index(4)) : rng.uniform(0.0, 5.0);
+      p.set_activation_cost(j, activation);
+    }
+  }
+  std::vector<double> demand(resources);
+  for (std::size_t i = 0; i < apps; ++i) {
+    for (std::size_t j = 0; j < servers; ++j) {
+      if (rng.bernoulli(drop)) continue;  // latency-infeasible pair
+      const double cost = ties ? static_cast<double>(rng.uniform_index(4)) : rng.uniform(0.0, 10.0);
+      for (double& d : demand) {
+        d = ties ? static_cast<double>(1 + rng.uniform_index(2)) : rng.uniform(0.3, 1.5);
+      }
+      p.add_pair(i, j, cost, demand);
+    }
+  }
+  return p;
+}
+
+TEST(SolveGreedy, MatchesFullRescanReference) {
+  std::size_t partial = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    const AssignmentProblem p = random_greedy_instance(seed);
+    const AssignmentSolution expected = full_rescan_greedy(p);
+    const AssignmentSolution actual = solve_greedy(p);
+    ASSERT_EQ(actual.assignment, expected.assignment) << "seed " << seed;
+    ASSERT_EQ(actual.unassigned_count, expected.unassigned_count) << "seed " << seed;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.total_cost),
+              std::bit_cast<std::uint64_t>(expected.total_cost))
+        << "seed " << seed;
+    if (expected.unassigned_count > 0) ++partial;
+  }
+  // The tight instances must actually strand apps, or the partial-answer
+  // path goes unchecked.
+  EXPECT_GE(partial, 20u);
 }
 
 TEST(LocalSearch, FixesGreedyMisstep) {
