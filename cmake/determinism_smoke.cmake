@@ -1,8 +1,8 @@
 # Determinism gate: the same workload must emit byte-identical tables no
 # matter how many worker lanes the process is given. Runs a multi-cell
-# scenario sweep and a single-cell simulation (all worker lanes on
-# intra-epoch sharding) under CARBONEDGE_THREADS=1 and =4 and fails on any
-# byte difference. Invoked by CTest (examples.cli_determinism_smoke) and by
+# scenario sweep and a single-cell simulation (its serial epochs leave
+# every worker lane to the solver's component dispatch) under
+# CARBONEDGE_THREADS=1 and =4 and fails on any byte difference. Invoked by CTest (examples.cli_determinism_smoke) and by
 # the CI determinism-gate step.
 #
 #   cmake -DCLI=<carbonedge_cli> -DOUT_DIR=<scratch> -P determinism_smoke.cmake
@@ -13,10 +13,11 @@ endif()
 file(MAKE_DIRECTORY ${OUT_DIR})
 
 # (label, argument list) probes: a grid wider than the budget (cells share
-# lanes) and a single big cell (one simulation leases every lane).
+# lanes) and a single big cell (its solver's component dispatch gets every
+# lane).
 set(PROBE_sweep "sweep;florida;128")
-# 40-site CDN region: big enough that the single cell passes the engine's
-# scale gate and really dispatches its epoch sections onto the shard pool.
+# 40-site CDN region: its placement batches split into many components,
+# so the single cell's solver really dispatches them across lanes.
 # --metrics= puts the obs registry under the gate too: the snapshot's
 # deterministic view is compared separately below (the timing view is
 # allowed — required, even — to differ).

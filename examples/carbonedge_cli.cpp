@@ -209,13 +209,13 @@ int cmd_radius(double km) {
 }
 
 int cmd_sweep(const std::string& region_name, std::uint32_t epochs, bool single) {
-  // Deterministic scenario sweep over every engine feature the intra-epoch
-  // shards touch — deferral, monthly + cost-aware re-optimization, failure
-  // injection — printed as the runner's summary table. The output contains
-  // no timings, so two runs with different CARBONEDGE_THREADS must be
-  // byte-identical; the CI determinism gate diffs exactly this. --single
-  // collapses the grid to one CarbonEdge cell, putting the whole worker
-  // budget on intra-simulation sharding.
+  // Deterministic scenario sweep over the engine's epoch features —
+  // deferral, cost-aware re-optimization, failure injection — printed as
+  // the runner's summary table. The output contains no timings, so two runs
+  // with different CARBONEDGE_THREADS must be byte-identical; the CI
+  // determinism gate diffs exactly this. --single collapses the grid to one
+  // CarbonEdge cell, putting the whole worker budget on its solver's
+  // component dispatch.
   core::SimulationConfig config;
   config.epochs = epochs;
   config.workload.arrivals_per_site = 1.0;

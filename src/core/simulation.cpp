@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,7 +9,6 @@
 #include "geo/site.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "util/thread_pool.hpp"
 
 namespace carbonedge::core {
 
@@ -68,17 +66,17 @@ SimMetrics& sim_metrics() {
   return metrics;
 }
 
-/// Below this many items a sharded epoch section runs inline: the per-item
-/// work (a forecast scan, a server lookup) is microseconds, so dispatching
-/// a handful of items would cost more than it saves. The threshold depends
-/// only on the item count — never on thread count — so the inline and
-/// sharded paths are taken identically everywhere (and produce identical
-/// bytes either way; this is purely a dispatch-overhead gate).
-constexpr std::size_t kMinItemsPerShard = 32;
-
 /// Displaced-app sentinel: crash victims whose redeployment is not a
 /// data-movement migration.
 constexpr std::size_t kNoAccountedSite = static_cast<std::size_t>(-1);
+
+/// The solver options an engine places with: the config's own, with an
+/// unset dispatch budget taken from the engine's.
+solver::AssignmentOptions with_budget(solver::AssignmentOptions options,
+                                      util::ParallelismBudget* budget) {
+  if (options.budget == nullptr) options.budget = budget;
+  return options;
+}
 
 }  // namespace
 
@@ -86,78 +84,19 @@ SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
                                    const carbon::CarbonIntensityService& carbon,
                                    const geo::LatencyProvider& latency,
                                    const SimulationConfig& config,
-                                   util::ParallelismBudget* budget, std::size_t lane_cap)
+                                   util::ParallelismBudget* budget)
     : config_(config),
       cluster_(std::move(cluster)),
       carbon_(&carbon),
       latency_(&latency),
-      service_(config.policy, config.solver_options),
+      service_(config.policy, with_budget(config.solver_options, budget)),
       power_manager_(config.power),
-      failure_rng_(config.failures.seed),
-      failure_draws_(cluster_.size()) {
-  // Intra-run parallelism: lease worker lanes from the budget for the whole
-  // run and spin up a private shard pool when more than one was granted.
-  // Workers only ever execute pure per-item computations into disjoint
-  // slots; the stepping thread does every RNG draw, every reduction, and
-  // every state mutation, which is what keeps the result byte-identical
-  // for every lane count (see the class comment).
-  //
-  // Scale gate first: a run whose epoch sections can never reach the
-  // dispatch threshold skips the lease and pool outright, so small cells
-  // (most test scenarios, the narrow cells of a wide sweep) stay
-  // zero-overhead serial and leave their lanes to concurrent cells. The
-  // predicate reads only the config and cluster — never thread counts —
-  // so the execution shape is deterministic.
-  const double apps_per_site =
-      static_cast<double>(config_.workload.initial_per_site) +
-      config_.workload.arrivals_per_site * std::max(1.0, config_.workload.mean_lifetime_epochs);
-  const double steady_state_apps = apps_per_site * static_cast<double>(cluster_.size());
-  const bool may_shard = cluster_.size() >= 2 * kMinItemsPerShard ||
-                         steady_state_apps >= static_cast<double>(2 * kMinItemsPerShard);
-  util::ParallelismBudget& arbiter = budget != nullptr ? *budget : util::global_budget();
-  if (may_shard) {
-    const std::size_t want_lanes =
-        lane_cap > 0 ? std::min(lane_cap, arbiter.total()) : arbiter.total();
-    lease_ = arbiter.acquire(want_lanes);
-  }
-  lanes_ = lease_.lanes();
-  if (lanes_ > 1) shard_pool_ = std::make_unique<util::ThreadPool>(lanes_);
-
-  // Lend the run's shard pool to the placement solver: component dispatch
-  // reuses lanes this simulation already leased (they idle during the
-  // solve phase) instead of drawing the budget down further every epoch.
-  solver::AssignmentOptions solver_options = config_.solver_options;
-  if (shard_pool_ != nullptr && solver_options.shard_pool == nullptr) {
-    solver_options.shard_pool = shard_pool_.get();
-  }
-  // Forward the (possibly injected) budget so a serial-capped run keeps
-  // the solver's default dispatch serial too, instead of it leasing from
-  // the process-global budget behind the injection's back.
-  if (solver_options.budget == nullptr) solver_options.budget = &arbiter;
-  service_ = PlacementService(config_.policy, solver_options);
-}
-
-SimulationEngine::~SimulationEngine() = default;
+      failure_rng_(config.failures.seed) {}
 
 carbon::HourIndex SimulationEngine::hour_of(std::uint32_t epoch) const noexcept {
   return static_cast<carbon::HourIndex>(
       config_.start_hour + static_cast<carbon::HourIndex>(std::floor(
                                static_cast<double>(epoch) * config_.epoch_hours)));
-}
-
-template <typename Body>
-void SimulationEngine::parallel_items(std::size_t count, const Body& body) {
-  // Run body(k) for k in [0, count), sharded across the leased lanes when
-  // the item count can amortize the dispatch. body(k) must write only to
-  // its own slot k. Generic so the (common) inline path pays no
-  // std::function indirection.
-  if (shard_pool_ == nullptr || count < 2 * kMinItemsPerShard) {
-    for (std::size_t k = 0; k < count; ++k) body(k);
-    return;
-  }
-  const std::size_t shards =
-      std::max<std::size_t>(1, std::min(lanes_, count / kMinItemsPerShard));
-  util::parallel_for(*shard_pool_, 0, count, body, (count + shards - 1) / shards);
 }
 
 sim::EdgeServer& SimulationEngine::find_server(std::size_t site, std::uint32_t server_id) {
@@ -170,7 +109,7 @@ sim::EdgeServer& SimulationEngine::find_server(std::size_t site, std::uint32_t s
 void SimulationEngine::snapshot_hosted() {
   hosted_snapshot_.clear();
   hosted_snapshot_.reserve(hosted_.size());
-  // lint: unordered-iteration-ok(this IS the serial snapshot: all hosted_ mutations happen on the stepping thread, so bucket order is a pure function of the deterministic insert/erase history — identical for every lane count)
+  // lint: unordered-iteration-ok(this IS the serial snapshot: bucket order is a pure function of the deterministic insert/erase history, so every run replays the same order)
   for (const auto& [id, entry] : hosted_) hosted_snapshot_.emplace_back(id, &entry);
 }
 
@@ -258,34 +197,13 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   }
   if (config_.failures.mtbf_epochs > 0.0) {
     const double fail_p = 1.0 / config_.failures.mtbf_epochs;
-    // Pre-draw the epoch's failure streams into per-site buffers, one
-    // Bernoulli per eligible (powered-on, healthy) server in site/server
-    // order — exactly the serial engine's consumption. Materializing the
-    // draws up front decouples them from however the sharded sections
-    // interleave later: draw order can never depend on thread count.
-    // Eligibility is stable across this pass (marking one server failed
-    // never changes another's power or failure state), so the application
-    // loop below replays the same predicate to index the stream.
+    // One Bernoulli per eligible (powered-on, healthy) server in site/server
+    // order. Crashing a server never changes another's power or failure
+    // state, so eligibility is stable across the pass.
     for (std::size_t site = 0; site < cluster_.size(); ++site) {
-      std::vector<std::uint8_t>& draws = failure_draws_[site];
-      draws.clear();
-      for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
-        if (!server.powered_on() || server.failed()) continue;
-        draws.push_back(failure_rng_.bernoulli(fail_p) ? 1 : 0);
-      }
-    }
-    for (std::size_t site = 0; site < cluster_.size(); ++site) {
-      std::size_t draw_index = 0;
       for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
         if (!server.powered_on() || server.failed()) continue;
-        if (draw_index >= failure_draws_[site].size()) {
-          // The eligibility predicate diverged between the draw pass and
-          // this replay (a failure side effect must have changed another
-          // server's power/failure state) — that desynchronizes the
-          // stream, so fail loudly rather than consume wrong draws.
-          throw std::logic_error("failure stream desynchronized from eligibility replay");
-        }
-        if (!failure_draws_[site][draw_index++]) continue;
+        if (!failure_rng_.bernoulli(fail_p)) continue;
         crash_server(site, server, epoch, batch, epoch_failures);
       }
     }
@@ -318,13 +236,12 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   // Release deferred applications at low-intensity hours: start when the
   // origin zone's current intensity is no worse than anything the
   // remaining defer budget could buy (the "wait awhile" heuristic), or
-  // when the budget runs out. The per-app forecast scans are the epoch's
-  // heaviest pure reads (a window of forecaster evaluations each), so
-  // they shard across lanes into per-app slots; the queue itself is then
-  // updated serially in queue order.
-  defer_start_.assign(deferred_.size(), 0);
-  parallel_items(deferred_.size(), [&](std::size_t k) {
-    const sim::Application& app = deferred_[k];
+  // when the budget runs out. Starters join the batch, the rest spend one
+  // epoch of budget; the stable in-place compaction preserves the old
+  // erase-as-you-go order.
+  std::size_t keep = 0;
+  for (std::size_t k = 0; k < deferred_.size(); ++k) {
+    sim::Application& app = deferred_[k];
     bool start = app.max_defer_epochs == 0;
     if (!start) {
       const std::string& zone = cluster_.sites()[app.origin_site].zone();
@@ -337,23 +254,15 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       }
       start = now_ci <= future_min * 1.02;
     }
-    defer_start_[k] = start ? 1 : 0;
-  });
-  {
-    // Starters join the batch, the rest spend one epoch of budget; the
-    // stable in-place compaction preserves the old erase-as-you-go order.
-    std::size_t keep = 0;
-    for (std::size_t k = 0; k < deferred_.size(); ++k) {
-      if (defer_start_[k]) {
-        batch.push_back(std::move(deferred_[k]));
-      } else {
-        --deferred_[k].max_defer_epochs;
-        if (keep != k) deferred_[keep] = std::move(deferred_[k]);
-        ++keep;
-      }
+    if (start) {
+      batch.push_back(std::move(app));
+    } else {
+      --app.max_defer_epochs;
+      if (keep != k) deferred_[keep] = std::move(app);
+      ++keep;
     }
-    deferred_.resize(keep);
   }
+  deferred_.resize(keep);
   // Re-optimization cadence: an explicit per-step override (the serving
   // mode's event-driven trigger), calendar-month boundaries (the epoch
   // whose hour enters a new month), or a fixed epoch period.
@@ -378,15 +287,10 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   if (migrate) {
     std::vector<sim::AppId> to_move;
     snapshot_hosted();
-    if (config_.migration.cost_aware) {
-      // Veto moves whose projected benefit cannot repay the transfer.
-      // Each app's veto scans every feasible server — the quadratic bulk
-      // of a re-optimization epoch — so the scans shard across lanes;
-      // the verdicts are then folded in snapshot order, preserving the
-      // serial engine's to_move order (and thus the solver's input).
-      migration_veto_.assign(hosted_snapshot_.size(), 0);
-      parallel_items(hosted_snapshot_.size(), [&](std::size_t k) {
-        const HostedApp& entry = *hosted_snapshot_[k].second;
+    for (const auto& [id, hosted] : hosted_snapshot_) {
+      if (config_.migration.cost_aware) {
+        // Veto moves whose projected benefit cannot repay the transfer.
+        const HostedApp& entry = *hosted;
         const sim::EdgeServer& current = find_server(entry.site, entry.server);
         const std::string& zone = cluster_.sites()[entry.site].zone();
         const double current_rate = carbon_rate_g(entry.app, current, zone);
@@ -407,17 +311,12 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
                                                  entry.app.remaining_epochs);
         const double benefit = (current_rate - best_rate) * lifetime;
         const auto [move_energy, move_carbon] = migration_cost(entry.app, zone);
-        migration_veto_[k] = benefit < move_carbon * config_.migration.hysteresis ? 1 : 0;
-      });
-      for (std::size_t k = 0; k < hosted_snapshot_.size(); ++k) {
-        if (migration_veto_[k]) {
+        if (benefit < move_carbon * config_.migration.hysteresis) {
           ++result_.migrations_skipped;
-        } else {
-          to_move.push_back(hosted_snapshot_[k].first);
+          continue;
         }
       }
-    } else {
-      for (const auto& [id, entry] : hosted_snapshot_) to_move.push_back(id);
+      to_move.push_back(id);
     }
     for (const sim::AppId id : to_move) {
       auto& entry = hosted_.at(id);
@@ -562,28 +461,27 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   record.migration_carbon_g = epoch_migration_carbon;
   record.migrations = epoch_migrations;
   record.failures = epoch_failures;
-  // Per-site records are pure functions of (site, zone intensity) into
-  // disjoint slots; per-app latency samples are computed shard-parallel
-  // into per-app slots and folded into the epoch sums and the response
-  // histogram in snapshot order — the same floating-point order as the
-  // serial engine, for every lane count.
-  record.sites.resize(cluster_.size());
-  parallel_items(cluster_.size(), [&](std::size_t s) {
-    const sim::EdgeDataCenter& site = cluster_.sites()[s];
-    record.sites[s] = sim::make_site_epoch_record(site, carbon_->intensity(site.zone(), hour),
-                                                  config_.epoch_hours,
-                                                  config_.account_base_power);
-  });
+  // One record per site in site order, then each hosted app's latency
+  // sample folds into the epoch sums and the response histogram in
+  // snapshot order.
+  record.sites.reserve(cluster_.size());
+  for (const sim::EdgeDataCenter& site : cluster_.sites()) {
+    record.sites.push_back(sim::make_site_epoch_record(
+        site, carbon_->intensity(site.zone(), hour), config_.epoch_hours,
+        config_.account_base_power));
+  }
   snapshot_hosted();
-  app_samples_.resize(hosted_snapshot_.size());
-  parallel_items(hosted_snapshot_.size(), [&](std::size_t k) {
-    const HostedApp& entry = *hosted_snapshot_[k].second;
+  for (const auto& hosted : hosted_snapshot_) {
+    const HostedApp& entry = *hosted.second;
     const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, entry.site);
     const sim::EdgeServer& server = find_server(entry.site, entry.server);
-    app_samples_[k] = sim::AppEpochSample{rtt, rtt + server.mean_service_ms(entry.app.model),
-                                          entry.app.rps};
-  });
-  result_.telemetry.fold_app_samples(record, app_samples_);
+    const double response = rtt + server.mean_service_ms(entry.app.model);
+    const double rps = entry.app.rps;
+    record.rtt_weighted_sum_ms += rtt * rps;
+    record.response_weighted_sum_ms += response * rps;
+    record.rps_total += rps;
+    result_.telemetry.add_response_sample(response, rps);
+  }
   result_.telemetry.record(std::move(record));
 
   // 6. Power management between epochs.
@@ -643,7 +541,7 @@ EdgeSimulation::EdgeSimulation(sim::EdgeCluster cluster,
 SimulationResult EdgeSimulation::run(const SimulationConfig& config) {
   // Fresh state per run: the engine starts from a pristine cluster copy and
   // the workload stream depends only on the config seed.
-  SimulationEngine engine(pristine_, *carbon_, latency_, config, budget_, lane_cap_);
+  SimulationEngine engine(pristine_, *carbon_, latency_, config, budget_);
   sim::WorkloadGenerator generator(config.workload, engine.cluster());
   for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
     engine.step(generator.arrivals(epoch));

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -24,10 +23,6 @@
 #include "solver/assignment.hpp"
 #include "util/parallelism.hpp"
 #include "util/random.hpp"
-
-namespace carbonedge::util {
-class ThreadPool;
-}
 
 namespace carbonedge::core {
 
@@ -127,17 +122,18 @@ struct ServerFailureEvent {
 /// the serve replay oracle exact: an epoch-aligned replay of the same
 /// arrival stream reproduces the batch counters bit for bit.
 ///
-/// Threading matches EdgeSimulation::run (see its class comment): the
-/// engine leases lanes at construction and shards pure per-item work, all
-/// RNG draws and state mutation on the stepping thread.
+/// Threading: the epoch body is serial. The only lanes an engine uses are
+/// those the placement solver leases for its component dispatch (see
+/// solver::solve_sharded), whose result is identical for every lane count.
 class SimulationEngine {
  public:
   /// `cluster` is the initial state (a pristine copy, never shared).
-  /// `latency` and `carbon` must outlive the engine.
+  /// `latency` and `carbon` must outlive the engine. `budget` is the one
+  /// the solver's component dispatch leases from when the config's
+  /// solver_options name none (nullptr = util::global_budget()).
   SimulationEngine(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
                    const geo::LatencyProvider& latency, const SimulationConfig& config,
-                   util::ParallelismBudget* budget = nullptr, std::size_t lane_cap = 0);
-  ~SimulationEngine();
+                   util::ParallelismBudget* budget = nullptr);
   SimulationEngine(const SimulationEngine&) = delete;
   SimulationEngine& operator=(const SimulationEngine&) = delete;
 
@@ -177,8 +173,6 @@ class SimulationEngine {
     std::uint32_t server = 0;
   };
 
-  template <typename Body>
-  void parallel_items(std::size_t count, const Body& body);
   [[nodiscard]] sim::EdgeServer& find_server(std::size_t site, std::uint32_t server_id);
   /// Crash one server: displace its apps into `batch`, mark it failed, and
   /// schedule the repair. Shared by drawn and injected failures.
@@ -190,9 +184,6 @@ class SimulationEngine {
   sim::EdgeCluster cluster_;
   const carbon::CarbonIntensityService* carbon_;
   const geo::LatencyProvider* latency_;
-  util::ParallelismBudget::Lease lease_;
-  std::size_t lanes_ = 1;
-  std::unique_ptr<util::ThreadPool> shard_pool_;
   PlacementService service_;
   PowerManager power_manager_;
   Orchestrator orchestrator_;
@@ -214,31 +205,23 @@ class SimulationEngine {
   // victims, whose redeployment is not a data-movement migration.
   std::unordered_map<sim::AppId, std::size_t> displaced_from_;
 
-  // Reused shard buffers (allocated once, cleared per epoch). The hosted
-  // snapshot materializes the map's iteration order — identical for every
-  // lane count because all map mutations happen on the stepping thread —
-  // so sharded per-app work can index it and serial folds can replay it.
+  // Reused buffer (allocated once, refilled per walk): the hosted map's
+  // iteration order, materialized so the migration veto and the per-app
+  // accounting fold walk it in a fixed order.
   std::vector<std::pair<sim::AppId, const HostedApp*>> hosted_snapshot_;
-  std::vector<std::vector<std::uint8_t>> failure_draws_;
-  std::vector<std::uint8_t> defer_start_;
-  std::vector<std::uint8_t> migration_veto_;
-  std::vector<sim::AppEpochSample> app_samples_;
 };
 
 /// Owns a pristine cluster copy; every run() starts from that state, so the
 /// same simulation object can evaluate multiple policies on identical
 /// workloads (the workload stream depends only on the config seed).
 ///
-/// Threading: run() shards the embarrassingly parallel per-site work of
-/// every epoch — failure-stream sampling, deferral forecast evaluation,
-/// the cost-aware migration scan, per-server energy/carbon accounting, and
-/// telemetry accumulation — across worker lanes leased from the process
-/// ParallelismBudget (CARBONEDGE_THREADS), and lends those lanes to the
-/// placement solver's component dispatch. Every sharded section computes
-/// pure per-item values into disjoint slots and reduces them serially in a
-/// fixed order, with all RNG draws and state mutation on the coordinating
-/// thread, so a run's result is byte-identical for every thread count —
-/// including the fully serial engine.
+/// Threading: run() steps every epoch serially on the calling thread. The
+/// placement solver's component dispatch leases worker lanes from the
+/// process ParallelismBudget (CARBONEDGE_THREADS) or the injected one; its
+/// components land in disjoint slots and are stitched in a fixed order, so
+/// a run's result is byte-identical for every thread count. Parallelism
+/// across runs belongs to runner::ScenarioRunner, which runs cells
+/// concurrently.
 class EdgeSimulation {
  public:
   /// `latency_band_one_way_ms == 0` builds full latency rows (every site
@@ -253,14 +236,10 @@ class EdgeSimulation {
 
   [[nodiscard]] SimulationResult run(const SimulationConfig& config);
 
-  /// Lease intra-run worker lanes from `budget` instead of the process-wide
-  /// util::global_budget() (test injection; nullptr restores the default).
+  /// Lease the solver's component-dispatch lanes from `budget` instead of
+  /// the process-wide util::global_budget() (test injection; nullptr
+  /// restores the default).
   void set_parallelism_budget(util::ParallelismBudget* budget) noexcept { budget_ = budget; }
-  /// Cap the lanes one run() may lease (0 = whatever the budget can give).
-  /// ScenarioRunner sets this to the budget's fair per-cell share so a
-  /// narrow grid splits leftover workers across cells instead of letting
-  /// the first cell monopolize them.
-  void set_lane_cap(std::size_t lanes) noexcept { lane_cap_ = lanes; }
 
   [[nodiscard]] const geo::LatencyProvider& latency() const noexcept { return latency_; }
   [[nodiscard]] const sim::EdgeCluster& pristine_cluster() const noexcept { return pristine_; }
@@ -273,7 +252,6 @@ class EdgeSimulation {
   const carbon::CarbonIntensityService* carbon_;
   geo::LatencyProvider latency_;
   util::ParallelismBudget* budget_ = nullptr;  // nullptr = util::global_budget()
-  std::size_t lane_cap_ = 0;
 };
 
 /// Convenience: run one config for each policy on identical workloads and

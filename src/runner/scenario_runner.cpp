@@ -117,18 +117,15 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
 
   // Cells lease their workers from the process budget: the sweep takes one
   // lane per concurrently running cell, and whatever is left flows to the
-  // cells themselves as intra-simulation shard lanes (set_lane_cap gives
-  // each cell an even share, so a grid narrower than the machine still
-  // uses every configured worker instead of idling the leftover).
+  // cells' placement solvers, whose component dispatch leases from the
+  // same budget.
   util::ParallelismBudget& budget =
       options_.budget != nullptr ? *options_.budget : util::global_budget();
-  std::size_t cell_lane_cap = 1;
   const auto body = [&](std::size_t p) {
     const std::size_t i = pending[p];
     core::EdgeSimulation simulation(build_cluster(scenarios[i]), *cell_services[i],
                                     geo::LatencyModel{}, scenarios[i].latency_band_ms);
     simulation.set_parallelism_budget(options_.budget);
-    simulation.set_lane_cap(cell_lane_cap);
     slots[i] = simulation.run(scenarios[i].config);
     // Publish as soon as the cell completes (atomic rename), so a killed
     // sweep loses at most the cells still in flight.
@@ -140,13 +137,11 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
     // Explicit worker count: the caller's choice wins, but the lanes are
     // still leased so the nested layers below see them as spent.
     const util::ParallelismBudget::Lease lease = budget.acquire(options_.threads);
-    cell_lane_cap = std::max<std::size_t>(1, budget.total() / options_.threads);
     util::ThreadPool pool(options_.threads);
     util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
   } else {
     const util::ParallelismBudget::Lease lease = budget.acquire(pending.size());
     const std::size_t cell_lanes = lease.lanes();
-    cell_lane_cap = std::max<std::size_t>(1, budget.total() / cell_lanes);
     if (cell_lanes <= 1) {
       for (std::size_t p = 0; p < pending.size(); ++p) body(p);
     } else {

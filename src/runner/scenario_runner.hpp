@@ -63,9 +63,10 @@ class CellCache {
 struct ScenarioRunnerOptions {
   /// Worker threads for the sweep. 0 (the default) leases one lane per
   /// concurrently running cell from the process worker budget
-  /// (util::ParallelismBudget, CARBONEDGE_THREADS) and hands each cell an
-  /// even share of the leftover as intra-simulation shard lanes; a nonzero
-  /// value forces exactly that many cell workers.
+  /// (util::ParallelismBudget, CARBONEDGE_THREADS); whatever is left goes
+  /// to the cells' placement solvers for component dispatch. A nonzero
+  /// value forces exactly that many cell workers. Each cell's epochs run
+  /// serially on its worker.
   std::size_t threads = 0;
   /// Budget to lease from instead of util::global_budget() (test
   /// injection; also forwarded to every cell's EdgeSimulation).

@@ -43,16 +43,6 @@ double EpochRecord::mean_response_ms() const noexcept {
 
 void Telemetry::record(EpochRecord record) { epochs_.push_back(std::move(record)); }
 
-void Telemetry::fold_app_samples(EpochRecord& record,
-                                 std::span<const AppEpochSample> samples) {
-  for (const AppEpochSample& sample : samples) {
-    record.rtt_weighted_sum_ms += sample.rtt_ms * sample.rps;
-    record.response_weighted_sum_ms += sample.response_ms * sample.rps;
-    record.rps_total += sample.rps;
-    add_response_sample(sample.response_ms, sample.rps);
-  }
-}
-
 double Telemetry::total_energy_wh() const noexcept {
   double total = 0.0;
   for (const EpochRecord& e : epochs_) total += e.energy_wh();

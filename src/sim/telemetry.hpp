@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/histogram.hpp"
@@ -24,23 +23,12 @@ struct SiteEpochRecord {
 };
 
 /// One site's full epoch accounting from its current server states — a pure
-/// function of (site, intensity), so the simulation engine computes it
-/// shard-parallel across sites into disjoint EpochRecord::sites slots.
+/// function of (site, intensity); the simulation engine fills
+/// EpochRecord::sites with one per site, in site order.
 [[nodiscard]] SiteEpochRecord make_site_epoch_record(const EdgeDataCenter& site,
                                                      double intensity_g_kwh,
                                                      double epoch_hours,
                                                      bool account_base_power);
-
-/// One hosted application's latency/load contribution for one epoch. These
-/// are the engine's per-shard accumulators at their finest grain: computed
-/// in parallel into per-app slots, then folded serially in a fixed order
-/// (Telemetry::fold_app_samples) so floating-point sums are byte-identical
-/// for every thread count.
-struct AppEpochSample {
-  double rtt_ms = 0.0;
-  double response_ms = 0.0;
-  double rps = 0.0;
-};
 
 /// Cluster-wide accounting for one epoch.
 struct EpochRecord {
@@ -68,11 +56,6 @@ struct EpochRecord {
 class Telemetry {
  public:
   void record(EpochRecord record);
-
-  /// Accumulate per-app samples into `record`'s request-weighted sums and
-  /// this telemetry's response histogram, in sample index order. The single
-  /// ordered reduction point for the engine's sharded per-app computation.
-  void fold_app_samples(EpochRecord& record, std::span<const AppEpochSample> samples);
 
   [[nodiscard]] const std::vector<EpochRecord>& epochs() const noexcept { return epochs_; }
   [[nodiscard]] std::size_t size() const noexcept { return epochs_.size(); }

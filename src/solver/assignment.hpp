@@ -35,7 +35,6 @@
 
 namespace carbonedge::util {
 class ParallelismBudget;
-class ThreadPool;
 }
 
 namespace carbonedge::solver {
@@ -168,16 +167,11 @@ struct AssignmentOptions {
   /// decompose into testbed-scale shards still solve exactly. It compares
   /// the component's apps x servers, not its pair count.
   std::size_t exact_size_limit = 64;
-  /// Borrowed pool for component dispatch (non-owning). EdgeSimulation
-  /// lends its per-run shard pool here so the placement solve reuses lanes
-  /// the simulation already leased instead of drawing the budget down
-  /// further every epoch. The result is bit-identical for every pool width.
-  util::ThreadPool* shard_pool = nullptr;
-  /// Budget the default dispatch path leases from when no pool was lent
-  /// (non-owning; nullptr = util::global_budget()). EdgeSimulation forwards
-  /// its injected budget here so a 1-lane budget keeps the solver serial
-  /// too. Like shard_pool, an execution vehicle — never part of a result
-  /// fingerprint.
+  /// Budget the component dispatch leases its lanes from (non-owning;
+  /// nullptr = util::global_budget()). SimulationEngine forwards its
+  /// injected budget here so a 1-lane budget keeps the solver serial too.
+  /// An execution vehicle — the result is bit-identical for every lane
+  /// count, and the budget is never part of a result fingerprint.
   util::ParallelismBudget* budget = nullptr;
 };
 

@@ -120,17 +120,12 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
     // A lone (sub-spanning) component gains nothing from dispatch; skip the
     // pool round trip that every re-optimization epoch would otherwise pay.
     body(0);
-  } else if (options.shard_pool != nullptr) {
-    // Lanes the caller already leased (EdgeSimulation's per-run shard
-    // pool, idle during the solve phase) — no extra budget draw.
-    util::parallel_for(*options.shard_pool, 0, components.size(), body, /*chunk=*/1);
   } else {
-    // Top-level solve: lease lanes from the (injectable) budget so nested
-    // runner x simulation x solver load stays within CARBONEDGE_THREADS,
-    // and run on the cached process pool — chunked down to the lease, so
-    // concurrency honors the lanes without per-call pool construction
-    // (this path runs on every re-optimization epoch of a serial-capped
-    // simulation).
+    // Lease lanes from the (injectable) budget so nested runner x solver
+    // load stays within CARBONEDGE_THREADS, and run on the cached process
+    // pool — chunked down to the lease, so concurrency honors the lanes
+    // without per-call pool construction (this path runs on every
+    // re-optimization epoch).
     util::ParallelismBudget& budget =
         options.budget != nullptr ? *options.budget : util::global_budget();
     const util::ParallelismBudget::Lease lease = budget.acquire(components.size());

@@ -42,11 +42,10 @@ struct Component {
                                                   const Component& component);
 
 /// Solve by decomposition: each component goes through solve_unsharded
-/// (exact_size_limit applies per component) on `options.shard_pool` (or
-/// lanes leased from the budget) with disjoint result slots, and the
-/// sub-solutions are stitched
-/// back. Exact whenever every component is solved exactly; the returned
-/// stats report the decomposition shape and per-shard paths.
+/// (exact_size_limit applies per component) on lanes leased from
+/// `options.budget`, with disjoint result slots, and the sub-solutions are
+/// stitched back. Exact whenever every component is solved exactly; the
+/// returned stats report the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                                const AssignmentOptions& options = {});
 

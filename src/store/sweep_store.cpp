@@ -72,9 +72,9 @@ void mix_solver(util::Fingerprint& fp, const solver::AssignmentOptions& s) {
   fp.mix(s.milp.gap_tolerance);
   fp.mix(static_cast<std::uint64_t>(s.local_search_rounds));
   fp.mix(static_cast<std::uint64_t>(s.exact_size_limit));
-  // shard_pool and budget are excluded: the decomposition contract
-  // guarantees bit-identical answers for every thread count, and both are
-  // execution vehicles, not inputs.
+  // budget is excluded: the decomposition contract guarantees
+  // bit-identical answers for every thread count, and the budget is an
+  // execution vehicle, not an input.
 }
 
 void mix_config(util::Fingerprint& fp, const core::SimulationConfig& c) {

@@ -1,14 +1,14 @@
 // Process-wide worker-budget arbiter for nested parallelism.
 //
-// CarbonEdge now parallelizes at three nested layers: ScenarioRunner fans
-// out across grid cells, EdgeSimulation shards per-site work inside one
-// cell, and solve_sharded dispatches placement components. Each layer sized
-// for the whole machine would oversubscribe multiplicatively (cells x sim
-// shards x solver shards); each layer sized for the worst case would leave
-// cores idle whenever the grid is narrower than the machine. Instead every
-// layer leases lanes from one ParallelismBudget: the sweep takes what its
-// cell count can use, and whatever is left flows down to the simulations
-// and solvers it spawns (first come, first served).
+// CarbonEdge parallelizes at two nested layers: ScenarioRunner fans out
+// across grid cells, and solve_sharded dispatches placement components
+// (each simulation's epoch body itself is serial). Both layers sized for
+// the whole machine would oversubscribe multiplicatively (cells x solver
+// components); each sized for the worst case would leave cores idle
+// whenever the grid is narrower than the machine. Instead both lease lanes
+// from one ParallelismBudget: the sweep takes what its cell count can use,
+// and whatever is left flows down to the solvers its cells run (first
+// come, first served).
 //
 // The budget arbitrates *throughput only*. Every parallel loop in the
 // project computes per-item values into disjoint slots and reduces them in

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/parallelism.hpp"
 #include "util/random.hpp"
-#include "util/thread_pool.hpp"
 
 namespace carbonedge::solver {
 namespace {
@@ -201,14 +201,17 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ShardedVsUnsharded, ::testing::Range(0, 30));
 TEST(SolveSharded, BitIdenticalAcrossThreadCounts) {
   for (const std::uint64_t seed : {3u, 17u, 99u}) {
     const AssignmentProblem p = block_instance(5, 3, 2, seed);
-    util::ThreadPool one_lane(1);
-    util::ThreadPool four_lanes(4);
+    util::ParallelismBudget one_lane(1);
+    util::ParallelismBudget four_lanes(4);
     AssignmentOptions one;
-    one.shard_pool = &one_lane;
+    one.budget = &one_lane;
     AssignmentOptions many;
-    many.shard_pool = &four_lanes;
+    many.budget = &four_lanes;
     const AssignmentSolution serial = solve_sharded(p, one);
     const AssignmentSolution parallel = solve_sharded(p, many);
+    // The four-lane budget really dispatched components concurrently.
+    EXPECT_EQ(one_lane.peak_lanes(), 1u);
+    EXPECT_GT(four_lanes.peak_lanes(), 1u) << "seed " << seed;
     // Bit-identical, not approximately equal: disjoint slots mean the
     // schedule cannot perturb the arithmetic.
     EXPECT_EQ(serial.assignment, parallel.assignment) << "seed " << seed;

@@ -1,8 +1,8 @@
-// The process worker-budget arbiter and the intra-simulation sharding it
-// feeds: leases never exceed the configured lane count even when the
-// runner, the simulations, and the solver all draw at once — and however
-// many lanes a run is granted, its results are bit-identical to the fully
-// serial engine.
+// The process worker-budget arbiter and the two layers it feeds (sweep
+// cells and the solver's component dispatch): leases never exceed the
+// configured lane count even when the runner and every cell's solver draw
+// at once — and however many lanes a run is granted, its results are
+// bit-identical to a single-lane run.
 #include "util/parallelism.hpp"
 
 #include <gtest/gtest.h>
@@ -133,9 +133,9 @@ core::SimulationConfig busy_config(std::uint64_t seed) {
 
 TEST(ParallelismBudget, NestedRunnerSimSolverLoadStaysWithinBudget) {
   // Eight cells of re-optimizing, failure-injecting simulations on a
-  // three-lane budget: the sweep, every simulation's shard sections, and
-  // the solver's component dispatch all lease from the same arbiter, so
-  // the high-water lane count must never exceed the configured total.
+  // three-lane budget: the sweep and every cell's solver component
+  // dispatch lease from the same arbiter, so the high-water lane count
+  // must never exceed the configured total.
   ParallelismBudget budget(3);
   runner::ScenarioGrid grid(busy_config(21));
   grid.with_regions({geo::florida_region()})
@@ -146,24 +146,6 @@ TEST(ParallelismBudget, NestedRunnerSimSolverLoadStaysWithinBudget) {
   ASSERT_EQ(outcomes.size(), 8u);
   EXPECT_LE(budget.peak_lanes(), budget.total());
   EXPECT_EQ(budget.available(), budget.total() - 1);  // every lease returned
-}
-
-TEST(ParallelismBudget, NarrowGridHandsLeftoverLanesToCells) {
-  // Two cells on a six-lane budget: the sweep needs only two lanes, and
-  // each cell's simulation should pick up a share of the leftover for its
-  // intra-epoch shard pool rather than leaving four lanes idle.
-  ParallelismBudget budget(6);
-  runner::ScenarioGrid grid(busy_config(22));
-  grid.with_regions({geo::florida_region()})
-      .with_policies({core::PolicyConfig::latency_aware(), core::PolicyConfig::carbon_edge()});
-  const auto outcomes =
-      runner::ScenarioRunner(runner::ScenarioRunnerOptions{.budget = &budget}).run(grid);
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_LE(budget.peak_lanes(), budget.total());
-  // The sweep's two lanes plus at least one cell's leftover share were in
-  // flight together at some point.
-  EXPECT_GT(budget.peak_lanes(), 2u);
-  EXPECT_EQ(budget.available(), budget.total() - 1);
 }
 
 // ------------------------------------------- cross-lane-count identity --
@@ -207,10 +189,12 @@ void expect_bit_identical(const core::SimulationResult& a, const core::Simulatio
 
 TEST(ParallelismDeterminism, ShardedRunsAreBitIdenticalToSerialOnRandomizedScenarios) {
   // Randomized scenario set: arrival intensity, deferral budget, cadence,
-  // cost-awareness, failures, and policy all drawn per scenario. Every
-  // scenario is big enough (40-site CDN region, heavy arrivals) that the
-  // epoch sections really dispatch onto the shard pool, and each one must
-  // come back bit-identical to the single-lane run.
+  // cost-awareness, failures, and policy all drawn per scenario. The epoch
+  // body is serial; the eight-lane budget reaches only the placement
+  // solver's component dispatch, and every scenario (40-site CDN region,
+  // heavy arrivals) re-optimizes batches that split into several
+  // components, so that dispatch really runs wide. Each run must come back
+  // bit-identical to the single-lane run.
   const geo::Region region = geo::cdn_region(geo::Continent::kNorthAmerica, 40);
   carbon::CarbonIntensityService service;
   service.add_region(region);
@@ -241,7 +225,7 @@ TEST(ParallelismDeterminism, ShardedRunsAreBitIdenticalToSerialOnRandomizedScena
     ParallelismBudget wide(8);
     simulation.set_parallelism_budget(&wide);
     const core::SimulationResult eight = simulation.run(config);
-    EXPECT_GT(wide.peak_lanes(), 1u);  // the shard pool really engaged
+    EXPECT_GT(wide.peak_lanes(), 1u);  // the component dispatch really ran wide
 
     SCOPED_TRACE("randomized scenario round " + std::to_string(round));
     expect_bit_identical(one, eight);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "store/codecs.hpp"
+#include "util/hash.hpp"
 
 namespace carbonedge::core {
 namespace {
@@ -206,6 +208,43 @@ TEST(Simulation, LoadNeverExceedsCapacityThroughoutRun) {
   // genuine saturation.
   EXPECT_GT(result.apps_placed, 0u);
   EXPECT_EQ(result.telemetry.size(), 40u);
+}
+
+// Digest of a run through every per-item section of the epoch body: drawn
+// MTBF failures, deferred arrivals (max_defer_epochs > 0), cost-aware
+// re-optimization with its migration veto, and per-site / per-app
+// accounting, on a cluster of at least 64 sites with hundreds of live apps.
+// The constant was printed by this test, built in Release with g++ 12 on
+// x86-64, against an engine that still sharded those four sections across
+// worker lanes (the same digest at 1 and 4 lanes). The serial epoch body
+// must reproduce every RNG draw and every floating-point fold of that run.
+TEST(SimulationEngine, SerialEpochMatchesRecordedDigest) {
+  const auto region = geo::cdn_region(geo::Continent::kNorthAmerica, 80);
+  const auto service = make_service(region);
+  SimulationConfig config;
+  config.epochs = 48;
+  config.workload.arrivals_per_site = 1.0;
+  config.workload.max_defer_epochs = 4;
+  config.reoptimize_every = 12;
+  config.migration.cost_aware = true;
+  config.failures.mtbf_epochs = 200.0;
+  config.failures.repair_epochs = 6;
+  const EdgeSimulation simulation(sim::make_uniform_cluster(region, 2, sim::DeviceType::kA2),
+                                  service);
+  SimulationEngine engine(simulation.pristine_cluster(), service, simulation.latency(), config);
+  ASSERT_GE(engine.cluster().size(), 64u);
+  sim::WorkloadGenerator generator(config.workload, engine.cluster());
+  for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
+    engine.step(generator.arrivals(epoch));
+  }
+  const SimulationResult result = engine.finish();
+  EXPECT_GT(result.server_failures, 0u);
+  EXPECT_GT(result.apps_deferred, 64u);
+  EXPECT_GT(result.migrations, 0u);
+  EXPECT_GT(result.migrations_skipped, 0u);
+  util::Fingerprint fp;
+  fp.mix(std::string_view(store::encode_outcome(result)));
+  EXPECT_EQ(fp.digest().hex(), "29911fbe9da8fa525053e79e4b5b111c");
 }
 
 }  // namespace
