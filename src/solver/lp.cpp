@@ -75,7 +75,7 @@ const char* to_string(LpStatus status) noexcept {
 
 namespace {
 
-/// Dense simplex tableau solver over the standardized problem.
+/// Two-phase primal simplex over one flat, row-major tableau.
 class SimplexTableau {
  public:
   SimplexTableau(const LinearProgram& lp, const LpOptions& options)
@@ -93,6 +93,12 @@ class SimplexTableau {
   [[nodiscard]] std::size_t choose_entering(bool bland) const;
   [[nodiscard]] std::size_t choose_leaving(std::size_t col) const;
 
+  [[nodiscard]] double* row(std::size_t r) noexcept { return tableau_.data() + r * stride_; }
+  [[nodiscard]] const double* row(std::size_t r) const noexcept {
+    return tableau_.data() + r * stride_;
+  }
+  [[nodiscard]] double rhs(std::size_t r) const noexcept { return row(r)[num_total_]; }
+
   const LinearProgram& lp_;
   LpOptions options_;
 
@@ -100,15 +106,18 @@ class SimplexTableau {
   std::size_t num_total_ = 0;    // structural + slack + artificial
   std::size_t first_artificial_ = 0;
   std::size_t rows_ = 0;
-  // tableau_[r] has num_total_ + 1 entries (last = rhs); obj_ mirrors the
-  // reduced-cost row with obj_rhs_ = -objective value.
-  std::vector<std::vector<double>> tableau_;
-  std::vector<double> obj_;
-  double obj_rhs_ = 0.0;
-  std::vector<std::size_t> basis_;      // basis_[r] = column basic in row r
-  std::vector<double> struct_cost_;     // phase-2 costs over all columns
-  double shift_constant_ = 0.0;         // objective offset from bound shifting
-  std::size_t entering_limit_ = 0;      // columns eligible to enter the basis
+  // rows_ constraint rows, then the reduced-cost row at index rows_, each
+  // stride_ = num_total_ + 1 wide with the rhs last. The reduced-cost row's
+  // rhs holds minus the objective value.
+  std::size_t stride_ = 0;
+  std::vector<double> tableau_;
+  // Pivot scratch, each used as a prefix: the nonzero columns of the pivot
+  // row, and the rows with a nonzero in the entering column.
+  std::vector<std::size_t> pivot_cols_;
+  std::vector<std::size_t> pivot_rows_;
+  std::vector<std::size_t> basis_;       // basis_[r] = column basic in row r
+  std::vector<double> struct_cost_;      // phase-2 costs over all columns
+  std::size_t entering_limit_ = 0;       // columns eligible to enter the basis
   std::size_t iterations_ = 0;
   static constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
 };
@@ -118,82 +127,81 @@ void SimplexTableau::standardize() {
   num_struct_ = n;
 
   // Shift x = z + lb so structural z >= 0; finite upper bounds become rows.
-  shift_constant_ = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    shift_constant_ += lp_.objective_coeff(static_cast<int>(i)) * lp_.lower_bound(static_cast<int>(i));
-  }
-
-  struct Stdrow {
-    std::vector<double> coeffs;  // dense over structural vars
-    Sense sense;
-    double rhs;
-  };
-  std::vector<Stdrow> stdrows;
-  stdrows.reserve(lp_.num_constraints() + n);
-
-  for (const LinearProgram::Row& row : lp_.rows()) {
-    Stdrow sr{std::vector<double>(n, 0.0), row.sense, row.rhs};
-    for (const auto& [var, coeff] : row.terms) {
-      sr.coeffs[static_cast<std::size_t>(var)] += coeff;
-      sr.rhs -= coeff * lp_.lower_bound(var);
-    }
-    stdrows.push_back(std::move(sr));
+  // A row with a negative rhs is negated, which swaps <= and >=. The first
+  // pass fixes each row's rhs and sense, which set the column layout.
+  std::vector<double> std_rhs;
+  std::vector<Sense> std_sense;
+  std_rhs.reserve(lp_.num_constraints() + n);
+  std_sense.reserve(lp_.num_constraints() + n);
+  for (const LinearProgram::Row& r : lp_.rows()) {
+    double b = r.rhs;
+    for (const auto& [var, coeff] : r.terms) b -= coeff * lp_.lower_bound(var);
+    std_rhs.push_back(b);
+    std_sense.push_back(r.sense);
   }
   for (std::size_t i = 0; i < n; ++i) {
     const double ub = lp_.upper_bound(static_cast<int>(i));
     if (std::isfinite(ub)) {
-      Stdrow sr{std::vector<double>(n, 0.0), Sense::kLessEqual,
-                ub - lp_.lower_bound(static_cast<int>(i))};
-      sr.coeffs[i] = 1.0;
-      stdrows.push_back(std::move(sr));
+      std_rhs.push_back(ub - lp_.lower_bound(static_cast<int>(i)));
+      std_sense.push_back(Sense::kLessEqual);
     }
   }
-
-  // Flip rows to make rhs non-negative.
-  for (Stdrow& sr : stdrows) {
-    if (sr.rhs < 0.0) {
-      for (double& c : sr.coeffs) c = -c;
-      sr.rhs = -sr.rhs;
-      if (sr.sense == Sense::kLessEqual) {
-        sr.sense = Sense::kGreaterEqual;
-      } else if (sr.sense == Sense::kGreaterEqual) {
-        sr.sense = Sense::kLessEqual;
-      }
-    }
-  }
-
-  rows_ = stdrows.size();
+  rows_ = std_rhs.size();
   std::size_t num_slack = 0;
   std::size_t num_artificial = 0;
-  for (const Stdrow& sr : stdrows) {
-    if (sr.sense != Sense::kEqual) ++num_slack;
-    if (sr.sense != Sense::kLessEqual) ++num_artificial;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    Sense& sense = std_sense[r];
+    if (std_rhs[r] < 0.0) {
+      if (sense == Sense::kLessEqual) {
+        sense = Sense::kGreaterEqual;
+      } else if (sense == Sense::kGreaterEqual) {
+        sense = Sense::kLessEqual;
+      }
+    }
+    if (sense != Sense::kEqual) ++num_slack;
+    if (sense != Sense::kLessEqual) ++num_artificial;
   }
   first_artificial_ = num_struct_ + num_slack;
   num_total_ = first_artificial_ + num_artificial;
+  stride_ = num_total_ + 1;
 
-  tableau_.assign(rows_, std::vector<double>(num_total_ + 1, 0.0));
+  // Second pass: write each row straight into the tableau.
+  tableau_.assign((rows_ + 1) * stride_, 0.0);
+  pivot_cols_.resize(stride_);
+  pivot_rows_.resize(rows_ + 1);
   basis_.assign(rows_, kNoCol);
-
+  const std::size_t num_lp_rows = lp_.num_constraints();
+  std::size_t next_bound = 0;  // structural variable of the next bound row
   std::size_t slack_col = num_struct_;
   std::size_t art_col = first_artificial_;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const Stdrow& sr = stdrows[r];
-    for (std::size_t i = 0; i < n; ++i) tableau_[r][i] = sr.coeffs[i];
-    tableau_[r][num_total_] = sr.rhs;
-    switch (sr.sense) {
+    double* t = row(r);
+    if (r < num_lp_rows) {
+      for (const auto& [var, coeff] : lp_.rows()[r].terms) {
+        t[static_cast<std::size_t>(var)] += coeff;
+      }
+    } else {
+      while (!std::isfinite(lp_.upper_bound(static_cast<int>(next_bound)))) ++next_bound;
+      t[next_bound++] = 1.0;
+    }
+    if (std_rhs[r] < 0.0) {
+      for (std::size_t i = 0; i < n; ++i) t[i] = -t[i];
+      std_rhs[r] = -std_rhs[r];
+    }
+    t[num_total_] = std_rhs[r];
+    switch (std_sense[r]) {
       case Sense::kLessEqual:
-        tableau_[r][slack_col] = 1.0;
+        t[slack_col] = 1.0;
         basis_[r] = slack_col++;
         break;
       case Sense::kGreaterEqual:
-        tableau_[r][slack_col] = -1.0;
+        t[slack_col] = -1.0;
         ++slack_col;
-        tableau_[r][art_col] = 1.0;
+        t[art_col] = 1.0;
         basis_[r] = art_col++;
         break;
       case Sense::kEqual:
-        tableau_[r][art_col] = 1.0;
+        t[art_col] = 1.0;
         basis_[r] = art_col++;
         break;
     }
@@ -206,14 +214,14 @@ void SimplexTableau::standardize() {
 }
 
 void SimplexTableau::price_out_objective(const std::vector<double>& cost) {
-  obj_.assign(num_total_, 0.0);
-  obj_rhs_ = 0.0;
-  for (std::size_t j = 0; j < num_total_; ++j) obj_[j] = cost[j];
+  double* obj = row(rows_);
+  for (std::size_t j = 0; j < num_total_; ++j) obj[j] = cost[j];
+  obj[num_total_] = 0.0;
   for (std::size_t r = 0; r < rows_; ++r) {
     const double cb = cost[basis_[r]];
     if (cb == 0.0) continue;
-    for (std::size_t j = 0; j < num_total_; ++j) obj_[j] -= cb * tableau_[r][j];
-    obj_rhs_ -= cb * tableau_[r][num_total_];
+    const double* t = row(r);
+    for (std::size_t j = 0; j < stride_; ++j) obj[j] -= cb * t[j];
   }
 }
 
@@ -222,19 +230,21 @@ std::size_t SimplexTableau::choose_entering(bool bland) const {
   // out they must never re-enter, or the equality constraints they stand in
   // for silently relax.
   const double tol = options_.pivot_tolerance;
+  const double* obj = row(rows_);
   if (bland) {
     for (std::size_t j = 0; j < entering_limit_; ++j) {
-      if (obj_[j] < -tol) return j;
+      if (obj[j] < -tol) return j;
     }
     return kNoCol;
   }
+  // Dantzig: the first strict minimum below -tol, written with selects so
+  // the scan compiles without a data-dependent branch.
   std::size_t best = kNoCol;
   double best_value = -tol;
   for (std::size_t j = 0; j < entering_limit_; ++j) {
-    if (obj_[j] < best_value) {
-      best_value = obj_[j];
-      best = j;
-    }
+    const bool better = obj[j] < best_value;
+    best = better ? j : best;
+    best_value = better ? obj[j] : best_value;
   }
   return best;
 }
@@ -244,9 +254,9 @@ std::size_t SimplexTableau::choose_leaving(std::size_t col) const {
   std::size_t best_row = kNoCol;
   double best_ratio = kInfinity;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const double a = tableau_[r][col];
+    const double a = row(r)[col];
     if (a <= tol) continue;
-    const double ratio = tableau_[r][num_total_] / a;
+    const double ratio = rhs(r) / a;
     // Bland tie-break on the basic column index for anti-cycling.
     if (ratio < best_ratio - 1e-12 ||
         (ratio < best_ratio + 1e-12 && best_row != kNoCol && basis_[r] < basis_[best_row])) {
@@ -257,27 +267,37 @@ std::size_t SimplexTableau::choose_leaving(std::size_t col) const {
   return best_row;
 }
 
-void SimplexTableau::pivot(std::size_t row, std::size_t col) {
-  std::vector<double>& prow = tableau_[row];
+void SimplexTableau::pivot(std::size_t pivot_row, std::size_t col) {
+  // Scale the pivot row and note its nonzero columns. Eliminating the other
+  // rows, the reduced-cost row included, touches only those columns: a
+  // skipped update would subtract factor * (+-0), which at most flips the
+  // sign of a zero, and no comparison or result depends on that sign.
+  double* prow = row(pivot_row);
   const double inv = 1.0 / prow[col];
-  for (double& v : prow) v *= inv;
+  std::size_t* cols = pivot_cols_.data();
+  std::size_t nonzeros = 0;
+  for (std::size_t j = 0; j < stride_; ++j) {
+    prow[j] *= inv;
+    cols[nonzeros] = j;
+    nonzeros += prow[j] != 0.0 ? 1 : 0;
+  }
   prow[col] = 1.0;  // exact
 
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (r == row) continue;
-    const double factor = tableau_[r][col];
-    if (factor == 0.0) continue;
-    std::vector<double>& target = tableau_[r];
-    for (std::size_t j = 0; j <= num_total_; ++j) target[j] -= factor * prow[j];
+  // The rows to eliminate: those with a nonzero in the entering column,
+  // about one in ten, listed without a branch per row.
+  std::size_t* rows = pivot_rows_.data();
+  std::size_t touched = 0;
+  for (std::size_t r = 0; r <= rows_; ++r) {
+    rows[touched] = r;
+    touched += row(r)[col] != 0.0 && r != pivot_row ? 1 : 0;
+  }
+  for (std::size_t i = 0; i < touched; ++i) {
+    double* target = row(rows[i]);
+    const double factor = target[col];
+    for (std::size_t k = 0; k < nonzeros; ++k) target[cols[k]] -= factor * prow[cols[k]];
     target[col] = 0.0;
   }
-  const double ofactor = obj_[col];
-  if (ofactor != 0.0) {
-    for (std::size_t j = 0; j < num_total_; ++j) obj_[j] -= ofactor * prow[j];
-    obj_rhs_ -= ofactor * prow[num_total_];
-    obj_[col] = 0.0;
-  }
-  basis_[row] = col;
+  basis_[pivot_row] = col;
 }
 
 bool SimplexTableau::phase(bool phase_one) {
@@ -288,14 +308,14 @@ bool SimplexTableau::phase(bool phase_one) {
     const bool bland = stall > rows_ + num_total_;  // switch after long stall
     const std::size_t col = choose_entering(bland);
     if (col == kNoCol) return true;  // optimal for this phase
-    const std::size_t row = choose_leaving(col);
-    if (row == kNoCol) {
+    const std::size_t leaving = choose_leaving(col);
+    if (leaving == kNoCol) {
       if (phase_one) return true;  // phase-1 objective bounded below by 0
       return false;                // genuine unboundedness
     }
-    const double before = obj_rhs_;
-    pivot(row, col);
-    stall = std::abs(obj_rhs_ - before) < 1e-12 ? stall + 1 : 0;
+    const double before = rhs(rows_);
+    pivot(leaving, col);
+    stall = std::abs(rhs(rows_) - before) < 1e-12 ? stall + 1 : 0;
   }
 }
 
@@ -324,16 +344,17 @@ LpSolution SimplexTableau::solve() {
       solution.status = LpStatus::kIterationLimit;
       return solution;
     }
-    if (-obj_rhs_ > options_.feasibility_tolerance) {
+    if (-rhs(rows_) > options_.feasibility_tolerance) {
       solution.status = LpStatus::kInfeasible;
       return solution;
     }
     // Drive any remaining artificial out of the basis where possible.
     for (std::size_t r = 0; r < rows_; ++r) {
       if (basis_[r] < first_artificial_) continue;
+      const double* t = row(r);
       std::size_t col = kNoCol;
       for (std::size_t j = 0; j < first_artificial_; ++j) {
-        if (std::abs(tableau_[r][j]) > options_.pivot_tolerance) {
+        if (std::abs(t[j]) > options_.pivot_tolerance) {
           col = j;
           break;
         }
@@ -355,7 +376,7 @@ LpSolution SimplexTableau::solve() {
   solution.status = LpStatus::kOptimal;
   solution.values.assign(lp_.num_variables(), 0.0);
   std::vector<double> z(num_total_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) z[basis_[r]] = tableau_[r][num_total_];
+  for (std::size_t r = 0; r < rows_; ++r) z[basis_[r]] = rhs(r);
   for (std::size_t i = 0; i < num_struct_; ++i) {
     solution.values[i] = z[i] + lp_.lower_bound(static_cast<int>(i));
   }

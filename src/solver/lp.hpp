@@ -1,9 +1,11 @@
-// Linear programming: model container and a dense two-phase primal simplex.
+// Linear programming: model container and a two-phase primal simplex over a
+// flat tableau.
 //
 // Substitutes for Google OR-Tools (unavailable offline). Sized for the
 // paper's placement instances: the testbed-scale MILPs relaxed here have a
 // few hundred rows/columns; CDN-scale instances take the flow/heuristic
-// paths instead (see assignment.hpp).
+// paths instead (see assignment.hpp). Branch and bound (milp.hpp) calls
+// solve_lp once per node, so its speed is the exact solver's speed.
 #pragma once
 
 #include <cstdint>
@@ -72,9 +74,18 @@ struct LpOptions {
   double feasibility_tolerance = 1e-7;
 };
 
-/// Solve with the dense two-phase primal simplex (Dantzig pricing with a
-/// Bland fallback for anti-cycling). Finite variable bounds are handled by
-/// shifting lower bounds to zero and emitting upper-bound rows.
+/// Solve with the two-phase primal simplex. Lower bounds are shifted to
+/// zero and every finite upper bound becomes a tableau row. Pricing is
+/// Dantzig's (most negative reduced cost, first index on ties), switching to
+/// Bland's rule after a long run of degenerate pivots; the ratio test breaks
+/// ties on the lowest basic column index.
+///
+/// The tableau is one row-major array, the reduced-cost row last. A pivot
+/// scales the pivot row once, notes its nonzero columns, and updates only
+/// those columns of the rows whose entering-column entry is nonzero.
+/// Placement LPs are sparse (a scaled pivot row is about 7% nonzero), so
+/// this skips most of a dense sweep. It does the same arithmetic on every
+/// nonzero entry as a dense sweep would, so the result is bit-identical.
 [[nodiscard]] LpSolution solve_lp(const LinearProgram& lp, const LpOptions& options = {});
 
 }  // namespace carbonedge::solver

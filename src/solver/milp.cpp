@@ -20,7 +20,6 @@ namespace {
 struct Node {
   // Variable bound overrides accumulated along the branch.
   std::vector<std::pair<int, std::pair<double, double>>> bounds;
-  double parent_bound = -kInfinity;  // LP bound of the parent, for ordering
 };
 
 bool is_integral(double v, double tol) noexcept {
@@ -122,11 +121,9 @@ MilpSolution solve_milp(const LinearProgram& lp, const std::vector<int>& integer
           Node down;
           down.bounds = node.bounds;
           down.bounds.emplace_back(branch_var, std::make_pair(-kInfinity, floor_v));
-          down.parent_bound = relaxed.objective;
           Node up;
           up.bounds = node.bounds;
           up.bounds.emplace_back(branch_var, std::make_pair(floor_v + 1.0, kInfinity));
-          up.parent_bound = relaxed.objective;
           // Explore the branch nearer the fractional value first (DFS order:
           // push the *other* branch first).
           if (v - floor_v < 0.5) {
@@ -138,6 +135,9 @@ MilpSolution solve_milp(const LinearProgram& lp, const std::vector<int>& integer
           }
         }
       }
+      // An iteration-limited LP leaves its subtree unexplored, so the search
+      // can no longer prove optimality, as with the node budget.
+      if (relaxed.status == LpStatus::kIterationLimit) limit_hit = true;
       // kInfeasible / bound-dominated nodes are pruned silently.
     }
 

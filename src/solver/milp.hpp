@@ -17,9 +17,10 @@ namespace carbonedge::solver {
 
 struct MilpOptions {
   LpOptions lp;
-  /// Node budget: each node solves a dense-simplex LP, so this bounds the
-  /// worst-case latency of an exact solve; past it the warm-start incumbent
-  /// is returned (status kFeasible).
+  /// Node budget: each node solves its LP relaxation from scratch, so this
+  /// bounds the worst-case latency of an exact solve; past it the best
+  /// incumbent is returned (status kFeasible), as it is when a node's LP hits
+  /// `lp.max_iterations`.
   std::size_t max_nodes = 5'000;
   double integrality_tolerance = 1e-6;
   /// Relative optimality gap at which search stops (0 = prove optimality).

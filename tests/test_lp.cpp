@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "solver/milp.hpp"
+#include "util/hash.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
@@ -220,6 +225,566 @@ TEST_P(RandomLpNd, OptimumDominatesSampledFeasiblePoints) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomLpNd, ::testing::Range(0, 40));
+
+// ---------------------------------------------------------------------------
+// Reference kernel: the dense two-phase simplex over vector<vector<double>>
+// that the flat tableau in src/solver/lp.cpp replaced, kept here unchanged
+// (dead objective-shift bookkeeping aside) as the oracle. The flat kernel
+// must follow the same pivot path, so every result matches it bit for bit.
+// `bland_pivots`, when given, counts the pivots chosen in Bland mode.
+
+class ReferenceTableau {
+ public:
+  ReferenceTableau(const LinearProgram& lp, const LpOptions& options, std::size_t* bland_pivots)
+      : lp_(lp), options_(options), bland_pivots_(bland_pivots) {}
+
+  LpSolution solve();
+
+ private:
+  void standardize();
+  bool phase(bool phase_one);
+  void pivot(std::size_t row, std::size_t col);
+  void price_out_objective(const std::vector<double>& cost);
+  [[nodiscard]] std::size_t choose_entering(bool bland) const;
+  [[nodiscard]] std::size_t choose_leaving(std::size_t col) const;
+
+  const LinearProgram& lp_;
+  LpOptions options_;
+  std::size_t* bland_pivots_;
+
+  std::size_t num_struct_ = 0;
+  std::size_t num_total_ = 0;
+  std::size_t first_artificial_ = 0;
+  std::size_t rows_ = 0;
+  std::vector<std::vector<double>> tableau_;
+  std::vector<double> obj_;
+  double obj_rhs_ = 0.0;
+  std::vector<std::size_t> basis_;
+  std::vector<double> struct_cost_;
+  std::size_t entering_limit_ = 0;
+  std::size_t iterations_ = 0;
+  static constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
+};
+
+void ReferenceTableau::standardize() {
+  const std::size_t n = lp_.num_variables();
+  num_struct_ = n;
+
+  struct Stdrow {
+    std::vector<double> coeffs;
+    Sense sense;
+    double rhs;
+  };
+  std::vector<Stdrow> stdrows;
+  stdrows.reserve(lp_.num_constraints() + n);
+
+  for (const LinearProgram::Row& row : lp_.rows()) {
+    Stdrow sr{std::vector<double>(n, 0.0), row.sense, row.rhs};
+    for (const auto& [var, coeff] : row.terms) {
+      sr.coeffs[static_cast<std::size_t>(var)] += coeff;
+      sr.rhs -= coeff * lp_.lower_bound(var);
+    }
+    stdrows.push_back(std::move(sr));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ub = lp_.upper_bound(static_cast<int>(i));
+    if (std::isfinite(ub)) {
+      Stdrow sr{std::vector<double>(n, 0.0), Sense::kLessEqual,
+                ub - lp_.lower_bound(static_cast<int>(i))};
+      sr.coeffs[i] = 1.0;
+      stdrows.push_back(std::move(sr));
+    }
+  }
+
+  for (Stdrow& sr : stdrows) {
+    if (sr.rhs < 0.0) {
+      for (double& c : sr.coeffs) c = -c;
+      sr.rhs = -sr.rhs;
+      if (sr.sense == Sense::kLessEqual) {
+        sr.sense = Sense::kGreaterEqual;
+      } else if (sr.sense == Sense::kGreaterEqual) {
+        sr.sense = Sense::kLessEqual;
+      }
+    }
+  }
+
+  rows_ = stdrows.size();
+  std::size_t num_slack = 0;
+  std::size_t num_artificial = 0;
+  for (const Stdrow& sr : stdrows) {
+    if (sr.sense != Sense::kEqual) ++num_slack;
+    if (sr.sense != Sense::kLessEqual) ++num_artificial;
+  }
+  first_artificial_ = num_struct_ + num_slack;
+  num_total_ = first_artificial_ + num_artificial;
+
+  tableau_.assign(rows_, std::vector<double>(num_total_ + 1, 0.0));
+  basis_.assign(rows_, kNoCol);
+
+  std::size_t slack_col = num_struct_;
+  std::size_t art_col = first_artificial_;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const Stdrow& sr = stdrows[r];
+    for (std::size_t i = 0; i < n; ++i) tableau_[r][i] = sr.coeffs[i];
+    tableau_[r][num_total_] = sr.rhs;
+    switch (sr.sense) {
+      case Sense::kLessEqual:
+        tableau_[r][slack_col] = 1.0;
+        basis_[r] = slack_col++;
+        break;
+      case Sense::kGreaterEqual:
+        tableau_[r][slack_col] = -1.0;
+        ++slack_col;
+        tableau_[r][art_col] = 1.0;
+        basis_[r] = art_col++;
+        break;
+      case Sense::kEqual:
+        tableau_[r][art_col] = 1.0;
+        basis_[r] = art_col++;
+        break;
+    }
+  }
+
+  struct_cost_.assign(num_total_, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    struct_cost_[i] = lp_.objective_coeff(static_cast<int>(i));
+  }
+}
+
+void ReferenceTableau::price_out_objective(const std::vector<double>& cost) {
+  obj_.assign(num_total_, 0.0);
+  obj_rhs_ = 0.0;
+  for (std::size_t j = 0; j < num_total_; ++j) obj_[j] = cost[j];
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const double cb = cost[basis_[r]];
+    if (cb == 0.0) continue;
+    for (std::size_t j = 0; j < num_total_; ++j) obj_[j] -= cb * tableau_[r][j];
+    obj_rhs_ -= cb * tableau_[r][num_total_];
+  }
+}
+
+std::size_t ReferenceTableau::choose_entering(bool bland) const {
+  const double tol = options_.pivot_tolerance;
+  if (bland) {
+    for (std::size_t j = 0; j < entering_limit_; ++j) {
+      if (obj_[j] < -tol) return j;
+    }
+    return kNoCol;
+  }
+  std::size_t best = kNoCol;
+  double best_value = -tol;
+  for (std::size_t j = 0; j < entering_limit_; ++j) {
+    if (obj_[j] < best_value) {
+      best_value = obj_[j];
+      best = j;
+    }
+  }
+  return best;
+}
+
+std::size_t ReferenceTableau::choose_leaving(std::size_t col) const {
+  const double tol = options_.pivot_tolerance;
+  std::size_t best_row = kNoCol;
+  double best_ratio = kInfinity;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const double a = tableau_[r][col];
+    if (a <= tol) continue;
+    const double ratio = tableau_[r][num_total_] / a;
+    if (ratio < best_ratio - 1e-12 ||
+        (ratio < best_ratio + 1e-12 && best_row != kNoCol && basis_[r] < basis_[best_row])) {
+      best_ratio = ratio;
+      best_row = r;
+    }
+  }
+  return best_row;
+}
+
+void ReferenceTableau::pivot(std::size_t row, std::size_t col) {
+  std::vector<double>& prow = tableau_[row];
+  const double inv = 1.0 / prow[col];
+  for (double& v : prow) v *= inv;
+  prow[col] = 1.0;
+
+  for (std::size_t r = 0; r < rows_; ++r) {
+    if (r == row) continue;
+    const double factor = tableau_[r][col];
+    if (factor == 0.0) continue;
+    std::vector<double>& target = tableau_[r];
+    for (std::size_t j = 0; j <= num_total_; ++j) target[j] -= factor * prow[j];
+    target[col] = 0.0;
+  }
+  const double ofactor = obj_[col];
+  if (ofactor != 0.0) {
+    for (std::size_t j = 0; j < num_total_; ++j) obj_[j] -= ofactor * prow[j];
+    obj_rhs_ -= ofactor * prow[num_total_];
+    obj_[col] = 0.0;
+  }
+  basis_[row] = col;
+}
+
+bool ReferenceTableau::phase(bool phase_one) {
+  std::size_t stall = 0;
+  for (;;) {
+    if (++iterations_ > options_.max_iterations) return false;
+    const bool bland = stall > rows_ + num_total_;
+    const std::size_t col = choose_entering(bland);
+    if (col == kNoCol) return true;
+    const std::size_t row = choose_leaving(col);
+    if (row == kNoCol) {
+      if (phase_one) return true;
+      return false;
+    }
+    const double before = obj_rhs_;
+    if (bland && bland_pivots_ != nullptr) ++*bland_pivots_;
+    pivot(row, col);
+    stall = std::abs(obj_rhs_ - before) < 1e-12 ? stall + 1 : 0;
+  }
+}
+
+LpSolution ReferenceTableau::solve() {
+  standardize();
+  LpSolution solution;
+
+  if (rows_ == 0) {
+    for (std::size_t i = 0; i < num_struct_; ++i) {
+      if (lp_.objective_coeff(static_cast<int>(i)) < 0.0) {
+        solution.status = LpStatus::kUnbounded;
+        return solution;
+      }
+    }
+  }
+
+  if (rows_ > 0) {
+    entering_limit_ = num_total_;
+    std::vector<double> phase1_cost(num_total_, 0.0);
+    for (std::size_t j = first_artificial_; j < num_total_; ++j) phase1_cost[j] = 1.0;
+    price_out_objective(phase1_cost);
+    if (!phase(/*phase_one=*/true)) {
+      solution.status = LpStatus::kIterationLimit;
+      return solution;
+    }
+    if (-obj_rhs_ > options_.feasibility_tolerance) {
+      solution.status = LpStatus::kInfeasible;
+      return solution;
+    }
+    for (std::size_t r = 0; r < rows_; ++r) {
+      if (basis_[r] < first_artificial_) continue;
+      std::size_t col = kNoCol;
+      for (std::size_t j = 0; j < first_artificial_; ++j) {
+        if (std::abs(tableau_[r][j]) > options_.pivot_tolerance) {
+          col = j;
+          break;
+        }
+      }
+      if (col != kNoCol) pivot(r, col);
+    }
+    entering_limit_ = first_artificial_;
+    price_out_objective(struct_cost_);
+    if (!phase(/*phase_one=*/false)) {
+      solution.status =
+          iterations_ > options_.max_iterations ? LpStatus::kIterationLimit : LpStatus::kUnbounded;
+      return solution;
+    }
+  }
+
+  solution.status = LpStatus::kOptimal;
+  solution.values.assign(lp_.num_variables(), 0.0);
+  std::vector<double> z(num_total_, 0.0);
+  for (std::size_t r = 0; r < rows_; ++r) z[basis_[r]] = tableau_[r][num_total_];
+  for (std::size_t i = 0; i < num_struct_; ++i) {
+    solution.values[i] = z[i] + lp_.lower_bound(static_cast<int>(i));
+  }
+  solution.objective = lp_.evaluate(solution.values);
+  return solution;
+}
+
+LpSolution reference_solve_lp(const LinearProgram& lp, const LpOptions& options = {},
+                              std::size_t* bland_pivots = nullptr) {
+  if (lp.num_variables() == 0) {
+    LpSolution trivial;
+    trivial.status = LpStatus::kOptimal;
+    trivial.objective = 0.0;
+    return trivial;
+  }
+  ReferenceTableau tableau(lp, options, bland_pivots);
+  return tableau.solve();
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Status, objective and every value, bit for bit.
+void expect_same_solution(const LpSolution& actual, const LpSolution& expected,
+                          const std::string& where) {
+  ASSERT_EQ(actual.status, expected.status) << where;
+  ASSERT_EQ(bits(actual.objective), bits(expected.objective)) << where;
+  ASSERT_EQ(actual.values.size(), expected.values.size()) << where;
+  for (std::size_t i = 0; i < actual.values.size(); ++i) {
+    ASSERT_EQ(bits(actual.values[i]), bits(expected.values[i])) << where << " value " << i;
+  }
+}
+
+// A placement LP in the shape solve_exact builds (src/solver/assignment.cpp):
+// x_p in [0, 1] per feasible (app, server) pair, y_j in [0, 1] per
+// initially-off server, one Eq. 3 equality row per app, capacity rows with
+// -cap * y_j on off servers, and per-pair x_p <= y_j links. Seeds mix in:
+//   - tie-heavy instances: identical servers, integer costs and demands;
+//   - B&B-style bound overrides (lb = 1 or ub = 0) on random variables;
+//   - the same rows written as >= rows and with negative right-hand sides,
+//     plus a minimum-load >= row;
+//   - infeasible instances (an app with no pair, or capacity far below
+//     demand) and unbounded ones (a free surplus variable with negative
+//     cost).
+struct PlacementLp {
+  LinearProgram lp;
+  std::vector<int> integer_vars;
+};
+
+PlacementLp placement_lp(std::uint64_t seed) {
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 17);
+  const bool ties = seed % 4 == 0;
+  const bool overrides = seed % 3 == 1;
+  const bool flipped = seed % 5 == 2;
+  const bool infeasible = seed % 11 == 3;
+  const bool unbounded = seed % 13 == 5;
+  const std::size_t apps = 3 + rng.uniform_index(10);
+  const std::size_t servers = 2 + rng.uniform_index(6);
+  const std::size_t resources = 1 + rng.uniform_index(2);
+
+  std::vector<double> capacity(servers * resources);
+  std::vector<double> activation(servers, 0.0);
+  std::vector<bool> on(servers);
+  const double per_server = static_cast<double>(apps) / static_cast<double>(servers);
+  const double tie_capacity = std::ceil(per_server) * static_cast<double>(2 + rng.uniform_index(2));
+  const double tie_activation = static_cast<double>(rng.uniform_index(4));
+  for (std::size_t j = 0; j < servers; ++j) {
+    on[j] = rng.bernoulli(0.5);
+    activation[j] = ties ? tie_activation : rng.uniform(0.0, 6.0);
+    for (std::size_t k = 0; k < resources; ++k) {
+      double cap = ties ? tie_capacity : rng.uniform(0.9, 2.5) * per_server;
+      if (infeasible && seed % 2 == 0) cap *= 0.05;
+      capacity[j * resources + k] = cap;
+    }
+  }
+
+  struct Pair {
+    std::size_t server;
+    std::vector<double> demand;
+  };
+  PlacementLp out;
+  LinearProgram& lp = out.lp;
+  std::vector<Pair> pairs;
+  std::vector<std::vector<int>> app_vars(apps);
+  for (std::size_t i = 0; i < apps; ++i) {
+    const double tie_cost = static_cast<double>(rng.uniform_index(5));
+    std::vector<double> demand(resources);
+    for (double& d : demand) {
+      d = ties ? static_cast<double>(1 + rng.uniform_index(2)) : rng.uniform(0.2, 1.5);
+    }
+    const bool stranded = infeasible && seed % 2 == 1 && i == 0;
+    for (std::size_t j = 0; j < servers; ++j) {
+      if (stranded || (j > 0 && rng.bernoulli(0.3))) continue;
+      const double cost = ties ? tie_cost : rng.uniform(0.0, 10.0);
+      const int var = lp.add_variable(cost, 0.0, 1.0);
+      out.integer_vars.push_back(var);
+      app_vars[i].push_back(var);
+      pairs.push_back(Pair{j, demand});
+    }
+  }
+  std::vector<int> y_var(servers, -1);
+  for (std::size_t j = 0; j < servers; ++j) {
+    if (on[j]) continue;
+    y_var[j] = lp.add_variable(activation[j], 0.0, 1.0);
+    out.integer_vars.push_back(y_var[j]);
+  }
+
+  // Eq. 3, written as one equality, as -sum = -1, or as a >= pair.
+  for (std::size_t i = 0; i < apps; ++i) {
+    std::vector<std::pair<int, double>> terms;
+    std::vector<std::pair<int, double>> negated;
+    for (const int var : app_vars[i]) {
+      terms.emplace_back(var, 1.0);
+      negated.emplace_back(var, -1.0);
+    }
+    const std::uint64_t form = flipped ? rng.uniform_index(3) : 0;
+    if (form == 0) {
+      lp.add_constraint(std::move(terms), Sense::kEqual, 1.0);
+    } else if (form == 1) {
+      lp.add_constraint(std::move(negated), Sense::kEqual, -1.0);
+    } else {
+      lp.add_constraint(std::move(terms), Sense::kGreaterEqual, 1.0);
+      lp.add_constraint(std::move(negated), Sense::kGreaterEqual, -1.0);
+    }
+  }
+  // Eq. 1 capacity and Eq. 5 per-pair links.
+  for (std::size_t j = 0; j < servers; ++j) {
+    for (std::size_t k = 0; k < resources; ++k) {
+      std::vector<std::pair<int, double>> terms;
+      for (std::size_t p = 0; p < pairs.size(); ++p) {
+        if (pairs[p].server == j) terms.emplace_back(static_cast<int>(p), pairs[p].demand[k]);
+      }
+      const double cap = capacity[j * resources + k];
+      const bool as_ge = flipped && rng.bernoulli(0.5);
+      if (as_ge) {
+        for (auto& term : terms) term.second = -term.second;
+      }
+      if (y_var[j] >= 0) {
+        terms.emplace_back(y_var[j], as_ge ? cap : -cap);
+        lp.add_constraint(std::move(terms), as_ge ? Sense::kGreaterEqual : Sense::kLessEqual, 0.0);
+      } else {
+        lp.add_constraint(std::move(terms), as_ge ? Sense::kGreaterEqual : Sense::kLessEqual,
+                          as_ge ? -cap : cap);
+      }
+    }
+    if (y_var[j] >= 0) {
+      for (std::size_t p = 0; p < pairs.size(); ++p) {
+        if (pairs[p].server != j) continue;
+        lp.add_constraint({{static_cast<int>(p), 1.0}, {y_var[j], -1.0}}, Sense::kLessEqual, 0.0);
+      }
+    }
+  }
+  if (flipped) {
+    // Minimum load on one server: at least one app lands there.
+    const std::size_t j = rng.uniform_index(servers);
+    std::vector<std::pair<int, double>> terms;
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      if (pairs[p].server == j) terms.emplace_back(static_cast<int>(p), 1.0);
+    }
+    if (!terms.empty()) lp.add_constraint(std::move(terms), Sense::kGreaterEqual, 1.0);
+  }
+  if (overrides) {
+    for (const int var : out.integer_vars) {
+      if (!rng.bernoulli(0.12)) continue;
+      if (rng.bernoulli(0.3)) {
+        lp.set_bounds(var, 1.0, 1.0);
+      } else {
+        lp.set_bounds(var, 0.0, 0.0);
+      }
+    }
+  }
+  if (unbounded && !pairs.empty()) {
+    // s >= x_0 - 0.5 with cost -1: s grows without bound.
+    const int s = lp.add_variable(-1.0);
+    lp.add_constraint({{0, 1.0}, {s, -1.0}}, Sense::kLessEqual, 0.5);
+  }
+  return out;
+}
+
+constexpr std::uint64_t kCorpusSize = 360;
+
+TEST(SimplexOracle, MatchesReferenceKernelBitForBit) {
+  std::size_t optimal = 0;
+  std::size_t infeasible = 0;
+  std::size_t unbounded = 0;
+  std::size_t ge_rows = 0;
+  for (std::uint64_t seed = 0; seed < kCorpusSize; ++seed) {
+    const PlacementLp instance = placement_lp(seed);
+    const LpSolution expected = reference_solve_lp(instance.lp);
+    expect_same_solution(solve_lp(instance.lp), expected, "seed " + std::to_string(seed));
+    if (HasFatalFailure()) return;
+    optimal += expected.status == LpStatus::kOptimal;
+    infeasible += expected.status == LpStatus::kInfeasible;
+    unbounded += expected.status == LpStatus::kUnbounded;
+    for (const LinearProgram::Row& row : instance.lp.rows()) {
+      if (row.sense == Sense::kGreaterEqual) {
+        ++ge_rows;
+        break;
+      }
+    }
+  }
+  // Every branch of the kernel's outcome must be exercised.
+  EXPECT_GE(optimal, 240u);
+  EXPECT_GE(infeasible, 50u);
+  EXPECT_GE(unbounded, 20u);
+  EXPECT_GE(ge_rows, 50u);
+}
+
+// Digest over solve_milp on the same corpus: status, nodes explored, and
+// the bits of the objective and every value. Recorded on the dense kernel
+// before the flat tableau replaced it; any change to a pivot path anywhere
+// in branch and bound moves it.
+TEST(SimplexOracle, MilpCorpusMatchesRecordedDigest) {
+  MilpOptions options;
+  options.max_nodes = 200;
+  util::Fingerprint fp;
+  for (std::uint64_t seed = 0; seed < kCorpusSize; ++seed) {
+    const PlacementLp instance = placement_lp(seed);
+    const MilpSolution sol = solve_milp(instance.lp, instance.integer_vars, options);
+    fp.mix(static_cast<std::uint64_t>(sol.status));
+    fp.mix(static_cast<std::uint64_t>(sol.nodes_explored));
+    fp.mix(bits(sol.objective));
+    fp.mix(static_cast<std::uint64_t>(sol.values.size()));
+    for (const double v : sol.values) fp.mix(bits(v));
+  }
+  EXPECT_EQ(fp.digest().hex(), "8ec39db0183bde07d9c484341d3d0da8");
+}
+
+// Beale's example (1955): with Dantzig pricing and a degenerate tie the
+// textbook simplex cycles here forever. The stall counter must switch to
+// Bland's rule and reach the optimum, x4 = 1/25, x6 = 1: objective -1/20.
+LinearProgram beale_lp() {
+  LinearProgram lp;
+  const int x4 = lp.add_variable(-0.75);
+  const int x5 = lp.add_variable(150.0);
+  const int x6 = lp.add_variable(-0.02);
+  const int x7 = lp.add_variable(6.0);
+  lp.add_constraint({{x4, 0.25}, {x5, -60.0}, {x6, -0.04}, {x7, 9.0}}, Sense::kLessEqual, 0.0);
+  lp.add_constraint({{x4, 0.5}, {x5, -90.0}, {x6, -0.02}, {x7, 3.0}}, Sense::kLessEqual, 0.0);
+  lp.add_constraint({{x6, 1.0}}, Sense::kLessEqual, 1.0);
+  return lp;
+}
+
+TEST(SimplexAntiCycling, BealeExampleReachesOptimum) {
+  const LinearProgram lp = beale_lp();
+  const LpSolution sol = solve_lp(lp);
+  ASSERT_EQ(sol.status, LpStatus::kOptimal);
+  EXPECT_NEAR(sol.objective, -0.05, 1e-12);
+  EXPECT_NEAR(sol.values[0], 0.04, 1e-12);
+  EXPECT_NEAR(sol.values[2], 1.0, 1e-12);
+  expect_same_solution(sol, reference_solve_lp(lp), "beale");
+}
+
+// Beale's cycle stalls the objective long enough to trip the Bland switch
+// in choose_entering. The kernel must take the same path as the reference
+// through it: cut off after every iteration count, both report the same
+// status and the same point.
+TEST(SimplexAntiCycling, StallSwitchesToBlandRuleOnTheReferencePath) {
+  const LinearProgram lp = beale_lp();
+  std::size_t bland_pivots = 0;
+  ASSERT_EQ(reference_solve_lp(lp, {}, &bland_pivots).status, LpStatus::kOptimal);
+  ASSERT_GT(bland_pivots, 0u);
+  LpOptions options;
+  for (options.max_iterations = 1;; ++options.max_iterations) {
+    ASSERT_LT(options.max_iterations, 100u);
+    const LpSolution expected = reference_solve_lp(lp, options);
+    expect_same_solution(solve_lp(lp, options), expected,
+                         "max_iterations " + std::to_string(options.max_iterations));
+    if (expected.status == LpStatus::kOptimal) break;
+    ASSERT_EQ(expected.status, LpStatus::kIterationLimit);
+  }
+  // The cycle alone is longer than the stall threshold (rows + columns).
+  EXPECT_GT(options.max_iterations, 3u + 7u);
+}
+
+TEST(SimplexLimits, TinyIterationLimitStopsEitherPhase) {
+  LpOptions options;
+  options.max_iterations = 1;
+  // All <= rows: phase 1 ends at once and phase 2 hits the limit.
+  LinearProgram textbook;
+  const int x = textbook.add_variable(-3.0);
+  const int y = textbook.add_variable(-5.0);
+  textbook.add_constraint({{x, 3.0}, {y, 2.0}}, Sense::kLessEqual, 18.0);
+  const LpSolution two = solve_lp(textbook, options);
+  EXPECT_EQ(two.status, LpStatus::kIterationLimit);
+  EXPECT_TRUE(two.values.empty());
+  // An equality row needs a phase-1 pivot, so phase 1 hits the limit.
+  LinearProgram equality;
+  const int a = equality.add_variable(1.0);
+  const int b = equality.add_variable(2.0);
+  equality.add_constraint({{a, 1.0}, {b, 1.0}}, Sense::kEqual, 3.0);
+  EXPECT_EQ(solve_lp(equality, options).status, LpStatus::kIterationLimit);
+  options.max_iterations = 50;
+  EXPECT_EQ(solve_lp(equality, options).status, LpStatus::kOptimal);
+}
 
 }  // namespace
 }  // namespace carbonedge::solver

@@ -87,6 +87,23 @@ TEST(Milp, NodeLimitReturnsIncumbent) {
   EXPECT_EQ(sol.status, MilpStatus::kFeasible);
 }
 
+TEST(Milp, IterationLimitedNodeIsNotProvenOptimal) {
+  // SolvesBinaryKnapsack, but every LP stops at its first iteration: the root
+  // is never solved, so the warm start may come back only as kFeasible.
+  LinearProgram lp;
+  const int a = lp.add_variable(-10.0, 0.0, 1.0);
+  const int b = lp.add_variable(-13.0, 0.0, 1.0);
+  const int c = lp.add_variable(-7.0, 0.0, 1.0);
+  lp.add_constraint({{a, 3.0}, {b, 4.0}, {c, 2.0}}, Sense::kLessEqual, 6.0);
+  MilpOptions options;
+  options.lp.max_iterations = 1;
+  const std::vector<double> warm{1.0, 0.0, 1.0};
+  const MilpSolution sol = solve_milp(lp, {a, b, c}, options, warm);
+  ASSERT_EQ(sol.status, MilpStatus::kFeasible);
+  EXPECT_NEAR(sol.objective, -17.0, 1e-9);
+  EXPECT_EQ(sol.values, warm);
+}
+
 TEST(Milp, MixedContinuousAndInteger) {
   // min x + y, x binary, y continuous, x + y >= 1.5 -> x=1, y=0.5.
   LinearProgram lp;
