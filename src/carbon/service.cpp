@@ -22,6 +22,8 @@ void CarbonIntensityService::add_trace(CarbonTrace trace) {
 
 void CarbonIntensityService::add_trace(std::shared_ptr<const CarbonTrace> trace) {
   if (!trace) throw std::invalid_argument("trace must be non-null");
+  // CarbonTrace::at wraps modulo the length: an empty trace has no hours.
+  if (trace->empty()) throw std::invalid_argument("trace must be non-empty");
   const std::string name = trace->zone();
   traces_.insert_or_assign(name, std::move(trace));
 }
@@ -42,15 +44,20 @@ bool CarbonIntensityService::has_zone(const std::string& zone) const noexcept {
   return traces_.contains(zone);
 }
 
-const CarbonTrace& CarbonIntensityService::trace(const std::string& zone) const {
-  return *shared_trace(zone);
-}
-
-std::shared_ptr<const CarbonTrace> CarbonIntensityService::shared_trace(
+const std::shared_ptr<const CarbonTrace>& CarbonIntensityService::find(
     const std::string& zone) const {
   const auto it = traces_.find(zone);
   if (it == traces_.end()) throw std::out_of_range("unknown carbon zone: " + zone);
   return it->second;
+}
+
+const CarbonTrace& CarbonIntensityService::trace(const std::string& zone) const {
+  return *find(zone);
+}
+
+std::shared_ptr<const CarbonTrace> CarbonIntensityService::shared_trace(
+    const std::string& zone) const {
+  return find(zone);
 }
 
 double CarbonIntensityService::intensity(const std::string& zone, HourIndex hour) const {

@@ -23,9 +23,11 @@ class CarbonIntensityService {
   explicit CarbonIntensityService(std::unique_ptr<Forecaster> forecaster);
 
   /// Register a trace for a zone; replaces any existing trace of that name.
+  /// Throws std::invalid_argument on an empty (default-constructed) trace.
   void add_trace(CarbonTrace trace);
   /// Register an already-shared trace (e.g. from the TraceCache) without
-  /// copying its year-long series.
+  /// copying its year-long series. Throws std::invalid_argument on a null
+  /// or empty trace.
   void add_trace(std::shared_ptr<const CarbonTrace> trace);
 
   /// Register traces for every city of a region, sharing them through the
@@ -48,6 +50,7 @@ class CarbonIntensityService {
   [[nodiscard]] std::vector<double> forecast(const std::string& zone, HourIndex now,
                                              std::uint32_t horizon) const;
 
+  /// The zone's trace, by reference (no shared_ptr copy per query).
   [[nodiscard]] const CarbonTrace& trace(const std::string& zone) const;
   /// Shared handle to a zone's trace — lets callers hold (or re-register in
   /// another service) the immutable series without copying it.
@@ -56,6 +59,9 @@ class CarbonIntensityService {
   void set_forecaster(std::unique_ptr<Forecaster> forecaster);
 
  private:
+  /// The zone's map entry; throws std::out_of_range for an unknown zone.
+  [[nodiscard]] const std::shared_ptr<const CarbonTrace>& find(const std::string& zone) const;
+
   // Traces are immutable and shared: services over the same region point at
   // the same year-long series (via the TraceCache), so constructing or
   // copying wide-sweep services does not duplicate 8760-hour vectors.

@@ -32,12 +32,16 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
   built.activation_carbon_g.assign(num_servers, 0.0);
   built.mean_intensity.assign(num_servers, 0.0);
 
-  // Per-column mean forecast intensity Ī_j and activation terms.
+  // Per-column mean forecast intensity Ī_j and activation terms. Ī is a
+  // property of the site's zone, so it is forecast once per run of a site's
+  // columns (all_servers() is site-major: once per site).
+  double intensity = 0.0;
   for (std::size_t j = 0; j < num_servers; ++j) {
     const auto& ref = built.servers[j];
-    const sim::EdgeDataCenter& site = input.cluster->sites()[ref.site];
-    const double intensity =
-        input.carbon->mean_forecast(site.zone(), input.now, input.forecast_horizon_hours);
+    if (j == 0 || ref.site != built.servers[j - 1].site) {
+      intensity = input.carbon->mean_forecast(input.cluster->sites()[ref.site].zone(),
+                                              input.now, input.forecast_horizon_hours);
+    }
     built.mean_intensity[j] = intensity;
     if (!ref.server->powered_on()) {
       const double energy = ref.server->config().base_power_w * input.epoch_hours;  // Wh
@@ -62,9 +66,13 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
   std::vector<double> pair_demand;  // memory MB, compute per pair
   for (std::size_t i = 0; i < num_apps; ++i) {
     const sim::Application& app = apps[i];
-    const auto add_site = [&](std::size_t s) {
-      const double rtt = 2.0 * input.latency->one_way_ms(app.origin_site, s);
-      if (rtt > app.latency_limit_rtt_ms + 1e-9) return;  // Eq. 2 filter
+    // The origin's row, walked as (site, one-way ms) together.
+    const std::span<const std::uint32_t> row_sites = input.latency->neighbors(app.origin_site);
+    const std::span<const double> row_ms = input.latency->row_ms(app.origin_site);
+    for (std::size_t k = 0; k < row_sites.size(); ++k) {
+      const std::size_t s = row_sites[k];
+      const double rtt = 2.0 * row_ms[k];
+      if (rtt > app.latency_limit_rtt_ms + 1e-9) continue;  // Eq. 2 filter
       for (std::size_t j = site_first[s]; j < site_first[s + 1]; ++j) {
         const sim::EdgeServer& server = *built.servers[j].server;
         if (server.failed()) continue;  // crashed servers take no load
@@ -80,8 +88,7 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
         pair_demand.push_back(prof.profile.memory_mb);
         pair_demand.push_back(sim::compute_demand_per_rps(app.model, server.device()) * app.rps);
       }
-    };
-    for (const std::uint32_t s : input.latency->neighbors(app.origin_site)) add_site(s);
+    }
   }
 
   // Assemble the assignment problem: 2 resources (memory MB, compute).

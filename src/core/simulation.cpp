@@ -70,6 +70,17 @@ SimMetrics& sim_metrics() {
 /// data-movement migration.
 constexpr std::size_t kNoAccountedSite = static_cast<std::size_t>(-1);
 
+/// Each site's trace, in site order.
+std::vector<std::shared_ptr<const carbon::CarbonTrace>> resolve_site_traces(
+    const sim::EdgeCluster& cluster, const carbon::CarbonIntensityService& carbon) {
+  std::vector<std::shared_ptr<const carbon::CarbonTrace>> traces;
+  traces.reserve(cluster.size());
+  for (const sim::EdgeDataCenter& site : cluster.sites()) {
+    traces.push_back(carbon.shared_trace(site.zone()));
+  }
+  return traces;
+}
+
 /// The solver options an engine places with: the config's own, with an
 /// unset dispatch budget taken from the engine's.
 solver::AssignmentOptions with_budget(solver::AssignmentOptions options,
@@ -89,6 +100,7 @@ SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
       cluster_(std::move(cluster)),
       carbon_(&carbon),
       latency_(&latency),
+      site_traces_(resolve_site_traces(cluster_, carbon)),
       service_(config.policy, with_budget(config.solver_options, budget)),
       power_manager_(config.power),
       failure_rng_(config.failures.seed) {}
@@ -146,23 +158,27 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   const std::uint32_t epoch = epoch_;
   const carbon::HourIndex hour = hour_of(epoch);
 
-  // Expected per-epoch operational carbon of `app` on `server` at `hour`.
+  const carbon::Forecaster& forecaster = carbon_->forecaster();
+  // Mean forecast intensity Ī of `site`'s zone at `hour`.
+  const auto mean_forecast = [&](std::size_t site) {
+    return forecaster.mean_forecast(*site_traces_[site], hour, config_.forecast_horizon_hours);
+  };
+
+  // Expected per-epoch operational carbon of `app` on `server` (at `site`)
+  // at `hour`.
   const auto carbon_rate_g = [&](const sim::Application& app, const sim::EdgeServer& server,
-                                 const std::string& zone) {
+                                 std::size_t site) {
     const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
     if (!prof.supported) return -1.0;
     const double energy_wh = prof.profile.energy_j * app.rps * config_.epoch_hours;
-    return energy_wh / 1000.0 *
-           carbon_->mean_forecast(zone, hour, config_.forecast_horizon_hours);
+    return energy_wh / 1000.0 * mean_forecast(site);
   };
 
-  // Migration data-movement cost of moving `app` out of `zone` at `hour`.
-  const auto migration_cost = [&](const sim::Application& app, const std::string& zone) {
+  // Migration data-movement cost of moving `app` out of `site` at `hour`.
+  const auto migration_cost = [&](const sim::Application& app, std::size_t site) {
     const double energy_wh =
         app.state_size_mb / 1024.0 * config_.migration.network_energy_wh_per_gb;
-    const double carbon_g =
-        energy_wh / 1000.0 *
-        carbon_->mean_forecast(zone, hour, config_.forecast_horizon_hours);
+    const double carbon_g = energy_wh / 1000.0 * mean_forecast(site);
     return std::pair{energy_wh, carbon_g};
   };
 
@@ -244,12 +260,12 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     sim::Application& app = deferred_[k];
     bool start = app.max_defer_epochs == 0;
     if (!start) {
-      const std::string& zone = cluster_.sites()[app.origin_site].zone();
-      const double now_ci = carbon_->intensity(zone, hour);
+      const carbon::CarbonTrace& trace = *site_traces_[app.origin_site];
+      const double now_ci = trace.at(hour);
       const auto window = static_cast<std::uint32_t>(
           std::ceil(static_cast<double>(app.max_defer_epochs) * config_.epoch_hours));
       double future_min = now_ci;
-      for (const double v : carbon_->forecast(zone, hour + 1, window)) {
+      for (const double v : forecaster.forecast(trace, hour + 1, window)) {
         future_min = std::min(future_min, v);
       }
       start = now_ci <= future_min * 1.02;
@@ -292,25 +308,26 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
         // Veto moves whose projected benefit cannot repay the transfer.
         const HostedApp& entry = *hosted;
         const sim::EdgeServer& current = find_server(entry.site, entry.server);
-        const std::string& zone = cluster_.sites()[entry.site].zone();
-        const double current_rate = carbon_rate_g(entry.app, current, zone);
+        const double current_rate = carbon_rate_g(entry.app, current, entry.site);
         double best_rate = current_rate;
-        // Only the origin's row: sites outside it are +inf RTT, i.e.
-        // exactly the ones the filter below would drop.
-        for (const std::size_t site : latency_->neighbors(entry.app.origin_site)) {
-          const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, site);
-          if (rtt > entry.app.latency_limit_rtt_ms + 1e-9) continue;
+        // Only the origin's row, walked as (site, one-way ms): sites outside
+        // it are +inf RTT, i.e. exactly the ones the filter below would drop.
+        const std::span<const std::uint32_t> row_sites =
+            latency_->neighbors(entry.app.origin_site);
+        const std::span<const double> row_ms = latency_->row_ms(entry.app.origin_site);
+        for (std::size_t k = 0; k < row_sites.size(); ++k) {
+          if (2.0 * row_ms[k] > entry.app.latency_limit_rtt_ms + 1e-9) continue;
+          const std::size_t site = row_sites[k];
           for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
             if (!server.can_host(entry.app.model, entry.app.rps)) continue;
-            const double rate =
-                carbon_rate_g(entry.app, server, cluster_.sites()[site].zone());
+            const double rate = carbon_rate_g(entry.app, server, site);
             if (rate >= 0.0) best_rate = std::min(best_rate, rate);
           }
         }
         const double lifetime = std::min<double>(config_.migration.benefit_horizon_epochs,
                                                  entry.app.remaining_epochs);
         const double benefit = (current_rate - best_rate) * lifetime;
-        const auto [move_energy, move_carbon] = migration_cost(entry.app, zone);
+        const auto [move_energy, move_carbon] = migration_cost(entry.app, entry.site);
         if (benefit < move_carbon * config_.migration.hysteresis) {
           ++result_.migrations_skipped;
           continue;
@@ -343,8 +360,7 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   for (const sim::Application& app : batch) by_id.emplace(app.id, &app);
   // Charge the data movement of an app that left `from_site` this epoch.
   const auto account_move = [&](const sim::Application& app, std::size_t from_site) {
-    const auto [move_energy, move_carbon] =
-        migration_cost(app, cluster_.sites()[from_site].zone());
+    const auto [move_energy, move_carbon] = migration_cost(app, from_site);
     epoch_migration_energy += move_energy;
     epoch_migration_carbon += move_carbon;
     ++epoch_migrations;
@@ -403,12 +419,11 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       // are skipped.
       // The origin's row, as in the veto scan: sites stay in ascending
       // order, so "first feasible" is the lowest such site's server.
-      for (const std::size_t site : latency_->neighbors(app.origin_site)) {
-        if (target != nullptr) break;
-        if (2.0 * latency_->one_way_ms(app.origin_site, site) >
-            app.latency_limit_rtt_ms + 1e-9) {
-          continue;
-        }
+      const std::span<const std::uint32_t> row_sites = latency_->neighbors(app.origin_site);
+      const std::span<const double> row_ms = latency_->row_ms(app.origin_site);
+      for (std::size_t k = 0; k < row_sites.size() && target == nullptr; ++k) {
+        if (2.0 * row_ms[k] > app.latency_limit_rtt_ms + 1e-9) continue;
+        const std::size_t site = row_sites[k];
         for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
           if (server.powered_on() && server.can_host(app.model, app.rps)) {
             target = &server;
@@ -465,9 +480,9 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   // sample folds into the epoch sums and the response histogram in
   // snapshot order.
   record.sites.reserve(cluster_.size());
-  for (const sim::EdgeDataCenter& site : cluster_.sites()) {
+  for (std::size_t site = 0; site < cluster_.size(); ++site) {
     record.sites.push_back(sim::make_site_epoch_record(
-        site, carbon_->intensity(site.zone(), hour), config_.epoch_hours,
+        cluster_.sites()[site], site_traces_[site]->at(hour), config_.epoch_hours,
         config_.account_base_power));
   }
   snapshot_hosted();

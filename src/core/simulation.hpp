@@ -5,12 +5,15 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "carbon/caltime.hpp"
 #include "carbon/service.hpp"
+#include "carbon/trace.hpp"
 #include "core/orchestrator.hpp"
 #include "core/placement_service.hpp"
 #include "core/policy.hpp"
@@ -128,7 +131,9 @@ struct ServerFailureEvent {
 class SimulationEngine {
  public:
   /// `cluster` is the initial state (a pristine copy, never shared).
-  /// `latency` and `carbon` must outlive the engine. `budget` is the one
+  /// `latency` and `carbon` must outlive the engine. Each site's trace is
+  /// resolved here, once, so construction throws std::out_of_range when
+  /// `carbon` has no trace for a site's zone. `budget` is the one
   /// the solver's component dispatch leases from when the config's
   /// solver_options name none (nullptr = util::global_budget()).
   SimulationEngine(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
@@ -184,6 +189,9 @@ class SimulationEngine {
   sim::EdgeCluster cluster_;
   const carbon::CarbonIntensityService* carbon_;
   const geo::LatencyProvider* latency_;
+  // Site s's carbon trace (carbon_->shared_trace of its zone), resolved at
+  // construction so per-site queries index instead of hashing the zone.
+  std::vector<std::shared_ptr<const carbon::CarbonTrace>> site_traces_;
   PlacementService service_;
   PowerManager power_manager_;
   Orchestrator orchestrator_;

@@ -121,6 +121,14 @@ class LatencyProvider {
                                                           row_start_[i + 1] - row_start_[i]);
   }
 
+  /// Row i's one-way latencies in ms, parallel to neighbors(i):
+  /// row_ms(i)[k] is one_way_ms(i, neighbors(i)[k]). Walking the two spans
+  /// together visits a row without a search per neighbor.
+  [[nodiscard]] std::span<const double> row_ms(std::size_t i) const noexcept {
+    return std::span<const double>(values_).subspan(row_start_[i],
+                                                    row_start_[i + 1] - row_start_[i]);
+  }
+
   /// The band the rows were cut at; +infinity when every pair is stored.
   [[nodiscard]] double band_one_way_ms() const noexcept { return band_ms_; }
   /// Stored (directed) entries, diagonal included — the measure of how far

@@ -125,6 +125,13 @@ void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cos
   demand_.insert(demand_.end(), demand.begin(), demand.end());
 }
 
+void AssignmentProblem::reserve(std::size_t pairs) {
+  row_start_.reserve(num_apps_);
+  server_.reserve(pairs);
+  cost_.reserve(pairs);
+  demand_.reserve(pairs * num_resources_);
+}
+
 void AssignmentProblem::set_capacity(std::size_t server, std::size_t resource, double capacity) {
   capacity_[server * num_resources_ + resource] = capacity;
 }
@@ -457,7 +464,7 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   std::vector<std::uint8_t> placed(apps, 0);
   // option[i] always equals a fresh scan_row of unplaced app i. A commit on
   // server j changes only j's remaining capacity and power state, so only
-  // the apps with a pair on j need a rescan.
+  // the apps with a pair on j can need a rescan.
   std::vector<GreedyOption> option(apps);
   for (std::size_t i = 0; i < apps; ++i) option[i] = scan_row(problem, state, i);
 
@@ -485,11 +492,32 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
     }
     if (pick == kUnassigned) break;  // nothing placeable remains
     const std::size_t pick_pair = option[pick].best_pair;
-    assignment[pick] = problem.server(pick_pair);
+    const std::size_t j = problem.server(pick_pair);
+    assignment[pick] = j;
     placed[pick] = 1;
+    const bool was_on = state.planned_on[j] != 0;
+    // With nonnegative demands a commit only shrinks j's headroom, so a pair
+    // that fits now fitted before. add_pair does not require nonnegative
+    // demands; after any other commit, a pair that fits now is rescanned.
+    const bool shrank = std::ranges::all_of(problem.demands(pick_pair),
+                                            [](double d) { return d >= 0.0; });
     state.commit(problem, pick_pair);
-    for (const auto& [i, p] : columns.of(problem.server(pick_pair))) {
-      if (!placed[i]) option[i] = scan_row(problem, state, i);
+    // scan_row keeps the two smallest fitting costs, counted with
+    // multiplicity, and the first pair that attains the smallest. App i's
+    // other pairs are untouched, so its option changes only if its pair p
+    // on j changed cost or fit in a way that reaches those two values.
+    for (const auto& [i, p] : columns.of(j)) {
+      if (placed[i]) continue;
+      if (state.fits(problem, p)) {
+        if (was_on && shrank) continue;  // same cost, same fit
+      } else {
+        // p dropped out (or never fitted). Costing more than the second
+        // smallest, it was neither of the two smallest nor the best pair.
+        double before = problem.cost(p);
+        if (!was_on) before += problem.activation_cost(j);
+        if (before > option[i].second) continue;
+      }
+      option[i] = scan_row(problem, state, i);
     }
   }
   AssignmentSolution solution = evaluate(problem, assignment);

@@ -64,6 +64,10 @@ class AssignmentProblem {
     add_pair(app, server, cost, std::span<const double>(demand.begin(), demand.size()));
   }
 
+  /// Reserve storage for `pairs` pairs (and the row starts of every app), so
+  /// a caller that knows the final pair count appends without regrowth.
+  void reserve(std::size_t pairs);
+
   /// Pairs are numbered in (app, server) order; app `app` owns the indices
   /// [row_begin(app), row_end(app)), servers ascending.
   [[nodiscard]] std::size_t row_begin(std::size_t app) const noexcept {
@@ -181,9 +185,11 @@ struct AssignmentOptions {
 /// Regret greedy: each round places the unplaced app with the largest gap
 /// between its cheapest and second-cheapest fitting option (ties go to the
 /// costlier cheapest option), until none can be placed. Each app's options
-/// are cached; a commit rescans only the apps with a pair on the committed
-/// server, so a round costs one pass over the cached options plus the rows
-/// of that server's column.
+/// are cached; a commit on server j revisits only the apps with a pair on j,
+/// and rescans such an app's row only when the commit can change its two
+/// cheapest fitting costs: j was off (its activation cost just dropped out),
+/// or the app's pair on j stopped fitting while it was among them. A round
+/// costs one pass over the cached options plus j's column and those rows.
 [[nodiscard]] AssignmentSolution solve_greedy(const AssignmentProblem& problem);
 
 /// Relocate/swap improvement; returns the number of improving moves applied.

@@ -73,8 +73,19 @@ std::vector<Component> connected_components(const AssignmentProblem& problem) {
   return components;
 }
 
-AssignmentProblem extract_component(const AssignmentProblem& problem,
-                                    const Component& component) {
+std::vector<std::size_t> local_server_index(std::size_t num_servers,
+                                            std::span<const Component> components) {
+  std::vector<std::size_t> local(num_servers, kUnassigned);
+  for (const Component& component : components) {
+    for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
+      local[component.servers[jj]] = jj;
+    }
+  }
+  return local;
+}
+
+AssignmentProblem extract_component(const AssignmentProblem& problem, const Component& component,
+                                    std::span<const std::size_t> local) {
   const std::size_t resources = problem.num_resources();
   AssignmentProblem sub(component.apps.size(), component.servers.size(), resources);
   for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
@@ -83,16 +94,15 @@ AssignmentProblem extract_component(const AssignmentProblem& problem,
     sub.set_activation_cost(jj, problem.activation_cost(j));
     sub.set_initially_on(jj, problem.initially_on(j));
   }
-  // Every pair of a member app lands on a member server; component.servers
-  // is ascending, so the local index is a binary search and each copied
-  // row stays ascending.
+  std::size_t pairs = 0;
+  for (const std::size_t i : component.apps) pairs += problem.row_end(i) - problem.row_begin(i);
+  sub.reserve(pairs);
+  // Every pair of a member app lands on a member server, and local indices
+  // ascend with the parent's, so each copied row stays ascending.
   for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
     const std::size_t i = component.apps[ii];
     for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-      const auto local = std::lower_bound(component.servers.begin(), component.servers.end(),
-                                          problem.server(p));
-      sub.add_pair(ii, static_cast<std::size_t>(local - component.servers.begin()),
-                   problem.cost(p), problem.demands(p));
+      sub.add_pair(ii, local[problem.server(p)], problem.cost(p), problem.demands(p));
     }
   }
   return sub;
@@ -108,13 +118,15 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
   }
 
   // One pre-sized slot per component; each task extracts and solves its own
-  // component (pure, index-disjoint), so the stitched result is bit-identical
-  // no matter how many workers execute the loop.
+  // component (pure, index-disjoint, reading the shared index), so the
+  // stitched result is bit-identical no matter how many workers execute the
+  // loop.
+  const std::vector<std::size_t> local = local_server_index(problem.num_servers(), components);
   std::vector<AssignmentSolution> slots(components.size());
   const auto body = [&](std::size_t c) {
     const Component& component = components[c];
     if (component.servers.empty()) return;  // unplaceable app(s); stay kUnassigned
-    slots[c] = solve_unsharded(extract_component(problem, component), options);
+    slots[c] = solve_unsharded(extract_component(problem, component, local), options);
   };
   if (components.size() == 1) {
     // A lone (sub-spanning) component gains nothing from dispatch; skip the

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "solver/assignment.hpp"
@@ -36,16 +37,29 @@ struct Component {
 /// component — they cannot receive load and keep their initial power state.
 [[nodiscard]] std::vector<Component> connected_components(const AssignmentProblem& problem);
 
+/// Every component server's position in its component's server list,
+/// indexed by parent-problem server (`num_servers` entries); servers in no
+/// component map to kUnassigned. Components are server-disjoint, so one
+/// array indexes them all.
+[[nodiscard]] std::vector<std::size_t> local_server_index(std::size_t num_servers,
+                                                          std::span<const Component> components);
+
 /// The sub-problem induced by `component`: row/column `k` of the result is
 /// app `component.apps[k]` / server `component.servers[k]` of `problem`.
+/// `local` is local_server_index over a component list that contains
+/// `component`: each pair's column is one read of it, and the sub-problem's
+/// pair storage is sized exactly before the rows are copied.
 [[nodiscard]] AssignmentProblem extract_component(const AssignmentProblem& problem,
-                                                  const Component& component);
+                                                  const Component& component,
+                                                  std::span<const std::size_t> local);
 
-/// Solve by decomposition: each component goes through solve_unsharded
+/// Solve by decomposition: one local_server_index is built per solve, then
+/// each component is extracted from it and goes through solve_unsharded
 /// (exact_size_limit applies per component) on lanes leased from
-/// `options.budget`, with disjoint result slots, and the sub-solutions are
-/// stitched back. Exact whenever every component is solved exactly; the
-/// returned stats report the decomposition shape and per-shard paths.
+/// `options.budget`, with disjoint result slots; the tasks only read the
+/// shared problem and index. The sub-solutions are stitched back. Exact
+/// whenever every component is solved exactly; the returned stats report
+/// the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                                const AssignmentOptions& options = {});
 

@@ -337,6 +337,62 @@ AssignmentProblem random_greedy_instance(std::uint64_t seed) {
   return p;
 }
 
+// A catalog-shaped instance: a few hundred apps on hundreds of servers,
+// each app's row a short band of neighboring servers, and origins skewed
+// toward a few hot spots so some columns are long. Servers come in three
+// sizes: tiny ones fill after one or two commits, and about a third start
+// off, some of those with an activation cost of exactly 0. One seed in
+// three draws integer costs, so tie cases (equal costs on the committed
+// server and elsewhere) are common. One in four gives some pairs a negative
+// compute demand (add_pair accepts it), so a commit can also grow a
+// server's headroom.
+AssignmentProblem random_catalog_instance(std::uint64_t seed) {
+  util::Rng rng(seed * 0xd1b54a32d192ed03ULL + 29);
+  const bool ties = seed % 3 == 0;
+  const bool refunds = seed % 4 == 3;
+  const std::size_t apps = 200 + rng.uniform_index(200);
+  const std::size_t servers = 150 + rng.uniform_index(250);
+  const std::size_t width = 3 + rng.uniform_index(10);
+  AssignmentProblem p(apps, servers, 2);
+  for (std::size_t j = 0; j < servers; ++j) {
+    const double size_class = rng.uniform(0.0, 1.0);
+    const double scale = size_class < 0.3 ? rng.uniform(1.0, 2.2)   // one or two apps
+                         : size_class < 0.8 ? rng.uniform(3.0, 8.0)
+                                            : rng.uniform(10.0, 30.0);
+    // Under refunds memory is ample, so compute alone decides most fits.
+    p.set_capacity(j, 0, refunds ? 4.0 * scale : ties ? std::floor(scale) : scale);
+    p.set_capacity(j, 1, ties ? std::floor(scale) : scale * rng.uniform(0.8, 1.2));
+    if (rng.bernoulli(0.35)) {
+      p.set_initially_on(j, false);
+      const double activation = rng.bernoulli(0.4) ? 0.0
+                                : ties             ? static_cast<double>(1 + rng.uniform_index(3))
+                                                   : rng.uniform(0.0, 5.0);
+      p.set_activation_cost(j, activation);
+    }
+  }
+  const std::size_t hot_spots = 1 + rng.uniform_index(4);
+  std::vector<std::size_t> hot(hot_spots);
+  for (std::size_t& h : hot) h = rng.uniform_index(servers);
+  for (std::size_t i = 0; i < apps; ++i) {
+    // Half the apps cluster around a hot spot; the rest spread uniformly.
+    std::size_t origin = rng.uniform_index(servers);
+    if (rng.bernoulli(0.5)) {
+      const std::size_t spot = hot[rng.uniform_index(hot_spots)];
+      origin = std::min(servers - 1, spot + rng.uniform_index(width));
+    }
+    const std::size_t first = origin >= width / 2 ? origin - width / 2 : 0;
+    for (std::size_t j = first; j < std::min(servers, first + width); ++j) {
+      if (rng.bernoulli(0.15)) continue;  // latency-infeasible pair
+      const double cost = ties ? static_cast<double>(rng.uniform_index(4)) : rng.uniform(0.0, 10.0);
+      const double memory = ties ? static_cast<double>(1 + rng.uniform_index(2)) : rng.uniform(0.5, 1.5);
+      double compute = ties ? memory : rng.uniform(0.5, 1.5);
+      if (refunds && rng.bernoulli(0.3)) compute = -compute;
+      p.add_pair(i, j, cost, {memory, compute});
+    }
+  }
+  return p;
+}
+
 TEST(SolveGreedy, MatchesFullRescanReference) {
   std::size_t partial = 0;
   for (std::uint64_t seed = 0; seed < 240; ++seed) {
@@ -353,6 +409,22 @@ TEST(SolveGreedy, MatchesFullRescanReference) {
   // The tight instances must actually strand apps, or the partial-answer
   // path goes unchecked.
   EXPECT_GE(partial, 20u);
+
+  // Catalog-shaped instances: long columns make most of a commit's
+  // affected apps skippable, and tiny servers make pairs stop fitting.
+  std::size_t catalog_partial = 0;
+  for (std::uint64_t seed = 0; seed < 36; ++seed) {
+    const AssignmentProblem p = random_catalog_instance(seed);
+    const AssignmentSolution expected = full_rescan_greedy(p);
+    const AssignmentSolution actual = solve_greedy(p);
+    ASSERT_EQ(actual.assignment, expected.assignment) << "catalog seed " << seed;
+    ASSERT_EQ(actual.unassigned_count, expected.unassigned_count) << "catalog seed " << seed;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.total_cost),
+              std::bit_cast<std::uint64_t>(expected.total_cost))
+        << "catalog seed " << seed;
+    if (expected.unassigned_count > 0) ++catalog_partial;
+  }
+  EXPECT_GE(catalog_partial, 6u);
 }
 
 TEST(LocalSearch, FixesGreedyMisstep) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "geo/region.hpp"
 
 namespace carbonedge::carbon {
@@ -53,6 +55,21 @@ TEST(CarbonService, AddTraceReplacesExisting) {
   service.add_trace(CarbonTrace("z", {5.0}));
   EXPECT_EQ(service.zone_count(), 1u);
   EXPECT_DOUBLE_EQ(service.intensity("z", 0), 5.0);
+}
+
+// CarbonTrace::at wraps modulo the trace length, so an empty trace would
+// divide by zero on the first query: both overloads refuse to register one.
+TEST(CarbonService, AddTraceRejectsEmptyTrace) {
+  CarbonIntensityService service;
+  EXPECT_THROW(service.add_trace(CarbonTrace{}), std::invalid_argument);
+  EXPECT_EQ(service.zone_count(), 0u);
+}
+
+TEST(CarbonService, AddSharedTraceRejectsEmptyTrace) {
+  CarbonIntensityService service;
+  EXPECT_THROW(service.add_trace(std::make_shared<const CarbonTrace>()), std::invalid_argument);
+  EXPECT_THROW(service.add_trace(std::shared_ptr<const CarbonTrace>{}), std::invalid_argument);
+  EXPECT_EQ(service.zone_count(), 0u);
 }
 
 TEST(CarbonService, ForecastSeriesHasRequestedHorizon) {

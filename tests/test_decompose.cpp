@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/parallelism.hpp"
 #include "util/random.hpp"
 
@@ -106,8 +112,9 @@ TEST(ConnectedComponents, BridgingAppMergesBlocks) {
 TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
   const AssignmentProblem p = block_instance(2, 3, 2, 11);
   const std::vector<Component> components = connected_components(p);
+  const std::vector<std::size_t> local = local_server_index(p.num_servers(), components);
   for (const Component& component : components) {
-    const AssignmentProblem sub = extract_component(p, component);
+    const AssignmentProblem sub = extract_component(p, component, local);
     ASSERT_EQ(sub.num_apps(), component.apps.size());
     ASSERT_EQ(sub.num_servers(), component.servers.size());
     ASSERT_EQ(sub.num_resources(), p.num_resources());
@@ -136,6 +143,119 @@ TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
       EXPECT_EQ(sub.initially_on(jj), p.initially_on(j));
     }
   }
+}
+
+// The extraction before the shared server index: a binary search over
+// component.servers per pair. Kept as the oracle extract_component must
+// reproduce bit for bit.
+AssignmentProblem reference_extract(const AssignmentProblem& problem, const Component& component) {
+  const std::size_t resources = problem.num_resources();
+  AssignmentProblem sub(component.apps.size(), component.servers.size(), resources);
+  for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
+    const std::size_t j = component.servers[jj];
+    for (std::size_t k = 0; k < resources; ++k) sub.set_capacity(jj, k, problem.capacity(j, k));
+    sub.set_activation_cost(jj, problem.activation_cost(j));
+    sub.set_initially_on(jj, problem.initially_on(j));
+  }
+  for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
+    const std::size_t i = component.apps[ii];
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      const auto local = std::lower_bound(component.servers.begin(), component.servers.end(),
+                                          problem.server(p));
+      sub.add_pair(ii, static_cast<std::size_t>(local - component.servers.begin()),
+                   problem.cost(p), problem.demands(p));
+    }
+  }
+  return sub;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_bit_identical(const AssignmentProblem& actual, const AssignmentProblem& expected) {
+  ASSERT_EQ(actual.num_apps(), expected.num_apps());
+  ASSERT_EQ(actual.num_servers(), expected.num_servers());
+  ASSERT_EQ(actual.num_resources(), expected.num_resources());
+  ASSERT_EQ(actual.num_pairs(), expected.num_pairs());
+  for (std::size_t i = 0; i < expected.num_apps(); ++i) {
+    ASSERT_EQ(actual.row_begin(i), expected.row_begin(i)) << "app " << i;
+    ASSERT_EQ(actual.row_end(i), expected.row_end(i)) << "app " << i;
+  }
+  for (std::size_t p = 0; p < expected.num_pairs(); ++p) {
+    ASSERT_EQ(actual.server(p), expected.server(p)) << "pair " << p;
+    ASSERT_EQ(bits(actual.cost(p)), bits(expected.cost(p))) << "pair " << p;
+    for (std::size_t k = 0; k < expected.num_resources(); ++k) {
+      ASSERT_EQ(bits(actual.demand(p, k)), bits(expected.demand(p, k))) << "pair " << p;
+    }
+  }
+  for (std::size_t j = 0; j < expected.num_servers(); ++j) {
+    for (std::size_t k = 0; k < expected.num_resources(); ++k) {
+      ASSERT_EQ(bits(actual.capacity(j, k)), bits(expected.capacity(j, k))) << "server " << j;
+    }
+    ASSERT_EQ(bits(actual.activation_cost(j)), bits(expected.activation_cost(j)))
+        << "server " << j;
+    ASSERT_EQ(actual.initially_on(j), expected.initially_on(j)) << "server " << j;
+  }
+}
+
+// A random banded instance: each app's pairs fall in a short window of
+// servers, so the graph splits into many components. About one app in ten
+// keeps no pair (an app-only singleton), and servers no window reaches, or
+// whose pairs were all dropped, have no pair at all.
+AssignmentProblem random_sparse_instance(std::uint64_t seed) {
+  util::Rng rng(seed * 0x2545f4914f6cdd1dULL + 3);
+  const std::size_t resources = 1 + rng.uniform_index(3);
+  const std::size_t apps = 1 + rng.uniform_index(60);
+  const std::size_t servers = 1 + rng.uniform_index(80);
+  const std::size_t width = 1 + rng.uniform_index(6);
+  AssignmentProblem p(apps, servers, resources);
+  for (std::size_t j = 0; j < servers; ++j) {
+    for (std::size_t k = 0; k < resources; ++k) p.set_capacity(j, k, rng.uniform(0.5, 4.0));
+    if (rng.bernoulli(0.3)) {
+      p.set_initially_on(j, false);
+      p.set_activation_cost(j, rng.uniform(0.0, 5.0));
+    }
+  }
+  std::vector<double> demand(resources);
+  for (std::size_t i = 0; i < apps; ++i) {
+    if (rng.bernoulli(0.1)) continue;
+    const std::size_t first = rng.uniform_index(servers);
+    for (std::size_t j = first; j < std::min(servers, first + width); ++j) {
+      if (rng.bernoulli(0.2)) continue;
+      const double cost = rng.uniform(0.0, 10.0);
+      for (double& d : demand) d = rng.uniform(0.1, 1.5);
+      p.add_pair(i, j, cost, demand);
+    }
+  }
+  return p;
+}
+
+TEST(ExtractComponent, IndexedExtractionMatchesBinarySearchReference) {
+  std::size_t singletons = 0;
+  std::size_t pairless_servers = 0;
+  std::size_t components_checked = 0;
+  for (std::uint64_t seed = 0; seed < 240; ++seed) {
+    const AssignmentProblem p = random_sparse_instance(seed);
+    const std::vector<Component> components = connected_components(p);
+    const std::vector<std::size_t> local = local_server_index(p.num_servers(), components);
+    std::size_t covered = 0;
+    for (const Component& component : components) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_bit_identical(extract_component(p, component, local),
+                           reference_extract(p, component));
+      if (component.servers.empty()) ++singletons;
+      covered += component.servers.size();
+      ++components_checked;
+    }
+    for (std::size_t j = 0; j < p.num_servers(); ++j) {
+      if (local[j] == kUnassigned) ++pairless_servers;
+    }
+    EXPECT_EQ(covered + static_cast<std::size_t>(std::count(local.begin(), local.end(), kUnassigned)),
+              p.num_servers());
+  }
+  // The edge cases must actually occur, or their paths go unchecked.
+  EXPECT_GE(singletons, 50u);
+  EXPECT_GE(pairless_servers, 50u);
+  EXPECT_GE(components_checked, 1000u);
 }
 
 // Differential property: the stitched sharded solve must reproduce the

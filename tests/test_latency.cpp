@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "geo/city.hpp"
+#include "geo/latency_io.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
 
@@ -208,6 +211,41 @@ TEST(BandedLatency, WideBandDegeneratesToTheDenseMatrix) {
       EXPECT_EQ(banded.one_way_ms(i, j), dense.one_way_ms(i, j));
     }
   }
+}
+
+// row_ms(i) is the value side of neighbors(i): every entry bit-equals the
+// one_way_ms lookup it replaces, on every layout the provider is built in.
+void expect_rows_match_lookups(const LatencyProvider& provider) {
+  ASSERT_GT(provider.size(), 0u);
+  for (std::size_t i = 0; i < provider.size(); ++i) {
+    const auto sites = provider.neighbors(i);
+    const auto ms = provider.row_ms(i);
+    ASSERT_EQ(ms.size(), sites.size()) << "row " << i;
+    for (std::size_t k = 0; k < sites.size(); ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ms[k]),
+                std::bit_cast<std::uint64_t>(provider.one_way_ms(i, sites[k])))
+          << "row " << i << ", entry " << k;
+    }
+  }
+}
+
+TEST(LatencyProvider, RowValuesMatchLookupsOnFullRows) {
+  expect_rows_match_lookups(
+      LatencyProvider(LatencyModel{}, cdn_region(Continent::kEurope).resolve()));
+}
+
+TEST(LatencyProvider, RowValuesMatchLookupsOnBandedRows) {
+  const std::vector<City> cities = cdn_region(Continent::kNorthAmerica).resolve();
+  for (const double band_ms : {2.0, 6.0, 12.0, 1e6}) {
+    expect_rows_match_lookups(LatencyProvider(LatencyModel{}, cities, band_ms));
+  }
+}
+
+TEST(LatencyProvider, RowValuesMatchLookupsOnCsvBuiltRows) {
+  const std::vector<City> cities = central_eu_region().resolve();
+  std::ostringstream csv;
+  write_latency_csv(csv, cities, LatencyModel{});
+  expect_rows_match_lookups(read_latency_csv(csv.str(), cities));
 }
 
 }  // namespace

@@ -33,6 +33,22 @@ TEST(Simulation, MissingZoneTraceThrows) {
   EXPECT_THROW(EdgeSimulation(std::move(cluster), empty), std::invalid_argument);
 }
 
+TEST(SimulationEngine, MissingZoneTraceThrowsAtConstruction) {
+  // The engine resolves every site's trace when it is built, so a zone
+  // without a trace fails there, not in the first step that queries it.
+  const auto region = geo::florida_region();
+  const auto cities = region.resolve();
+  carbon::CarbonIntensityService partial;
+  for (std::size_t i = 1; i < cities.size(); ++i) {
+    partial.add_trace(carbon::CarbonTrace(cities[i].name, {100.0, 200.0}));
+  }
+  const auto cluster = sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2);
+  const geo::LatencyProvider latency(geo::LatencyModel{}, cluster.cities());
+  EXPECT_THROW(SimulationEngine(cluster, partial, latency, testbed_config()), std::out_of_range);
+  partial.add_trace(carbon::CarbonTrace(cities[0].name, {100.0, 200.0}));
+  EXPECT_NO_THROW(SimulationEngine(cluster, partial, latency, testbed_config()));
+}
+
 TEST(Simulation, RunProducesOneRecordPerEpoch) {
   const auto region = geo::florida_region();
   const auto service = make_service(region);
