@@ -62,6 +62,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -296,12 +297,25 @@ double parse_flag_double(const std::string& arg, std::size_t prefix) {
   return parsed;
 }
 
-std::uint64_t parse_flag_unsigned(const std::string& arg, std::size_t prefix) {
+/// The decimal count after `prefix` in `arg` (prefix 0: a positional
+/// count). Digits only, and within T's range: "-1" and "3x" are rejected
+/// rather than wrapped or truncated.
+template <typename T = std::uint64_t>
+T parse_flag_unsigned(const std::string& arg, std::size_t prefix = 0) {
   const std::string value = arg.substr(prefix);
   if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
     throw std::invalid_argument("bad count in " + arg);
   }
-  return std::stoull(value);
+  unsigned long long parsed = 0;
+  try {
+    parsed = std::stoull(value);
+  } catch (const std::out_of_range&) {
+    parsed = std::numeric_limits<unsigned long long>::max();
+  }
+  if (parsed > std::numeric_limits<T>::max()) {
+    throw std::out_of_range("count out of range in " + arg);
+  }
+  return static_cast<T>(parsed);
 }
 
 // `--ema-reopt=<signal>:<fire>:<rearm>`, repeatable (one per signal).
@@ -346,9 +360,9 @@ int cmd_serve(std::vector<std::string> args) {
     } else if (arg == "--stdin") {
       from_stdin = true;
     } else if (arg.rfind("--epochs=", 0) == 0) {
-      epochs = static_cast<std::uint32_t>(parse_flag_unsigned(arg, 9));
+      epochs = parse_flag_unsigned<std::uint32_t>(arg, 9);
     } else if (arg.rfind("--window-epochs=", 0) == 0) {
-      serve_config.window_epochs = static_cast<std::uint32_t>(parse_flag_unsigned(arg, 16));
+      serve_config.window_epochs = parse_flag_unsigned<std::uint32_t>(arg, 16);
     } else if (arg.rfind("--queue-capacity=", 0) == 0) {
       serve_config.queue_capacity = parse_flag_unsigned(arg, 17);
     } else if (arg == "--ooo=drop") {
@@ -532,14 +546,7 @@ int cmd_store_gc(const store::ArtifactStore& artifacts, const std::vector<std::s
   std::uintmax_t max_bytes = 0;
   for (const std::string& arg : args) {
     if (arg.rfind("--max-bytes=", 0) == 0) {
-      const std::string value = arg.substr(12);
-      // All-digits check up front: std::stoull would happily wrap "-5" to
-      // ~1.8e19 and bless an effectively unlimited cap.
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("bad --max-bytes: " + value);
-      }
-      max_bytes = std::stoull(value);
+      max_bytes = parse_flag_unsigned<std::uintmax_t>(arg, 12);
     } else {
       std::cerr << "error: unknown gc argument " << arg << "\n";
       return 2;
@@ -669,7 +676,7 @@ int cmd_catalog_radius(const store::ArtifactStore& artifacts, const std::string&
 
 int cmd_catalog_sweep(const store::ArtifactStore& artifacts, std::vector<std::string> args) {
   const std::string key = args[0];
-  const std::uint32_t epochs = static_cast<std::uint32_t>(std::stoul(args[1]));
+  const auto epochs = parse_flag_unsigned<std::uint32_t>(args[1]);
   std::size_t max_sites = 0;
   double band = 0.0;
   for (std::size_t i = 2; i < args.size(); ++i) {
@@ -795,7 +802,7 @@ int dispatch(int argc, char** argv) {
     if (command == "analyze" && argc >= 3) return cmd_analyze(argv[2]);
     if (command == "radius" && argc >= 3) return cmd_radius(std::stod(argv[2]));
     if (command == "simulate" && argc >= 5) {
-      return cmd_simulate(argv[2], argv[3], static_cast<std::uint32_t>(std::stoul(argv[4])));
+      return cmd_simulate(argv[2], argv[3], parse_flag_unsigned<std::uint32_t>(argv[4]));
     }
     if (command == "sweep" && argc >= 4) {
       bool single = false;
@@ -805,7 +812,7 @@ int dispatch(int argc, char** argv) {
         if (std::string(argv[4]) != "--single" || argc > 5) return usage();
         single = true;
       }
-      return cmd_sweep(argv[2], static_cast<std::uint32_t>(std::stoul(argv[3])), single);
+      return cmd_sweep(argv[2], parse_flag_unsigned<std::uint32_t>(argv[3]), single);
     }
     if (command == "serve" && argc >= 3) {
       return cmd_serve(std::vector<std::string>(argv + 2, argv + argc));

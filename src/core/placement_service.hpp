@@ -30,10 +30,10 @@ struct PlacementResult {
   double objective = 0.0;
   double solve_time_ms = 0.0;           // Section 6.5 decision latency
   /// Per-shard solve telemetry: how many connected components the batch
-  /// split into and which path (exact MILP / flow / heuristic) solved each.
+  /// split into and which path (exact MILP / heuristic) solved each.
   solver::SolveStats solver_stats;
-  /// Every shard was answered by an exact method (MILP or min-cost flow);
-  /// false as soon as any component fell through to greedy + local search.
+  /// Every shard was answered by the exact MILP; false as soon as any
+  /// component fell through to greedy + local search.
   bool used_exact_solver = false;
 };
 

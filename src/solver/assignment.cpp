@@ -8,7 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "solver/decompose.hpp"
-#include "solver/flow.hpp"
 #include "solver/lp.hpp"
 
 namespace carbonedge::solver {
@@ -24,7 +23,6 @@ struct SolverMetrics {
   obs::Counter& solves;
   obs::Counter& components;
   obs::Counter& exact_shards;
-  obs::Counter& flow_shards;
   obs::Counter& heuristic_shards;
   obs::Counter& unplaceable_apps;
   obs::Counter& milp_nodes;
@@ -39,8 +37,6 @@ SolverMetrics& solver_metrics() {
       registry.counter("solver.components", "connected components across all solves",
                        obs::View::kDeterministic),
       registry.counter("solver.exact_shards", "components solved by the MILP",
-                       obs::View::kDeterministic),
-      registry.counter("solver.flow_shards", "components solved by min-cost flow",
                        obs::View::kDeterministic),
       registry.counter("solver.heuristic_shards",
                        "components solved by greedy + local search",
@@ -142,20 +138,6 @@ void AssignmentProblem::set_activation_cost(std::size_t server, double cost) {
 
 void AssignmentProblem::set_initially_on(std::size_t server, bool on) {
   initially_on_[server] = on ? 1 : 0;
-}
-
-bool AssignmentProblem::is_unit_slot() const noexcept {
-  if (num_resources_ != 1) return false;
-  for (std::size_t j = 0; j < num_servers_; ++j) {
-    const double cap = capacity(j, 0);
-    if (std::abs(cap - std::round(cap)) > 1e-9) return false;
-  }
-  for (std::size_t p = 0; p < num_pairs(); ++p) {
-    const std::size_t j = server_[p];
-    if (std::abs(demand(p, 0) - 1.0) > 1e-9) return false;
-    if (!initially_on(j) && activation_cost(j) != 0.0) return false;
-  }
-  return true;
 }
 
 AssignmentSolution evaluate(const AssignmentProblem& problem,
@@ -338,50 +320,6 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   solution.stats.components = 1;
   solution.stats.exact_shards = 1;
   solution.stats.milp_nodes = milp.nodes_explored;
-  return solution;
-}
-
-// ---------------------------------------------------------------------------
-// Min-cost-flow path (unit-slot instances)
-// ---------------------------------------------------------------------------
-
-AssignmentSolution solve_flow(const AssignmentProblem& problem) {
-  const std::size_t apps = problem.num_apps();
-  const std::size_t servers = problem.num_servers();
-  // Node layout: 0 = source, 1..apps = apps, apps+1..apps+servers = servers,
-  // apps+servers+1 = sink.
-  const std::size_t source = 0;
-  const std::size_t sink = apps + servers + 1;
-  MinCostFlow network(sink + 1);
-
-  for (std::size_t i = 0; i < apps; ++i) {
-    network.add_arc(source, 1 + i, 1, 0.0);
-  }
-  // Pair p's arc is arc apps + p.
-  for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-      network.add_arc(1 + i, 1 + apps + problem.server(p), 1, problem.cost(p));
-    }
-  }
-  for (std::size_t j = 0; j < servers; ++j) {
-    const auto slots = static_cast<std::int64_t>(std::llround(problem.capacity(j, 0)));
-    if (slots > 0) network.add_arc(1 + apps + j, sink, slots, 0.0);
-  }
-
-  network.solve(source, sink, static_cast<std::int64_t>(apps));
-
-  std::vector<std::size_t> assignment(apps, kUnassigned);
-  for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-      if (network.flow_on(apps + p) > 0) {
-        assignment[i] = problem.server(p);
-        break;
-      }
-    }
-  }
-  AssignmentSolution solution = evaluate(problem, assignment);
-  solution.stats.components = 1;
-  solution.stats.flow_shards = 1;
   return solution;
 }
 
@@ -657,21 +595,6 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
 
 AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                    const AssignmentOptions& options) {
-  if (problem.is_unit_slot()) {
-    AssignmentSolution flow = solve_flow(problem);
-    if (flow.unassigned_count == 0) return flow;
-    // Some apps came back unassigned (unplaceable, or capacity-starved):
-    // fall back to greedy + local search the way the exact path does, and
-    // keep whichever partial answer places more apps, then costs less.
-    AssignmentSolution fallback = solve_greedy(problem);
-    improve_local_search(problem, fallback, options.local_search_rounds);
-    if (fallback.unassigned_count < flow.unassigned_count ||
-        (fallback.unassigned_count == flow.unassigned_count &&
-         fallback.total_cost < flow.total_cost - 1e-9)) {
-      return fallback;
-    }
-    return flow;
-  }
   if (problem.num_apps() * problem.num_servers() <= options.exact_size_limit) {
     AssignmentSolution exact = solve_exact(problem, options.milp);
     if (exact.feasible) return exact;
@@ -683,17 +606,11 @@ AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
 
 AssignmentSolution solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options) {
   const obs::Span span(solve_phase());
-  // Unit-slot instances keep the monolithic min-cost-flow path: it is
-  // already exact and near-linear in the pair count, so decomposing would
-  // only perturb equal-cost tie-breaking. Everything else is sharded so
-  // exact_size_limit applies per connected component.
-  AssignmentSolution solution = problem.is_unit_slot() ? solve_unsharded(problem, options)
-                                                       : solve_sharded(problem, options);
+  AssignmentSolution solution = solve_sharded(problem, options);
   SolverMetrics& metrics = solver_metrics();
   metrics.solves.add();
   metrics.components.add(solution.stats.components);
   metrics.exact_shards.add(solution.stats.exact_shards);
-  metrics.flow_shards.add(solution.stats.flow_shards);
   metrics.heuristic_shards.add(solution.stats.heuristic_shards);
   metrics.unplaceable_apps.add(solution.stats.unplaceable_apps);
   metrics.milp_nodes.add(solution.stats.milp_nodes);

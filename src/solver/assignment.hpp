@@ -13,16 +13,15 @@
 // term; Eq. 4-5 power-state constraints). Every solver walks rows, so its
 // work scales with the feasible support rather than apps x servers.
 //
-// Three solution paths, cross-validated in tests:
+// Two solution paths, cross-validated in tests:
 //  * solve_exact   — branch-and-bound MILP; exact, testbed scale.
-//  * solve_flow    — min-cost flow; exact for unit-slot single-resource
-//                    instances with no activation costs (the CDN case).
 //  * solve_greedy + improve_local_search — regret greedy with relocate/swap
 //                    improvement; any scale, near-optimal in practice.
 // solve_auto first shards the instance into connected components of the
 // feasible-pair graph (see decompose.hpp — latency pre-filtering makes real
-// batches block-diagonal, and the decomposition is exact) and then picks the
-// cheapest exact path that applies per component, else the heuristic.
+// batches block-diagonal, and the decomposition is exact) and then solves
+// each component exactly when it is within exact_size_limit, else with the
+// heuristic.
 #pragma once
 
 #include <algorithm>
@@ -111,11 +110,6 @@ class AssignmentProblem {
     return initially_on_[server] != 0;
   }
 
-  /// True if the flow path applies: one resource, every pair has demand
-  /// exactly 1, integral capacities, and no activation cost on any
-  /// initially-off server that has a pair.
-  [[nodiscard]] bool is_unit_slot() const noexcept;
-
  private:
   std::size_t num_apps_;
   std::size_t num_servers_;
@@ -138,7 +132,6 @@ class AssignmentProblem {
 struct SolveStats {
   std::size_t components = 0;       // connected components (1 = monolithic)
   std::size_t exact_shards = 0;     // components solved by the MILP
-  std::size_t flow_shards = 0;      // components solved by min-cost flow
   std::size_t heuristic_shards = 0; // components solved by greedy + local search
   std::size_t unplaceable_apps = 0; // apps with no feasible server at all
   std::size_t milp_nodes = 0;       // total B&B nodes across exact shards
@@ -166,7 +159,7 @@ struct AssignmentOptions {
   MilpOptions milp;
   std::size_t local_search_rounds = 20;
   /// Use the exact MILP when num_apps*num_servers is at most this (testbed
-  /// scale); larger instances take the flow or greedy + local-search path.
+  /// scale); larger instances take the greedy + local-search path.
   /// The limit applies per connected component, so large batches that
   /// decompose into testbed-scale shards still solve exactly. It compares
   /// the component's apps x servers, not its pair count.
@@ -181,7 +174,6 @@ struct AssignmentOptions {
 
 [[nodiscard]] AssignmentSolution solve_exact(const AssignmentProblem& problem,
                                              const MilpOptions& options = {});
-[[nodiscard]] AssignmentSolution solve_flow(const AssignmentProblem& problem);
 /// Regret greedy: each round places the unplaced app with the largest gap
 /// between its cheapest and second-cheapest fitting option (ties go to the
 /// costlier cheapest option), until none can be placed. Each app's options
@@ -197,15 +189,13 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
                                  std::size_t max_rounds = 20);
 
 /// Pick a path for one (assumed connected) instance without decomposing:
-/// flow when unit-slot (falling back to greedy + local search when any app
-/// comes back unassigned, keeping the better of the two partial answers),
-/// exact MILP when within exact_size_limit (falling back to its greedy
-/// incumbent on MILP failure), else greedy + local search.
+/// exact MILP when within exact_size_limit, else (or when the MILP finds
+/// no feasible answer) greedy + local search.
 [[nodiscard]] AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                                  const AssignmentOptions& options = {});
 
-/// Pick a path: monolithic flow when unit-slot, otherwise shard into
-/// connected components (exact) and route each through solve_unsharded.
+/// Shard into connected components (exact) and route each through
+/// solve_unsharded; records the solve in the solver.* metrics.
 [[nodiscard]] AssignmentSolution solve_auto(const AssignmentProblem& problem,
                                             const AssignmentOptions& options = {});
 

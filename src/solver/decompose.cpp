@@ -164,7 +164,6 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
       if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];
     }
     stats.exact_shards += sub.stats.exact_shards;
-    stats.flow_shards += sub.stats.flow_shards;
     stats.heuristic_shards += sub.stats.heuristic_shards;
     stats.unplaceable_apps += sub.stats.unplaceable_apps;
     stats.milp_nodes += sub.stats.milp_nodes;

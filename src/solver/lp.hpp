@@ -3,8 +3,8 @@
 //
 // Substitutes for Google OR-Tools (unavailable offline). Sized for the
 // paper's placement instances: the testbed-scale MILPs relaxed here have a
-// few hundred rows/columns; CDN-scale instances take the flow/heuristic
-// paths instead (see assignment.hpp). Branch and bound (milp.hpp) calls
+// few hundred rows/columns; larger components take the greedy + local-search
+// path instead (see assignment.hpp). Branch and bound (milp.hpp) calls
 // solve_lp once per node, so its speed is the exact solver's speed.
 #pragma once
 

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "solver/lp.hpp"
+#include "solver_test_util.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
@@ -170,42 +172,6 @@ TEST(SolveExact, InfeasibleWhenAppHasNoServer) {
   const AssignmentSolution sol = solve_exact(p);
   EXPECT_FALSE(sol.feasible);
   EXPECT_EQ(sol.unassigned_count, 1u);
-}
-
-TEST(SolveFlow, MatchesExactOnUnitSlotInstances) {
-  AssignmentProblem p = simple_problem(4, 3);
-  p.set_capacity(0, 0, 2.0);
-  p.set_capacity(1, 0, 1.0);
-  p.set_capacity(2, 0, 4.0);
-  ASSERT_TRUE(p.is_unit_slot());
-  const AssignmentSolution flow = solve_flow(p);
-  const AssignmentSolution exact = solve_exact(p);
-  ASSERT_TRUE(flow.feasible);
-  ASSERT_TRUE(exact.feasible);
-  EXPECT_NEAR(flow.total_cost, exact.total_cost, 1e-9);
-}
-
-TEST(UnitSlotDetection, RejectsNonUnitDemand) {
-  AssignmentProblem p(2, 2, 1);
-  for (std::size_t j = 0; j < 2; ++j) p.set_capacity(j, 0, 2.0);
-  p.add_pair(0, 0, 0.0, {1.0});
-  p.add_pair(0, 1, 1.0, {2.0});
-  p.add_pair(1, 0, 1.0, {1.0});
-  p.add_pair(1, 1, 2.0, {1.0});
-  EXPECT_FALSE(p.is_unit_slot());
-}
-
-TEST(UnitSlotDetection, RejectsFractionalCapacity) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_capacity(0, 0, 1.5);
-  EXPECT_FALSE(p.is_unit_slot());
-}
-
-TEST(UnitSlotDetection, RejectsActivationCosts) {
-  AssignmentProblem p = simple_problem(2, 2);
-  p.set_initially_on(0, false);
-  p.set_activation_cost(0, 1.0);
-  EXPECT_FALSE(p.is_unit_slot());
 }
 
 TEST(SolveGreedy, FeasibleAndReasonable) {
@@ -445,28 +411,23 @@ TEST(LocalSearch, FixesGreedyMisstep) {
   EXPECT_TRUE(validate(p, sol));
 }
 
-TEST(SolveAuto, UsesFlowForUnitSlot) {
+TEST(SolveAuto, UnitSlotInstanceSolvesExactly) {
   AssignmentProblem p = simple_problem(3, 2);
   const AssignmentSolution sol = solve_auto(p);
   ASSERT_TRUE(sol.feasible);
   const AssignmentSolution exact = solve_exact(p);
   EXPECT_NEAR(sol.total_cost, exact.total_cost, 1e-9);
-  EXPECT_EQ(sol.stats.flow_shards, 1u);
 }
 
-// Regression (fallback bug): solve_auto used to hand back the flow answer
-// unconditionally on unit-slot instances. With an unplaceable app the whole
-// solution came back infeasible-flagged without ever consulting the greedy
-// + local-search fallback the exact path gets. The flow path must now fall
-// back and return an answer that places every placeable app and is never
-// worse than greedy + local search.
-TEST(SolveAuto, FlowPathFallsBackWhenAppsComeBackUnassigned) {
+// An app with no feasible server forms its own server-less component: it
+// stays unassigned, and every placeable app still lands, at a cost never
+// worse than greedy + local search on the whole instance.
+TEST(SolveAuto, UnplaceableAppLeavesOthersPlaced) {
   // App 2 has no feasible server at all.
   AssignmentProblem p =
       simple_problem(3, 2, [](std::size_t i, std::size_t) { return i != 2; });
   p.set_capacity(0, 0, 1.0);
   p.set_capacity(1, 0, 1.0);
-  ASSERT_TRUE(p.is_unit_slot());
 
   const AssignmentSolution sol = solve_auto(p);
   EXPECT_FALSE(sol.feasible);
@@ -475,7 +436,7 @@ TEST(SolveAuto, FlowPathFallsBackWhenAppsComeBackUnassigned) {
   EXPECT_NE(sol.assignment[1], kUnassigned);
   EXPECT_EQ(sol.assignment[2], kUnassigned);
 
-  // Never worse than the heuristic fallback it now consults.
+  // Never worse than the heuristic on the whole instance.
   AssignmentSolution heuristic = solve_greedy(p);
   improve_local_search(p, heuristic);
   EXPECT_LE(sol.unassigned_count, heuristic.unassigned_count);
@@ -505,7 +466,7 @@ TEST(SolveExact, ReturnsGreedyIncumbentWhenSearchComesUpEmpty) {
 }
 
 // Property suite: random multi-resource instances — exact is never worse
-// than greedy+LS, both are valid, flow agrees on unit-slot restrictions.
+// than greedy+LS, and both are valid.
 class RandomAssignment : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomAssignment, SolverHierarchyHolds) {
@@ -549,6 +510,62 @@ TEST_P(RandomAssignment, SolverHierarchyHolds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomAssignment, ::testing::Range(0, 60));
+
+// Property suite: random unit-slot transport instances. The optimal
+// transport flow is the LP relaxation's optimum (the matrix is totally
+// unimodular); solve_auto (sharding, then the exact path) and solve_milp on
+// the textbook binary formulation must both reach it.
+class RandomTransport : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomTransport, FlowMatchesMilp) {
+  util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31337 + 5);
+  const std::size_t apps = 2 + rng.uniform_index(4);
+  const std::size_t servers = 2 + rng.uniform_index(3);
+  std::vector<std::size_t> slots(servers);
+  std::size_t total_slots = 0;
+  for (auto& s : slots) {
+    s = 1 + rng.uniform_index(3);
+    total_slots += s;
+  }
+  if (total_slots < apps) slots[0] += apps;  // keep feasible
+  AssignmentProblem p(apps, servers, 1);
+  for (std::size_t j = 0; j < servers; ++j) p.set_capacity(j, 0, static_cast<double>(slots[j]));
+  for (std::size_t i = 0; i < apps; ++i) {
+    for (std::size_t j = 0; j < servers; ++j) p.add_pair(i, j, rng.uniform(0.0, 10.0), {1.0});
+  }
+
+  const LpSolution optimum = testutil::unit_slot_lp(p);
+  ASSERT_EQ(optimum.status, LpStatus::kOptimal);
+  const double tolerance = 1e-9 * std::max(1.0, std::abs(optimum.objective));
+
+  const AssignmentSolution automatic = solve_auto(p);
+  ASSERT_TRUE(automatic.feasible);
+  EXPECT_NEAR(automatic.total_cost, optimum.objective, tolerance) << "seed " << GetParam();
+
+  // Binary formulation: pair p is variable p, x <= 1, app rows = 1, server
+  // rows <= slots.
+  LinearProgram lp;
+  std::vector<int> vars;
+  std::vector<std::vector<std::pair<int, double>>> server_terms(servers);
+  for (std::size_t i = 0; i < apps; ++i) {
+    std::vector<std::pair<int, double>> terms;
+    for (std::size_t q = p.row_begin(i); q < p.row_end(i); ++q) {
+      vars.push_back(lp.add_variable(p.cost(q), 0.0, 1.0));
+      terms.emplace_back(vars.back(), 1.0);
+      server_terms[p.server(q)].emplace_back(vars.back(), 1.0);
+    }
+    lp.add_constraint(std::move(terms), Sense::kEqual, 1.0);
+  }
+  for (std::size_t j = 0; j < servers; ++j) {
+    lp.add_constraint(std::move(server_terms[j]), Sense::kLessEqual,
+                      static_cast<double>(slots[j]));
+  }
+  const MilpSolution milp = solve_milp(lp, vars);
+  ASSERT_EQ(milp.status, MilpStatus::kOptimal);
+  EXPECT_NEAR(milp.objective, optimum.objective, tolerance) << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, RandomTransport, ::testing::Range(0, 40));
 
 }  // namespace
 }  // namespace carbonedge::solver

@@ -117,8 +117,7 @@ TEST(CatalogScale, ThousandSiteBandedSweepIsLaneCountInvariant) {
 
 // A batch of 500 apps (every second site's origin) against the 1000
 // servers of a one-A2-per-site cluster, with latency cut at an 8 ms band.
-// Two resources per pair (memory and compute), so the problem is never
-// unit-slot.
+// Two resources per pair (memory and compute).
 core::BuiltProblem banded_batch_problem() {
   const geo::CompiledSiteCatalog catalog = synthetic_catalog(1000);
   const geo::Region region = geo::catalog_region(catalog, "synthetic-1000");

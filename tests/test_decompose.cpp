@@ -372,26 +372,6 @@ TEST(SolveAuto, ShardingKeepsLargeMultiComponentBatchesExact) {
   EXPECT_EQ(sharded.stats.heuristic_shards, 0u);
 }
 
-TEST(SolveAuto, UnitSlotInstancesStayMonolithic) {
-  // Block-diagonal unit-slot instance: flow is already exact, so solve_auto
-  // keeps the monolithic flow path (flow_shards == 1, single component).
-  AssignmentProblem p(4, 4, 1);
-  for (std::size_t b = 0; b < 2; ++b) {
-    for (std::size_t i = 0; i < 2; ++i) {
-      for (std::size_t j = 0; j < 2; ++j) {
-        p.add_pair(2 * b + i, 2 * b + j, static_cast<double>(i + j + 1), {1.0});
-      }
-    }
-    p.set_capacity(2 * b, 0, 1.0);
-    p.set_capacity(2 * b + 1, 0, 1.0);
-  }
-  ASSERT_TRUE(p.is_unit_slot());
-  const AssignmentSolution sol = solve_auto(p);
-  ASSERT_TRUE(sol.feasible);
-  EXPECT_EQ(sol.stats.components, 1u);
-  EXPECT_EQ(sol.stats.flow_shards, 1u);
-}
-
 TEST(SolveSharded, SingleComponentSpanningProblemSkipsExtraction) {
   // Fully connected instance: one component covering everything routes
   // straight through solve_unsharded (stats come back monolithic).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "solver_test_util.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
@@ -86,11 +87,12 @@ TEST(Lagrangian, CertifiesGreedyQualityAtScale) {
   const LagrangianResult lr = lagrangian_lower_bound(p, options);
   EXPECT_LE(lr.lower_bound, heuristic.total_cost + 1e-6);
   EXPECT_GT(lr.lower_bound, 0.0);
-  // Unit-slot: the flow solver gives the true optimum to compare all three.
-  const AssignmentSolution optimal = solve_flow(p);
-  ASSERT_TRUE(optimal.feasible);
-  EXPECT_LE(lr.lower_bound, optimal.total_cost + 1e-6);
-  EXPECT_GE(lr.lower_bound, optimal.total_cost * 0.9);  // within 10% of OPT
+  // Unit-slot: the LP relaxation gives the true optimum to compare all three.
+  const LpSolution optimal = testutil::unit_slot_lp(p);
+  ASSERT_EQ(optimal.status, LpStatus::kOptimal);
+  EXPECT_LE(optimal.objective, heuristic.total_cost + 1e-6);
+  EXPECT_LE(lr.lower_bound, optimal.objective + 1e-6);
+  EXPECT_GE(lr.lower_bound, optimal.objective * 0.9);  // within 10% of OPT
 }
 
 TEST(Lagrangian, InfeasibleInstanceFlagged) {

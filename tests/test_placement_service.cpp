@@ -150,11 +150,11 @@ TEST(PlacementService, ReportsPerShardSolverTelemetry) {
   const PlacementResult result = service.place(f.input(), f.one_per_site());
   const solver::SolveStats& stats = result.solver_stats;
   EXPECT_GE(stats.components, 1u);
-  // Every solved shard took exactly one of the three paths, and the
-  // exact-solver flag mirrors "no shard fell through to the heuristic".
+  // Every component was solved exactly, by the heuristic, or holds an
+  // unplaceable app; the exact-solver flag mirrors "no shard fell through
+  // to the heuristic".
   EXPECT_EQ(stats.components,
-            stats.exact_shards + stats.flow_shards + stats.heuristic_shards +
-                stats.unplaceable_apps);
+            stats.exact_shards + stats.heuristic_shards + stats.unplaceable_apps);
   EXPECT_EQ(result.used_exact_solver, stats.heuristic_shards == 0);
 }
 
