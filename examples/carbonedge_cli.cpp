@@ -36,8 +36,9 @@
 //   carbonedge_cli catalog info <key>           summarize a compiled catalog
 //   carbonedge_cli catalog nearest <key> <lat> <lon>
 //   carbonedge_cli catalog radius <key> <lat> <lon> <km>
-//                                               spatial-index queries (output
-//                                               is byte-identical to the
+//                                               nearest site (a linear scan)
+//                                               and spatial-index radius
+//                                               query (byte-identical to the
 //                                               brute-force oracle; the
 //                                               determinism gate diffs radius)
 //   carbonedge_cli catalog sweep <key> <epochs> [--max-sites=<n>] [--band=<ms>]
@@ -59,6 +60,7 @@
 //
 // Regions: florida, west_us, italy, central_eu, cdn_us, cdn_eu.
 // Policies: latency, energy, intensity, carbonedge, alpha=<0..1>.
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -143,13 +145,54 @@ geo::Region region_by_name(const std::string& name) {
   throw std::invalid_argument("unknown region: " + name);
 }
 
+/// The finite number after `prefix` in `arg` (prefix 0: a positional
+/// number), `length` characters long when given. The whole value must
+/// parse: "12x", "nan", "inf" and out-of-range values like "1e400" are
+/// rejected rather than truncated or passed on.
+double parse_flag_double(const std::string& arg, std::size_t prefix = 0,
+                         std::size_t length = std::string::npos) {
+  const std::string value = arg.substr(prefix, length);
+  std::size_t used = 0;
+  double parsed = 0.0;
+  try {
+    parsed = std::stod(value, &used);
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    throw std::invalid_argument("bad number in " + arg);
+  }
+  if (used != value.size() || !std::isfinite(parsed)) {
+    throw std::invalid_argument("bad number in " + arg);
+  }
+  return parsed;
+}
+
+/// A positional number in [lo, hi]; `what` names the quantity in the error.
+double parse_bounded_double(const std::string& arg, double lo, double hi,
+                            const std::string& what) {
+  const double value = parse_flag_double(arg);
+  if (value < lo || value > hi) throw std::out_of_range(arg + " is not a " + what);
+  return value;
+}
+
+double parse_latitude(const std::string& arg) {
+  return parse_bounded_double(arg, -90.0, 90.0, "latitude in [-90, 90]");
+}
+
+double parse_longitude(const std::string& arg) {
+  return parse_bounded_double(arg, -180.0, 180.0, "longitude in [-180, 180]");
+}
+
+double parse_radius_km(const std::string& arg) {
+  return parse_bounded_double(arg, 0.0, std::numeric_limits<double>::max(),
+                              "radius >= 0 km");
+}
+
 core::PolicyConfig policy_by_name(const std::string& name) {
   if (name == "latency") return core::PolicyConfig::latency_aware();
   if (name == "energy") return core::PolicyConfig::energy_aware();
   if (name == "intensity") return core::PolicyConfig::intensity_aware();
   if (name == "carbonedge") return core::PolicyConfig::carbon_edge();
   if (name.rfind("alpha=", 0) == 0) {
-    return core::PolicyConfig::multi_objective(std::stod(name.substr(6)));
+    return core::PolicyConfig::multi_objective(parse_flag_double(name, 6));
   }
   throw std::invalid_argument("unknown policy: " + name);
 }
@@ -289,14 +332,6 @@ int cmd_simulate(const std::string& region_name, const std::string& policy_name,
 
 // ----------------------------------------------------------------- serve --
 
-double parse_flag_double(const std::string& arg, std::size_t prefix) {
-  std::size_t used = 0;
-  const std::string value = arg.substr(prefix);
-  const double parsed = std::stod(value, &used);
-  if (used != value.size()) throw std::invalid_argument("bad number in " + arg);
-  return parsed;
-}
-
 /// The decimal count after `prefix` in `arg` (prefix 0: a positional
 /// count). Digits only, and within T's range: "-1" and "3x" are rejected
 /// rather than wrapped or truncated.
@@ -329,8 +364,8 @@ void parse_ema_reopt(const std::string& arg, serve::EmaReoptConfig& ema) {
   const std::string signal = value.substr(0, first);
   serve::EmaTrigger trigger;
   trigger.enabled = true;
-  trigger.fire = std::stod(value.substr(first + 1, second - first - 1));
-  trigger.rearm = std::stod(value.substr(second + 1));
+  trigger.fire = parse_flag_double(arg, 12 + first + 1, second - first - 1);
+  trigger.rearm = parse_flag_double(arg, 12 + second + 1);
   if (signal == "intensity") {
     ema.intensity = trigger;
   } else if (signal == "response") {
@@ -641,9 +676,8 @@ int cmd_catalog_info(const store::ArtifactStore& artifacts, const std::string& k
 int cmd_catalog_nearest(const store::ArtifactStore& artifacts, const std::string& key,
                         double lat, double lon) {
   const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
-  const geo::SpatialIndex index(catalog);
   const geo::GeoPoint query{lat, lon};
-  const auto id = index.nearest(query);
+  const auto id = catalog.nearest(query);
   if (!id) {
     std::cout << "catalog is empty\n";
     return 1;
@@ -737,11 +771,15 @@ int cmd_catalog(int argc, char** argv) {
   if (sub == "build" && args.size() == 1) return cmd_catalog_build(artifacts, args[0]);
   if (sub == "info" && args.size() == 1) return cmd_catalog_info(artifacts, args[0]);
   if (sub == "nearest" && args.size() == 3) {
-    return cmd_catalog_nearest(artifacts, args[0], std::stod(args[1]), std::stod(args[2]));
+    const double lat = parse_latitude(args[1]);
+    const double lon = parse_longitude(args[2]);
+    return cmd_catalog_nearest(artifacts, args[0], lat, lon);
   }
   if (sub == "radius" && args.size() == 4) {
-    return cmd_catalog_radius(artifacts, args[0], std::stod(args[1]), std::stod(args[2]),
-                              std::stod(args[3]));
+    const double lat = parse_latitude(args[1]);
+    const double lon = parse_longitude(args[2]);
+    const double km = parse_radius_km(args[3]);
+    return cmd_catalog_radius(artifacts, args[0], lat, lon, km);
   }
   if (sub == "sweep" && args.size() >= 2) return cmd_catalog_sweep(artifacts, std::move(args));
   return usage();
@@ -800,7 +838,7 @@ int dispatch(int argc, char** argv) {
   try {
     if (command == "zones") return cmd_zones();
     if (command == "analyze" && argc >= 3) return cmd_analyze(argv[2]);
-    if (command == "radius" && argc >= 3) return cmd_radius(std::stod(argv[2]));
+    if (command == "radius" && argc >= 3) return cmd_radius(parse_radius_km(argv[2]));
     if (command == "simulate" && argc >= 5) {
       return cmd_simulate(argv[2], argv[3], parse_flag_unsigned<std::uint32_t>(argv[4]));
     }

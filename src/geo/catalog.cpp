@@ -103,12 +103,12 @@ std::vector<SiteId> SiteCatalog::by_continent(Continent continent) const {
   return ids;
 }
 
-SiteId SiteCatalog::nearest(const GeoPoint& point) const {
-  SiteId best = 0;
+std::optional<SiteId> SiteCatalog::nearest(const GeoPoint& point) const {
+  std::optional<SiteId> best;
   double best_km = std::numeric_limits<double>::infinity();
   for (const City& c : all()) {
     const double km = haversine_km(point, c.location);
-    if (km < best_km) {
+    if (!best || km < best_km) {
       best_km = km;
       best = c.id;
     }

@@ -48,9 +48,10 @@ class SiteCatalog {
   /// All sites on a continent, ordered by descending population.
   [[nodiscard]] std::vector<SiteId> by_continent(Continent continent) const;
 
-  /// Nearest site to a point (linear scan; SpatialIndex serves the same
-  /// query in sublinear time and is bit-identical to this).
-  [[nodiscard]] SiteId nearest(const GeoPoint& point) const;
+  /// Nearest site to a point by haversine_km, the lower id on a tie; nullopt
+  /// only when the catalog is empty. A linear scan: no placement path asks
+  /// this, and SpatialIndex serves only radius queries.
+  [[nodiscard]] std::optional<SiteId> nearest(const GeoPoint& point) const;
 
  protected:
   SiteCatalog() = default;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numbers>
 
 #include "geo/catalog.hpp"
@@ -13,7 +12,9 @@ namespace carbonedge::geo {
 namespace {
 
 constexpr double kEarthRadiusKm = 6371.0088;
-constexpr std::uint32_t kInvalidIndex = 0xffffffffu;
+constexpr double kCellDeg = 4.0;  // grid cell edge, degrees
+constexpr auto kRows = static_cast<std::size_t>(180.0 / kCellDeg);
+constexpr auto kCols = static_cast<std::size_t>(360.0 / kCellDeg);
 
 constexpr double radians(double degrees) noexcept {
   return degrees * std::numbers::pi / 180.0;
@@ -28,239 +29,45 @@ double norm_lon(double lon_deg) noexcept {
   return lon_deg - 360.0 * std::floor((lon_deg + 180.0) / 360.0);
 }
 
-/// Euclidean chord length (on the unit-vector sphere scaled to Earth radius
-/// 1) equivalent to a surface distance in km; +inf stays +inf.
-double chord_of_km(double km) noexcept {
-  if (!std::isfinite(km)) return std::numeric_limits<double>::infinity();
-  const double theta = km / kEarthRadiusKm;
-  if (theta >= std::numbers::pi) return 2.0;
-  return 2.0 * std::sin(theta / 2.0);
+std::size_t row_of(double lat_deg) noexcept {
+  const double lat = std::clamp(lat_deg, -90.0, 90.0);
+  const auto row =
+      static_cast<std::ptrdiff_t>(std::floor((lat + 90.0) / kCellDeg));
+  return static_cast<std::size_t>(
+      std::clamp<std::ptrdiff_t>(row, 0, static_cast<std::ptrdiff_t>(kRows) - 1));
+}
+
+std::size_t col_of(double lon_deg) noexcept {
+  const double lon = norm_lon(lon_deg);
+  const auto col =
+      static_cast<std::ptrdiff_t>(std::floor((lon + 180.0) / kCellDeg));
+  return static_cast<std::size_t>(
+      std::clamp<std::ptrdiff_t>(col, 0, static_cast<std::ptrdiff_t>(kCols) - 1));
 }
 
 }  // namespace
 
-SpatialIndex::SpatialIndex(const SiteCatalog& catalog, Params params)
-    : SpatialIndex(catalog.all(), params) {}
+SpatialIndex::SpatialIndex(const SiteCatalog& catalog)
+    : SpatialIndex(catalog.all()) {}
 
-SpatialIndex::SpatialIndex(std::span<const City> sites, Params params)
-    : params_(params), sites_(sites) {
-  rows_ = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(180.0 / params_.cell_deg)));
-  cols_ = static_cast<std::size_t>(
-      std::max(1.0, std::ceil(360.0 / params_.cell_deg)));
-
+SpatialIndex::SpatialIndex(std::span<const City> sites) : sites_(sites) {
   // Grid buckets: counting sort keeps per-cell member lists ascending.
-  cell_start_.assign(rows_ * cols_ + 1, 0);
+  cell_start_.assign(kRows * kCols + 1, 0);
   for (const City& c : sites_) {
     const std::size_t cell =
-        row_of(c.location.lat_deg) * cols_ + col_of(c.location.lon_deg);
+        row_of(c.location.lat_deg) * kCols + col_of(c.location.lon_deg);
     ++cell_start_[cell + 1];
   }
-  for (std::size_t cell = 0; cell < rows_ * cols_; ++cell) {
+  for (std::size_t cell = 0; cell < kRows * kCols; ++cell) {
     cell_start_[cell + 1] += cell_start_[cell];
   }
   cell_members_.resize(sites_.size());
   std::vector<std::size_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (std::size_t i = 0; i < sites_.size(); ++i) {
-    const std::size_t cell = row_of(sites_[i].location.lat_deg) * cols_ +
+    const std::size_t cell = row_of(sites_[i].location.lat_deg) * kCols +
                              col_of(sites_[i].location.lon_deg);
     cell_members_[cursor[cell]++] = static_cast<std::uint32_t>(i);
   }
-
-  // K-d tree over unit vectors (polar fallback).
-  unit_xyz_.resize(sites_.size() * 3);
-  kd_order_.resize(sites_.size());
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    const double lat = radians(sites_[i].location.lat_deg);
-    const double lon = radians(sites_[i].location.lon_deg);
-    unit_xyz_[i * 3 + 0] = std::cos(lat) * std::cos(lon);
-    unit_xyz_[i * 3 + 1] = std::cos(lat) * std::sin(lon);
-    unit_xyz_[i * 3 + 2] = std::sin(lat);
-    kd_order_[i] = static_cast<std::uint32_t>(i);
-  }
-  if (!sites_.empty()) {
-    kd_root_ = build_kd(0, static_cast<std::uint32_t>(sites_.size()), 0);
-  }
-}
-
-std::size_t SpatialIndex::row_of(double lat_deg) const noexcept {
-  const double lat = std::clamp(lat_deg, -90.0, 90.0);
-  const auto row = static_cast<std::ptrdiff_t>(
-      std::floor((lat + 90.0) / params_.cell_deg));
-  return static_cast<std::size_t>(
-      std::clamp<std::ptrdiff_t>(row, 0,
-                                 static_cast<std::ptrdiff_t>(rows_) - 1));
-}
-
-std::size_t SpatialIndex::col_of(double lon_deg) const noexcept {
-  const double lon = norm_lon(lon_deg);
-  const auto col = static_cast<std::ptrdiff_t>(
-      std::floor((lon + 180.0) / params_.cell_deg));
-  return static_cast<std::size_t>(
-      std::clamp<std::ptrdiff_t>(col, 0,
-                                 static_cast<std::ptrdiff_t>(cols_) - 1));
-}
-
-void SpatialIndex::scan_cell(std::size_t row, std::size_t col,
-                             const GeoPoint& point, Best& best) const {
-  const std::size_t cell = row * cols_ + col;
-  for (std::size_t k = cell_start_[cell]; k < cell_start_[cell + 1]; ++k) {
-    const std::uint32_t i = cell_members_[k];
-    const double km = haversine_km(point, sites_[i].location);
-    if (km < best.km || (km == best.km && i < best.index)) {
-      best = {km, i};
-    }
-  }
-}
-
-SpatialIndex::Best SpatialIndex::grid_nearest(const GeoPoint& point) const {
-  Best best{std::numeric_limits<double>::infinity(), kInvalidIndex};
-  const auto r0 = static_cast<std::ptrdiff_t>(row_of(point.lat_deg));
-  const auto c0 = static_cast<std::ptrdiff_t>(col_of(point.lon_deg));
-  const auto rows = static_cast<std::ptrdiff_t>(rows_);
-  const auto cols = static_cast<std::ptrdiff_t>(cols_);
-
-  for (std::ptrdiff_t ring = 0; ring <= rows + cols; ++ring) {
-    if (best.index != kInvalidIndex && ring > 0) {
-      // Conservative lower bound on the distance to any still-unvisited cell
-      // (Chebyshev cell distance >= ring). Cells that are >= ring rows away
-      // are at least (ring-1) full cell-heights of latitude away; cells that
-      // are >= ring columns away (only possible while the grid has such a
-      // column in the wrap metric) are at least (ring-1) cell-widths of
-      // longitude away at a latitude no farther poleward than
-      // |lat| + ring cells.
-      const double cell = params_.cell_deg;
-      double lower = radians((static_cast<double>(ring) - 1.0) * cell) *
-                     kEarthRadiusKm;
-      if (2 * ring <= cols) {
-        const double dlon_deg = (static_cast<double>(ring) - 1.0) * cell;
-        const double phi_max = std::min(
-            90.0, std::abs(point.lat_deg) + static_cast<double>(ring) * cell);
-        const double lon_lower =
-            dlon_deg >= 180.0
-                ? std::numeric_limits<double>::infinity()
-                : 2.0 * kEarthRadiusKm *
-                      std::asin(std::cos(radians(phi_max)) *
-                                std::sin(radians(dlon_deg) / 2.0));
-        lower = std::min(lower, lon_lower);
-      }
-      // 1e-6 km absolute slack dwarfs fp rounding while staying far below
-      // the bound's built-in full-cell conservatism.
-      if (lower - 1e-6 > best.km) break;
-    }
-    for (std::ptrdiff_t dr = -ring; dr <= ring; ++dr) {
-      const std::ptrdiff_t r = r0 + dr;
-      if (r < 0 || r >= rows) continue;
-      if (std::abs(dr) == ring) {
-        // Edge row of the ring: the full column span. Once the span wraps
-        // all the way around, visit each column exactly once.
-        if (2 * ring + 1 >= cols) {
-          for (std::ptrdiff_t c = 0; c < cols; ++c) {
-            scan_cell(static_cast<std::size_t>(r), static_cast<std::size_t>(c),
-                      point, best);
-          }
-        } else {
-          for (std::ptrdiff_t dc = -ring; dc <= ring; ++dc) {
-            const std::ptrdiff_t c = ((c0 + dc) % cols + cols) % cols;
-            scan_cell(static_cast<std::size_t>(r), static_cast<std::size_t>(c),
-                      point, best);
-          }
-        }
-      } else if (2 * ring <= cols) {
-        // Interior rows add only the two side columns; when 2*ring > cols
-        // those wrap onto columns this row already visited in earlier rings.
-        // (At 2*ring == cols both sides wrap to the same, unvisited, column;
-        // the duplicate scan is an idempotent min.)
-        for (const std::ptrdiff_t dc : {-ring, ring}) {
-          const std::ptrdiff_t c = ((c0 + dc) % cols + cols) % cols;
-          scan_cell(static_cast<std::size_t>(r), static_cast<std::size_t>(c),
-                    point, best);
-        }
-      }
-    }
-  }
-  return best;
-}
-
-std::uint32_t SpatialIndex::build_kd(std::uint32_t begin, std::uint32_t end,
-                                     std::uint32_t depth) {
-  KdNode node;
-  node.begin = begin;
-  node.end = end;
-  if (end - begin <= params_.kd_leaf) {
-    // Leaf member order never affects results (exact-distance scan), but
-    // sort anyway so the structure itself is input-order independent.
-    std::sort(kd_order_.begin() + begin, kd_order_.begin() + end);
-    kd_nodes_.push_back(node);
-    return static_cast<std::uint32_t>(kd_nodes_.size() - 1);
-  }
-  const std::uint32_t axis = depth % 3;
-  const std::uint32_t mid = begin + (end - begin) / 2;
-  std::nth_element(kd_order_.begin() + begin, kd_order_.begin() + mid,
-                   kd_order_.begin() + end,
-                   [this, axis](std::uint32_t a, std::uint32_t b) {
-                     const double ca = unit_xyz_[a * 3 + axis];
-                     const double cb = unit_xyz_[b * 3 + axis];
-                     // (coordinate, index) total order: deterministic tree
-                     // shape even with duplicate coordinates.
-                     return ca < cb || (ca == cb && a < b);
-                   });
-  node.axis = axis;
-  node.split = unit_xyz_[kd_order_[mid] * 3 + axis];
-  const std::uint32_t self = static_cast<std::uint32_t>(kd_nodes_.size());
-  kd_nodes_.push_back(node);
-  const std::uint32_t left = build_kd(begin, mid, depth + 1);
-  const std::uint32_t right = build_kd(mid, end, depth + 1);
-  kd_nodes_[self].left = left;
-  kd_nodes_[self].right = right;
-  return self;
-}
-
-void SpatialIndex::kd_search(std::uint32_t node_id, const GeoPoint& point,
-                             Best& best, double& best_chord) const {
-  const KdNode& node = kd_nodes_[node_id];
-  if (node.left == kNoChild) {
-    for (std::uint32_t k = node.begin; k < node.end; ++k) {
-      const std::uint32_t i = kd_order_[k];
-      const double km = haversine_km(point, sites_[i].location);
-      if (km < best.km || (km == best.km && i < best.index)) {
-        best = {km, i};
-        best_chord = chord_of_km(km);
-      }
-    }
-    return;
-  }
-  const double lat = radians(point.lat_deg);
-  const double lon = radians(point.lon_deg);
-  const double q[3] = {std::cos(lat) * std::cos(lon),
-                       std::cos(lat) * std::sin(lon), std::sin(lat)};
-  const double axis_delta = q[node.axis] - node.split;
-  const std::uint32_t near = axis_delta <= 0.0 ? node.left : node.right;
-  const std::uint32_t far = axis_delta <= 0.0 ? node.right : node.left;
-  kd_search(near, point, best, best_chord);
-  // The split plane separates the far subtree by at least |axis_delta| of
-  // Euclidean (chord) distance; prune only when that provably exceeds the
-  // best chord (margin keeps equal-distance ties reachable).
-  if (std::abs(axis_delta) <= best_chord * (1.0 + 1e-12) + 1e-12) {
-    kd_search(far, point, best, best_chord);
-  }
-}
-
-SpatialIndex::Best SpatialIndex::kd_nearest(const GeoPoint& point) const {
-  Best best{std::numeric_limits<double>::infinity(), kInvalidIndex};
-  double best_chord = std::numeric_limits<double>::infinity();
-  if (kd_root_ != kNoChild) kd_search(kd_root_, point, best, best_chord);
-  return best;
-}
-
-std::optional<std::uint32_t> SpatialIndex::nearest(
-    const GeoPoint& point) const {
-  if (sites_.empty()) return std::nullopt;
-  const Best best = std::abs(point.lat_deg) > params_.polar_lat_deg
-                        ? kd_nearest(point)
-                        : grid_nearest(point);
-  if (best.index == kInvalidIndex) return std::nullopt;
-  return best.index;
 }
 
 std::vector<std::uint32_t> SpatialIndex::within_radius(
@@ -279,7 +86,7 @@ std::vector<std::uint32_t> SpatialIndex::within_radius(
 
   bool all_cols = lat_lo <= -90.0 || lat_hi >= 90.0;
   std::size_t c_first = 0;
-  std::size_t n_cols = cols_;
+  std::size_t n_cols = kCols;
   if (!all_cols) {
     // Max longitude deviation of a spherical disc: sin(dlon) = sin(r)/cos(lat).
     const double cos_lat = std::cos(radians(point.lat_deg));
@@ -293,19 +100,19 @@ std::vector<std::uint32_t> SpatialIndex::within_radius(
       const std::size_t c_lo = col_of(point.lon_deg - dlon_deg);
       const std::size_t c_hi = col_of(point.lon_deg + dlon_deg);
       c_first = c_lo;
-      n_cols = c_hi >= c_lo ? c_hi - c_lo + 1 : cols_ - c_lo + c_hi + 1;
-      if (n_cols >= cols_) all_cols = true;
+      n_cols = c_hi >= c_lo ? c_hi - c_lo + 1 : kCols - c_lo + c_hi + 1;
+      if (n_cols >= kCols) all_cols = true;
     }
   }
   if (all_cols) {
     c_first = 0;
-    n_cols = cols_;
+    n_cols = kCols;
   }
 
   for (std::size_t r = r_lo; r <= r_hi; ++r) {
     for (std::size_t k = 0; k < n_cols; ++k) {
-      const std::size_t c = (c_first + k) % cols_;
-      const std::size_t cell = r * cols_ + c;
+      const std::size_t c = (c_first + k) % kCols;
+      const std::size_t cell = r * kCols + c;
       for (std::size_t m = cell_start_[cell]; m < cell_start_[cell + 1]; ++m) {
         const std::uint32_t i = cell_members_[m];
         if (haversine_km(point, sites_[i].location) <= radius_km) {

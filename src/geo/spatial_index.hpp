@@ -1,22 +1,21 @@
-// Deterministic spatial index over a site set: nearest-site and radius
-// queries without the O(n) scan per lookup.
+// Deterministic radius index over a site set: "every site within r km of a
+// point" without the O(n) scan per lookup. LatencyProvider's banded rows
+// are its one production client.
 //
-// Structure: fixed-size lat/lon grid buckets (cells of `cell_deg` degrees,
-// longitude wrapping at the antimeridian) answer mid-latitude queries by
-// expanding cell rings outward until the ring's conservative lower-bound
-// distance exceeds the best hit. Near the poles the lon/lat metric
-// degenerates (every meridian converges), so polar queries fall back to a
-// k-d tree over 3D unit vectors with chord-distance pruning.
+// Structure: fixed-size lat/lon grid buckets (4-degree cells, longitude
+// wrapping at the antimeridian). A query visits the cells of the disc's
+// conservative lat/lon bounding box, widened to every column when the disc
+// reaches a pole.
 //
-// Determinism contract: both paths only ever *narrow candidates*; the final
-// answer is always the exact (haversine_km, index) minimum over a provable
-// superset of candidates, so results are bit-identical to the brute-force
-// scan regardless of traversal order — the oracle tests assert exactly that.
+// Determinism contract: the grid only ever *narrows candidates*; membership
+// is decided by the exact haversine_km predicate over a provable superset
+// of the disc, so results are bit-identical to the brute-force scan — the
+// oracle tests assert exactly that. Nearest-site lookups are
+// SiteCatalog::nearest's linear scan.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -27,28 +26,13 @@ namespace carbonedge::geo {
 
 class SiteCatalog;
 
-struct SpatialIndexParams {
-  double cell_deg = 4.0;        // grid cell edge, degrees
-  double polar_lat_deg = 66.0;  // |lat| beyond which nearest() uses the k-d tree
-  std::size_t kd_leaf = 8;      // max sites per k-d leaf
-};
-
 class SpatialIndex {
  public:
-  using Params = SpatialIndexParams;
-
   /// Indexes `sites` (non-owning: the span must outlive the index). Query
   /// results are indices into this span; when the span is a catalog's
   /// all(), an index IS the SiteId.
-  explicit SpatialIndex(std::span<const City> sites, Params params = {});
-  explicit SpatialIndex(const SiteCatalog& catalog, Params params = {});
-
-  [[nodiscard]] std::size_t size() const noexcept { return sites_.size(); }
-
-  /// Index of the nearest site by (haversine_km, index); nullopt only when
-  /// the index is empty.
-  [[nodiscard]] std::optional<std::uint32_t> nearest(
-      const GeoPoint& point) const;
+  explicit SpatialIndex(std::span<const City> sites);
+  explicit SpatialIndex(const SiteCatalog& catalog);
 
   /// Indices of all sites with haversine_km(point, site) <= radius_km,
   /// ascending.
@@ -56,45 +40,11 @@ class SpatialIndex {
       const GeoPoint& point, double radius_km) const;
 
  private:
-  struct Best {
-    double km;
-    std::uint32_t index;
-  };
-
-  [[nodiscard]] std::size_t row_of(double lat_deg) const noexcept;
-  [[nodiscard]] std::size_t col_of(double lon_deg) const noexcept;
-  void scan_cell(std::size_t row, std::size_t col, const GeoPoint& point,
-                 Best& best) const;
-  [[nodiscard]] Best grid_nearest(const GeoPoint& point) const;
-  [[nodiscard]] Best kd_nearest(const GeoPoint& point) const;
-  std::uint32_t build_kd(std::uint32_t begin, std::uint32_t end,
-                         std::uint32_t depth);
-  void kd_search(std::uint32_t node, const GeoPoint& point, Best& best,
-                 double& best_chord) const;
-
-  Params params_;
   std::span<const City> sites_;
 
   // Grid: CSR buckets, row-major (rows x cols), member indices ascending.
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
   std::vector<std::size_t> cell_start_;
   std::vector<std::uint32_t> cell_members_;
-
-  // K-d tree over 3D unit vectors of the site locations.
-  struct KdNode {
-    std::uint32_t begin = 0;  // leaf: [begin, end) into kd_order_
-    std::uint32_t end = 0;
-    std::uint32_t left = kNoChild;
-    std::uint32_t right = kNoChild;
-    std::uint32_t axis = 0;
-    double split = 0.0;
-  };
-  static constexpr std::uint32_t kNoChild = 0xffffffffu;
-  std::vector<std::uint32_t> kd_order_;
-  std::vector<KdNode> kd_nodes_;
-  std::uint32_t kd_root_ = kNoChild;
-  std::vector<double> unit_xyz_;  // 3 doubles per site
 };
 
 }  // namespace carbonedge::geo

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 namespace carbonedge::geo {
@@ -90,9 +91,9 @@ TEST(CityDatabase, CoverageIsCdnScale) {
 TEST(CityDatabase, NearestFindsAnchor) {
   const auto& db = CityDatabase::builtin();
   const City& miami = db.require("Miami");
-  EXPECT_EQ(db.nearest(miami.location), miami.id);
+  EXPECT_EQ(db.nearest(miami.location), std::optional<SiteId>(miami.id));
   // A point in the Everglades is still closest to Miami.
-  EXPECT_EQ(db.nearest({25.9, -80.7}), miami.id);
+  EXPECT_EQ(db.nearest({25.9, -80.7}), std::optional<SiteId>(miami.id));
 }
 
 }  // namespace

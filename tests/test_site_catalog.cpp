@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -91,6 +92,25 @@ TEST(SiteCatalog, RequireListsNearMissCandidates) {
     const std::string message = error.what();
     EXPECT_NE(message.find("unknown city: springfeld"), std::string::npos) << message;
     EXPECT_NE(message.find("Springfield"), std::string::npos) << message;
+  }
+}
+
+TEST(SiteCatalog, NearestOnEmptyCatalogIsNullopt) {
+  const geo::CompiledSiteCatalog empty(geo::parse_sites_tsv("# no rows\n"));
+  ASSERT_EQ(empty.size(), 0u);
+  EXPECT_FALSE(empty.nearest({0.0, 0.0}).has_value());
+}
+
+TEST(SiteCatalog, NearestBreaksDistanceTiesByLowerId) {
+  // Two sites on the same spot: every query is equidistant, and the lower
+  // id wins wherever the query is.
+  const geo::CompiledSiteCatalog catalog(geo::parse_sites_tsv(
+      "Far\tUS\tNA\t10.0\t10.0\t1\n"
+      "Twin A\tUS\tNA\t39.5\t-89.0\t1\n"
+      "Twin B\tUS\tNA\t39.5\t-89.0\t1\n"));
+  for (const geo::GeoPoint q : {geo::GeoPoint{39.5, -89.0}, geo::GeoPoint{45.0, -100.0},
+                                geo::GeoPoint{-10.0, -120.0}}) {
+    EXPECT_EQ(catalog.nearest(q), std::optional<geo::SiteId>(1u));
   }
 }
 

@@ -3,8 +3,7 @@
 // on indices and exact distances — never NEAR.
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <optional>
+#include <algorithm>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,19 +53,6 @@ std::vector<City> fuzz_sites(std::size_t n, std::uint64_t seed) {
   return sites;
 }
 
-std::uint32_t brute_nearest(const std::vector<City>& sites, const GeoPoint& point) {
-  double best_km = std::numeric_limits<double>::infinity();
-  std::uint32_t best = 0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const double km = haversine_km(point, sites[i].location);
-    if (km < best_km) {
-      best_km = km;
-      best = static_cast<std::uint32_t>(i);
-    }
-  }
-  return best;
-}
-
 std::vector<std::uint32_t> brute_radius(const std::vector<City>& sites, const GeoPoint& point,
                                         double radius_km) {
   std::vector<std::uint32_t> hits;
@@ -84,7 +70,7 @@ std::vector<GeoPoint> fuzz_queries(const std::vector<City>& sites, std::uint64_t
   for (std::size_t q = 0; q < 64; ++q) {
     queries.push_back({-90.0 + 180.0 * unit(rng), -180.0 + 360.0 * unit(rng)});
   }
-  // Exact site locations (distance 0 ties broken by index), both poles, and
+  // Exact site locations (distance-0 hits), both poles, and
   // points hugging the antimeridian from each side.
   for (std::size_t i = 0; i < sites.size(); i += 9) queries.push_back(sites[i].location);
   queries.push_back({90.0, 0.0});
@@ -94,19 +80,6 @@ std::vector<GeoPoint> fuzz_queries(const std::vector<City>& sites, std::uint64_t
   queries.push_back({-45.0, 179.999});
   queries.push_back({67.0, -179.5});
   return queries;
-}
-
-TEST(SpatialIndex, NearestMatchesBruteForceOnFuzzedSets) {
-  for (const std::uint64_t seed : {11ull, 22ull, 33ull}) {
-    const std::vector<City> sites = fuzz_sites(257, seed);
-    const SpatialIndex index(sites);
-    for (const GeoPoint& q : fuzz_queries(sites, seed ^ 0xabcdefULL)) {
-      const auto got = index.nearest(q);
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(*got, brute_nearest(sites, q))
-          << "seed " << seed << " query (" << q.lat_deg << ", " << q.lon_deg << ")";
-    }
-  }
 }
 
 TEST(SpatialIndex, WithinRadiusMatchesBruteForceOnFuzzedSets) {
@@ -120,44 +93,24 @@ TEST(SpatialIndex, WithinRadiusMatchesBruteForceOnFuzzedSets) {
   }
 }
 
-TEST(SpatialIndex, TinySetsAndDegenerateCells) {
-  // 1-site and 2-site sets exercise the empty-cell ring expansion; antipodal
-  // sites exercise the wrap distance-exactly-cols/2 column.
-  std::vector<City> pair = fuzz_sites(2, 7);
-  pair[0].location = {0.0, 0.0};
-  pair[1].location = {0.0, 180.0};
-  const SpatialIndex index(pair);
-  EXPECT_EQ(*index.nearest({0.0, 89.0}), 0u);
-  EXPECT_EQ(*index.nearest({0.0, 91.0}), 1u);
-  EXPECT_EQ(*index.nearest({0.0, 90.0}), brute_nearest(pair, {0.0, 90.0}));
-
-  const std::vector<City> one = fuzz_sites(1, 8);
-  EXPECT_EQ(*SpatialIndex(one).nearest({45.0, 45.0}), 0u);
-}
-
-TEST(SpatialIndex, EmptyIndexReturnsNulloptAndNoHits) {
+TEST(SpatialIndex, EmptyIndexHasNoHits) {
   const std::vector<City> none;
   const SpatialIndex index{std::span<const City>(none)};
-  EXPECT_FALSE(index.nearest({0.0, 0.0}).has_value());
   EXPECT_TRUE(index.within_radius({0.0, 0.0}, 1000.0).empty());
 }
 
 TEST(SpatialIndex, CatalogOverloadReturnsSiteIds) {
   const auto& db = CityDatabase::builtin();
   const SpatialIndex index(db);
-  // Miami's own location must come back as Miami's SiteId.
+  // A zero radius around Miami's own location must contain Miami's SiteId.
   const City& miami = db.require("Miami");
-  EXPECT_EQ(*index.nearest(miami.location), miami.id);
-  // And agree with the catalog's linear-scan nearest() on arbitrary points.
-  for (const GeoPoint q : {GeoPoint{40.0, -100.0}, GeoPoint{48.0, 10.0}, GeoPoint{70.0, 20.0}}) {
-    EXPECT_EQ(*index.nearest(q), db.nearest(q));
-  }
+  const std::vector<std::uint32_t> hits = index.within_radius(miami.location, 0.0);
+  EXPECT_NE(std::find(hits.begin(), hits.end(), miami.id), hits.end());
 }
 
-TEST(SpatialIndex, PolarQueriesUseExactAnswers) {
-  // Dense polar cluster: all meridians converge, which is exactly where the
-  // grid metric degenerates and the k-d fallback kicks in. Still bit-equal
-  // to brute force.
+TEST(SpatialIndex, PolarRadiusQueriesMatchBruteForce) {
+  // Dense polar cluster: all meridians converge, so a disc's column span
+  // widens, up to every column of its rows. Still bit-equal to brute force.
   std::vector<City> sites = fuzz_sites(64, 99);
   for (std::size_t i = 0; i < sites.size(); ++i) {
     sites[i].location.lat_deg = 84.0 + 5.9 * (static_cast<double>(i) / sites.size());
@@ -167,7 +120,6 @@ TEST(SpatialIndex, PolarQueriesUseExactAnswers) {
   util::Rng rng(123);
   for (int q = 0; q < 32; ++q) {
     const GeoPoint point{80.0 + 10.0 * unit(rng), -180.0 + 360.0 * unit(rng)};
-    EXPECT_EQ(*index.nearest(point), brute_nearest(sites, point));
     EXPECT_EQ(index.within_radius(point, 300.0), brute_radius(sites, point, 300.0));
   }
 }
