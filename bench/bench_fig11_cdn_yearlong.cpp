@@ -104,6 +104,5 @@ int main(int argc, char** argv) {
       "CarbonEdge shifts the load distribution toward low-carbon zones; Europe saves more "
       "than the US (paper: 67.8% vs 49.5%).");
   bench::print_store_stats(sweep_store);
-  bench::write_metrics_json(metrics_path);
-  return 0;
+  return bench::write_metrics_json(metrics_path) ? 0 : 1;
 }

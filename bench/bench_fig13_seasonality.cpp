@@ -16,7 +16,7 @@
 #include "carbon/caltime.hpp"
 #include "core/policy.hpp"
 #include "core/simulation.hpp"
-#include "geo/city.hpp"
+#include "geo/catalog.hpp"
 #include "geo/coord.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
 
   // (c)/(d) deployment: the EU CDN plus the paper's spotlight zones.
   geo::Region eu = geo::cdn_region(geo::Continent::kEurope, 30);
-  const auto& db = geo::CityDatabase::builtin();
+  const auto& db = geo::builtin_sites();
   for (const char* name : {"Paris", "Oslo", "Vienna", "Zagreb"}) {
-    const geo::CityId id = db.require(name).id;
+    const geo::SiteId id = db.require(name).id;
     if (std::find(eu.cities.begin(), eu.cities.end(), id) == eu.cities.end()) {
       eu.cities.push_back(id);
     }
@@ -146,6 +146,5 @@ int main(int argc, char** argv) {
       "Monthly intensity shifts re-rank zones and re-route applications across seasons "
       "(paper: up to 3x swings in per-site assignments; ~10% savings variation in Europe).");
   bench::print_store_stats(sweep_store);
-  bench::write_metrics_json(metrics_path);
-  return 0;
+  return bench::write_metrics_json(metrics_path) ? 0 : 1;
 }

@@ -186,6 +186,5 @@ int main(int argc, char** argv) {
       "Incremental placement completes well within the paper's 3 s / 200 MB envelope at "
       "400 servers x 140 applications.");
   bench::print_store_stats(sweep_store);
-  bench::write_metrics_json(metrics_path);
-  return 0;
+  return bench::write_metrics_json(metrics_path) ? 0 : 1;
 }

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
                 {"carbon_g", result.sim.telemetry.total_carbon_g()},
                 {"migrations", static_cast<double>(result.sim.migrations)}});
   json.write();
-  bench::write_metrics_json(metrics_path);
+  const bool metrics_written = bench::write_metrics_json(metrics_path);
   bench::print_takeaway("the streaming path replays a year of arrivals at full engine speed");
-  return 0;
+  return metrics_written ? 0 : 1;
 }

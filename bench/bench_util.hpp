@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -25,6 +25,7 @@
 #include "store/sweep_store.hpp"
 #include "store/trace_tier.hpp"
 #include "util/env.hpp"
+#include "util/flags.hpp"
 
 namespace carbonedge::bench {
 
@@ -48,16 +49,20 @@ inline carbon::CarbonIntensityService make_service(const geo::Region& region) {
 
 /// CI smoke support: when CARBONEDGE_SMOKE_EPOCHS is set, cap the epoch
 /// count so year-long benches exercise their full code path in seconds.
-/// Returns the config unchanged when the variable is absent, so production
-/// runs keep the paper's horizons.
+/// Returns the config unchanged when the variable is absent or 0, so
+/// production runs keep the paper's horizons. A value that is not a count
+/// within uint32 exits 1 with an error naming it.
 inline core::SimulationConfig apply_smoke_epochs(core::SimulationConfig config) {
   const std::string env = util::env::get_or("CARBONEDGE_SMOKE_EPOCHS", "");
-  if (!env.empty()) {
-    const unsigned long cap = std::strtoul(env.c_str(), nullptr, 10);
-    if (cap > 0) {
-      config.epochs = std::min(config.epochs, static_cast<std::uint32_t>(cap));
-    }
+  if (env.empty()) return config;
+  std::uint32_t cap = 0;
+  try {
+    cap = util::parse_flag_unsigned<std::uint32_t>(env, "CARBONEDGE_SMOKE_EPOCHS=" + env);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    std::exit(1);
   }
+  if (cap > 0) config.epochs = std::min(config.epochs, cap);
   return config;
 }
 
@@ -69,17 +74,11 @@ inline core::SimulationConfig apply_smoke_epochs(core::SimulationConfig config) 
 /// never see it. Returns nullptr when the store is off.
 inline std::shared_ptr<store::SweepStore> init_store(int& argc, char** argv) {
   std::string dir = util::env::get_or("CARBONEDGE_STORE_DIR", "");
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--store") == 0 || std::strncmp(arg, "--store=", 8) == 0) {
-      if (arg[7] == '=' && arg[8] != '\0') {
-        dir = arg + 8;  // explicit value wins over the environment
-      } else if (dir.empty()) {
-        dir = ".carbonedge-store";  // bare --store (or --store=): env, else default
-      }
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
+  if (const auto flag = util::take_flag(argc, argv, "--store")) {
+    if (!flag->empty()) {
+      dir = *flag;  // explicit value wins over the environment
+    } else if (dir.empty()) {
+      dir = ".carbonedge-store";  // bare --store (or --store=): env, else default
     }
   }
   if (dir.empty()) return nullptr;
@@ -110,35 +109,14 @@ inline void print_store_stats(const std::shared_ptr<store::SweepStore>& sweeps) 
 /// init_store). Call write_metrics_json() with the returned path after the
 /// bench has run; '-' writes the snapshot to stdout.
 inline std::string init_metrics(int& argc, char** argv) {
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--metrics=", 10) == 0) {
-      path = argv[i] + 10;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
-  return path;
+  return util::take_flag(argc, argv, "--metrics=").value_or("");
 }
 
 /// Writes the process metrics registry (both views) as one JSON document.
-/// No-op when `path` is empty.
-inline void write_metrics_json(const std::string& path) {
-  if (path.empty()) return;
-  const std::string snapshot = obs::snapshot_json();
-  if (path == "-") {
-    std::cout << snapshot << "\n";
-    return;
-  }
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) {
-    std::cerr << "metrics: cannot open " << path << "\n";
-    return;
-  }
-  std::fputs(snapshot.c_str(), out);
-  std::fclose(out);
-  std::cout << "[metrics] wrote snapshot to " << path << "\n";
+/// True when `path` is empty (nothing asked) or the write succeeded; a bench
+/// exits non-zero on false.
+[[nodiscard]] inline bool write_metrics_json(const std::string& path) {
+  return path.empty() || obs::write_snapshot(path, obs::snapshot_json());
 }
 
 /// Machine-readable bench results: `--bench-json=PATH` (stripped from argv
@@ -196,16 +174,7 @@ class BenchJsonWriter {
 /// Parses and removes `--bench-json=PATH` from argv (same contract as
 /// init_store). Returns a disabled writer when the flag is absent.
 inline BenchJsonWriter init_bench_json(int& argc, char** argv) {
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--bench-json=", 13) == 0) {
-      path = argv[i] + 13;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
-  return BenchJsonWriter(std::move(path));
+  return BenchJsonWriter(util::take_flag(argc, argv, "--bench-json=").value_or(""));
 }
 
 /// The four evaluation policies in the paper's order (Section 6.1.3).

@@ -6,6 +6,7 @@
 //   $ ./carbon_explorer                 # all four mesoscale regions
 //   $ ./carbon_explorer florida 10      # one region, 10 ms one-way budget
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "geo/latency.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 using namespace carbonedge;
@@ -84,7 +86,13 @@ void explore(const geo::Region& region, double budget_one_way_ms) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double budget = argc > 2 ? std::stod(argv[2]) : 15.0;
+  double budget = 15.0;
+  try {
+    if (argc > 2) budget = util::parse_flag_double(argv[2]);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
   if (argc > 1) {
     const std::string name = argv[1];
     for (const geo::Region& region : geo::mesoscale_regions()) {

@@ -60,16 +60,15 @@
 //
 // Regions: florida, west_us, italy, central_eu, cdn_us, cdn_eu.
 // Policies: latency, energy, intensity, carbonedge, alpha=<0..1>.
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <string>
-#include <vector>
-
+#include <optional>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/mesoscale.hpp"
 #include "carbon/service.hpp"
@@ -81,7 +80,6 @@
 #include "core/policy.hpp"
 #include "core/simulation.hpp"
 #include "geo/catalog.hpp"
-#include "geo/city.hpp"
 #include "geo/coord.hpp"
 #include "geo/latency.hpp"
 #include "geo/region.hpp"
@@ -103,6 +101,7 @@
 #include "store/sweep_store.hpp"
 #include "store/trace_tier.hpp"
 #include "util/env.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -145,30 +144,10 @@ geo::Region region_by_name(const std::string& name) {
   throw std::invalid_argument("unknown region: " + name);
 }
 
-/// The finite number after `prefix` in `arg` (prefix 0: a positional
-/// number), `length` characters long when given. The whole value must
-/// parse: "12x", "nan", "inf" and out-of-range values like "1e400" are
-/// rejected rather than truncated or passed on.
-double parse_flag_double(const std::string& arg, std::size_t prefix = 0,
-                         std::size_t length = std::string::npos) {
-  const std::string value = arg.substr(prefix, length);
-  std::size_t used = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &used);
-  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
-    throw std::invalid_argument("bad number in " + arg);
-  }
-  if (used != value.size() || !std::isfinite(parsed)) {
-    throw std::invalid_argument("bad number in " + arg);
-  }
-  return parsed;
-}
-
 /// A positional number in [lo, hi]; `what` names the quantity in the error.
 double parse_bounded_double(const std::string& arg, double lo, double hi,
                             const std::string& what) {
-  const double value = parse_flag_double(arg);
+  const double value = util::parse_flag_double(arg);
   if (value < lo || value > hi) throw std::out_of_range(arg + " is not a " + what);
   return value;
 }
@@ -191,14 +170,14 @@ core::PolicyConfig policy_by_name(const std::string& name) {
   if (name == "energy") return core::PolicyConfig::energy_aware();
   if (name == "intensity") return core::PolicyConfig::intensity_aware();
   if (name == "carbonedge") return core::PolicyConfig::carbon_edge();
-  if (name.rfind("alpha=", 0) == 0) {
-    return core::PolicyConfig::multi_objective(parse_flag_double(name, 6));
+  if (const auto weight = util::flag_value(name, "alpha=")) {
+    return core::PolicyConfig::multi_objective(util::parse_flag_double(*weight, name));
   }
   throw std::invalid_argument("unknown policy: " + name);
 }
 
 int cmd_zones() {
-  const auto& db = geo::CityDatabase::builtin();
+  const auto& db = geo::builtin_sites();
   const auto& catalog = carbon::ZoneCatalog::builtin();
   util::Table table({"Zone", "Country", "Static mix CI", "Calibrated", "Population (k)"});
   for (const geo::City& city : db.all()) {
@@ -332,40 +311,19 @@ int cmd_simulate(const std::string& region_name, const std::string& policy_name,
 
 // ----------------------------------------------------------------- serve --
 
-/// The decimal count after `prefix` in `arg` (prefix 0: a positional
-/// count). Digits only, and within T's range: "-1" and "3x" are rejected
-/// rather than wrapped or truncated.
-template <typename T = std::uint64_t>
-T parse_flag_unsigned(const std::string& arg, std::size_t prefix = 0) {
-  const std::string value = arg.substr(prefix);
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument("bad count in " + arg);
-  }
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(value);
-  } catch (const std::out_of_range&) {
-    parsed = std::numeric_limits<unsigned long long>::max();
-  }
-  if (parsed > std::numeric_limits<T>::max()) {
-    throw std::out_of_range("count out of range in " + arg);
-  }
-  return static_cast<T>(parsed);
-}
-
 // `--ema-reopt=<signal>:<fire>:<rearm>`, repeatable (one per signal).
-void parse_ema_reopt(const std::string& arg, serve::EmaReoptConfig& ema) {
-  const std::string value = arg.substr(12);
+void parse_ema_reopt(const std::string& arg, std::string_view value,
+                     serve::EmaReoptConfig& ema) {
   const std::size_t first = value.find(':');
   const std::size_t second = first == std::string::npos ? first : value.find(':', first + 1);
   if (second == std::string::npos) {
     throw std::invalid_argument("expected --ema-reopt=<signal>:<fire>:<rearm>, got " + arg);
   }
-  const std::string signal = value.substr(0, first);
+  const std::string signal(value.substr(0, first));
   serve::EmaTrigger trigger;
   trigger.enabled = true;
-  trigger.fire = parse_flag_double(arg, 12 + first + 1, second - first - 1);
-  trigger.rearm = parse_flag_double(arg, 12 + second + 1);
+  trigger.fire = util::parse_flag_double(value.substr(first + 1, second - first - 1), arg);
+  trigger.rearm = util::parse_flag_double(value.substr(second + 1), arg);
   if (signal == "intensity") {
     ema.intensity = trigger;
   } else if (signal == "response") {
@@ -394,24 +352,24 @@ int cmd_serve(std::vector<std::string> args) {
       replay = true;
     } else if (arg == "--stdin") {
       from_stdin = true;
-    } else if (arg.rfind("--epochs=", 0) == 0) {
-      epochs = parse_flag_unsigned<std::uint32_t>(arg, 9);
-    } else if (arg.rfind("--window-epochs=", 0) == 0) {
-      serve_config.window_epochs = parse_flag_unsigned<std::uint32_t>(arg, 16);
-    } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      serve_config.queue_capacity = parse_flag_unsigned(arg, 17);
+    } else if (const auto n = util::flag_value(arg, "--epochs=")) {
+      epochs = util::parse_flag_unsigned<std::uint32_t>(*n, arg);
+    } else if (const auto n = util::flag_value(arg, "--window-epochs=")) {
+      serve_config.window_epochs = util::parse_flag_unsigned<std::uint32_t>(*n, arg);
+    } else if (const auto n = util::flag_value(arg, "--queue-capacity=")) {
+      serve_config.queue_capacity = util::parse_flag_unsigned(*n, arg);
     } else if (arg == "--ooo=drop") {
       serve_config.out_of_order = serve::OutOfOrderPolicy::kDrop;
     } else if (arg == "--ooo=clamp") {
       serve_config.out_of_order = serve::OutOfOrderPolicy::kClamp;
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      policy_name = arg.substr(9);
-    } else if (arg.rfind("--ema-alpha=", 0) == 0) {
-      serve_config.ema_reopt.alpha = parse_flag_double(arg, 12);
-    } else if (arg.rfind("--ema-reopt=", 0) == 0) {
-      parse_ema_reopt(arg, serve_config.ema_reopt);
-    } else if (arg.rfind("--export=", 0) == 0) {
-      export_path = arg.substr(9);
+    } else if (const auto name = util::flag_value(arg, "--policy=")) {
+      policy_name = *name;
+    } else if (const auto alpha = util::flag_value(arg, "--ema-alpha=")) {
+      serve_config.ema_reopt.alpha = util::parse_flag_double(*alpha, arg);
+    } else if (const auto trigger = util::flag_value(arg, "--ema-reopt=")) {
+      parse_ema_reopt(arg, *trigger, serve_config.ema_reopt);
+    } else if (const auto path = util::flag_value(arg, "--export=")) {
+      export_path = *path;
     } else if (arg == "--metrics-rows") {
       serve_config.metrics_rows = true;
     } else {
@@ -580,8 +538,8 @@ int cmd_store_verify(const store::ArtifactStore& artifacts) {
 int cmd_store_gc(const store::ArtifactStore& artifacts, const std::vector<std::string>& args) {
   std::uintmax_t max_bytes = 0;
   for (const std::string& arg : args) {
-    if (arg.rfind("--max-bytes=", 0) == 0) {
-      max_bytes = parse_flag_unsigned<std::uintmax_t>(arg, 12);
+    if (const auto n = util::flag_value(arg, "--max-bytes=")) {
+      max_bytes = util::parse_flag_unsigned<std::uintmax_t>(*n, arg);
     } else {
       std::cerr << "error: unknown gc argument " << arg << "\n";
       return 2;
@@ -597,27 +555,46 @@ int cmd_store_gc(const store::ArtifactStore& artifacts, const std::vector<std::s
   return 0;
 }
 
-int cmd_store(int argc, char** argv) {
-  // `store [--dir <path>] <subcommand> [args...]`; without --dir the
-  // directory comes from CARBONEDGE_STORE_DIR.
-  std::vector<std::string> args(argv + 2, argv + argc);
-  std::string dir = util::env::get_or("CARBONEDGE_STORE_DIR", "");
+/// `store|catalog [--dir <path>] <subcommand> [args...]`, split up. Without
+/// --dir the directory comes from CARBONEDGE_STORE_DIR.
+struct StoreCommand {
+  std::string dir;
+  std::string sub;
+  std::vector<std::string> args;
+};
+
+/// Nullopt (after printing why) when the subcommand or the directory is
+/// missing.
+std::optional<StoreCommand> parse_store_command(int argc, char** argv) {
+  StoreCommand command{util::env::get_or("CARBONEDGE_STORE_DIR", ""), "",
+                       std::vector<std::string>(argv + 2, argv + argc)};
+  std::vector<std::string>& args = command.args;
   if (args.size() >= 2 && args[0] == "--dir") {
-    dir = args[1];
+    command.dir = args[1];
     args.erase(args.begin(), args.begin() + 2);
   }
-  if (args.empty()) return usage();
-  if (dir.empty()) {
-    std::cerr << "error: no store directory (set CARBONEDGE_STORE_DIR or pass --dir)\n";
-    return 2;
+  if (args.empty()) {
+    usage();
+    return std::nullopt;
   }
-  const auto artifacts = std::make_shared<store::ArtifactStore>(dir);
-  const std::string sub = args[0];
+  if (command.dir.empty()) {
+    std::cerr << "error: no store directory (set CARBONEDGE_STORE_DIR or pass --dir)\n";
+    return std::nullopt;
+  }
+  command.sub = args.front();
   args.erase(args.begin());
-  if (sub == "warm") return cmd_store_warm(artifacts, std::move(args));
+  return command;
+}
+
+int cmd_store(int argc, char** argv) {
+  auto command = parse_store_command(argc, argv);
+  if (!command) return 2;
+  const auto artifacts = std::make_shared<store::ArtifactStore>(command->dir);
+  const std::string& sub = command->sub;
+  if (sub == "warm") return cmd_store_warm(artifacts, std::move(command->args));
   if (sub == "ls") return cmd_store_ls(*artifacts);
   if (sub == "verify") return cmd_store_verify(*artifacts);
-  if (sub == "gc") return cmd_store_gc(*artifacts, args);
+  if (sub == "gc") return cmd_store_gc(*artifacts, command->args);
   return usage();
 }
 
@@ -631,8 +608,8 @@ std::string read_text_file(const std::string& path) {
   return buffer.str();
 }
 
-geo::CompiledSiteCatalog require_catalog(const store::ArtifactStore& artifacts,
-                                         const std::string& key) {
+geo::SiteCatalog require_catalog(const store::ArtifactStore& artifacts,
+                                 const std::string& key) {
   auto catalog = store::load_site_catalog(artifacts, key);
   if (!catalog) {
     throw std::runtime_error("no compiled catalog under key " + key +
@@ -646,14 +623,14 @@ int cmd_catalog_build(const store::ArtifactStore& artifacts, const std::string& 
   // Round-trip through the store before reporting success: the count below
   // comes from the decoded blob, not the parse, so a publish that cannot be
   // read back fails here instead of at first use.
-  const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
+  const geo::SiteCatalog catalog = require_catalog(artifacts, key);
   std::cout << "compiled " << catalog.size() << " sites from " << path << "\n"
             << "key " << key << "\n";
   return 0;
 }
 
 int cmd_catalog_info(const store::ArtifactStore& artifacts, const std::string& key) {
-  const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
+  const geo::SiteCatalog catalog = require_catalog(artifacts, key);
   std::size_t na = 0;
   std::size_t eu = 0;
   double population_k = 0.0;
@@ -675,7 +652,7 @@ int cmd_catalog_info(const store::ArtifactStore& artifacts, const std::string& k
 
 int cmd_catalog_nearest(const store::ArtifactStore& artifacts, const std::string& key,
                         double lat, double lon) {
-  const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
+  const geo::SiteCatalog catalog = require_catalog(artifacts, key);
   const geo::GeoPoint query{lat, lon};
   const auto id = catalog.nearest(query);
   if (!id) {
@@ -691,7 +668,7 @@ int cmd_catalog_nearest(const store::ArtifactStore& artifacts, const std::string
 
 int cmd_catalog_radius(const store::ArtifactStore& artifacts, const std::string& key,
                        double lat, double lon, double km) {
-  const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
+  const geo::SiteCatalog catalog = require_catalog(artifacts, key);
   const geo::SpatialIndex index(catalog);
   const geo::GeoPoint query{lat, lon};
   // Ascending SiteId with exact haversine distances: byte-identical to a
@@ -710,21 +687,21 @@ int cmd_catalog_radius(const store::ArtifactStore& artifacts, const std::string&
 
 int cmd_catalog_sweep(const store::ArtifactStore& artifacts, std::vector<std::string> args) {
   const std::string key = args[0];
-  const auto epochs = parse_flag_unsigned<std::uint32_t>(args[1]);
+  const auto epochs = util::parse_flag_unsigned<std::uint32_t>(args[1]);
   std::size_t max_sites = 0;
   double band = 0.0;
   for (std::size_t i = 2; i < args.size(); ++i) {
-    if (args[i].rfind("--max-sites=", 0) == 0) {
-      max_sites = parse_flag_unsigned(args[i], 12);
-    } else if (args[i].rfind("--band=", 0) == 0) {
-      band = parse_flag_double(args[i], 7);
+    if (const auto n = util::flag_value(args[i], "--max-sites=")) {
+      max_sites = util::parse_flag_unsigned(*n, args[i]);
+    } else if (const auto ms = util::flag_value(args[i], "--band=")) {
+      band = util::parse_flag_double(*ms, args[i]);
     } else {
       std::cerr << "error: unknown catalog sweep argument " << args[i] << "\n";
       return 2;
     }
   }
 
-  const geo::CompiledSiteCatalog catalog = require_catalog(artifacts, key);
+  const geo::SiteCatalog catalog = require_catalog(artifacts, key);
   const geo::Region region =
       geo::catalog_region(catalog, "catalog " + key.substr(0, 8), max_sites);
 
@@ -752,22 +729,11 @@ int cmd_catalog_sweep(const store::ArtifactStore& artifacts, std::vector<std::st
 }
 
 int cmd_catalog(int argc, char** argv) {
-  // `catalog [--dir <path>] <subcommand> [args...]`; same directory
-  // convention as `store`.
-  std::vector<std::string> args(argv + 2, argv + argc);
-  std::string dir = util::env::get_or("CARBONEDGE_STORE_DIR", "");
-  if (args.size() >= 2 && args[0] == "--dir") {
-    dir = args[1];
-    args.erase(args.begin(), args.begin() + 2);
-  }
-  if (args.empty()) return usage();
-  if (dir.empty()) {
-    std::cerr << "error: no store directory (set CARBONEDGE_STORE_DIR or pass --dir)\n";
-    return 2;
-  }
-  const store::ArtifactStore artifacts(dir);
-  const std::string sub = args[0];
-  args.erase(args.begin());
+  auto command = parse_store_command(argc, argv);
+  if (!command) return 2;
+  const store::ArtifactStore artifacts(command->dir);
+  const std::string& sub = command->sub;
+  std::vector<std::string>& args = command->args;
   if (sub == "build" && args.size() == 1) return cmd_catalog_build(artifacts, args[0]);
   if (sub == "info" && args.size() == 1) return cmd_catalog_info(artifacts, args[0]);
   if (sub == "nearest" && args.size() == 3) {
@@ -817,22 +783,6 @@ int cmd_metrics() {
   return 0;
 }
 
-/// Write a metrics snapshot to `path` ('-' = stdout). Returns false (with
-/// a message) when the file cannot be opened.
-bool write_metrics_file(const std::string& path, const std::string& content) {
-  if (path == "-") {
-    std::cout << content << "\n";
-    return true;
-  }
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  if (!out) {
-    std::cerr << "error: cannot write metrics to " << path << "\n";
-    return false;
-  }
-  return true;
-}
-
 int dispatch(int argc, char** argv) {
   const std::string command = argv[1];
   try {
@@ -840,7 +790,7 @@ int dispatch(int argc, char** argv) {
     if (command == "analyze" && argc >= 3) return cmd_analyze(argv[2]);
     if (command == "radius" && argc >= 3) return cmd_radius(parse_radius_km(argv[2]));
     if (command == "simulate" && argc >= 5) {
-      return cmd_simulate(argv[2], argv[3], parse_flag_unsigned<std::uint32_t>(argv[4]));
+      return cmd_simulate(argv[2], argv[3], util::parse_flag_unsigned<std::uint32_t>(argv[4]));
     }
     if (command == "sweep" && argc >= 4) {
       bool single = false;
@@ -850,7 +800,7 @@ int dispatch(int argc, char** argv) {
         if (std::string(argv[4]) != "--single" || argc > 5) return usage();
         single = true;
       }
-      return cmd_sweep(argv[2], parse_flag_unsigned<std::uint32_t>(argv[3]), single);
+      return cmd_sweep(argv[2], util::parse_flag_unsigned<std::uint32_t>(argv[3]), single);
     }
     if (command == "serve" && argc >= 3) {
       return cmd_serve(std::vector<std::string>(argv + 2, argv + argc));
@@ -873,34 +823,20 @@ int main(int argc, char** argv) {
   // before dispatch (the per-command parsers stay strict — `sweep` still
   // rejects unknown flags loudly) and written only after a successful run,
   // so a usage error never emits a half-populated snapshot.
-  std::string metrics_json_path;
-  std::string metrics_prom_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    bool strip = true;
-    if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_json_path = arg.substr(10);
-    } else if (arg.rfind("--metrics-prom=", 0) == 0) {
-      metrics_prom_path = arg.substr(15);
-    } else {
-      strip = false;
-    }
-    if (strip) {
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
+  const std::string metrics_json_path =
+      util::take_flag(argc, argv, "--metrics=").value_or("");
+  const std::string metrics_prom_path =
+      util::take_flag(argc, argv, "--metrics-prom=").value_or("");
   if (argc < 2) return usage();
 
   const int rc = dispatch(argc, argv);
   if (rc == 0) {
     if (!metrics_json_path.empty() &&
-        !write_metrics_file(metrics_json_path, obs::snapshot_json())) {
+        !obs::write_snapshot(metrics_json_path, obs::snapshot_json())) {
       return 1;
     }
     if (!metrics_prom_path.empty() &&
-        !write_metrics_file(metrics_prom_path, obs::snapshot_prometheus())) {
+        !obs::write_snapshot(metrics_prom_path, obs::snapshot_prometheus())) {
       return 1;
     }
   }

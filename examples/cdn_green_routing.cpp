@@ -7,6 +7,7 @@
 //   $ ./cdn_green_routing            # Europe (default), 20 ms RTT budget
 //   $ ./cdn_green_routing us 30      # US, 30 ms RTT budget
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "carbon/service.hpp"
@@ -16,6 +17,7 @@
 #include "geo/region.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
+#include "util/flags.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -23,7 +25,13 @@ using namespace carbonedge;
 
 int main(int argc, char** argv) {
   const std::string where = argc > 1 ? argv[1] : "eu";
-  const double rtt_budget = argc > 2 ? std::stod(argv[2]) : 20.0;
+  double rtt_budget = 20.0;
+  try {
+    if (argc > 2) rtt_budget = util::parse_flag_double(argv[2]);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
   const geo::Continent continent =
       where == "us" ? geo::Continent::kNorthAmerica : geo::Continent::kEurope;
 

@@ -50,8 +50,8 @@ struct RegionSummary {
 
 /// A candidate spatial-shift destination for one site.
 struct ShiftPartner {
-  geo::CityId from = 0;
-  geo::CityId to = 0;
+  geo::SiteId from = 0;
+  geo::SiteId to = 0;
   double distance_km = 0.0;
   double one_way_ms = 0.0;
   double saving_fraction = 0.0;  // relative drop in yearly-mean intensity

@@ -21,7 +21,7 @@ namespace carbonedge::carbon {
 /// Static description of one carbon zone.
 struct ZoneSpec {
   std::string name;            // zone name == city name (one zone per site)
-  geo::CityId city = 0;        // anchor city
+  geo::SiteId city = 0;        // anchor city
   double latitude_deg = 0.0;   // drives solar day-length seasonality
   GenerationMix capacity;      // installed-capacity shares, normalized
   double demand_peak = 0.82;   // peak demand as fraction of total capacity

@@ -49,17 +49,9 @@ std::size_t edit_distance_capped(std::string_view a, std::string_view b,
 
 }  // namespace
 
-std::optional<SiteId> SiteCatalog::find(std::string_view name) const noexcept {
-  for (const City& c : all()) {
-    if (c.name == name) return c.id;
-  }
-  return std::nullopt;
-}
-
 const City& SiteCatalog::by_id(SiteId id) const {
-  const std::span<const City> sites = all();
-  if (id >= sites.size()) throw std::out_of_range("city id out of range");
-  return sites[id];
+  if (id >= sites_.size()) throw std::out_of_range("city id out of range");
+  return sites_[id];
 }
 
 const City& SiteCatalog::require(std::string_view name) const {
@@ -67,7 +59,7 @@ const City& SiteCatalog::require(std::string_view name) const {
   // Rank candidates: exact-but-for-case first, then small typos.
   constexpr std::size_t kMaxTypoDistance = 2;
   std::vector<std::pair<std::size_t, SiteId>> near;
-  for (const City& c : all()) {
+  for (const City& c : sites_) {
     std::size_t distance;
     if (iequal(c.name, name)) {
       distance = 0;
@@ -92,13 +84,12 @@ const City& SiteCatalog::require(std::string_view name) const {
 }
 
 std::vector<SiteId> SiteCatalog::by_continent(Continent continent) const {
-  const std::span<const City> sites = all();
   std::vector<SiteId> ids;
-  for (const City& c : sites) {
+  for (const City& c : sites_) {
     if (c.continent == continent) ids.push_back(c.id);
   }
-  std::sort(ids.begin(), ids.end(), [sites](SiteId a, SiteId b) {
-    return sites[a].population_k > sites[b].population_k;
+  std::sort(ids.begin(), ids.end(), [this](SiteId a, SiteId b) {
+    return sites_[a].population_k > sites_[b].population_k;
   });
   return ids;
 }
@@ -106,7 +97,7 @@ std::vector<SiteId> SiteCatalog::by_continent(Continent continent) const {
 std::optional<SiteId> SiteCatalog::nearest(const GeoPoint& point) const {
   std::optional<SiteId> best;
   double best_km = std::numeric_limits<double>::infinity();
-  for (const City& c : all()) {
+  for (const City& c : sites_) {
     const double km = haversine_km(point, c.location);
     if (!best || km < best_km) {
       best_km = km;
@@ -116,7 +107,7 @@ std::optional<SiteId> SiteCatalog::nearest(const GeoPoint& point) const {
   return best;
 }
 
-CompiledSiteCatalog::CompiledSiteCatalog(std::vector<City> sites)
+SiteCatalog::SiteCatalog(std::vector<City> sites)
     : sites_(std::move(sites)) {
   by_name_.reserve(sites_.size());
   for (std::size_t i = 0; i < sites_.size(); ++i) {
@@ -149,8 +140,7 @@ CompiledSiteCatalog::CompiledSiteCatalog(std::vector<City> sites)
   }
 }
 
-std::optional<SiteId> CompiledSiteCatalog::find(
-    std::string_view name) const noexcept {
+std::optional<SiteId> SiteCatalog::find(std::string_view name) const noexcept {
   const auto it = std::lower_bound(
       by_name_.begin(), by_name_.end(), name,
       [this](SiteId id, std::string_view key) { return sites_[id].name < key; });

@@ -1,10 +1,9 @@
-// SiteCatalog: the read-only geography interface consumed by every layer
-// above geo.
+// SiteCatalog: the read-only geography every layer above geo consumes.
 //
 // Regions, demand synthesis, latency providers, and the CLI all take a
-// `const SiteCatalog&` instead of reaching for the builtin city singleton.
-// Two implementations exist: CityDatabase (city.hpp) wraps the paper-exact
-// builtin set, and CompiledSiteCatalog holds a catalog ingested from a
+// `const SiteCatalog&`. One class holds every site set: builtin_sites() is
+// the paper-exact builtin table (234 US/Canadian and European cities,
+// geo/city.cpp), and a compiled catalog is one ingested from a
 // GeoNames-style dump (catalog_io.hpp) or decoded from a CEAF blob in the
 // artifact store (store/site_catalog.hpp).
 #pragma once
@@ -20,22 +19,23 @@
 
 namespace carbonedge::geo {
 
-/// Read-only, id-dense site set with name lookup. Implementations guarantee
-/// `all()[id].id == id` for every id in [0, size()); the non-virtual helpers
-/// rely on that contract.
+/// Read-only, id-dense site set (`all()[id].id == id` for every id in
+/// [0, size())). Owns its rows and keeps a name-sorted index, so find() is a
+/// binary search.
 class SiteCatalog {
  public:
-  virtual ~SiteCatalog() = default;
+  SiteCatalog() = default;
+  /// Takes ownership of a site list. Throws std::invalid_argument when ids
+  /// are not dense in-order, a name is empty or duplicated, a coordinate is
+  /// outside WGS-84 range, or a population is negative.
+  explicit SiteCatalog(std::vector<City> sites);
 
   /// Every site, ordered by SiteId.
-  [[nodiscard]] virtual std::span<const City> all() const noexcept = 0;
+  [[nodiscard]] std::span<const City> all() const noexcept { return sites_; }
+  [[nodiscard]] std::size_t size() const noexcept { return sites_.size(); }
 
-  /// Exact-name lookup. The default scans linearly; indexed implementations
-  /// override it. Must agree with a linear scan (names are unique).
-  [[nodiscard]] virtual std::optional<SiteId> find(
-      std::string_view name) const noexcept;
-
-  [[nodiscard]] std::size_t size() const noexcept { return all().size(); }
+  /// Exact-name lookup (names are unique).
+  [[nodiscard]] std::optional<SiteId> find(std::string_view name) const noexcept;
 
   /// Throws std::out_of_range when `id >= size()`.
   [[nodiscard]] const City& by_id(SiteId id) const;
@@ -53,31 +53,20 @@ class SiteCatalog {
   /// this, and SpatialIndex serves only radius queries.
   [[nodiscard]] std::optional<SiteId> nearest(const GeoPoint& point) const;
 
- protected:
-  SiteCatalog() = default;
-  SiteCatalog(const SiteCatalog&) = default;
-  SiteCatalog& operator=(const SiteCatalog&) = default;
-};
-
-/// A catalog materialized from an ingested dump: owns its rows and keeps a
-/// name-sorted index so find() is a binary search.
-class CompiledSiteCatalog final : public SiteCatalog {
- public:
-  CompiledSiteCatalog() = default;
-  /// Takes ownership of a site list. Throws std::invalid_argument when ids
-  /// are not dense in-order, a name is empty or duplicated, or a coordinate
-  /// is outside WGS-84 range.
-  explicit CompiledSiteCatalog(std::vector<City> sites);
-
-  [[nodiscard]] std::span<const City> all() const noexcept override {
-    return sites_;
-  }
-  [[nodiscard]] std::optional<SiteId> find(
-      std::string_view name) const noexcept override;
-
  private:
   std::vector<City> sites_;
   std::vector<SiteId> by_name_;  // ids ordered by site name
 };
+
+/// The builtin city table: stand-in for the WonderNetwork city list and the
+/// Akamai CDN site list (both proprietary). Every city the paper names
+/// (Figures 1-4, Table 1, Section 6.3.3) is present, so the regional
+/// experiments run on the paper's own geography. Built once, through the
+/// validating constructor.
+[[nodiscard]] const SiteCatalog& builtin_sites();
+
+// The former name of SiteCatalog, still spelled by the benchmark ledger
+// (bench/ledger); it goes when the ledger switches to SiteCatalog.
+using CompiledSiteCatalog = SiteCatalog;
 
 }  // namespace carbonedge::geo

@@ -8,9 +8,9 @@ namespace carbonedge::geo {
 namespace {
 
 /// Regions built on the builtin set carry a null catalog pointer: they stay
-/// plain values (safe to serialize/compare) and resolve via the singleton.
+/// plain values (safe to serialize/compare) and resolve via builtin_sites().
 const SiteCatalog* catalog_handle(const SiteCatalog& catalog) noexcept {
-  return &catalog == &CityDatabase::builtin() ? nullptr : &catalog;
+  return &catalog == &builtin_sites() ? nullptr : &catalog;
 }
 
 Region make_region(const SiteCatalog& db, std::string name,
@@ -26,7 +26,7 @@ Region make_region(const SiteCatalog& db, std::string name,
 }  // namespace
 
 const SiteCatalog& Region::site_catalog() const noexcept {
-  return catalog != nullptr ? *catalog : CityDatabase::builtin();
+  return catalog != nullptr ? *catalog : builtin_sites();
 }
 
 std::vector<City> Region::resolve() const {

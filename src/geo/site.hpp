@@ -1,4 +1,4 @@
-// Site identity: the row type shared by every SiteCatalog implementation.
+// Site identity: the row type of a SiteCatalog (geo/catalog.hpp).
 #pragma once
 
 #include <cstdint>
@@ -13,9 +13,6 @@ namespace carbonedge::geo {
 /// order for compiled catalogs). A SiteId is only meaningful relative to the
 /// catalog that issued it.
 using SiteId = std::uint32_t;
-
-/// Alias kept for the builtin set, which predates the catalog API.
-using CityId = SiteId;
 
 struct City {
   SiteId id = 0;

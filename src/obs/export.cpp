@@ -1,6 +1,8 @@
 #include "obs/export.hpp"
 
 #include <cstdio>
+#include <fstream>
+#include <iostream>
 #include <vector>
 
 #include "util/env.hpp"
@@ -180,6 +182,20 @@ std::string snapshot_prometheus(const Registry& registry) {
     }
   });
   return out;
+}
+
+bool write_snapshot(const std::string& path, const std::string& content) {
+  if (path == "-") {
+    std::cout << content << "\n";
+    return true;
+  }
+  std::ofstream out(path, std::ios::binary);
+  out << content;
+  if (!out) {
+    std::cerr << "error: cannot write metrics to " << path << "\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace carbonedge::obs

@@ -1,4 +1,5 @@
-// Metrics exporters: JSON snapshot and Prometheus text exposition.
+// Metrics exporters: JSON snapshot and Prometheus text exposition, and the
+// one writer that puts either into a file or on stdout.
 //
 // Both render one Registry in name order (deterministic by construction).
 // The JSON snapshot is split at the top level into the two views —
@@ -36,5 +37,10 @@ void collect_process_gauges();
 /// Prometheus text exposition format (# HELP/# TYPE, escaped help strings,
 /// cumulative histogram buckets, `view` label on every sample).
 [[nodiscard]] std::string snapshot_prometheus(const Registry& registry = Registry::global());
+
+/// Writes a rendered snapshot to the file `path`, or to stdout followed by a
+/// newline when `path` is "-". Returns false, after an `error:` line on
+/// stderr, when the file cannot be written.
+[[nodiscard]] bool write_snapshot(const std::string& path, const std::string& content);
 
 }  // namespace carbonedge::obs

@@ -79,7 +79,7 @@ std::string encode_site_catalog(const geo::SiteCatalog& catalog) {
   return w.take();
 }
 
-geo::CompiledSiteCatalog decode_site_catalog(std::string_view payload) {
+geo::SiteCatalog decode_site_catalog(std::string_view payload) {
   ByteReader r(payload);
   require_schema(r.u32(), kSiteCatalogSchema, "site catalog");
   const std::uint64_t count = r.u64();
@@ -105,9 +105,9 @@ geo::CompiledSiteCatalog decode_site_catalog(std::string_view payload) {
   for (std::uint64_t i = 0; i < count; ++i) sites[i].location.lon_deg = r.f64();
   for (std::uint64_t i = 0; i < count; ++i) sites[i].population_k = r.f64();
   r.expect_exhausted();
-  // CompiledSiteCatalog's constructor re-validates (dense ids, unique
-  // names, coordinate ranges) — decode shares the ingest-time invariants.
-  return geo::CompiledSiteCatalog(std::move(sites));
+  // SiteCatalog's constructor re-validates (dense ids, unique names,
+  // coordinate ranges) — decode shares the ingest-time invariants.
+  return geo::SiteCatalog(std::move(sites));
 }
 
 std::string encode_outcome(const core::SimulationResult& result) {

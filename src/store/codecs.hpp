@@ -24,11 +24,11 @@ namespace carbonedge::store {
 [[nodiscard]] carbon::CarbonTrace decode_trace(std::string_view payload);
 
 /// Compiled site catalog: name/country/continent rows, then columnar
-/// lat/lon/population doubles. The decoder re-runs CompiledSiteCatalog's
+/// lat/lon/population doubles. The decoder re-runs SiteCatalog's
 /// constructor validation, so a checksum-valid but semantically broken
 /// payload (duplicate names, out-of-range coordinates) still throws.
 [[nodiscard]] std::string encode_site_catalog(const geo::SiteCatalog& catalog);
-[[nodiscard]] geo::CompiledSiteCatalog decode_site_catalog(std::string_view payload);
+[[nodiscard]] geo::SiteCatalog decode_site_catalog(std::string_view payload);
 
 /// One sweep cell's full SimulationResult: run-level counters, the complete
 /// per-epoch/per-site telemetry series, and the response-time histogram —

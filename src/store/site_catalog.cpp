@@ -14,7 +14,7 @@ namespace carbonedge::store {
 
 std::string build_site_catalog(const ArtifactStore& store, std::string_view tsv_text) {
   std::vector<geo::City> sites = geo::parse_sites_tsv(tsv_text);
-  const geo::CompiledSiteCatalog catalog(std::move(sites));
+  const geo::SiteCatalog catalog(std::move(sites));
   const std::string payload = encode_site_catalog(catalog);
 
   util::Fingerprint fp;
@@ -30,8 +30,8 @@ std::string build_site_catalog(const ArtifactStore& store, std::string_view tsv_
   return key;
 }
 
-std::optional<geo::CompiledSiteCatalog> load_site_catalog(const ArtifactStore& store,
-                                                          std::string_view key) {
+std::optional<geo::SiteCatalog> load_site_catalog(const ArtifactStore& store,
+                                                  std::string_view key) {
   const std::optional<std::string> payload = store.load(ArtifactKind::kSiteCatalog, key);
   if (!payload) return std::nullopt;
   try {

@@ -26,7 +26,7 @@ std::string build_site_catalog(const ArtifactStore& store, std::string_view tsv_
 /// checksum, payload schema, or catalog-invariant failures) come back as
 /// nullopt — compiled catalogs are rebuildable from their dump, so every
 /// failure mode is a cache miss, never a crash.
-[[nodiscard]] std::optional<geo::CompiledSiteCatalog> load_site_catalog(
+[[nodiscard]] std::optional<geo::SiteCatalog> load_site_catalog(
     const ArtifactStore& store, std::string_view key);
 
 }  // namespace carbonedge::store

@@ -77,28 +77,4 @@ class EmpiricalCdf {
   std::vector<double> sorted_;
 };
 
-/// Streaming accumulator (Welford) for single-pass mean/variance with
-/// min/max tracking; used by telemetry counters.
-class RunningStats {
- public:
-  void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept { return count_ > 1 ? m2_ / static_cast<double>(count_) : 0.0; }
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 }  // namespace carbonedge::util

@@ -55,7 +55,7 @@ TEST(BestPartner, FindsGreenerNeighborWithinBudget) {
   const std::vector<double> means = yearly_means(cities);
   const geo::LatencyModel latency;
   // Munich (dirtiest zone) should find a much greener partner.
-  const geo::City& munich = geo::CityDatabase::builtin().require("Munich");
+  const geo::City& munich = geo::builtin_sites().require("Munich");
   const auto partner = best_partner(munich, cities, means, latency, 15.0);
   ASSERT_TRUE(partner.has_value());
   EXPECT_GT(partner->saving_fraction, 0.5);
@@ -67,7 +67,7 @@ TEST(BestPartner, NoneWhenBudgetTooTight) {
   const auto cities = region.resolve();
   const std::vector<double> means = yearly_means(cities);
   const geo::LatencyModel latency;
-  const geo::City& munich = geo::CityDatabase::builtin().require("Munich");
+  const geo::City& munich = geo::builtin_sites().require("Munich");
   EXPECT_FALSE(best_partner(munich, cities, means, latency, 0.5).has_value());
 }
 
@@ -77,7 +77,7 @@ TEST(BestPartner, GreenestZoneHasNoImprovingPartner) {
   const std::vector<double> means = yearly_means(cities);
   const geo::LatencyModel latency;
   // Lyon is the calibrated greenest zone; nothing nearby improves on it.
-  const geo::City& lyon = geo::CityDatabase::builtin().require("Lyon");
+  const geo::City& lyon = geo::builtin_sites().require("Lyon");
   EXPECT_FALSE(best_partner(lyon, cities, means, latency, 20.0).has_value());
 }
 

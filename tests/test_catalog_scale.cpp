@@ -33,7 +33,7 @@ namespace {
 
 // 1000 synthetic sites spread over both study continents. Deterministic
 // (hash-derived coordinates), so every run builds the identical catalog.
-geo::CompiledSiteCatalog synthetic_catalog(std::size_t n) {
+geo::SiteCatalog synthetic_catalog(std::size_t n) {
   std::vector<geo::City> sites;
   sites.reserve(n);
   const char* const countries_na[] = {"US", "CA", "MX"};
@@ -60,7 +60,7 @@ geo::CompiledSiteCatalog synthetic_catalog(std::size_t n) {
     c.population_k = 50.0 + 4000.0 * u3;
     sites.push_back(std::move(c));
   }
-  return geo::CompiledSiteCatalog(std::move(sites));
+  return geo::SiteCatalog(std::move(sites));
 }
 
 core::SimulationConfig scale_config() {
@@ -99,7 +99,7 @@ std::string run_banded(const geo::SiteCatalog& catalog, std::size_t lanes) {
 }
 
 TEST(CatalogScale, ThousandSiteBandedSweepIsLaneCountInvariant) {
-  const geo::CompiledSiteCatalog catalog = synthetic_catalog(1000);
+  const geo::SiteCatalog catalog = synthetic_catalog(1000);
   ASSERT_EQ(catalog.size(), 1000u);
 
   // The geography stays sparse: the 8 ms band must keep the support far
@@ -119,7 +119,7 @@ TEST(CatalogScale, ThousandSiteBandedSweepIsLaneCountInvariant) {
 // servers of a one-A2-per-site cluster, with latency cut at an 8 ms band.
 // Two resources per pair (memory and compute).
 core::BuiltProblem banded_batch_problem() {
-  const geo::CompiledSiteCatalog catalog = synthetic_catalog(1000);
+  const geo::SiteCatalog catalog = synthetic_catalog(1000);
   const geo::Region region = geo::catalog_region(catalog, "synthetic-1000");
   carbon::CarbonIntensityService service;
   carbon::SynthesizerParams params;
@@ -178,7 +178,7 @@ TEST(CatalogScale, BandedHeuristicPlacementMatchesRecordedDigest) {
 }
 
 TEST(CatalogScale, CatalogRegionHonorsMaxSitesByPopulation) {
-  const geo::CompiledSiteCatalog catalog = synthetic_catalog(100);
+  const geo::SiteCatalog catalog = synthetic_catalog(100);
   const geo::Region all = geo::catalog_region(catalog, "all");
   EXPECT_EQ(all.cities.size(), 100u);
   const geo::Region top = geo::catalog_region(catalog, "top", 10);

@@ -14,8 +14,8 @@ namespace {
 class CitySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(CitySweep, SynthesizedTraceIsPhysical) {
-  const auto& db = geo::CityDatabase::builtin();
-  const geo::City& city = db.by_id(static_cast<geo::CityId>(GetParam()));
+  const auto& db = geo::builtin_sites();
+  const geo::City& city = db.by_id(static_cast<geo::SiteId>(GetParam()));
   const carbon::ZoneSpec spec = carbon::ZoneCatalog::builtin().spec_for(city);
   carbon::SynthesizerParams params;
   params.hours = 24 * 60;  // two months is enough for the invariants
@@ -44,7 +44,7 @@ TEST_P(CitySweep, SynthesizedTraceIsPhysical) {
 
 // Exactly one case per built-in city.
 INSTANTIATE_TEST_SUITE_P(AllCities, CitySweep,
-                         ::testing::Range(0, static_cast<int>(geo::CityDatabase::builtin().size())));
+                         ::testing::Range(0, static_cast<int>(geo::builtin_sites().size())));
 
 class PlacementSweep : public ::testing::TestWithParam<int> {};
 

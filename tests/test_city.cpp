@@ -1,4 +1,4 @@
-#include "geo/city.hpp"
+#include "geo/catalog.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,10 @@
 namespace carbonedge::geo {
 namespace {
 
+// builtin_sites(), the builtin city table. The suite keeps the name of the
+// class these tests were first written for, so their test ids stay stable.
 TEST(CityDatabase, ContainsAllPaperNamedCities) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   for (const char* name :
        {"Jacksonville", "Miami", "Tampa", "Orlando", "Tallahassee", "Las Vegas", "Kingman",
         "San Diego", "Phoenix", "Flagstaff", "Milan", "Rome", "Cagliari", "Palermo", "Arezzo",
@@ -20,14 +22,14 @@ TEST(CityDatabase, ContainsAllPaperNamedCities) {
 }
 
 TEST(CityDatabase, IdsAreDenseAndStable) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   for (std::size_t i = 0; i < db.size(); ++i) {
-    EXPECT_EQ(db.by_id(static_cast<CityId>(i)).id, i);
+    EXPECT_EQ(db.by_id(static_cast<SiteId>(i)).id, i);
   }
 }
 
 TEST(CityDatabase, NamesAreUnique) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   std::set<std::string> names;
   for (const City& c : db.all()) {
     EXPECT_TRUE(names.insert(c.name).second) << "duplicate city: " << c.name;
@@ -35,7 +37,7 @@ TEST(CityDatabase, NamesAreUnique) {
 }
 
 TEST(CityDatabase, CoordinatesAreValid) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   for (const City& c : db.all()) {
     EXPECT_GE(c.location.lat_deg, -90.0);
     EXPECT_LE(c.location.lat_deg, 90.0);
@@ -46,7 +48,7 @@ TEST(CityDatabase, CoordinatesAreValid) {
 }
 
 TEST(CityDatabase, ContinentsMatchLongitudeSplit) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   for (const City& c : db.all()) {
     if (c.continent == Continent::kNorthAmerica) {
       EXPECT_LT(c.location.lon_deg, -50.0) << c.name;
@@ -57,18 +59,18 @@ TEST(CityDatabase, ContinentsMatchLongitudeSplit) {
 }
 
 TEST(CityDatabase, RequireThrowsOnUnknown) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   EXPECT_THROW((void)db.require("Atlantis"), std::out_of_range);
   EXPECT_NO_THROW((void)db.require("Miami"));
 }
 
 TEST(CityDatabase, ByIdOutOfRangeThrows) {
-  const auto& db = CityDatabase::builtin();
-  EXPECT_THROW((void)db.by_id(static_cast<CityId>(db.size())), std::out_of_range);
+  const auto& db = builtin_sites();
+  EXPECT_THROW((void)db.by_id(static_cast<SiteId>(db.size())), std::out_of_range);
 }
 
 TEST(CityDatabase, ByContinentSortedByPopulation) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   const auto us = db.by_continent(Continent::kNorthAmerica);
   ASSERT_GT(us.size(), 10u);
   for (std::size_t i = 1; i < us.size(); ++i) {
@@ -79,7 +81,7 @@ TEST(CityDatabase, ByContinentSortedByPopulation) {
 }
 
 TEST(CityDatabase, CoverageIsCdnScale) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   const auto us = db.by_continent(Continent::kNorthAmerica);
   const auto eu = db.by_continent(Continent::kEurope);
   // The paper's latency dataset covers 64 US and 64 EU cities; our builtin
@@ -89,7 +91,7 @@ TEST(CityDatabase, CoverageIsCdnScale) {
 }
 
 TEST(CityDatabase, NearestFindsAnchor) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   const City& miami = db.require("Miami");
   EXPECT_EQ(db.nearest(miami.location), std::optional<SiteId>(miami.id));
   // A point in the Everglades is still closest to Miami.

@@ -8,14 +8,14 @@ namespace carbonedge::sim {
 namespace {
 
 TEST(DataCenter, ZoneIsCityName) {
-  const auto& db = geo::CityDatabase::builtin();
+  const auto& db = geo::builtin_sites();
   EdgeDataCenter dc(0, db.require("Miami"));
   EXPECT_EQ(dc.zone(), "Miami");
   EXPECT_EQ(dc.city().country, "US");
 }
 
 TEST(DataCenter, ServerNamesAutoGenerated) {
-  const auto& db = geo::CityDatabase::builtin();
+  const auto& db = geo::builtin_sites();
   EdgeDataCenter dc(0, db.require("Lyon"));
   ServerConfig config;
   config.device = DeviceType::kA2;
@@ -27,7 +27,7 @@ TEST(DataCenter, ServerNamesAutoGenerated) {
 }
 
 TEST(DataCenter, AggregatesAcrossServers) {
-  const auto& db = geo::CityDatabase::builtin();
+  const auto& db = geo::builtin_sites();
   EdgeDataCenter dc(0, db.require("Bern"));
   ServerConfig config;
   config.device = DeviceType::kA2;

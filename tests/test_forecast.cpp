@@ -6,7 +6,7 @@
 
 #include "carbon/synthesizer.hpp"
 #include "carbon/zone.hpp"
-#include "geo/city.hpp"
+#include "geo/catalog.hpp"
 
 namespace carbonedge::carbon {
 namespace {
@@ -21,7 +21,7 @@ CarbonTrace sine_trace() {
 }
 
 CarbonTrace real_trace() {
-  const auto& db = geo::CityDatabase::builtin();
+  const auto& db = geo::builtin_sites();
   return TraceSynthesizer().synthesize(ZoneCatalog::builtin().spec_for(db.require("Flagstaff")));
 }
 

@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "geo/city.hpp"
+#include "geo/catalog.hpp"
 #include "geo/latency_io.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
@@ -18,7 +18,7 @@
 namespace carbonedge::geo {
 namespace {
 
-const CityDatabase& db() { return CityDatabase::builtin(); }
+const SiteCatalog& db() { return builtin_sites(); }
 
 TEST(LatencyModel, ZeroForSameCity) {
   const LatencyModel model;

@@ -5,16 +5,17 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "geo/catalog.hpp"
 #include "geo/catalog_io.hpp"
-#include "geo/city.hpp"
 #include "geo/site.hpp"
 #include "store/artifact_store.hpp"
 #include "store/codecs.hpp"
 #include "store/site_catalog.hpp"
 #include "store_test_util.hpp"
+#include "util/hash.hpp"
 
 namespace carbonedge {
 namespace {
@@ -72,7 +73,7 @@ TEST(ParseSitesTsv, RejectsMalformedRows) {
 }
 
 TEST(SiteCatalog, CompiledFindMatchesLinearScanAndMissesCleanly) {
-  const geo::CompiledSiteCatalog catalog(geo::parse_sites_tsv(kGoodDump));
+  const geo::SiteCatalog catalog(geo::parse_sites_tsv(kGoodDump));
   ASSERT_EQ(catalog.size(), 4u);
   for (const geo::City& city : catalog.all()) {
     const auto found = catalog.find(city.name);
@@ -84,7 +85,7 @@ TEST(SiteCatalog, CompiledFindMatchesLinearScanAndMissesCleanly) {
 }
 
 TEST(SiteCatalog, RequireListsNearMissCandidates) {
-  const geo::CompiledSiteCatalog catalog(geo::parse_sites_tsv(kGoodDump));
+  const geo::SiteCatalog catalog(geo::parse_sites_tsv(kGoodDump));
   try {
     (void)catalog.require("springfeld");  // case + one edit away
     FAIL() << "expected out_of_range";
@@ -96,7 +97,7 @@ TEST(SiteCatalog, RequireListsNearMissCandidates) {
 }
 
 TEST(SiteCatalog, NearestOnEmptyCatalogIsNullopt) {
-  const geo::CompiledSiteCatalog empty(geo::parse_sites_tsv("# no rows\n"));
+  const geo::SiteCatalog empty(geo::parse_sites_tsv("# no rows\n"));
   ASSERT_EQ(empty.size(), 0u);
   EXPECT_FALSE(empty.nearest({0.0, 0.0}).has_value());
 }
@@ -104,7 +105,7 @@ TEST(SiteCatalog, NearestOnEmptyCatalogIsNullopt) {
 TEST(SiteCatalog, NearestBreaksDistanceTiesByLowerId) {
   // Two sites on the same spot: every query is equidistant, and the lower
   // id wins wherever the query is.
-  const geo::CompiledSiteCatalog catalog(geo::parse_sites_tsv(
+  const geo::SiteCatalog catalog(geo::parse_sites_tsv(
       "Far\tUS\tNA\t10.0\t10.0\t1\n"
       "Twin A\tUS\tNA\t39.5\t-89.0\t1\n"
       "Twin B\tUS\tNA\t39.5\t-89.0\t1\n"));
@@ -117,21 +118,21 @@ TEST(SiteCatalog, NearestBreaksDistanceTiesByLowerId) {
 TEST(SiteCatalog, ConstructorRejectsBrokenInvariants) {
   std::vector<geo::City> gap = geo::parse_sites_tsv(kGoodDump);
   gap[2].id = 7;  // ids must be dense in order
-  EXPECT_THROW(geo::CompiledSiteCatalog{std::move(gap)}, std::invalid_argument);
+  EXPECT_THROW(geo::SiteCatalog{std::move(gap)}, std::invalid_argument);
 
   std::vector<geo::City> dupe = geo::parse_sites_tsv(kGoodDump);
   dupe[1].name = dupe[0].name;
-  EXPECT_THROW(geo::CompiledSiteCatalog{std::move(dupe)}, std::invalid_argument);
+  EXPECT_THROW(geo::SiteCatalog{std::move(dupe)}, std::invalid_argument);
 
   std::vector<geo::City> bad_lat = geo::parse_sites_tsv(kGoodDump);
   bad_lat[0].location.lat_deg = 123.0;
-  EXPECT_THROW(geo::CompiledSiteCatalog{std::move(bad_lat)}, std::invalid_argument);
+  EXPECT_THROW(geo::SiteCatalog{std::move(bad_lat)}, std::invalid_argument);
 }
 
 TEST(SiteCatalogCodec, RoundTripsBitExactly) {
-  const geo::CompiledSiteCatalog catalog(geo::parse_sites_tsv(kGoodDump));
+  const geo::SiteCatalog catalog(geo::parse_sites_tsv(kGoodDump));
   const std::string payload = store::encode_site_catalog(catalog);
-  const geo::CompiledSiteCatalog decoded = store::decode_site_catalog(payload);
+  const geo::SiteCatalog decoded = store::decode_site_catalog(payload);
   ASSERT_EQ(decoded.size(), catalog.size());
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     const geo::City& a = catalog.all()[i];
@@ -148,9 +149,17 @@ TEST(SiteCatalogCodec, RoundTripsBitExactly) {
   EXPECT_EQ(store::encode_site_catalog(decoded), payload);
 }
 
+TEST(SiteCatalog, BuiltinMatchesRecordedDigest) {
+  // Pins the builtin table's ids, order and every field: the paper benches'
+  // geography.
+  util::Fingerprint fp;
+  fp.mix(std::string_view(store::encode_site_catalog(geo::builtin_sites())));
+  EXPECT_EQ(fp.digest().hex(), "99f0a1c24e08d2b71b270ab7a8c59af2");
+}
+
 TEST(SiteCatalogCodec, BuiltinDatabaseRoundTrips) {
-  const auto& builtin = geo::CityDatabase::builtin();
-  const geo::CompiledSiteCatalog decoded =
+  const auto& builtin = geo::builtin_sites();
+  const geo::SiteCatalog decoded =
       store::decode_site_catalog(store::encode_site_catalog(builtin));
   ASSERT_EQ(decoded.size(), builtin.size());
   EXPECT_EQ(decoded.all()[0].name, builtin.all()[0].name);
@@ -160,7 +169,7 @@ TEST(SiteCatalogCodec, BuiltinDatabaseRoundTrips) {
 TEST(SiteCatalogCodec, RejectsGarbageAndTruncation) {
   EXPECT_THROW((void)store::decode_site_catalog("garbage"), std::runtime_error);
   const std::string payload =
-      store::encode_site_catalog(geo::CompiledSiteCatalog(geo::parse_sites_tsv(kGoodDump)));
+      store::encode_site_catalog(geo::SiteCatalog(geo::parse_sites_tsv(kGoodDump)));
   EXPECT_THROW((void)store::decode_site_catalog(payload.substr(0, payload.size() - 3)),
                std::runtime_error);
   // Trailing bytes are schema drift, not slack.

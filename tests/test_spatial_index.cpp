@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "geo/catalog.hpp"
-#include "geo/city.hpp"
 #include "geo/coord.hpp"
 #include "geo/site.hpp"
 #include "geo/spatial_index.hpp"
@@ -100,7 +99,7 @@ TEST(SpatialIndex, EmptyIndexHasNoHits) {
 }
 
 TEST(SpatialIndex, CatalogOverloadReturnsSiteIds) {
-  const auto& db = CityDatabase::builtin();
+  const auto& db = builtin_sites();
   const SpatialIndex index(db);
   // A zero radius around Miami's own location must contain Miami's SiteId.
   const City& miami = db.require("Miami");

@@ -97,50 +97,5 @@ TEST(EmpiricalCdf, CurveIsMonotone) {
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
 }
 
-TEST(RunningStats, MatchesBatchStatistics) {
-  Rng rng(3);
-  std::vector<double> values;
-  RunningStats rs;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.uniform(-5.0, 5.0);
-    values.push_back(x);
-    rs.add(x);
-  }
-  EXPECT_NEAR(rs.mean(), mean(values), 1e-9);
-  EXPECT_NEAR(rs.variance(), variance(values), 1e-9);
-  EXPECT_DOUBLE_EQ(rs.min(), min_value(values));
-  EXPECT_DOUBLE_EQ(rs.max(), max_value(values));
-}
-
-TEST(RunningStats, MergeEquivalentToConcatenation) {
-  Rng rng(4);
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal();
-    if (i % 2 == 0) a.add(x); else b.add(x);
-    all.add(x);
-  }
-  RunningStats merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_NEAR(merged.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(merged.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(merged.min(), all.min());
-  EXPECT_DOUBLE_EQ(merged.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
 }  // namespace
 }  // namespace carbonedge::util

@@ -9,7 +9,7 @@ namespace carbonedge::carbon {
 namespace {
 
 const ZoneCatalog& catalog() { return ZoneCatalog::builtin(); }
-const geo::CityDatabase& db() { return geo::CityDatabase::builtin(); }
+const geo::SiteCatalog& db() { return geo::builtin_sites(); }
 
 ZoneSpec spec(const char* city) { return catalog().spec_for(db().require(city)); }
 

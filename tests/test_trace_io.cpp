@@ -123,7 +123,7 @@ TEST(TraceIo, RejectsEmptyZoneNames) {
 }
 
 TEST(TraceIo, SyntheticYearRoundTripsThroughFile) {
-  const auto& db = geo::CityDatabase::builtin();
+  const auto& db = geo::builtin_sites();
   const TraceSynthesizer synthesizer;
   const CarbonTrace original =
       synthesizer.synthesize(ZoneCatalog::builtin().spec_for(db.require("Graz")));

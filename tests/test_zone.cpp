@@ -7,7 +7,7 @@
 namespace carbonedge::carbon {
 namespace {
 
-const geo::CityDatabase& db() { return geo::CityDatabase::builtin(); }
+const geo::SiteCatalog& db() { return geo::builtin_sites(); }
 
 TEST(ZoneCatalog, PaperNamedZonesHaveOverrides) {
   const auto& catalog = ZoneCatalog::builtin();
