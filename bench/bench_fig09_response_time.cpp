@@ -41,11 +41,12 @@ int main() {
        {core::PolicyConfig::latency_aware(), core::PolicyConfig::carbon_edge()}) {
     auto cluster = simulation.pristine_cluster();
     core::PlacementService placement(policy);
+    const std::vector<double> intensity =
+        core::site_mean_intensity(cluster, service, /*now=*/12, /*horizon=*/1);
     core::PlacementInput input;
     input.cluster = &cluster;
     input.latency = &latency;
-    input.carbon = &service;
-    input.now = 12;
+    input.site_mean_intensity = intensity;
     std::vector<sim::Application> apps;
     for (std::size_t s = 0; s < cities.size(); ++s) {
       sim::Application app;

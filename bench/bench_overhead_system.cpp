@@ -53,11 +53,12 @@ void BM_DecisionLatency(benchmark::State& state) {
   for (auto _ : state) {
     sim::EdgeCluster working = testbed.cluster;
     core::PlacementService service(core::PolicyConfig::carbon_edge());
+    const std::vector<double> intensity =
+        core::site_mean_intensity(working, testbed.service, /*now=*/12, /*horizon=*/1);
     core::PlacementInput input;
     input.cluster = &working;
     input.latency = &testbed.latency;
-    input.carbon = &testbed.service;
-    input.now = 12;
+    input.site_mean_intensity = intensity;
     benchmark::DoNotOptimize(service.place(input, apps));
   }
 }
@@ -74,11 +75,12 @@ int main(int argc, char** argv) {
   Testbed testbed;
   sim::EdgeCluster working = testbed.cluster;
   core::PlacementService service(core::PolicyConfig::carbon_edge());
+  const std::vector<double> intensity =
+      core::site_mean_intensity(working, testbed.service, /*now=*/12, /*horizon=*/1);
   core::PlacementInput input;
   input.cluster = &working;
   input.latency = &testbed.latency;
-  input.carbon = &testbed.service;
-  input.now = 12;
+  input.site_mean_intensity = intensity;
   const core::PlacementResult placement = service.place(input, one_batch(5));
   core::Orchestrator orchestrator;
   orchestrator.deploy(placement);

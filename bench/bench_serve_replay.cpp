@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
                 {"wall_s", seconds},
                 {"carbon_g", result.sim.telemetry.total_carbon_g()},
                 {"migrations", static_cast<double>(result.sim.migrations)}});
-  json.write();
+  const bool json_written = json.write();
   const bool metrics_written = bench::write_metrics_json(metrics_path);
   bench::print_takeaway("the streaming path replays a year of arrivals at full engine speed");
-  return metrics_written ? 0 : 1;
+  return json_written && metrics_written ? 0 : 1;
 }

@@ -138,12 +138,14 @@ class BenchJsonWriter {
   }
 
   /// Writes all collected rows. Idempotent; a disabled writer is a no-op.
-  void write() const {
-    if (!enabled()) return;
+  /// True when disabled or written; on false (after printing why) the bench
+  /// exits non-zero, so a requested artifact never goes missing silently.
+  [[nodiscard]] bool write() const {
+    if (!enabled()) return true;
     std::FILE* out = std::fopen(path_.c_str(), "wb");
     if (out == nullptr) {
-      std::cerr << "bench-json: cannot open " << path_ << "\n";
-      return;
+      std::cerr << "error: bench-json: cannot open " << path_ << "\n";
+      return false;
     }
     std::fputs("{\"benchmarks\": [", out);
     for (std::size_t i = 0; i < rows_.size(); ++i) {
@@ -157,8 +159,13 @@ class BenchJsonWriter {
       std::fputs("}", out);
     }
     std::fputs(rows_.empty() ? "]}\n" : "\n]}\n", out);
-    std::fclose(out);
+    const bool written = std::ferror(out) == 0;
+    if (std::fclose(out) != 0 || !written) {
+      std::cerr << "error: bench-json: cannot write " << path_ << "\n";
+      return false;
+    }
     std::cout << "[bench-json] wrote " << rows_.size() << " rows to " << path_ << "\n";
+    return true;
   }
 
  private:

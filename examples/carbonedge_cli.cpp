@@ -152,6 +152,14 @@ double parse_bounded_double(const std::string& arg, double lo, double hi,
   return value;
 }
 
+/// Throws when arguments follow a command's `count` fixed ones (a misspelled
+/// flag must fail loudly, not be dropped).
+void reject_extra(const std::vector<std::string>& args, std::size_t count) {
+  if (args.size() > count) {
+    throw std::invalid_argument("unexpected argument '" + args[count] + "'");
+  }
+}
+
 double parse_latitude(const std::string& arg) {
   return parse_bounded_double(arg, -90.0, 90.0, "latitude in [-90, 90]");
 }
@@ -592,6 +600,7 @@ int cmd_store(int argc, char** argv) {
   const auto artifacts = std::make_shared<store::ArtifactStore>(command->dir);
   const std::string& sub = command->sub;
   if (sub == "warm") return cmd_store_warm(artifacts, std::move(command->args));
+  if (sub == "ls" || sub == "verify") reject_extra(command->args, 0);
   if (sub == "ls") return cmd_store_ls(*artifacts);
   if (sub == "verify") return cmd_store_verify(*artifacts);
   if (sub == "gc") return cmd_store_gc(*artifacts, command->args);
@@ -785,11 +794,22 @@ int cmd_metrics() {
 
 int dispatch(int argc, char** argv) {
   const std::string command = argv[1];
+  const std::vector<std::string> args(argv + 2, argv + argc);
   try {
-    if (command == "zones") return cmd_zones();
-    if (command == "analyze" && argc >= 3) return cmd_analyze(argv[2]);
-    if (command == "radius" && argc >= 3) return cmd_radius(parse_radius_km(argv[2]));
+    if (command == "zones") {
+      reject_extra(args, 0);
+      return cmd_zones();
+    }
+    if (command == "analyze" && argc >= 3) {
+      reject_extra(args, 1);
+      return cmd_analyze(argv[2]);
+    }
+    if (command == "radius" && argc >= 3) {
+      reject_extra(args, 1);
+      return cmd_radius(parse_radius_km(argv[2]));
+    }
     if (command == "simulate" && argc >= 5) {
+      reject_extra(args, 3);
       return cmd_simulate(argv[2], argv[3], util::parse_flag_unsigned<std::uint32_t>(argv[4]));
     }
     if (command == "sweep" && argc >= 4) {
@@ -803,12 +823,18 @@ int dispatch(int argc, char** argv) {
       return cmd_sweep(argv[2], util::parse_flag_unsigned<std::uint32_t>(argv[3]), single);
     }
     if (command == "serve" && argc >= 3) {
-      return cmd_serve(std::vector<std::string>(argv + 2, argv + argc));
+      return cmd_serve(args);
     }
-    if (command == "export-traces" && argc >= 4) return cmd_export(argv[2], argv[3]);
+    if (command == "export-traces" && argc >= 4) {
+      reject_extra(args, 2);
+      return cmd_export(argv[2], argv[3]);
+    }
     if (command == "store" && argc >= 3) return cmd_store(argc, argv);
     if (command == "catalog" && argc >= 3) return cmd_catalog(argc, argv);
-    if (command == "metrics") return cmd_metrics();
+    if (command == "metrics") {
+      reject_extra(args, 0);
+      return cmd_metrics();
+    }
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -47,12 +47,14 @@ int main() {
   }
 
   // 4. Run the CarbonEdge placement (Algorithm 1) at noon on January 1st.
+  //    The optimizer reads each site's mean forecast intensity Ī over the
+  //    next 24 hours from one table, built once for this placement.
+  const std::vector<double> intensity =
+      core::site_mean_intensity(cluster, carbon_service, /*now=*/12, /*horizon=*/24);
   core::PlacementInput input;
   input.cluster = &cluster;
   input.latency = &latency;
-  input.carbon = &carbon_service;
-  input.now = 12;
-  input.forecast_horizon_hours = 24;
+  input.site_mean_intensity = intensity;
 
   core::PlacementService service(core::PolicyConfig::carbon_edge());
   const core::PlacementResult result = service.place(input, apps);
@@ -63,7 +65,7 @@ int main() {
   table.set_title("CarbonEdge placement decisions");
   for (const core::PlacementDecision& d : result.decisions) {
     table.add_row({cities[apps[d.app].origin_site].name, cities[d.site].name,
-                   util::format_fixed(carbon_service.mean_forecast(cities[d.site].name, 12, 24), 0),
+                   util::format_fixed(intensity[d.site], 0),
                    util::format_fixed(d.rtt_ms, 2), util::format_fixed(d.carbon_g, 3)});
   }
   table.print(std::cout);

@@ -64,16 +64,6 @@ double CarbonIntensityService::intensity(const std::string& zone, HourIndex hour
   return trace(zone).at(hour);
 }
 
-double CarbonIntensityService::mean_forecast(const std::string& zone, HourIndex now,
-                                             std::uint32_t horizon) const {
-  return forecaster_->mean_forecast(trace(zone), now, horizon);
-}
-
-std::vector<double> CarbonIntensityService::forecast(const std::string& zone, HourIndex now,
-                                                     std::uint32_t horizon) const {
-  return forecaster_->forecast(trace(zone), now, horizon);
-}
-
 void CarbonIntensityService::set_forecaster(std::unique_ptr<Forecaster> forecaster) {
   if (!forecaster) throw std::invalid_argument("forecaster must be non-null");
   forecaster_ = std::move(forecaster);

@@ -1,6 +1,6 @@
 // Carbon-intensity service (Section 5.1, component 2 of the prototype):
-// holds per-zone traces, answers real-time intensity queries, and provides
-// the mean forecast Ī_j used by the placement optimizer (step 0 in Fig. 6).
+// holds per-zone traces, answers real-time intensity queries, and owns the
+// forecaster behind the optimizer's mean forecast Ī_j (step 0 in Fig. 6).
 #pragma once
 
 #include <memory>
@@ -41,14 +41,6 @@ class CarbonIntensityService {
 
   /// Real-time intensity of a zone at an hour.
   [[nodiscard]] double intensity(const std::string& zone, HourIndex hour) const;
-
-  /// Mean forecast intensity over [now, now + horizon) — Ī_j in Table 2.
-  [[nodiscard]] double mean_forecast(const std::string& zone, HourIndex now,
-                                     std::uint32_t horizon) const;
-
-  /// Full forecast series (for telemetry dashboards / tests).
-  [[nodiscard]] std::vector<double> forecast(const std::string& zone, HourIndex now,
-                                             std::uint32_t horizon) const;
 
   /// The zone's trace, by reference (no shared_ptr copy per query).
   [[nodiscard]] const CarbonTrace& trace(const std::string& zone) const;

@@ -13,10 +13,6 @@ CarbonTrace::CarbonTrace(std::string zone_name, std::vector<double> intensity)
   }
 }
 
-double CarbonTrace::at(HourIndex hour) const noexcept {
-  return intensity_[hour % intensity_.size()];
-}
-
 double CarbonTrace::mean_over(HourIndex start, std::uint32_t count) const noexcept {
   if (count == 0 || intensity_.empty()) return 0.0;
   double total = 0.0;

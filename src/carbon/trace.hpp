@@ -25,7 +25,7 @@ class CarbonTrace {
   /// Intensity at an hour; indices wrap modulo the trace length, so multi-
   /// year simulations replay the trace cyclically (as the prototype's trace
   /// replayer does).
-  [[nodiscard]] double at(HourIndex hour) const noexcept;
+  [[nodiscard]] double at(HourIndex h) const noexcept { return intensity_[h % intensity_.size()]; }
 
   [[nodiscard]] std::span<const double> values() const noexcept { return intensity_; }
 

@@ -16,6 +16,16 @@ obs::Phase& place_phase() {
 
 }  // namespace
 
+std::vector<double> site_mean_intensity(const sim::EdgeCluster& cluster,
+                                        const carbon::CarbonIntensityService& carbon,
+                                        carbon::HourIndex now, std::uint32_t horizon) {
+  std::vector<double> table;
+  for (const sim::EdgeDataCenter& site : cluster.sites()) {
+    table.push_back(carbon.forecaster().mean_forecast(carbon.trace(site.zone()), now, horizon));
+  }
+  return table;
+}
+
 PlacementService::PlacementService(PolicyConfig policy, solver::AssignmentOptions options)
     : policy_(policy), options_(options) {}
 

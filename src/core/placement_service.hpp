@@ -2,12 +2,17 @@
 //
 // Per batch of arriving applications: compute application-server latencies,
 // filter infeasible servers, read server telemetry (capacity, power state,
-// base power) and the mean forecast intensity Ī, solve the Eq. 7
-// optimization, and commit placements + power-state transitions.
+// base power) and the epoch's per-site table of mean forecast intensity Ī
+// (not the carbon service), solve the Eq. 7 optimization, and commit.
 #pragma once
 
+#include <vector>
+
+#include "carbon/caltime.hpp"
+#include "carbon/service.hpp"
 #include "core/policy.hpp"
 #include "core/problem.hpp"
+#include "sim/datacenter.hpp"
 #include "sim/server.hpp"
 #include "sim/workload.hpp"
 #include "solver/assignment.hpp"
@@ -36,6 +41,13 @@ struct PlacementResult {
   /// component fell through to greedy + local search.
   bool used_exact_solver = false;
 };
+
+/// The PlacementInput::site_mean_intensity table for a caller outside the
+/// engine: per site, forecaster().mean_forecast(trace(zone), now, horizon),
+/// the call SimulationEngine makes once per site per epoch.
+[[nodiscard]] std::vector<double> site_mean_intensity(
+    const sim::EdgeCluster& cluster, const carbon::CarbonIntensityService& carbon,
+    carbon::HourIndex now, std::uint32_t horizon);
 
 class PlacementService {
  public:

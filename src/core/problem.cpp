@@ -19,8 +19,9 @@ std::pair<double, double> value_range(const std::vector<double>& values) {
 
 BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::Application> apps,
                            const PolicyConfig& policy) {
-  if (input.cluster == nullptr || input.latency == nullptr || input.carbon == nullptr) {
-    throw std::invalid_argument("placement input must supply cluster, latency, and carbon");
+  if (input.cluster == nullptr || input.latency == nullptr ||
+      input.site_mean_intensity.size() != input.cluster->size()) {
+    throw std::invalid_argument("placement input needs cluster, latency, and site intensities");
   }
 
   BuiltProblem built;
@@ -28,26 +29,10 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
   const std::size_t num_apps = apps.size();
   const std::size_t num_servers = built.servers.size();
 
-  built.activation_energy_wh.assign(num_servers, 0.0);
-  built.activation_carbon_g.assign(num_servers, 0.0);
-  built.mean_intensity.assign(num_servers, 0.0);
-
-  // Per-column mean forecast intensity Ī_j and activation terms. Ī is a
-  // property of the site's zone, so it is forecast once per run of a site's
-  // columns (all_servers() is site-major: once per site).
-  double intensity = 0.0;
-  for (std::size_t j = 0; j < num_servers; ++j) {
-    const auto& ref = built.servers[j];
-    if (j == 0 || ref.site != built.servers[j - 1].site) {
-      intensity = input.carbon->mean_forecast(input.cluster->sites()[ref.site].zone(),
-                                              input.now, input.forecast_horizon_hours);
-    }
-    built.mean_intensity[j] = intensity;
-    if (!ref.server->powered_on()) {
-      const double energy = ref.server->config().base_power_w * input.epoch_hours;  // Wh
-      built.activation_energy_wh[j] = energy;
-      built.activation_carbon_g[j] = energy / 1000.0 * intensity;
-    }
+  // Ī_j per column: its site's entry of the epoch's table.
+  built.mean_intensity.reserve(num_servers);
+  for (const auto& ref : built.servers) {
+    built.mean_intensity.push_back(input.site_mean_intensity[ref.site]);
   }
 
   // Feasible (latency + model-support) pairs in (app, server) order, with
@@ -100,9 +85,10 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
     problem.set_initially_on(j, server.powered_on());
   }
 
-  // Policy-specific objective.
-  const auto [energy_lo, energy_hi] = value_range(built.energy_wh);
-  const auto [carbon_lo, carbon_hi] = value_range(built.carbon_g);
+  // Policy-specific objective. Only the Eq. 8 blend reads the value ranges.
+  const bool blend = policy.kind == PolicyKind::kMultiObjective;
+  const auto [energy_lo, energy_hi] = blend ? value_range(built.energy_wh) : std::pair{0.0, 0.0};
+  const auto [carbon_lo, carbon_hi] = blend ? value_range(built.carbon_g) : std::pair{0.0, 0.0};
   for (std::size_t p = 0; p < pair_app.size(); ++p) {
     const std::size_t j = pair_server[p];
     double cost = 0.0;
@@ -129,27 +115,30 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
     problem.add_pair(pair_app[p], j, cost, {pair_demand[2 * p], pair_demand[2 * p + 1]});
   }
   // Activation costs in the policy's own units (Eq. 6's second term for
-  // CarbonEdge; energy for Energy-aware; normalized blend for Eq. 8).
+  // CarbonEdge; energy for Energy-aware; normalized blend for Eq. 8): an
+  // initially-off server's base power over the epoch.
   for (std::size_t j = 0; j < num_servers; ++j) {
+    const sim::EdgeServer& server = *built.servers[j].server;
+    const double energy =
+        server.powered_on() ? 0.0 : server.config().base_power_w * input.epoch_hours;  // Wh
+    const double carbon = energy / 1000.0 * built.mean_intensity[j];                  // g
     double activation = 0.0;
     switch (policy.kind) {
       case PolicyKind::kLatencyAware:
         activation = 0.0;  // latency policy is indifferent to power state
         break;
       case PolicyKind::kEnergyAware:
-        activation = built.activation_energy_wh[j];
+        activation = energy;
         break;
       case PolicyKind::kIntensityAware:
         activation = 0.0;  // greedy on intensity only
         break;
       case PolicyKind::kCarbonEdge:
-        activation = built.activation_carbon_g[j];
+        activation = carbon;
         break;
       case PolicyKind::kMultiObjective: {
-        const double e =
-            util::minmax_normalize(built.activation_energy_wh[j], energy_lo, energy_hi);
-        const double c =
-            util::minmax_normalize(built.activation_carbon_g[j], carbon_lo, carbon_hi);
+        const double e = util::minmax_normalize(energy, energy_lo, energy_hi);
+        const double c = util::minmax_normalize(carbon, carbon_lo, carbon_hi);
         activation = policy.alpha * e + (1.0 - policy.alpha) * c;
         break;
       }

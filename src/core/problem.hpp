@@ -1,12 +1,12 @@
-// Placement problem construction: turns cluster state + carbon forecasts +
-// latency matrix + a policy into a solver::AssignmentProblem (the Eq. 1-7
-// model after Algorithm 1's latency pre-filtering).
+// Placement problem construction: turns cluster state + a per-site table of
+// mean forecast intensities Ī + latency matrix + a policy into a
+// solver::AssignmentProblem (the Eq. 1-7 model after Algorithm 1's latency
+// pre-filtering). The build queries no forecaster.
 #pragma once
 
+#include <span>
 #include <vector>
 
-#include "carbon/caltime.hpp"
-#include "carbon/service.hpp"
 #include "core/policy.hpp"
 #include "geo/latency.hpp"
 #include "sim/datacenter.hpp"
@@ -18,11 +18,9 @@ namespace carbonedge::core {
 /// Inputs shared by every placement call of one epoch.
 struct PlacementInput {
   sim::EdgeCluster* cluster = nullptr;
-  const geo::LatencyProvider* latency = nullptr;      // site x site one-way ms
-  const carbon::CarbonIntensityService* carbon = nullptr;
-  carbon::HourIndex now = 0;
-  std::uint32_t forecast_horizon_hours = 1;  // window for the mean forecast Ī_j
-  double epoch_hours = 1.0;                  // energy integration window
+  const geo::LatencyProvider* latency = nullptr;  // site x site one-way ms
+  std::span<const double> site_mean_intensity;   // Ī per cluster site, in site order
+  double epoch_hours = 1.0;  // energy integration window
 };
 
 /// The built problem plus the physical quantities behind the policy costs,
@@ -36,15 +34,13 @@ struct BuiltProblem {
   std::vector<double> energy_wh;
   std::vector<double> carbon_g;
   std::vector<double> rtt_ms;
-  // Per-server (column) activation quantities for initially-off servers.
-  std::vector<double> activation_energy_wh;
-  std::vector<double> activation_carbon_g;
   std::vector<double> mean_intensity;  // Ī per server column
 };
 
 /// Build the assignment problem for a batch of applications under `policy`.
 /// Resource dimensions: device memory (MB) and compute busy-fraction, taken
-/// from each server's *remaining* capacity (incremental placement).
+/// from each server's *remaining* capacity (incremental placement). Throws
+/// std::invalid_argument on a missing input or a wrong-size Ī table.
 [[nodiscard]] BuiltProblem build_problem(const PlacementInput& input,
                                          std::span<const sim::Application> apps,
                                          const PolicyConfig& policy);

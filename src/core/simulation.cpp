@@ -101,6 +101,7 @@ SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
       carbon_(&carbon),
       latency_(&latency),
       site_traces_(resolve_site_traces(cluster_, carbon)),
+      site_mean_intensity_(site_traces_.size()),
       service_(config.policy, with_budget(config.solver_options, budget)),
       power_manager_(config.power),
       failure_rng_(config.failures.seed) {}
@@ -159,10 +160,13 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   const carbon::HourIndex hour = hour_of(epoch);
 
   const carbon::Forecaster& forecaster = carbon_->forecaster();
-  // Mean forecast intensity Ī of `site`'s zone at `hour`.
-  const auto mean_forecast = [&](std::size_t site) {
-    return forecaster.mean_forecast(*site_traces_[site], hour, config_.forecast_horizon_hours);
-  };
+  // Mean forecast intensity Ī of each site's zone at `hour`, forecast once
+  // per site per epoch; everything below reads it by site index.
+  for (std::size_t site = 0; site < site_traces_.size(); ++site) {
+    site_mean_intensity_[site] =
+        forecaster.mean_forecast(*site_traces_[site], hour, config_.forecast_horizon_hours);
+  }
+  deferral_min_.clear();
 
   // Expected per-epoch operational carbon of `app` on `server` (at `site`)
   // at `hour`.
@@ -171,14 +175,14 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
     if (!prof.supported) return -1.0;
     const double energy_wh = prof.profile.energy_j * app.rps * config_.epoch_hours;
-    return energy_wh / 1000.0 * mean_forecast(site);
+    return energy_wh / 1000.0 * site_mean_intensity_[site];
   };
 
   // Migration data-movement cost of moving `app` out of `site` at `hour`.
   const auto migration_cost = [&](const sim::Application& app, std::size_t site) {
     const double energy_wh =
         app.state_size_mb / 1024.0 * config_.migration.network_energy_wh_per_gb;
-    const double carbon_g = energy_wh / 1000.0 * mean_forecast(site);
+    const double carbon_g = energy_wh / 1000.0 * site_mean_intensity_[site];
     return std::pair{energy_wh, carbon_g};
   };
 
@@ -264,11 +268,15 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       const double now_ci = trace.at(hour);
       const auto window = static_cast<std::uint32_t>(
           std::ceil(static_cast<double>(app.max_defer_epochs) * config_.epoch_hours));
-      double future_min = now_ci;
-      for (const double v : forecaster.forecast(trace, hour + 1, window)) {
-        future_min = std::min(future_min, v);
+      // Apps from one origin with one window share the fold.
+      const auto [memo, fresh] = deferral_min_.try_emplace(
+          static_cast<std::uint64_t>(app.origin_site) << 32 | window, now_ci);
+      if (fresh) {
+        for (const double v : forecaster.forecast(trace, hour + 1, window)) {
+          memo->second = std::min(memo->second, v);
+        }
       }
-      start = now_ci <= future_min * 1.02;
+      start = now_ci <= memo->second * 1.02;
     }
     if (start) {
       batch.push_back(std::move(app));
@@ -348,9 +356,7 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   PlacementInput input;
   input.cluster = &cluster_;
   input.latency = latency_;
-  input.carbon = carbon_;
-  input.now = hour;
-  input.forecast_horizon_hours = config_.forecast_horizon_hours;
+  input.site_mean_intensity = site_mean_intensity_;
   input.epoch_hours = config_.epoch_hours;
   const PlacementResult placement = service_.place(input, batch);
   orchestrator_.deploy(placement);

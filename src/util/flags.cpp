@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -50,13 +51,11 @@ std::uint64_t parse_count(std::string_view value, std::string_view arg, std::uin
   if (value.empty() || value.find_first_not_of("0123456789") != std::string_view::npos) {
     throw std::invalid_argument("bad count in " + std::string(arg));
   }
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(std::string(value));
-  } catch (const std::out_of_range&) {
-    parsed = std::numeric_limits<unsigned long long>::max();
+  std::uint64_t parsed = 0;  // digits only, so from_chars fails only beyond 64 bits
+  if (std::from_chars(value.data(), value.data() + value.size(), parsed).ec != std::errc{} ||
+      parsed > max) {
+    throw std::out_of_range("count out of range in " + std::string(arg));
   }
-  if (parsed > max) throw std::out_of_range("count out of range in " + std::string(arg));
   return parsed;
 }
 

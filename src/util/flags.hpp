@@ -39,8 +39,8 @@ namespace carbonedge::util {
 
 /// `value` as a decimal count no larger than `max`: digits only. Throws
 /// std::invalid_argument("bad count in <arg>") for "-1", "3x" or an empty
-/// value, and std::out_of_range("count out of range in <arg>") above `max`.
-/// A value beyond 64 bits reads as the 64-bit maximum.
+/// value, and std::out_of_range("count out of range in <arg>") above `max`
+/// (a value beyond 64 bits included).
 [[nodiscard]] std::uint64_t parse_count(std::string_view value, std::string_view arg,
                                         std::uint64_t max);
 

@@ -29,14 +29,15 @@ TEST(CarbonService, UnknownZoneThrows) {
   CarbonIntensityService service;
   EXPECT_THROW((void)service.intensity("Nowhere", 0), std::out_of_range);
   EXPECT_THROW((void)service.trace("Nowhere"), std::out_of_range);
-  EXPECT_THROW((void)service.mean_forecast("Nowhere", 0, 1), std::out_of_range);
+  EXPECT_THROW((void)service.forecaster().mean_forecast(service.trace("Nowhere"), 0, 1),
+               std::out_of_range);
 }
 
 TEST(CarbonService, OracleMeanForecastEqualsTrueMean) {
   CarbonIntensityService service;  // defaults to oracle
   service.add_region(geo::west_us_region());
   const CarbonTrace& trace = service.trace("Kingman");
-  EXPECT_DOUBLE_EQ(service.mean_forecast("Kingman", 100, 24), trace.mean_over(100, 24));
+  EXPECT_DOUBLE_EQ(service.forecaster().mean_forecast(trace, 100, 24), trace.mean_over(100, 24));
 }
 
 TEST(CarbonService, ForecasterSwappable) {
@@ -44,7 +45,7 @@ TEST(CarbonService, ForecasterSwappable) {
   service.add_trace(CarbonTrace("z", {10.0, 20.0, 30.0, 40.0}));
   service.set_forecaster(std::make_unique<PersistenceForecaster>());
   // Persistence at t=2 holds trace[1] = 20 for the whole horizon.
-  EXPECT_DOUBLE_EQ(service.mean_forecast("z", 2, 2), 20.0);
+  EXPECT_DOUBLE_EQ(service.forecaster().mean_forecast(service.trace("z"), 2, 2), 20.0);
   EXPECT_EQ(service.forecaster().name(), "persistence");
   EXPECT_THROW(service.set_forecaster(nullptr), std::invalid_argument);
 }
@@ -75,7 +76,7 @@ TEST(CarbonService, AddSharedTraceRejectsEmptyTrace) {
 TEST(CarbonService, ForecastSeriesHasRequestedHorizon) {
   CarbonIntensityService service;
   service.add_trace(CarbonTrace("z", {1.0, 2.0, 3.0}));
-  EXPECT_EQ(service.forecast("z", 0, 5).size(), 5u);
+  EXPECT_EQ(service.forecaster().forecast(service.trace("z"), 0, 5).size(), 5u);
 }
 
 TEST(CarbonService, NullForecasterCtorThrows) {

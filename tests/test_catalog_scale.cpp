@@ -12,6 +12,7 @@
 
 #include "carbon/service.hpp"
 #include "carbon/synthesizer.hpp"
+#include "core/placement_service.hpp"
 #include "core/policy.hpp"
 #include "core/problem.hpp"
 #include "core/simulation.hpp"
@@ -138,10 +139,12 @@ core::BuiltProblem banded_batch_problem() {
     app.rps = 5.0;
     apps.push_back(app);
   }
+  const std::vector<double> intensity =
+      core::site_mean_intensity(cluster, service, /*now=*/0, /*horizon=*/1);
   core::PlacementInput input;
   input.cluster = &cluster;
   input.latency = &banded;
-  input.carbon = &service;
+  input.site_mean_intensity = intensity;
   return core::build_problem(input, apps, core::PolicyConfig::carbon_edge());
 }
 

@@ -70,8 +70,14 @@ TEST(ParseFlagUnsigned, RejectsValuesBeyondTheTargetType) {
             "count out of range in --epochs=4294967296");
   EXPECT_THROW((void)parse_flag_unsigned<std::uint32_t>("99999999999999999999"),
                std::out_of_range);
-  // Beyond 64 bits a 64-bit count reads as its maximum.
-  EXPECT_EQ(parse_flag_unsigned("99999999999999999999"),
+  // Beyond 64 bits even a 64-bit count is out of range; 2^64 - 1 is not.
+  EXPECT_THROW((void)parse_flag_unsigned("99999999999999999999"), std::out_of_range);
+  EXPECT_EQ(error_of([] {
+              return parse_flag_unsigned("99999999999999999999",
+                                         "--queue-capacity=99999999999999999999");
+            }),
+            "count out of range in --queue-capacity=99999999999999999999");
+  EXPECT_EQ(parse_flag_unsigned("18446744073709551615"),
             std::numeric_limits<std::uint64_t>::max());
 }
 

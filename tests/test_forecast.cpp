@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "carbon/synthesizer.hpp"
 #include "carbon/zone.hpp"
@@ -95,6 +97,33 @@ TEST(MeanForecast, MatchesWindowAverage) {
   const OracleForecaster oracle;
   EXPECT_DOUBLE_EQ(oracle.mean_forecast(trace, 1, 2), 25.0);
   EXPECT_DOUBLE_EQ(oracle.mean_forecast(trace, 0, 0), 10.0);  // degenerate horizon
+}
+
+// Ī is the plain mean of the forecast series, bit for bit, for every
+// forecaster (the oracle sums the trace in place instead of building the
+// series), including windows that wrap past the trace end. A zero horizon
+// has no series: Ī is the intensity at `now`.
+TEST(Forecaster, MeanForecastMatchesSeriesMean) {
+  const CarbonTrace trace = real_trace();
+  const auto last = static_cast<HourIndex>(trace.hours() - 1);
+  for (const char* name : {"oracle", "persistence", "moving_average", "diurnal", "holt_winters"}) {
+    const std::unique_ptr<Forecaster> forecaster = make_forecaster(name);
+    for (const HourIndex now : {HourIndex{0}, HourIndex{5}, HourIndex{24 * 30 + 7}, last - 2, last}) {
+      for (const std::uint32_t horizon : {0u, 1u, 3u, 24u, 169u}) {
+        const double mean = forecaster->mean_forecast(trace, now, horizon);
+        if (horizon == 0) {
+          EXPECT_EQ(mean, trace.at(now)) << name << " now=" << now;
+          continue;
+        }
+        const std::vector<double> series = forecaster->forecast(trace, now, horizon);
+        ASSERT_EQ(series.size(), horizon);
+        double total = 0.0;
+        for (const double v : series) total += v;
+        EXPECT_EQ(mean, total / static_cast<double>(series.size()))
+            << name << " now=" << now << " h=" << horizon;
+      }
+    }
+  }
 }
 
 TEST(Factory, MakesAllKnownForecasters) {

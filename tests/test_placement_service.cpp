@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 namespace carbonedge::core {
 namespace {
 
@@ -15,12 +17,16 @@ struct Fixture {
     latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
+  // One Ī table per input() call, kept alive (and in place) for the
+  // fixture's lifetime since each input's span points into it.
+  std::deque<std::vector<double>> tables;
+
   PlacementInput input(carbon::HourIndex now = 12) {
+    tables.push_back(site_mean_intensity(cluster, carbon, now, /*horizon=*/1));
     PlacementInput in;
     in.cluster = &cluster;
     in.latency = &latency;
-    in.carbon = &carbon;
-    in.now = now;
+    in.site_mean_intensity = tables.back();
     return in;
   }
 

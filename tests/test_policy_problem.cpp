@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "core/placement_service.hpp"
 #include "core/policy.hpp"
 
 namespace carbonedge::core {
@@ -18,12 +21,16 @@ struct Fixture {
     latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
-  PlacementInput input(carbon::HourIndex now = 12) {
+  // One Ī table per input() call, kept alive (and in place) for the
+  // fixture's lifetime since each input's span points into it.
+  std::deque<std::vector<double>> tables;
+
+  PlacementInput input(carbon::HourIndex now = 12, std::uint32_t horizon = 1) {
+    tables.push_back(site_mean_intensity(cluster, carbon, now, horizon));
     PlacementInput in;
     in.cluster = &cluster;
     in.latency = &latency;
-    in.carbon = &carbon;
-    in.now = now;
+    in.site_mean_intensity = tables.back();
     return in;
   }
 };
@@ -48,9 +55,62 @@ TEST(Policy, NamesAndDescribe) {
 
 TEST(BuildProblem, RequiresAllInputs) {
   Fixture f;
-  PlacementInput bad;
   const std::vector<sim::Application> apps = {app_at(0)};
-  EXPECT_THROW(build_problem(bad, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
+  PlacementInput no_cluster = f.input();
+  no_cluster.cluster = nullptr;
+  EXPECT_THROW(build_problem(no_cluster, apps, PolicyConfig::carbon_edge()),
+               std::invalid_argument);
+  PlacementInput no_latency = f.input();
+  no_latency.latency = nullptr;
+  EXPECT_THROW(build_problem(no_latency, apps, PolicyConfig::carbon_edge()),
+               std::invalid_argument);
+}
+
+TEST(BuildProblem, RejectsIntensityTableOfWrongSize) {
+  Fixture f;
+  const std::vector<sim::Application> apps = {app_at(0)};
+  const std::vector<double> table = site_mean_intensity(f.cluster, f.carbon, 12, 1);
+  ASSERT_EQ(table.size(), f.cluster.size());
+  PlacementInput in = f.input();
+  in.site_mean_intensity = {};
+  EXPECT_THROW(build_problem(in, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
+  in.site_mean_intensity = std::span<const double>(table).first(table.size() - 1);
+  EXPECT_THROW(build_problem(in, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
+  std::vector<double> longer = table;
+  longer.push_back(100.0);
+  in.site_mean_intensity = longer;
+  EXPECT_THROW(build_problem(in, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
+  in.site_mean_intensity = table;
+  EXPECT_NO_THROW((void)build_problem(in, apps, PolicyConfig::carbon_edge()));
+}
+
+TEST(BuildProblem, ReadsMeanIntensityFromTheTableBySite) {
+  Fixture f;
+  const std::vector<sim::Application> apps = {app_at(0, 40.0)};
+  PlacementInput in = f.input();
+  std::vector<double> table(f.cluster.size());
+  for (std::size_t s = 0; s < table.size(); ++s) table[s] = 100.0 + 10.0 * static_cast<double>(s);
+  in.site_mean_intensity = table;
+  const BuiltProblem built = build_problem(in, apps, PolicyConfig::carbon_edge());
+  for (std::size_t j = 0; j < built.servers.size(); ++j) {
+    EXPECT_EQ(built.mean_intensity[j], table[built.servers[j].site]) << j;
+  }
+}
+
+TEST(SiteMeanIntensity, MatchesTheForecasterPerSite) {
+  Fixture f;
+  for (const char* name : {"oracle", "diurnal"}) {
+    f.carbon.set_forecaster(carbon::make_forecaster(name));
+    for (const std::uint32_t horizon : {0u, 1u, 24u}) {
+      const std::vector<double> table = site_mean_intensity(f.cluster, f.carbon, 100, horizon);
+      ASSERT_EQ(table.size(), f.cluster.size());
+      for (std::size_t s = 0; s < table.size(); ++s) {
+        const carbon::CarbonTrace& trace = f.carbon.trace(f.cluster.sites()[s].zone());
+        EXPECT_EQ(table[s], f.carbon.forecaster().mean_forecast(trace, 100, horizon))
+            << name << " site " << s << " h=" << horizon;
+      }
+    }
+  }
 }
 
 TEST(BuildProblem, DimensionsMatchClusterAndBatch) {
@@ -101,8 +161,7 @@ TEST(BuildProblem, CarbonCostIsEnergyTimesIntensity) {
 TEST(BuildProblem, MeanIntensityUsesForecastWindow) {
   Fixture f;
   const std::vector<sim::Application> apps = {app_at(0, 40.0)};
-  PlacementInput in = f.input(100);
-  in.forecast_horizon_hours = 24;
+  const PlacementInput in = f.input(100, 24);
   const BuiltProblem built = build_problem(in, apps, PolicyConfig::carbon_edge());
   const auto& trace = f.carbon.trace("Jacksonville");
   EXPECT_NEAR(built.mean_intensity[0], trace.mean_over(100, 24), 1e-9);
