@@ -46,7 +46,7 @@ int main() {
     core::PlacementInput input;
     input.cluster = &cluster;
     input.latency = &latency;
-    input.site_mean_intensity = intensity;
+    input.site_mean_intensity = &intensity;
     std::vector<sim::Application> apps;
     for (std::size_t s = 0; s < cities.size(); ++s) {
       sim::Application app;

@@ -57,7 +57,7 @@ double run_once(Instance& inst, double* out_ms) {
   core::PlacementInput input;
   input.cluster = &working;
   input.latency = &inst.latency;
-  input.site_mean_intensity = intensity;
+  input.site_mean_intensity = &intensity;
   const core::PlacementResult result = service.place(input, inst.apps);
   if (out_ms != nullptr) *out_ms = result.solve_time_ms;
   return result.objective;

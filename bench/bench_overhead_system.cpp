@@ -58,7 +58,7 @@ void BM_DecisionLatency(benchmark::State& state) {
     core::PlacementInput input;
     input.cluster = &working;
     input.latency = &testbed.latency;
-    input.site_mean_intensity = intensity;
+    input.site_mean_intensity = &intensity;
     benchmark::DoNotOptimize(service.place(input, apps));
   }
 }
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   core::PlacementInput input;
   input.cluster = &working;
   input.latency = &testbed.latency;
-  input.site_mean_intensity = intensity;
+  input.site_mean_intensity = &intensity;
   const core::PlacementResult placement = service.place(input, one_batch(5));
   core::Orchestrator orchestrator;
   orchestrator.deploy(placement);

@@ -54,7 +54,7 @@ int main() {
   core::PlacementInput input;
   input.cluster = &cluster;
   input.latency = &latency;
-  input.site_mean_intensity = intensity;
+  input.site_mean_intensity = &intensity;
 
   core::PlacementService service(core::PolicyConfig::carbon_edge());
   const core::PlacementResult result = service.place(input, apps);

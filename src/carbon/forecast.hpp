@@ -28,10 +28,9 @@ class Forecaster {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Mean of the forecast window — the Ī_j consumed by the optimizer (the
-  /// intensity at `now` for a zero horizon). Overrides keep the base's bits.
-  [[nodiscard]] virtual double mean_forecast(const CarbonTrace& trace, HourIndex now,
-                                             std::uint32_t horizon) const;
+  /// Mean of the forecast window — the Ī_j consumed by the optimizer.
+  [[nodiscard]] double mean_forecast(const CarbonTrace& trace, HourIndex now,
+                                     std::uint32_t horizon) const;
 };
 
 /// Perfect foresight (replays the trace). Matches the paper's evaluation,
@@ -40,11 +39,6 @@ class OracleForecaster final : public Forecaster {
  public:
   [[nodiscard]] std::vector<double> forecast(const CarbonTrace& trace, HourIndex now,
                                              std::uint32_t horizon) const override;
-  /// The base's sum over the trace hours themselves, with no series built.
-  [[nodiscard]] double mean_forecast(const CarbonTrace& trace, HourIndex now,
-                                     std::uint32_t horizon) const override {
-    return horizon == 0 ? trace.at(now) : trace.mean_over(now, horizon);
-  }
   [[nodiscard]] std::string name() const override { return "oracle"; }
 };
 

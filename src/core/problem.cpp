@@ -20,20 +20,17 @@ std::pair<double, double> value_range(const std::vector<double>& values) {
 BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::Application> apps,
                            const PolicyConfig& policy) {
   if (input.cluster == nullptr || input.latency == nullptr ||
-      input.site_mean_intensity.size() != input.cluster->size()) {
+      input.site_mean_intensity == nullptr ||
+      input.site_mean_intensity->size() != input.cluster->size()) {
     throw std::invalid_argument("placement input needs cluster, latency, and site intensities");
   }
+  // Ī of server column j is intensity[servers[j].site].
+  const std::vector<double>& intensity = *input.site_mean_intensity;
 
   BuiltProblem built;
   built.servers = input.cluster->all_servers();
   const std::size_t num_apps = apps.size();
   const std::size_t num_servers = built.servers.size();
-
-  // Ī_j per column: its site's entry of the epoch's table.
-  built.mean_intensity.reserve(num_servers);
-  for (const auto& ref : built.servers) {
-    built.mean_intensity.push_back(input.site_mean_intensity[ref.site]);
-  }
 
   // Feasible (latency + model-support) pairs in (app, server) order, with
   // their physical quantities and resource demands. all_servers() is
@@ -66,7 +63,7 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
         const double watts = prof.profile.energy_j * app.rps;  // dynamic draw
         const double energy = watts * input.epoch_hours;       // Wh over the epoch
         built.energy_wh.push_back(energy);
-        built.carbon_g.push_back(energy / 1000.0 * built.mean_intensity[j]);
+        built.carbon_g.push_back(energy / 1000.0 * intensity[s]);
         built.rtt_ms.push_back(rtt);
         pair_app.push_back(i);
         pair_server.push_back(j);
@@ -100,7 +97,7 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
         cost = built.energy_wh[p];
         break;
       case PolicyKind::kIntensityAware:
-        cost = built.mean_intensity[j];
+        cost = intensity[built.servers[j].site];
         break;
       case PolicyKind::kCarbonEdge:
         cost = built.carbon_g[p];
@@ -121,7 +118,7 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
     const sim::EdgeServer& server = *built.servers[j].server;
     const double energy =
         server.powered_on() ? 0.0 : server.config().base_power_w * input.epoch_hours;  // Wh
-    const double carbon = energy / 1000.0 * built.mean_intensity[j];                  // g
+    const double carbon = energy / 1000.0 * intensity[built.servers[j].site];        // g
     double activation = 0.0;
     switch (policy.kind) {
       case PolicyKind::kLatencyAware:

@@ -19,7 +19,7 @@ namespace carbonedge::core {
 struct PlacementInput {
   sim::EdgeCluster* cluster = nullptr;
   const geo::LatencyProvider* latency = nullptr;  // site x site one-way ms
-  std::span<const double> site_mean_intensity;   // Ī per cluster site, in site order
+  const std::vector<double>* site_mean_intensity = nullptr;  // Ī per cluster site
   double epoch_hours = 1.0;  // energy integration window
 };
 
@@ -34,7 +34,6 @@ struct BuiltProblem {
   std::vector<double> energy_wh;
   std::vector<double> carbon_g;
   std::vector<double> rtt_ms;
-  std::vector<double> mean_intensity;  // Ī per server column
 };
 
 /// Build the assignment problem for a batch of applications under `policy`.

@@ -166,7 +166,6 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     site_mean_intensity_[site] =
         forecaster.mean_forecast(*site_traces_[site], hour, config_.forecast_horizon_hours);
   }
-  deferral_min_.clear();
 
   // Expected per-epoch operational carbon of `app` on `server` (at `site`)
   // at `hour`.
@@ -268,15 +267,11 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       const double now_ci = trace.at(hour);
       const auto window = static_cast<std::uint32_t>(
           std::ceil(static_cast<double>(app.max_defer_epochs) * config_.epoch_hours));
-      // Apps from one origin with one window share the fold.
-      const auto [memo, fresh] = deferral_min_.try_emplace(
-          static_cast<std::uint64_t>(app.origin_site) << 32 | window, now_ci);
-      if (fresh) {
-        for (const double v : forecaster.forecast(trace, hour + 1, window)) {
-          memo->second = std::min(memo->second, v);
-        }
+      double future_min = now_ci;
+      for (const double v : forecaster.forecast(trace, hour + 1, window)) {
+        future_min = std::min(future_min, v);
       }
-      start = now_ci <= memo->second * 1.02;
+      start = now_ci <= future_min * 1.02;
     }
     if (start) {
       batch.push_back(std::move(app));
@@ -356,7 +351,7 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   PlacementInput input;
   input.cluster = &cluster_;
   input.latency = latency_;
-  input.site_mean_intensity = site_mean_intensity_;
+  input.site_mean_intensity = &site_mean_intensity_;
   input.epoch_hours = config_.epoch_hours;
   const PlacementResult placement = service_.place(input, batch);
   orchestrator_.deploy(placement);

@@ -192,10 +192,8 @@ class SimulationEngine {
   // Site s's carbon trace (carbon_->shared_trace of its zone), resolved at
   // construction so per-site queries index instead of hashing the zone.
   std::vector<std::shared_ptr<const carbon::CarbonTrace>> site_traces_;
-  // Refilled at the top of each step(): Ī per site at the epoch's hour, and
-  // the deferral release's future minimum per (site << 32 | window).
+  // Refilled at the top of each step(): Ī per site at the epoch's hour.
   std::vector<double> site_mean_intensity_;
-  std::unordered_map<std::uint64_t, double> deferral_min_;
   PlacementService service_;
   PowerManager power_manager_;
   Orchestrator orchestrator_;

@@ -144,7 +144,7 @@ core::BuiltProblem banded_batch_problem() {
   core::PlacementInput input;
   input.cluster = &cluster;
   input.latency = &banded;
-  input.site_mean_intensity = intensity;
+  input.site_mean_intensity = &intensity;
   return core::build_problem(input, apps, core::PolicyConfig::carbon_edge());
 }
 

@@ -100,9 +100,8 @@ TEST(MeanForecast, MatchesWindowAverage) {
 }
 
 // Ī is the plain mean of the forecast series, bit for bit, for every
-// forecaster (the oracle sums the trace in place instead of building the
-// series), including windows that wrap past the trace end. A zero horizon
-// has no series: Ī is the intensity at `now`.
+// forecaster, including windows that wrap past the trace end. A zero
+// horizon has no series: Ī is the intensity at `now`.
 TEST(Forecaster, MeanForecastMatchesSeriesMean) {
   const CarbonTrace trace = real_trace();
   const auto last = static_cast<HourIndex>(trace.hours() - 1);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
-
 namespace carbonedge::core {
 namespace {
 
@@ -17,16 +15,14 @@ struct Fixture {
     latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
-  // One Ī table per input() call, kept alive (and in place) for the
-  // fixture's lifetime since each input's span points into it.
-  std::deque<std::vector<double>> tables;
+  std::vector<double> intensity;  // Ī per site, refilled by input()
 
   PlacementInput input(carbon::HourIndex now = 12) {
-    tables.push_back(site_mean_intensity(cluster, carbon, now, /*horizon=*/1));
+    intensity = site_mean_intensity(cluster, carbon, now, /*horizon=*/1);
     PlacementInput in;
     in.cluster = &cluster;
     in.latency = &latency;
-    in.site_mean_intensity = tables.back();
+    in.site_mean_intensity = &intensity;
     return in;
   }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
-
 #include "core/placement_service.hpp"
 #include "core/policy.hpp"
 
@@ -21,16 +19,14 @@ struct Fixture {
     latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
-  // One Ī table per input() call, kept alive (and in place) for the
-  // fixture's lifetime since each input's span points into it.
-  std::deque<std::vector<double>> tables;
+  std::vector<double> intensity;  // Ī per site, refilled by input()
 
   PlacementInput input(carbon::HourIndex now = 12, std::uint32_t horizon = 1) {
-    tables.push_back(site_mean_intensity(cluster, carbon, now, horizon));
+    intensity = site_mean_intensity(cluster, carbon, now, horizon);
     PlacementInput in;
     in.cluster = &cluster;
     in.latency = &latency;
-    in.site_mean_intensity = tables.back();
+    in.site_mean_intensity = &intensity;
     return in;
   }
 };
@@ -72,15 +68,19 @@ TEST(BuildProblem, RejectsIntensityTableOfWrongSize) {
   const std::vector<double> table = site_mean_intensity(f.cluster, f.carbon, 12, 1);
   ASSERT_EQ(table.size(), f.cluster.size());
   PlacementInput in = f.input();
-  in.site_mean_intensity = {};
+  in.site_mean_intensity = nullptr;
   EXPECT_THROW(build_problem(in, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
-  in.site_mean_intensity = std::span<const double>(table).first(table.size() - 1);
+  const std::vector<double> empty;
+  in.site_mean_intensity = &empty;
+  EXPECT_THROW(build_problem(in, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
+  const std::vector<double> shorter(table.begin(), table.end() - 1);
+  in.site_mean_intensity = &shorter;
   EXPECT_THROW(build_problem(in, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
   std::vector<double> longer = table;
   longer.push_back(100.0);
-  in.site_mean_intensity = longer;
+  in.site_mean_intensity = &longer;
   EXPECT_THROW(build_problem(in, apps, PolicyConfig::carbon_edge()), std::invalid_argument);
-  in.site_mean_intensity = table;
+  in.site_mean_intensity = &table;
   EXPECT_NO_THROW((void)build_problem(in, apps, PolicyConfig::carbon_edge()));
 }
 
@@ -90,10 +90,16 @@ TEST(BuildProblem, ReadsMeanIntensityFromTheTableBySite) {
   PlacementInput in = f.input();
   std::vector<double> table(f.cluster.size());
   for (std::size_t s = 0; s < table.size(); ++s) table[s] = 100.0 + 10.0 * static_cast<double>(s);
-  in.site_mean_intensity = table;
-  const BuiltProblem built = build_problem(in, apps, PolicyConfig::carbon_edge());
-  for (std::size_t j = 0; j < built.servers.size(); ++j) {
-    EXPECT_EQ(built.mean_intensity[j], table[built.servers[j].site]) << j;
+  in.site_mean_intensity = &table;
+  const BuiltProblem carbon = build_problem(in, apps, PolicyConfig::carbon_edge());
+  const BuiltProblem intensity = build_problem(in, apps, PolicyConfig::intensity_aware());
+  ASSERT_GT(carbon.problem.num_pairs(), 1u);
+  for (std::size_t j = 0; j < carbon.servers.size(); ++j) {
+    const std::size_t p = carbon.problem.find_pair(0, j);
+    if (p == solver::kNoPair) continue;
+    const double site_ci = table[carbon.servers[j].site];
+    EXPECT_EQ(carbon.carbon_g[p], carbon.energy_wh[p] / 1000.0 * site_ci) << j;
+    EXPECT_EQ(intensity.problem.cost(p), site_ci) << j;
   }
 }
 
@@ -153,7 +159,8 @@ TEST(BuildProblem, CarbonCostIsEnergyTimesIntensity) {
   for (std::size_t j = 0; j < 5; ++j) {
     const std::size_t p = built.problem.find_pair(0, j);
     if (p == solver::kNoPair) continue;
-    EXPECT_NEAR(built.carbon_g[p], built.energy_wh[p] / 1000.0 * built.mean_intensity[j], 1e-9);
+    const double site_ci = f.intensity[built.servers[j].site];
+    EXPECT_NEAR(built.carbon_g[p], built.energy_wh[p] / 1000.0 * site_ci, 1e-9);
     EXPECT_NEAR(built.problem.cost(p), built.carbon_g[p], 1e-12);
   }
 }
@@ -162,9 +169,14 @@ TEST(BuildProblem, MeanIntensityUsesForecastWindow) {
   Fixture f;
   const std::vector<sim::Application> apps = {app_at(0, 40.0)};
   const PlacementInput in = f.input(100, 24);
-  const BuiltProblem built = build_problem(in, apps, PolicyConfig::carbon_edge());
+  const BuiltProblem carbon = build_problem(in, apps, PolicyConfig::carbon_edge());
+  const BuiltProblem intensity = build_problem(in, apps, PolicyConfig::intensity_aware());
   const auto& trace = f.carbon.trace("Jacksonville");
-  EXPECT_NEAR(built.mean_intensity[0], trace.mean_over(100, 24), 1e-9);
+  ASSERT_EQ(carbon.servers[0].site, 0u);  // column 0 sits at Jacksonville
+  const std::size_t p = carbon.problem.find_pair(0, 0);
+  ASSERT_NE(p, solver::kNoPair);
+  EXPECT_NEAR(intensity.problem.cost(p), trace.mean_over(100, 24), 1e-9);
+  EXPECT_NEAR(carbon.carbon_g[p], carbon.energy_wh[p] / 1000.0 * trace.mean_over(100, 24), 1e-9);
 }
 
 TEST(BuildProblem, PolicyObjectivesDiffer) {
@@ -181,7 +193,7 @@ TEST(BuildProblem, PolicyObjectivesDiffer) {
     if (p == solver::kNoPair) continue;
     EXPECT_NEAR(latency.problem.cost(p), latency.rtt_ms[p], 1e-12);
     EXPECT_NEAR(energy.problem.cost(p), energy.energy_wh[p], 1e-12);
-    EXPECT_NEAR(intensity.problem.cost(p), intensity.mean_intensity[j], 1e-12);
+    EXPECT_NEAR(intensity.problem.cost(p), f.intensity[intensity.servers[j].site], 1e-12);
   }
 }
 
