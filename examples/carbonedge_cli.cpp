@@ -152,12 +152,15 @@ double parse_bounded_double(const std::string& arg, double lo, double hi,
   return value;
 }
 
-/// Throws when arguments follow a command's `count` fixed ones (a misspelled
-/// flag must fail loudly, not be dropped).
+/// Throws for an argument a command does not take (a misspelled flag must
+/// fail loudly, not be dropped); dispatch turns it into exit 1.
+[[noreturn]] void reject(const std::string& arg) {
+  throw std::invalid_argument("unexpected argument '" + arg + "'");
+}
+
+/// Rejects any argument after a command's `count` fixed ones.
 void reject_extra(const std::vector<std::string>& args, std::size_t count) {
-  if (args.size() > count) {
-    throw std::invalid_argument("unexpected argument '" + args[count] + "'");
-  }
+  if (args.size() > count) reject(args[count]);
 }
 
 double parse_latitude(const std::string& arg) {
@@ -381,8 +384,7 @@ int cmd_serve(std::vector<std::string> args) {
     } else if (arg == "--metrics-rows") {
       serve_config.metrics_rows = true;
     } else {
-      std::cerr << "error: unknown serve argument " << arg << "\n";
-      return 2;
+      reject(arg);
     }
   }
   if (replay == from_stdin) {
@@ -549,8 +551,7 @@ int cmd_store_gc(const store::ArtifactStore& artifacts, const std::vector<std::s
     if (const auto n = util::flag_value(arg, "--max-bytes=")) {
       max_bytes = util::parse_flag_unsigned<std::uintmax_t>(*n, arg);
     } else {
-      std::cerr << "error: unknown gc argument " << arg << "\n";
-      return 2;
+      reject(arg);
     }
   }
   const store::ArtifactStore::GcReport report = artifacts.gc(max_bytes);
@@ -705,8 +706,7 @@ int cmd_catalog_sweep(const store::ArtifactStore& artifacts, std::vector<std::st
     } else if (const auto ms = util::flag_value(args[i], "--band=")) {
       band = util::parse_flag_double(*ms, args[i]);
     } else {
-      std::cerr << "error: unknown catalog sweep argument " << args[i] << "\n";
-      return 2;
+      reject(args[i]);
     }
   }
 
@@ -813,13 +813,10 @@ int dispatch(int argc, char** argv) {
       return cmd_simulate(argv[2], argv[3], util::parse_flag_unsigned<std::uint32_t>(argv[4]));
     }
     if (command == "sweep" && argc >= 4) {
-      bool single = false;
-      if (argc >= 5) {
-        // A misspelled flag must fail loudly: the determinism gate relies
-        // on --single actually selecting the single-cell probe.
-        if (std::string(argv[4]) != "--single" || argc > 5) return usage();
-        single = true;
-      }
+      // A misspelled flag must fail loudly: the determinism gate relies on
+      // --single actually selecting the single-cell probe.
+      const bool single = args.size() >= 3 && args[2] == "--single";
+      reject_extra(args, single ? 3 : 2);
       return cmd_sweep(argv[2], util::parse_flag_unsigned<std::uint32_t>(argv[3]), single);
     }
     if (command == "serve" && argc >= 3) {

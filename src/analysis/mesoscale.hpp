@@ -24,7 +24,7 @@ struct ZoneStats {
   double mean_g_kwh = 0.0;
   double min_g_kwh = 0.0;
   double max_g_kwh = 0.0;
-  double low_carbon_share = 0.0;  // from realized mixes; 0 if unavailable
+  double low_carbon_share = 0.0;  // from the average mix; 0 for a trace without one
   double mean_daily_swing = 0.0;  // max - min of the average day shape
   double seasonal_range = 0.0;    // max - min of the monthly means
 };

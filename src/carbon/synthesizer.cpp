@@ -144,9 +144,10 @@ CarbonTrace TraceSynthesizer::synthesize(const ZoneSpec& zone) const {
   }
 
   std::vector<double> intensity;
-  std::vector<GenerationMix> mixes;
   intensity.reserve(params_.hours);
-  mixes.reserve(params_.hours);
+  // Running sum of the normalized hourly mixes, in hour order; only its
+  // normalized total is kept.
+  GenerationMix mix_sum;
 
   // AR(1) states, started at their stationary means.
   double cloud = 0.75;  // transmission factor in [0.35, 1]
@@ -209,12 +210,11 @@ CarbonTrace TraceSynthesizer::synthesize(const ZoneSpec& zone) const {
     ci = (1.0 - import_fraction) * ci + import_fraction * kImportIntensity;
     intensity.push_back(ci);
     gen.normalize();
-    mixes.push_back(gen);
+    for (const EnergySource s : kAllSources) mix_sum.add(s, gen.at(s));
   }
 
-  CarbonTrace trace(zone.name, std::move(intensity));
-  trace.set_mixes(std::move(mixes));
-  return trace;
+  mix_sum.normalize();
+  return CarbonTrace(zone.name, std::move(intensity), mix_sum);
 }
 
 }  // namespace carbonedge::carbon

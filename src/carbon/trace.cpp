@@ -5,8 +5,11 @@
 
 namespace carbonedge::carbon {
 
-CarbonTrace::CarbonTrace(std::string zone_name, std::vector<double> intensity)
-    : zone_(std::move(zone_name)), intensity_(std::move(intensity)) {
+CarbonTrace::CarbonTrace(std::string zone_name, std::vector<double> intensity,
+                         std::optional<GenerationMix> average_mix)
+    : zone_(std::move(zone_name)),
+      intensity_(std::move(intensity)),
+      average_mix_(average_mix) {
   if (intensity_.empty()) throw std::invalid_argument("carbon trace must be non-empty");
   for (const double v : intensity_) {
     if (v < 0.0) throw std::invalid_argument("carbon intensity must be non-negative");
@@ -35,23 +38,6 @@ double CarbonTrace::yearly_min() const noexcept {
 
 double CarbonTrace::yearly_max() const noexcept {
   return intensity_.empty() ? 0.0 : *std::max_element(intensity_.begin(), intensity_.end());
-}
-
-void CarbonTrace::set_mixes(std::vector<GenerationMix> mixes) {
-  if (mixes.size() != intensity_.size()) {
-    throw std::invalid_argument("mix series length must match intensity series");
-  }
-  mixes_ = std::move(mixes);
-}
-
-GenerationMix CarbonTrace::average_mix() const noexcept {
-  GenerationMix avg;
-  if (mixes_.empty()) return avg;
-  for (const GenerationMix& m : mixes_) {
-    for (const EnergySource s : kAllSources) avg.add(s, m.at(s));
-  }
-  avg.normalize();
-  return avg;
 }
 
 }  // namespace carbonedge::carbon

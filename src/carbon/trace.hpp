@@ -1,8 +1,13 @@
-// Hourly carbon-intensity traces (one value per hour of the trace year),
-// plus the realized generation mix behind each hour — the same information
-// Electricity Maps exposes per zone.
+// Hourly carbon-intensity traces: one value per hour of the trace year, the
+// series placement reads. Beside it a trace may keep one generation mix, the
+// normalized average of its hourly realized mixes (Figure 1a, low-carbon
+// shares). The hourly mixes are folded into that average as they are
+// produced and never stored, since nothing else reads them; they would be
+// 8/9 of a trace's bytes. A trace read from intensity-only CSV has no
+// average.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,7 +21,8 @@ namespace carbonedge::carbon {
 class CarbonTrace {
  public:
   CarbonTrace() = default;
-  CarbonTrace(std::string zone_name, std::vector<double> intensity_g_per_kwh);
+  CarbonTrace(std::string zone_name, std::vector<double> intensity_g_per_kwh,
+              std::optional<GenerationMix> average_mix = std::nullopt);
 
   [[nodiscard]] const std::string& zone() const noexcept { return zone_; }
   [[nodiscard]] std::size_t hours() const noexcept { return intensity_.size(); }
@@ -40,18 +46,16 @@ class CarbonTrace {
   [[nodiscard]] double yearly_min() const noexcept;
   [[nodiscard]] double yearly_max() const noexcept;
 
-  /// Optional per-hour realized generation mixes (set by the synthesizer);
-  /// empty if the trace was loaded from plain CSV.
-  [[nodiscard]] std::span<const GenerationMix> mixes() const noexcept { return mixes_; }
-  void set_mixes(std::vector<GenerationMix> mixes);
-
-  /// Average realized generation shares over the whole trace (Figure 1a).
-  [[nodiscard]] GenerationMix average_mix() const noexcept;
+  /// Average realized generation shares over the whole trace (Figure 1a);
+  /// nullopt when the trace came without mixes (plain intensity CSV).
+  [[nodiscard]] const std::optional<GenerationMix>& average_mix() const noexcept {
+    return average_mix_;
+  }
 
  private:
   std::string zone_;
   std::vector<double> intensity_;
-  std::vector<GenerationMix> mixes_;
+  std::optional<GenerationMix> average_mix_;
 };
 
 }  // namespace carbonedge::carbon

@@ -11,24 +11,10 @@
 namespace carbonedge::carbon {
 namespace {
 
-std::vector<std::string> header_row(bool with_mix) {
-  std::vector<std::string> header = {"zone", "hour", "intensity_g_kwh"};
-  if (with_mix) {
-    for (const EnergySource s : kAllSources) header.emplace_back(to_string(s));
-  }
-  return header;
-}
-
-void write_rows(util::CsvWriter& writer, const CarbonTrace& trace, bool with_mix) {
+void write_rows(util::CsvWriter& writer, const CarbonTrace& trace) {
   for (std::size_t h = 0; h < trace.hours(); ++h) {
-    std::vector<std::string> row = {trace.zone(), std::to_string(h),
-                                    util::format_double(trace.at(static_cast<HourIndex>(h)), 4)};
-    if (with_mix) {
-      for (const EnergySource s : kAllSources) {
-        row.push_back(util::format_double(trace.mixes()[h].at(s), 6));
-      }
-    }
-    writer.row(row);
+    writer.row({trace.zone(), std::to_string(h),
+                util::format_double(trace.at(static_cast<HourIndex>(h)), 4)});
   }
 }
 
@@ -54,17 +40,14 @@ std::size_t parse_hour(const std::string& cell, std::size_t row) {
 
 void write_trace_csv(std::ostream& out, const CarbonTrace& trace) {
   util::CsvWriter writer(out);
-  const bool with_mix = !trace.mixes().empty();
-  writer.header(header_row(with_mix));
-  write_rows(writer, trace, with_mix);
+  writer.header({"zone", "hour", "intensity_g_kwh"});
+  write_rows(writer, trace);
 }
 
 void write_traces_csv(std::ostream& out, const std::vector<CarbonTrace>& traces) {
   util::CsvWriter writer(out);
-  bool with_mix = !traces.empty();
-  for (const CarbonTrace& trace : traces) with_mix = with_mix && !trace.mixes().empty();
-  writer.header(header_row(with_mix));
-  for (const CarbonTrace& trace : traces) write_rows(writer, trace, with_mix);
+  writer.header({"zone", "hour", "intensity_g_kwh"});
+  for (const CarbonTrace& trace : traces) write_rows(writer, trace);
 }
 
 std::vector<CarbonTrace> read_traces_csv(const std::string& text) {
@@ -83,10 +66,12 @@ std::vector<CarbonTrace> read_traces_csv(const std::string& text) {
     with_mix = with_mix && mix_cols[index_of(s)] != util::CsvDocument::npos;
   }
 
-  // Preserve first-appearance order of zones.
+  // Preserve first-appearance order of zones. Mix columns are summed per
+  // zone in hour order and normalized once at the end: only the average is
+  // kept.
   std::vector<std::string> order;
   std::map<std::string, std::vector<double>> intensity;
-  std::map<std::string, std::vector<GenerationMix>> mixes;
+  std::map<std::string, GenerationMix> mix_sums;
   for (std::size_t r = 0; r < doc.rows.size(); ++r) {
     const auto& row = doc.rows[r];
     const std::string& zone = row[zone_col];
@@ -102,21 +87,23 @@ std::vector<CarbonTrace> read_traces_csv(const std::string& text) {
     it->second.push_back(
         util::parse_nonnegative(row[ci_col], "trace csv", util::data_line(r), "intensity"));
     if (with_mix) {
-      GenerationMix mix;
+      GenerationMix& sum = mix_sums[zone];
       for (const EnergySource s : kAllSources) {
-        mix.set(s, util::parse_nonnegative(row[mix_cols[index_of(s)]], "trace csv",
+        sum.add(s, util::parse_nonnegative(row[mix_cols[index_of(s)]], "trace csv",
                                            util::data_line(r), "mix share"));
       }
-      mixes[zone].push_back(mix);
     }
   }
 
   std::vector<CarbonTrace> traces;
   traces.reserve(order.size());
   for (const std::string& zone : order) {
-    CarbonTrace trace(zone, std::move(intensity.at(zone)));
-    if (with_mix) trace.set_mixes(std::move(mixes.at(zone)));
-    traces.push_back(std::move(trace));
+    std::optional<GenerationMix> average;
+    if (with_mix) {
+      average = mix_sums.at(zone);
+      average->normalize();
+    }
+    traces.emplace_back(zone, std::move(intensity.at(zone)), average);
   }
   return traces;
 }

@@ -2,6 +2,10 @@
 //
 //   zone,hour,intensity_g_kwh[,hydro,solar,wind,nuclear,biomass,gas,oil,coal]
 //
+// The writers emit only the first three columns. The reader also accepts
+// the eight per-source mix columns and keeps their per-zone average (summed
+// in hour order, then normalized), the one mix a CarbonTrace holds.
+//
 // The prototype's carbon-intensity service "replays historical traces from
 // Electricity Maps" (Section 5.1); this module lets users replay their own
 // licensed exports through the same CarbonIntensityService, and lets every
@@ -16,7 +20,7 @@
 
 namespace carbonedge::carbon {
 
-/// Serialize one trace as CSV rows (with mix columns when present).
+/// Serialize one trace as CSV rows (zone, hour, intensity).
 void write_trace_csv(std::ostream& out, const CarbonTrace& trace);
 
 /// Serialize several traces into one document (rows grouped by zone).

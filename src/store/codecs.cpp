@@ -12,7 +12,7 @@ namespace carbonedge::store {
 namespace {
 
 // Per-kind payload schemas; bump when a codec's field list changes.
-constexpr std::uint32_t kTraceSchema = 1;
+constexpr std::uint32_t kTraceSchema = 2;
 constexpr std::uint32_t kOutcomeSchema = 2;
 constexpr std::uint32_t kSiteCatalogSchema = 1;
 
@@ -30,14 +30,11 @@ std::string encode_trace(const carbon::CarbonTrace& trace) {
   w.u32(kTraceSchema);
   w.str(trace.zone());
   w.u64(trace.hours());
-  const bool with_mix = !trace.mixes().empty();
-  w.u8(with_mix ? 1 : 0);
+  const std::optional<carbon::GenerationMix>& mix = trace.average_mix();
+  w.u8(mix.has_value() ? 1 : 0);
   for (const double v : trace.values()) w.f64(v);
-  if (with_mix) {
-    // Column per source: friendlier to per-source scans than row-major.
-    for (const carbon::EnergySource s : carbon::kAllSources) {
-      for (const carbon::GenerationMix& mix : trace.mixes()) w.f64(mix.at(s));
-    }
+  if (mix.has_value()) {
+    for (const double share : mix->shares()) w.f64(share);
   }
   return w.take();
 }
@@ -51,16 +48,13 @@ carbon::CarbonTrace decode_trace(std::string_view payload) {
   std::vector<double> intensity;
   intensity.reserve(hours);
   for (std::uint64_t h = 0; h < hours; ++h) intensity.push_back(r.f64());
-  carbon::CarbonTrace trace(std::move(zone), std::move(intensity));
+  std::optional<carbon::GenerationMix> mix;
   if (with_mix) {
-    std::vector<carbon::GenerationMix> mixes(hours);
-    for (const carbon::EnergySource s : carbon::kAllSources) {
-      for (std::uint64_t h = 0; h < hours; ++h) mixes[h].set(s, r.f64());
-    }
-    trace.set_mixes(std::move(mixes));
+    mix.emplace();
+    for (const carbon::EnergySource s : carbon::kAllSources) mix->set(s, r.f64());
   }
   r.expect_exhausted();
-  return trace;
+  return carbon::CarbonTrace(std::move(zone), std::move(intensity), mix);
 }
 
 std::string encode_site_catalog(const geo::SiteCatalog& catalog) {

@@ -19,7 +19,9 @@
 namespace carbonedge::store {
 
 /// Carbon trace: zone name, then the intensity column, then (optionally)
-/// one column per energy source of the realized generation mix.
+/// the eight shares of the trace's average generation mix. A schema-1
+/// payload (one hourly mix column per source) fails to decode, which the
+/// trace tier counts as a miss.
 [[nodiscard]] std::string encode_trace(const carbon::CarbonTrace& trace);
 [[nodiscard]] carbon::CarbonTrace decode_trace(std::string_view payload);
 

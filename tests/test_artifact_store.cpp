@@ -114,13 +114,17 @@ TEST(ArtifactFormat, TraceRoundTripsBitExact) {
   const carbon::CarbonTrace loaded = decode_trace(artifact.payload);
   EXPECT_EQ(loaded.zone(), original.zone());
   ASSERT_EQ(loaded.hours(), original.hours());
-  ASSERT_EQ(loaded.mixes().size(), original.mixes().size());
   for (std::size_t h = 0; h < original.hours(); ++h) {
     // Bit-exact, not approximately equal: the store's tables must be
     // byte-identical to freshly synthesized ones.
     EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.values()[h]),
               std::bit_cast<std::uint64_t>(original.values()[h]));
-    EXPECT_EQ(loaded.mixes()[h], original.mixes()[h]);
+  }
+  ASSERT_TRUE(original.average_mix().has_value());
+  ASSERT_TRUE(loaded.average_mix().has_value());
+  for (std::size_t i = 0; i < carbon::kSourceCount; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded.average_mix()->shares()[i]),
+              std::bit_cast<std::uint64_t>(original.average_mix()->shares()[i]));
   }
 }
 
@@ -129,7 +133,7 @@ TEST(ArtifactFormat, IntensityOnlyTraceRoundTrips) {
   const carbon::CarbonTrace loaded = decode_trace(encode_trace(original));
   EXPECT_EQ(loaded.zone(), "NoMix");
   ASSERT_EQ(loaded.hours(), 3u);
-  EXPECT_TRUE(loaded.mixes().empty());
+  EXPECT_FALSE(loaded.average_mix().has_value());
   EXPECT_DOUBLE_EQ(loaded.at(1), 20.5);
 }
 

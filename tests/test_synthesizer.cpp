@@ -64,7 +64,7 @@ TEST(Synthesizer, ProducesFullYearNonNegative) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1000.0);
   }
-  EXPECT_EQ(trace.mixes().size(), kHoursPerYear);
+  EXPECT_TRUE(trace.average_mix().has_value());
 }
 
 TEST(Synthesizer, DeterministicPerZoneAndSeed) {
@@ -138,26 +138,25 @@ TEST(Synthesizer, ImportBlendRaisesCleanZoneFloor) {
   EXPECT_GT(hi, lo + 20.0);
 }
 
-TEST(Synthesizer, HourlyMixesAreNormalized) {
+TEST(Synthesizer, AverageMixIsNormalized) {
   const TraceSynthesizer synth;
   const CarbonTrace trace = synth.synthesize(spec("Madrid"));
-  for (std::size_t h = 0; h < trace.hours(); h += 131) {
-    EXPECT_NEAR(trace.mixes()[h].total(), 1.0, 1e-9);
-  }
+  ASSERT_TRUE(trace.average_mix().has_value());
+  EXPECT_NEAR(trace.average_mix()->total(), 1.0, 1e-9);
 }
 
 TEST(Synthesizer, CoalZoneMixIsCoalDominated) {
   const TraceSynthesizer synth;
-  const GenerationMix avg = synth.synthesize(spec("Warsaw")).average_mix();
+  const GenerationMix avg = synth.synthesize(spec("Warsaw")).average_mix().value();
   EXPECT_GT(avg.at(EnergySource::kCoal), 0.4);
 }
 
-// Digest of every intensity value and every mix share of the 80 CDN zones
-// (North America then Europe, 40 sites each, region order) at default
-// SynthesizerParams. The constant was printed by this test, built in Release
-// with g++ 12 on x86-64, against the synthesizer that still evaluated every
-// day and hour-of-day term inside its hourly loop. Tabulating those terms
-// must not move a single bit of any trace.
+// Digest of every intensity value and the average-mix shares of the 80 CDN
+// zones (North America then Europe, 40 sites each, region order) at default
+// SynthesizerParams. The constant was printed, built in Release with g++ 12
+// on x86-64, against the synthesizer that still stored one mix per hour and
+// averaged them on request. Folding the hourly mixes into a running sum
+// while synthesizing must not move a single bit of any trace or average.
 TEST(Synthesizer, CdnZonesMatchRecordedDigest) {
   const TraceSynthesizer synth;
   util::Fingerprint fp;
@@ -166,14 +165,12 @@ TEST(Synthesizer, CdnZonesMatchRecordedDigest) {
     for (const geo::City& city : geo::cdn_region(continent, 40).resolve()) {
       const CarbonTrace trace = synth.synthesize(catalog().spec_for(city));
       for (const double v : trace.values()) fp.mix(v);
-      for (const GenerationMix& mix : trace.mixes()) {
-        for (const double share : mix.shares()) fp.mix(share);
-      }
+      for (const double share : trace.average_mix().value().shares()) fp.mix(share);
       ++zones;
     }
   }
   EXPECT_EQ(zones, 80u);
-  EXPECT_EQ(fp.digest().hex(), "d71d44e021719845aa29b5ce7cbff627");
+  EXPECT_EQ(fp.digest().hex(), "cf2942034310ca94b105a96375a18b4e");
 }
 
 // A trace over N hours is the first N hours of any longer trace: nothing in
@@ -182,7 +179,7 @@ TEST(Synthesizer, CdnZonesMatchRecordedDigest) {
 TEST(Synthesizer, ShorterHorizonIsAPrefix) {
   constexpr std::uint32_t kLongest = kHoursPerYear + 36;
   for (const double latitude : {69.6, -33.9, 1.3, 45.0}) {
-    ZoneSpec zone = spec("Kingman");  // 22% solar: clear-sky terms reach the mix
+    ZoneSpec zone = spec("Kingman");  // 22% solar: clear-sky terms reach the series
     zone.latitude_deg = latitude;
     SynthesizerParams params;
     params.hours = kLongest;
@@ -192,12 +189,9 @@ TEST(Synthesizer, ShorterHorizonIsAPrefix) {
       params.hours = hours;
       const CarbonTrace part = TraceSynthesizer(params).synthesize(zone);
       ASSERT_EQ(part.hours(), hours);
-      ASSERT_EQ(part.mixes().size(), hours);
       for (std::uint32_t h = 0; h < hours; ++h) {
         ASSERT_EQ(part.at(h), full.at(h)) << "latitude " << latitude << " hours " << hours
                                           << " hour " << h;
-        ASSERT_EQ(part.mixes()[h].shares(), full.mixes()[h].shares())
-            << "latitude " << latitude << " hours " << hours << " hour " << h;
       }
     }
   }

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "carbon/service.hpp"
 #include "geo/region.hpp"
+#include "store/artifact.hpp"
 #include "store/artifact_store.hpp"
 #include "store/trace_tier.hpp"
 #include "store_test_util.hpp"
@@ -191,15 +194,14 @@ TEST(TraceCache, TwoCachesShareOneStoreDirectory) {
   EXPECT_EQ(second.hits(), 1u);
   EXPECT_EQ(second.disk_hits(), 2u);
 
-  // Loaded series are bit-identical to the synthesized ones, mixes included.
+  // Loaded series are bit-identical to the synthesized ones, average mix
+  // included.
   ASSERT_EQ(loaded_a->hours(), synthesized_a->hours());
   for (std::size_t h = 0; h < loaded_a->hours(); ++h) {
     EXPECT_EQ(loaded_a->values()[h], synthesized_a->values()[h]);
   }
-  ASSERT_EQ(loaded_b->mixes().size(), synthesized_b->mixes().size());
-  for (std::size_t h = 0; h < loaded_b->mixes().size(); ++h) {
-    EXPECT_EQ(loaded_b->mixes()[h], synthesized_b->mixes()[h]);
-  }
+  ASSERT_TRUE(synthesized_b->average_mix().has_value());
+  EXPECT_EQ(loaded_b->average_mix(), synthesized_b->average_mix());
 }
 
 TEST(TraceCache, CorruptStoreEntryIsResynthesizedAndHealed) {
@@ -228,6 +230,55 @@ TEST(TraceCache, CorruptStoreEntryIsResynthesizedAndHealed) {
   third.set_store(store::make_trace_tier(artifacts));
   (void)third.get(zone);
   EXPECT_EQ(third.disk_hits(), 1u);  // healed entry reads back intact
+}
+
+TEST(TraceCache, SchemaOneEntryIsResynthesizedAndRewritten) {
+  // A schema-1 entry (one mix per hour) under a live key, as written before
+  // traces kept only their average mix. The key names the same series, so
+  // it is unchanged; the payload no longer decodes and counts as a miss.
+  TempStoreDir tmp;
+  const ZoneSpec zone = spec_of(geo::florida_region());
+  const std::string key = TraceCache::key_of(zone, {});
+  const CarbonTrace direct = TraceSynthesizer().synthesize(zone);
+  auto artifacts = std::make_shared<store::ArtifactStore>(tmp.dir);
+  store::ByteWriter w;
+  w.u32(1);
+  w.str(direct.zone());
+  w.u64(direct.hours());
+  w.u8(1);
+  for (const double v : direct.values()) w.f64(v);
+  for (std::size_t i = 0; i < kSourceCount * direct.hours(); ++i) w.f64(1.0 / kSourceCount);
+  artifacts->save(store::ArtifactKind::kCarbonTrace, key, w.take());
+
+  TraceCache first;
+  first.set_store(store::make_trace_tier(artifacts));
+  const auto trace = first.get(zone);
+  EXPECT_EQ(first.syntheses(), 1u);
+  EXPECT_EQ(first.disk_hits(), 0u);
+  ASSERT_EQ(trace->hours(), direct.hours());
+  for (std::size_t h = 0; h < direct.hours(); ++h) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(trace->values()[h]),
+              std::bit_cast<std::uint64_t>(direct.values()[h]));
+  }
+  EXPECT_EQ(trace->average_mix(), direct.average_mix());
+
+  // Rewritten in place as schema 2: one entry, same key, intensities plus
+  // the average only.
+  const auto entries = artifacts->list(/*verify=*/true);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].key, key);
+  EXPECT_TRUE(entries[0].intact);
+  const auto payload = artifacts->load(store::ArtifactKind::kCarbonTrace, key);
+  ASSERT_TRUE(payload.has_value());
+  store::ByteReader r(*payload);
+  EXPECT_EQ(r.u32(), 2u);
+  EXPECT_LT(payload->size(), (direct.hours() + 64) * sizeof(double));
+
+  TraceCache second;
+  second.set_store(store::make_trace_tier(artifacts));
+  EXPECT_EQ(second.get(zone)->average_mix(), direct.average_mix());
+  EXPECT_EQ(second.syntheses(), 0u);
+  EXPECT_EQ(second.disk_hits(), 1u);
 }
 
 TEST(TraceCache, ManuallyAddedTracesBypassTheCache) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
+#include "analysis/mesoscale.hpp"
 #include "carbon/synthesizer.hpp"
 #include "carbon/zone.hpp"
 #include "geo/region.hpp"
@@ -14,19 +19,17 @@ namespace carbonedge::carbon {
 namespace {
 
 CarbonTrace small_trace(const std::string& zone) {
-  CarbonTrace trace(zone, {100.0, 200.5, 0.0, 433.25});
-  std::vector<GenerationMix> mixes(4);
-  for (std::size_t h = 0; h < 4; ++h) {
-    mixes[h].set(EnergySource::kGas, 0.5);
-    mixes[h].set(EnergySource::kWind, 0.5);
-  }
-  trace.set_mixes(std::move(mixes));
-  return trace;
+  GenerationMix average;
+  average.set(EnergySource::kGas, 0.5);
+  average.set(EnergySource::kWind, 0.5);
+  return CarbonTrace(zone, {100.0, 200.5, 0.0, 433.25}, average);
 }
 
-TEST(TraceIo, RoundTripsIntensityAndMix) {
+TEST(TraceIo, RoundTripsIntensity) {
   std::ostringstream out;
   write_traces_csv(out, {small_trace("Alpha"), small_trace("Beta")});
+  // Only the hourly series is written; the average mix stays behind.
+  EXPECT_EQ(out.str().substr(0, out.str().find('\n')), "zone,hour,intensity_g_kwh");
   const auto traces = read_traces_csv(out.str());
   ASSERT_EQ(traces.size(), 2u);
   EXPECT_EQ(traces[0].zone(), "Alpha");
@@ -34,8 +37,55 @@ TEST(TraceIo, RoundTripsIntensityAndMix) {
   ASSERT_EQ(traces[0].hours(), 4u);
   EXPECT_DOUBLE_EQ(traces[0].at(1), 200.5);
   EXPECT_DOUBLE_EQ(traces[0].at(3), 433.25);
-  ASSERT_EQ(traces[0].mixes().size(), 4u);
-  EXPECT_NEAR(traces[0].mixes()[0].at(EnergySource::kWind), 0.5, 1e-9);
+  EXPECT_FALSE(traces[0].average_mix().has_value());
+}
+
+TEST(TraceIo, MixColumnsKeepTheirAverage) {
+  // Three hours of unnormalized per-source columns for each of two zones.
+  // Values of very different magnitude make the fold's order visible in
+  // the last bits.
+  const std::array<std::array<const char*, kSourceCount>, 3> cells = {{
+      {"0.1", "0.2", "0.3", "1e-17", "0", "0.7", "3", "0.05"},
+      {"1e16", "0.3", "0.1", "0.2", "0.9", "0", "1e-3", "0.15"},
+      {"0.3", "0.1", "0.2", "0.4", "0.33", "0.2", "7", "0.25"},
+  }};
+  std::string text = "zone,hour,intensity_g_kwh";
+  for (const EnergySource s : kAllSources) text.append(",").append(to_string(s));
+  text += "\n";
+  for (const char* zone : {"A", "B"}) {
+    for (std::size_t h = 0; h < cells.size(); ++h) {
+      text.append(zone).append(",").append(std::to_string(h)).append(",50");
+      // Zone B lists the same rows with its sources rotated by one.
+      const std::size_t shift = zone[0] == 'B' ? 1 : 0;
+      for (std::size_t i = 0; i < kSourceCount; ++i) {
+        text.append(",").append(cells[h][(i + shift) % kSourceCount]);
+      }
+      text += "\n";
+    }
+  }
+  const auto traces = read_traces_csv(text);
+  ASSERT_EQ(traces.size(), 2u);
+  for (std::size_t z = 0; z < traces.size(); ++z) {
+    // Reference fold: sum each source over the hours in hour order, then
+    // divide by the total of the sums taken in source order.
+    std::array<double, kSourceCount> expected{};
+    for (std::size_t h = 0; h < cells.size(); ++h) {
+      for (std::size_t i = 0; i < kSourceCount; ++i) {
+        expected[i] += std::stod(cells[h][(i + z) % kSourceCount]);
+      }
+    }
+    double total = 0.0;
+    for (const double v : expected) total += v;
+    for (double& v : expected) v /= total;
+
+    ASSERT_TRUE(traces[z].average_mix().has_value()) << traces[z].zone();
+    const std::array<double, kSourceCount>& got = traces[z].average_mix()->shares();
+    for (std::size_t i = 0; i < kSourceCount; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(expected[i]))
+          << traces[z].zone() << " source " << i;
+    }
+  }
+  EXPECT_GT(analysis::zone_stats(traces[0]).low_carbon_share, 0.0);
 }
 
 TEST(TraceIo, SingleTraceWriter) {
@@ -49,8 +99,10 @@ TEST(TraceIo, SingleTraceWriter) {
 TEST(TraceIo, IntensityOnlyWithoutMixColumns) {
   const auto traces = read_traces_csv("zone,hour,intensity_g_kwh\nX,0,50\nX,1,60\n");
   ASSERT_EQ(traces.size(), 1u);
-  EXPECT_TRUE(traces[0].mixes().empty());
+  EXPECT_FALSE(traces[0].average_mix().has_value());
   EXPECT_DOUBLE_EQ(traces[0].at(1), 60.0);
+  // Without an average the mesoscale stats report no low-carbon share.
+  EXPECT_EQ(analysis::zone_stats(traces[0]).low_carbon_share, 0.0);
 }
 
 TEST(TraceIo, MissingColumnsThrow) {
