@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
-  // Deployment latency via the orchestrator pipeline.
+  // Deploy latency via the orchestrator pipeline.
   Testbed testbed;
   sim::EdgeCluster working = testbed.cluster;
   core::PlacementService service(core::PolicyConfig::carbon_edge());
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   table.set_title("Section 6.5: overheads");
   table.add_row({"Placement decision (5 apps x 5 DCs)",
                  util::format_fixed(placement.solve_time_ms, 2) + " ms", "~3.3 ms"});
-  table.add_row({"Deployment initiation (per app)",
+  table.add_row({"Deploy initiation (per app)",
                  util::format_fixed(orchestrator.mean_deploy_ms() / 1000.0, 2) + " s",
                  "~1.01 s"});
   table.print(std::cout);

@@ -388,8 +388,7 @@ int cmd_serve(std::vector<std::string> args) {
     }
   }
   if (replay == from_stdin) {
-    std::cerr << "error: serve needs exactly one of --replay / --stdin\n";
-    return 2;
+    throw std::invalid_argument("serve needs exactly one of --replay / --stdin");
   }
 
   // The sweep scenario's engine knobs (deferral, cost-aware re-optimization,
@@ -572,8 +571,8 @@ struct StoreCommand {
   std::vector<std::string> args;
 };
 
-/// Nullopt (after printing why) when the subcommand or the directory is
-/// missing.
+/// Nullopt (after printing usage) when the subcommand is missing; throws
+/// when the directory is.
 std::optional<StoreCommand> parse_store_command(int argc, char** argv) {
   StoreCommand command{util::env::get_or("CARBONEDGE_STORE_DIR", ""), "",
                        std::vector<std::string>(argv + 2, argv + argc)};
@@ -587,8 +586,7 @@ std::optional<StoreCommand> parse_store_command(int argc, char** argv) {
     return std::nullopt;
   }
   if (command.dir.empty()) {
-    std::cerr << "error: no store directory (set CARBONEDGE_STORE_DIR or pass --dir)\n";
-    return std::nullopt;
+    throw std::invalid_argument("no store directory (set CARBONEDGE_STORE_DIR or pass --dir)");
   }
   command.sub = args.front();
   args.erase(args.begin());

@@ -65,31 +65,6 @@ RegionSummary summarize_region(const geo::Region& region,
   return summary;
 }
 
-std::optional<ShiftPartner> best_partner(const geo::City& from,
-                                         std::span<const geo::City> sites,
-                                         std::span<const double> mean_intensity,
-                                         const geo::LatencyModel& latency,
-                                         double budget_one_way_ms) {
-  double own = 0.0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (sites[i].id == from.id) own = mean_intensity[i];
-  }
-  std::optional<ShiftPartner> best;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const geo::City& to = sites[i];
-    if (to.id == from.id || to.continent != from.continent) continue;
-    const double one_way = latency.one_way_ms(from, to);
-    if (one_way > budget_one_way_ms) continue;
-    const double saving = (own - mean_intensity[i]) / std::max(own, 1e-9);
-    if (saving <= 0.0) continue;
-    if (!best || saving > best->saving_fraction) {
-      best = ShiftPartner{from.id, to.id, geo::haversine_km(from.location, to.location),
-                          one_way, saving};
-    }
-  }
-  return best;
-}
-
 RadiusStudy radius_study(std::span<const geo::City> sites,
                          std::span<const double> mean_intensity,
                          const geo::LatencyModel& latency, double radius_km) {

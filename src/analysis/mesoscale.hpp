@@ -3,7 +3,6 @@
 // best-saving study behind Figure 5.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,22 +46,6 @@ struct RegionSummary {
 [[nodiscard]] RegionSummary summarize_region(const geo::Region& region,
                                              const carbon::CarbonIntensityService& service,
                                              carbon::HourIndex snapshot_hour = 12);
-
-/// A candidate spatial-shift destination for one site.
-struct ShiftPartner {
-  geo::SiteId from = 0;
-  geo::SiteId to = 0;
-  double distance_km = 0.0;
-  double one_way_ms = 0.0;
-  double saving_fraction = 0.0;  // relative drop in yearly-mean intensity
-};
-
-/// Best shift partner for `from` among `sites` subject to a one-way latency
-/// budget; nullopt when no partner improves on staying put.
-[[nodiscard]] std::optional<ShiftPartner> best_partner(
-    const geo::City& from, std::span<const geo::City> sites,
-    std::span<const double> mean_intensity, const geo::LatencyModel& latency,
-    double budget_one_way_ms);
 
 /// The Figure 5 study: for every site, the best relative saving available
 /// within `radius_km` (same-continent pairs only), plus the one-way latency

@@ -73,46 +73,6 @@ std::string DiurnalForecaster::name() const {
   return "diurnal(" + std::to_string(days_) + "d)";
 }
 
-HoltWintersForecaster::HoltWintersForecaster(double level_alpha, double season_gamma)
-    : level_alpha_(level_alpha), season_gamma_(season_gamma) {
-  if (level_alpha <= 0.0 || level_alpha > 1.0 || season_gamma < 0.0 || season_gamma > 1.0) {
-    throw std::invalid_argument("holt-winters smoothing factors must be in (0,1]");
-  }
-}
-
-std::vector<double> HoltWintersForecaster::forecast(const CarbonTrace& trace, HourIndex now,
-                                                    std::uint32_t horizon) const {
-  // Replay history [0, now) through the online updates. A warm-up of at
-  // least one season is needed for meaningful components; before that, fall
-  // back to the trace start value.
-  if (now == 0) return std::vector<double>(horizon, trace.at(0));
-  const std::uint32_t season_len = kHoursPerDay;
-
-  double level = 0.0;
-  std::array<double, kHoursPerDay> season{};
-  const std::uint32_t init = std::min(now, season_len);
-  for (std::uint32_t h = 0; h < init; ++h) level += trace.at(h);
-  level /= static_cast<double>(init);
-  for (std::uint32_t h = 0; h < season_len; ++h) {
-    season[h] = h < init ? trace.at(h) - level : 0.0;
-  }
-  for (HourIndex t = init; t < now; ++t) {
-    const std::uint32_t slot = hour_of_day(t);
-    const double observed = trace.at(t);
-    const double previous_level = level;
-    level = level_alpha_ * (observed - season[slot]) + (1.0 - level_alpha_) * level;
-    season[slot] =
-        season_gamma_ * (observed - previous_level) + (1.0 - season_gamma_) * season[slot];
-  }
-
-  std::vector<double> out;
-  out.reserve(horizon);
-  for (std::uint32_t i = 0; i < horizon; ++i) {
-    out.push_back(std::max(0.0, level + season[hour_of_day(now + i)]));
-  }
-  return out;
-}
-
 double forecast_mape(const Forecaster& forecaster, const CarbonTrace& trace, HourIndex start,
                      HourIndex end, std::uint32_t horizon) {
   if (start >= end || horizon == 0) return 0.0;
@@ -135,7 +95,6 @@ std::unique_ptr<Forecaster> make_forecaster(const std::string& name) {
   if (name == "persistence") return std::make_unique<PersistenceForecaster>();
   if (name == "moving_average") return std::make_unique<MovingAverageForecaster>();
   if (name == "diurnal") return std::make_unique<DiurnalForecaster>();
-  if (name == "holt_winters") return std::make_unique<HoltWintersForecaster>();
   throw std::invalid_argument("unknown forecaster: " + name);
 }
 

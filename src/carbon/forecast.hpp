@@ -76,29 +76,14 @@ class DiurnalForecaster final : public Forecaster {
   std::uint32_t days_;
 };
 
-/// Holt-Winters additive seasonal smoothing with a 24-hour season: level
-/// and per-hour seasonal components are updated online over the observed
-/// history, then extrapolated. Captures both the diurnal shape and slow
-/// drifts (e.g. seasonal mix changes) that pure climatology misses.
-class HoltWintersForecaster final : public Forecaster {
- public:
-  explicit HoltWintersForecaster(double level_alpha = 0.2, double season_gamma = 0.15);
-  [[nodiscard]] std::vector<double> forecast(const CarbonTrace& trace, HourIndex now,
-                                             std::uint32_t horizon) const override;
-  [[nodiscard]] std::string name() const override { return "holt_winters"; }
-
- private:
-  double level_alpha_;
-  double season_gamma_;
-};
-
 /// Forecast accuracy: mean absolute percentage error of `forecaster` against
 /// the trace over [start, end) with the given horizon, evaluated each epoch.
 [[nodiscard]] double forecast_mape(const Forecaster& forecaster, const CarbonTrace& trace,
                                    HourIndex start, HourIndex end, std::uint32_t horizon);
 
-/// Factory for the named forecaster ("oracle", "persistence",
-/// "moving_average", "diurnal"); throws std::invalid_argument otherwise.
+/// Factory for the forecaster names a ScenarioGrid's forecaster axis takes
+/// ("oracle", "persistence", "moving_average", "diurnal"); throws
+/// std::invalid_argument otherwise.
 [[nodiscard]] std::unique_ptr<Forecaster> make_forecaster(const std::string& name);
 
 }  // namespace carbonedge::carbon

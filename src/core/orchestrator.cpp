@@ -1,45 +1,31 @@
 #include "core/orchestrator.hpp"
 
 namespace carbonedge::core {
+namespace {
 
-const char* to_string(DeployPhase phase) noexcept {
-  switch (phase) {
-    case DeployPhase::kPending: return "pending";
-    case DeployPhase::kRecipeGenerated: return "recipe";
-    case DeployPhase::kImagesPulled: return "images";
-    case DeployPhase::kStarted: return "started";
-    case DeployPhase::kRouted: return "routed";
-    case DeployPhase::kFailed: return "failed";
-  }
-  return "?";
-}
+// Mean simulated step latencies (ms); each draw jitters by +/-20%.
+constexpr double kRecipeMs = 45.0;      // Kubernetes manifests + helm values rendered
+constexpr double kImagePullMs = 520.0;  // container layers present (warm registry cache)
+constexpr double kStartMs = 380.0;      // pods running
+constexpr double kRouteMs = 60.0;       // client informed of the destination address
+constexpr std::uint64_t kSeed = 0x0Bc4e57aULL;
 
-Orchestrator::Orchestrator(OrchestratorConfig config)
-    : config_(config), rng_(config.seed) {}
+}  // namespace
 
-std::vector<Deployment> Orchestrator::deploy(const PlacementResult& result) {
-  std::vector<Deployment> deployments;
-  deployments.reserve(result.decisions.size());
+Orchestrator::Orchestrator() : rng_(kSeed) {}
+
+void Orchestrator::deploy(const PlacementResult& result) {
   for (const PlacementDecision& decision : result.decisions) {
-    Deployment d;
-    d.app = decision.app;
-    d.site = decision.site;
-    d.server = decision.server;
-    const auto step = [&](double mean_ms, DeployPhase next) {
-      d.latency_ms += mean_ms * rng_.uniform(0.8, 1.2);
-      d.phase = next;
-    };
-    step(config_.recipe_ms, DeployPhase::kRecipeGenerated);
-    step(config_.image_pull_ms, DeployPhase::kImagesPulled);
-    step(config_.start_ms, DeployPhase::kStarted);
+    double latency_ms = 0.0;
+    latency_ms += kRecipeMs * rng_.uniform(0.8, 1.2);
+    latency_ms += kImagePullMs * rng_.uniform(0.8, 1.2);
+    latency_ms += kStartMs * rng_.uniform(0.8, 1.2);
     // Routing also pays one network round trip to the client.
-    d.latency_ms += decision.rtt_ms;
-    step(config_.route_ms, DeployPhase::kRouted);
-    total_latency_ms_ += d.latency_ms;
+    latency_ms += decision.rtt_ms;
+    latency_ms += kRouteMs * rng_.uniform(0.8, 1.2);
+    total_latency_ms_ += latency_ms;
     ++total_deployed_;
-    deployments.push_back(d);
   }
-  return deployments;
 }
 
 double Orchestrator::mean_deploy_ms() const noexcept {

@@ -58,7 +58,6 @@ class PlacementService {
   PlacementResult place(const PlacementInput& input, std::span<const sim::Application> apps);
 
   [[nodiscard]] const PolicyConfig& policy() const noexcept { return policy_; }
-  void set_policy(PolicyConfig policy) noexcept { policy_ = policy; }
 
  private:
   PolicyConfig policy_;

@@ -2,7 +2,6 @@
 
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 #include "geo/coord.hpp"
 #include "geo/spatial_index.hpp"
@@ -38,15 +37,19 @@ double LatencyModel::one_way_ms(const City& a, const City& b) const noexcept {
 
 LatencyProvider::LatencyProvider(const LatencyModel& model, std::span<const City> cities) {
   const std::size_t count = cities.size();
-  std::vector<double> values(count * count, 0.0);
+  row_start_.resize(count + 1);
+  sites_.resize(count * count);
+  values_.assign(count * count, 0.0);
+  for (std::size_t i = 0; i <= count; ++i) row_start_[i] = i * count;
   for (std::size_t i = 0; i < count; ++i) {
+    std::iota(sites_.begin() + static_cast<std::ptrdiff_t>(i * count),
+              sites_.begin() + static_cast<std::ptrdiff_t>((i + 1) * count), std::uint32_t{0});
     for (std::size_t j = i + 1; j < count; ++j) {
       const double ms = model.one_way_ms(cities[i], cities[j]);
-      values[i * count + j] = ms;
-      values[j * count + i] = ms;
+      values_[i * count + j] = ms;
+      values_[j * count + i] = ms;
     }
   }
-  assign_full_rows(count, std::move(values));
 }
 
 LatencyProvider::LatencyProvider(const LatencyModel& model, std::span<const City> cities,
@@ -74,24 +77,6 @@ LatencyProvider::LatencyProvider(const LatencyModel& model, std::span<const City
     }
     row_start_[i + 1] = sites_.size();
   }
-}
-
-LatencyProvider::LatencyProvider(std::size_t count, std::vector<double> one_way_values) {
-  if (one_way_values.size() != count * count) {
-    throw std::invalid_argument("latency provider: values size must be count^2");
-  }
-  assign_full_rows(count, std::move(one_way_values));
-}
-
-void LatencyProvider::assign_full_rows(std::size_t count, std::vector<double> values) {
-  row_start_.resize(count + 1);
-  sites_.resize(count * count);
-  for (std::size_t i = 0; i <= count; ++i) row_start_[i] = i * count;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::iota(sites_.begin() + static_cast<std::ptrdiff_t>(i * count),
-              sites_.begin() + static_cast<std::ptrdiff_t>((i + 1) * count), std::uint32_t{0});
-  }
-  values_ = std::move(values);
 }
 
 }  // namespace carbonedge::geo

@@ -82,10 +82,6 @@ class LatencyProvider {
   /// base latency.
   LatencyProvider(const LatencyModel& model, std::span<const City> cities,
                   double band_one_way_ms);
-  /// From raw row-major one-way values (count x count), stored as full
-  /// rows; used by the CSV replay path (latency_io.hpp). Throws
-  /// std::invalid_argument on a size mismatch.
-  LatencyProvider(std::size_t count, std::vector<double> one_way_values);
 
   /// Number of sites the provider covers (indices are [0, size())).
   [[nodiscard]] std::size_t size() const noexcept {
@@ -136,9 +132,6 @@ class LatencyProvider {
   [[nodiscard]] std::size_t stored_entries() const noexcept { return sites_.size(); }
 
  private:
-  /// Full rows over `count` sites with `values` (row-major count x count).
-  void assign_full_rows(std::size_t count, std::vector<double> values);
-
   double band_ms_ = std::numeric_limits<double>::infinity();
   std::vector<std::size_t> row_start_;
   std::vector<std::uint32_t> sites_;  // ascending within each row

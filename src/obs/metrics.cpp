@@ -13,14 +13,6 @@ void Gauge::add(double d) noexcept {
   }
 }
 
-void Gauge::set_max(double v) noexcept {
-  std::uint64_t expected = bits_.load(std::memory_order_relaxed);
-  while (std::bit_cast<double>(expected) < v &&
-         !bits_.compare_exchange_weak(expected, std::bit_cast<std::uint64_t>(v),
-                                      std::memory_order_relaxed)) {
-  }
-}
-
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1) {}
 

@@ -62,11 +62,9 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written double. add()/set_max() are CAS loops over the bit pattern
-/// (portable lock-free atomic double). set_max is commutative, so a gauge
-/// updated only through it stays deterministic even from worker lanes;
-/// plain set() from concurrent writers is last-write-wins and belongs in
-/// the timing view.
+/// Last-written double. add() is a CAS loop over the bit pattern (portable
+/// lock-free atomic double). Plain set() from concurrent writers is
+/// last-write-wins and belongs in the timing view.
 class Gauge {
  public:
   Gauge() = default;
@@ -77,7 +75,6 @@ class Gauge {
     bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
   void add(double d) noexcept;
-  void set_max(double v) noexcept;
   [[nodiscard]] double value() const noexcept {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }

@@ -49,9 +49,9 @@ std::vector<std::string> split_cells(const std::string& line) {
   return cells;
 }
 
-// Strict full-cell numeric parses, mirroring carbon/trace_io.cpp: trailing
-// garbage, empty cells, and non-finite or negative values are rejected with
-// the offending line and cell.
+// Strict full-cell numeric parses: trailing garbage, empty cells, and
+// non-finite or negative values are rejected with the offending line and
+// cell.
 double parse_number(const std::string& cell, std::size_t line, const char* column) {
   double value = 0.0;
   try {
@@ -149,42 +149,6 @@ std::optional<Event> CsvEventSource::next() {
     header_checked_ = true;
   }
   return std::nullopt;
-}
-
-// ---------------------------------------------------------- BurstSource --
-
-BurstSource::BurstSource(std::size_t sites, std::uint32_t epochs, double epoch_hours,
-                         double base_per_epoch, std::vector<BurstPhase> phases,
-                         sim::Application app_template)
-    : sites_(sites),
-      epochs_(epochs),
-      epoch_hours_(epoch_hours),
-      base_per_epoch_(base_per_epoch),
-      phases_(std::move(phases)),
-      template_(app_template) {
-  if (sites_ == 0) throw std::invalid_argument("burst source: no sites");
-}
-
-std::optional<Event> BurstSource::next() {
-  while (emitted_this_epoch_ >= count_this_epoch_) {
-    if (epoch_ >= epochs_) return std::nullopt;
-    double rate = base_per_epoch_;
-    for (const BurstPhase& phase : phases_) {
-      if (epoch_ >= phase.start_epoch && epoch_ < phase.start_epoch + phase.length_epochs) {
-        rate += phase.arrivals_per_epoch;
-      }
-    }
-    count_this_epoch_ = static_cast<std::uint32_t>(std::llround(rate));
-    emitted_this_epoch_ = 0;
-    ++epoch_;
-  }
-  ++emitted_this_epoch_;
-  sim::Application app = template_;
-  app.id = next_id_++;
-  app.origin_site = next_site_;
-  next_site_ = (next_site_ + 1) % sites_;
-  const double time = static_cast<double>(epoch_ - 1) * epoch_hours_;
-  return make_arrival(time, app);
 }
 
 }  // namespace carbonedge::serve

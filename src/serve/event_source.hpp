@@ -1,16 +1,13 @@
 // Event sources for the serving loop: where the request stream comes from.
 //
-// Three producers cover the workload families the ROADMAP names:
+// Two producers:
 //   - TraceReplaySource adapts the batch engine's workload synthesis into a
 //     stream (epoch e's arrivals stamped at the epoch's start time), so a
 //     year-long scenario replays through the serving path — the replay
 //     differential oracle and the throughput bench both ride on it.
 //   - CsvEventSource parses line-delimited CSV from any std::istream (a
-//     file, a pipe, stdin) for live feeds, with read_traces_csv-grade
-//     hardening: malformed lines are rejected with their line number, or
-//     skipped-and-counted under ErrorPolicy::kSkip.
-//   - BurstSource synthesizes flash-crowd arrival profiles (a base rate
-//     plus step/spike phases) for EMA-trigger and backpressure scenarios.
+//     file, a pipe, stdin) for live feeds: malformed lines are rejected with
+//     their line number, or skipped-and-counted under ErrorPolicy::kSkip.
 #pragma once
 
 #include <iosfwd>
@@ -95,40 +92,6 @@ class CsvEventSource final : public EventSource {
   std::uint64_t rejected_ = 0;
   std::string last_error_;
   sim::AppId next_id_ = 0;
-};
-
-/// One phase of elevated arrival volume. A step profile is one long phase;
-/// a spike train is several short ones.
-struct BurstPhase {
-  std::uint32_t start_epoch = 0;
-  std::uint32_t length_epochs = 1;
-  double arrivals_per_epoch = 0.0;  // added on top of the base rate
-};
-
-/// Deterministic flash-crowd arrivals: `base_per_epoch` applications every
-/// epoch, plus each active phase's rate. Origins cycle the sites; rps,
-/// lifetime, and SLO come from the template app, so the load signal is
-/// fully controlled — exactly what the EMA-threshold tests need.
-class BurstSource final : public EventSource {
- public:
-  BurstSource(std::size_t sites, std::uint32_t epochs, double epoch_hours,
-              double base_per_epoch, std::vector<BurstPhase> phases,
-              sim::Application app_template);
-
-  [[nodiscard]] std::optional<Event> next() override;
-
- private:
-  std::size_t sites_;
-  std::uint32_t epochs_;
-  double epoch_hours_;
-  double base_per_epoch_;
-  std::vector<BurstPhase> phases_;
-  sim::Application template_;
-  std::uint32_t epoch_ = 0;
-  std::uint32_t emitted_this_epoch_ = 0;
-  std::uint32_t count_this_epoch_ = 0;
-  sim::AppId next_id_ = 0;
-  std::size_t next_site_ = 0;
 };
 
 }  // namespace carbonedge::serve

@@ -32,8 +32,6 @@ void LinearProgram::set_bounds(int var, double lower, double upper) {
   upper_.at(var) = upper;
 }
 
-void LinearProgram::set_objective_coeff(int var, double coeff) { objective_.at(var) = coeff; }
-
 double LinearProgram::evaluate(const std::vector<double>& x) const {
   double total = 0.0;
   for (std::size_t i = 0; i < objective_.size(); ++i) total += objective_[i] * x.at(i);

@@ -36,7 +36,6 @@ class LinearProgram {
   [[nodiscard]] double lower_bound(int var) const { return lower_.at(var); }
   [[nodiscard]] double upper_bound(int var) const { return upper_.at(var); }
   void set_bounds(int var, double lower, double upper);
-  void set_objective_coeff(int var, double coeff);
 
   struct Row {
     std::vector<std::pair<int, double>> terms;

@@ -1,7 +1,6 @@
 #include "util/csv.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -99,14 +98,6 @@ CsvDocument parse_csv(std::string_view text, bool has_header) {
   return doc;
 }
 
-CsvDocument load_csv(const std::filesystem::path& path, bool has_header) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("csv: cannot open " + path.string());
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return parse_csv(buffer.str(), has_header);
-}
-
 double parse_nonnegative(const std::string& cell, std::string_view source, std::size_t line,
                          std::string_view column) {
   const auto fail = [&](std::string_view what) {
@@ -159,13 +150,6 @@ std::string format_double(double value, int precision) {
 void CsvWriter::header(const std::vector<std::string>& names) { write_cells(names); }
 
 void CsvWriter::row(const std::vector<std::string>& cells) { write_cells(cells); }
-
-void CsvWriter::row_numeric(const std::vector<double>& cells, int precision) {
-  std::vector<std::string> formatted;
-  formatted.reserve(cells.size());
-  for (const double v : cells) formatted.push_back(format_double(v, precision));
-  write_cells(formatted);
-}
 
 void CsvWriter::write_cells(const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -1,9 +1,8 @@
-// Minimal CSV reading/writing used by the trace replayers and the bench
-// harness (every bench can dump its rows as CSV next to the ASCII table).
-// RFC-4180-style quoting is supported on both paths.
+// Minimal CSV writing, used by the trace export and the bench harness (every
+// bench can dump its rows as CSV next to the ASCII table), and the matching
+// parser. RFC-4180-style quoting is supported on both paths.
 #pragma once
 
-#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -25,9 +24,6 @@ struct CsvDocument {
 /// quotes. An empty input yields an empty document.
 [[nodiscard]] CsvDocument parse_csv(std::string_view text, bool has_header = true);
 
-/// Load and parse a CSV file. Throws std::runtime_error if unreadable.
-[[nodiscard]] CsvDocument load_csv(const std::filesystem::path& path, bool has_header = true);
-
 /// 1-based text line of data row `row` (0-based) under a header on line 1.
 /// (Quoted cells with embedded newlines would shift this, but no exporter
 /// in this repo emits them.)
@@ -47,9 +43,6 @@ class CsvWriter {
 
   void header(const std::vector<std::string>& names);
   void row(const std::vector<std::string>& cells);
-
-  /// Convenience: format doubles with fixed precision.
-  void row_numeric(const std::vector<double>& cells, int precision = 6);
 
  private:
   void write_cells(const std::vector<std::string>& cells);

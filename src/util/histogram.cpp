@@ -31,24 +31,6 @@ void Histogram::add(double value, double weight) noexcept {
   bins_[index] += weight;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (other.bins_.size() != bins_.size() || other.lo_ != lo_ || other.hi_ != hi_) {
-    throw std::invalid_argument("histogram: merge requires identical binning");
-  }
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
-  total_weight_ += other.total_weight_;
-  weighted_sum_ += other.weighted_sum_;
-  count_ += other.count_;
-}
-
 Histogram Histogram::restore(double lo, double hi, std::vector<double> bins,
                              double total_weight, double weighted_sum, std::uint64_t count,
                              double min, double max) {

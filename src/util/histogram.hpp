@@ -15,7 +15,6 @@ class Histogram {
   explicit Histogram(double lo = 0.0, double hi = 1000.0, std::size_t bins = 500);
 
   void add(double value, double weight = 1.0) noexcept;
-  void merge(const Histogram& other);
 
   [[nodiscard]] double total_weight() const noexcept { return total_weight_; }
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }

@@ -43,11 +43,8 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept { reseed(seed); }
-
-  void reseed(std::uint64_t seed) noexcept {
-    std::uint64_t sm = seed;
-    for (auto& word : state_) word = splitmix64(sm);
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) noexcept {
+    for (auto& word : state_) word = splitmix64(seed);
   }
 
   [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
@@ -101,17 +98,6 @@ class Rng {
   /// Draw an index from a discrete distribution given non-negative weights.
   /// Returns weights.size() only if every weight is zero or the span is empty.
   [[nodiscard]] std::size_t weighted_index(const double* weights, std::size_t count) noexcept;
-
-  /// Derive an independent child stream for entity `stream` (site, shard,
-  /// scenario...). The child's seed mixes the parent's *current* state with
-  /// the stream index, so forks taken at different points diverge, while the
-  /// parent's own sequence is left untouched — draws from a fork never
-  /// perturb draws from the parent, which is what makes pre-forked per-
-  /// entity streams safe to consume in any thread order.
-  [[nodiscard]] Rng fork(std::uint64_t stream) const noexcept {
-    std::uint64_t s = state_[0] ^ rotl(state_[2], 23) ^ mix64(stream + 0x632BE59BD9B4E019ULL);
-    return Rng(splitmix64(s));
-  }
 
  private:
   [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

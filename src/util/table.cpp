@@ -9,10 +9,7 @@
 
 namespace carbonedge::util {
 
-Table::Table(std::vector<std::string> header) : header_(std::move(header)) {
-  aligns_.assign(header_.size(), Align::kRight);
-  if (!aligns_.empty()) aligns_[0] = Align::kLeft;
-}
+Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 
 void Table::add_row(std::vector<std::string> cells) {
   cells.resize(header_.size());
@@ -27,16 +24,9 @@ void Table::add_row(const std::string& label, const std::vector<double>& values,
   add_row(std::move(cells));
 }
 
-void Table::add_separator() { separators_.push_back(rows_.size()); }
-
 void Table::append_column(std::string header, const std::string& value) {
   header_.push_back(std::move(header));
-  aligns_.push_back(Align::kRight);
   for (auto& row : rows_) row.push_back(value);
-}
-
-void Table::set_align(std::size_t column, Align align) {
-  if (column < aligns_.size()) aligns_[column] = align;
 }
 
 void Table::print(std::ostream& out) const { out << to_string(); }
@@ -49,14 +39,8 @@ std::string Table::to_string() const {
   }
 
   const auto pad = [&](const std::string& cell, std::size_t c) {
-    std::string out_cell;
-    const std::size_t width = widths[c];
-    if (aligns_[c] == Align::kLeft) {
-      out_cell = cell + std::string(width - cell.size(), ' ');
-    } else {
-      out_cell = std::string(width - cell.size(), ' ') + cell;
-    }
-    return out_cell;
+    const std::string fill(widths[c] - cell.size(), ' ');
+    return c == 0 ? cell + fill : fill + cell;
   };
 
   std::ostringstream os;
@@ -72,10 +56,9 @@ std::string Table::to_string() const {
   for (std::size_t c = 0; c < header_.size(); ++c) os << ' ' << pad(header_[c], c) << " |";
   os << '\n';
   rule();
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    if (std::find(separators_.begin(), separators_.end(), r) != separators_.end() && r != 0) rule();
+  for (const auto& row : rows_) {
     os << '|';
-    for (std::size_t c = 0; c < rows_[r].size(); ++c) os << ' ' << pad(rows_[r][c], c) << " |";
+    for (std::size_t c = 0; c < row.size(); ++c) os << ' ' << pad(row[c], c) << " |";
     os << '\n';
   }
   rule();

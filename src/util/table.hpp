@@ -9,10 +9,8 @@
 
 namespace carbonedge::util {
 
-/// Column alignment for rendered tables.
-enum class Align { kLeft, kRight };
-
-/// A simple column-aligned ASCII table.
+/// A simple column-aligned ASCII table: the first column is left-aligned,
+/// every other column right-aligned.
 ///
 ///   Table t({"Zone", "gCO2/kWh"});
 ///   t.add_row({"Miami", "112.4"});
@@ -26,14 +24,10 @@ class Table {
   /// Convenience: first cell is a label, the rest are numbers.
   void add_row(const std::string& label, const std::vector<double>& values, int precision = 2);
 
-  /// Insert a horizontal separator after the current last row.
-  void add_separator();
-
   /// Append one column filled with `value` in every existing row (rows
   /// added later size themselves to the widened header).
   void append_column(std::string header, const std::string& value);
 
-  void set_align(std::size_t column, Align align);
   void set_title(std::string title) { title_ = std::move(title); }
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
@@ -48,8 +42,6 @@ class Table {
   std::string title_;
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<std::size_t> separators_;  // row indices after which to draw a rule
-  std::vector<Align> aligns_;
 };
 
 /// Format helper: "12.3%" style percentage.

@@ -47,9 +47,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Block until every queued/running task has finished.
-  void wait_idle();
-
  private:
   void worker_loop();
 
@@ -57,8 +54,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
   bool stopping_ = false;
 };
 

@@ -49,38 +49,6 @@ TEST(RegionSummary, ZoneOrderMatchesRegion) {
   EXPECT_EQ(summary.zones[1].zone, "Miami");
 }
 
-TEST(BestPartner, FindsGreenerNeighborWithinBudget) {
-  const geo::Region region = geo::central_eu_region();
-  const auto cities = region.resolve();
-  const std::vector<double> means = yearly_means(cities);
-  const geo::LatencyModel latency;
-  // Munich (dirtiest zone) should find a much greener partner.
-  const geo::City& munich = geo::builtin_sites().require("Munich");
-  const auto partner = best_partner(munich, cities, means, latency, 15.0);
-  ASSERT_TRUE(partner.has_value());
-  EXPECT_GT(partner->saving_fraction, 0.5);
-  EXPECT_LE(partner->one_way_ms, 15.0);
-}
-
-TEST(BestPartner, NoneWhenBudgetTooTight) {
-  const geo::Region region = geo::central_eu_region();
-  const auto cities = region.resolve();
-  const std::vector<double> means = yearly_means(cities);
-  const geo::LatencyModel latency;
-  const geo::City& munich = geo::builtin_sites().require("Munich");
-  EXPECT_FALSE(best_partner(munich, cities, means, latency, 0.5).has_value());
-}
-
-TEST(BestPartner, GreenestZoneHasNoImprovingPartner) {
-  const geo::Region region = geo::central_eu_region();
-  const auto cities = region.resolve();
-  const std::vector<double> means = yearly_means(cities);
-  const geo::LatencyModel latency;
-  // Lyon is the calibrated greenest zone; nothing nearby improves on it.
-  const geo::City& lyon = geo::builtin_sites().require("Lyon");
-  EXPECT_FALSE(best_partner(lyon, cities, means, latency, 20.0).has_value());
-}
-
 TEST(RadiusStudy, OpportunityGrowsWithRadius) {
   // Figure 5's monotonicity: larger radii expose at least as much saving.
   const geo::Region us = geo::cdn_region(geo::Continent::kNorthAmerica);

@@ -105,7 +105,7 @@ TEST(MeanForecast, MatchesWindowAverage) {
 TEST(Forecaster, MeanForecastMatchesSeriesMean) {
   const CarbonTrace trace = real_trace();
   const auto last = static_cast<HourIndex>(trace.hours() - 1);
-  for (const char* name : {"oracle", "persistence", "moving_average", "diurnal", "holt_winters"}) {
+  for (const char* name : {"oracle", "persistence", "moving_average", "diurnal"}) {
     const std::unique_ptr<Forecaster> forecaster = make_forecaster(name);
     for (const HourIndex now : {HourIndex{0}, HourIndex{5}, HourIndex{24 * 30 + 7}, last - 2, last}) {
       for (const std::uint32_t horizon : {0u, 1u, 3u, 24u, 169u}) {
@@ -131,53 +131,6 @@ TEST(Factory, MakesAllKnownForecasters) {
   EXPECT_NE(make_forecaster("moving_average")->name().find("moving_average"), std::string::npos);
   EXPECT_NE(make_forecaster("diurnal")->name().find("diurnal"), std::string::npos);
   EXPECT_THROW(make_forecaster("lstm"), std::invalid_argument);
-}
-
-
-TEST(HoltWinters, ConstantSignalConverges) {
-  const CarbonTrace trace("c", std::vector<double>(kHoursPerYear, 250.0));
-  const HoltWintersForecaster hw;
-  const auto f = hw.forecast(trace, 24 * 30, 24);
-  for (const double v : f) EXPECT_NEAR(v, 250.0, 1e-6);
-}
-
-TEST(HoltWinters, LearnsDiurnalShape) {
-  const CarbonTrace trace = sine_trace();
-  const HoltWintersForecaster hw;
-  const auto f = hw.forecast(trace, 24 * 30, 24);
-  for (std::uint32_t i = 0; i < 24; ++i) {
-    EXPECT_NEAR(f[i], trace.at(24 * 30 + i), 12.0) << i;
-  }
-}
-
-TEST(HoltWinters, BeatsPersistenceOnSolarZone) {
-  const CarbonTrace trace = real_trace();
-  const HoltWintersForecaster hw;
-  const PersistenceForecaster persistence;
-  EXPECT_LT(forecast_mape(hw, trace, 24 * 14, 24 * 44, 24),
-            forecast_mape(persistence, trace, 24 * 14, 24 * 44, 24));
-}
-
-TEST(HoltWinters, NonNegativeForecasts) {
-  const CarbonTrace trace("near_zero", std::vector<double>(kHoursPerYear, 0.5));
-  const HoltWintersForecaster hw;
-  for (const double v : hw.forecast(trace, 1000, 24)) EXPECT_GE(v, 0.0);
-}
-
-TEST(HoltWinters, InvalidSmoothingThrows) {
-  EXPECT_THROW(HoltWintersForecaster(0.0, 0.1), std::invalid_argument);
-  EXPECT_THROW(HoltWintersForecaster(0.2, 1.5), std::invalid_argument);
-}
-
-TEST(HoltWinters, TimeZeroFallsBackToFirstValue) {
-  const CarbonTrace trace = sine_trace();
-  const HoltWintersForecaster hw;
-  const auto f = hw.forecast(trace, 0, 3);
-  for (const double v : f) EXPECT_DOUBLE_EQ(v, trace.at(0));
-}
-
-TEST(Factory, MakesHoltWinters) {
-  EXPECT_EQ(make_forecaster("holt_winters")->name(), "holt_winters");
 }
 
 TEST(ForecastAccuracy, MapeZeroOnDegenerateRanges) {

@@ -73,27 +73,5 @@ TEST(Histogram, OutOfRangeClampsToEdges) {
   EXPECT_DOUBLE_EQ(h.quantile(1.0), 25.0);
 }
 
-TEST(Histogram, MergeEqualsCombinedStream) {
-  Rng rng(23);
-  Histogram a(0.0, 50.0, 200);
-  Histogram b(0.0, 50.0, 200);
-  Histogram both(0.0, 50.0, 200);
-  for (int i = 0; i < 3000; ++i) {
-    const double v = rng.uniform(0.0, 50.0);
-    (i % 2 == 0 ? a : b).add(v);
-    both.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), both.count());
-  EXPECT_NEAR(a.mean(), both.mean(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.quantile(0.5), both.quantile(0.5));
-}
-
-TEST(Histogram, MergeRequiresSameBinning) {
-  Histogram a(0.0, 50.0, 200);
-  Histogram b(0.0, 60.0, 200);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace carbonedge::util

@@ -6,12 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "geo/catalog.hpp"
-#include "geo/latency_io.hpp"
 #include "geo/region.hpp"
 #include "geo/site.hpp"
 
@@ -239,13 +237,6 @@ TEST(LatencyProvider, RowValuesMatchLookupsOnBandedRows) {
   for (const double band_ms : {2.0, 6.0, 12.0, 1e6}) {
     expect_rows_match_lookups(LatencyProvider(LatencyModel{}, cities, band_ms));
   }
-}
-
-TEST(LatencyProvider, RowValuesMatchLookupsOnCsvBuiltRows) {
-  const std::vector<City> cities = central_eu_region().resolve();
-  std::ostringstream csv;
-  write_latency_csv(csv, cities, LatencyModel{});
-  expect_rows_match_lookups(read_latency_csv(csv.str(), cities));
 }
 
 }  // namespace

@@ -90,11 +90,10 @@ TEST(Histogram, ObserveUsesLeSemanticsWithOverflowBucket) {
   EXPECT_DOUBLE_EQ(h.sum(), 112.5);
 }
 
-TEST(Gauge, SetMaxIsMonotoneAndAddAccumulates) {
+TEST(Gauge, SetThenAddAccumulates) {
   Registry reg;
   Gauge& g = reg.gauge("g", "", View::kTiming);
-  g.set_max(3.0);
-  g.set_max(1.0);  // lower value must not regress the max
+  g.set(3.0);
   EXPECT_DOUBLE_EQ(g.value(), 3.0);
   g.set(0.0);
   g.add(1.5);
@@ -117,12 +116,12 @@ TEST(RegistryConcurrency, HammeredHandlesLoseNothing) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&reg, t] {
       Counter& c = reg.counter("hammer.count", "", View::kDeterministic);
-      Gauge& g = reg.gauge("hammer.peak", "", View::kTiming);
+      Gauge& g = reg.gauge("hammer.total", "", View::kTiming);
       Histogram& h =
           reg.histogram("hammer.hist", "", View::kDeterministic, {8.0, 64.0, 512.0});
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
         c.add(1);
-        g.set_max(static_cast<double>(t * 1000 + 1));
+        g.add(1.0);
         h.observe(static_cast<double>(i % 1000));
       }
     });
@@ -136,7 +135,9 @@ TEST(RegistryConcurrency, HammeredHandlesLoseNothing) {
   EXPECT_EQ(h.bucket(0) + h.bucket(1) + h.bucket(2) + h.bucket(3), h.count());
   // Exact commutative sum: every thread observed the same integer multiset.
   EXPECT_DOUBLE_EQ(h.sum(), kThreads * kPerThread * 499.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("hammer.peak", "", View::kTiming).value(), 7001.0);
+  // Integer-valued adds are exact, so the CAS loop must have lost none.
+  EXPECT_DOUBLE_EQ(reg.gauge("hammer.total", "", View::kTiming).value(),
+                   static_cast<double>(kThreads * kPerThread));
 }
 
 // -------------------------------------------------------- spans, fake clock --

@@ -197,13 +197,5 @@ TEST(PlacementService, IncrementalCallsRespectEarlierLoad) {
   }
 }
 
-TEST(PlacementService, PolicyIsSwappable) {
-  Fixture f;
-  PlacementService service(PolicyConfig::latency_aware());
-  EXPECT_EQ(service.policy().kind, PolicyKind::kLatencyAware);
-  service.set_policy(PolicyConfig::carbon_edge());
-  EXPECT_EQ(service.policy().kind, PolicyKind::kCarbonEdge);
-}
-
 }  // namespace
 }  // namespace carbonedge::core

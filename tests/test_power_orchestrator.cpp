@@ -70,17 +70,6 @@ PlacementResult fake_placement(std::size_t count) {
   return result;
 }
 
-TEST(Orchestrator, DeploysEveryDecision) {
-  Orchestrator orchestrator;
-  const auto deployments = orchestrator.deploy(fake_placement(5));
-  ASSERT_EQ(deployments.size(), 5u);
-  for (const Deployment& d : deployments) {
-    EXPECT_EQ(d.phase, DeployPhase::kRouted);
-    EXPECT_GT(d.latency_ms, 0.0);
-  }
-  EXPECT_EQ(orchestrator.total_deployed(), 5u);
-}
-
 TEST(Orchestrator, DeployLatencyIsAboutOneSecond) {
   // Section 6.5 reports ~1.01 s to initiate an application deployment.
   Orchestrator orchestrator;
@@ -90,28 +79,20 @@ TEST(Orchestrator, DeployLatencyIsAboutOneSecond) {
 }
 
 TEST(Orchestrator, LatencyIncludesNetworkRtt) {
-  OrchestratorConfig config;
-  config.recipe_ms = 0.0;
-  config.image_pull_ms = 0.0;
-  config.start_ms = 0.0;
-  config.route_ms = 0.0;
-  Orchestrator orchestrator(config);
+  // Same seed, same draws: the only difference is the client round trip.
+  Orchestrator near;
+  Orchestrator far;
   PlacementResult result = fake_placement(1);
-  result.decisions[0].rtt_ms = 12.5;
-  const auto deployments = orchestrator.deploy(result);
-  EXPECT_DOUBLE_EQ(deployments[0].latency_ms, 12.5);
+  near.deploy(result);
+  result.decisions[0].rtt_ms += 12.5;
+  far.deploy(result);
+  EXPECT_NEAR(far.mean_deploy_ms() - near.mean_deploy_ms(), 12.5, 1e-9);
 }
 
 TEST(Orchestrator, EmptyResultMeansNoDeployments) {
   Orchestrator orchestrator;
-  EXPECT_TRUE(orchestrator.deploy(PlacementResult{}).empty());
+  orchestrator.deploy(PlacementResult{});
   EXPECT_DOUBLE_EQ(orchestrator.mean_deploy_ms(), 0.0);
-}
-
-TEST(Orchestrator, PhaseNames) {
-  EXPECT_STREQ(to_string(DeployPhase::kPending), "pending");
-  EXPECT_STREQ(to_string(DeployPhase::kRouted), "routed");
-  EXPECT_STREQ(to_string(DeployPhase::kFailed), "failed");
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+#include <vector>
+
 #include "serve/event_source.hpp"
 
 namespace carbonedge::serve {
@@ -50,6 +54,66 @@ TEST(Ema, SeedsWithFirstObservationThenSmooths) {
 }
 
 // ------------------------------------------------------ burst scenarios --
+
+/// One phase of elevated arrival volume. A step profile is one long phase;
+/// a spike train is several short ones.
+struct BurstPhase {
+  std::uint32_t start_epoch = 0;
+  std::uint32_t length_epochs = 1;
+  double arrivals_per_epoch = 0.0;  // added on top of the base rate
+};
+
+/// Deterministic flash-crowd arrivals: `base_per_epoch` applications every
+/// epoch, plus each active phase's rate. Origins cycle the sites; rps,
+/// lifetime, and SLO come from the template app, so the load signal is
+/// fully controlled, which is what the EMA-threshold tests need.
+class BurstSource final : public EventSource {
+ public:
+  BurstSource(std::size_t sites, std::uint32_t epochs, double epoch_hours,
+              double base_per_epoch, std::vector<BurstPhase> phases,
+              sim::Application app_template)
+      : sites_(sites),
+        epochs_(epochs),
+        epoch_hours_(epoch_hours),
+        base_per_epoch_(base_per_epoch),
+        phases_(std::move(phases)),
+        template_(app_template) {}
+
+  [[nodiscard]] std::optional<Event> next() override {
+    while (emitted_this_epoch_ >= count_this_epoch_) {
+      if (epoch_ >= epochs_) return std::nullopt;
+      double rate = base_per_epoch_;
+      for (const BurstPhase& phase : phases_) {
+        if (epoch_ >= phase.start_epoch && epoch_ < phase.start_epoch + phase.length_epochs) {
+          rate += phase.arrivals_per_epoch;
+        }
+      }
+      count_this_epoch_ = static_cast<std::uint32_t>(std::llround(rate));
+      emitted_this_epoch_ = 0;
+      ++epoch_;
+    }
+    ++emitted_this_epoch_;
+    sim::Application app = template_;
+    app.id = next_id_++;
+    app.origin_site = next_site_;
+    next_site_ = (next_site_ + 1) % sites_;
+    const double time = static_cast<double>(epoch_ - 1) * epoch_hours_;
+    return make_arrival(time, app);
+  }
+
+ private:
+  std::size_t sites_;
+  std::uint32_t epochs_;
+  double epoch_hours_;
+  double base_per_epoch_;
+  std::vector<BurstPhase> phases_;
+  sim::Application template_;
+  std::uint32_t epoch_ = 0;
+  std::uint32_t emitted_this_epoch_ = 0;
+  std::uint32_t count_this_epoch_ = 0;
+  sim::AppId next_id_ = 0;
+  std::size_t next_site_ = 0;
+};
 
 sim::Application burst_app() {
   sim::Application app;

@@ -27,16 +27,6 @@ TEST(ThreadPool, ManyTasksAllComplete) {
   EXPECT_EQ(counter.load(), 500);
 }
 
-TEST(ThreadPool, WaitIdleBlocksUntilDrained) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 64; ++i) {
-    (void)pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 64);
-}
-
 TEST(ThreadPool, TaskExceptionsSurfaceViaFuture) {
   ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
