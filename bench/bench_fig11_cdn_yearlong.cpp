@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
   runner::ScenarioGrid grid(bench::apply_smoke_epochs(bench::cdn_config()));
   grid.with_regions(regions).with_policies(policies);
   const auto outcomes =
-      runner::ScenarioRunner(runner::ScenarioRunnerOptions{.threads = 0,
-                                                           .sweep_store = sweep_store})
+      runner::ScenarioRunner(runner::ScenarioRunnerOptions{.sweep_store = sweep_store})
           .run(grid);
 
   util::Table summary({"Continent", "Sites", "Latency-aware (kg)", "CarbonEdge (kg)",

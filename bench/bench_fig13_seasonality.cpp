@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
     scenarios.push_back(std::move(scenario));
   }
   const auto outcomes =
-      runner::ScenarioRunner(runner::ScenarioRunnerOptions{.threads = 0,
-                                                           .sweep_store = sweep_store})
+      runner::ScenarioRunner(runner::ScenarioRunnerOptions{.sweep_store = sweep_store})
           .run(std::move(scenarios));
 
   // (a)/(b): monthly savings and latency increases, both continents.

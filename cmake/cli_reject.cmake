@@ -4,11 +4,19 @@
 # abort).
 #
 # Invoked as: cmake -DBIN=<binary> "-DARGS=<space-separated argv>"
-#                   -DBAD=<the rejected argument> -P cli_reject.cmake
+#                   -DBAD=<the rejected argument> [-DINPUT=<file>]
+#                   -P cli_reject.cmake
+# INPUT, when given, is the binary's stdin (a malformed `serve --stdin`
+# feed).
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 get_filename_component(name "${BIN}" NAME)
+set(input)
+if(DEFINED INPUT)
+  set(input INPUT_FILE "${INPUT}")
+endif()
 execute_process(
   COMMAND "${BIN}" ${args}
+  ${input}
   OUTPUT_VARIABLE output
   ERROR_VARIABLE output
   RESULT_VARIABLE status

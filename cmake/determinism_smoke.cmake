@@ -6,11 +6,17 @@
 # the CI determinism-gate step.
 #
 #   cmake -DCLI=<carbonedge_cli> -DOUT_DIR=<scratch> -P determinism_smoke.cmake
+#
+# Each thread count's probes share their own store, CARBONEDGE_STORE_DIR=
+# ${OUT_DIR}/store-t<N>, emptied here: both sides start equally cold
+# whatever store the caller set, so the store tier is under the gate too
+# and neither side replays what the other computed.
 if(NOT DEFINED CLI OR NOT DEFINED OUT_DIR)
   message(FATAL_ERROR "usage: cmake -DCLI=<carbonedge_cli> -DOUT_DIR=<dir> -P determinism_smoke.cmake")
 endif()
 
 file(MAKE_DIRECTORY ${OUT_DIR})
+file(REMOVE_RECURSE ${OUT_DIR}/store-t1 ${OUT_DIR}/store-t4)
 
 # (label, argument list) probes: a grid wider than the budget (cells share
 # lanes) and a single big cell (its solver's component dispatch gets every
@@ -34,7 +40,8 @@ foreach(probe sweep single serve)
     string(REPLACE "@THREADS@" "${threads}" args "${PROBE_${probe}}")
     execute_process(
       # -E env: the worker budget under test reaches the probe process only.
-      COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads} ${CLI} ${args}
+      COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads}
+              CARBONEDGE_STORE_DIR=${OUT_DIR}/store-t${threads} ${CLI} ${args}
       OUTPUT_FILE ${OUT_DIR}/${probe}-t${threads}.txt
       RESULT_VARIABLE status)
     if(NOT status EQUAL 0)
@@ -64,6 +71,7 @@ file(MAKE_DIRECTORY ${CATALOG_STORE})
 foreach(threads 1 4)
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads}
+            CARBONEDGE_STORE_DIR=${OUT_DIR}/store-t${threads}
             ${CLI} catalog --dir ${CATALOG_STORE} build ${CATALOG_TSV}
     OUTPUT_FILE ${OUT_DIR}/catalog-build-t${threads}.txt
     RESULT_VARIABLE status)
@@ -92,7 +100,8 @@ set(PROBE_catalog_sweep "catalog;--dir;${CATALOG_STORE};sweep;${CATALOG_KEY};24;
 foreach(probe catalog_radius catalog_sweep)
   foreach(threads 1 4)
     execute_process(
-      COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads} ${CLI} ${PROBE_${probe}}
+      COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads}
+              CARBONEDGE_STORE_DIR=${OUT_DIR}/store-t${threads} ${CLI} ${PROBE_${probe}}
       OUTPUT_FILE ${OUT_DIR}/${probe}-t${threads}.txt
       RESULT_VARIABLE status)
     if(NOT status EQUAL 0)

@@ -93,7 +93,6 @@
 #include "serve/event_loop.hpp"
 #include "serve/event_source.hpp"
 #include "serve/export.hpp"
-#include "serve/ingest.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
 #include "store/artifact_store.hpp"

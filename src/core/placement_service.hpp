@@ -57,8 +57,6 @@ class PlacementService {
   /// (hosts the applications, powers on activated servers).
   PlacementResult place(const PlacementInput& input, std::span<const sim::Application> apps);
 
-  [[nodiscard]] const PolicyConfig& policy() const noexcept { return policy_; }
-
  private:
   PolicyConfig policy_;
   solver::AssignmentOptions options_;

@@ -155,6 +155,20 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   if (epoch_ >= config_.epochs) {
     throw std::logic_error("SimulationEngine::step beyond configured horizon");
   }
+  // Site indices from outside (an event feed) are checked before any state
+  // changes: they index the latency rows and the per-site traces unchecked.
+  for (const sim::Application& app : arrivals) {
+    if (app.origin_site >= cluster_.size()) {
+      throw std::invalid_argument("arrival: origin_site " + std::to_string(app.origin_site) +
+                                  " out of range");
+    }
+  }
+  for (const ServerFailureEvent& event : options.failures) {
+    if (event.site >= cluster_.size()) {
+      throw std::invalid_argument("failure event: site " + std::to_string(event.site) +
+                                  " out of range");
+    }
+  }
   const obs::Span span(epoch_phase());
   const std::uint32_t epoch = epoch_;
   const carbon::HourIndex hour = hour_of(epoch);
@@ -207,9 +221,6 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   // eligible), and with an empty span this block is a no-op — the drawn
   // failure stream is untouched, which the replay oracle relies on.
   for (const ServerFailureEvent& event : options.failures) {
-    if (event.site >= cluster_.size()) {
-      throw std::invalid_argument("failure event: site out of range");
-    }
     sim::EdgeServer& server = find_server(event.site, event.server_id);
     if (server.failed()) continue;  // already down: repair timer keeps running
     crash_server(event.site, server, epoch, batch, epoch_failures);

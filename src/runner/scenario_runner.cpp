@@ -133,21 +133,13 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
       options_.sweep_store->save(scenarios[i], slots[i]);
     }
   };
-  if (options_.threads != 0) {
-    // Explicit worker count: the caller's choice wins, but the lanes are
-    // still leased so the nested layers below see them as spent.
-    const util::ParallelismBudget::Lease lease = budget.acquire(options_.threads);
-    util::ThreadPool pool(options_.threads);
-    util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
+  const util::ParallelismBudget::Lease lease = budget.acquire(pending.size());
+  const std::size_t cell_lanes = lease.lanes();
+  if (cell_lanes <= 1) {
+    for (std::size_t p = 0; p < pending.size(); ++p) body(p);
   } else {
-    const util::ParallelismBudget::Lease lease = budget.acquire(pending.size());
-    const std::size_t cell_lanes = lease.lanes();
-    if (cell_lanes <= 1) {
-      for (std::size_t p = 0; p < pending.size(); ++p) body(p);
-    } else {
-      util::ThreadPool pool(cell_lanes);
-      util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
-    }
+    util::ThreadPool pool(cell_lanes);
+    util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
   }
 
   std::vector<ScenarioOutcome> outcomes;

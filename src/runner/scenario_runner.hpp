@@ -61,15 +61,11 @@ class CellCache {
 };
 
 struct ScenarioRunnerOptions {
-  /// Worker threads for the sweep. 0 (the default) leases one lane per
-  /// concurrently running cell from the process worker budget
-  /// (util::ParallelismBudget, CARBONEDGE_THREADS); whatever is left goes
-  /// to the cells' placement solvers for component dispatch. A nonzero
-  /// value forces exactly that many cell workers. Each cell's epochs run
-  /// serially on its worker.
-  std::size_t threads = 0;
   /// Budget to lease from instead of util::global_budget() (test
-  /// injection; also forwarded to every cell's EdgeSimulation).
+  /// injection; also forwarded to every cell's EdgeSimulation). The sweep
+  /// leases one lane per concurrently running cell from it; whatever is
+  /// left goes to the cells' placement solvers for component dispatch.
+  /// Each cell's epochs run serially on its lane.
   util::ParallelismBudget* budget = nullptr;
   /// Persistent sweep-cell cache (store::SweepStore, via the CellCache
   /// seam). When set, cells already in the cache are loaded instead of

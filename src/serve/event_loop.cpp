@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/histogram.hpp"
 
@@ -27,6 +28,37 @@ obs::Phase& window_flush_phase() {
   return phase;
 }
 
+// Registry mirrors of IngestStats (deterministic view: what admission does
+// to a given event stream does not depend on lane counts).
+struct IngestMetrics {
+  obs::Counter& accepted;
+  obs::Counter& dropped_overflow;
+  obs::Counter& dropped_stale;
+  obs::Counter& clamped_stale;
+};
+
+IngestMetrics& ingest_metrics() {
+  obs::Registry& registry = obs::Registry::global();
+  static IngestMetrics metrics{
+      registry.counter("serve.ingest.accepted", "events admitted",
+                       obs::View::kDeterministic),
+      registry.counter("serve.ingest.dropped_overflow",
+                       "events dropped beyond the per-epoch queue_capacity",
+                       obs::View::kDeterministic),
+      registry.counter("serve.ingest.dropped_stale",
+                       "events stamped before their epoch dropped (policy kDrop)",
+                       obs::View::kDeterministic),
+      registry.counter("serve.ingest.clamped_stale",
+                       "events stamped before their epoch admitted (policy kClamp)",
+                       obs::View::kDeterministic)};
+  return metrics;
+}
+
+void count(std::uint64_t& stat, obs::Counter& counter) {
+  ++stat;
+  counter.add();
+}
+
 }  // namespace
 
 EventLoop::EventLoop(const core::EdgeSimulation& simulation, ServeConfig config)
@@ -40,6 +72,9 @@ EventLoop::EventLoop(const core::EdgeSimulation& simulation, ServeConfig config)
   if (!(config_.sim.epoch_hours > 0.0)) {
     throw std::invalid_argument("serve: epoch_hours must be positive");
   }
+  if (config_.queue_capacity == 0) {
+    throw std::invalid_argument("serve: queue_capacity must be positive");
+  }
 }
 
 ServeResult EventLoop::run(EventSource& source, WindowCsvExporter* exporter) {
@@ -50,7 +85,7 @@ ServeResult EventLoop::run(EventSource& source, WindowCsvExporter* exporter) {
   util::Histogram window_hist{0.0, 500.0, 1000};
   engine.telemetry().set_window_sink(&window_hist);
 
-  IngestQueue queue(config_.queue_capacity, config_.out_of_order);
+  IngestMetrics& metrics = ingest_metrics();
   Ema ema_intensity(config_.ema_reopt.alpha);
   Ema ema_response(config_.ema_reopt.alpha);
   Ema ema_load(config_.ema_reopt.alpha);
@@ -77,15 +112,16 @@ ServeResult EventLoop::run(EventSource& source, WindowCsvExporter* exporter) {
     const double epoch_start = epoch * epoch_hours;
     const double epoch_end = (epoch + 1) * epoch_hours;
 
-    // Anything older than the epoch being stepped is late by definition.
-    queue.set_watermark(epoch_start);
-
-    // Pump the source up to the epoch boundary. The source is time-ordered,
-    // so the first event at or past the boundary ends the epoch's intake
-    // and carries over. push() never blocks: overflow and stale drops are
-    // counted in the queue's stats, the producer always makes progress.
+    // Pump the source up to the epoch boundary and admit each event into
+    // the epoch's batch. The source is time-ordered, so the first event at
+    // or past the boundary ends the epoch's intake and carries over. An
+    // event stamped before the epoch is stale: dropped under kDrop, kept
+    // under kClamp. Past queue_capacity admissions the epoch drops the
+    // rest. Every outcome is counted; the source always makes progress.
     {
       const obs::Span span(ingest_phase());
+      arrivals.clear();
+      failures.clear();
       while (!source_done) {
         if (!carry) {
           carry = source.next();
@@ -95,18 +131,25 @@ ServeResult EventLoop::run(EventSource& source, WindowCsvExporter* exporter) {
           }
         }
         if (carry->time_hours >= epoch_end) break;
-        queue.push(std::move(*carry));
+        Event event = std::move(*carry);
         carry.reset();
-      }
-
-      arrivals.clear();
-      failures.clear();
-      while (auto event = queue.pop()) {
-        if (event->type == EventType::kArrival) {
-          arrivals.push_back(std::move(event->app));
+        if (event.time_hours < epoch_start) {
+          if (config_.out_of_order == OutOfOrderPolicy::kDrop) {
+            count(result.ingest.dropped_stale, metrics.dropped_stale);
+            continue;
+          }
+          count(result.ingest.clamped_stale, metrics.clamped_stale);
+        }
+        if (arrivals.size() + failures.size() >= config_.queue_capacity) {
+          count(result.ingest.dropped_overflow, metrics.dropped_overflow);
+          continue;
+        }
+        count(result.ingest.accepted, metrics.accepted);
+        if (event.type == EventType::kArrival) {
+          arrivals.push_back(std::move(event.app));
           ++window_arrivals;
         } else {
-          failures.push_back(event->failure);
+          failures.push_back(event.failure);
         }
       }
     }
@@ -190,7 +233,7 @@ ServeResult EventLoop::run(EventSource& source, WindowCsvExporter* exporter) {
 
     // Cumulative drop counters as of this close (before this row's own
     // export attempt, which cannot have resolved yet).
-    w.ingest_dropped = queue.stats().dropped();
+    w.ingest_dropped = result.ingest.dropped();
     w.export_dropped = exporter != nullptr ? exporter->stats().lines_dropped : 0;
 
     if (exporter != nullptr) {
@@ -214,7 +257,6 @@ ServeResult EventLoop::run(EventSource& source, WindowCsvExporter* exporter) {
     exporter->flush();
     result.exports = exporter->stats();
   }
-  result.ingest = queue.stats();
   engine.telemetry().set_window_sink(nullptr);
   result.sim = engine.finish();
   return result;

@@ -1,29 +1,47 @@
 // The streaming serving loop.
 //
 // A long-running driver over core::SimulationEngine (the same epoch state
-// machine the batch engine runs — that shared core is what makes the
-// replay oracle exact): events are pulled from an EventSource through a
-// bounded IngestQueue, bucketed into the engine epoch containing their
-// timestamp, and stepped through placement. Epochs aggregate into fixed
-// windows of `window_epochs`; each window close updates exponential moving
-// averages over carbon intensity, response time, and hosted load, feeds
-// the hysteresis triggers, and (best-effort) exports one CSV telemetry
-// row. When the EMA re-optimization config is enabled, trigger crossings
-// — not the batch engine's calendar cadence — decide when live
-// applications are re-placed: the crossing observed at a window close
+// machine the batch engine runs — that shared core is what makes the replay
+// oracle exact): events are pulled from an EventSource, bucketed into the
+// engine epoch containing their timestamp, admitted under a per-epoch cap
+// and a stale-event policy, and stepped through placement. Epochs aggregate
+// into fixed windows of `window_epochs`; each window close updates
+// exponential moving averages over carbon intensity, response time, and
+// hosted load, feeds the hysteresis triggers, and (best-effort) exports one
+// CSV telemetry row. When the EMA re-optimization config is enabled,
+// trigger crossings — not the batch engine's calendar cadence — decide when
+// live applications are re-placed: the crossing observed at a window close
 // re-optimizes at the first epoch of the next window.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/simulation.hpp"
 #include "serve/event_source.hpp"
 #include "serve/export.hpp"
-#include "serve/ingest.hpp"
 #include "serve/window.hpp"
 
 namespace carbonedge::serve {
+
+/// What happens to an event stamped before the epoch being stepped.
+enum class OutOfOrderPolicy : std::uint8_t {
+  kDrop,   // drop it
+  kClamp,  // admit it into the open epoch
+};
+
+/// Admission outcomes of the pumped events, mirrored in the registry's
+/// serve.ingest.* counters.
+struct IngestStats {
+  std::uint64_t accepted = 0;
+  std::uint64_t dropped_overflow = 0;  // beyond the epoch's queue_capacity
+  std::uint64_t dropped_stale = 0;     // stale, policy kDrop
+  std::uint64_t clamped_stale = 0;     // stale, policy kClamp (also admitted)
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return dropped_overflow + dropped_stale;
+  }
+};
 
 /// One EMA-threshold pair; disabled triggers never fire.
 struct EmaTrigger {
@@ -46,6 +64,7 @@ struct EmaReoptConfig {
 struct ServeConfig {
   core::SimulationConfig sim;      // horizon, workload knobs, policy, solver
   std::uint32_t window_epochs = 1; // engine epochs per aggregation window
+  /// Events admitted per epoch; each further event is dropped and counted.
   std::size_t queue_capacity = 65536;
   OutOfOrderPolicy out_of_order = OutOfOrderPolicy::kClamp;
   EmaReoptConfig ema_reopt;

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <stdexcept>
+
+#include "util/flags.hpp"
 
 namespace carbonedge::serve {
 
@@ -68,16 +71,14 @@ double parse_number(const std::string& cell, std::size_t line, const char* colum
   return value;
 }
 
-std::uint64_t parse_unsigned(const std::string& cell, std::size_t line, const char* column) {
+// A decimal count cell no larger than T's maximum (util::parse_count): a
+// sign, a suffix, an empty cell or a value that would wrap is rejected.
+template <typename T>
+T parse_count_cell(const std::string& cell, std::size_t line, const char* column) {
   try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(cell, &consumed);
-    if (consumed != cell.size() || cell.find('-') != std::string::npos) {
-      throw std::invalid_argument("trailing characters");
-    }
-    return value;
-  } catch (const std::exception&) {
-    line_fail(line, std::string("invalid ") + column + " '" + cell + "'");
+    return static_cast<T>(util::parse_count(cell, column, std::numeric_limits<T>::max()));
+  } catch (const std::logic_error& error) {  // invalid_argument, out_of_range
+    line_fail(line, std::string(error.what()) + " '" + cell + "'");
   }
 }
 
@@ -103,23 +104,21 @@ std::optional<Event> CsvEventSource::parse_line(const std::string& line) {
   if (type == "arrival") {
     sim::Application app;
     app.id = next_id_++;
-    app.origin_site =
-        static_cast<std::size_t>(parse_unsigned(cells[2], line_number_, "origin_site"));
+    app.origin_site = parse_count_cell<std::size_t>(cells[2], line_number_, "origin_site");
     app.model = parse_model(cells[3], line_number_);
     app.rps = parse_number(cells[4], line_number_, "rps");
     if (app.rps <= 0.0) line_fail(line_number_, "rps must be positive");
     app.latency_limit_rtt_ms = parse_number(cells[5], line_number_, "latency_limit_rtt_ms");
     app.remaining_epochs =
-        static_cast<std::uint32_t>(parse_unsigned(cells[6], line_number_, "lifetime_epochs"));
+        parse_count_cell<std::uint32_t>(cells[6], line_number_, "lifetime_epochs");
     app.state_size_mb = parse_number(cells[7], line_number_, "state_mb");
     app.max_defer_epochs =
-        static_cast<std::uint32_t>(parse_unsigned(cells[8], line_number_, "max_defer_epochs"));
+        parse_count_cell<std::uint32_t>(cells[8], line_number_, "max_defer_epochs");
     return make_arrival(time_hours, app);
   }
   if (type == "failure") {
-    const auto site = static_cast<std::size_t>(parse_unsigned(cells[9], line_number_, "site"));
-    const auto server =
-        static_cast<std::uint32_t>(parse_unsigned(cells[10], line_number_, "server"));
+    const auto site = parse_count_cell<std::size_t>(cells[9], line_number_, "site");
+    const auto server = parse_count_cell<std::uint32_t>(cells[10], line_number_, "server");
     return make_failure(time_hours, site, server);
   }
   line_fail(line_number_, "unknown event type '" + type + "'");

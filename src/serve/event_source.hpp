@@ -63,7 +63,7 @@ class TraceReplaySource final : public EventSource {
 ///
 /// Arrival app ids are assigned sequentially by the source. Malformed lines
 /// (wrong arity, bad numbers, unknown model/type, negative or non-finite
-/// values) throw std::runtime_error naming the 1-based line — or, under
+/// values, counts beyond their field's range) throw std::runtime_error naming the 1-based line — or, under
 /// ErrorPolicy::kSkip, are dropped and counted so one bad producer cannot
 /// kill a long-running loop.
 class CsvEventSource final : public EventSource {

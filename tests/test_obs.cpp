@@ -24,6 +24,7 @@
 #include "obs/span.hpp"
 #include "runner/scenario_grid.hpp"
 #include "runner/scenario_runner.hpp"
+#include "util/parallelism.hpp"
 
 namespace carbonedge::obs {
 namespace {
@@ -300,12 +301,17 @@ TEST(DeterministicView, IdenticalDeltasAcrossWorkerCounts) {
   grid.with_policies({core::PolicyConfig::latency_aware(), core::PolicyConfig::carbon_edge()})
       .with_workload_seeds({3, 9});
 
-  (void)runner::ScenarioRunner(runner::ScenarioRunnerOptions{1}).run(grid);  // warm
+  util::ParallelismBudget serial_budget(1);
+  util::ParallelismBudget wide_budget(4);
+  const runner::ScenarioRunner serial_runner(
+      runner::ScenarioRunnerOptions{.budget = &serial_budget});
+  const runner::ScenarioRunner wide_runner(runner::ScenarioRunnerOptions{.budget = &wide_budget});
+  (void)serial_runner.run(grid);  // warm
 
   const auto before_serial = deterministic_counters();
-  (void)runner::ScenarioRunner(runner::ScenarioRunnerOptions{1}).run(grid);
+  (void)serial_runner.run(grid);
   const auto after_serial = deterministic_counters();
-  (void)runner::ScenarioRunner(runner::ScenarioRunnerOptions{4}).run(grid);
+  (void)wide_runner.run(grid);
   const auto after_parallel = deterministic_counters();
 
   const auto serial = delta(before_serial, after_serial);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/policy.hpp"
 #include "geo/region.hpp"
+#include "util/parallelism.hpp"
 
 namespace carbonedge::runner {
 namespace {
@@ -19,6 +21,12 @@ core::SimulationConfig small_config() {
   config.workload.latency_limit_rtt_ms = 25.0;
   config.workload.seed = 7;
   return config;
+}
+
+// Runs `grid` with the sweep leasing from a private budget of `lanes` lanes.
+std::vector<ScenarioOutcome> run_on_lanes(std::size_t lanes, const ScenarioGrid& grid) {
+  util::ParallelismBudget budget(lanes);
+  return ScenarioRunner(ScenarioRunnerOptions{.budget = &budget}).run(grid);
 }
 
 TEST(ScenarioGrid, DefaultGridHasExactlyOneDefaultCell) {
@@ -92,7 +100,7 @@ TEST(ScenarioRunner, DistinctRegionsSharingANameGetTheirOwnCarbonService) {
   ScenarioGrid grid(small_config());
   grid.with_regions({geo::cdn_region(geo::Continent::kEurope, 3),
                      geo::cdn_region(geo::Continent::kEurope, 6)});
-  const auto outcomes = ScenarioRunner(ScenarioRunnerOptions{2}).run(grid);
+  const auto outcomes = run_on_lanes(2, grid);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0].result.telemetry.size(), outcomes[0].scenario.config.epochs);
   EXPECT_EQ(outcomes[1].result.telemetry.size(), outcomes[1].scenario.config.epochs);
@@ -112,8 +120,7 @@ TEST(ScenarioRunner, RunsEveryCellAndPreservesGridOrder) {
   ScenarioGrid grid(small_config());
   grid.with_policies({core::PolicyConfig::latency_aware(), core::PolicyConfig::carbon_edge()})
       .with_workload_seeds({1, 2});
-  const ScenarioRunner runner(ScenarioRunnerOptions{2});
-  const auto outcomes = runner.run(grid);
+  const auto outcomes = run_on_lanes(2, grid);
   ASSERT_EQ(outcomes.size(), grid.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     EXPECT_EQ(outcomes[i].scenario.index, i);
@@ -127,8 +134,8 @@ TEST(ScenarioRunner, DeterministicAcrossThreadCounts) {
                       core::PolicyConfig::carbon_edge()})
       .with_workload_seeds({3, 9});
 
-  const auto serial = ScenarioRunner(ScenarioRunnerOptions{1}).run(grid);
-  const auto parallel = ScenarioRunner(ScenarioRunnerOptions{4}).run(grid);
+  const auto serial = run_on_lanes(1, grid);
+  const auto parallel = run_on_lanes(4, grid);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].scenario.label, parallel[i].scenario.label);
@@ -180,7 +187,7 @@ TEST(ScenarioRunner, ForecasterAxisChangesPlacementAndServiceDedup) {
   config.forecast_horizon_hours = 6;
   ScenarioGrid grid(config);
   grid.with_regions({geo::west_us_region()}).with_forecasters({"oracle", "moving_average"});
-  const auto outcomes = ScenarioRunner(ScenarioRunnerOptions{2}).run(grid);
+  const auto outcomes = run_on_lanes(2, grid);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_NE(outcomes[0].scenario.label, outcomes[1].scenario.label);
   EXPECT_EQ(outcomes[0].result.telemetry.size(), 48u);
@@ -197,7 +204,7 @@ TEST(ScenarioRunner, PopulationMixBuildsPopulationProportionalCluster) {
   population.total_servers = 12;
   ScenarioGrid grid(small_config());
   grid.with_regions({geo::florida_region()}).with_device_mixes({population});
-  const auto outcomes = ScenarioRunner(ScenarioRunnerOptions{1}).run(grid);
+  const auto outcomes = run_on_lanes(1, grid);
   ASSERT_EQ(outcomes.size(), 1u);
   // Every site exists in the telemetry, and the apportionment matches the
   // direct builder.
@@ -225,9 +232,8 @@ TEST(ScenarioRunner, InitiallyOffServersStartCold) {
   warm.initially_off_per_site = 0;
   ScenarioGrid warm_grid(config);
   warm_grid.with_device_mixes({warm});
-  const ScenarioRunner runner(ScenarioRunnerOptions{2});
-  const auto cold_outcome = runner.run(cold_grid);
-  const auto warm_outcome = runner.run(warm_grid);
+  const auto cold_outcome = run_on_lanes(2, cold_grid);
+  const auto warm_outcome = run_on_lanes(2, warm_grid);
   // Half the fleet starting powered off must show up as less base energy.
   EXPECT_LT(cold_outcome[0].result.telemetry.total_energy_wh(),
             warm_outcome[0].result.telemetry.total_energy_wh());
@@ -270,14 +276,14 @@ TEST(ScenarioRunner, GridDispatchMatchesHandRolledSerialLoop) {
 
 TEST(ScenarioRunner, SummaryReportsExpiredDeferredColumn) {
   const ScenarioGrid grid(small_config());
-  const auto outcomes = ScenarioRunner(ScenarioRunnerOptions{1}).run(grid);
+  const auto outcomes = run_on_lanes(1, grid);
   const util::Table table = ScenarioRunner::summarize(outcomes);
   EXPECT_NE(table.to_string().find("ExpiredDef"), std::string::npos);
 }
 
 TEST(ScenarioRunner, SummaryReportsDowntimeColumn) {
   const ScenarioGrid grid(small_config());
-  const auto outcomes = ScenarioRunner(ScenarioRunnerOptions{1}).run(grid);
+  const auto outcomes = run_on_lanes(1, grid);
   const util::Table table = ScenarioRunner::summarize(outcomes);
   EXPECT_NE(table.to_string().find("Downtime"), std::string::npos);
 }
@@ -285,7 +291,7 @@ TEST(ScenarioRunner, SummaryReportsDowntimeColumn) {
 TEST(ScenarioRunner, SummaryHasOneRowPerScenarioInOrder) {
   ScenarioGrid grid(small_config());
   grid.with_policies({core::PolicyConfig::latency_aware(), core::PolicyConfig::carbon_edge()});
-  const auto outcomes = ScenarioRunner(ScenarioRunnerOptions{2}).run(grid);
+  const auto outcomes = run_on_lanes(2, grid);
   const util::Table table = ScenarioRunner::summarize(outcomes);
   EXPECT_EQ(table.rows(), outcomes.size());
   const std::string rendered = table.to_string();

@@ -1,36 +1,23 @@
-// Ingest-layer robustness: malformed CSV lines are rejected with their
-// 1-based line number (or skipped-and-counted), late events follow the
-// out-of-order policy, a full bounded queue drops-and-counts without ever
-// blocking the producer, and a stalled export sink degrades to bounded
-// buffering and counted drops while window accounting stays intact.
+// Event intake robustness: malformed CSV lines are rejected with their
+// 1-based line number (or skipped-and-counted), EventLoop admission drops
+// and counts events past the per-epoch queue_capacity and handles stale
+// events per the out-of-order policy, and a stalled export sink degrades
+// to bounded buffering and counted drops while window accounting stays
+// intact.
 #include "serve/event_loop.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
-#include <thread>
 
 #include "serve/event_source.hpp"
 #include "serve/export.hpp"
-#include "serve/ingest.hpp"
 
 namespace carbonedge::serve {
 namespace {
 
 std::string csv_with(const std::string& data_lines) {
   return std::string(CsvEventSource::kCsvHeader) + "\n" + data_lines;
-}
-
-sim::Application test_app(double rps = 4.0) {
-  sim::Application app;
-  app.model = sim::ModelType::kEfficientNetB0;
-  app.origin_site = 0;
-  app.rps = rps;
-  app.latency_limit_rtt_ms = 25.0;
-  app.remaining_epochs = 4;
-  app.state_size_mb = 200.0;
-  return app;
 }
 
 // ------------------------------------------------------------ CSV source --
@@ -71,6 +58,9 @@ TEST(CsvEventSource, RejectsMalformedLinesWithLineNumbers) {
       {"1.0,arrival,0,ResNet50,-4,25,12,400,0,,", "line 2"},
       {"1.0,arrival,0,ResNet50,nan,25,12,400,0,,", "line 2"},
       {"1.0,failure,,,,,,,,-1,0", "line 2"},
+      // Counts past their field's range are rejected, not wrapped.
+      {"1.0,arrival,0,ResNet50,4,25,4294967297,400,0,,", "line 2"},
+      {"1.0,failure,,,,,,,,0,4294967296", "line 2"},
   };
   for (const auto& [line, expected] : cases) {
     SCOPED_TRACE(line);
@@ -127,63 +117,72 @@ TEST(CsvEventSource, SkipPolicyCountsAndContinues) {
   EXPECT_NE(source.last_error().find("line 4"), std::string::npos) << source.last_error();
 }
 
-// ---------------------------------------------------------- ingest queue --
+// ------------------------------------------------------------- admission --
 
-TEST(IngestQueue, OverflowDropsAndCountsWithoutBlocking) {
-  IngestQueue queue(/*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    const bool accepted = queue.push(make_arrival(static_cast<double>(i), test_app()));
-    EXPECT_EQ(accepted, i < 4);
+// Serves `data_lines` (CSV, after the header) against a one-server-per-site
+// Florida deployment for two one-hour epochs.
+ServeResult serve_csv(const std::string& data_lines, std::size_t queue_capacity,
+                      OutOfOrderPolicy out_of_order) {
+  const geo::Region region = geo::florida_region();
+  carbon::CarbonIntensityService service;
+  service.add_region(region);
+  const core::EdgeSimulation simulation(
+      sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2), service);
+  ServeConfig config;
+  config.sim.policy = core::PolicyConfig::carbon_edge();
+  config.sim.epochs = 2;
+  config.queue_capacity = queue_capacity;
+  config.out_of_order = out_of_order;
+  std::istringstream in(csv_with(data_lines));
+  CsvEventSource source(in);
+  return EventLoop(simulation, config).run(source);
+}
+
+std::string arrivals_at(double time_hours, int count) {
+  std::string lines;
+  for (int i = 0; i < count; ++i) {
+    lines += std::to_string(time_hours) + ",arrival,0,ResNet50,4,25,4,200,0,,\n";
   }
-  EXPECT_EQ(queue.size(), 4u);
-  EXPECT_EQ(queue.stats().accepted, 4u);
-  EXPECT_EQ(queue.stats().dropped_overflow, 6u);
+  return lines;
 }
 
-TEST(IngestQueue, DropPolicyRejectsStaleEvents) {
-  IngestQueue queue(/*capacity=*/16, OutOfOrderPolicy::kDrop);
-  queue.set_watermark(5.0);
-  EXPECT_FALSE(queue.push(make_arrival(4.9, test_app())));
-  EXPECT_TRUE(queue.push(make_arrival(5.0, test_app())));
-  EXPECT_EQ(queue.stats().dropped_stale, 1u);
-  EXPECT_EQ(queue.stats().accepted, 1u);
+TEST(EventLoop, OverflowPastQueueCapacityDropsAndCountsPerEpoch) {
+  // Ten events in epoch 0 against a cap of four, then two in epoch 1: the
+  // cap applies per epoch, and the source is always drained.
+  const ServeResult result = serve_csv(arrivals_at(0.5, 10) + arrivals_at(1.5, 2),
+                                       /*queue_capacity=*/4, OutOfOrderPolicy::kClamp);
+  EXPECT_EQ(result.ingest.accepted, 6u);
+  EXPECT_EQ(result.ingest.dropped_overflow, 6u);
+  EXPECT_EQ(result.ingest.dropped(), 6u);
+  ASSERT_EQ(result.windows.size(), 2u);
+  EXPECT_EQ(result.windows[0].arrivals, 4u);
+  EXPECT_EQ(result.windows[1].arrivals, 2u);
+  EXPECT_EQ(result.windows[1].ingest_dropped, 6u);  // cumulative
 }
 
-TEST(IngestQueue, ClampPolicyPullsStaleEventsForward) {
-  IngestQueue queue(/*capacity=*/16, OutOfOrderPolicy::kClamp);
-  queue.set_watermark(5.0);
-  EXPECT_TRUE(queue.push(make_arrival(3.0, test_app())));
-  EXPECT_EQ(queue.stats().clamped_stale, 1u);
-  const auto event = queue.pop();
-  ASSERT_TRUE(event.has_value());
-  EXPECT_DOUBLE_EQ(event->time_hours, 5.0);  // clamped to the watermark
+// Out of order: the failure stamped 0.7 h is read during epoch 1, so it
+// is stale.
+constexpr const char kStaleFailure[] = "0.5,arrival,0,ResNet50,4,25,4,200,0,,\n"
+                                      "1.5,arrival,1,ResNet50,4,25,4,200,0,,\n"
+                                      "0.7,failure,,,,,,,,1,0\n"
+                                      "1.6,arrival,2,ResNet50,4,25,4,200,0,,\n";
+
+TEST(EventLoop, DropPolicyRejectsStaleEvents) {
+  const ServeResult result = serve_csv(kStaleFailure, 16, OutOfOrderPolicy::kDrop);
+  EXPECT_EQ(result.ingest.accepted, 3u);
+  EXPECT_EQ(result.ingest.dropped_stale, 1u);
+  EXPECT_EQ(result.ingest.clamped_stale, 0u);
+  EXPECT_EQ(result.sim.server_failures, 0u);
 }
 
-TEST(IngestQueue, ProducerNeverBlocksAgainstConcurrentConsumer) {
-  // A producer pushing far past capacity must always run to completion;
-  // accepted + dropped reconciles with the attempt count. (Under the TSan
-  // CI job this also exercises the queue's locking.)
-  constexpr std::uint64_t kEvents = 20000;
-  IngestQueue queue(/*capacity=*/64);
-  std::atomic<bool> done{false};
-  std::uint64_t popped = 0;
-  std::thread consumer([&] {
-    while (!done.load(std::memory_order_acquire) || queue.size() > 0) {
-      if (queue.pop().has_value()) {
-        ++popped;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (std::uint64_t i = 0; i < kEvents; ++i) {
-    (void)queue.push(make_arrival(static_cast<double>(i), test_app()));
-  }
-  done.store(true, std::memory_order_release);
-  consumer.join();
-  const IngestStats stats = queue.stats();
-  EXPECT_EQ(stats.accepted + stats.dropped_overflow, kEvents);
-  EXPECT_EQ(popped, stats.accepted);
+TEST(EventLoop, ClampPolicyAdmitsStaleEventsIntoTheOpenEpoch) {
+  const ServeResult result = serve_csv(kStaleFailure, 16, OutOfOrderPolicy::kClamp);
+  EXPECT_EQ(result.ingest.accepted, 4u);
+  EXPECT_EQ(result.ingest.clamped_stale, 1u);
+  EXPECT_EQ(result.ingest.dropped(), 0u);
+  ASSERT_EQ(result.windows.size(), 2u);
+  EXPECT_EQ(result.windows[1].failures, 1u);  // the crash lands in epoch 1
+  EXPECT_EQ(result.sim.server_failures, 1u);
 }
 
 // -------------------------------------------------------- export degrade --

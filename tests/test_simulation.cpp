@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -47,6 +48,33 @@ TEST(SimulationEngine, MissingZoneTraceThrowsAtConstruction) {
   EXPECT_THROW(SimulationEngine(cluster, partial, latency, testbed_config()), std::out_of_range);
   partial.add_trace(carbon::CarbonTrace(cities[0].name, {100.0, 200.0}));
   EXPECT_NO_THROW(SimulationEngine(cluster, partial, latency, testbed_config()));
+}
+
+TEST(SimulationEngine, OutOfRangeSitesThrowBeforeAnyStateChanges) {
+  // Site indices can come from outside (a serve event feed) and index the
+  // latency rows and the site traces, so an arrival origin or a failure
+  // site past the cluster is refused before the epoch runs.
+  const auto region = geo::florida_region();
+  const auto service = make_service(region);
+  const EdgeSimulation simulation(sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2),
+                                  service);
+  SimulationEngine engine(simulation.pristine_cluster(), service, simulation.latency(),
+                          testbed_config(2));
+  sim::Application app;
+  app.model = sim::ModelType::kResNet50;
+  app.rps = 4.0;
+  app.latency_limit_rtt_ms = 25.0;
+  app.origin_site = engine.cluster().size();
+  EXPECT_THROW(engine.step({app}), std::invalid_argument);
+  const ServerFailureEvent failure{engine.cluster().size(), 0};
+  SimulationEngine::StepOptions options;
+  options.failures = std::span(&failure, 1);
+  EXPECT_THROW(engine.step({}, options), std::invalid_argument);
+  EXPECT_EQ(engine.next_epoch(), 0u);
+
+  app.origin_site = 0;
+  engine.step({app});
+  EXPECT_EQ(engine.next_epoch(), 1u);
 }
 
 TEST(Simulation, RunProducesOneRecordPerEpoch) {

@@ -106,7 +106,7 @@ TEST(SweepStore, InterruptedSweepResumesByteIdentical) {
     auto scenarios = grid.expand();
     scenarios.resize(2);
     const auto partial = runner::ScenarioRunner(
-                             runner::ScenarioRunnerOptions{.threads = 0, .sweep_store = store})
+                             runner::ScenarioRunnerOptions{.sweep_store = store})
                              .run(std::move(scenarios));
     EXPECT_EQ(partial.size(), 2u);
     EXPECT_EQ(store->stores(), 2u);
@@ -116,7 +116,7 @@ TEST(SweepStore, InterruptedSweepResumesByteIdentical) {
   // the two completed cells load from disk, the rest compute.
   auto resumed_store = std::make_shared<SweepStore>(std::make_shared<ArtifactStore>(tmp.dir));
   const auto resumed = runner::ScenarioRunner(runner::ScenarioRunnerOptions{
-                                                  .threads = 0, .sweep_store = resumed_store})
+                                                  .sweep_store = resumed_store})
                            .run(grid);
   EXPECT_EQ(resumed_store->hits(), 2u);
   EXPECT_EQ(resumed_store->stores(), 2u);  // only the missing half computed
@@ -125,7 +125,7 @@ TEST(SweepStore, InterruptedSweepResumesByteIdentical) {
   // A third, fully-warm run: zero computation, still byte-identical.
   auto warm_store = std::make_shared<SweepStore>(std::make_shared<ArtifactStore>(tmp.dir));
   const auto warm = runner::ScenarioRunner(
-                        runner::ScenarioRunnerOptions{.threads = 0, .sweep_store = warm_store})
+                        runner::ScenarioRunnerOptions{.sweep_store = warm_store})
                         .run(grid);
   EXPECT_EQ(warm_store->hits(), 4u);
   EXPECT_EQ(warm_store->stores(), 0u);
@@ -140,7 +140,7 @@ TEST(SweepStore, ExtendedGridReusesTheOverlap) {
   runner::ScenarioGrid narrow(base);
   narrow.with_policies({core::PolicyConfig::carbon_edge()}).with_epochs({6});
   (void)runner::ScenarioRunner(
-      runner::ScenarioRunnerOptions{.threads = 0, .sweep_store = first_store})
+      runner::ScenarioRunnerOptions{.sweep_store = first_store})
       .run(narrow);
   ASSERT_EQ(first_store->stores(), 1u);
 
@@ -151,7 +151,7 @@ TEST(SweepStore, ExtendedGridReusesTheOverlap) {
       .with_epochs({6});
   auto second_store = std::make_shared<SweepStore>(std::make_shared<ArtifactStore>(tmp.dir));
   const auto outcomes = runner::ScenarioRunner(runner::ScenarioRunnerOptions{
-                                                   .threads = 0, .sweep_store = second_store})
+                                                   .sweep_store = second_store})
                             .run(wide);
   EXPECT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(second_store->hits(), 1u);    // the overlapping CarbonEdge cell
