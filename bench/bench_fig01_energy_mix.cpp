@@ -29,7 +29,7 @@ int main() {
   std::vector<carbon::CarbonTrace> traces;
   for (const geo::City& city : region.resolve()) {
     traces.push_back(synthesizer.synthesize(catalog.spec_for(city)));
-    const carbon::GenerationMix avg = traces.back().average_mix().value();
+    const carbon::GenerationMix avg = traces.back().average_mix();
     const double fossil = avg.at(carbon::EnergySource::kGas) +
                           avg.at(carbon::EnergySource::kOil) +
                           avg.at(carbon::EnergySource::kCoal);

@@ -47,7 +47,7 @@ void explore(const geo::Region& region, double budget_one_way_ms) {
     const double swing = *std::max_element(shape.begin(), shape.end()) -
                          *std::min_element(shape.begin(), shape.end());
     zones.add_row({city.name,
-                   util::format_percent(trace.average_mix().value().low_carbon_share(), 0),
+                   util::format_percent(trace.average_mix().low_carbon_share(), 0),
                    util::format_fixed(trace.yearly_mean(), 0),
                    util::format_fixed(trace.yearly_min(), 0),
                    util::format_fixed(trace.yearly_max(), 0), util::format_fixed(swing, 0)});

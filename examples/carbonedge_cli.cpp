@@ -452,6 +452,7 @@ int cmd_serve(std::vector<std::string> args) {
             << "  ingest: " << result.ingest.accepted << " events accepted, "
             << result.ingest.dropped_overflow << " overflow-dropped, "
             << result.ingest.dropped_stale << " stale-dropped, "
+            << result.ingest.dropped_horizon << " horizon-dropped, "
             << result.ingest.clamped_stale << " clamped\n";
   if (csv_source != nullptr && csv_source->rejected_lines() > 0) {
     std::cout << "  rejected lines: " << csv_source->rejected_lines() << " (last: "

@@ -12,7 +12,7 @@ ZoneStats zone_stats(const carbon::CarbonTrace& trace) {
   stats.mean_g_kwh = trace.yearly_mean();
   stats.min_g_kwh = trace.yearly_min();
   stats.max_g_kwh = trace.yearly_max();
-  if (trace.average_mix()) stats.low_carbon_share = trace.average_mix()->low_carbon_share();
+  stats.low_carbon_share = trace.average_mix().low_carbon_share();
 
   // Mean day shape -> daily swing.
   std::array<double, carbon::kHoursPerDay> shape{};

@@ -6,7 +6,7 @@
 namespace carbonedge::carbon {
 
 CarbonTrace::CarbonTrace(std::string zone_name, std::vector<double> intensity,
-                         std::optional<GenerationMix> average_mix)
+                         GenerationMix average_mix)
     : zone_(std::move(zone_name)),
       intensity_(std::move(intensity)),
       average_mix_(average_mix) {

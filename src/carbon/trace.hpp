@@ -1,13 +1,11 @@
 // Hourly carbon-intensity traces: one value per hour of the trace year, the
-// series placement reads. Beside it a trace may keep one generation mix, the
+// series placement reads. Beside it a trace keeps one generation mix, the
 // normalized average of its hourly realized mixes (Figure 1a, low-carbon
 // shares). The hourly mixes are folded into that average as they are
 // produced and never stored, since nothing else reads them; they would be
-// 8/9 of a trace's bytes. A trace read from intensity-only CSV has no
-// average.
+// 8/9 of a trace's bytes.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,7 +20,7 @@ class CarbonTrace {
  public:
   CarbonTrace() = default;
   CarbonTrace(std::string zone_name, std::vector<double> intensity_g_per_kwh,
-              std::optional<GenerationMix> average_mix = std::nullopt);
+              GenerationMix average_mix = {});
 
   [[nodiscard]] const std::string& zone() const noexcept { return zone_; }
   [[nodiscard]] std::size_t hours() const noexcept { return intensity_.size(); }
@@ -47,15 +45,13 @@ class CarbonTrace {
   [[nodiscard]] double yearly_max() const noexcept;
 
   /// Average realized generation shares over the whole trace (Figure 1a);
-  /// nullopt when the trace came without mixes (plain intensity CSV).
-  [[nodiscard]] const std::optional<GenerationMix>& average_mix() const noexcept {
-    return average_mix_;
-  }
+  /// all zero for a trace built from intensities alone.
+  [[nodiscard]] const GenerationMix& average_mix() const noexcept { return average_mix_; }
 
  private:
   std::string zone_;
   std::vector<double> intensity_;
-  std::optional<GenerationMix> average_mix_;
+  GenerationMix average_mix_;
 };
 
 }  // namespace carbonedge::carbon

@@ -44,7 +44,6 @@ PlacementResult PlacementService::place(const PlacementInput& input,
   result.solve_time_ms = static_cast<double>(t1_ns - t0_ns) / 1e6;
   result.objective = solution.total_cost;
   result.solver_stats = solution.stats;
-  result.used_exact_solver = solution.stats.heuristic_shards == 0;
 
   // Commit: power on activated servers first (Eq. 5), then host.
   // evaluate() reports a server on only if it started on or received an
@@ -54,7 +53,6 @@ PlacementResult PlacementService::place(const PlacementInput& input,
     sim::EdgeServer& server = *built.servers[j].server;
     if (!server.powered_on() && !solution.powered_on.empty() && solution.powered_on[j]) {
       server.set_powered_on(true);
-      result.activated.push_back(j);
     }
   }
 

@@ -31,15 +31,11 @@ struct PlacementDecision {
 struct PlacementResult {
   std::vector<PlacementDecision> decisions;
   std::vector<sim::AppId> rejected;     // no feasible server
-  std::vector<std::size_t> activated;   // flat server columns powered on
   double objective = 0.0;
   double solve_time_ms = 0.0;           // Section 6.5 decision latency
   /// Per-shard solve telemetry: how many connected components the batch
   /// split into and which path (exact MILP / heuristic) solved each.
   solver::SolveStats solver_stats;
-  /// Every shard was answered by the exact MILP; false as soon as any
-  /// component fell through to greedy + local search.
-  bool used_exact_solver = false;
 };
 
 /// The PlacementInput::site_mean_intensity table for a caller outside the

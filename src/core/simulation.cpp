@@ -14,9 +14,24 @@ namespace carbonedge::core {
 
 namespace {
 
-obs::Phase& epoch_phase() {
-  static obs::Phase phase("core.epoch_step");
-  return phase;
+// The epoch step and its phases (see SimulationEngine's class comment);
+// each core.step.* span nests inside core.epoch_step.
+struct StepPhases {
+  obs::Phase epoch{"core.epoch_step"};
+  obs::Phase fill_site_intensity{"core.step.fill_site_intensity"};
+  obs::Phase apply_failures{"core.step.apply_failures"};
+  obs::Phase depart{"core.step.depart"};
+  obs::Phase admit_and_release{"core.step.admit_and_release"};
+  obs::Phase reopt{"core.step.reopt"};
+  obs::Phase commit{"core.step.commit"};
+  obs::Phase account_sites{"core.step.account_sites"};
+  obs::Phase fold_app_samples{"core.step.fold_app_samples"};
+  obs::Phase power_sweep{"core.step.power_sweep"};
+};
+
+StepPhases& phases() {
+  static StepPhases phases;
+  return phases;
 }
 
 // Run-level result counters mirrored into the registry once per finished
@@ -89,7 +104,36 @@ solver::AssignmentOptions with_budget(solver::AssignmentOptions options,
   return options;
 }
 
+/// Calls `visit(site)` for each site within `app`'s RTT limit of its origin,
+/// in ascending site order, until `visit` returns true. Only the origin's
+/// latency row is walked, as (site, one-way ms): sites outside it are +inf
+/// RTT, never feasible.
+template <typename Visit>
+void visit_in_band(const geo::LatencyProvider& latency, const sim::Application& app,
+                   Visit&& visit) {
+  const std::span<const std::uint32_t> row_sites = latency.neighbors(app.origin_site);
+  const std::span<const double> row_ms = latency.row_ms(app.origin_site);
+  for (std::size_t k = 0; k < row_sites.size(); ++k) {
+    if (2.0 * row_ms[k] > app.latency_limit_rtt_ms + 1e-9) continue;
+    if (visit(static_cast<std::size_t>(row_sites[k]))) return;
+  }
+}
+
 }  // namespace
+
+/// The epoch step() is running, shared by its phases.
+struct SimulationEngine::Epoch {
+  std::uint32_t index = 0;
+  carbon::HourIndex hour = 0;
+  /// What placement sees: crash victims, immediate arrivals, released
+  /// deferrals and evicted migrants, in that order.
+  std::vector<sim::Application> batch;
+  /// Each evicted migrant's previous server.
+  std::unordered_map<sim::AppId, PreviousPlacement> moved_from;
+  /// Filled as the phases run: failures and migrations count into it as
+  /// they happen, placement outcomes at commit, sites and samples last.
+  sim::EpochRecord record;
+};
 
 SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
                                    const carbon::CarbonIntensityService& carbon,
@@ -126,9 +170,7 @@ void SimulationEngine::snapshot_hosted() {
   for (const auto& [id, entry] : hosted_) hosted_snapshot_.emplace_back(id, &entry);
 }
 
-void SimulationEngine::crash_server(std::size_t site, sim::EdgeServer& server,
-                                    std::uint32_t epoch, std::vector<sim::Application>& batch,
-                                    std::uint32_t& epoch_failures) {
+void SimulationEngine::crash_server(Epoch& epoch, std::size_t site, sim::EdgeServer& server) {
   // Re-batch the apps that were on the crashed server. Marking them
   // displaced keeps them alive (retried, never counted as fresh
   // rejections) if the shrunken cluster cannot re-place them at once.
@@ -136,7 +178,7 @@ void SimulationEngine::crash_server(std::size_t site, sim::EdgeServer& server,
   for (auto it = hosted_.begin(); it != hosted_.end();) {
     if (it->second.site == site && it->second.server == server.id()) {
       displaced_from_.insert_or_assign(it->first, kNoAccountedSite);
-      batch.push_back(it->second.app);
+      epoch.batch.push_back(it->second.app);
       ++result_.apps_redeployed;
       it = hosted_.erase(it);
     } else {
@@ -144,70 +186,107 @@ void SimulationEngine::crash_server(std::size_t site, sim::EdgeServer& server,
     }
   }
   server.set_failed(true);
-  under_repair_[{site, server.id()}] = epoch + config_.failures.repair_epochs;
+  under_repair_[{site, server.id()}] = epoch.index + config_.failures.repair_epochs;
   ++result_.server_failures;
-  ++epoch_failures;
+  ++epoch.record.failures;
+}
+
+double SimulationEngine::carbon_rate_g(const sim::Application& app,
+                                       const sim::EdgeServer& server, std::size_t site) const {
+  const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
+  if (!prof.supported) return -1.0;
+  const double energy_wh = prof.profile.energy_j * app.rps * config_.epoch_hours;
+  return energy_wh / 1000.0 * site_mean_intensity_[site];
+}
+
+std::pair<double, double> SimulationEngine::migration_cost(const sim::Application& app,
+                                                           std::size_t site) const {
+  const double energy_wh =
+      app.state_size_mb / 1024.0 * config_.migration.network_energy_wh_per_gb;
+  const double carbon_g = energy_wh / 1000.0 * site_mean_intensity_[site];
+  return {energy_wh, carbon_g};
+}
+
+void SimulationEngine::account_move(Epoch& epoch, const sim::Application& app,
+                                    std::size_t from_site) {
+  const auto [move_energy, move_carbon] = migration_cost(app, from_site);
+  epoch.record.migration_energy_wh += move_energy;
+  epoch.record.migration_carbon_g += move_carbon;
+  ++epoch.record.migrations;
+  ++result_.migrations;
 }
 
 void SimulationEngine::step(std::vector<sim::Application> arrivals,
                             const StepOptions& options) {
+  check_inputs(arrivals, options.failures);
+  const obs::Span span(phases().epoch);
+  Epoch epoch;
+  epoch.index = epoch_;
+  epoch.hour = hour_of(epoch_);
+  epoch.record.epoch = epoch_;
+
+  fill_site_intensity(epoch);
+  apply_failures(epoch, options.failures);
+  depart();
+  admit_and_release(epoch, std::move(arrivals));
+  evict_migrants(epoch, options.migrate);
+  const PlacementResult placement = place(epoch);
+  commit(epoch, placement);
+  account_sites(epoch);
+  fold_app_samples(epoch);
+  result_.telemetry.record(std::move(epoch.record));
+  power_sweep();
+  ++epoch_;
+}
+
+void SimulationEngine::check_inputs(std::span<const sim::Application> arrivals,
+                                    std::span<const ServerFailureEvent> failures) const {
   if (finished_) throw std::logic_error("SimulationEngine::step after finish()");
   if (epoch_ >= config_.epochs) {
     throw std::logic_error("SimulationEngine::step beyond configured horizon");
   }
-  // Site indices from outside (an event feed) are checked before any state
-  // changes: they index the latency rows and the per-site traces unchecked.
+  // Site indices and server ids from outside (an event feed) are checked
+  // before any state changes: sites index the latency rows and the per-site
+  // traces unchecked, and an unknown server would throw mid-epoch.
   for (const sim::Application& app : arrivals) {
     if (app.origin_site >= cluster_.size()) {
       throw std::invalid_argument("arrival: origin_site " + std::to_string(app.origin_site) +
                                   " out of range");
     }
   }
-  for (const ServerFailureEvent& event : options.failures) {
+  for (const ServerFailureEvent& event : failures) {
     if (event.site >= cluster_.size()) {
       throw std::invalid_argument("failure event: site " + std::to_string(event.site) +
                                   " out of range");
     }
+    const std::vector<sim::EdgeServer>& servers = cluster_.sites()[event.site].servers();
+    if (std::none_of(servers.begin(), servers.end(), [&](const sim::EdgeServer& server) {
+          return server.id() == event.server_id;
+        })) {
+      throw std::invalid_argument("failure event: site " + std::to_string(event.site) +
+                                  " has no server " + std::to_string(event.server_id));
+    }
   }
-  const obs::Span span(epoch_phase());
-  const std::uint32_t epoch = epoch_;
-  const carbon::HourIndex hour = hour_of(epoch);
+}
 
+void SimulationEngine::fill_site_intensity(const Epoch& epoch) {
+  const obs::Span span(phases().fill_site_intensity);
+  // Mean forecast intensity Ī of each site's zone at the epoch's hour,
+  // forecast once per site per epoch; every later phase reads it by site
+  // index.
   const carbon::Forecaster& forecaster = carbon_->forecaster();
-  // Mean forecast intensity Ī of each site's zone at `hour`, forecast once
-  // per site per epoch; everything below reads it by site index.
   for (std::size_t site = 0; site < site_traces_.size(); ++site) {
-    site_mean_intensity_[site] =
-        forecaster.mean_forecast(*site_traces_[site], hour, config_.forecast_horizon_hours);
+    site_mean_intensity_[site] = forecaster.mean_forecast(*site_traces_[site], epoch.hour,
+                                                          config_.forecast_horizon_hours);
   }
+}
 
-  // Expected per-epoch operational carbon of `app` on `server` (at `site`)
-  // at `hour`.
-  const auto carbon_rate_g = [&](const sim::Application& app, const sim::EdgeServer& server,
-                                 std::size_t site) {
-    const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
-    if (!prof.supported) return -1.0;
-    const double energy_wh = prof.profile.energy_j * app.rps * config_.epoch_hours;
-    return energy_wh / 1000.0 * site_mean_intensity_[site];
-  };
-
-  // Migration data-movement cost of moving `app` out of `site` at `hour`.
-  const auto migration_cost = [&](const sim::Application& app, std::size_t site) {
-    const double energy_wh =
-        app.state_size_mb / 1024.0 * config_.migration.network_energy_wh_per_gb;
-    const double carbon_g = energy_wh / 1000.0 * site_mean_intensity_[site];
-    return std::pair{energy_wh, carbon_g};
-  };
-
-  std::uint32_t epoch_failures = 0;
-  std::uint32_t epoch_migrations = 0;
-  double epoch_migration_energy = 0.0;
-  double epoch_migration_carbon = 0.0;
-  std::vector<sim::Application> batch;
-
-  // 1. Repairs, then injected failures, then fresh drawn failures.
+void SimulationEngine::apply_failures(Epoch& epoch,
+                                      std::span<const ServerFailureEvent> failures) {
+  const obs::Span span(phases().apply_failures);
+  // Repairs, then injected failures, then fresh drawn failures.
   for (auto it = under_repair_.begin(); it != under_repair_.end();) {
-    if (epoch >= it->second) {
+    if (epoch.index >= it->second) {
       sim::EdgeServer& server = find_server(it->first.first, it->first.second);
       server.set_failed(false);
       server.set_powered_on(true);
@@ -220,10 +299,10 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   // dead must not also consume a Bernoulli draw below (it is no longer
   // eligible), and with an empty span this block is a no-op — the drawn
   // failure stream is untouched, which the replay oracle relies on.
-  for (const ServerFailureEvent& event : options.failures) {
+  for (const ServerFailureEvent& event : failures) {
     sim::EdgeServer& server = find_server(event.site, event.server_id);
     if (server.failed()) continue;  // already down: repair timer keeps running
-    crash_server(event.site, server, epoch, batch, epoch_failures);
+    crash_server(epoch, event.site, server);
   }
   if (config_.failures.mtbf_epochs > 0.0) {
     const double fail_p = 1.0 / config_.failures.mtbf_epochs;
@@ -234,14 +313,17 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
         if (!server.powered_on() || server.failed()) continue;
         if (!failure_rng_.bernoulli(fail_p)) continue;
-        crash_server(site, server, epoch, batch, epoch_failures);
+        crash_server(epoch, site, server);
       }
     }
   }
+}
 
-  // 2. Departures. Guarded decrement: an application admitted with
-  // remaining_epochs == 0 departs immediately instead of underflowing to
-  // ~4B epochs and becoming immortal.
+void SimulationEngine::depart() {
+  const obs::Span span(phases().depart);
+  // Guarded decrement: an application admitted with remaining_epochs == 0
+  // departs immediately instead of underflowing to ~4B epochs and becoming
+  // immortal.
   // lint: unordered-iteration-ok(coordinator-only erase walk over deterministic bucket order; evictions commute and nothing is accumulated in fp)
   for (auto it = hosted_.begin(); it != hosted_.end();) {
     if (it->second.app.remaining_epochs <= 1) {
@@ -252,15 +334,18 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
       ++it;
     }
   }
+}
 
-  // 3. Arrivals — immediately placeable or deferred (temporal shifting,
-  //    paper Section 2.2) — plus periodic re-optimization of live apps.
+void SimulationEngine::admit_and_release(Epoch& epoch, std::vector<sim::Application> arrivals) {
+  const obs::Span span(phases().admit_and_release);
+  // Arrivals are immediately placeable or deferred (temporal shifting,
+  // paper Section 2.2).
   for (sim::Application& app : arrivals) {
     if (app.max_defer_epochs > 0) {
       ++result_.apps_deferred;
       deferred_.push_back(std::move(app));
     } else {
-      batch.push_back(std::move(app));
+      epoch.batch.push_back(std::move(app));
     }
   }
   // Release deferred applications at low-intensity hours: start when the
@@ -269,23 +354,24 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   // when the budget runs out. Starters join the batch, the rest spend one
   // epoch of budget; the stable in-place compaction preserves the old
   // erase-as-you-go order.
+  const carbon::Forecaster& forecaster = carbon_->forecaster();
   std::size_t keep = 0;
   for (std::size_t k = 0; k < deferred_.size(); ++k) {
     sim::Application& app = deferred_[k];
     bool start = app.max_defer_epochs == 0;
     if (!start) {
       const carbon::CarbonTrace& trace = *site_traces_[app.origin_site];
-      const double now_ci = trace.at(hour);
+      const double now_ci = trace.at(epoch.hour);
       const auto window = static_cast<std::uint32_t>(
           std::ceil(static_cast<double>(app.max_defer_epochs) * config_.epoch_hours));
       double future_min = now_ci;
-      for (const double v : forecaster.forecast(trace, hour + 1, window)) {
+      for (const double v : forecaster.forecast(trace, epoch.hour + 1, window)) {
         future_min = std::min(future_min, v);
       }
       start = now_ci <= future_min * 1.02;
     }
     if (start) {
-      batch.push_back(std::move(app));
+      epoch.batch.push_back(std::move(app));
     } else {
       --app.max_defer_epochs;
       if (keep != k) deferred_[keep] = std::move(app);
@@ -293,210 +379,193 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     }
   }
   deferred_.resize(keep);
+}
+
+void SimulationEngine::evict_migrants(Epoch& epoch, std::optional<bool> migrate_override) {
   // Re-optimization cadence: an explicit per-step override (the serving
   // mode's event-driven trigger), calendar-month boundaries (the epoch
   // whose hour enters a new month), or a fixed epoch period.
   bool migrate = false;
-  if (epoch != 0) {
-    if (options.migrate.has_value()) {
-      migrate = *options.migrate;
+  if (epoch.index != 0) {
+    if (migrate_override.has_value()) {
+      migrate = *migrate_override;
     } else if (config_.reoptimize_monthly) {
-      migrate = carbon::month_of_hour(hour) != carbon::month_of_hour(hour_of(epoch - 1));
+      migrate = carbon::month_of_hour(epoch.hour) !=
+                carbon::month_of_hour(hour_of(epoch.index - 1));
     } else {
-      migrate = config_.reoptimize_every != 0 && epoch % config_.reoptimize_every == 0;
+      migrate = config_.reoptimize_every != 0 && epoch.index % config_.reoptimize_every == 0;
     }
   }
-  // Where each re-optimization candidate was hosted before being evicted
-  // into the batch — for data-movement accounting on moves, and to restore
-  // the app if the solver rejects it.
-  struct PreviousPlacement {
-    std::size_t site = 0;
-    std::uint32_t server = 0;
-  };
-  std::unordered_map<sim::AppId, PreviousPlacement> previous_placement;
-  if (migrate) {
-    std::vector<sim::AppId> to_move;
-    snapshot_hosted();
-    for (const auto& [id, hosted] : hosted_snapshot_) {
-      if (config_.migration.cost_aware) {
-        // Veto moves whose projected benefit cannot repay the transfer.
-        const HostedApp& entry = *hosted;
-        const sim::EdgeServer& current = find_server(entry.site, entry.server);
-        const double current_rate = carbon_rate_g(entry.app, current, entry.site);
-        double best_rate = current_rate;
-        // Only the origin's row, walked as (site, one-way ms): sites outside
-        // it are +inf RTT, i.e. exactly the ones the filter below would drop.
-        const std::span<const std::uint32_t> row_sites =
-            latency_->neighbors(entry.app.origin_site);
-        const std::span<const double> row_ms = latency_->row_ms(entry.app.origin_site);
-        for (std::size_t k = 0; k < row_sites.size(); ++k) {
-          if (2.0 * row_ms[k] > entry.app.latency_limit_rtt_ms + 1e-9) continue;
-          const std::size_t site = row_sites[k];
-          for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
-            if (!server.can_host(entry.app.model, entry.app.rps)) continue;
-            const double rate = carbon_rate_g(entry.app, server, site);
-            if (rate >= 0.0) best_rate = std::min(best_rate, rate);
-          }
-        }
-        const double lifetime = std::min<double>(config_.migration.benefit_horizon_epochs,
-                                                 entry.app.remaining_epochs);
-        const double benefit = (current_rate - best_rate) * lifetime;
-        const auto [move_energy, move_carbon] = migration_cost(entry.app, entry.site);
-        if (benefit < move_carbon * config_.migration.hysteresis) {
-          ++result_.migrations_skipped;
-          continue;
-        }
-      }
-      to_move.push_back(id);
-    }
-    for (const sim::AppId id : to_move) {
-      auto& entry = hosted_.at(id);
-      find_server(entry.site, entry.server).evict(id);
-      previous_placement.emplace(id, PreviousPlacement{entry.site, entry.server});
-      batch.push_back(entry.app);
-      hosted_.erase(id);
-    }
-  }
+  if (!migrate) return;
 
-  // 4. Placement (Algorithm 1) + deployment.
+  const obs::Span span(phases().reopt);
+  std::vector<sim::AppId> to_move;
+  snapshot_hosted();
+  for (const auto& [id, hosted] : hosted_snapshot_) {
+    if (config_.migration.cost_aware && vetoes_move(*hosted)) {
+      ++result_.migrations_skipped;
+      continue;
+    }
+    to_move.push_back(id);
+  }
+  for (const sim::AppId id : to_move) {
+    auto& entry = hosted_.at(id);
+    find_server(entry.site, entry.server).evict(id);
+    epoch.moved_from.emplace(id, PreviousPlacement{entry.site, entry.server});
+    epoch.batch.push_back(entry.app);
+    hosted_.erase(id);
+  }
+}
+
+bool SimulationEngine::vetoes_move(const HostedApp& entry) {
+  // Veto moves whose projected benefit cannot repay the transfer.
+  const sim::EdgeServer& current = find_server(entry.site, entry.server);
+  const double current_rate = carbon_rate_g(entry.app, current, entry.site);
+  double best_rate = current_rate;
+  visit_in_band(*latency_, entry.app, [&](std::size_t site) {
+    for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
+      if (!server.can_host(entry.app.model, entry.app.rps)) continue;
+      const double rate = carbon_rate_g(entry.app, server, site);
+      if (rate >= 0.0) best_rate = std::min(best_rate, rate);
+    }
+    return false;
+  });
+  const double lifetime = std::min<double>(config_.migration.benefit_horizon_epochs,
+                                           entry.app.remaining_epochs);
+  const double benefit = (current_rate - best_rate) * lifetime;
+  return benefit < migration_cost(entry.app, entry.site).second * config_.migration.hysteresis;
+}
+
+PlacementResult SimulationEngine::place(const Epoch& epoch) {
+  // Algorithm 1 + deployment, under PlacementService's own core.place span.
   PlacementInput input;
   input.cluster = &cluster_;
   input.latency = latency_;
   input.site_mean_intensity = &site_mean_intensity_;
   input.epoch_hours = config_.epoch_hours;
-  const PlacementResult placement = service_.place(input, batch);
+  PlacementResult placement = service_.place(input, epoch.batch);
   orchestrator_.deploy(placement);
+  return placement;
+}
 
+void SimulationEngine::commit(Epoch& epoch, const PlacementResult& placement) {
+  const obs::Span span(phases().commit);
   std::unordered_map<sim::AppId, const sim::Application*> by_id;
-  by_id.reserve(batch.size());
-  for (const sim::Application& app : batch) by_id.emplace(app.id, &app);
-  // Charge the data movement of an app that left `from_site` this epoch.
-  const auto account_move = [&](const sim::Application& app, std::size_t from_site) {
-    const auto [move_energy, move_carbon] = migration_cost(app, from_site);
-    epoch_migration_energy += move_energy;
-    epoch_migration_carbon += move_carbon;
-    ++epoch_migrations;
-    ++result_.migrations;
-  };
+  by_id.reserve(epoch.batch.size());
+  for (const sim::Application& app : epoch.batch) by_id.emplace(app.id, &app);
   for (const PlacementDecision& decision : placement.decisions) {
     hosted_.emplace(decision.app,
                     HostedApp{*by_id.at(decision.app), decision.site, decision.server});
     // Account data movement for re-optimized (or earlier-displaced) apps
     // that changed site.
-    const auto prev = previous_placement.find(decision.app);
+    const auto prev = epoch.moved_from.find(decision.app);
     const auto limbo = displaced_from_.find(decision.app);
-    if (prev != previous_placement.end()) {
+    if (prev != epoch.moved_from.end()) {
       if (prev->second.site != decision.site) {
-        account_move(*by_id.at(decision.app), prev->second.site);
+        account_move(epoch, *by_id.at(decision.app), prev->second.site);
       }
     } else if (limbo != displaced_from_.end()) {
       if (limbo->second != kNoAccountedSite && limbo->second != decision.site) {
-        account_move(*by_id.at(decision.app), limbo->second);
+        account_move(epoch, *by_id.at(decision.app), limbo->second);
       }
       displaced_from_.erase(limbo);
     }
   }
+  std::uint32_t fresh_rejected = 0;
+  for (const sim::AppId id : placement.rejected) {
+    if (!restore_migrant(epoch, *by_id.at(id))) ++fresh_rejected;
+  }
+  epoch.record.apps_placed = static_cast<std::uint32_t>(placement.decisions.size());
+  epoch.record.apps_rejected = fresh_rejected;
+  result_.apps_placed += placement.decisions.size();
+  result_.apps_rejected += fresh_rejected;
+  result_.migration_energy_wh += epoch.record.migration_energy_wh;
+  result_.migration_carbon_g += epoch.record.migration_carbon_g;
+}
 
+bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app) {
   // A live application must never be lost to a re-optimization attempt:
   // if the solver rejected an evicted migrant (e.g. capacity shrank after
   // a failure), put it back on its previous server — the evict freed that
   // capacity, so it is normally reclaimable — and count the non-move as a
   // skipped migration, not a rejection. Only fresh arrivals can be
   // genuinely rejected.
-  std::uint32_t fresh_rejected = 0;
-  for (const sim::AppId id : placement.rejected) {
-    const auto prev = previous_placement.find(id);
-    const auto limbo = displaced_from_.find(id);
-    if (prev == previous_placement.end() && limbo == displaced_from_.end()) {
-      ++fresh_rejected;
-      continue;
+  const auto prev = epoch.moved_from.find(app.id);
+  const auto limbo = displaced_from_.find(app.id);
+  if (prev == epoch.moved_from.end() && limbo == displaced_from_.end()) return false;
+  const std::size_t home_site =
+      prev != epoch.moved_from.end() ? prev->second.site : limbo->second;
+  sim::EdgeServer* target = nullptr;
+  std::size_t target_site = home_site;
+  if (prev != epoch.moved_from.end()) {
+    sim::EdgeServer& old_server = find_server(prev->second.site, prev->second.server);
+    if (old_server.powered_on() && old_server.can_host(app.model, app.rps)) {
+      target = &old_server;
     }
-    const sim::Application& app = *by_id.at(id);
-    const std::size_t home_site =
-        prev != previous_placement.end() ? prev->second.site : limbo->second;
-    sim::EdgeServer* target = nullptr;
-    std::size_t target_site = home_site;
-    if (prev != previous_placement.end()) {
-      sim::EdgeServer& old_server = find_server(prev->second.site, prev->second.server);
-      if (old_server.powered_on() && old_server.can_host(app.model, app.rps)) {
-        target = &old_server;
-      }
-    }
-    if (target == nullptr) {
-      // The slot is gone (taken by a competing batch member, or the app
-      // has been in limbo since an earlier epoch); fall back to the first
-      // powered-on latency-feasible server with headroom. can_host() does
-      // not cover power state, and activating a cold server here would
-      // bypass the optimizer's Eq. 5 activation decision, so off servers
-      // are skipped.
-      // The origin's row, as in the veto scan: sites stay in ascending
-      // order, so "first feasible" is the lowest such site's server.
-      const std::span<const std::uint32_t> row_sites = latency_->neighbors(app.origin_site);
-      const std::span<const double> row_ms = latency_->row_ms(app.origin_site);
-      for (std::size_t k = 0; k < row_sites.size() && target == nullptr; ++k) {
-        if (2.0 * row_ms[k] > app.latency_limit_rtt_ms + 1e-9) continue;
-        const std::size_t site = row_sites[k];
-        for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
-          if (server.powered_on() && server.can_host(app.model, app.rps)) {
-            target = &server;
-            target_site = site;
-            break;
-          }
+  }
+  if (target == nullptr) {
+    // The slot is gone (taken by a competing batch member, or the app has
+    // been in limbo since an earlier epoch); fall back to the first
+    // powered-on latency-feasible server with headroom, the lowest such
+    // site's first. can_host() does not cover power state, and activating
+    // a cold server here would bypass the optimizer's Eq. 5 activation
+    // decision, so off servers are skipped.
+    visit_in_band(*latency_, app, [&](std::size_t site) {
+      for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
+        if (server.powered_on() && server.can_host(app.model, app.rps)) {
+          target = &server;
+          target_site = site;
+          return true;
         }
       }
-    }
-    if (prev != previous_placement.end() &&
-        (target == nullptr || target_site == home_site)) {
-      // The optimizer's intended migration did not happen and the app
-      // stayed (or parked) at home; landing on another site is instead a
-      // real move, charged below.
-      ++result_.migrations_skipped;
-    }
-    if (target != nullptr) {
-      target->host(sim::AppInstance{id, app.model, app.rps});
-      hosted_.emplace(id, HostedApp{app, target_site, target->id()});
-      // Landing away from the app's previous site is a real (forced)
-      // move and pays the transfer emissions like any other migration —
-      // except for crash victims, whose old server is gone.
-      if (home_site != kNoAccountedSite && target_site != home_site) {
-        account_move(app, home_site);
-      }
-      if (limbo != displaced_from_.end()) displaced_from_.erase(limbo);
-    } else {
-      // No capacity anywhere this epoch (another app took the freed slot
-      // and the cluster is saturated): keep the app alive and retry at the
-      // next epoch via the deferral queue rather than dropping it. The
-      // epoch it sits out is real downtime for a live app — account it.
-      displaced_from_.insert_or_assign(id, home_site);
-      ++result_.app_downtime_epochs;
-      sim::Application retry = app;
-      retry.max_defer_epochs = 0;
-      deferred_.push_back(std::move(retry));
-    }
+      return false;
+    });
   }
-  result_.apps_placed += placement.decisions.size();
-  result_.apps_rejected += fresh_rejected;
-  result_.migration_energy_wh += epoch_migration_energy;
-  result_.migration_carbon_g += epoch_migration_carbon;
+  if (prev != epoch.moved_from.end() && (target == nullptr || target_site == home_site)) {
+    // The optimizer's intended migration did not happen and the app
+    // stayed (or parked) at home; landing on another site is instead a
+    // real move, charged below.
+    ++result_.migrations_skipped;
+  }
+  if (target != nullptr) {
+    target->host(sim::AppInstance{app.id, app.model, app.rps});
+    hosted_.emplace(app.id, HostedApp{app, target_site, target->id()});
+    // Landing away from the app's previous site is a real (forced) move and
+    // pays the transfer emissions like any other migration — except for
+    // crash victims, whose old server is gone.
+    if (home_site != kNoAccountedSite && target_site != home_site) {
+      account_move(epoch, app, home_site);
+    }
+    if (limbo != displaced_from_.end()) displaced_from_.erase(limbo);
+  } else {
+    // No capacity anywhere this epoch (another app took the freed slot and
+    // the cluster is saturated): keep the app alive and retry at the next
+    // epoch via the deferral queue rather than dropping it. The epoch it
+    // sits out is real downtime for a live app — account it.
+    displaced_from_.insert_or_assign(app.id, home_site);
+    ++result_.app_downtime_epochs;
+    sim::Application retry = app;
+    retry.max_defer_epochs = 0;
+    deferred_.push_back(std::move(retry));
+  }
+  return true;
+}
 
-  // 5. Accounting.
-  sim::EpochRecord record;
-  record.epoch = epoch;
-  record.apps_placed = static_cast<std::uint32_t>(placement.decisions.size());
-  record.apps_rejected = fresh_rejected;
-  record.migration_energy_wh = epoch_migration_energy;
-  record.migration_carbon_g = epoch_migration_carbon;
-  record.migrations = epoch_migrations;
-  record.failures = epoch_failures;
-  // One record per site in site order, then each hosted app's latency
-  // sample folds into the epoch sums and the response histogram in
-  // snapshot order.
-  record.sites.reserve(cluster_.size());
+void SimulationEngine::account_sites(Epoch& epoch) const {
+  const obs::Span span(phases().account_sites);
+  // One record per site, in site order.
+  epoch.record.sites.reserve(cluster_.size());
   for (std::size_t site = 0; site < cluster_.size(); ++site) {
-    record.sites.push_back(sim::make_site_epoch_record(
-        cluster_.sites()[site], site_traces_[site]->at(hour), config_.epoch_hours,
+    epoch.record.sites.push_back(sim::make_site_epoch_record(
+        cluster_.sites()[site], site_traces_[site]->at(epoch.hour), config_.epoch_hours,
         config_.account_base_power));
   }
+}
+
+void SimulationEngine::fold_app_samples(Epoch& epoch) {
+  const obs::Span span(phases().fold_app_samples);
+  // Each hosted app's latency sample folds into the epoch sums and the
+  // response histogram, in snapshot order.
   snapshot_hosted();
   for (const auto& hosted : hosted_snapshot_) {
     const HostedApp& entry = *hosted.second;
@@ -504,17 +573,16 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
     const sim::EdgeServer& server = find_server(entry.site, entry.server);
     const double response = rtt + server.mean_service_ms(entry.app.model);
     const double rps = entry.app.rps;
-    record.rtt_weighted_sum_ms += rtt * rps;
-    record.response_weighted_sum_ms += response * rps;
-    record.rps_total += rps;
+    epoch.record.rtt_weighted_sum_ms += rtt * rps;
+    epoch.record.response_weighted_sum_ms += response * rps;
+    epoch.record.rps_total += rps;
     result_.telemetry.add_response_sample(response, rps);
   }
-  result_.telemetry.record(std::move(record));
+}
 
-  // 6. Power management between epochs.
+void SimulationEngine::power_sweep() {
+  const obs::Span span(phases().power_sweep);
   power_manager_.sweep(cluster_);
-
-  epoch_ = epoch + 1;
 }
 
 SimulationResult SimulationEngine::finish() {

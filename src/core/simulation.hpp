@@ -9,6 +9,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "carbon/caltime.hpp"
@@ -125,6 +126,26 @@ struct ServerFailureEvent {
 /// the serve replay oracle exact: an epoch-aligned replay of the same
 /// arrival stream reproduces the batch counters bit for bit.
 ///
+/// step() runs one epoch as a fixed sequence of phases, each a private
+/// member under its own `core.step.<phase>` span inside `core.epoch_step`:
+///   1. check_inputs        range-check the fed sites and servers (no span;
+///                          throws before any state changes)
+///   2. fill_site_intensity Ī per site at the epoch's hour
+///   3. apply_failures      repairs, then injected, then drawn crashes
+///   4. depart              apps whose lifetime ran out leave
+///   5. admit_and_release   arrivals join the batch or the deferral queue;
+///                          deferred apps whose hour has come are released
+///   6. evict_migrants      cadence decision, cost-aware veto, evictions;
+///                          its span, `core.step.reopt`, opens only on
+///                          re-optimization epochs
+///   7. place               Algorithm 1 and deployment (`core.place`)
+///   8. commit              host the decisions, restore rejected migrants
+///   9. account_sites       one record per site
+///  10. fold_app_samples    each hosted app's latency sample
+///  11. power_sweep         power management between epochs
+/// The phases share one Epoch record (epoch, hour, batch, moved-from map
+/// and the EpochRecord being built), passed by reference.
+///
 /// Threading: the epoch body is serial. The only lanes an engine uses are
 /// those the placement solver leases for its component dispatch (see
 /// solver::solve_sharded), whose result is identical for every lane count.
@@ -178,11 +199,49 @@ class SimulationEngine {
     std::uint32_t server = 0;
   };
 
+  // Where a re-optimization candidate was hosted before it was evicted
+  // into the batch: for data-movement accounting on moves, and to restore
+  // the app if the solver rejects it.
+  struct PreviousPlacement {
+    std::size_t site = 0;
+    std::uint32_t server = 0;
+  };
+  struct Epoch;  // the per-epoch record step() threads through its phases
+
+  // step()'s phases, in the order it runs them (see the class comment).
+  void check_inputs(std::span<const sim::Application> arrivals,
+                    std::span<const ServerFailureEvent> failures) const;
+  void fill_site_intensity(const Epoch& epoch);
+  void apply_failures(Epoch& epoch, std::span<const ServerFailureEvent> failures);
+  void depart();
+  void admit_and_release(Epoch& epoch, std::vector<sim::Application> arrivals);
+  void evict_migrants(Epoch& epoch, std::optional<bool> migrate_override);
+  [[nodiscard]] PlacementResult place(const Epoch& epoch);
+  void commit(Epoch& epoch, const PlacementResult& placement);
+  void account_sites(Epoch& epoch) const;
+  void fold_app_samples(Epoch& epoch);
+  void power_sweep();
+
   [[nodiscard]] sim::EdgeServer& find_server(std::size_t site, std::uint32_t server_id);
-  /// Crash one server: displace its apps into `batch`, mark it failed, and
-  /// schedule the repair. Shared by drawn and injected failures.
-  void crash_server(std::size_t site, sim::EdgeServer& server, std::uint32_t epoch,
-                    std::vector<sim::Application>& batch, std::uint32_t& epoch_failures);
+  /// Crash one server: displace its apps into the epoch's batch, mark it
+  /// failed, and schedule the repair. Shared by drawn and injected failures.
+  void crash_server(Epoch& epoch, std::size_t site, sim::EdgeServer& server);
+  /// The cost-aware filter: true when moving `entry` cannot repay its
+  /// transfer emissions.
+  [[nodiscard]] bool vetoes_move(const HostedApp& entry);
+  /// Put a rejected migrant or displaced app back on a server, or park it
+  /// for the next epoch. False when `app` is a fresh arrival, which is a
+  /// genuine rejection.
+  bool restore_migrant(Epoch& epoch, const sim::Application& app);
+  /// Expected per-epoch operational carbon of `app` on `server` at `site`
+  /// (-1 when the server's device cannot run the model).
+  [[nodiscard]] double carbon_rate_g(const sim::Application& app, const sim::EdgeServer& server,
+                                     std::size_t site) const;
+  /// Data-movement (energy Wh, carbon g) of moving `app` out of `site`.
+  [[nodiscard]] std::pair<double, double> migration_cost(const sim::Application& app,
+                                                         std::size_t site) const;
+  /// Charge the data movement of an app that left `from_site` this epoch.
+  void account_move(Epoch& epoch, const sim::Application& app, std::size_t from_site);
   void snapshot_hosted();
 
   SimulationConfig config_;
@@ -192,7 +251,8 @@ class SimulationEngine {
   // Site s's carbon trace (carbon_->shared_trace of its zone), resolved at
   // construction so per-site queries index instead of hashing the zone.
   std::vector<std::shared_ptr<const carbon::CarbonTrace>> site_traces_;
-  // Refilled at the top of each step(): Ī per site at the epoch's hour.
+  // Refilled by fill_site_intensity each step(): Ī per site at the epoch's
+  // hour.
   std::vector<double> site_mean_intensity_;
   PlacementService service_;
   PowerManager power_manager_;

@@ -35,6 +35,7 @@ struct IngestMetrics {
   obs::Counter& dropped_overflow;
   obs::Counter& dropped_stale;
   obs::Counter& clamped_stale;
+  obs::Counter& dropped_horizon;
 };
 
 IngestMetrics& ingest_metrics() {
@@ -50,6 +51,9 @@ IngestMetrics& ingest_metrics() {
                        obs::View::kDeterministic),
       registry.counter("serve.ingest.clamped_stale",
                        "events stamped before their epoch admitted (policy kClamp)",
+                       obs::View::kDeterministic),
+      registry.counter("serve.ingest.dropped_horizon",
+                       "events left in the source after the last epoch",
                        obs::View::kDeterministic)};
   return metrics;
 }
@@ -251,6 +255,14 @@ ServeResult EventLoop::run(EventSource& source, WindowCsvExporter* exporter) {
     ++window_index;
     window_start_epoch = epoch + 1;
     window_arrivals = 0;
+  }
+
+  // Events stamped at or past the horizon never reach an epoch: the one
+  // carried out of the last epoch and all the source still holds are
+  // dropped and counted.
+  if (carry) count(result.ingest.dropped_horizon, metrics.dropped_horizon);
+  while (!source_done && source.next()) {
+    count(result.ingest.dropped_horizon, metrics.dropped_horizon);
   }
 
   if (exporter != nullptr) {

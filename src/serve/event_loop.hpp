@@ -38,8 +38,9 @@ struct IngestStats {
   std::uint64_t dropped_overflow = 0;  // beyond the epoch's queue_capacity
   std::uint64_t dropped_stale = 0;     // stale, policy kDrop
   std::uint64_t clamped_stale = 0;     // stale, policy kClamp (also admitted)
+  std::uint64_t dropped_horizon = 0;   // left in the source after the last epoch
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return dropped_overflow + dropped_stale;
+    return dropped_overflow + dropped_stale + dropped_horizon;
   }
 };
 

@@ -30,7 +30,7 @@ static_assert(std::endian::native == std::endian::little,
 
 /// What an artifact's payload encodes (part of the on-disk header).
 enum class ArtifactKind : std::uint32_t {
-  kCarbonTrace = 1,   // hourly intensity series + optional generation mixes
+  kCarbonTrace = 1,   // hourly intensity series + average generation mix
   // 2 is retired (a dense latency matrix kind): never reuse it, so files
   // written with it can never decode as another kind.
   kSweepOutcome = 3,  // one scenario cell's SimulationResult

@@ -30,12 +30,9 @@ std::string encode_trace(const carbon::CarbonTrace& trace) {
   w.u32(kTraceSchema);
   w.str(trace.zone());
   w.u64(trace.hours());
-  const std::optional<carbon::GenerationMix>& mix = trace.average_mix();
-  w.u8(mix.has_value() ? 1 : 0);
+  w.u8(1);  // the average mix follows the intensities
   for (const double v : trace.values()) w.f64(v);
-  if (mix.has_value()) {
-    for (const double share : mix->shares()) w.f64(share);
-  }
+  for (const double share : trace.average_mix().shares()) w.f64(share);
   return w.take();
 }
 
@@ -44,15 +41,14 @@ carbon::CarbonTrace decode_trace(std::string_view payload) {
   require_schema(r.u32(), kTraceSchema, "trace");
   std::string zone = r.str();
   const std::uint64_t hours = r.u64();
-  const bool with_mix = r.u8() != 0;
+  // Flag 0 marked an intensity-only trace, which no writer produces now:
+  // such a blob is malformed, and the store reads it as a miss.
+  if (r.u8() != 1) throw std::runtime_error("artifact: trace without an average mix");
   std::vector<double> intensity;
   intensity.reserve(hours);
   for (std::uint64_t h = 0; h < hours; ++h) intensity.push_back(r.f64());
-  std::optional<carbon::GenerationMix> mix;
-  if (with_mix) {
-    mix.emplace();
-    for (const carbon::EnergySource s : carbon::kAllSources) mix->set(s, r.f64());
-  }
+  carbon::GenerationMix mix;
+  for (const carbon::EnergySource s : carbon::kAllSources) mix.set(s, r.f64());
   r.expect_exhausted();
   return carbon::CarbonTrace(std::move(zone), std::move(intensity), mix);
 }

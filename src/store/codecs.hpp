@@ -18,10 +18,11 @@
 
 namespace carbonedge::store {
 
-/// Carbon trace: zone name, then the intensity column, then (optionally)
-/// the eight shares of the trace's average generation mix. A schema-1
-/// payload (one hourly mix column per source) fails to decode, which the
-/// trace tier counts as a miss.
+/// Carbon trace: zone name, hour count, a flag byte (always 1), then the
+/// intensity column and the eight shares of the trace's average generation
+/// mix. A schema-1 payload (one hourly mix column per source) or a flag of
+/// 0 (an old intensity-only trace) fails to decode, which the trace tier
+/// counts as a miss.
 [[nodiscard]] std::string encode_trace(const carbon::CarbonTrace& trace);
 [[nodiscard]] carbon::CarbonTrace decode_trace(std::string_view payload);
 

@@ -125,7 +125,6 @@ TEST(PlacementService, ActivatesOffServersWhenWorthIt) {
   }
   const PlacementResult result = service.place(f.input(), apps);
   ASSERT_EQ(result.decisions.size(), apps.size());
-  EXPECT_FALSE(result.activated.empty());
   EXPECT_TRUE(f.cluster.sites()[1].servers()[0].powered_on());
 }
 
@@ -153,11 +152,9 @@ TEST(PlacementService, ReportsPerShardSolverTelemetry) {
   const solver::SolveStats& stats = result.solver_stats;
   EXPECT_GE(stats.components, 1u);
   // Every component was solved exactly, by the heuristic, or holds an
-  // unplaceable app; the exact-solver flag mirrors "no shard fell through
-  // to the heuristic".
+  // unplaceable app.
   EXPECT_EQ(stats.components,
             stats.exact_shards + stats.heuristic_shards + stats.unplaceable_apps);
-  EXPECT_EQ(result.used_exact_solver, stats.heuristic_shards == 0);
 }
 
 TEST(PlacementService, DecisionsCarryPhysicalQuantities) {

@@ -1,15 +1,16 @@
 // Event intake robustness: malformed CSV lines are rejected with their
 // 1-based line number (or skipped-and-counted), EventLoop admission drops
-// and counts events past the per-epoch queue_capacity and handles stale
-// events per the out-of-order policy, and a stalled export sink degrades
-// to bounded buffering and counted drops while window accounting stays
-// intact.
+// and counts events past the per-epoch queue_capacity or the serve horizon
+// and handles stale events per the out-of-order policy, and a stalled
+// export sink degrades to bounded buffering and counted drops while window
+// accounting stays intact.
 #include "serve/event_loop.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "serve/event_source.hpp"
 #include "serve/export.hpp"
 
@@ -120,9 +121,9 @@ TEST(CsvEventSource, SkipPolicyCountsAndContinues) {
 // ------------------------------------------------------------- admission --
 
 // Serves `data_lines` (CSV, after the header) against a one-server-per-site
-// Florida deployment for two one-hour epochs.
+// Florida deployment for `epochs` one-hour epochs.
 ServeResult serve_csv(const std::string& data_lines, std::size_t queue_capacity,
-                      OutOfOrderPolicy out_of_order) {
+                      OutOfOrderPolicy out_of_order, std::uint32_t epochs = 2) {
   const geo::Region region = geo::florida_region();
   carbon::CarbonIntensityService service;
   service.add_region(region);
@@ -130,7 +131,7 @@ ServeResult serve_csv(const std::string& data_lines, std::size_t queue_capacity,
       sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2), service);
   ServeConfig config;
   config.sim.policy = core::PolicyConfig::carbon_edge();
-  config.sim.epochs = 2;
+  config.sim.epochs = epochs;
   config.queue_capacity = queue_capacity;
   config.out_of_order = out_of_order;
   std::istringstream in(csv_with(data_lines));
@@ -183,6 +184,22 @@ TEST(EventLoop, ClampPolicyAdmitsStaleEventsIntoTheOpenEpoch) {
   ASSERT_EQ(result.windows.size(), 2u);
   EXPECT_EQ(result.windows[1].failures, 1u);  // the crash lands in epoch 1
   EXPECT_EQ(result.sim.server_failures, 1u);
+}
+
+TEST(EventLoop, EventsPastTheHorizonAreDroppedAndCounted) {
+  // Three one-hour epochs end at 3 h: the 10 h arrival is carried out of
+  // the last epoch and the 11 h one is still in the source. Both are
+  // counted, in the stats and in the registry.
+  obs::Counter& counter = obs::Registry::global().counter(
+      "serve.ingest.dropped_horizon", "", obs::View::kDeterministic);
+  const std::uint64_t before = counter.value();
+  const ServeResult result =
+      serve_csv(arrivals_at(0.5, 1) + arrivals_at(10.0, 1) + arrivals_at(11.0, 1), 16,
+                OutOfOrderPolicy::kClamp, /*epochs=*/3);
+  EXPECT_EQ(result.ingest.accepted, 1u);
+  EXPECT_EQ(result.ingest.dropped_horizon, 2u);
+  EXPECT_EQ(result.ingest.dropped(), 2u);
+  EXPECT_EQ(counter.value() - before, 2u);
 }
 
 // -------------------------------------------------------- export degrade --

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "obs/metrics.hpp"
 #include "store/codecs.hpp"
 #include "util/hash.hpp"
 
@@ -53,7 +57,8 @@ TEST(SimulationEngine, MissingZoneTraceThrowsAtConstruction) {
 TEST(SimulationEngine, OutOfRangeSitesThrowBeforeAnyStateChanges) {
   // Site indices can come from outside (a serve event feed) and index the
   // latency rows and the site traces, so an arrival origin or a failure
-  // site past the cluster is refused before the epoch runs.
+  // site past the cluster is refused before the epoch runs. So is a failure
+  // naming a server its site does not have.
   const auto region = geo::florida_region();
   const auto service = make_service(region);
   const EdgeSimulation simulation(sim::make_uniform_cluster(region, 1, sim::DeviceType::kA2),
@@ -70,7 +75,11 @@ TEST(SimulationEngine, OutOfRangeSitesThrowBeforeAnyStateChanges) {
   SimulationEngine::StepOptions options;
   options.failures = std::span(&failure, 1);
   EXPECT_THROW(engine.step({}, options), std::invalid_argument);
+  const ServerFailureEvent unknown_server{0, 999};
+  options.failures = std::span(&unknown_server, 1);
+  EXPECT_THROW(engine.step({}, options), std::invalid_argument);
   EXPECT_EQ(engine.next_epoch(), 0u);
+  EXPECT_EQ(engine.partial().server_failures, 0u);
 
   app.origin_site = 0;
   engine.step({app});
@@ -254,6 +263,35 @@ TEST(Simulation, LoadNeverExceedsCapacityThroughoutRun) {
   EXPECT_EQ(result.telemetry.size(), 40u);
 }
 
+// The recorded-digest scenario below: 48 epochs on a CDN cluster of at
+// least 64 sites, with deferral, cost-aware re-optimization every 12 epochs
+// and drawn failures.
+SimulationConfig serial_scenario_config() {
+  SimulationConfig config;
+  config.epochs = 48;
+  config.workload.arrivals_per_site = 1.0;
+  config.workload.max_defer_epochs = 4;
+  config.reoptimize_every = 12;
+  config.migration.cost_aware = true;
+  config.failures.mtbf_epochs = 200.0;
+  config.failures.repair_epochs = 6;
+  return config;
+}
+
+SimulationResult run_serial_scenario(const SimulationConfig& config) {
+  const auto region = geo::cdn_region(geo::Continent::kNorthAmerica, 80);
+  const auto service = make_service(region);
+  const EdgeSimulation simulation(sim::make_uniform_cluster(region, 2, sim::DeviceType::kA2),
+                                  service);
+  SimulationEngine engine(simulation.pristine_cluster(), service, simulation.latency(), config);
+  EXPECT_GE(engine.cluster().size(), 64u);
+  sim::WorkloadGenerator generator(config.workload, engine.cluster());
+  for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
+    engine.step(generator.arrivals(epoch));
+  }
+  return engine.finish();
+}
+
 // Digest of a run through every per-item section of the epoch body: drawn
 // MTBF failures, deferred arrivals (max_defer_epochs > 0), cost-aware
 // re-optimization with its migration veto, and per-site / per-app
@@ -263,25 +301,7 @@ TEST(Simulation, LoadNeverExceedsCapacityThroughoutRun) {
 // worker lanes (the same digest at 1 and 4 lanes). The serial epoch body
 // must reproduce every RNG draw and every floating-point fold of that run.
 TEST(SimulationEngine, SerialEpochMatchesRecordedDigest) {
-  const auto region = geo::cdn_region(geo::Continent::kNorthAmerica, 80);
-  const auto service = make_service(region);
-  SimulationConfig config;
-  config.epochs = 48;
-  config.workload.arrivals_per_site = 1.0;
-  config.workload.max_defer_epochs = 4;
-  config.reoptimize_every = 12;
-  config.migration.cost_aware = true;
-  config.failures.mtbf_epochs = 200.0;
-  config.failures.repair_epochs = 6;
-  const EdgeSimulation simulation(sim::make_uniform_cluster(region, 2, sim::DeviceType::kA2),
-                                  service);
-  SimulationEngine engine(simulation.pristine_cluster(), service, simulation.latency(), config);
-  ASSERT_GE(engine.cluster().size(), 64u);
-  sim::WorkloadGenerator generator(config.workload, engine.cluster());
-  for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
-    engine.step(generator.arrivals(epoch));
-  }
-  const SimulationResult result = engine.finish();
+  const SimulationResult result = run_serial_scenario(serial_scenario_config());
   EXPECT_GT(result.server_failures, 0u);
   EXPECT_GT(result.apps_deferred, 64u);
   EXPECT_GT(result.migrations, 0u);
@@ -289,6 +309,53 @@ TEST(SimulationEngine, SerialEpochMatchesRecordedDigest) {
   util::Fingerprint fp;
   fp.mix(std::string_view(store::encode_outcome(result)));
   EXPECT_EQ(fp.digest().hex(), "29911fbe9da8fa525053e79e4b5b111c");
+}
+
+/// span.core.step.<phase>.calls of the global registry, by phase.
+std::map<std::string, std::uint64_t> step_phase_calls() {
+  constexpr std::string_view kPrefix = "span.core.step.";
+  constexpr std::string_view kSuffix = ".calls";
+  std::map<std::string, std::uint64_t> calls;
+  obs::Registry::global().visit([&](const obs::MetricRef& m) {
+    if (m.kind != obs::MetricKind::kCounter || !m.name.starts_with(kPrefix) ||
+        !m.name.ends_with(kSuffix)) {
+      return;
+    }
+    const std::string_view phase =
+        m.name.substr(kPrefix.size(), m.name.size() - kPrefix.size() - kSuffix.size());
+    calls[std::string(phase)] = m.counter->value();
+  });
+  return calls;
+}
+
+// Every phase of step() but the re-optimization runs once per epoch; that
+// one runs only on the epochs that re-optimize.
+TEST(SimulationEngine, PhaseSpansCountTheirEpochs) {
+  const SimulationConfig config = serial_scenario_config();
+  const std::map<std::string, std::uint64_t> before = step_phase_calls();
+  (void)run_serial_scenario(config);
+  const std::map<std::string, std::uint64_t> after = step_phase_calls();
+
+  std::uint64_t reopt_epochs = 0;
+  for (std::uint32_t epoch = 1; epoch < config.epochs; ++epoch) {
+    if (epoch % config.reoptimize_every == 0) ++reopt_epochs;
+  }
+  ASSERT_EQ(reopt_epochs, 3u);
+  const std::vector<std::string> every_epoch = {
+      "fill_site_intensity", "apply_failures", "depart",           "admit_and_release",
+      "commit",              "account_sites",  "fold_app_samples", "power_sweep"};
+  ASSERT_EQ(after.size(), every_epoch.size() + 1) << "a core.step phase without a check";
+  for (const auto& [phase, calls] : after) {
+    SCOPED_TRACE(phase);
+    const auto it = before.find(phase);
+    const std::uint64_t delta = calls - (it == before.end() ? 0 : it->second);
+    if (phase == "reopt") {
+      EXPECT_EQ(delta, reopt_epochs);
+    } else {
+      EXPECT_NE(std::find(every_epoch.begin(), every_epoch.end(), phase), every_epoch.end());
+      EXPECT_EQ(delta, config.epochs);
+    }
+  }
 }
 
 }  // namespace

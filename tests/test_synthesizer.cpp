@@ -64,7 +64,7 @@ TEST(Synthesizer, ProducesFullYearNonNegative) {
     EXPECT_GE(v, 0.0);
     EXPECT_LT(v, 1000.0);
   }
-  EXPECT_TRUE(trace.average_mix().has_value());
+  EXPECT_GT(trace.average_mix().total(), 0.0);
 }
 
 TEST(Synthesizer, DeterministicPerZoneAndSeed) {
@@ -141,13 +141,12 @@ TEST(Synthesizer, ImportBlendRaisesCleanZoneFloor) {
 TEST(Synthesizer, AverageMixIsNormalized) {
   const TraceSynthesizer synth;
   const CarbonTrace trace = synth.synthesize(spec("Madrid"));
-  ASSERT_TRUE(trace.average_mix().has_value());
-  EXPECT_NEAR(trace.average_mix()->total(), 1.0, 1e-9);
+  EXPECT_NEAR(trace.average_mix().total(), 1.0, 1e-9);
 }
 
 TEST(Synthesizer, CoalZoneMixIsCoalDominated) {
   const TraceSynthesizer synth;
-  const GenerationMix avg = synth.synthesize(spec("Warsaw")).average_mix().value();
+  const GenerationMix avg = synth.synthesize(spec("Warsaw")).average_mix();
   EXPECT_GT(avg.at(EnergySource::kCoal), 0.4);
 }
 
@@ -165,7 +164,7 @@ TEST(Synthesizer, CdnZonesMatchRecordedDigest) {
     for (const geo::City& city : geo::cdn_region(continent, 40).resolve()) {
       const CarbonTrace trace = synth.synthesize(catalog().spec_for(city));
       for (const double v : trace.values()) fp.mix(v);
-      for (const double share : trace.average_mix().value().shares()) fp.mix(share);
+      for (const double share : trace.average_mix().shares()) fp.mix(share);
       ++zones;
     }
   }
