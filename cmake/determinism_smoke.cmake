@@ -32,8 +32,10 @@ set(PROBE_single "sweep;cdn_us;96;--single;--metrics=${OUT_DIR}/metrics-single-t
 # EMA re-optimization trigger; --export=- puts the per-window CSV rows into
 # the diffed output, so window aggregation is under the gate too, and
 # --metrics-rows interleaves per-window deterministic-view snapshots into
-# those diffed bytes.
-set(PROBE_serve "serve;cdn_us;--replay;--epochs=96;--window-epochs=8;--ema-reopt=load:2500:2000;--export=-;--metrics-rows")
+# those diffed bytes. The intensity EMA crosses 230 g/kWh once in these 96
+# epochs, so the event-driven re-optimization and its migrations run inside
+# the gate; the check after the loop fails if no window fires.
+set(PROBE_serve "serve;cdn_us;--replay;--epochs=96;--window-epochs=8;--ema-reopt=intensity:230:226;--export=-;--metrics-rows")
 
 foreach(probe sweep single serve)
   foreach(threads 1 4)
@@ -59,6 +61,28 @@ foreach(probe sweep single serve)
   endif()
   message(STATUS "determinism gate: probe '${probe}' byte-identical across thread counts")
 endforeach()
+
+# A serve probe that never re-optimizes leaves the migration path outside
+# the gate: require an exported window row with reopt_fired = 1.
+file(STRINGS ${OUT_DIR}/serve-t1.txt serve_rows REGEX "^(window|[0-9]+),")
+set(reopt_column -1)
+set(reopt_windows 0)
+foreach(row IN LISTS serve_rows)
+  string(REPLACE "," ";" cells "${row}")
+  if(row MATCHES "^window,")
+    list(FIND cells reopt_fired reopt_column)
+  elseif(reopt_column GREATER -1)
+    list(GET cells ${reopt_column} fired)
+    if(fired STREQUAL "1")
+      math(EXPR reopt_windows "${reopt_windows} + 1")
+    endif()
+  endif()
+endforeach()
+if(reopt_column EQUAL -1 OR reopt_windows EQUAL 0)
+  message(FATAL_ERROR "determinism gate: probe 'serve' exported no window with reopt_fired = 1 "
+                      "— see ${OUT_DIR}/serve-t1.txt")
+endif()
+message(STATUS "determinism gate: probe 'serve' re-optimized in ${reopt_windows} window(s)")
 
 # Compiled-catalog probes: build the checked-in sample dump into a scratch
 # store (no network — tests/data/sites_sample.tsv ships with the repo), then

@@ -1,7 +1,10 @@
 // Placement problem construction: turns cluster state + a per-site table of
 // mean forecast intensities Ī + latency matrix + a policy into a
 // solver::AssignmentProblem (the Eq. 1-7 model after Algorithm 1's latency
-// pre-filtering). The build queries no forecaster.
+// pre-filtering). The build queries no forecaster, and it computes each
+// quantity once from what it depends on: per app the terms of each device
+// type, per column the server's state, per pair only Ī scaling and the
+// policy cost, appended straight into the problem.
 #pragma once
 
 #include <span>
@@ -38,8 +41,11 @@ struct BuiltProblem {
 
 /// Build the assignment problem for a batch of applications under `policy`.
 /// Resource dimensions: device memory (MB) and compute busy-fraction, taken
-/// from each server's *remaining* capacity (incremental placement). Throws
-/// std::invalid_argument on a missing input or a wrong-size Ī table.
+/// from each server's *remaining* capacity (incremental placement). One
+/// walk over the feasible pairs fills the problem and the per-pair vectors;
+/// the multi-objective policy walks them once more first, for Eq. 8's
+/// min/max. Throws std::invalid_argument on a missing input or a wrong-size
+/// Ī table.
 [[nodiscard]] BuiltProblem build_problem(const PlacementInput& input,
                                          std::span<const sim::Application> apps,
                                          const PolicyConfig& policy);

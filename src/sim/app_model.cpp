@@ -4,37 +4,6 @@
 #include <string>
 
 namespace carbonedge::sim {
-namespace {
-
-// Rows follow Figure 7 (energy in J, memory in MB, inference in ms).
-// Devices: Orin Nano, A2, GTX 1080 for GPU models; Xeon for SciCpu.
-struct ProfileRow {
-  ModelType model;
-  DeviceType device;
-  WorkloadProfile profile;
-};
-
-constexpr ProfileRow kProfiles[] = {
-    {ModelType::kEfficientNetB0, DeviceType::kOrinNano, {0.016, 128.0, 8.2}},
-    {ModelType::kEfficientNetB0, DeviceType::kA2, {0.024, 150.0, 4.8}},
-    {ModelType::kEfficientNetB0, DeviceType::kGtx1080, {0.031, 176.0, 2.6}},
-    {ModelType::kResNet50, DeviceType::kOrinNano, {0.082, 246.0, 24.5}},
-    {ModelType::kResNet50, DeviceType::kA2, {0.118, 288.0, 11.8}},
-    {ModelType::kResNet50, DeviceType::kGtx1080, {0.158, 330.0, 5.9}},
-    {ModelType::kYoloV4, DeviceType::kOrinNano, {0.71, 452.0, 39.6}},
-    {ModelType::kYoloV4, DeviceType::kA2, {1.05, 498.0, 21.7}},
-    {ModelType::kYoloV4, DeviceType::kGtx1080, {1.38, 540.0, 10.8}},
-    {ModelType::kSciCpu, DeviceType::kXeonCpu, {2.1, 512.0, 48.0}},
-};
-
-}  // namespace
-
-ProfileResult profile_of(ModelType model, DeviceType device) noexcept {
-  for (const ProfileRow& row : kProfiles) {
-    if (row.model == model && row.device == device) return {true, row.profile};
-  }
-  return {};
-}
 
 WorkloadProfile require_profile(ModelType model, DeviceType device) {
   const ProfileResult result = profile_of(model, device);

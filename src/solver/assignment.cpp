@@ -121,6 +121,36 @@ void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cos
   demand_.insert(demand_.end(), demand.begin(), demand.end());
 }
 
+void AssignmentProblem::append_row(std::size_t app, const AssignmentProblem& parent,
+                                   std::size_t parent_app, std::span<const std::size_t> local) {
+  if (app >= num_apps_ || parent.num_resources_ != num_resources_ ||
+      local.size() < parent.num_servers_) {
+    throw std::invalid_argument("append_row: app out of range, or parent and row do not match");
+  }
+  if (app < row_start_.size()) {
+    throw std::invalid_argument("append_row: rows must arrive in ascending app order");
+  }
+  const std::size_t first = parent.row_begin(parent_app);
+  const std::size_t last = parent.row_end(parent_app);
+  if (first == last) return;
+  const std::size_t begin = num_pairs();
+  for (std::size_t p = first; p < last; ++p) {
+    const std::size_t server = local[parent.server_[p]];
+    if (server >= num_servers_ || (p > first && server <= server_.back())) {
+      server_.resize(begin);
+      throw std::invalid_argument("append_row: mapped servers must be in range and ascending");
+    }
+    server_.push_back(static_cast<std::uint32_t>(server));
+  }
+  row_start_.resize(app + 1, begin);
+  const auto from = static_cast<std::ptrdiff_t>(first);
+  const auto to = static_cast<std::ptrdiff_t>(last);
+  cost_.insert(cost_.end(), parent.cost_.begin() + from, parent.cost_.begin() + to);
+  demand_.insert(demand_.end(),
+                 parent.demand_.begin() + from * static_cast<std::ptrdiff_t>(num_resources_),
+                 parent.demand_.begin() + to * static_cast<std::ptrdiff_t>(num_resources_));
+}
+
 void AssignmentProblem::reserve(std::size_t pairs) {
   row_start_.reserve(num_apps_);
   server_.reserve(pairs);

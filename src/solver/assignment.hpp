@@ -63,6 +63,15 @@ class AssignmentProblem {
     add_pair(app, server, cost, std::span<const double>(demand.begin(), demand.size()));
   }
 
+  /// Append row `parent_app` of `parent` as row `app`, mapping each pair's
+  /// server j to local[j] (`local` covers the parent's servers); costs and
+  /// demands are copied in bulk. The row must come after every row that
+  /// holds pairs, and the mapped servers must be in range and ascending; an
+  /// empty row appends nothing. Throws std::invalid_argument otherwise, or
+  /// when the resource counts differ, and then appends nothing.
+  void append_row(std::size_t app, const AssignmentProblem& parent, std::size_t parent_app,
+                  std::span<const std::size_t> local);
+
   /// Reserve storage for `pairs` pairs (and the row starts of every app), so
   /// a caller that knows the final pair count appends without regrowth.
   void reserve(std::size_t pairs);

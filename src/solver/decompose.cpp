@@ -100,10 +100,7 @@ AssignmentProblem extract_component(const AssignmentProblem& problem, const Comp
   // Every pair of a member app lands on a member server, and local indices
   // ascend with the parent's, so each copied row stays ascending.
   for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
-    const std::size_t i = component.apps[ii];
-    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-      sub.add_pair(ii, local[problem.server(p)], problem.cost(p), problem.demands(p));
-    }
+    sub.append_row(ii, problem, component.apps[ii], local);
   }
   return sub;
 }

@@ -47,8 +47,9 @@ struct Component {
 /// The sub-problem induced by `component`: row/column `k` of the result is
 /// app `component.apps[k]` / server `component.servers[k]` of `problem`.
 /// `local` is local_server_index over a component list that contains
-/// `component`: each pair's column is one read of it, and the sub-problem's
-/// pair storage is sized exactly before the rows are copied.
+/// `component`: the sub-problem's pair storage is sized exactly, then each
+/// member app's row is copied in bulk by AssignmentProblem::append_row, one
+/// read of `local` per pair.
 [[nodiscard]] AssignmentProblem extract_component(const AssignmentProblem& problem,
                                                   const Component& component,
                                                   std::span<const std::size_t> local);

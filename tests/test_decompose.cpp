@@ -258,6 +258,65 @@ TEST(ExtractComponent, IndexedExtractionMatchesBinarySearchReference) {
   EXPECT_GE(components_checked, 1000u);
 }
 
+// A hand-made component whose member apps are not contiguous and whose
+// rows are empty in the middle and at the end: the bulk row copy must keep
+// every row's bounds, and append_row must refuse a row that would break the
+// problem's layout, leaving it unchanged.
+TEST(ExtractComponent, BulkRowCopyKeepsEmptyRowsAndRejectsBrokenRows) {
+  AssignmentProblem p(6, 5, 2);
+  for (std::size_t j = 0; j < 5; ++j) {
+    p.set_capacity(j, 0, 1.0 + static_cast<double>(j));
+    p.set_capacity(j, 1, 0.5);
+  }
+  p.set_initially_on(4, false);
+  p.set_activation_cost(4, 2.5);
+  p.add_pair(0, 0, 1.5, {0.1, 0.2});
+  p.add_pair(0, 2, 2.5, {0.3, 0.4});
+  p.add_pair(1, 1, 3.5, {0.5, 0.6});
+  p.add_pair(3, 0, 4.5, {0.7, 0.8});  // app 2 keeps no pair
+  p.add_pair(3, 4, 5.5, {0.9, 1.0});
+  p.add_pair(4, 3, 6.5, {1.1, 1.2});  // app 5 keeps no pair
+  const Component component{{0, 2, 3, 5}, {0, 2, 4}};
+  const std::vector<std::size_t> local = local_server_index(p.num_servers(), {&component, 1});
+
+  const AssignmentProblem sub = extract_component(p, component, local);
+  expect_bit_identical(sub, reference_extract(p, component));
+  EXPECT_EQ(sub.num_pairs(), 4u);
+  const std::vector<std::pair<std::size_t, std::size_t>> rows = {{0, 2}, {2, 2}, {2, 4}, {4, 4}};
+  for (std::size_t ii = 0; ii < rows.size(); ++ii) {
+    EXPECT_EQ(sub.row_begin(ii), rows[ii].first) << ii;
+    EXPECT_EQ(sub.row_end(ii), rows[ii].second) << ii;
+  }
+  EXPECT_EQ(sub.server(3), 2u);
+  EXPECT_EQ(bits(sub.cost(3)), bits(5.5));
+  EXPECT_EQ(bits(sub.demand(3, 1)), bits(1.0));
+
+  AssignmentProblem rows_out(3, 3, 2);
+  rows_out.append_row(1, p, 0, local);
+  ASSERT_EQ(rows_out.num_pairs(), 2u);
+  // An earlier row, the same row again, or a row past the last app.
+  EXPECT_THROW(rows_out.append_row(0, p, 3, local), std::invalid_argument);
+  EXPECT_THROW(rows_out.append_row(1, p, 3, local), std::invalid_argument);
+  EXPECT_THROW(rows_out.append_row(3, p, 3, local), std::invalid_argument);
+  // App 1's server 1 is no member: it maps to kUnassigned.
+  EXPECT_THROW(rows_out.append_row(2, p, 1, local), std::invalid_argument);
+  // A mapping past the sub-problem's servers, and one that reverses a row.
+  const std::vector<std::size_t> past = {0, 0, 3, 0, 2};
+  EXPECT_THROW(rows_out.append_row(2, p, 0, past), std::invalid_argument);
+  const std::vector<std::size_t> reversed = {2, 0, 1, 0, 0};
+  EXPECT_THROW(rows_out.append_row(2, p, 0, reversed), std::invalid_argument);
+  // A mapping shorter than the parent's servers, and a resource mismatch.
+  EXPECT_THROW(rows_out.append_row(2, p, 0, std::span(local).first(4)), std::invalid_argument);
+  AssignmentProblem one_resource(1, 3, 1);
+  EXPECT_THROW(one_resource.append_row(0, p, 0, local), std::invalid_argument);
+  // A refused row appends nothing, and the next valid row still fits.
+  EXPECT_EQ(rows_out.num_pairs(), 2u);
+  rows_out.append_row(2, p, 3, local);
+  EXPECT_EQ(rows_out.row_begin(2), 2u);
+  EXPECT_EQ(rows_out.row_end(2), 4u);
+  EXPECT_EQ(rows_out.row_servers(2)[1], 2u);
+}
+
 // Differential property: the stitched sharded solve must reproduce the
 // monolithic exact optimum on multi-component instances (the decomposition
 // is exact — nothing couples components).

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace carbonedge::sim {
 namespace {
 
@@ -91,6 +94,62 @@ TEST(AppModel, ComputeDemandScalesWithRateAndSpeed) {
 TEST(AppModel, Names) {
   EXPECT_EQ(to_string(ModelType::kEfficientNetB0), "EfficientNetB0");
   EXPECT_EQ(to_string(ModelType::kSciCpu), "Sci");
+}
+
+TEST(AppModel, ProfileTableMatchesFigure7) {
+  // Figure 7's rows, written out here independently of the library's table.
+  struct Row {
+    ModelType model;
+    DeviceType device;
+    double energy_j;
+    double memory_mb;
+    double inference_ms;
+  };
+  constexpr Row kRows[] = {
+      {ModelType::kEfficientNetB0, DeviceType::kOrinNano, 0.016, 128.0, 8.2},
+      {ModelType::kEfficientNetB0, DeviceType::kA2, 0.024, 150.0, 4.8},
+      {ModelType::kEfficientNetB0, DeviceType::kGtx1080, 0.031, 176.0, 2.6},
+      {ModelType::kResNet50, DeviceType::kOrinNano, 0.082, 246.0, 24.5},
+      {ModelType::kResNet50, DeviceType::kA2, 0.118, 288.0, 11.8},
+      {ModelType::kResNet50, DeviceType::kGtx1080, 0.158, 330.0, 5.9},
+      {ModelType::kYoloV4, DeviceType::kOrinNano, 0.71, 452.0, 39.6},
+      {ModelType::kYoloV4, DeviceType::kA2, 1.05, 498.0, 21.7},
+      {ModelType::kYoloV4, DeviceType::kGtx1080, 1.38, 540.0, 10.8},
+      {ModelType::kSciCpu, DeviceType::kXeonCpu, 2.1, 512.0, 48.0},
+  };
+  std::size_t supported = 0;
+  for (const ModelType m : kAllModels) {
+    for (const DeviceType d : kAllDevices) {
+      SCOPED_TRACE(std::string(to_string(m)) + " on " + std::string(to_string(d)));
+      const Row* row = nullptr;
+      for (const Row& candidate : kRows) {
+        if (candidate.model == m && candidate.device == d) row = &candidate;
+      }
+      const ProfileResult result = profile_of(m, d);
+      if (row != nullptr) {
+        ++supported;
+        ASSERT_TRUE(result.supported);
+        EXPECT_EQ(result.profile.energy_j, row->energy_j);
+        EXPECT_EQ(result.profile.memory_mb, row->memory_mb);
+        EXPECT_EQ(result.profile.inference_ms, row->inference_ms);
+        EXPECT_EQ(require_profile(m, d).energy_j, row->energy_j);
+        continue;
+      }
+      EXPECT_FALSE(result.supported);
+      try {
+        (void)require_profile(m, d);
+        ADD_FAILURE() << "require_profile accepted an unsupported pair";
+      } catch (const std::invalid_argument& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(std::string(to_string(m))), std::string::npos) << what;
+        EXPECT_NE(what.find(std::string(to_string(d))), std::string::npos) << what;
+      }
+    }
+  }
+  EXPECT_EQ(supported, std::size(kRows));
+  // The table is usable at compile time.
+  static_assert(profile_of(ModelType::kYoloV4, DeviceType::kA2).supported);
+  static_assert(!profile_of(ModelType::kSciCpu, DeviceType::kOrinNano).supported);
 }
 
 }  // namespace
