@@ -160,3 +160,20 @@ if(NOT det_1 STREQUAL det_4)
                       "against ${OUT_DIR}/metrics-det-t4.json")
 endif()
 message(STATUS "determinism gate: deterministic metrics view byte-identical across thread counts")
+
+# Both branches of the exact path must run inside the gate: shards whose
+# root the row-minimum bound settles without an LP, and shards that build
+# it. The single probe's deterministic view must show
+# 0 < solver.root_bound_shards < solver.exact_shards.
+string(JSON root_bound_shards ERROR_VARIABLE root_bound_missing
+       GET "${det_1}" solver.root_bound_shards)
+string(JSON exact_shards ERROR_VARIABLE exact_missing GET "${det_1}" solver.exact_shards)
+if(root_bound_missing OR exact_missing OR NOT root_bound_shards GREATER 0 OR
+   NOT root_bound_shards LESS exact_shards)
+  message(FATAL_ERROR "determinism gate: probe 'single' must settle some exact shards by the "
+                      "root bound and search others (solver.root_bound_shards = "
+                      "'${root_bound_shards}', solver.exact_shards = '${exact_shards}') — see "
+                      "${OUT_DIR}/metrics-single-t1.json")
+endif()
+message(STATUS "determinism gate: probe 'single' settled ${root_bound_shards} of "
+               "${exact_shards} exact shard(s) by the root bound")

@@ -26,6 +26,7 @@ struct SolverMetrics {
   obs::Counter& heuristic_shards;
   obs::Counter& unplaceable_apps;
   obs::Counter& milp_nodes;
+  obs::Counter& root_bound_shards;
   obs::Histogram& problem_apps;
 };
 
@@ -44,6 +45,9 @@ SolverMetrics& solver_metrics() {
       registry.counter("solver.unplaceable_apps", "apps with no feasible server at all",
                        obs::View::kDeterministic),
       registry.counter("solver.milp_nodes", "B&B nodes explored across exact shards",
+                       obs::View::kDeterministic),
+      registry.counter("solver.root_bound_shards",
+                       "exact shards whose root the row-minimum bound settled without an LP",
                        obs::View::kDeterministic),
       registry.histogram("solver.problem_apps", "apps per solved assignment problem",
                          obs::View::kDeterministic,
@@ -89,6 +93,15 @@ class ServerColumns {
   std::vector<std::size_t> start_;
   std::vector<Entry> entries_;
 };
+
+// The solvers over a prebuilt ServerColumns, so one shard builds it once.
+AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerColumns& columns,
+                               const MilpOptions& options);
+AssignmentSolution solve_greedy(const AssignmentProblem& problem, const ServerColumns& columns);
+std::size_t improve_local_search(const AssignmentProblem& problem, const ServerColumns& columns,
+                                 AssignmentSolution& solution, std::size_t max_rounds);
+bool fits_exact_lp(const AssignmentProblem& problem, const ServerColumns& columns,
+                   const AssignmentSolution& solution);
 
 }  // namespace
 
@@ -232,11 +245,110 @@ bool validate(const AssignmentProblem& problem, const AssignmentSolution& soluti
 // ---------------------------------------------------------------------------
 
 AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptions& options) {
+  return solve_exact(problem, ServerColumns(problem), options);
+}
+
+bool fits_exact_lp(const AssignmentProblem& problem, const AssignmentSolution& solution) {
+  return fits_exact_lp(problem, ServerColumns(problem), solution);
+}
+
+namespace {
+
+bool fits_exact_lp(const AssignmentProblem& problem, const ServerColumns& columns,
+                   const AssignmentSolution& solution) {
+  constexpr double kTol = 1e-6;  // LinearProgram::is_feasible's default
+  // Every value is 0 or 1 and each app row holds one 1, so the bounds and
+  // Eq. 3 rows hold exactly. Capacity rows sum their terms in column order,
+  // as the LP does; x_p <= y_j holds because evaluate() powers on every
+  // server it places an app on.
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    const std::span<const ServerColumns::Entry> column = columns.of(j);
+    if (column.empty()) continue;
+    const bool gated = !problem.initially_on(j);
+    const double y = solution.powered_on[j] ? 1.0 : 0.0;
+    for (std::size_t k = 0; k < problem.num_resources(); ++k) {
+      double lhs = 0.0;
+      for (const auto& [i, p] : column) {
+        lhs += problem.demand(p, k) * (solution.assignment[i] == j ? 1.0 : 0.0);
+      }
+      if (gated) {
+        lhs += -problem.capacity(j, k) * y;
+        if (lhs > 0.0 + kTol) return false;
+      } else if (lhs > problem.capacity(j, k) + kTol) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Whether the root relaxation of solve_exact's LP costs at least `warm`'s
+/// objective, summed in LP variable order as solve_milp sums its incumbent.
+/// Each app row sums to 1 and the y_j costs are >= 0, so the relaxation
+/// costs at least the sum of each app's cheapest pair cost. `warm` must
+/// also pass the LP, or B&B would not take it as the incumbent.
+bool root_bound_reaches(const AssignmentProblem& problem, const ServerColumns& columns,
+                        const AssignmentSolution& warm) {
+  double bound = 0.0;
+  double incumbent = 0.0;
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    double cheapest = kInfinity;
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      cheapest = std::min(cheapest, problem.cost(p));
+      incumbent += problem.cost(p) * (problem.server(p) == warm.assignment[i] ? 1.0 : 0.0);
+    }
+    bound += cheapest;
+  }
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    if (problem.initially_on(j) || columns.of(j).empty()) continue;  // no y_j
+    if (!(problem.activation_cost(j) >= 0.0)) return false;
+    incumbent += problem.activation_cost(j) * (warm.powered_on[j] ? 1.0 : 0.0);
+  }
+  return std::isfinite(incumbent) && bound >= incumbent && fits_exact_lp(problem, columns, warm);
+}
+
+AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerColumns& columns,
+                               const MilpOptions& options) {
   const obs::Span span(milp_phase());
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
   const std::size_t pairs = problem.num_pairs();
-  const ServerColumns columns(problem);  // capacity and linking rows list apps ascending
+
+  for (std::size_t i = 0; i < apps; ++i) {
+    if (problem.row_begin(i) != problem.row_end(i)) continue;
+    AssignmentSolution infeasible;
+    infeasible.assignment.assign(apps, kUnassigned);
+    infeasible.unassigned_count = apps;
+    // No shard was actually solved (the MILP was never built), so
+    // exact_shards stays 0. This monolithic path reports one component
+    // regardless of how many apps are unplaceable; only the sharded path
+    // isolates each unplaceable app as its own singleton component.
+    infeasible.stats.components = 1;
+    for (std::size_t a = 0; a < apps; ++a) {
+      if (problem.row_begin(a) == problem.row_end(a)) ++infeasible.stats.unplaceable_apps;
+    }
+    return infeasible;  // some app has no feasible server at all
+  }
+
+  // The greedy heuristic seeds the incumbent.
+  AssignmentSolution greedy = solve_greedy(problem, columns);
+  if (greedy.feasible) improve_local_search(problem, columns, greedy, 20);
+
+  // B&B takes a warm start that passes the LP and is integral (tolerance
+  // >= 0) as its incumbent. Given one node it solves the root, prunes it if
+  // its LP does not beat incumbent - gap * (1 + |incumbent|), and returns
+  // the warm start. With a positive gap that cutoff lies below the
+  // incumbent by more than LP rounding, so a root whose bound reaches the
+  // incumbent is pruned: settle it without building the LP.
+  if (greedy.feasible && options.integrality_tolerance >= 0.0 && options.max_nodes >= 1 &&
+      options.gap_tolerance > 0.0 && root_bound_reaches(problem, columns, greedy)) {
+    greedy.stats = SolveStats{};
+    greedy.stats.components = 1;
+    greedy.stats.exact_shards = 1;
+    greedy.stats.milp_nodes = 1;
+    greedy.stats.root_bound_shards = 1;
+    return greedy;
+  }
 
   LinearProgram lp;
   std::vector<int> integer_vars;
@@ -254,20 +366,6 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
 
   // Eq. 3: each app placed exactly once.
   for (std::size_t i = 0; i < apps; ++i) {
-    if (problem.row_begin(i) == problem.row_end(i)) {
-      AssignmentSolution infeasible;
-      infeasible.assignment.assign(apps, kUnassigned);
-      infeasible.unassigned_count = apps;
-      // No shard was actually solved (the MILP was never built), so
-      // exact_shards stays 0. This monolithic path reports one component
-      // regardless of how many apps are unplaceable; only the sharded path
-      // isolates each unplaceable app as its own singleton component.
-      infeasible.stats.components = 1;
-      for (std::size_t a = 0; a < apps; ++a) {
-        if (problem.row_begin(a) == problem.row_end(a)) ++infeasible.stats.unplaceable_apps;
-      }
-      return infeasible;  // some app has no feasible server at all
-    }
     std::vector<std::pair<int, double>> terms;
     for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
       terms.emplace_back(static_cast<int>(p), 1.0);
@@ -301,11 +399,8 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
     }
   }
 
-  // Warm start from the greedy heuristic to seed the incumbent.
   std::optional<std::vector<double>> warm;
-  AssignmentSolution greedy = solve_greedy(problem);
   if (greedy.feasible) {
-    improve_local_search(problem, greedy);
     std::vector<double> values(lp.num_variables(), 0.0);
     for (std::size_t i = 0; i < apps; ++i) {
       values[problem.find_pair(i, greedy.assignment[i])] = 1.0;
@@ -352,6 +447,8 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   solution.stats.milp_nodes = milp.nodes_explored;
   return solution;
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Regret greedy + local search
@@ -422,12 +519,9 @@ GreedyOption scan_row(const AssignmentProblem& problem, const GreedyState& state
   return option;
 }
 
-}  // namespace
-
-AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
+AssignmentSolution solve_greedy(const AssignmentProblem& problem, const ServerColumns& columns) {
   const std::size_t apps = problem.num_apps();
   GreedyState state(problem);
-  const ServerColumns columns(problem);
   std::vector<std::size_t> assignment(apps, kUnassigned);
   std::vector<std::uint8_t> placed(apps, 0);
   // option[i] always equals a fresh scan_row of unplaced app i. A commit on
@@ -494,8 +588,8 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
   return solution;
 }
 
-std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
-                                 std::size_t max_rounds) {
+std::size_t improve_local_search(const AssignmentProblem& problem, const ServerColumns& columns,
+                                 AssignmentSolution& solution, std::size_t max_rounds) {
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
   const std::size_t resources = problem.num_resources();
@@ -518,7 +612,6 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
   // Swap-scan lookups without row searches: app a's pairs scattered by
   // server, and the apps after `after` that have a pair on `server`.
   std::vector<std::size_t> a_pair_on(servers, kNoPair);
-  const ServerColumns columns(problem);
   const auto partners = [&](std::size_t server, std::size_t after) {
     const std::span<const ServerColumns::Entry> column = columns.of(server);
     const auto first = std::ranges::upper_bound(column, after, {}, &ServerColumns::Entry::first);
@@ -623,14 +716,26 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
   return improvements;
 }
 
+}  // namespace
+
+AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
+  return solve_greedy(problem, ServerColumns(problem));
+}
+
+std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
+                                 std::size_t max_rounds) {
+  return improve_local_search(problem, ServerColumns(problem), solution, max_rounds);
+}
+
 AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                    const AssignmentOptions& options) {
+  const ServerColumns columns(problem);
   if (problem.num_apps() * problem.num_servers() <= options.exact_size_limit) {
-    AssignmentSolution exact = solve_exact(problem, options.milp);
+    AssignmentSolution exact = solve_exact(problem, columns, options.milp);
     if (exact.feasible) return exact;
   }
-  AssignmentSolution solution = solve_greedy(problem);
-  improve_local_search(problem, solution, options.local_search_rounds);
+  AssignmentSolution solution = solve_greedy(problem, columns);
+  improve_local_search(problem, columns, solution, options.local_search_rounds);
   return solution;
 }
 
@@ -644,6 +749,7 @@ AssignmentSolution solve_auto(const AssignmentProblem& problem, const Assignment
   metrics.heuristic_shards.add(solution.stats.heuristic_shards);
   metrics.unplaceable_apps.add(solution.stats.unplaceable_apps);
   metrics.milp_nodes.add(solution.stats.milp_nodes);
+  metrics.root_bound_shards.add(solution.stats.root_bound_shards);
   metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));
   return solution;
 }

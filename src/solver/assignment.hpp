@@ -14,7 +14,11 @@
 // work scales with the feasible support rather than apps x servers.
 //
 // Two solution paths, cross-validated in tests:
-//  * solve_exact   — branch-and-bound MILP; exact, testbed scale.
+//  * solve_exact   — branch-and-bound MILP; exact, testbed scale. It first
+//                    runs the heuristic below as a warm start, and skips
+//                    the LP when the sum of the apps' cheapest costs already
+//                    reaches it (no app can be placed more cheaply and no
+//                    off server is paid for), which is most small shards.
 //  * solve_greedy + improve_local_search — regret greedy with relocate/swap
 //                    improvement; any scale, near-optimal in practice.
 // solve_auto first shards the instance into connected components of the
@@ -143,7 +147,9 @@ struct SolveStats {
   std::size_t exact_shards = 0;     // components solved by the MILP
   std::size_t heuristic_shards = 0; // components solved by greedy + local search
   std::size_t unplaceable_apps = 0; // apps with no feasible server at all
-  std::size_t milp_nodes = 0;       // total B&B nodes across exact shards
+  std::size_t milp_nodes = 0;       // total B&B nodes across exact shards; a root
+                                    // settled by the row-minimum bound counts as one
+  std::size_t root_bound_shards = 0;  // exact shards settled by that bound, no LP built
 };
 
 struct AssignmentSolution {
@@ -181,8 +187,24 @@ struct AssignmentOptions {
   util::ParallelismBudget* budget = nullptr;
 };
 
+/// Branch and bound on the Eq. 1-7 MILP, warm-started by greedy + local
+/// search. When every app row is non-empty, the warm start passes the LP
+/// (fits_exact_lp), integrality_tolerance >= 0, max_nodes >= 1,
+/// gap_tolerance > 0, the off servers' activation costs are >= 0, and the
+/// sum of each app's cheapest pair cost reaches the warm start's objective,
+/// the root relaxation cannot beat the warm start: it is returned without
+/// building the LP, with the stats the one-node search would report
+/// (milp_nodes 1) and root_bound_shards 1.
 [[nodiscard]] AssignmentSolution solve_exact(const AssignmentProblem& problem,
                                              const MilpOptions& options = {});
+
+/// Whether `solution` (every app placed on one of its pairs, power states as
+/// evaluate() sets them) passes LinearProgram::is_feasible at its default
+/// tolerance as solve_exact's 0/1 warm start, without building the LP: each
+/// capacity row sums the same products in the same order.
+[[nodiscard]] bool fits_exact_lp(const AssignmentProblem& problem,
+                                 const AssignmentSolution& solution);
+
 /// Regret greedy: each round places the unplaced app with the largest gap
 /// between its cheapest and second-cheapest fitting option (ties go to the
 /// costlier cheapest option), until none can be placed. Each app's options

@@ -164,6 +164,7 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
     stats.heuristic_shards += sub.stats.heuristic_shards;
     stats.unplaceable_apps += sub.stats.unplaceable_apps;
     stats.milp_nodes += sub.stats.milp_nodes;
+    stats.root_bound_shards += sub.stats.root_bound_shards;
   }
 
   // Components are server-disjoint, so re-evaluating the stitched assignment

@@ -4,7 +4,9 @@
 // decision variables x_ij and y_j are binary). Branching is depth-first on
 // the most fractional integer variable with incumbent pruning; a caller-
 // supplied warm start (e.g. the regret-greedy placement) seeds the
-// incumbent so pruning bites early.
+// incumbent so pruning bites early. solve_exact (assignment.hpp) calls this
+// only when a root-bound check cannot already show that the root relaxation
+// is no cheaper than the warm start; a settled root never reaches here.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "solver/lp.hpp"
@@ -465,6 +469,329 @@ TEST(SolveExact, ReturnsGreedyIncumbentWhenSearchComesUpEmpty) {
   EXPECT_EQ(sol.stats.exact_shards, 0u);
 }
 
+// The exact path's LP, built as solve_exact builds it: x_p is variable p,
+// then one y_j per initially-off server with a pair; Eq. 3 rows, capacity
+// rows (-cap * y_j on off servers) and per-pair x_p <= y_j links. Every app
+// row must be non-empty.
+struct ExactLp {
+  LinearProgram lp;
+  std::vector<int> integer_vars;
+  std::vector<int> y_var;
+};
+
+ExactLp exact_lp(const AssignmentProblem& problem) {
+  ExactLp out;
+  std::vector<std::vector<std::size_t>> column(problem.num_servers());  // pairs, apps ascending
+  for (std::size_t p = 0; p < problem.num_pairs(); ++p) column[problem.server(p)].push_back(p);
+  for (std::size_t p = 0; p < problem.num_pairs(); ++p) {
+    out.integer_vars.push_back(out.lp.add_variable(problem.cost(p), 0.0, 1.0));
+  }
+  out.y_var.assign(problem.num_servers(), -1);
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    if (problem.initially_on(j) || column[j].empty()) continue;
+    out.y_var[j] = out.lp.add_variable(problem.activation_cost(j), 0.0, 1.0);
+    out.integer_vars.push_back(out.y_var[j]);
+  }
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    std::vector<std::pair<int, double>> terms;
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      terms.emplace_back(static_cast<int>(p), 1.0);
+    }
+    out.lp.add_constraint(std::move(terms), Sense::kEqual, 1.0);
+  }
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    if (column[j].empty()) continue;
+    const int y = out.y_var[j];
+    for (std::size_t k = 0; k < problem.num_resources(); ++k) {
+      std::vector<std::pair<int, double>> terms;
+      for (const std::size_t p : column[j]) terms.emplace_back(static_cast<int>(p), problem.demand(p, k));
+      if (y >= 0) {
+        terms.emplace_back(y, -problem.capacity(j, k));
+        out.lp.add_constraint(std::move(terms), Sense::kLessEqual, 0.0);
+      } else {
+        out.lp.add_constraint(std::move(terms), Sense::kLessEqual, problem.capacity(j, k));
+      }
+    }
+    if (y >= 0) {
+      for (const std::size_t p : column[j]) {
+        out.lp.add_constraint({{static_cast<int>(p), 1.0}, {y, -1.0}}, Sense::kLessEqual, 0.0);
+      }
+    }
+  }
+  return out;
+}
+
+/// `solution` as the exact path's 0/1 point: x = 1 on each placed app's
+/// pair, y = 1 on each powered-on y-server.
+std::vector<double> exact_point(const AssignmentProblem& problem, const ExactLp& exact,
+                                const AssignmentSolution& solution) {
+  std::vector<double> values(exact.lp.num_variables(), 0.0);
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    values[problem.find_pair(i, solution.assignment[i])] = 1.0;
+  }
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    if (exact.y_var[j] >= 0 && solution.powered_on[j]) {
+      values[static_cast<std::size_t>(exact.y_var[j])] = 1.0;
+    }
+  }
+  return values;
+}
+
+// solve_exact as it was before the root-bound check, kept as an oracle: it
+// always builds the LP and runs branch and bound from the greedy + local
+// search warm start. `root_settles` is the check's prediction, made from
+// this LP: the warm start is B&B's incumbent, the root can only be pruned
+// (the row-minimum bound reaches the incumbent and the gap is positive),
+// and the node budget lets the root run.
+struct ReferenceExact {
+  AssignmentSolution solution;
+  bool root_settles = false;
+};
+
+ReferenceExact reference_exact(const AssignmentProblem& problem, const MilpOptions& options) {
+  const std::size_t apps = problem.num_apps();
+  const ExactLp exact = exact_lp(problem);
+  ReferenceExact out;
+  std::optional<std::vector<double>> warm;
+  AssignmentSolution greedy = solve_greedy(problem);
+  if (greedy.feasible) {
+    improve_local_search(problem, greedy);
+    std::vector<double> values = exact_point(problem, exact, greedy);
+    if (exact.lp.is_feasible(values)) warm = std::move(values);
+  }
+  if (warm && options.integrality_tolerance >= 0.0 && options.max_nodes >= 1 &&
+      options.gap_tolerance > 0.0) {
+    bool activation_nonnegative = true;
+    for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+      if (exact.y_var[j] >= 0 && !(problem.activation_cost(j) >= 0.0)) {
+        activation_nonnegative = false;
+      }
+    }
+    double bound = 0.0;
+    for (std::size_t i = 0; i < apps; ++i) {
+      double cheapest = kInfinity;
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        cheapest = std::min(cheapest, problem.cost(p));
+      }
+      bound += cheapest;
+    }
+    const double incumbent = exact.lp.evaluate(*warm);
+    out.root_settles = activation_nonnegative && std::isfinite(incumbent) && bound >= incumbent;
+  }
+
+  const MilpSolution milp = solve_milp(exact.lp, exact.integer_vars, options, warm);
+  if (milp.status != MilpStatus::kOptimal && milp.status != MilpStatus::kFeasible) {
+    if (greedy.feasible) {
+      greedy.stats.components = 1;
+      greedy.stats.heuristic_shards = 1;
+      greedy.stats.milp_nodes = milp.nodes_explored;
+      out.solution = std::move(greedy);
+      return out;
+    }
+    out.solution.assignment.assign(apps, kUnassigned);
+    out.solution.unassigned_count = apps;
+    out.solution.stats.components = 1;
+    out.solution.stats.exact_shards = 1;
+    out.solution.stats.milp_nodes = milp.nodes_explored;
+    return out;
+  }
+  std::vector<std::size_t> assignment(apps, kUnassigned);
+  for (std::size_t i = 0; i < apps; ++i) {
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      if (milp.values[p] > 0.5) {
+        assignment[i] = problem.server(p);
+        break;
+      }
+    }
+  }
+  out.solution = evaluate(problem, assignment);
+  out.solution.stats.components = 1;
+  out.solution.stats.exact_shards = 1;
+  out.solution.stats.milp_nodes = milp.nodes_explored;
+  return out;
+}
+
+// A testbed-scale instance for the exact path: 1-4 sites of 1-3 identical
+// servers (same capacity, cost and demand per app, so costs tie), 40% of
+// servers off with an activation cost of 0 or more, and a few apps per
+// site. Every other seed draws integer costs and demands; one seed in three
+// has ample capacity, the rest hold one or two apps per server, so some
+// instances cannot put every app on its cheapest site.
+AssignmentProblem random_exact_instance(std::uint64_t seed) {
+  util::Rng rng(seed * 0x2545f4914f6cdd1dULL + 3);
+  const bool ties = seed % 2 == 0;
+  const bool ample = seed % 3 == 0;
+  const std::size_t resources = 1 + rng.uniform_index(2);
+  const std::size_t sites = 1 + rng.uniform_index(4);
+  std::vector<std::size_t> site_of;
+  std::vector<double> site_capacity;
+  for (std::size_t s = 0; s < sites; ++s) {
+    const std::size_t copies = 1 + rng.uniform_index(3);
+    site_of.insert(site_of.end(), copies, s);
+    for (std::size_t k = 0; k < resources; ++k) {
+      const double slots = ample ? 8.0 : rng.uniform(1.0, 2.5);
+      site_capacity.push_back(ties ? std::floor(slots) : slots);
+    }
+  }
+  const std::size_t servers = site_of.size();
+  const std::size_t apps = 2 + rng.uniform_index(6);
+  AssignmentProblem p(apps, servers, resources);
+  for (std::size_t j = 0; j < servers; ++j) {
+    for (std::size_t k = 0; k < resources; ++k) {
+      p.set_capacity(j, k, site_capacity[site_of[j] * resources + k]);
+    }
+    if (rng.bernoulli(0.4)) {
+      p.set_initially_on(j, false);
+      const double activation = rng.bernoulli(0.5) ? 0.0
+                                : ties             ? static_cast<double>(1 + rng.uniform_index(3))
+                                                   : rng.uniform(0.5, 4.0);
+      p.set_activation_cost(j, activation);
+    }
+  }
+  std::vector<double> cost(sites);
+  std::vector<double> demand(sites * resources);
+  std::vector<std::uint8_t> reachable(sites);
+  for (std::size_t i = 0; i < apps; ++i) {
+    for (std::size_t s = 0; s < sites; ++s) {
+      reachable[s] = rng.bernoulli(0.75) ? 1 : 0;
+      cost[s] = ties ? static_cast<double>(rng.uniform_index(4)) : rng.uniform(0.0, 10.0);
+      for (std::size_t k = 0; k < resources; ++k) {
+        demand[s * resources + k] =
+            ties ? static_cast<double>(1 + rng.uniform_index(2)) * 0.5 : rng.uniform(0.3, 1.2);
+      }
+    }
+    reachable[rng.uniform_index(sites)] = 1;  // every app reaches some site
+    for (std::size_t j = 0; j < servers; ++j) {
+      const std::size_t s = site_of[j];
+      if (!reachable[s]) continue;  // latency-infeasible site
+      p.add_pair(i, j, cost[s],
+                 std::span<const double>(demand).subspan(s * resources, resources));
+    }
+  }
+  return p;
+}
+
+// solve_exact settles a root without an LP when the warm start meets the
+// row-minimum bound; the answer, power states, cost bits and every counter
+// must equal the full search's, for every option set, and the check must
+// fire exactly where the oracle predicts the root is only pruned.
+TEST(SolveExact, RootBoundMatchesFullSearch) {
+  // A hostile integrality tolerance (-1) branches on every node, so it runs
+  // only on the 0- and 1-node budgets.
+  std::vector<MilpOptions> option_sets;
+  for (const std::size_t max_nodes : {std::size_t{0}, std::size_t{1}, std::size_t{500}}) {
+    for (const double integrality : {MilpOptions{}.integrality_tolerance, -1.0}) {
+      if (integrality < 0.0 && max_nodes > 1) continue;
+      for (const double gap : {0.0, MilpOptions{}.gap_tolerance}) {
+        MilpOptions options;
+        options.max_nodes = max_nodes;
+        options.integrality_tolerance = integrality;
+        options.gap_tolerance = gap;
+        option_sets.push_back(options);
+      }
+    }
+  }
+  std::size_t settled = 0;
+  std::size_t searched = 0;
+  std::size_t settled_defaults = 0;  // with the default tolerances
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const AssignmentProblem p = random_exact_instance(seed);
+    for (std::size_t o = 0; o < option_sets.size(); ++o) {
+      const MilpOptions& options = option_sets[o];
+      const ReferenceExact expected = reference_exact(p, options);
+      const AssignmentSolution actual = solve_exact(p, options);
+      const std::string where = "seed " + std::to_string(seed) + " options " + std::to_string(o);
+      ASSERT_EQ(actual.assignment, expected.solution.assignment) << where;
+      ASSERT_EQ(actual.powered_on, expected.solution.powered_on) << where;
+      ASSERT_EQ(actual.feasible, expected.solution.feasible) << where;
+      ASSERT_EQ(actual.unassigned_count, expected.solution.unassigned_count) << where;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.total_cost),
+                std::bit_cast<std::uint64_t>(expected.solution.total_cost))
+          << where;
+      const SolveStats& a = actual.stats;
+      const SolveStats& e = expected.solution.stats;
+      ASSERT_EQ(a.components, e.components) << where;
+      ASSERT_EQ(a.exact_shards, e.exact_shards) << where;
+      ASSERT_EQ(a.heuristic_shards, e.heuristic_shards) << where;
+      ASSERT_EQ(a.unplaceable_apps, e.unplaceable_apps) << where;
+      ASSERT_EQ(a.milp_nodes, e.milp_nodes) << where;
+      ASSERT_EQ(a.root_bound_shards, expected.root_settles ? 1u : 0u) << where;
+      if (expected.root_settles) {
+        // The claim the check rests on: such a root is pruned at once.
+        ASSERT_EQ(e.milp_nodes, 1u) << where;
+        ++settled;
+        if (options.integrality_tolerance >= 0.0 && options.gap_tolerance > 0.0 &&
+            options.max_nodes > 1) {
+          ++settled_defaults;
+        }
+      } else if (e.milp_nodes > 1) {
+        ++searched;
+      }
+    }
+  }
+  // Both branches must run: roots the bound settles, and (with default
+  // options too) roots whose LP bound lies below the warm start.
+  EXPECT_GE(settled, 200u);
+  EXPECT_GE(settled_defaults, 100u);
+  EXPECT_GE(searched, 50u);
+}
+
+// fits_exact_lp must answer as LinearProgram::is_feasible does on the built
+// LP. Two apps share server 0 (off, so its capacity row is gated by y_0, or
+// on, with the capacity as right-hand side); the second app's demand steps
+// ulp by ulp across the point where the load reaches capacity + 1e-6.
+TEST(FitsExactLp, MatchesLpFeasibilityAtTheToleranceBoundary) {
+  for (const bool off : {true, false}) {
+    for (const double capacity : {3.0, 1.7, 1234.5}) {
+      std::size_t fits = 0;
+      std::size_t misses = 0;
+      double demand = capacity - 1.0 + 1e-6;
+      for (int step = 0; step < 8; ++step) demand = std::nextafter(demand, -kInfinity);
+      for (int step = 0; step <= 16; ++step, demand = std::nextafter(demand, kInfinity)) {
+        AssignmentProblem p(2, 2, 1);
+        p.set_capacity(0, 0, capacity);
+        p.set_capacity(1, 0, capacity);
+        p.set_initially_on(0, !off);
+        p.add_pair(0, 0, 1.0, {1.0});
+        p.add_pair(0, 1, 2.0, {1.0});
+        p.add_pair(1, 0, 1.0, {demand});
+        const AssignmentSolution both_on_0 = evaluate(p, {0, 0});
+        const ExactLp exact = exact_lp(p);
+        const bool lp_fits = exact.lp.is_feasible(exact_point(p, exact, both_on_0));
+        ASSERT_EQ(fits_exact_lp(p, both_on_0), lp_fits)
+            << "off " << off << " capacity " << capacity << " step " << step;
+        ++(lp_fits ? fits : misses);
+      }
+      // The sweep straddles the boundary.
+      EXPECT_GT(fits, 0u) << "off " << off << " capacity " << capacity;
+      EXPECT_GT(misses, 0u) << "off " << off << " capacity " << capacity;
+    }
+  }
+
+  // Random complete assignments of the exact-path instances, over every
+  // resource and power state, agree too; some pass and some do not.
+  std::size_t fits = 0;
+  std::size_t misses = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const AssignmentProblem p = random_exact_instance(seed);
+    const ExactLp exact = exact_lp(p);
+    util::Rng rng(seed + 101);
+    for (int draw = 0; draw < 8; ++draw) {
+      std::vector<std::size_t> assignment(p.num_apps());
+      for (std::size_t i = 0; i < p.num_apps(); ++i) {
+        const std::span<const std::uint32_t> row = p.row_servers(i);
+        assignment[i] = row[rng.uniform_index(row.size())];
+      }
+      const AssignmentSolution solution = evaluate(p, assignment);
+      const bool lp_fits = exact.lp.is_feasible(exact_point(p, exact, solution));
+      ASSERT_EQ(fits_exact_lp(p, solution), lp_fits) << "seed " << seed << " draw " << draw;
+      ++(lp_fits ? fits : misses);
+    }
+  }
+  EXPECT_GT(fits, 100u);
+  EXPECT_GT(misses, 100u);
+}
+
 // Property suite: random multi-resource instances — exact is never worse
 // than greedy+LS, and both are valid.
 class RandomAssignment : public ::testing::TestWithParam<int> {};
@@ -519,7 +846,7 @@ class RandomTransport : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomTransport, FlowMatchesMilp) {
   util::Rng rng(static_cast<std::uint64_t>(GetParam()) * 31337 + 5);
-  const std::size_t apps = 2 + rng.uniform_index(4);
+  const std::size_t apps = 2 + rng.uniform_index(6);
   const std::size_t servers = 2 + rng.uniform_index(3);
   std::vector<std::size_t> slots(servers);
   std::size_t total_slots = 0;
