@@ -18,7 +18,6 @@
 #include "sim/datacenter.hpp"
 #include "sim/device.hpp"
 #include "sim/workload.hpp"
-#include "util/parallelism.hpp"
 #include "util/table.hpp"
 
 using namespace carbonedge;
@@ -95,12 +94,9 @@ void BM_PlacementApps(benchmark::State& state) {
 BENCHMARK(BM_PlacementApps)->Arg(20)->Arg(60)->Arg(100)->Arg(140)->Unit(benchmark::kMillisecond);
 
 // One big CDN cell (40 sites, heavy arrivals, deferral + cost-aware
-// re-optimization + failures) run under worker budgets of 1/2/4/8 lanes.
-// The epoch body is serial, so the lanes reach only the placement solver's
-// component dispatch on re-optimization epochs: the rows measure that
-// dispatch alone. The "carbon_g" counter must print identically on every
-// row: lanes change wall-clock only, never bytes.
-void BM_YearlongCellLanes(benchmark::State& state) {
+// re-optimization + failures), stepped serially: the wall time of a
+// year-long cell. The "carbon_g" counter is its deterministic total.
+void BM_YearlongCell(benchmark::State& state) {
   const geo::Region region = geo::cdn_region(geo::Continent::kNorthAmerica, 40);
   carbon::CarbonIntensityService service;
   service.add_region(region);
@@ -113,18 +109,15 @@ void BM_YearlongCellLanes(benchmark::State& state) {
   config.reoptimize_every = 64;
   config.migration.cost_aware = true;
   config.failures.mtbf_epochs = 2000.0;
-  util::ParallelismBudget budget(static_cast<std::size_t>(state.range(0)));
-  simulation.set_parallelism_budget(&budget);
   double carbon_g = 0.0;
   for (auto _ : state) {
     const core::SimulationResult result = simulation.run(config);
     carbon_g = result.telemetry.total_carbon_g();
     benchmark::DoNotOptimize(carbon_g);
   }
-  state.counters["lanes"] = static_cast<double>(state.range(0));
   state.counters["carbon_g"] = carbon_g;
 }
-BENCHMARK(BM_YearlongCellLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_YearlongCell)->Unit(benchmark::kMillisecond);
 
 /// Tees every google-benchmark run into the --bench-json writer (name,
 /// iterations, adjusted real time, user counters) while still printing the

@@ -1,9 +1,10 @@
 # Determinism gate: the same workload must emit byte-identical tables no
 # matter how many worker lanes the process is given. Runs a multi-cell
-# scenario sweep and a single-cell simulation (its serial epochs leave
-# every worker lane to the solver's component dispatch) under
-# CARBONEDGE_THREADS=1 and =4 and fails on any byte difference. Invoked by CTest (examples.cli_determinism_smoke) and by
-# the CI determinism-gate step.
+# scenario sweep (cells share the lanes), a single-cell simulation and a
+# serve replay (both serial end to end, so a difference there means
+# something serial read the thread count) under CARBONEDGE_THREADS=1 and =4
+# and fails on any byte difference. Invoked by CTest
+# (examples.cli_determinism_smoke) and by the CI determinism-gate step.
 #
 #   cmake -DCLI=<carbonedge_cli> -DOUT_DIR=<scratch> -P determinism_smoke.cmake
 #
@@ -19,11 +20,10 @@ file(MAKE_DIRECTORY ${OUT_DIR})
 file(REMOVE_RECURSE ${OUT_DIR}/store-t1 ${OUT_DIR}/store-t4)
 
 # (label, argument list) probes: a grid wider than the budget (cells share
-# lanes) and a single big cell (its solver's component dispatch gets every
-# lane).
+# lanes) and a single big cell.
 set(PROBE_sweep "sweep;florida;128")
 # 40-site CDN region: its placement batches split into many components,
-# so the single cell's solver really dispatches them across lanes.
+# which the single cell's solver solves one after another.
 # --metrics= puts the obs registry under the gate too: the snapshot's
 # deterministic view is compared separately below (the timing view is
 # allowed — required, even — to differ).

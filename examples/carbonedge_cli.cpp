@@ -247,8 +247,7 @@ int cmd_sweep(const std::string& region_name, std::uint32_t epochs, bool single)
   // the runner's summary table. The output contains no timings, so two runs
   // with different CARBONEDGE_THREADS must be byte-identical; the CI
   // determinism gate diffs exactly this. --single collapses the grid to one
-  // CarbonEdge cell, putting the whole worker budget on its solver's
-  // component dispatch.
+  // CarbonEdge cell, which runs serially whatever the worker budget.
   core::SimulationConfig config;
   config.epochs = epochs;
   config.workload.arrivals_per_site = 1.0;

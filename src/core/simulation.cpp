@@ -96,14 +96,6 @@ std::vector<std::shared_ptr<const carbon::CarbonTrace>> resolve_site_traces(
   return traces;
 }
 
-/// The solver options an engine places with: the config's own, with an
-/// unset dispatch budget taken from the engine's.
-solver::AssignmentOptions with_budget(solver::AssignmentOptions options,
-                                      util::ParallelismBudget* budget) {
-  if (options.budget == nullptr) options.budget = budget;
-  return options;
-}
-
 /// Calls `visit(site)` for each site within `app`'s RTT limit of its origin,
 /// in ascending site order, until `visit` returns true. Only the origin's
 /// latency row is walked, as (site, one-way ms): sites outside it are +inf
@@ -139,14 +131,14 @@ SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
                                    const carbon::CarbonIntensityService& carbon,
                                    const geo::LatencyProvider& latency,
                                    const SimulationConfig& config,
-                                   util::ParallelismBudget* budget)
+                                   util::ParallelismBudget* /*budget*/)
     : config_(config),
       cluster_(std::move(cluster)),
       carbon_(&carbon),
       latency_(&latency),
       site_traces_(resolve_site_traces(cluster_, carbon)),
       site_mean_intensity_(site_traces_.size()),
-      service_(config.policy, with_budget(config.solver_options, budget)),
+      service_(config.policy, config.solver_options),
       power_manager_(config.power),
       failure_rng_(config.failures.seed) {}
 
@@ -636,7 +628,7 @@ EdgeSimulation::EdgeSimulation(sim::EdgeCluster cluster,
 SimulationResult EdgeSimulation::run(const SimulationConfig& config) {
   // Fresh state per run: the engine starts from a pristine cluster copy and
   // the workload stream depends only on the config seed.
-  SimulationEngine engine(pristine_, *carbon_, latency_, config, budget_);
+  SimulationEngine engine(pristine_, *carbon_, latency_, config);
   sim::WorkloadGenerator generator(config.workload, engine.cluster());
   for (std::uint32_t epoch = 0; epoch < config.epochs; ++epoch) {
     engine.step(generator.arrivals(epoch));

@@ -25,8 +25,11 @@
 #include "sim/telemetry.hpp"
 #include "sim/workload.hpp"
 #include "solver/assignment.hpp"
-#include "util/parallelism.hpp"
 #include "util/random.hpp"
+
+namespace carbonedge::util {
+class ParallelismBudget;
+}
 
 namespace carbonedge::core {
 
@@ -146,17 +149,15 @@ struct ServerFailureEvent {
 /// The phases share one Epoch record (epoch, hour, batch, moved-from map
 /// and the EpochRecord being built), passed by reference.
 ///
-/// Threading: the epoch body is serial. The only lanes an engine uses are
-/// those the placement solver leases for its component dispatch (see
-/// solver::solve_sharded), whose result is identical for every lane count.
+/// Threading: an engine is serial; the epoch body and the placement
+/// solver's components all run on the calling thread.
 class SimulationEngine {
  public:
   /// `cluster` is the initial state (a pristine copy, never shared).
   /// `latency` and `carbon` must outlive the engine. Each site's trace is
   /// resolved here, once, so construction throws std::out_of_range when
-  /// `carbon` has no trace for a site's zone. `budget` is the one
-  /// the solver's component dispatch leases from when the config's
-  /// solver_options name none (nullptr = util::global_budget()).
+  /// `carbon` has no trace for a site's zone. `budget` is unused; the
+  /// ledger bench (bench/ledger/) still passes one.
   SimulationEngine(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
                    const geo::LatencyProvider& latency, const SimulationConfig& config,
                    util::ParallelismBudget* budget = nullptr);
@@ -285,13 +286,10 @@ class SimulationEngine {
 /// same simulation object can evaluate multiple policies on identical
 /// workloads (the workload stream depends only on the config seed).
 ///
-/// Threading: run() steps every epoch serially on the calling thread. The
-/// placement solver's component dispatch leases worker lanes from the
-/// process ParallelismBudget (CARBONEDGE_THREADS) or the injected one; its
-/// components land in disjoint slots and are stitched in a fixed order, so
-/// a run's result is byte-identical for every thread count. Parallelism
-/// across runs belongs to runner::ScenarioRunner, which runs cells
-/// concurrently.
+/// Threading: run() steps every epoch, placement solves included, serially
+/// on the calling thread, so a run's result does not depend on
+/// CARBONEDGE_THREADS. Parallelism across runs belongs to
+/// runner::ScenarioRunner, which runs cells concurrently.
 class EdgeSimulation {
  public:
   /// `latency_band_one_way_ms == 0` builds full latency rows (every site
@@ -306,11 +304,6 @@ class EdgeSimulation {
 
   [[nodiscard]] SimulationResult run(const SimulationConfig& config);
 
-  /// Lease the solver's component-dispatch lanes from `budget` instead of
-  /// the process-wide util::global_budget() (test injection; nullptr
-  /// restores the default).
-  void set_parallelism_budget(util::ParallelismBudget* budget) noexcept { budget_ = budget; }
-
   [[nodiscard]] const geo::LatencyProvider& latency() const noexcept { return latency_; }
   [[nodiscard]] const sim::EdgeCluster& pristine_cluster() const noexcept { return pristine_; }
   [[nodiscard]] const carbon::CarbonIntensityService& carbon_service() const noexcept {
@@ -321,7 +314,6 @@ class EdgeSimulation {
   sim::EdgeCluster pristine_;
   const carbon::CarbonIntensityService* carbon_;
   geo::LatencyProvider latency_;
-  util::ParallelismBudget* budget_ = nullptr;  // nullptr = util::global_budget()
 };
 
 /// Convenience: run one config for each policy on identical workloads and

@@ -116,16 +116,13 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
   }
 
   // Cells lease their workers from the process budget: the sweep takes one
-  // lane per concurrently running cell, and whatever is left flows to the
-  // cells' placement solvers, whose component dispatch leases from the
-  // same budget.
+  // lane per concurrently running cell (each cell's simulation is serial).
   util::ParallelismBudget& budget =
       options_.budget != nullptr ? *options_.budget : util::global_budget();
   const auto body = [&](std::size_t p) {
     const std::size_t i = pending[p];
     core::EdgeSimulation simulation(build_cluster(scenarios[i]), *cell_services[i],
                                     geo::LatencyModel{}, scenarios[i].latency_band_ms);
-    simulation.set_parallelism_budget(options_.budget);
     slots[i] = simulation.run(scenarios[i].config);
     // Publish as soon as the cell completes (atomic rename), so a killed
     // sweep loses at most the cells still in flight.

@@ -62,10 +62,9 @@ class CellCache {
 
 struct ScenarioRunnerOptions {
   /// Budget to lease from instead of util::global_budget() (test
-  /// injection; also forwarded to every cell's EdgeSimulation). The sweep
-  /// leases one lane per concurrently running cell from it; whatever is
-  /// left goes to the cells' placement solvers for component dispatch.
-  /// Each cell's epochs run serially on its lane.
+  /// injection). The sweep leases one lane per concurrently running cell
+  /// from it; each cell's simulation, solver included, runs serially on
+  /// its lane.
   util::ParallelismBudget* budget = nullptr;
   /// Persistent sweep-cell cache (store::SweepStore, via the CellCache
   /// seam). When set, cells already in the cache are loaded instead of

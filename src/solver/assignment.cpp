@@ -95,13 +95,22 @@ class ServerColumns {
 };
 
 // The solvers over a prebuilt ServerColumns, so one shard builds it once.
+// solve_exact's `warm` is solve_heuristic's answer on the same problem.
 AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerColumns& columns,
-                               const MilpOptions& options);
+                               const MilpOptions& options, const AssignmentSolution& warm);
 AssignmentSolution solve_greedy(const AssignmentProblem& problem, const ServerColumns& columns);
 std::size_t improve_local_search(const AssignmentProblem& problem, const ServerColumns& columns,
                                  AssignmentSolution& solution, std::size_t max_rounds);
 bool fits_exact_lp(const AssignmentProblem& problem, const ServerColumns& columns,
                    const AssignmentSolution& solution);
+
+/// Greedy + local search: the heuristic path's answer and the exact path's
+/// warm start. Its stats report one heuristic shard.
+AssignmentSolution solve_heuristic(const AssignmentProblem& problem, const ServerColumns& columns) {
+  AssignmentSolution solution = solve_greedy(problem, columns);
+  improve_local_search(problem, columns, solution, kLocalSearchRounds);
+  return solution;
+}
 
 }  // namespace
 
@@ -245,7 +254,8 @@ bool validate(const AssignmentProblem& problem, const AssignmentSolution& soluti
 // ---------------------------------------------------------------------------
 
 AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptions& options) {
-  return solve_exact(problem, ServerColumns(problem), options);
+  const ServerColumns columns(problem);
+  return solve_exact(problem, columns, options, solve_heuristic(problem, columns));
 }
 
 bool fits_exact_lp(const AssignmentProblem& problem, const AssignmentSolution& solution) {
@@ -308,7 +318,7 @@ bool root_bound_reaches(const AssignmentProblem& problem, const ServerColumns& c
 }
 
 AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerColumns& columns,
-                               const MilpOptions& options) {
+                               const MilpOptions& options, const AssignmentSolution& warm) {
   const obs::Span span(milp_phase());
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
@@ -330,24 +340,21 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
     return infeasible;  // some app has no feasible server at all
   }
 
-  // The greedy heuristic seeds the incumbent.
-  AssignmentSolution greedy = solve_greedy(problem, columns);
-  if (greedy.feasible) improve_local_search(problem, columns, greedy, 20);
-
   // B&B takes a warm start that passes the LP and is integral (tolerance
   // >= 0) as its incumbent. Given one node it solves the root, prunes it if
   // its LP does not beat incumbent - gap * (1 + |incumbent|), and returns
   // the warm start. With a positive gap that cutoff lies below the
   // incumbent by more than LP rounding, so a root whose bound reaches the
   // incumbent is pruned: settle it without building the LP.
-  if (greedy.feasible && options.integrality_tolerance >= 0.0 && options.max_nodes >= 1 &&
-      options.gap_tolerance > 0.0 && root_bound_reaches(problem, columns, greedy)) {
-    greedy.stats = SolveStats{};
-    greedy.stats.components = 1;
-    greedy.stats.exact_shards = 1;
-    greedy.stats.milp_nodes = 1;
-    greedy.stats.root_bound_shards = 1;
-    return greedy;
+  if (warm.feasible && options.integrality_tolerance >= 0.0 && options.max_nodes >= 1 &&
+      options.gap_tolerance > 0.0 && root_bound_reaches(problem, columns, warm)) {
+    AssignmentSolution settled = warm;
+    settled.stats = SolveStats{};
+    settled.stats.components = 1;
+    settled.stats.exact_shards = 1;
+    settled.stats.milp_nodes = 1;
+    settled.stats.root_bound_shards = 1;
+    return settled;
   }
 
   LinearProgram lp;
@@ -399,29 +406,29 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
     }
   }
 
-  std::optional<std::vector<double>> warm;
-  if (greedy.feasible) {
+  // solve_milp takes the point as its incumbent only if it passes the LP.
+  std::optional<std::vector<double>> start;
+  if (warm.feasible) {
     std::vector<double> values(lp.num_variables(), 0.0);
     for (std::size_t i = 0; i < apps; ++i) {
-      values[problem.find_pair(i, greedy.assignment[i])] = 1.0;
+      values[problem.find_pair(i, warm.assignment[i])] = 1.0;
     }
     for (std::size_t j = 0; j < servers; ++j) {
-      if (y_var[j] >= 0 && greedy.powered_on[j]) values[static_cast<std::size_t>(y_var[j])] = 1.0;
+      if (y_var[j] >= 0 && warm.powered_on[j]) values[static_cast<std::size_t>(y_var[j])] = 1.0;
     }
-    if (lp.is_feasible(values)) warm = std::move(values);
+    start = std::move(values);
   }
 
-  const MilpSolution milp = solve_milp(lp, integer_vars, options, warm);
+  const MilpSolution milp = solve_milp(lp, integer_vars, options, start);
   if (milp.status != MilpStatus::kOptimal && milp.status != MilpStatus::kFeasible) {
     // The search came up empty (node budget exhausted before any incumbent,
-    // or a numerically stranded warm start). The greedy placement is still a
-    // valid answer that direct callers would otherwise lose — return it
-    // instead of an all-kUnassigned shell.
-    if (greedy.feasible) {
-      greedy.stats.components = 1;
-      greedy.stats.heuristic_shards = 1;
-      greedy.stats.milp_nodes = milp.nodes_explored;
-      return greedy;
+    // or a numerically stranded warm start). The heuristic placement is
+    // still a valid answer that direct callers would otherwise lose —
+    // return it instead of an all-kUnassigned shell.
+    if (warm.feasible) {
+      AssignmentSolution fallback = warm;  // one heuristic shard
+      fallback.stats.milp_nodes = milp.nodes_explored;
+      return fallback;
     }
     AssignmentSolution infeasible;
     infeasible.assignment.assign(apps, kUnassigned);
@@ -730,13 +737,12 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
 AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                    const AssignmentOptions& options) {
   const ServerColumns columns(problem);
+  AssignmentSolution heuristic = solve_heuristic(problem, columns);
   if (problem.num_apps() * problem.num_servers() <= options.exact_size_limit) {
-    AssignmentSolution exact = solve_exact(problem, columns, options.milp);
+    AssignmentSolution exact = solve_exact(problem, columns, options.milp, heuristic);
     if (exact.feasible) return exact;
   }
-  AssignmentSolution solution = solve_greedy(problem, columns);
-  improve_local_search(problem, columns, solution, options.local_search_rounds);
-  return solution;
+  return heuristic;
 }
 
 AssignmentSolution solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options) {

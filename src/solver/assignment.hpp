@@ -14,18 +14,20 @@
 // work scales with the feasible support rather than apps x servers.
 //
 // Two solution paths, cross-validated in tests:
-//  * solve_exact   — branch-and-bound MILP; exact, testbed scale. It first
-//                    runs the heuristic below as a warm start, and skips
-//                    the LP when the sum of the apps' cheapest costs already
-//                    reaches it (no app can be placed more cheaply and no
-//                    off server is paid for), which is most small shards.
 //  * solve_greedy + improve_local_search — regret greedy with relocate/swap
 //                    improvement; any scale, near-optimal in practice.
+//  * solve_exact   — branch-and-bound MILP; exact, testbed scale. The
+//                    heuristic above is its warm start, and it skips the LP
+//                    when the sum of the apps' cheapest costs already
+//                    reaches it (no app can be placed more cheaply and no
+//                    off server is paid for), which is most small shards.
 // solve_auto first shards the instance into connected components of the
 // feasible-pair graph (see decompose.hpp — latency pre-filtering makes real
 // batches block-diagonal, and the decomposition is exact) and then solves
-// each component exactly when it is within exact_size_limit, else with the
-// heuristic.
+// the components one after another on the calling thread: each runs the
+// heuristic once, and a component within exact_size_limit hands it to the
+// exact path, which keeps it whenever it finds no feasible answer of its
+// own.
 #pragma once
 
 #include <algorithm>
@@ -35,10 +37,6 @@
 #include <vector>
 
 #include "solver/milp.hpp"
-
-namespace carbonedge::util {
-class ParallelismBudget;
-}
 
 namespace carbonedge::solver {
 
@@ -172,20 +170,17 @@ struct AssignmentSolution {
 
 struct AssignmentOptions {
   MilpOptions milp;
-  std::size_t local_search_rounds = 20;
   /// Use the exact MILP when num_apps*num_servers is at most this (testbed
   /// scale); larger instances take the greedy + local-search path.
   /// The limit applies per connected component, so large batches that
   /// decompose into testbed-scale shards still solve exactly. It compares
   /// the component's apps x servers, not its pair count.
   std::size_t exact_size_limit = 64;
-  /// Budget the component dispatch leases its lanes from (non-owning;
-  /// nullptr = util::global_budget()). SimulationEngine forwards its
-  /// injected budget here so a 1-lane budget keeps the solver serial too.
-  /// An execution vehicle — the result is bit-identical for every lane
-  /// count, and the budget is never part of a result fingerprint.
-  util::ParallelismBudget* budget = nullptr;
 };
+
+/// Relocate/swap rounds every greedy answer gets: the heuristic path's and
+/// the exact path's warm start alike.
+inline constexpr std::size_t kLocalSearchRounds = 20;
 
 /// Branch and bound on the Eq. 1-7 MILP, warm-started by greedy + local
 /// search. When every app row is non-empty, the warm start passes the LP
@@ -217,11 +212,12 @@ struct AssignmentOptions {
 
 /// Relocate/swap improvement; returns the number of improving moves applied.
 std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
-                                 std::size_t max_rounds = 20);
+                                 std::size_t max_rounds = kLocalSearchRounds);
 
 /// Pick a path for one (assumed connected) instance without decomposing:
-/// exact MILP when within exact_size_limit, else (or when the MILP finds
-/// no feasible answer) greedy + local search.
+/// greedy + local search, run once, and the exact MILP warm-started by it
+/// when within exact_size_limit. The heuristic answer stands whenever the
+/// MILP returns no feasible one.
 [[nodiscard]] AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                                  const AssignmentOptions& options = {});
 

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/parallelism.hpp"
-#include "util/thread_pool.hpp"
-
 namespace carbonedge::solver {
 
 namespace {
@@ -114,48 +111,19 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
     return solve_unsharded(problem, options);
   }
 
-  // One pre-sized slot per component; each task extracts and solves its own
-  // component (pure, index-disjoint, reading the shared index), so the
-  // stitched result is bit-identical no matter how many workers execute the
-  // loop.
+  // Components are solved in index order; each extracts its sub-problem
+  // through the shared index, and its answer is stitched back at once.
   const std::vector<std::size_t> local = local_server_index(problem.num_servers(), components);
-  std::vector<AssignmentSolution> slots(components.size());
-  const auto body = [&](std::size_t c) {
-    const Component& component = components[c];
-    if (component.servers.empty()) return;  // unplaceable app(s); stay kUnassigned
-    slots[c] = solve_unsharded(extract_component(problem, component, local), options);
-  };
-  if (components.size() == 1) {
-    // A lone (sub-spanning) component gains nothing from dispatch; skip the
-    // pool round trip that every re-optimization epoch would otherwise pay.
-    body(0);
-  } else {
-    // Lease lanes from the (injectable) budget so nested runner x solver
-    // load stays within CARBONEDGE_THREADS, and run on the cached process
-    // pool — chunked down to the lease, so concurrency honors the lanes
-    // without per-call pool construction (this path runs on every
-    // re-optimization epoch).
-    util::ParallelismBudget& budget =
-        options.budget != nullptr ? *options.budget : util::global_budget();
-    const util::ParallelismBudget::Lease lease = budget.acquire(components.size());
-    if (lease.lanes() <= 1) {
-      for (std::size_t c = 0; c < components.size(); ++c) body(c);
-    } else {
-      const std::size_t chunk = (components.size() + lease.lanes() - 1) / lease.lanes();
-      util::parallel_for(util::global_pool(), 0, components.size(), body, chunk);
-    }
-  }
-
   std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
   SolveStats stats;
   stats.components = components.size();
-  for (std::size_t c = 0; c < components.size(); ++c) {
-    const Component& component = components[c];
+  for (const Component& component : components) {
     if (component.servers.empty()) {
-      stats.unplaceable_apps += component.apps.size();
+      stats.unplaceable_apps += component.apps.size();  // they stay kUnassigned
       continue;
     }
-    const AssignmentSolution& sub = slots[c];
+    const AssignmentSolution sub =
+        solve_unsharded(extract_component(problem, component, local), options);
     for (std::size_t k = 0; k < component.apps.size(); ++k) {
       const std::size_t jj = sub.assignment[k];
       if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];

@@ -9,10 +9,10 @@
 // every server belongs to at most one — so solving each component
 // separately and stitching the sub-solutions back is exact: the stitched
 // cost equals the monolithic optimum whenever every component is solved
-// exactly. Components are dispatched onto util::ThreadPool with disjoint
-// result slots (bit-identical across thread counts, like ScenarioRunner),
-// and solve_auto applies exact_size_limit per component, so batches that
-// were heuristic-only as monoliths become exactly solvable shard by shard.
+// exactly. Components are solved one after another on the calling thread
+// (parallelism belongs to runner::ScenarioRunner's cells), and solve_auto
+// applies exact_size_limit per component, so batches that were
+// heuristic-only as monoliths become exactly solvable shard by shard.
 #pragma once
 
 #include <cstddef>
@@ -55,12 +55,10 @@ struct Component {
                                                   std::span<const std::size_t> local);
 
 /// Solve by decomposition: one local_server_index is built per solve, then
-/// each component is extracted from it and goes through solve_unsharded
-/// (exact_size_limit applies per component) on lanes leased from
-/// `options.budget`, with disjoint result slots; the tasks only read the
-/// shared problem and index. The sub-solutions are stitched back. Exact
-/// whenever every component is solved exactly; the returned stats report
-/// the decomposition shape and per-shard paths.
+/// each component, in order, is extracted from it, goes through
+/// solve_unsharded (exact_size_limit applies per component) and is stitched
+/// back. Exact whenever every component is solved exactly; the returned
+/// stats report the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                                const AssignmentOptions& options = {});
 

@@ -70,11 +70,7 @@ void mix_solver(util::Fingerprint& fp, const solver::AssignmentOptions& s) {
   fp.mix(s.milp.max_nodes);
   fp.mix(s.milp.integrality_tolerance);
   fp.mix(s.milp.gap_tolerance);
-  fp.mix(static_cast<std::uint64_t>(s.local_search_rounds));
   fp.mix(static_cast<std::uint64_t>(s.exact_size_limit));
-  // budget is excluded: the decomposition contract guarantees
-  // bit-identical answers for every thread count, and the budget is an
-  // execution vehicle, not an input.
 }
 
 void mix_config(util::Fingerprint& fp, const core::SimulationConfig& c) {
@@ -111,7 +107,7 @@ SweepStore::SweepStore(std::shared_ptr<ArtifactStore> artifacts)
 
 std::string SweepStore::fingerprint(const runner::Scenario& scenario) {
   util::Fingerprint fp;
-  fp.mix("carbonedge/sweep/v2");  // schema salt: bump when the field list changes
+  fp.mix("carbonedge/sweep/v3");  // schema salt: bump when the field list changes
   // Region identity is its resolved site list. SiteIds are only stable
   // within one catalog, so the fingerprint mixes each site's full physical
   // identity (name, country, location, population) rather than trusting the

@@ -1,20 +1,27 @@
 #include "util/parallelism.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 
 #include "util/env.hpp"
+#include "util/flags.hpp"
 
 namespace carbonedge::util {
 
 std::size_t parse_thread_count(const char* value) noexcept {
   if (value != nullptr) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end != value && *end == '\0' && parsed > 0) return static_cast<std::size_t>(parsed);
+    try {
+      // Digits only: strtoul would read "-2" as 2^64 - 2 lanes.
+      const std::uint64_t parsed =
+          parse_count(value, "CARBONEDGE_THREADS", std::numeric_limits<std::size_t>::max());
+      if (parsed > 0) return static_cast<std::size_t>(parsed);
+    } catch (...) {
+      // a malformed or out-of-range count falls back below
+    }
   }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }

@@ -1,14 +1,11 @@
-// Process-wide worker-budget arbiter for nested parallelism.
+// Process-wide worker-budget arbiter.
 //
-// CarbonEdge parallelizes at two nested layers: ScenarioRunner fans out
-// across grid cells, and solve_sharded dispatches placement components
-// (each simulation's epoch body itself is serial). Both layers sized for
-// the whole machine would oversubscribe multiplicatively (cells x solver
-// components); each sized for the worst case would leave cores idle
-// whenever the grid is narrower than the machine. Instead both lease lanes
-// from one ParallelismBudget: the sweep takes what its cell count can use,
-// and whatever is left flows down to the solvers its cells run (first
-// come, first served).
+// CarbonEdge parallelizes at one layer: ScenarioRunner fans out across grid
+// cells, and each cell's simulation (epoch body and placement solver alike)
+// runs serially on its lane. A sweep leases one lane per concurrently
+// running cell from a ParallelismBudget sized by CARBONEDGE_THREADS, so
+// concurrent sweeps in one process share the lanes (first come, first
+// served) instead of oversubscribing the machine.
 //
 // The budget arbitrates *throughput only*. Every parallel loop in the
 // project computes per-item values into disjoint slots and reduces them in
@@ -23,9 +20,10 @@
 
 namespace carbonedge::util {
 
-/// Parses a CARBONEDGE_THREADS-style value: a positive integer wins,
-/// anything else (null, empty, zero, garbage, trailing junk) falls back to
-/// hardware concurrency (at least 1).
+/// Parses a CARBONEDGE_THREADS-style value: a positive decimal count
+/// (digits only, as util::parse_count reads it) wins; anything else (null,
+/// empty, zero, a sign, spaces, garbage, trailing junk, beyond size_t)
+/// falls back to hardware concurrency (at least 1).
 [[nodiscard]] std::size_t parse_thread_count(const char* value) noexcept;
 
 /// Total worker lanes the process should use: parse_thread_count applied to

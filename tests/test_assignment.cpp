@@ -736,6 +736,210 @@ TEST(SolveExact, RootBoundMatchesFullSearch) {
   EXPECT_GE(searched, 50u);
 }
 
+// The path solve_unsharded took through it.
+enum class Branch {
+  kHeuristicOnly,      // beyond exact_size_limit
+  kEmptyRow,           // an app has no pair: no LP is built
+  kRootSettled,        // the row-minimum bound settled the warm start
+  kSearched,           // branch and bound returned a feasible answer
+  kSearchEmpty,        // no answer from the search; greedy placed every app
+  kExactNotFeasible,   // no feasible exact answer and no complete greedy
+};
+
+struct PreChange {
+  AssignmentSolution solution;
+  Branch branch = Branch::kHeuristicOnly;
+  bool milp_proved_infeasible = false;  // the search ran and found nothing
+};
+
+// solve_unsharded + solve_exact as they were when an exact shard could run
+// the heuristic twice, kept as an oracle: solve_exact ran greedy (and local
+// search, if greedy placed every app) as its warm start, checked the warm
+// start against the LP itself, and when its answer was not feasible
+// solve_unsharded ran greedy + local search again.
+PreChange pre_change_unsharded(const AssignmentProblem& problem, const AssignmentOptions& options) {
+  const std::size_t apps = problem.num_apps();
+  const MilpOptions& milp_options = options.milp;
+  PreChange out;
+  const auto heuristic_fallback = [&] {
+    out.solution = solve_greedy(problem);
+    improve_local_search(problem, out.solution, 20);
+  };
+  if (apps * problem.num_servers() > options.exact_size_limit) {
+    heuristic_fallback();
+    return out;
+  }
+  for (std::size_t i = 0; i < apps; ++i) {
+    if (problem.row_begin(i) == problem.row_end(i)) {
+      out.branch = Branch::kEmptyRow;
+      heuristic_fallback();
+      return out;
+    }
+  }
+
+  AssignmentSolution greedy = solve_greedy(problem);
+  if (greedy.feasible) improve_local_search(problem, greedy, 20);
+  const ExactLp exact = exact_lp(problem);
+  if (greedy.feasible && milp_options.integrality_tolerance >= 0.0 &&
+      milp_options.max_nodes >= 1 && milp_options.gap_tolerance > 0.0) {
+    bool activation_nonnegative = true;
+    for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+      if (exact.y_var[j] >= 0 && !(problem.activation_cost(j) >= 0.0)) {
+        activation_nonnegative = false;
+      }
+    }
+    double bound = 0.0;
+    for (std::size_t i = 0; i < apps; ++i) {
+      double cheapest = kInfinity;
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        cheapest = std::min(cheapest, problem.cost(p));
+      }
+      bound += cheapest;
+    }
+    const double incumbent = exact.lp.evaluate(exact_point(problem, exact, greedy));
+    if (activation_nonnegative && std::isfinite(incumbent) && bound >= incumbent &&
+        fits_exact_lp(problem, greedy)) {
+      greedy.stats = SolveStats{};
+      greedy.stats.components = 1;
+      greedy.stats.exact_shards = 1;
+      greedy.stats.milp_nodes = 1;
+      greedy.stats.root_bound_shards = 1;
+      out.solution = std::move(greedy);
+      out.branch = Branch::kRootSettled;
+      return out;
+    }
+  }
+
+  std::optional<std::vector<double>> warm;
+  if (greedy.feasible) {
+    std::vector<double> values = exact_point(problem, exact, greedy);
+    if (exact.lp.is_feasible(values)) warm = std::move(values);
+  }
+  const MilpSolution milp = solve_milp(exact.lp, exact.integer_vars, milp_options, warm);
+  if (milp.status != MilpStatus::kOptimal && milp.status != MilpStatus::kFeasible) {
+    if (greedy.feasible) {
+      greedy.stats.components = 1;
+      greedy.stats.heuristic_shards = 1;
+      greedy.stats.milp_nodes = milp.nodes_explored;
+      out.solution = std::move(greedy);
+      out.branch = Branch::kSearchEmpty;
+      return out;
+    }
+    out.branch = Branch::kExactNotFeasible;
+    out.milp_proved_infeasible = milp.status == MilpStatus::kInfeasible &&
+                                 milp.nodes_explored < milp_options.max_nodes;
+    heuristic_fallback();
+    return out;
+  }
+  std::vector<std::size_t> assignment(apps, kUnassigned);
+  for (std::size_t i = 0; i < apps; ++i) {
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      if (milp.values[p] > 0.5) {
+        assignment[i] = problem.server(p);
+        break;
+      }
+    }
+  }
+  out.solution = evaluate(problem, assignment);
+  if (!out.solution.feasible) {
+    out.branch = Branch::kExactNotFeasible;
+    heuristic_fallback();
+    return out;
+  }
+  out.solution.stats.components = 1;
+  out.solution.stats.exact_shards = 1;
+  out.solution.stats.milp_nodes = milp.nodes_explored;
+  out.branch = Branch::kSearched;
+  return out;
+}
+
+// `p` with an extra app at row `at` that has no pair (an app whose every
+// site is out of latency reach).
+AssignmentProblem with_empty_row(const AssignmentProblem& p, std::size_t at) {
+  AssignmentProblem q(p.num_apps() + 1, p.num_servers(), p.num_resources());
+  for (std::size_t j = 0; j < p.num_servers(); ++j) {
+    for (std::size_t k = 0; k < p.num_resources(); ++k) q.set_capacity(j, k, p.capacity(j, k));
+    q.set_activation_cost(j, p.activation_cost(j));
+    q.set_initially_on(j, p.initially_on(j));
+  }
+  std::vector<std::size_t> identity(p.num_servers());
+  for (std::size_t j = 0; j < identity.size(); ++j) identity[j] = j;
+  for (std::size_t i = 0; i < p.num_apps(); ++i) {
+    q.append_row(i < at ? i : i + 1, p, i, identity);
+  }
+  return q;
+}
+
+// solve_unsharded runs greedy + local search once per shard and hands it to
+// the exact path as its warm start; every answer, power state, cost bit and
+// counter must equal the path that ran the heuristic again after a failed
+// exact solve, on every branch of it.
+TEST(SolveUnsharded, MatchesPreChangePath) {
+  std::vector<AssignmentProblem> instances;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    AssignmentProblem p = random_exact_instance(seed);
+    if (seed % 5 == 4) p = with_empty_row(p, seed % p.num_apps());
+    instances.push_back(std::move(p));
+  }
+  instances.emplace_back(1, 0, 1);  // no servers at all
+  instances.emplace_back(3, 0, 2);
+
+  std::vector<AssignmentOptions> option_sets;
+  for (const std::size_t limit : {AssignmentOptions{}.exact_size_limit, std::size_t{1000}}) {
+    for (const std::size_t max_nodes : {std::size_t{0}, std::size_t{1}, std::size_t{500}}) {
+      for (const double integrality : {MilpOptions{}.integrality_tolerance, -1.0}) {
+        if (integrality < 0.0 && max_nodes > 1) continue;
+        for (const double gap : {0.0, MilpOptions{}.gap_tolerance}) {
+          AssignmentOptions options;
+          options.exact_size_limit = limit;
+          options.milp.max_nodes = max_nodes;
+          options.milp.integrality_tolerance = integrality;
+          options.milp.gap_tolerance = gap;
+          option_sets.push_back(options);
+        }
+      }
+    }
+  }
+
+  std::vector<std::size_t> branches(6, 0);
+  std::size_t greedy_stranded = 0;  // greedy misses an app the MILP places
+  std::size_t proved_infeasible = 0;
+  std::size_t no_servers = 0;
+  for (std::size_t n = 0; n < instances.size(); ++n) {
+    const AssignmentProblem& p = instances[n];
+    const bool greedy_complete = solve_greedy(p).feasible;
+    for (std::size_t o = 0; o < option_sets.size(); ++o) {
+      const PreChange expected = pre_change_unsharded(p, option_sets[o]);
+      const AssignmentSolution actual = solve_unsharded(p, option_sets[o]);
+      const std::string where = "instance " + std::to_string(n) + " options " + std::to_string(o);
+      const AssignmentSolution& e = expected.solution;
+      ASSERT_EQ(actual.assignment, e.assignment) << where;
+      ASSERT_EQ(actual.powered_on, e.powered_on) << where;
+      ASSERT_EQ(actual.feasible, e.feasible) << where;
+      ASSERT_EQ(actual.unassigned_count, e.unassigned_count) << where;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.total_cost),
+                std::bit_cast<std::uint64_t>(e.total_cost))
+          << where;
+      ASSERT_EQ(actual.stats.components, e.stats.components) << where;
+      ASSERT_EQ(actual.stats.exact_shards, e.stats.exact_shards) << where;
+      ASSERT_EQ(actual.stats.heuristic_shards, e.stats.heuristic_shards) << where;
+      ASSERT_EQ(actual.stats.unplaceable_apps, e.stats.unplaceable_apps) << where;
+      ASSERT_EQ(actual.stats.milp_nodes, e.stats.milp_nodes) << where;
+      ASSERT_EQ(actual.stats.root_bound_shards, e.stats.root_bound_shards) << where;
+      ++branches[static_cast<std::size_t>(expected.branch)];
+      if (expected.branch == Branch::kSearched && !greedy_complete) ++greedy_stranded;
+      if (expected.milp_proved_infeasible) ++proved_infeasible;
+      if (p.num_servers() == 0) ++no_servers;
+    }
+  }
+  for (std::size_t b = 0; b < branches.size(); ++b) {
+    EXPECT_GT(branches[b], 0u) << "branch " << b << " never ran";
+  }
+  EXPECT_GT(greedy_stranded, 0u);
+  EXPECT_GT(proved_infeasible, 0u);
+  EXPECT_GT(no_servers, 0u);
+}
+
 // fits_exact_lp must answer as LinearProgram::is_feasible does on the built
 // LP. Two apps share server 0 (off, so its capacity row is gated by y_0, or
 // on, with the capacity as right-hand side); the second app's demand steps

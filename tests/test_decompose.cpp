@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "util/parallelism.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
@@ -376,29 +375,6 @@ TEST_P(ShardedVsUnsharded, AutoCostNeverWorseThanMonolithicAuto) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ShardedVsUnsharded, ::testing::Range(0, 30));
-
-TEST(SolveSharded, BitIdenticalAcrossThreadCounts) {
-  for (const std::uint64_t seed : {3u, 17u, 99u}) {
-    const AssignmentProblem p = block_instance(5, 3, 2, seed);
-    util::ParallelismBudget one_lane(1);
-    util::ParallelismBudget four_lanes(4);
-    AssignmentOptions one;
-    one.budget = &one_lane;
-    AssignmentOptions many;
-    many.budget = &four_lanes;
-    const AssignmentSolution serial = solve_sharded(p, one);
-    const AssignmentSolution parallel = solve_sharded(p, many);
-    // The four-lane budget really dispatched components concurrently.
-    EXPECT_EQ(one_lane.peak_lanes(), 1u);
-    EXPECT_GT(four_lanes.peak_lanes(), 1u) << "seed " << seed;
-    // Bit-identical, not approximately equal: disjoint slots mean the
-    // schedule cannot perturb the arithmetic.
-    EXPECT_EQ(serial.assignment, parallel.assignment) << "seed " << seed;
-    EXPECT_EQ(serial.total_cost, parallel.total_cost) << "seed " << seed;
-    EXPECT_EQ(serial.stats.components, parallel.stats.components) << "seed " << seed;
-    EXPECT_EQ(serial.stats.milp_nodes, parallel.stats.milp_nodes) << "seed " << seed;
-  }
-}
 
 TEST(SolveSharded, UnplaceableAppsAreIsolatedNotContagious) {
   // One app with no feasible server must not drag the rest of the batch
