@@ -177,3 +177,18 @@ if(root_bound_missing OR exact_missing OR NOT root_bound_shards GREATER 0 OR
 endif()
 message(STATUS "determinism gate: probe 'single' settled ${root_bound_shards} of "
                "${exact_shards} exact shard(s) by the root bound")
+
+# Both kinds of B&B node must run inside the gate too: nodes a certificate
+# settles without an LP, and nodes that solve one. The single probe's
+# deterministic view must show 0 < solver.milp_settled_nodes < solver.milp_nodes.
+string(JSON settled_nodes ERROR_VARIABLE settled_missing GET "${det_1}" solver.milp_settled_nodes)
+string(JSON milp_nodes ERROR_VARIABLE nodes_missing GET "${det_1}" solver.milp_nodes)
+if(settled_missing OR nodes_missing OR NOT settled_nodes GREATER 0 OR
+   NOT settled_nodes LESS milp_nodes)
+  message(FATAL_ERROR "determinism gate: probe 'single' must settle some B&B nodes by a "
+                      "certificate and solve the LP of others (solver.milp_settled_nodes = "
+                      "'${settled_nodes}', solver.milp_nodes = '${milp_nodes}') — see "
+                      "${OUT_DIR}/metrics-single-t1.json")
+endif()
+message(STATUS "determinism gate: probe 'single' settled ${settled_nodes} of ${milp_nodes} "
+               "B&B node(s) without an LP")

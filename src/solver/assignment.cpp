@@ -27,6 +27,7 @@ struct SolverMetrics {
   obs::Counter& unplaceable_apps;
   obs::Counter& milp_nodes;
   obs::Counter& root_bound_shards;
+  obs::Counter& milp_settled_nodes;
   obs::Histogram& problem_apps;
 };
 
@@ -48,6 +49,9 @@ SolverMetrics& solver_metrics() {
                        obs::View::kDeterministic),
       registry.counter("solver.root_bound_shards",
                        "exact shards whose root the row-minimum bound settled without an LP",
+                       obs::View::kDeterministic),
+      registry.counter("solver.milp_settled_nodes",
+                       "B&B nodes settled by a certificate without an LP",
                        obs::View::kDeterministic),
       registry.histogram("solver.problem_apps", "apps per solved assignment problem",
                          obs::View::kDeterministic,
@@ -428,6 +432,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
     if (warm.feasible) {
       AssignmentSolution fallback = warm;  // one heuristic shard
       fallback.stats.milp_nodes = milp.nodes_explored;
+      fallback.stats.settled_nodes = milp.settled_nodes;
       return fallback;
     }
     AssignmentSolution infeasible;
@@ -436,6 +441,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
     infeasible.stats.components = 1;
     infeasible.stats.exact_shards = 1;
     infeasible.stats.milp_nodes = milp.nodes_explored;
+    infeasible.stats.settled_nodes = milp.settled_nodes;
     return infeasible;
   }
 
@@ -452,6 +458,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
   solution.stats.components = 1;
   solution.stats.exact_shards = 1;
   solution.stats.milp_nodes = milp.nodes_explored;
+  solution.stats.settled_nodes = milp.settled_nodes;
   return solution;
 }
 
@@ -756,6 +763,7 @@ AssignmentSolution solve_auto(const AssignmentProblem& problem, const Assignment
   metrics.unplaceable_apps.add(solution.stats.unplaceable_apps);
   metrics.milp_nodes.add(solution.stats.milp_nodes);
   metrics.root_bound_shards.add(solution.stats.root_bound_shards);
+  metrics.milp_settled_nodes.add(solution.stats.settled_nodes);
   metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));
   return solution;
 }

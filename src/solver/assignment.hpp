@@ -148,6 +148,7 @@ struct SolveStats {
   std::size_t milp_nodes = 0;       // total B&B nodes across exact shards; a root
                                     // settled by the row-minimum bound counts as one
   std::size_t root_bound_shards = 0;  // exact shards settled by that bound, no LP built
+  std::size_t settled_nodes = 0;      // B&B nodes a NodeCertifier closed without an LP
 };
 
 struct AssignmentSolution {

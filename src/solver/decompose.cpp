@@ -133,6 +133,7 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
     stats.unplaceable_apps += sub.stats.unplaceable_apps;
     stats.milp_nodes += sub.stats.milp_nodes;
     stats.root_bound_shards += sub.stats.root_bound_shards;
+    stats.settled_nodes += sub.stats.settled_nodes;
   }
 
   // Components are server-disjoint, so re-evaluating the stitched assignment

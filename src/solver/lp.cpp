@@ -86,10 +86,12 @@ class SimplexTableau {
   // the shifted structural variables followed by slack/surplus/artificials.
   void standardize();
   bool phase(bool phase_one);
+  // pivot() eliminates the rows list_column_rows(col) listed last.
   void pivot(std::size_t row, std::size_t col);
+  void list_column_rows(std::size_t col);
   void price_out_objective(const std::vector<double>& cost);
   [[nodiscard]] std::size_t choose_entering(bool bland) const;
-  [[nodiscard]] std::size_t choose_leaving(std::size_t col) const;
+  [[nodiscard]] std::size_t choose_leaving(std::size_t col);
 
   [[nodiscard]] double* row(std::size_t r) noexcept { return tableau_.data() + r * stride_; }
   [[nodiscard]] const double* row(std::size_t r) const noexcept {
@@ -110,9 +112,10 @@ class SimplexTableau {
   std::size_t stride_ = 0;
   std::vector<double> tableau_;
   // Pivot scratch, each used as a prefix: the nonzero columns of the pivot
-  // row, and the rows with a nonzero in the entering column.
+  // row, and the column_rows_ rows with a nonzero in the entering column.
   std::vector<std::size_t> pivot_cols_;
   std::vector<std::size_t> pivot_rows_;
+  std::size_t column_rows_ = 0;
   std::vector<std::size_t> basis_;       // basis_[r] = column basic in row r
   std::vector<double> struct_cost_;      // phase-2 costs over all columns
   std::size_t entering_limit_ = 0;       // columns eligible to enter the basis
@@ -235,23 +238,48 @@ std::size_t SimplexTableau::choose_entering(bool bland) const {
     }
     return kNoCol;
   }
-  // Dantzig: the first strict minimum below -tol, written with selects so
-  // the scan compiles without a data-dependent branch.
-  std::size_t best = kNoCol;
-  double best_value = -tol;
-  for (std::size_t j = 0; j < entering_limit_; ++j) {
-    const bool better = obj[j] < best_value;
-    best = better ? j : best;
-    best_value = better ? obj[j] : best_value;
+  // Dantzig: the minimum below -tol over four independent running minima
+  // (no compare chain from one column to the next), then the first column
+  // that holds it, the one a sequential strict-minimum scan keeps.
+  const std::size_t limit = entering_limit_;
+  double lane[4] = {-tol, -tol, -tol, -tol};
+  std::size_t j = 0;
+  for (; j + 4 <= limit; j += 4) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      lane[k] = obj[j + k] < lane[k] ? obj[j + k] : lane[k];
+    }
   }
-  return best;
+  for (; j < limit; ++j) lane[0] = obj[j] < lane[0] ? obj[j] : lane[0];
+  double best = lane[0];
+  for (std::size_t k = 1; k < 4; ++k) best = lane[k] < best ? lane[k] : best;
+  if (!(best < -tol)) return kNoCol;
+  std::size_t first = 0;
+  while (obj[first] != best) ++first;
+  return first;
 }
 
-std::size_t SimplexTableau::choose_leaving(std::size_t col) const {
+void SimplexTableau::list_column_rows(std::size_t col) {
+  // The rows with a nonzero in column `col`, the reduced-cost row included,
+  // about one in ten, listed without a branch per row.
+  std::size_t* rows = pivot_rows_.data();
+  std::size_t touched = 0;
+  for (std::size_t r = 0; r <= rows_; ++r) {
+    rows[touched] = r;
+    touched += row(r)[col] != 0.0 ? 1 : 0;
+  }
+  column_rows_ = touched;
+}
+
+std::size_t SimplexTableau::choose_leaving(std::size_t col) {
+  // One strided pass over the entering column lists its nonzero rows; the
+  // ratio test reads only those, and pivot() eliminates the same list.
+  list_column_rows(col);
   const double tol = options_.pivot_tolerance;
   std::size_t best_row = kNoCol;
   double best_ratio = kInfinity;
-  for (std::size_t r = 0; r < rows_; ++r) {
+  for (std::size_t i = 0; i < column_rows_; ++i) {
+    const std::size_t r = pivot_rows_[i];
+    if (r == rows_) break;  // the reduced-cost row, listed last
     const double a = row(r)[col];
     if (a <= tol) continue;
     const double ratio = rhs(r) / a;
@@ -281,16 +309,12 @@ void SimplexTableau::pivot(std::size_t pivot_row, std::size_t col) {
   }
   prow[col] = 1.0;  // exact
 
-  // The rows to eliminate: those with a nonzero in the entering column,
-  // about one in ten, listed without a branch per row.
-  std::size_t* rows = pivot_rows_.data();
-  std::size_t touched = 0;
-  for (std::size_t r = 0; r <= rows_; ++r) {
-    rows[touched] = r;
-    touched += row(r)[col] != 0.0 && r != pivot_row ? 1 : 0;
-  }
-  for (std::size_t i = 0; i < touched; ++i) {
-    double* target = row(rows[i]);
+  // The rows to eliminate: the entering column's nonzero rows, listed by
+  // list_column_rows before the pivot row was scaled.
+  for (std::size_t i = 0; i < column_rows_; ++i) {
+    const std::size_t r = pivot_rows_[i];
+    if (r == pivot_row) continue;
+    double* target = row(r);
     const double factor = target[col];
     for (std::size_t k = 0; k < nonzeros; ++k) target[cols[k]] -= factor * prow[cols[k]];
     target[col] = 0.0;
@@ -357,7 +381,10 @@ LpSolution SimplexTableau::solve() {
           break;
         }
       }
-      if (col != kNoCol) pivot(r, col);
+      if (col != kNoCol) {
+        list_column_rows(col);
+        pivot(r, col);
+      }
       // else: redundant row with zero rhs; it stays basic in an artificial
       // at value 0, harmless for phase 2 since its cost is 0 there.
     }

@@ -5,7 +5,8 @@
 // paper's placement instances: the testbed-scale MILPs relaxed here have a
 // few hundred rows/columns; larger components take the greedy + local-search
 // path instead (see assignment.hpp). Branch and bound (milp.hpp) calls
-// solve_lp once per node, so its speed is the exact solver's speed.
+// solve_lp once per node it cannot settle by a certificate, so its speed is
+// the exact solver's speed.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +36,9 @@ class LinearProgram {
   [[nodiscard]] double objective_coeff(int var) const { return objective_.at(var); }
   [[nodiscard]] double lower_bound(int var) const { return lower_.at(var); }
   [[nodiscard]] double upper_bound(int var) const { return upper_.at(var); }
+  [[nodiscard]] const std::vector<double>& objective() const noexcept { return objective_; }
+  [[nodiscard]] const std::vector<double>& lower_bounds() const noexcept { return lower_; }
+  [[nodiscard]] const std::vector<double>& upper_bounds() const noexcept { return upper_; }
   void set_bounds(int var, double lower, double upper);
 
   struct Row {
@@ -79,12 +83,16 @@ struct LpOptions {
 /// Bland's rule after a long run of degenerate pivots; the ratio test breaks
 /// ties on the lowest basic column index.
 ///
-/// The tableau is one row-major array, the reduced-cost row last. A pivot
-/// scales the pivot row once, notes its nonzero columns, and updates only
-/// those columns of the rows whose entering-column entry is nonzero.
-/// Placement LPs are sparse (a scaled pivot row is about 7% nonzero), so
-/// this skips most of a dense sweep. It does the same arithmetic on every
-/// nonzero entry as a dense sweep would, so the result is bit-identical.
+/// The tableau is one row-major array, the reduced-cost row last. Dantzig
+/// pricing scans the reduced costs with four independent running minima,
+/// then takes the first column that holds the least. One strided pass down
+/// the entering column lists its nonzero rows: the ratio test reads only
+/// those, and the pivot eliminates exactly them. The pivot notes the pivot
+/// row's nonzero columns, scales those, and updates only those columns of
+/// the listed rows. Placement LPs are sparse (a scaled pivot row is about 7%
+/// nonzero, and about one row in ten meets the entering column), so this
+/// skips most of a dense sweep. It does the same arithmetic on every nonzero
+/// entry as a dense sweep would, so the result is bit-identical.
 [[nodiscard]] LpSolution solve_lp(const LinearProgram& lp, const LpOptions& options = {});
 
 }  // namespace carbonedge::solver

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -15,9 +14,9 @@ namespace carbonedge::util {
 std::size_t parse_thread_count(const char* value) noexcept {
   if (value != nullptr) {
     try {
-      // Digits only: strtoul would read "-2" as 2^64 - 2 lanes.
-      const std::uint64_t parsed =
-          parse_count(value, "CARBONEDGE_THREADS", std::numeric_limits<std::size_t>::max());
+      // Digits only: strtoul would read "-2" as 2^64 - 2 lanes. The ceiling
+      // keeps a typo from asking global_pool() for that many threads.
+      const std::uint64_t parsed = parse_count(value, "CARBONEDGE_THREADS", kMaxThreadCount);
       if (parsed > 0) return static_cast<std::size_t>(parsed);
     } catch (...) {
       // a malformed or out-of-range count falls back below

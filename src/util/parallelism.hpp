@@ -20,10 +20,13 @@
 
 namespace carbonedge::util {
 
-/// Parses a CARBONEDGE_THREADS-style value: a positive decimal count
-/// (digits only, as util::parse_count reads it) wins; anything else (null,
-/// empty, zero, a sign, spaces, garbage, trailing junk, beyond size_t)
-/// falls back to hardware concurrency (at least 1).
+/// Largest lane count CARBONEDGE_THREADS may ask for.
+inline constexpr std::size_t kMaxThreadCount = 1024;
+
+/// Parses a CARBONEDGE_THREADS-style value: a positive decimal count up to
+/// kMaxThreadCount (digits only, as util::parse_count reads it) wins;
+/// anything else (null, empty, zero, a sign, spaces, garbage, trailing junk,
+/// above the ceiling) falls back to hardware concurrency (at least 1).
 [[nodiscard]] std::size_t parse_thread_count(const char* value) noexcept;
 
 /// Total worker lanes the process should use: parse_thread_count applied to

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "solver/milp.hpp"
@@ -716,6 +718,312 @@ TEST(SimplexOracle, MilpCorpusMatchesRecordedDigest) {
     for (const double v : sol.values) fp.mix(bits(v));
   }
   EXPECT_EQ(fp.digest().hex(), "8ec39db0183bde07d9c484341d3d0da8");
+}
+
+// Dantzig pricing keeps the first column among equal most-negative reduced
+// costs. Here the minimum -3 repeats at columns 2, 5, 6 and 8, which fall in
+// different lanes of a four-wide scan; first-index ties fill x2, then x5,
+// then half of x6, and leave x8 at 0.
+TEST(SimplexOracle, PricingTiesTakeTheFirstColumn) {
+  LinearProgram lp;
+  for (const double cost : {-1.0, 0.5, -3.0, -2.0, 0.0, -3.0, -3.0, 1.0, -3.0}) {
+    lp.add_variable(cost, 0.0, 1.0);
+  }
+  std::vector<std::pair<int, double>> terms;
+  for (int v = 0; v < 9; ++v) terms.emplace_back(v, 1.0);
+  lp.add_constraint(std::move(terms), Sense::kLessEqual, 2.5);
+  const LpSolution sol = solve_lp(lp);
+  expect_same_solution(sol, reference_solve_lp(lp), "repeated minimum");
+  ASSERT_EQ(sol.status, LpStatus::kOptimal);
+  EXPECT_EQ(sol.values[2], 1.0);
+  EXPECT_EQ(sol.values[5], 1.0);
+  EXPECT_EQ(sol.values[6], 0.5);
+  EXPECT_EQ(sol.values[8], 0.0);
+}
+
+// A reduced cost of exactly -pivot_tolerance does not enter the basis; one a
+// bit below it does.
+TEST(SimplexOracle, ReducedCostAtMinusPivotToleranceDoesNotEnter) {
+  const double tol = LpOptions{}.pivot_tolerance;
+  LinearProgram at;
+  at.add_variable(-tol, 0.0, 1.0);
+  at.add_variable(-tol, 0.0, 1.0);
+  at.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::kLessEqual, 1.0);
+  const LpSolution none = solve_lp(at);
+  expect_same_solution(none, reference_solve_lp(at), "minimum at -tol");
+  EXPECT_EQ(none.values, (std::vector<double>{0.0, 0.0}));
+
+  LinearProgram below;
+  below.add_variable(-tol, 0.0, 1.0);
+  below.add_variable(std::nextafter(-tol, -1.0), 0.0, 1.0);
+  below.add_variable(-tol, 0.0, 1.0);
+  below.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, Sense::kLessEqual, 1.0);
+  const LpSolution one = solve_lp(below);
+  expect_same_solution(one, reference_solve_lp(below), "minimum just below -tol");
+  EXPECT_EQ(one.values, (std::vector<double>{0.0, 1.0, 0.0}));
+}
+
+// Random B&B-style fixings on top of a corpus instance: each integer
+// variable is branched up (lb 1) or down (ub 0) with the given odds, as
+// solve_milp intersects a branch's bounds with the node's.
+LinearProgram fixed_node(const PlacementLp& instance, util::Rng& rng, double branch,
+                         double up) {
+  LinearProgram node = instance.lp;
+  for (const int var : instance.integer_vars) {
+    if (!rng.bernoulli(branch)) continue;
+    const double lo = node.lower_bound(var);
+    const double hi = node.upper_bound(var);
+    if (rng.bernoulli(up)) {
+      if (hi >= 1.0) node.set_bounds(var, std::max(lo, 1.0), hi);
+    } else if (lo <= 0.0) {
+      node.set_bounds(var, lo, std::min(hi, 0.0));
+    }
+  }
+  return node;
+}
+
+// Every node the certificates settle is one the LP would prune: kInfeasible
+// only where the reference kernel reports infeasible, and kBounded only
+// where it reports infeasible or an objective at or above the cutoff. The
+// incumbents straddle each node's LP optimum, so a bound that overshoots
+// the optimum by more than the gap fails here.
+TEST(SimplexOracle, NodeCertificatesSettleOnlyPrunedNodes) {
+  constexpr double kGap = 1e-9;
+  struct Mode {
+    double branch;
+    double up;
+  };
+  // Sparse mixed fixings; up-heavy ones that overload capacity and hold two
+  // variables of one row; down-heavy ones that close servers and rows.
+  constexpr Mode kModes[] = {{0.12, 0.3}, {0.3, 0.7}, {0.35, 0.1}};
+  std::size_t infeasible = 0;
+  std::size_t bounded = 0;
+  std::size_t open_optimal = 0;
+  for (std::uint64_t seed = 0; seed < kCorpusSize; ++seed) {
+    const PlacementLp instance = placement_lp(seed);
+    NodeCertifier certifier(instance.lp);
+    util::Rng rng(seed + 101);
+    for (const Mode mode : kModes) {
+      for (int draw = 0; draw < 3; ++draw) {
+        const LinearProgram node = fixed_node(instance, rng, mode.branch, mode.up);
+        const LpSolution ref = reference_solve_lp(node);
+        const std::string where = "seed " + std::to_string(seed) + " draw " + std::to_string(draw);
+        ASSERT_NE(ref.status, LpStatus::kIterationLimit) << where;
+        // With no gap only the infeasibility certificate may fire.
+        const NodeCertifier::Verdict plain = certifier.settle(node, 0.0, 0.0);
+        ASSERT_NE(plain, NodeCertifier::Verdict::kBounded) << where;
+        if (plain == NodeCertifier::Verdict::kInfeasible) {
+          ASSERT_EQ(ref.status, LpStatus::kInfeasible) << where;
+          ++infeasible;
+          continue;
+        }
+        if (ref.status == LpStatus::kUnbounded) {
+          for (const double incumbent : {-1e6, 0.0, 1e6}) {
+            ASSERT_NE(certifier.settle(node, incumbent, kGap), NodeCertifier::Verdict::kBounded)
+                << where << " incumbent " << incumbent;
+          }
+          continue;
+        }
+        if (ref.status == LpStatus::kInfeasible) continue;  // any verdict prunes it
+        ++open_optimal;
+        for (const double offset : {-1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-7, 1e-3, 1.0}) {
+          const double incumbent = ref.objective + offset;
+          const NodeCertifier::Verdict verdict = certifier.settle(node, incumbent, kGap);
+          ASSERT_NE(verdict, NodeCertifier::Verdict::kInfeasible) << where;
+          if (verdict != NodeCertifier::Verdict::kBounded) continue;
+          const double cutoff = incumbent - kGap * (1.0 + std::abs(incumbent));
+          ASSERT_GE(ref.objective, cutoff) << where << " offset " << offset;
+          ++bounded;
+        }
+      }
+    }
+  }
+  EXPECT_GE(infeasible, 300u);
+  EXPECT_GE(bounded, 300u);
+  EXPECT_GE(open_optimal, 500u);
+}
+
+// ---------------------------------------------------------------------------
+// Reference branch and bound: solve_milp as it was before nodes could be
+// settled without an LP, kept here as the oracle. Certificates only skip
+// LPs that would have pruned their node, so every answer must match it bit
+// for bit, node counts included.
+
+MilpSolution reference_solve_milp(const LinearProgram& lp, const std::vector<int>& integer_vars,
+                                  const MilpOptions& options,
+                                  const std::optional<std::vector<double>>& warm_start) {
+  struct Node {
+    std::vector<std::pair<int, std::pair<double, double>>> bounds;
+  };
+  const auto is_integral = [](double v, double tol) { return std::abs(v - std::round(v)) <= tol; };
+  MilpSolution result;
+
+  double incumbent = kInfinity;
+  std::vector<double> incumbent_values;
+  if (warm_start && lp.is_feasible(*warm_start)) {
+    bool integral = true;
+    for (const int var : integer_vars) {
+      if (!is_integral((*warm_start)[static_cast<std::size_t>(var)],
+                       options.integrality_tolerance)) {
+        integral = false;
+        break;
+      }
+    }
+    if (integral) {
+      incumbent = lp.evaluate(*warm_start);
+      incumbent_values = *warm_start;
+    }
+  }
+
+  LinearProgram working = lp;
+  std::vector<Node> stack;
+  stack.push_back(Node{});
+  bool limit_hit = false;
+
+  while (!stack.empty()) {
+    if (result.nodes_explored >= options.max_nodes) {
+      limit_hit = true;
+      break;
+    }
+    const Node node = std::move(stack.back());
+    stack.pop_back();
+    ++result.nodes_explored;
+
+    std::vector<std::pair<int, std::pair<double, double>>> saved;
+    saved.reserve(node.bounds.size());
+    bool bounds_ok = true;
+    for (const auto& [var, bounds] : node.bounds) {
+      saved.emplace_back(var, std::make_pair(working.lower_bound(var), working.upper_bound(var)));
+      const double lo = std::max(bounds.first, working.lower_bound(var));
+      const double hi = std::min(bounds.second, working.upper_bound(var));
+      if (lo > hi) {
+        bounds_ok = false;
+        break;
+      }
+      working.set_bounds(var, lo, hi);
+    }
+
+    if (bounds_ok) {
+      const LpSolution relaxed = solve_lp(working, options.lp);
+      if (relaxed.status == LpStatus::kUnbounded && incumbent == kInfinity) {
+        result.status = MilpStatus::kUnbounded;
+        return result;
+      }
+      const double cutoff =
+          std::isfinite(incumbent)
+              ? incumbent - options.gap_tolerance * (1.0 + std::abs(incumbent))
+              : kInfinity;
+      if (relaxed.status == LpStatus::kOptimal && relaxed.objective < cutoff) {
+        int branch_var = -1;
+        double branch_frac = options.integrality_tolerance;
+        for (const int var : integer_vars) {
+          const double v = relaxed.values[static_cast<std::size_t>(var)];
+          const double frac = std::abs(v - std::round(v));
+          if (frac > branch_frac) {
+            branch_frac = frac;
+            branch_var = var;
+          }
+        }
+        if (branch_var < 0) {
+          incumbent = relaxed.objective;
+          incumbent_values = relaxed.values;
+          for (const int var : integer_vars) {
+            incumbent_values[static_cast<std::size_t>(var)] =
+                std::round(incumbent_values[static_cast<std::size_t>(var)]);
+          }
+        } else {
+          const double v = relaxed.values[static_cast<std::size_t>(branch_var)];
+          const double floor_v = std::floor(v);
+          Node down;
+          down.bounds = node.bounds;
+          down.bounds.emplace_back(branch_var, std::make_pair(-kInfinity, floor_v));
+          Node up;
+          up.bounds = node.bounds;
+          up.bounds.emplace_back(branch_var, std::make_pair(floor_v + 1.0, kInfinity));
+          if (v - floor_v < 0.5) {
+            stack.push_back(std::move(up));
+            stack.push_back(std::move(down));
+          } else {
+            stack.push_back(std::move(down));
+            stack.push_back(std::move(up));
+          }
+        }
+      }
+      if (relaxed.status == LpStatus::kIterationLimit) limit_hit = true;
+    }
+
+    for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+      working.set_bounds(it->first, it->second.first, it->second.second);
+    }
+  }
+
+  if (incumbent_values.empty()) {
+    result.status = MilpStatus::kInfeasible;
+    return result;
+  }
+  result.status = limit_hit ? MilpStatus::kFeasible : MilpStatus::kOptimal;
+  result.objective = incumbent;
+  result.values = std::move(incumbent_values);
+  return result;
+}
+
+// Status, node count, objective and every value, bit for bit.
+void expect_same_milp(const MilpSolution& actual, const MilpSolution& expected,
+                      const std::string& where) {
+  ASSERT_EQ(actual.status, expected.status) << where;
+  ASSERT_EQ(actual.nodes_explored, expected.nodes_explored) << where;
+  ASSERT_EQ(bits(actual.objective), bits(expected.objective)) << where;
+  ASSERT_EQ(actual.values.size(), expected.values.size()) << where;
+  for (std::size_t i = 0; i < actual.values.size(); ++i) {
+    ASSERT_EQ(bits(actual.values[i]), bits(expected.values[i])) << where << " value " << i;
+  }
+}
+
+// solve_milp against the reference search over 400 corpus instances at one
+// gap tolerance: node budgets 1/50/500, cold and warm-started by the
+// reference's 50-node answer (an incumbent the bound certificate can reach).
+// Returns the nodes settled without an LP, and the nodes explored.
+std::pair<std::size_t, std::size_t> expect_milp_matches_reference(double gap) {
+  std::size_t settled = 0;
+  std::size_t explored = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    const PlacementLp instance = placement_lp(seed);
+    MilpOptions warm_options;
+    warm_options.max_nodes = 50;
+    const MilpSolution warm_source =
+        reference_solve_milp(instance.lp, instance.integer_vars, warm_options, std::nullopt);
+    std::optional<std::vector<double>> warm;
+    if (!warm_source.values.empty()) warm = warm_source.values;
+    for (const std::size_t budget : {1u, 50u, 500u}) {
+      MilpOptions options;
+      options.max_nodes = budget;
+      options.gap_tolerance = gap;
+      for (const bool use_warm : {false, true}) {
+        const auto& start = use_warm ? warm : std::nullopt;
+        const MilpSolution actual = solve_milp(instance.lp, instance.integer_vars, options, start);
+        expect_same_milp(actual,
+                         reference_solve_milp(instance.lp, instance.integer_vars, options, start),
+                         "seed " + std::to_string(seed) + " budget " + std::to_string(budget) +
+                             (use_warm ? " warm" : " cold"));
+        if (::testing::Test::HasFatalFailure()) return {settled, explored};
+        EXPECT_LE(actual.settled_nodes, actual.nodes_explored);
+        settled += actual.settled_nodes;
+        explored += actual.nodes_explored;
+      }
+    }
+  }
+  return {settled, explored};
+}
+
+// With no gap only the infeasibility certificate settles nodes.
+TEST(SimplexOracle, MilpMatchesReferenceSearchWithoutGap) {
+  const auto [settled, explored] = expect_milp_matches_reference(0.0);
+  EXPECT_GE(settled, explored / 20);
+}
+
+TEST(SimplexOracle, MilpMatchesReferenceSearchAtDefaultGap) {
+  const auto [settled, explored] = expect_milp_matches_reference(MilpOptions{}.gap_tolerance);
+  EXPECT_GE(settled, explored / 20);
 }
 
 // Beale's example (1955): with Dantzig pricing and a degenerate tie the

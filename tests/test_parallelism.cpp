@@ -43,6 +43,10 @@ TEST(ConfiguredThreadCount, FallsBackOnGarbageZeroAndUnset) {
   EXPECT_EQ(util::parse_thread_count("+4"), util::parse_thread_count(nullptr));
   EXPECT_EQ(util::parse_thread_count(" 4"), util::parse_thread_count(nullptr));
   EXPECT_EQ(util::parse_thread_count("99999999999999999999"), util::parse_thread_count(nullptr));
+  // Above the ceiling is out of range too; parsing starts no thread.
+  EXPECT_EQ(util::parse_thread_count("1024"), util::kMaxThreadCount);
+  EXPECT_EQ(util::parse_thread_count("1025"), util::parse_thread_count(nullptr));
+  EXPECT_EQ(util::parse_thread_count("100000"), util::parse_thread_count(nullptr));
   // The fallback is hardware concurrency, identical across spellings.
   EXPECT_EQ(util::parse_thread_count(nullptr), util::parse_thread_count("garbage"));
   // And the env-backed entry point always lands on something usable.
