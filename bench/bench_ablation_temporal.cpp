@@ -48,7 +48,7 @@ int main() {
     };
     const core::SimulationResult& none = cell(0, 0);
 
-    util::Table table({"Mode", "Carbon (g)", "Saving", "dRTT (ms)", "Deferred"});
+    util::Table table({"Mode", "Carbon (g)", "Saving", "dRTT (ms)", "Deferrable"});
     table.set_title(regions[r].name + ": two weeks, ResNet50 workload");
     const auto add = [&](const char* name, const core::SimulationResult& result) {
       table.add_row({name, util::format_fixed(result.telemetry.total_carbon_g(), 1),

@@ -3,13 +3,14 @@
 //
 // Pure geometry — there are no simulation cells to hand to the
 // ScenarioRunner, so this bench is not grid-dispatched; the two region
-// tables are built concurrently on the shared pool and printed in order.
+// tables are built concurrently on lanes leased from the process budget and
+// printed in order.
 #include "bench_util.hpp"
 
 #include "geo/latency.hpp"
 #include "geo/region.hpp"
+#include "util/parallelism.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace carbonedge;
 
@@ -58,10 +59,9 @@ int main() {
   const std::vector<std::pair<geo::Region, const char*>> regions = {
       {geo::florida_region(), "Table 1a"}, {geo::central_eu_region(), "Table 1b"}};
   std::vector<RegionReport> reports(regions.size());
-  util::parallel_for(
-      util::global_pool(), 0, regions.size(),
-      [&](std::size_t i) { reports[i] = build_report(regions[i].first, regions[i].second); },
-      /*chunk=*/1);
+  util::parallel_for(util::global_budget(), regions.size(), [&](std::size_t i) {
+    reports[i] = build_report(regions[i].first, regions[i].second);
+  });
   for (const RegionReport& report : reports) {
     report.table.print(std::cout);
     bench::print_takeaway(report.takeaway);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/thread_pool.hpp"
+#include "util/parallelism.hpp"
 
 namespace carbonedge::analysis {
 
@@ -96,7 +96,7 @@ std::vector<double> yearly_means(std::span<const geo::City> sites,
                                  const carbon::SynthesizerParams& params) {
   const auto& catalog = carbon::ZoneCatalog::builtin();
   std::vector<double> means(sites.size(), 0.0);
-  util::parallel_for(util::global_pool(), 0, sites.size(), [&](std::size_t i) {
+  util::parallel_for(util::global_budget(), sites.size(), [&](std::size_t i) {
     const carbon::TraceSynthesizer synthesizer(params);
     means[i] = synthesizer.synthesize(catalog.spec_for(sites[i])).yearly_mean();
   });

@@ -63,7 +63,8 @@ SimMetrics& sim_metrics() {
                        obs::View::kDeterministic),
       registry.counter("sim.apps_rejected", "applications rejected",
                        obs::View::kDeterministic),
-      registry.counter("sim.apps_deferred", "arrivals temporally shifted",
+      registry.counter("sim.apps_deferred",
+                       "arrivals with max_defer_epochs > 0, whether or not they started late",
                        obs::View::kDeterministic),
       registry.counter("sim.apps_expired_deferred",
                        "deferred arrivals that expired before the horizon",

@@ -97,7 +97,8 @@ struct SimulationResult {
   double migration_carbon_g = 0.0;        // data-movement emissions
   std::uint64_t server_failures = 0;
   std::uint64_t apps_redeployed = 0;      // re-placed after a crash
-  std::uint64_t apps_deferred = 0;        // temporally shifted arrivals
+  std::uint64_t apps_deferred = 0;        // arrivals with max_defer_epochs > 0,
+                                          // whether or not they started late
   /// Deferred arrivals whose start was still pending when the simulated
   /// horizon ran out — never placed nor rejected, and without this counter
   /// placed+rejected totals would not reconcile with arrivals. Excludes

@@ -16,7 +16,6 @@
 #include "sim/server.hpp"
 #include "util/parallelism.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace carbonedge::runner {
 
@@ -119,7 +118,7 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
   // lane per concurrently running cell (each cell's simulation is serial).
   util::ParallelismBudget& budget =
       options_.budget != nullptr ? *options_.budget : util::global_budget();
-  const auto body = [&](std::size_t p) {
+  util::parallel_for(budget, pending.size(), [&](std::size_t p) {
     const std::size_t i = pending[p];
     core::EdgeSimulation simulation(build_cluster(scenarios[i]), *cell_services[i],
                                     geo::LatencyModel{}, scenarios[i].latency_band_ms);
@@ -129,15 +128,7 @@ std::vector<ScenarioOutcome> ScenarioRunner::run(std::vector<Scenario> scenarios
     if (options_.sweep_store != nullptr) {
       options_.sweep_store->save(scenarios[i], slots[i]);
     }
-  };
-  const util::ParallelismBudget::Lease lease = budget.acquire(pending.size());
-  const std::size_t cell_lanes = lease.lanes();
-  if (cell_lanes <= 1) {
-    for (std::size_t p = 0; p < pending.size(); ++p) body(p);
-  } else {
-    util::ThreadPool pool(cell_lanes);
-    util::parallel_for(pool, 0, pending.size(), body, /*chunk=*/1);
-  }
+  });
 
   std::vector<ScenarioOutcome> outcomes;
   outcomes.reserve(scenarios.size());

@@ -1,12 +1,13 @@
 // Parallel scenario-sweep runner.
 //
-// Expands a ScenarioGrid and dispatches one EdgeSimulation::run per cell
-// onto a util::ThreadPool. Every task writes into its own pre-sized result
-// slot (no locks, no shared mutable state: each cell builds its own cluster
-// and simulation; carbon services are synthesized once per distinct region
-// before dispatch and only read concurrently), so the aggregate is
-// bit-identical no matter how many workers execute it — run(grid) with one
-// thread and with N threads produce equal tables.
+// Expands a ScenarioGrid and runs one EdgeSimulation::run per cell through
+// util::parallel_for, on lanes leased from the parallelism budget. Every
+// cell writes into its own pre-sized result slot (no locks, no shared
+// mutable state: each cell builds its own cluster and simulation; carbon
+// services are synthesized once per distinct region before dispatch and
+// only read concurrently), so the aggregate is bit-identical no matter how
+// many lanes execute it — run(grid) with one thread and with N threads
+// produce equal tables.
 #pragma once
 
 #include <cstddef>
@@ -19,10 +20,6 @@
 #include "util/parallelism.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-
-namespace carbonedge::util {
-class ParallelismBudget;
-}
 
 namespace carbonedge::runner {
 

@@ -5,13 +5,9 @@
 
 namespace carbonedge::sim {
 
-WorkloadProfile require_profile(ModelType model, DeviceType device) {
-  const ProfileResult result = profile_of(model, device);
-  if (!result.supported) {
-    throw std::invalid_argument(std::string(to_string(model)) + " is not supported on " +
-                                std::string(to_string(device)));
-  }
-  return result.profile;
+void detail::throw_unsupported_profile(ModelType model, DeviceType device) {
+  throw std::invalid_argument(std::string(to_string(model)) + " is not supported on " +
+                              std::string(to_string(device)));
 }
 
 std::string_view to_string(ModelType model) noexcept {
@@ -26,7 +22,7 @@ std::string_view to_string(ModelType model) noexcept {
 }
 
 double compute_demand_per_rps(ModelType model, DeviceType device) {
-  const WorkloadProfile profile = require_profile(model, device);
+  const WorkloadProfile& profile = require_profile(model, device);
   // Busy-fraction of the device per request/second: service time per
   // request spread over the device's independent execution streams (cores
   // for the Xeon, SM partitions for the GPUs). The per-device inference_ms

@@ -92,10 +92,24 @@ inline constexpr ProfileTable kProfileTable = [] {
   return detail::kProfileTable[m][d];
 }
 
-/// Profile that throws std::invalid_argument when unsupported.
-[[nodiscard]] WorkloadProfile require_profile(ModelType model, DeviceType device);
-
 [[nodiscard]] std::string_view to_string(ModelType model) noexcept;
+
+namespace detail {
+/// Throws the std::invalid_argument require_profile reports for an
+/// unsupported (model, device) pair.
+[[noreturn]] void throw_unsupported_profile(ModelType model, DeviceType device);
+}  // namespace detail
+
+/// Profile that throws std::invalid_argument when unsupported. The reference
+/// points into the static profile table, so it never dangles.
+[[nodiscard]] inline const WorkloadProfile& require_profile(ModelType model, DeviceType device) {
+  const auto m = static_cast<std::size_t>(model);
+  const auto d = static_cast<std::size_t>(device);
+  if (m >= kModelCount || d >= kDeviceCount || !detail::kProfileTable[m][d].supported) {
+    detail::throw_unsupported_profile(model, device);
+  }
+  return detail::kProfileTable[m][d].profile;
+}
 
 /// Fraction of a device's compute a model consumes per request/second of
 /// sustained load: inference_ms/1000 normalized by the device's relative

@@ -66,7 +66,7 @@ void EdgeServer::host(const AppInstance& app) {
   if (!can_host(app.model, app.rps)) {
     throw std::runtime_error("application does not fit on server " + config_.name);
   }
-  const WorkloadProfile profile = require_profile(app.model, config_.device);
+  const WorkloadProfile& profile = require_profile(app.model, config_.device);
   apps_.push_back(app);
   memory_used_mb_ += profile.memory_mb;
   compute_used_ += compute_demand_per_rps(app.model, config_.device) * app.rps;
@@ -76,7 +76,7 @@ bool EdgeServer::evict(AppId id) noexcept {
   const auto it = std::find_if(apps_.begin(), apps_.end(),
                                [id](const AppInstance& a) { return a.id == id; });
   if (it == apps_.end()) return false;
-  const WorkloadProfile profile = require_profile(it->model, config_.device);
+  const WorkloadProfile& profile = require_profile(it->model, config_.device);
   memory_used_mb_ = std::max(0.0, memory_used_mb_ - profile.memory_mb);
   compute_used_ =
       std::max(0.0, compute_used_ - compute_demand_per_rps(it->model, config_.device) * it->rps);
@@ -99,7 +99,7 @@ double EdgeServer::power_draw_w() const noexcept {
 }
 
 double EdgeServer::mean_service_ms(ModelType model) const {
-  const WorkloadProfile profile = require_profile(model, config_.device);
+  const WorkloadProfile& profile = require_profile(model, config_.device);
   const double utilization = std::min(compute_used_, 0.99);
   return profile.inference_ms / (1.0 - utilization);
 }

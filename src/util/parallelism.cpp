@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <vector>
 
 #include "util/env.hpp"
 #include "util/flags.hpp"
@@ -15,7 +19,7 @@ std::size_t parse_thread_count(const char* value) noexcept {
   if (value != nullptr) {
     try {
       // Digits only: strtoul would read "-2" as 2^64 - 2 lanes. The ceiling
-      // keeps a typo from asking global_pool() for that many threads.
+      // keeps a typo from letting parallel_for start that many threads.
       const std::uint64_t parsed = parse_count(value, "CARBONEDGE_THREADS", kMaxThreadCount);
       if (parsed > 0) return static_cast<std::size_t>(parsed);
     } catch (...) {
@@ -81,6 +85,41 @@ void ParallelismBudget::release_extra(std::size_t extra) noexcept {
 ParallelismBudget& global_budget() {
   static ParallelismBudget budget(configured_thread_count());
   return budget;
+}
+
+void parallel_for(ParallelismBudget& budget, std::size_t count,
+                  const std::function<void(std::size_t)>& body) {
+  if (count == 0) return;
+  const ParallelismBudget::Lease lease = budget.acquire(count);
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  const auto lane = [&] {
+    while (!failed) {
+      const std::size_t i = next++;
+      if (i >= count) return;
+      try {
+        body(i);
+      } catch (...) {
+        const std::scoped_lock lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        failed = true;
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(lease.lanes() - 1);
+  for (std::size_t t = 1; t < lease.lanes(); ++t) {
+    try {
+      threads.emplace_back(lane);
+    } catch (const std::system_error&) {
+      break;  // the OS refused a thread: finish on the lanes already running
+    }
+  }
+  lane();
+  for (std::thread& thread : threads) thread.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace carbonedge::util

@@ -2,9 +2,9 @@
 //
 // CarbonEdge parallelizes at one layer: ScenarioRunner fans out across grid
 // cells, and each cell's simulation (epoch body and placement solver alike)
-// runs serially on its lane. A sweep leases one lane per concurrently
-// running cell from a ParallelismBudget sized by CARBONEDGE_THREADS, so
-// concurrent sweeps in one process share the lanes (first come, first
+// runs serially on its lane. Every parallel loop is a parallel_for that
+// leases its lanes from a ParallelismBudget sized by CARBONEDGE_THREADS, so
+// concurrent loops in one process share the lanes (first come, first
 // served) instead of oversubscribing the machine.
 //
 // The budget arbitrates *throughput only*. Every parallel loop in the
@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 
 namespace carbonedge::util {
 
@@ -99,5 +100,15 @@ class ParallelismBudget {
 /// The process-wide budget every layer leases from by default; sized by
 /// configured_thread_count() on first use.
 [[nodiscard]] ParallelismBudget& global_budget();
+
+/// Run body(i) for every i in [0, count), blocking until all are done. Leases
+/// up to `count` lanes from `budget`; the calling thread is one of them, and
+/// each lane claims the next index from a shared counter. With one lane (or
+/// count <= 1) the loop runs inline. After the first exception no lane
+/// claims another index; every thread is joined, the lease returned, and
+/// that exception rethrown. A nested call cannot deadlock: there is no
+/// queue to wait on, it just runs on whatever lanes are left (usually 1).
+void parallel_for(ParallelismBudget& budget, std::size_t count,
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace carbonedge::util

@@ -1,12 +1,14 @@
-// The process worker-budget arbiter and the layer it feeds (sweep cells):
-// leases never exceed the configured lane count, and a simulation's result
-// is bit-identical from run to run.
+// The process worker-budget arbiter, the parallel loop that leases from it,
+// and the layer it feeds (sweep cells): leases never exceed the configured
+// lane count, and a simulation's result is bit-identical from run to run.
 #include "util/parallelism.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -120,6 +122,77 @@ TEST(ParallelismBudget, ConcurrentHammeringNeverOverGrants) {
   EXPECT_FALSE(violated.load());
   EXPECT_EQ(budget.available(), kTotal - 1);
   EXPECT_LE(budget.peak_lanes(), kTotal);
+}
+
+// ---------------------------------------------------------- parallel_for --
+
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
+  for (const std::size_t lanes : {1u, 2u, 4u}) {
+    ParallelismBudget budget(lanes);
+    std::vector<std::atomic<int>> hits(1000);
+    util::parallel_for(budget, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << lanes << " lanes";
+    EXPECT_EQ(budget.available(), budget.total() - 1);
+    EXPECT_EQ(budget.peak_lanes(), lanes);
+  }
+}
+
+TEST(ParallelFor, EmptyRangeIsNoop) {
+  ParallelismBudget budget(2);
+  int calls = 0;
+  util::parallel_for(budget, 0, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(budget.peak_lanes(), 0u);  // nothing leased
+}
+
+TEST(ParallelFor, ComputesSameResultAsSerial) {
+  ParallelismBudget budget(3);
+  std::vector<double> out(2048, 0.0);
+  util::parallel_for(budget, out.size(),
+                     [&](std::size_t i) { out[i] = static_cast<double>(i) * 0.5; });
+  std::vector<double> serial(out.size(), 0.0);
+  for (std::size_t i = 0; i < serial.size(); ++i) serial[i] = static_cast<double>(i) * 0.5;
+  EXPECT_EQ(out, serial);
+  EXPECT_DOUBLE_EQ(std::accumulate(out.begin(), out.end(), 0.0), 0.5 * 2047.0 * 2048.0 / 2.0);
+}
+
+TEST(ParallelFor, PropagatesFirstException) {
+  for (const std::size_t lanes : {1u, 4u}) {
+    ParallelismBudget budget(lanes);
+    std::atomic<std::size_t> calls{0};
+    try {
+      util::parallel_for(budget, 100, [&](std::size_t i) {
+        calls.fetch_add(1);
+        if (i == 37) throw std::runtime_error("failure at 37");
+      });
+      ADD_FAILURE() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "failure at 37");
+    }
+    // Every thread is joined and the lease comes back.
+    EXPECT_EQ(budget.available(), budget.total() - 1);
+    // On one lane the loop is inline: no index past the failure runs.
+    if (lanes == 1) {
+      EXPECT_EQ(calls.load(), 38u);
+    }
+  }
+}
+
+TEST(ParallelFor, NestedCallCompletesWithinTheBudget) {
+  // Every outer lane starts an inner loop on the same budget. With no queue
+  // to block on, the inner loops run on whatever lanes are left.
+  ParallelismBudget budget(2);
+  std::vector<std::vector<int>> out(4, std::vector<int>(8, 0));
+  util::parallel_for(budget, out.size(), [&](std::size_t outer) {
+    util::parallel_for(budget, out[outer].size(), [&](std::size_t inner) {
+      out[outer][inner] = static_cast<int>(inner) + 1;
+    });
+  });
+  for (const auto& row : out) {
+    for (std::size_t i = 0; i < row.size(); ++i) EXPECT_EQ(row[i], static_cast<int>(i) + 1);
+  }
+  EXPECT_LE(budget.peak_lanes(), budget.total());
+  EXPECT_EQ(budget.available(), budget.total() - 1);
 }
 
 // ------------------------------------------------------- nested layers --
