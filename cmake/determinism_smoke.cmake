@@ -192,3 +192,20 @@ if(settled_missing OR nodes_missing OR NOT settled_nodes GREATER 0 OR
 endif()
 message(STATUS "determinism gate: probe 'single' settled ${settled_nodes} of ${milp_nodes} "
                "B&B node(s) without an LP")
+
+# Both ways through the sharding layer must run inside the gate as well:
+# components settled on every app's cheapest pair without a solve, and
+# components that are solved. The single probe's deterministic view must
+# show 0 < solver.settled_shards < solver.components.
+string(JSON settled_shards ERROR_VARIABLE settled_shards_missing
+       GET "${det_1}" solver.settled_shards)
+string(JSON components ERROR_VARIABLE components_missing GET "${det_1}" solver.components)
+if(settled_shards_missing OR components_missing OR NOT settled_shards GREATER 0 OR
+   NOT settled_shards LESS components)
+  message(FATAL_ERROR "determinism gate: probe 'single' must settle some components on their "
+                      "cheapest pairs and solve others (solver.settled_shards = "
+                      "'${settled_shards}', solver.components = '${components}') — see "
+                      "${OUT_DIR}/metrics-single-t1.json")
+endif()
+message(STATUS "determinism gate: probe 'single' settled ${settled_shards} of ${components} "
+               "component(s) without a solve")

@@ -22,6 +22,14 @@ std::vector<double> OracleForecaster::forecast(const CarbonTrace& trace, HourInd
   return out;
 }
 
+double OracleForecaster::mean_forecast(const CarbonTrace& trace, HourIndex now,
+                                       std::uint32_t horizon) const {
+  if (horizon == 0) return trace.at(now);
+  double total = 0.0;
+  for (std::uint32_t i = 0; i < horizon; ++i) total += trace.at(now + i);
+  return total / static_cast<double>(horizon);
+}
+
 std::vector<double> PersistenceForecaster::forecast(const CarbonTrace& trace, HourIndex now,
                                                     std::uint32_t horizon) const {
   const double last = now == 0 ? trace.at(0) : trace.at(now - 1);

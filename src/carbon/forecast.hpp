@@ -28,9 +28,11 @@ class Forecaster {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Mean of the forecast window — the Ī_j consumed by the optimizer.
-  [[nodiscard]] double mean_forecast(const CarbonTrace& trace, HourIndex now,
-                                     std::uint32_t horizon) const;
+  /// Mean of the forecast window — the Ī_j consumed by the optimizer: the
+  /// forecast series summed in order and divided by its length, or the
+  /// intensity at `now` when `horizon` is 0.
+  [[nodiscard]] virtual double mean_forecast(const CarbonTrace& trace, HourIndex now,
+                                             std::uint32_t horizon) const;
 };
 
 /// Perfect foresight (replays the trace). Matches the paper's evaluation,
@@ -39,6 +41,9 @@ class OracleForecaster final : public Forecaster {
  public:
   [[nodiscard]] std::vector<double> forecast(const CarbonTrace& trace, HourIndex now,
                                              std::uint32_t horizon) const override;
+  /// The same mean, summed straight from the trace without the series.
+  [[nodiscard]] double mean_forecast(const CarbonTrace& trace, HourIndex now,
+                                     std::uint32_t horizon) const override;
   [[nodiscard]] std::string name() const override { return "oracle"; }
 };
 

@@ -28,6 +28,7 @@ struct SolverMetrics {
   obs::Counter& milp_nodes;
   obs::Counter& root_bound_shards;
   obs::Counter& milp_settled_nodes;
+  obs::Counter& settled_shards;
   obs::Histogram& problem_apps;
 };
 
@@ -52,6 +53,9 @@ SolverMetrics& solver_metrics() {
                        obs::View::kDeterministic),
       registry.counter("solver.milp_settled_nodes",
                        "B&B nodes settled by a certificate without an LP",
+                       obs::View::kDeterministic),
+      registry.counter("solver.settled_shards",
+                       "components settled on every app's cheapest pair without a solve",
                        obs::View::kDeterministic),
       registry.histogram("solver.problem_apps", "apps per solved assignment problem",
                          obs::View::kDeterministic,
@@ -764,6 +768,7 @@ AssignmentSolution solve_auto(const AssignmentProblem& problem, const Assignment
   metrics.milp_nodes.add(solution.stats.milp_nodes);
   metrics.root_bound_shards.add(solution.stats.root_bound_shards);
   metrics.milp_settled_nodes.add(solution.stats.settled_nodes);
+  metrics.settled_shards.add(solution.stats.settled_shards);
   metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));
   return solution;
 }

@@ -23,9 +23,12 @@
 //                    off server is paid for), which is most small shards.
 // solve_auto first shards the instance into connected components of the
 // feasible-pair graph (see decompose.hpp — latency pre-filtering makes real
-// batches block-diagonal, and the decomposition is exact) and then solves
-// the components one after another on the calling thread: each runs the
-// heuristic once, and a component within exact_size_limit hands it to the
+// batches block-diagonal, and the decomposition is exact) and then takes
+// the components one after another on the calling thread. A component
+// where every app's cheapest pair fits with room to spare settles on those
+// pairs without a solve: both paths would return exactly them, and it
+// reports the stats of the path it stands in for. Every other component
+// runs the heuristic once, and one within exact_size_limit hands it to the
 // exact path, which keeps it whenever it finds no feasible answer of its
 // own.
 #pragma once
@@ -149,6 +152,9 @@ struct SolveStats {
                                     // settled by the row-minimum bound counts as one
   std::size_t root_bound_shards = 0;  // exact shards settled by that bound, no LP built
   std::size_t settled_nodes = 0;      // B&B nodes a NodeCertifier closed without an LP
+  std::size_t settled_shards = 0;     // components settled on every app's cheapest pair
+                                      // without a solve; also counted in exact_shards
+                                      // or heuristic_shards, as the solve would have
 };
 
 struct AssignmentSolution {
@@ -222,8 +228,9 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
 [[nodiscard]] AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                                  const AssignmentOptions& options = {});
 
-/// Shard into connected components (exact) and route each through
-/// solve_unsharded; records the solve in the solver.* metrics.
+/// Shard into connected components (exact), settle each uncontended one on
+/// its cheapest pairs and route the rest through solve_unsharded (see
+/// solve_sharded); records the solve in the solver.* metrics.
 [[nodiscard]] AssignmentSolution solve_auto(const AssignmentProblem& problem,
                                             const AssignmentOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "solver/decompose.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 namespace carbonedge::solver {
@@ -102,18 +103,98 @@ AssignmentProblem extract_component(const AssignmentProblem& problem, const Comp
   return sub;
 }
 
+namespace {
+
+// The settle certificate's bounds (see settle_component).
+constexpr double kSettleHeadroom = 1e-7;    // capacity kept free, times max(1, |capacity|)
+constexpr double kSettleCostBound = 65536.0;  // 2^16
+constexpr std::size_t kSettleMaxApps = std::size_t{1} << 20;
+
+/// Settle `component` without a solve when every app's cheapest pair fits:
+/// place each app on the server of its first least-cost pair p*, add the
+/// stats the full path would report to `stats`, and return true. Returns
+/// false, with `stats` unchanged, when a condition fails; the caller then
+/// overwrites the component's `assignment` entries. `load` (server x
+/// resource, zero on the component's servers) is scratch; components are
+/// server-disjoint, so one array serves a whole solve.
+///
+/// The conditions make solve_unsharded return exactly p*, bit for bit:
+///  - greedy: each p*'s server is on or activates for exactly 0, and every
+///    activation cost is finite and >= 0, so no pair's effective cost beats
+///    p*'s and none earlier in the row ties it. p* demands are >= 0 and each
+///    server keeps kSettleHeadroom * max(1, |capacity|) free, far more than
+///    the rounding of greedy's sequential `remaining -= d` over at most
+///    kSettleMaxApps commits, so every p* still fits in any regret order;
+///  - local search: a relocate's delta (c - c*) + activation is >= 0 in
+///    floating point, and with |c| <= 2^16 a swap's computed delta, whose
+///    true value is >= 0, is off by under 1e-10, so no move beats -1e-9;
+///  - exact path: validate and fits_exact_lp sum the p* demands in app
+///    order, as `load` does, and stay within capacity; the row-minimum bound
+///    then adds the same costs as the incumbent, so root_bound_reaches holds
+///    and the root settles whenever the MILP options let it.
+bool settle_component(const AssignmentProblem& problem, const Component& component,
+                      const AssignmentOptions& options, std::vector<double>& load,
+                      std::vector<std::size_t>& assignment, SolveStats& stats) {
+  const bool exact =
+      component.apps.size() * component.servers.size() <= options.exact_size_limit;
+  const MilpOptions& milp = options.milp;
+  if (exact && !(milp.integrality_tolerance >= 0.0 && milp.max_nodes >= 1 &&
+                 milp.gap_tolerance > 0.0)) {
+    return false;  // the exact path would search the root
+  }
+  if (component.apps.size() > kSettleMaxApps) return false;
+  const std::size_t resources = problem.num_resources();
+  for (const std::size_t i : component.apps) {
+    std::size_t best = problem.row_begin(i);
+    for (std::size_t p = best; p < problem.row_end(i); ++p) {
+      if (!(std::abs(problem.cost(p)) <= kSettleCostBound)) return false;
+      if (problem.cost(p) < problem.cost(best)) best = p;
+    }
+    const std::size_t j = problem.server(best);
+    if (!problem.initially_on(j) && problem.activation_cost(j) != 0.0) return false;
+    assignment[i] = j;
+    for (std::size_t k = 0; k < resources; ++k) {
+      const double demand = problem.demand(best, k);
+      if (!(demand >= 0.0)) return false;
+      load[j * resources + k] += demand;
+    }
+  }
+  for (const std::size_t j : component.servers) {
+    const double activation = problem.activation_cost(j);
+    if (!(std::isfinite(activation) && activation >= 0.0)) return false;
+    for (std::size_t k = 0; k < resources; ++k) {
+      const double capacity = problem.capacity(j, k);
+      const double headroom = kSettleHeadroom * std::max(1.0, std::abs(capacity));
+      if (!(load[j * resources + k] <= capacity - headroom)) return false;
+    }
+  }
+  ++stats.settled_shards;
+  if (exact) {
+    ++stats.exact_shards;
+    ++stats.milp_nodes;
+    ++stats.root_bound_shards;
+  } else {
+    ++stats.heuristic_shards;
+  }
+  return true;
+}
+
+}  // namespace
+
 AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                  const AssignmentOptions& options) {
   const std::vector<Component> components = connected_components(problem);
-  if (components.size() == 1 && components.front().apps.size() == problem.num_apps() &&
-      components.front().servers.size() == problem.num_servers()) {
-    // Nothing to shard and nothing to drop: skip the extraction copy.
-    return solve_unsharded(problem, options);
-  }
+  // One component holding every app and server needs no extraction copy:
+  // unless it settles, it goes to solve_unsharded whole.
+  const bool whole = components.size() == 1 &&
+                     components.front().apps.size() == problem.num_apps() &&
+                     components.front().servers.size() == problem.num_servers();
 
-  // Components are solved in index order; each extracts its sub-problem
-  // through the shared index, and its answer is stitched back at once.
-  const std::vector<std::size_t> local = local_server_index(problem.num_servers(), components);
+  // Components are settled or solved in index order; a solved one extracts
+  // its sub-problem through the shared index, built on first use, and its
+  // answer is stitched back at once.
+  std::vector<std::size_t> local;
+  std::vector<double> load(problem.num_servers() * problem.num_resources(), 0.0);
   std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
   SolveStats stats;
   stats.components = components.size();
@@ -122,11 +203,14 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
       stats.unplaceable_apps += component.apps.size();  // they stay kUnassigned
       continue;
     }
+    if (settle_component(problem, component, options, load, assignment, stats)) continue;
+    if (whole) return solve_unsharded(problem, options);
+    if (local.empty()) local = local_server_index(problem.num_servers(), components);
     const AssignmentSolution sub =
         solve_unsharded(extract_component(problem, component, local), options);
     for (std::size_t k = 0; k < component.apps.size(); ++k) {
       const std::size_t jj = sub.assignment[k];
-      if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];
+      assignment[component.apps[k]] = jj == kUnassigned ? kUnassigned : component.servers[jj];
     }
     stats.exact_shards += sub.stats.exact_shards;
     stats.heuristic_shards += sub.stats.heuristic_shards;

@@ -9,10 +9,17 @@
 // every server belongs to at most one — so solving each component
 // separately and stitching the sub-solutions back is exact: the stitched
 // cost equals the monolithic optimum whenever every component is solved
-// exactly. Components are solved one after another on the calling thread
+// exactly. Components are taken one after another on the calling thread
 // (parallelism belongs to runner::ScenarioRunner's cells), and solve_auto
 // applies exact_size_limit per component, so batches that were
 // heuristic-only as monoliths become exactly solvable shard by shard.
+//
+// Most shards are uncontended: every app's first cheapest pair fits on its
+// server with room to spare. Such a component settles on those pairs, read
+// straight from the parent's rows, before any extraction; greedy, local
+// search and the exact path's root bound would all return exactly that
+// answer, so nothing is solved and the stats are the ones the solve would
+// have reported (solver.settled_shards counts these components).
 #pragma once
 
 #include <cstddef>
@@ -54,11 +61,23 @@ struct Component {
                                                   const Component& component,
                                                   std::span<const std::size_t> local);
 
-/// Solve by decomposition: one local_server_index is built per solve, then
-/// each component, in order, is extracted from it, goes through
-/// solve_unsharded (exact_size_limit applies per component) and is stitched
-/// back. Exact whenever every component is solved exactly; the returned
-/// stats report the decomposition shape and per-shard paths.
+/// Solve by decomposition, component by component in order. A component
+/// settles on every app's first least-cost pair when
+///  - each such pair's server is on or activates for exactly 0, and every
+///    server of the component has a finite activation cost >= 0;
+///  - the chosen demands are >= 0 and, summed per server and resource, stay
+///    at least 1e-7 * max(1, |capacity|) below capacity;
+///  - every cost has |c| <= 2^16, the component has at most 2^20 apps, and,
+///    within exact_size_limit, the MILP options let a root settle
+///    (integrality_tolerance >= 0, max_nodes >= 1, gap_tolerance > 0).
+/// It then reports one exact shard settled at its root (milp_nodes and
+/// root_bound_shards 1) within exact_size_limit, else one heuristic shard,
+/// plus settled_shards 1. Any other component is extracted through one
+/// local_server_index (built on first use), goes through solve_unsharded
+/// (exact_size_limit applies per component) and is stitched back; a
+/// component spanning the whole problem goes to solve_unsharded without
+/// extraction. Exact whenever every component is solved exactly; the
+/// returned stats report the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                                const AssignmentOptions& options = {});
 

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/random.hpp"
@@ -420,6 +422,316 @@ TEST(SolveSharded, SingleComponentSpanningProblemSkipsExtraction) {
   const AssignmentSolution sol = solve_sharded(p, {});
   ASSERT_TRUE(sol.feasible);
   EXPECT_EQ(sol.stats.components, 1u);
+}
+
+// solve_sharded before components could settle without a solve: every
+// component is extracted and goes through solve_unsharded. Kept as the
+// oracle a settled component must reproduce bit for bit, stats included.
+AssignmentSolution reference_solve_sharded(const AssignmentProblem& problem,
+                                           const AssignmentOptions& options) {
+  const std::vector<Component> components = connected_components(problem);
+  if (components.size() == 1 && components.front().apps.size() == problem.num_apps() &&
+      components.front().servers.size() == problem.num_servers()) {
+    return solve_unsharded(problem, options);
+  }
+  const std::vector<std::size_t> local = local_server_index(problem.num_servers(), components);
+  std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
+  SolveStats stats;
+  stats.components = components.size();
+  for (const Component& component : components) {
+    if (component.servers.empty()) {
+      stats.unplaceable_apps += component.apps.size();
+      continue;
+    }
+    const AssignmentSolution sub =
+        solve_unsharded(extract_component(problem, component, local), options);
+    for (std::size_t k = 0; k < component.apps.size(); ++k) {
+      const std::size_t jj = sub.assignment[k];
+      if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];
+    }
+    stats.exact_shards += sub.stats.exact_shards;
+    stats.heuristic_shards += sub.stats.heuristic_shards;
+    stats.unplaceable_apps += sub.stats.unplaceable_apps;
+    stats.milp_nodes += sub.stats.milp_nodes;
+    stats.root_bound_shards += sub.stats.root_bound_shards;
+    stats.settled_nodes += sub.stats.settled_nodes;
+  }
+  AssignmentSolution result = evaluate(problem, assignment);
+  result.stats = stats;
+  return result;
+}
+
+void expect_same_solve(const AssignmentSolution& actual, const AssignmentSolution& expected,
+                       const std::string& where) {
+  ASSERT_EQ(actual.assignment, expected.assignment) << where;
+  ASSERT_EQ(actual.powered_on, expected.powered_on) << where;
+  ASSERT_EQ(actual.feasible, expected.feasible) << where;
+  ASSERT_EQ(actual.unassigned_count, expected.unassigned_count) << where;
+  ASSERT_EQ(bits(actual.total_cost), bits(expected.total_cost)) << where;
+  const SolveStats& a = actual.stats;
+  const SolveStats& e = expected.stats;
+  ASSERT_EQ(a.components, e.components) << where;
+  ASSERT_EQ(a.exact_shards, e.exact_shards) << where;
+  ASSERT_EQ(a.heuristic_shards, e.heuristic_shards) << where;
+  ASSERT_EQ(a.unplaceable_apps, e.unplaceable_apps) << where;
+  ASSERT_EQ(a.milp_nodes, e.milp_nodes) << where;
+  ASSERT_EQ(a.root_bound_shards, e.root_bound_shards) << where;
+  ASSERT_EQ(a.settled_nodes, e.settled_nodes) << where;
+}
+
+// Blocks of a few apps on a few servers. About a third of the blocks are
+// tight (contention), and the rest are loose enough that every app's
+// cheapest pair often fits. Costs come from a short integer grid half the
+// time, so cheapest-pair ties are common. Off servers activate for free or
+// at a positive (rarely negative) cost; a few demands are negative, a few
+// costs lie past 2^16, about one app in twelve keeps no pair, and a bridging
+// pair sometimes merges a block with the next.
+AssignmentProblem settle_instance(std::uint64_t seed) {
+  util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 11);
+  const std::size_t resources = 1 + rng.uniform_index(2);
+  const std::size_t blocks = 1 + rng.uniform_index(5);
+  std::vector<std::size_t> app_start{0};
+  std::vector<std::size_t> server_start{0};
+  for (std::size_t b = 0; b < blocks; ++b) {
+    app_start.push_back(app_start.back() + 1 + rng.uniform_index(8));
+    server_start.push_back(server_start.back() + 1 + rng.uniform_index(6));
+  }
+  AssignmentProblem p(app_start.back(), server_start.back(), resources);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const bool tight = rng.bernoulli(0.35);
+    for (std::size_t j = server_start[b]; j < server_start[b + 1]; ++j) {
+      for (std::size_t k = 0; k < resources; ++k) {
+        p.set_capacity(j, k, tight ? rng.uniform(0.5, 1.5) : rng.uniform(4.0, 12.0));
+      }
+      if (rng.bernoulli(0.35)) {
+        p.set_initially_on(j, false);
+        const double draw = rng.uniform();
+        p.set_activation_cost(j, draw < 0.45 ? 0.0 : draw < 0.95 ? rng.uniform(0.5, 4.0) : -1.0);
+      }
+    }
+    std::vector<double> demand(resources);
+    for (std::size_t i = app_start[b]; i < app_start[b + 1]; ++i) {
+      if (rng.bernoulli(0.08)) continue;
+      for (std::size_t j = server_start[b]; j < server_start[b + 1]; ++j) {
+        if (rng.bernoulli(0.25)) continue;
+        double cost = rng.bernoulli(0.5) ? static_cast<double>(1 + rng.uniform_index(4))
+                                         : rng.uniform(0.5, 6.0);
+        if (rng.bernoulli(0.02)) cost = (rng.bernoulli(0.5) ? 1.0 : -1.0) * rng.uniform(7e4, 9e4);
+        for (double& d : demand) {
+          d = rng.bernoulli(0.03) ? -rng.uniform(0.05, 0.5) : rng.uniform(0.05, 1.0);
+        }
+        p.add_pair(i, j, cost, demand);
+      }
+      if (b + 1 < blocks && rng.bernoulli(0.04)) {
+        for (double& d : demand) d = rng.uniform(0.05, 1.0);
+        p.add_pair(i, server_start[b + 1], rng.uniform(0.5, 6.0), demand);
+      }
+    }
+  }
+  return p;
+}
+
+// The default path and every MILP option that decides whether an exact
+// shard may settle at its root.
+std::vector<std::pair<std::string, AssignmentOptions>> settle_option_sets() {
+  std::vector<std::pair<std::string, AssignmentOptions>> sets;
+  sets.emplace_back("default", AssignmentOptions{});
+  for (const std::size_t limit : {std::size_t{0}, std::size_t{64}, std::size_t{1} << 20}) {
+    for (const std::size_t nodes : {std::size_t{0}, std::size_t{1}, std::size_t{500}}) {
+      AssignmentOptions options;
+      options.exact_size_limit = limit;
+      options.milp.max_nodes = nodes;
+      sets.emplace_back("limit " + std::to_string(limit) + " nodes " + std::to_string(nodes),
+                        options);
+    }
+  }
+  // No point counts as integral, so the search spends its whole node budget:
+  // keep it small.
+  AssignmentOptions no_integrality;
+  no_integrality.milp.integrality_tolerance = -1.0;
+  no_integrality.milp.max_nodes = 20;
+  sets.emplace_back("integrality -1", no_integrality);
+  AssignmentOptions no_gap;
+  no_gap.milp.gap_tolerance = 0.0;
+  sets.emplace_back("gap 0", no_gap);
+  return sets;
+}
+
+// Two instances where every app's cheapest pair would pass the certificate
+// but for one condition, and the full search moves an app off it.
+std::vector<std::pair<std::string, AssignmentProblem>> near_settle_instances() {
+  std::vector<std::pair<std::string, AssignmentProblem>> instances;
+  // Costs past the guard: app 0 ties at 2^53 on both servers and app 1 is
+  // cheapest on server 1. Swapping them truly costs +0.5, but 2^53 + 1
+  // rounds to 2^53, so local search computes -0.5 and swaps.
+  AssignmentProblem swap(2, 2, 1);
+  for (std::size_t j = 0; j < 2; ++j) swap.set_capacity(j, 0, 4.0);
+  swap.add_pair(0, 0, 0x1.0p53, {1.0});
+  swap.add_pair(0, 1, 0x1.0p53, {1.0});
+  swap.add_pair(1, 0, 1.0, {1.0});
+  swap.add_pair(1, 1, 0.5, {1.0});
+  instances.emplace_back("swap rounding", std::move(swap));
+  // Negative demands: apps 0-2 take -5 on servers 0-2 (capacity 2 each),
+  // and app 3 + k needs 6.5 on server k (cost 1) or on the next server
+  // (cost 2). The cheapest pairs fit (1.5 per server), but greedy places
+  // app 5, then 3, then 4 on their costlier pair as each server gains room,
+  // and local search cannot undo the three-way cycle one move at a time.
+  AssignmentProblem cycle(6, 3, 1);
+  for (std::size_t j = 0; j < 3; ++j) {
+    cycle.set_capacity(j, 0, 2.0);
+    cycle.add_pair(j, j, 1.0, {-5.0});
+  }
+  cycle.add_pair(3, 0, 1.0, {6.5});
+  cycle.add_pair(3, 1, 2.0, {6.5});
+  cycle.add_pair(4, 1, 1.0, {6.5});
+  cycle.add_pair(4, 2, 2.0, {6.5});
+  cycle.add_pair(5, 0, 2.0, {6.5});
+  cycle.add_pair(5, 2, 1.0, {6.5});
+  instances.emplace_back("negative demand", std::move(cycle));
+  return instances;
+}
+
+TEST(SolveSharded, SettledShardsMatchFullSearch) {
+  std::vector<std::pair<std::string, AssignmentProblem>> instances = near_settle_instances();
+  for (std::uint64_t seed = 0; seed < 420; ++seed) {
+    instances.emplace_back("seed " + std::to_string(seed), settle_instance(seed));
+  }
+  const auto option_sets = settle_option_sets();
+  std::size_t settled = 0;
+  std::size_t fell_back = 0;
+  std::size_t settled_exact = 0;
+  std::size_t settled_heuristic = 0;
+  std::size_t settled_whole = 0;
+  std::size_t whole = 0;
+  std::size_t unplaceable = 0;
+  std::size_t bridged = 0;
+  for (const auto& [label, p] : instances) {
+    const std::vector<Component> components = connected_components(p);
+    const bool spans = components.size() == 1 &&
+                       components.front().apps.size() == p.num_apps() &&
+                       components.front().servers.size() == p.num_servers();
+    whole += spans ? 1 : 0;
+    for (const Component& component : components) {
+      if (component.servers.empty()) ++unplaceable;
+      if (component.servers.size() > 6) ++bridged;
+    }
+    for (const auto& [name, options] : option_sets) {
+      const std::string where = label + ", " + name;
+      const AssignmentSolution actual = solve_sharded(p, options);
+      expect_same_solve(actual, reference_solve_sharded(p, options), where);
+      const std::size_t solved = components.size() - actual.stats.unplaceable_apps;
+      ASSERT_LE(actual.stats.settled_shards, solved) << where;
+      settled += actual.stats.settled_shards;
+      fell_back += solved - actual.stats.settled_shards;
+      if (actual.stats.settled_shards > 0 && actual.stats.exact_shards > 0) ++settled_exact;
+      if (actual.stats.settled_shards > 0 && actual.stats.heuristic_shards > 0) ++settled_heuristic;
+      if (spans && actual.stats.settled_shards > 0) ++settled_whole;
+    }
+  }
+  // Both paths must run, a settled shard must report each of the two
+  // paths it stands in for, and the instance shapes that pick the solve's
+  // branches must occur.
+  EXPECT_GE(settled, 2000u);
+  EXPECT_GE(fell_back, 2000u);
+  EXPECT_GE(settled_exact, 100u);
+  EXPECT_GE(settled_heuristic, 100u);
+  EXPECT_GE(settled_whole, 20u);
+  EXPECT_GE(whole, 20u);
+  EXPECT_GE(unplaceable, 50u);
+  EXPECT_GE(bridged, 5u);
+}
+
+// The capacity headroom the settle certificate keeps free on every server,
+// relative to max(1, |capacity|) (kSettleHeadroom in decompose.cpp).
+constexpr double kSettleHeadroom = 1e-7;
+
+// Three apps whose cheapest pair is on server 0 (demands d, summed in app
+// order), a costlier server 1 with room for all, and, with `block`, an
+// independent fourth app on server 2 that always settles.
+AssignmentProblem headroom_instance(const std::vector<double>& d, double capacity, bool block) {
+  AssignmentProblem p(block ? 4 : 3, block ? 3 : 2, 1);
+  p.set_capacity(0, 0, capacity);
+  p.set_capacity(1, 0, 10.0 * capacity);
+  for (std::size_t i = 0; i < 3; ++i) {
+    p.add_pair(i, 0, 1.0, {d[i]});
+    p.add_pair(i, 1, 2.0 + static_cast<double>(i), {d[i]});
+  }
+  if (block) {
+    p.set_capacity(2, 0, 1.0);
+    p.add_pair(3, 2, 1.0, {0.5});
+  }
+  return p;
+}
+
+// Server 0's capacity steps ulp by ulp across the summed demand S, and
+// across the point above S where the certificate starts to settle. It must
+// decline everywhere inside the headroom, and the answer must equal the
+// full search on both sides. At demands near 1e9 an ulp of capacity
+// exceeds greedy's 1e-9 fit slack, so just below S the full search moves
+// an app off its cheapest pair.
+TEST(SolveSharded, SettleDeclinesInsideCapacityHeadroom) {
+  const AssignmentOptions heuristic_only = [] {
+    AssignmentOptions options;
+    options.exact_size_limit = 0;
+    return options;
+  }();
+  std::size_t moved_off_cheapest = 0;
+  for (const double scale : {1.0, 1e9}) {
+    const std::vector<double> d = {0.1 * scale, 0.2 * scale, 0.7 * scale};
+    const double sum = d[0] + d[1] + d[2];
+    for (const bool block : {false, true}) {
+      const std::string where =
+          "scale " + std::to_string(scale) + (block ? ", two components" : ", one component");
+      // Whether server 0 at `capacity` settles, after checking that both
+      // option sets reproduce the full search and agree on it.
+      const auto settles = [&](double capacity) {
+        const AssignmentProblem p = headroom_instance(d, capacity, block);
+        std::size_t settled = 0;
+        for (const AssignmentOptions& options : {AssignmentOptions{}, heuristic_only}) {
+          const AssignmentSolution expected = reference_solve_sharded(p, options);
+          const AssignmentSolution actual = solve_sharded(p, options);
+          expect_same_solve(actual, expected, where + ", capacity " + std::to_string(capacity));
+          if (std::any_of(expected.assignment.begin(), expected.assignment.begin() + 3,
+                          [](std::size_t j) { return j != 0; })) {
+            ++moved_off_cheapest;
+          }
+          settled += actual.stats.settled_shards > (block ? 1u : 0u) ? 1 : 0;
+        }
+        EXPECT_NE(settled, 1u) << where << ", capacity " << capacity;
+        return settled == 2;
+      };
+
+      double capacity = sum;
+      for (int step = 0; step < 32; ++step) capacity = std::nextafter(capacity, 0.0);
+      for (int step = 0; step < 64; ++step) {
+        EXPECT_FALSE(settles(capacity)) << where << ", step " << step;
+        capacity = std::nextafter(capacity, kInfinity);
+      }
+
+      // The first capacity that settles, by bisection over the bit patterns
+      // of the positive doubles between S and S + 4 headrooms.
+      std::uint64_t lo = bits(sum);
+      std::uint64_t hi = bits(sum + 4.0 * kSettleHeadroom * std::max(1.0, sum));
+      ASSERT_FALSE(settles(std::bit_cast<double>(lo))) << where;
+      ASSERT_TRUE(settles(std::bit_cast<double>(hi))) << where;
+      while (hi - lo > 1) {
+        const std::uint64_t mid = lo + (hi - lo) / 2;
+        (settles(std::bit_cast<double>(mid)) ? hi : lo) = mid;
+      }
+      const double first = std::bit_cast<double>(hi);
+      // The headroom is max(1, capacity) * kSettleHeadroom, up to rounding.
+      const double ulp = std::nextafter(first, kInfinity) - first;
+      EXPECT_NEAR(first - sum, kSettleHeadroom * std::max(1.0, first), 4.0 * ulp) << where;
+      capacity = first;
+      for (int step = 0; step < 32; ++step) capacity = std::nextafter(capacity, 0.0);
+      for (int step = 0; step < 64; ++step) {
+        EXPECT_EQ(settles(capacity), capacity >= first) << where << ", step " << step;
+        capacity = std::nextafter(capacity, kInfinity);
+      }
+    }
+  }
+  // Just below S the full search does move an app, so the decline matters.
+  EXPECT_GT(moved_off_cheapest, 0u);
 }
 
 }  // namespace
