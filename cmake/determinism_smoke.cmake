@@ -19,25 +19,10 @@ endif()
 file(MAKE_DIRECTORY ${OUT_DIR})
 file(REMOVE_RECURSE ${OUT_DIR}/store-t1 ${OUT_DIR}/store-t4)
 
-# (label, argument list) probes: a grid wider than the budget (cells share
-# lanes) and a single big cell.
-set(PROBE_sweep "sweep;florida;128")
-# 40-site CDN region: its placement batches split into many components,
-# which the single cell's solver solves one after another.
-# --metrics= puts the obs registry under the gate too: the snapshot's
-# deterministic view is compared separately below (the timing view is
-# allowed — required, even — to differ).
-set(PROBE_single "sweep;cdn_us;96;--single;--metrics=${OUT_DIR}/metrics-single-t@THREADS@.json")
-# Streaming serving mode: event-driven replay with windowed telemetry and an
-# EMA re-optimization trigger; --export=- puts the per-window CSV rows into
-# the diffed output, so window aggregation is under the gate too, and
-# --metrics-rows interleaves per-window deterministic-view snapshots into
-# those diffed bytes. The intensity EMA crosses 230 g/kWh once in these 96
-# epochs, so the event-driven re-optimization and its migrations run inside
-# the gate; the check after the loop fails if no window fires.
-set(PROBE_serve "serve;cdn_us;--replay;--epochs=96;--window-epochs=8;--ema-reopt=intensity:230:226;--export=-;--metrics-rows")
-
-foreach(probe sweep single serve)
+# Runs PROBE_<probe> (its @THREADS@ replaced) under CARBONEDGE_THREADS=1 and
+# =4, each with its own store, into ${OUT_DIR}/<probe>-t<N>.txt, and fails
+# unless both runs exit 0 with byte-identical output.
+function(run_probe probe)
   foreach(threads 1 4)
     string(REPLACE "@THREADS@" "${threads}" args "${PROBE_${probe}}")
     execute_process(
@@ -60,6 +45,28 @@ foreach(probe sweep single serve)
                         "against ${OUT_DIR}/${probe}-t4.txt")
   endif()
   message(STATUS "determinism gate: probe '${probe}' byte-identical across thread counts")
+endfunction()
+
+# (label, argument list) probes: a grid wider than the budget (cells share
+# lanes) and a single big cell.
+set(PROBE_sweep "sweep;florida;128")
+# 40-site CDN region: its placement batches split into many components,
+# which the single cell's solver solves one after another.
+# --metrics= puts the obs registry under the gate too: the snapshot's
+# deterministic view is compared separately below (the timing view is
+# allowed — required, even — to differ).
+set(PROBE_single "sweep;cdn_us;96;--single;--metrics=${OUT_DIR}/metrics-single-t@THREADS@.json")
+# Streaming serving mode: event-driven replay with windowed telemetry and an
+# EMA re-optimization trigger; --export=- puts the per-window CSV rows into
+# the diffed output, so window aggregation is under the gate too, and
+# --metrics-rows interleaves per-window deterministic-view snapshots into
+# those diffed bytes. The intensity EMA crosses 230 g/kWh once in these 96
+# epochs, so the event-driven re-optimization and its migrations run inside
+# the gate; the check after the loop fails if no window fires.
+set(PROBE_serve "serve;cdn_us;--replay;--epochs=96;--window-epochs=8;--ema-reopt=intensity:230:226;--export=-;--metrics-rows")
+
+foreach(probe sweep single serve)
+  run_probe(${probe})
 endforeach()
 
 # A serve probe that never re-optimizes leaves the migration path outside
@@ -122,26 +129,7 @@ set(CATALOG_KEY ${CMAKE_MATCH_1})
 set(PROBE_catalog_radius "catalog;--dir;${CATALOG_STORE};radius;${CATALOG_KEY};52.0;5.0;400")
 set(PROBE_catalog_sweep "catalog;--dir;${CATALOG_STORE};sweep;${CATALOG_KEY};24;--max-sites=12;--band=12")
 foreach(probe catalog_radius catalog_sweep)
-  foreach(threads 1 4)
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E env CARBONEDGE_THREADS=${threads}
-              CARBONEDGE_STORE_DIR=${OUT_DIR}/store-t${threads} ${CLI} ${PROBE_${probe}}
-      OUTPUT_FILE ${OUT_DIR}/${probe}-t${threads}.txt
-      RESULT_VARIABLE status)
-    if(NOT status EQUAL 0)
-      message(FATAL_ERROR "determinism probe '${probe}' failed with CARBONEDGE_THREADS=${threads} (exit ${status})")
-    endif()
-  endforeach()
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files
-            ${OUT_DIR}/${probe}-t1.txt ${OUT_DIR}/${probe}-t4.txt
-    RESULT_VARIABLE identical)
-  if(NOT identical EQUAL 0)
-    message(FATAL_ERROR "determinism gate: probe '${probe}' differs between "
-                        "CARBONEDGE_THREADS=1 and =4 — compare ${OUT_DIR}/${probe}-t1.txt "
-                        "against ${OUT_DIR}/${probe}-t4.txt")
-  endif()
-  message(STATUS "determinism gate: probe '${probe}' byte-identical across thread counts")
+  run_probe(${probe})
 endforeach()
 
 # The metrics snapshot's deterministic view is under the same contract: the
@@ -161,26 +149,10 @@ if(NOT det_1 STREQUAL det_4)
 endif()
 message(STATUS "determinism gate: deterministic metrics view byte-identical across thread counts")
 
-# Both branches of the exact path must run inside the gate: shards whose
-# root the row-minimum bound settles without an LP, and shards that build
-# it. The single probe's deterministic view must show
-# 0 < solver.root_bound_shards < solver.exact_shards.
-string(JSON root_bound_shards ERROR_VARIABLE root_bound_missing
-       GET "${det_1}" solver.root_bound_shards)
-string(JSON exact_shards ERROR_VARIABLE exact_missing GET "${det_1}" solver.exact_shards)
-if(root_bound_missing OR exact_missing OR NOT root_bound_shards GREATER 0 OR
-   NOT root_bound_shards LESS exact_shards)
-  message(FATAL_ERROR "determinism gate: probe 'single' must settle some exact shards by the "
-                      "root bound and search others (solver.root_bound_shards = "
-                      "'${root_bound_shards}', solver.exact_shards = '${exact_shards}') — see "
-                      "${OUT_DIR}/metrics-single-t1.json")
-endif()
-message(STATUS "determinism gate: probe 'single' settled ${root_bound_shards} of "
-               "${exact_shards} exact shard(s) by the root bound")
-
-# Both kinds of B&B node must run inside the gate too: nodes a certificate
-# settles without an LP, and nodes that solve one. The single probe's
-# deterministic view must show 0 < solver.milp_settled_nodes < solver.milp_nodes.
+# Both kinds of B&B node must run inside the gate: nodes a certificate
+# settles without an LP (exact shards settled at their root among them), and
+# nodes that solve one. The single probe's deterministic view must show
+# 0 < solver.milp_settled_nodes < solver.milp_nodes.
 string(JSON settled_nodes ERROR_VARIABLE settled_missing GET "${det_1}" solver.milp_settled_nodes)
 string(JSON milp_nodes ERROR_VARIABLE nodes_missing GET "${det_1}" solver.milp_nodes)
 if(settled_missing OR nodes_missing OR NOT settled_nodes GREATER 0 OR

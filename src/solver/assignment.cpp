@@ -26,7 +26,6 @@ struct SolverMetrics {
   obs::Counter& heuristic_shards;
   obs::Counter& unplaceable_apps;
   obs::Counter& milp_nodes;
-  obs::Counter& root_bound_shards;
   obs::Counter& milp_settled_nodes;
   obs::Counter& settled_shards;
   obs::Histogram& problem_apps;
@@ -47,9 +46,6 @@ SolverMetrics& solver_metrics() {
       registry.counter("solver.unplaceable_apps", "apps with no feasible server at all",
                        obs::View::kDeterministic),
       registry.counter("solver.milp_nodes", "B&B nodes explored across exact shards",
-                       obs::View::kDeterministic),
-      registry.counter("solver.root_bound_shards",
-                       "exact shards whose root the row-minimum bound settled without an LP",
                        obs::View::kDeterministic),
       registry.counter("solver.milp_settled_nodes",
                        "B&B nodes settled by a certificate without an LP",
@@ -109,8 +105,6 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
 AssignmentSolution solve_greedy(const AssignmentProblem& problem, const ServerColumns& columns);
 std::size_t improve_local_search(const AssignmentProblem& problem, const ServerColumns& columns,
                                  AssignmentSolution& solution, std::size_t max_rounds);
-bool fits_exact_lp(const AssignmentProblem& problem, const ServerColumns& columns,
-                   const AssignmentSolution& solution);
 
 /// Greedy + local search: the heuristic path's answer and the exact path's
 /// warm start. Its stats report one heuristic shard.
@@ -266,64 +260,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   return solve_exact(problem, columns, options, solve_heuristic(problem, columns));
 }
 
-bool fits_exact_lp(const AssignmentProblem& problem, const AssignmentSolution& solution) {
-  return fits_exact_lp(problem, ServerColumns(problem), solution);
-}
-
 namespace {
-
-bool fits_exact_lp(const AssignmentProblem& problem, const ServerColumns& columns,
-                   const AssignmentSolution& solution) {
-  constexpr double kTol = 1e-6;  // LinearProgram::is_feasible's default
-  // Every value is 0 or 1 and each app row holds one 1, so the bounds and
-  // Eq. 3 rows hold exactly. Capacity rows sum their terms in column order,
-  // as the LP does; x_p <= y_j holds because evaluate() powers on every
-  // server it places an app on.
-  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
-    const std::span<const ServerColumns::Entry> column = columns.of(j);
-    if (column.empty()) continue;
-    const bool gated = !problem.initially_on(j);
-    const double y = solution.powered_on[j] ? 1.0 : 0.0;
-    for (std::size_t k = 0; k < problem.num_resources(); ++k) {
-      double lhs = 0.0;
-      for (const auto& [i, p] : column) {
-        lhs += problem.demand(p, k) * (solution.assignment[i] == j ? 1.0 : 0.0);
-      }
-      if (gated) {
-        lhs += -problem.capacity(j, k) * y;
-        if (lhs > 0.0 + kTol) return false;
-      } else if (lhs > problem.capacity(j, k) + kTol) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-/// Whether the root relaxation of solve_exact's LP costs at least `warm`'s
-/// objective, summed in LP variable order as solve_milp sums its incumbent.
-/// Each app row sums to 1 and the y_j costs are >= 0, so the relaxation
-/// costs at least the sum of each app's cheapest pair cost. `warm` must
-/// also pass the LP, or B&B would not take it as the incumbent.
-bool root_bound_reaches(const AssignmentProblem& problem, const ServerColumns& columns,
-                        const AssignmentSolution& warm) {
-  double bound = 0.0;
-  double incumbent = 0.0;
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    double cheapest = kInfinity;
-    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-      cheapest = std::min(cheapest, problem.cost(p));
-      incumbent += problem.cost(p) * (problem.server(p) == warm.assignment[i] ? 1.0 : 0.0);
-    }
-    bound += cheapest;
-  }
-  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
-    if (problem.initially_on(j) || columns.of(j).empty()) continue;  // no y_j
-    if (!(problem.activation_cost(j) >= 0.0)) return false;
-    incumbent += problem.activation_cost(j) * (warm.powered_on[j] ? 1.0 : 0.0);
-  }
-  return std::isfinite(incumbent) && bound >= incumbent && fits_exact_lp(problem, columns, warm);
-}
 
 AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerColumns& columns,
                                const MilpOptions& options, const AssignmentSolution& warm) {
@@ -346,23 +283,6 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
       if (problem.row_begin(a) == problem.row_end(a)) ++infeasible.stats.unplaceable_apps;
     }
     return infeasible;  // some app has no feasible server at all
-  }
-
-  // B&B takes a warm start that passes the LP and is integral (tolerance
-  // >= 0) as its incumbent. Given one node it solves the root, prunes it if
-  // its LP does not beat incumbent - gap * (1 + |incumbent|), and returns
-  // the warm start. With a positive gap that cutoff lies below the
-  // incumbent by more than LP rounding, so a root whose bound reaches the
-  // incumbent is pruned: settle it without building the LP.
-  if (warm.feasible && options.integrality_tolerance >= 0.0 && options.max_nodes >= 1 &&
-      options.gap_tolerance > 0.0 && root_bound_reaches(problem, columns, warm)) {
-    AssignmentSolution settled = warm;
-    settled.stats = SolveStats{};
-    settled.stats.components = 1;
-    settled.stats.exact_shards = 1;
-    settled.stats.milp_nodes = 1;
-    settled.stats.root_bound_shards = 1;
-    return settled;
   }
 
   LinearProgram lp;
@@ -766,7 +686,6 @@ AssignmentSolution solve_auto(const AssignmentProblem& problem, const Assignment
   metrics.heuristic_shards.add(solution.stats.heuristic_shards);
   metrics.unplaceable_apps.add(solution.stats.unplaceable_apps);
   metrics.milp_nodes.add(solution.stats.milp_nodes);
-  metrics.root_bound_shards.add(solution.stats.root_bound_shards);
   metrics.milp_settled_nodes.add(solution.stats.settled_nodes);
   metrics.settled_shards.add(solution.stats.settled_shards);
   metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));

@@ -17,10 +17,10 @@
 //  * solve_greedy + improve_local_search — regret greedy with relocate/swap
 //                    improvement; any scale, near-optimal in practice.
 //  * solve_exact   — branch-and-bound MILP; exact, testbed scale. The
-//                    heuristic above is its warm start, and it skips the LP
-//                    when the sum of the apps' cheapest costs already
-//                    reaches it (no app can be placed more cheaply and no
-//                    off server is paid for), which is most small shards.
+//                    heuristic above is its warm start; a root whose
+//                    row-minimum bound (the sum of the apps' cheapest costs)
+//                    already reaches it settles without an LP, which is most
+//                    small shards.
 // solve_auto first shards the instance into connected components of the
 // feasible-pair graph (see decompose.hpp — latency pre-filtering makes real
 // batches block-diagonal, and the decomposition is exact) and then takes
@@ -148,13 +148,11 @@ struct SolveStats {
   std::size_t exact_shards = 0;     // components solved by the MILP
   std::size_t heuristic_shards = 0; // components solved by greedy + local search
   std::size_t unplaceable_apps = 0; // apps with no feasible server at all
-  std::size_t milp_nodes = 0;       // total B&B nodes across exact shards; a root
-                                    // settled by the row-minimum bound counts as one
-  std::size_t root_bound_shards = 0;  // exact shards settled by that bound, no LP built
-  std::size_t settled_nodes = 0;      // B&B nodes a NodeCertifier closed without an LP
-  std::size_t settled_shards = 0;     // components settled on every app's cheapest pair
-                                      // without a solve; also counted in exact_shards
-                                      // or heuristic_shards, as the solve would have
+  std::size_t milp_nodes = 0;       // total B&B nodes across exact shards
+  std::size_t settled_nodes = 0;    // B&B nodes a NodeCertifier closed without an LP
+  std::size_t settled_shards = 0;   // components settled on every app's cheapest pair
+                                    // without a solve; also counted in exact_shards
+                                    // or heuristic_shards, as the solve would have
 };
 
 struct AssignmentSolution {
@@ -190,22 +188,13 @@ struct AssignmentOptions {
 inline constexpr std::size_t kLocalSearchRounds = 20;
 
 /// Branch and bound on the Eq. 1-7 MILP, warm-started by greedy + local
-/// search. When every app row is non-empty, the warm start passes the LP
-/// (fits_exact_lp), integrality_tolerance >= 0, max_nodes >= 1,
-/// gap_tolerance > 0, the off servers' activation costs are >= 0, and the
-/// sum of each app's cheapest pair cost reaches the warm start's objective,
-/// the root relaxation cannot beat the warm start: it is returned without
-/// building the LP, with the stats the one-node search would report
-/// (milp_nodes 1) and root_bound_shards 1.
+/// search. When the warm start passes the LP, the off servers' activation
+/// costs are >= 0 and the sum of each app's cheapest pair cost reaches the
+/// warm start's objective, NodeCertifier settles the root without its LP and
+/// the warm start is returned (milp_nodes and settled_nodes 1). An app with
+/// no pair makes the whole problem infeasible without building the LP.
 [[nodiscard]] AssignmentSolution solve_exact(const AssignmentProblem& problem,
                                              const MilpOptions& options = {});
-
-/// Whether `solution` (every app placed on one of its pairs, power states as
-/// evaluate() sets them) passes LinearProgram::is_feasible at its default
-/// tolerance as solve_exact's 0/1 warm start, without building the LP: each
-/// capacity row sums the same products in the same order.
-[[nodiscard]] bool fits_exact_lp(const AssignmentProblem& problem,
-                                 const AssignmentSolution& solution);
 
 /// Regret greedy: each round places the unplaced app with the largest gap
 /// between its cheapest and second-cheapest fitting option (ties go to the

@@ -128,20 +128,16 @@ constexpr std::size_t kSettleMaxApps = std::size_t{1} << 20;
 ///  - local search: a relocate's delta (c - c*) + activation is >= 0 in
 ///    floating point, and with |c| <= 2^16 a swap's computed delta, whose
 ///    true value is >= 0, is off by under 1e-10, so no move beats -1e-9;
-///  - exact path: validate and fits_exact_lp sum the p* demands in app
-///    order, as `load` does, and stay within capacity; the row-minimum bound
-///    then adds the same costs as the incumbent, so root_bound_reaches holds
-///    and the root settles whenever the MILP options let it.
+///  - exact path: validate and the LP's capacity rows sum the p* demands in
+///    app order, as `load` does, and stay within capacity, so the warm start
+///    is the incumbent; the row-minimum bound then adds the same costs, so
+///    NodeCertifier settles the root whenever the node budget lets it run.
 bool settle_component(const AssignmentProblem& problem, const Component& component,
                       const AssignmentOptions& options, std::vector<double>& load,
                       std::vector<std::size_t>& assignment, SolveStats& stats) {
   const bool exact =
       component.apps.size() * component.servers.size() <= options.exact_size_limit;
-  const MilpOptions& milp = options.milp;
-  if (exact && !(milp.integrality_tolerance >= 0.0 && milp.max_nodes >= 1 &&
-                 milp.gap_tolerance > 0.0)) {
-    return false;  // the exact path would search the root
-  }
+  if (exact && options.milp.max_nodes < 1) return false;  // the root would not run
   if (component.apps.size() > kSettleMaxApps) return false;
   const std::size_t resources = problem.num_resources();
   for (const std::size_t i : component.apps) {
@@ -172,7 +168,7 @@ bool settle_component(const AssignmentProblem& problem, const Component& compone
   if (exact) {
     ++stats.exact_shards;
     ++stats.milp_nodes;
-    ++stats.root_bound_shards;
+    ++stats.settled_nodes;
   } else {
     ++stats.heuristic_shards;
   }
@@ -216,7 +212,6 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
     stats.heuristic_shards += sub.stats.heuristic_shards;
     stats.unplaceable_apps += sub.stats.unplaceable_apps;
     stats.milp_nodes += sub.stats.milp_nodes;
-    stats.root_bound_shards += sub.stats.root_bound_shards;
     stats.settled_nodes += sub.stats.settled_nodes;
   }
 

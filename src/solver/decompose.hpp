@@ -68,10 +68,10 @@ struct Component {
 ///  - the chosen demands are >= 0 and, summed per server and resource, stay
 ///    at least 1e-7 * max(1, |capacity|) below capacity;
 ///  - every cost has |c| <= 2^16, the component has at most 2^20 apps, and,
-///    within exact_size_limit, the MILP options let a root settle
-///    (integrality_tolerance >= 0, max_nodes >= 1, gap_tolerance > 0).
+///    within exact_size_limit, the MILP's node budget lets the root run
+///    (max_nodes >= 1).
 /// It then reports one exact shard settled at its root (milp_nodes and
-/// root_bound_shards 1) within exact_size_limit, else one heuristic shard,
+/// settled_nodes 1) within exact_size_limit, else one heuristic shard,
 /// plus settled_shards 1. Any other component is extracted through one
 /// local_server_index (built on first use), goes through solve_unsharded
 /// (exact_size_limit applies per component) and is stitched back; a

@@ -23,8 +23,8 @@ struct Node {
   std::vector<std::pair<int, std::pair<double, double>>> bounds;
 };
 
-bool is_integral(double v, double tol) noexcept {
-  return std::abs(v - std::round(v)) <= tol;
+bool is_integral(double v) noexcept {
+  return std::abs(v - std::round(v)) <= kIntegralityTolerance;
 }
 
 }  // namespace
@@ -67,8 +67,7 @@ NodeCertifier::NodeCertifier(const LinearProgram& lp)
   }
 }
 
-NodeCertifier::Verdict NodeCertifier::settle(const LinearProgram& node, double incumbent,
-                                             double gap_tolerance) {
+NodeCertifier::Verdict NodeCertifier::settle(const LinearProgram& node, double incumbent) {
   lower_ = node.lower_bounds();
   upper_ = node.upper_bounds();
 
@@ -115,7 +114,7 @@ NodeCertifier::Verdict NodeCertifier::settle(const LinearProgram& node, double i
   }
 
   // Bounded: the row-minimum bound reaches the incumbent.
-  if (!(gap_tolerance > 0.0) || !std::isfinite(incumbent)) return Verdict::kOpen;
+  if (!std::isfinite(incumbent)) return Verdict::kOpen;
   const std::vector<double>& cost = node.objective();
   double bound = 0.0;
   for (std::size_t r = 0; r + 1 < unit_start_.size(); ++r) {
@@ -143,8 +142,7 @@ MilpSolution solve_milp(const LinearProgram& lp, const std::vector<int>& integer
   if (warm_start && lp.is_feasible(*warm_start)) {
     bool integral = true;
     for (const int var : integer_vars) {
-      if (!is_integral((*warm_start)[static_cast<std::size_t>(var)],
-                       options.integrality_tolerance)) {
+      if (!is_integral((*warm_start)[static_cast<std::size_t>(var)])) {
         integral = false;
         break;
       }
@@ -186,9 +184,7 @@ MilpSolution solve_milp(const LinearProgram& lp, const std::vector<int>& integer
       working.set_bounds(var, lo, hi);
     }
 
-    if (!bounds_ok ||
-        certifier.settle(working, incumbent, options.gap_tolerance) !=
-            NodeCertifier::Verdict::kOpen) {
+    if (!bounds_ok || certifier.settle(working, incumbent) != NodeCertifier::Verdict::kOpen) {
       ++result.settled_nodes;
     } else {
       const LpSolution relaxed = solve_lp(working, options.lp);
@@ -203,12 +199,12 @@ MilpSolution solve_milp(const LinearProgram& lp, const std::vector<int>& integer
       // Cutoff guard: with no incumbent yet, every optimal node is explored.
       const double cutoff =
           std::isfinite(incumbent)
-              ? incumbent - options.gap_tolerance * (1.0 + std::abs(incumbent))
+              ? incumbent - kGapTolerance * (1.0 + std::abs(incumbent))
               : kInfinity;
       if (relaxed.status == LpStatus::kOptimal && relaxed.objective < cutoff) {
         // Find the most fractional integer variable.
         int branch_var = -1;
-        double branch_frac = options.integrality_tolerance;
+        double branch_frac = kIntegralityTolerance;
         for (const int var : integer_vars) {
           const double v = relaxed.values[static_cast<std::size_t>(var)];
           const double frac = std::abs(v - std::round(v));

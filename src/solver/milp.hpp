@@ -5,10 +5,8 @@
 // the most fractional integer variable with incumbent pruning; a caller-
 // supplied warm start (e.g. the regret-greedy placement) seeds the
 // incumbent so pruning bites early. Before a node solves its LP, the
-// NodeCertifier below tries to settle it without one. solve_exact
-// (assignment.hpp) calls this only when a root-bound check cannot already
-// show that the root relaxation is no cheaper than the warm start; a
-// settled root never reaches here.
+// NodeCertifier below tries to settle it without one; at the root that is
+// the row-minimum bound, which settles most small shards' warm starts.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +17,13 @@
 
 namespace carbonedge::solver {
 
+/// A value within this of an integer counts as integral (warm start and LP
+/// relaxation alike).
+inline constexpr double kIntegralityTolerance = 1e-6;
+/// Relative optimality gap at which search stops: a node is pruned unless
+/// its LP beats incumbent - kGapTolerance * (1 + |incumbent|).
+inline constexpr double kGapTolerance = 1e-9;
+
 struct MilpOptions {
   LpOptions lp;
   /// Node budget: a node that NodeCertifier cannot settle solves its LP
@@ -27,9 +32,6 @@ struct MilpOptions {
   /// as it is when a node's LP hits `lp.max_iterations`. Settled nodes count
   /// against the budget too.
   std::size_t max_nodes = 5'000;
-  double integrality_tolerance = 1e-6;
-  /// Relative optimality gap at which search stops (0 = prove optimality).
-  double gap_tolerance = 1e-9;
 };
 
 enum class MilpStatus : std::uint8_t {
@@ -61,11 +63,11 @@ struct MilpSolution {
 ///  - kInfeasible when some row's activity range misses its rhs by more than
 ///    kInfeasibleMargin, far above the simplex's feasibility tolerance, so
 ///    phase 1 ends infeasible too;
-///  - kBounded when gap_tolerance > 0 and the row-minimum bound reaches the
-///    incumbent: per unit-sum row the cost of its cheapest open variable,
+///  - kBounded when the incumbent is finite and the row-minimum bound
+///    reaches it: per unit-sum row the cost of its cheapest open variable,
 ///    plus each other variable's cost at the bound that minimizes it. The LP
 ///    optimum is at least that bound, which lies above the pruning cutoff by
-///    gap * (1 + |incumbent|), far more than LP rounding;
+///    kGapTolerance * (1 + |incumbent|), far more than LP rounding;
 ///  - kOpen otherwise: the node needs its LP.
 /// Every settled node is one the LP would prune, so the search explores the
 /// same nodes and returns the same answer as without it, bit for bit; only a
@@ -78,8 +80,7 @@ class NodeCertifier {
 
   explicit NodeCertifier(const LinearProgram& lp);
 
-  [[nodiscard]] Verdict settle(const LinearProgram& node, double incumbent,
-                               double gap_tolerance);
+  [[nodiscard]] Verdict settle(const LinearProgram& node, double incumbent);
 
  private:
   // Unit-sum row r holds unit_vars_[unit_start_[r] .. unit_start_[r + 1]).

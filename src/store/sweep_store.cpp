@@ -11,6 +11,7 @@
 #include "sim/workload.hpp"
 #include "obs/metrics.hpp"
 #include "solver/assignment.hpp"
+#include "solver/milp.hpp"
 #include "store/codecs.hpp"
 #include "util/hash.hpp"
 
@@ -68,8 +69,10 @@ void mix_solver(util::Fingerprint& fp, const solver::AssignmentOptions& s) {
   fp.mix(s.milp.lp.pivot_tolerance);
   fp.mix(s.milp.lp.feasibility_tolerance);
   fp.mix(s.milp.max_nodes);
-  fp.mix(s.milp.integrality_tolerance);
-  fp.mix(s.milp.gap_tolerance);
+  // Mixed although they are constants, so that keys stay byte-identical to
+  // those stored when the two tolerances were options.
+  fp.mix(solver::kIntegralityTolerance);
+  fp.mix(solver::kGapTolerance);
   fp.mix(static_cast<std::uint64_t>(s.exact_size_limit));
 }
 

@@ -449,17 +449,31 @@ TEST(SolveAuto, UnplaceableAppLeavesOthersPlaced) {
   }
 }
 
+// A numerically stranded warm start: one initially-off server of capacity
+// 2^33, where an ulp is 2^-19 (about 1.9e-6), and three apps whose demands
+// sum to capacity + 2^-19. validate compares that sum with capacity + 1e-6,
+// which rounds to the same value, so greedy's placement is feasible; the
+// exact path's capacity row computes sum - capacity = 2^-19 > 1e-6 and
+// rejects it as B&B's incumbent.
+AssignmentProblem stranded_warm_start_instance() {
+  AssignmentProblem p(3, 1, 1);
+  p.set_capacity(0, 0, 0x1.0p33);
+  p.set_initially_on(0, false);
+  p.add_pair(0, 0, 1.0, {-0x1.8p-19});
+  p.add_pair(1, 0, 1.0, {0x1.4p-19});
+  p.add_pair(2, 0, 1.0, {0x1.0p33 + 0x1.0p-19});
+  return p;
+}
+
 // Regression (fallback bug): when B&B comes up with no incumbent at all
-// (node budget exhausted before the first integer point, or a numerically
-// stranded warm start — simulated here by rejecting every warm value via a
-// hostile integrality tolerance on a zero-node budget), solve_exact used to
+// (here a stranded warm start on a zero-node budget), solve_exact used to
 // discard the feasible greedy placement it had already computed and return
 // an all-kUnassigned shell. It must return the greedy incumbent instead.
 TEST(SolveExact, ReturnsGreedyIncumbentWhenSearchComesUpEmpty) {
-  AssignmentProblem p = simple_problem(3, 2);
+  const AssignmentProblem p = stranded_warm_start_instance();
+  ASSERT_TRUE(solve_greedy(p).feasible);
   MilpOptions starved;
   starved.max_nodes = 0;
-  starved.integrality_tolerance = -1.0;
   const AssignmentSolution sol = solve_exact(p, starved);
   ASSERT_TRUE(sol.feasible);
   EXPECT_EQ(sol.unassigned_count, 0u);
@@ -537,12 +551,12 @@ std::vector<double> exact_point(const AssignmentProblem& problem, const ExactLp&
   return values;
 }
 
-// solve_exact as it was before the root-bound check, kept as an oracle: it
-// always builds the LP and runs branch and bound from the greedy + local
-// search warm start. `root_settles` is the check's prediction, made from
-// this LP: the warm start is B&B's incumbent, the root can only be pruned
-// (the row-minimum bound reaches the incumbent and the gap is positive),
-// and the node budget lets the root run.
+// solve_exact as it was before a root could settle without building the LP,
+// kept as an oracle: it always builds the LP and runs branch and bound from
+// the greedy + local search warm start. `root_settles` predicts, from this
+// LP, that the root settles without its LP relaxation: the warm start is
+// B&B's incumbent, the row-minimum bound reaches it, and the node budget
+// lets the root run.
 struct ReferenceExact {
   AssignmentSolution solution;
   bool root_settles = false;
@@ -559,8 +573,7 @@ ReferenceExact reference_exact(const AssignmentProblem& problem, const MilpOptio
     std::vector<double> values = exact_point(problem, exact, greedy);
     if (exact.lp.is_feasible(values)) warm = std::move(values);
   }
-  if (warm && options.integrality_tolerance >= 0.0 && options.max_nodes >= 1 &&
-      options.gap_tolerance > 0.0) {
+  if (warm && options.max_nodes >= 1) {
     bool activation_nonnegative = true;
     for (std::size_t j = 0; j < problem.num_servers(); ++j) {
       if (exact.y_var[j] >= 0 && !(problem.activation_cost(j) >= 0.0)) {
@@ -585,6 +598,7 @@ ReferenceExact reference_exact(const AssignmentProblem& problem, const MilpOptio
       greedy.stats.components = 1;
       greedy.stats.heuristic_shards = 1;
       greedy.stats.milp_nodes = milp.nodes_explored;
+      greedy.stats.settled_nodes = milp.settled_nodes;
       out.solution = std::move(greedy);
       return out;
     }
@@ -593,6 +607,7 @@ ReferenceExact reference_exact(const AssignmentProblem& problem, const MilpOptio
     out.solution.stats.components = 1;
     out.solution.stats.exact_shards = 1;
     out.solution.stats.milp_nodes = milp.nodes_explored;
+    out.solution.stats.settled_nodes = milp.settled_nodes;
     return out;
   }
   std::vector<std::size_t> assignment(apps, kUnassigned);
@@ -608,6 +623,7 @@ ReferenceExact reference_exact(const AssignmentProblem& problem, const MilpOptio
   out.solution.stats.components = 1;
   out.solution.stats.exact_shards = 1;
   out.solution.stats.milp_nodes = milp.nodes_explored;
+  out.solution.stats.settled_nodes = milp.settled_nodes;
   return out;
 }
 
@@ -673,27 +689,18 @@ AssignmentProblem random_exact_instance(std::uint64_t seed) {
 
 // solve_exact settles a root without an LP when the warm start meets the
 // row-minimum bound; the answer, power states, cost bits and every counter
-// must equal the full search's, for every option set, and the check must
-// fire exactly where the oracle predicts the root is only pruned.
+// must equal the full search's, for every node budget, and the root must
+// settle wherever the oracle predicts it is only pruned.
 TEST(SolveExact, RootBoundMatchesFullSearch) {
-  // A hostile integrality tolerance (-1) branches on every node, so it runs
-  // only on the 0- and 1-node budgets.
   std::vector<MilpOptions> option_sets;
   for (const std::size_t max_nodes : {std::size_t{0}, std::size_t{1}, std::size_t{500}}) {
-    for (const double integrality : {MilpOptions{}.integrality_tolerance, -1.0}) {
-      if (integrality < 0.0 && max_nodes > 1) continue;
-      for (const double gap : {0.0, MilpOptions{}.gap_tolerance}) {
-        MilpOptions options;
-        options.max_nodes = max_nodes;
-        options.integrality_tolerance = integrality;
-        options.gap_tolerance = gap;
-        option_sets.push_back(options);
-      }
-    }
+    MilpOptions options;
+    options.max_nodes = max_nodes;
+    option_sets.push_back(options);
   }
   std::size_t settled = 0;
   std::size_t searched = 0;
-  std::size_t settled_defaults = 0;  // with the default tolerances
+  std::size_t settled_defaults = 0;  // with a budget past the root
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     const AssignmentProblem p = random_exact_instance(seed);
     for (std::size_t o = 0; o < option_sets.size(); ++o) {
@@ -715,15 +722,14 @@ TEST(SolveExact, RootBoundMatchesFullSearch) {
       ASSERT_EQ(a.heuristic_shards, e.heuristic_shards) << where;
       ASSERT_EQ(a.unplaceable_apps, e.unplaceable_apps) << where;
       ASSERT_EQ(a.milp_nodes, e.milp_nodes) << where;
-      ASSERT_EQ(a.root_bound_shards, expected.root_settles ? 1u : 0u) << where;
+      ASSERT_EQ(a.settled_nodes, e.settled_nodes) << where;
       if (expected.root_settles) {
-        // The claim the check rests on: such a root is pruned at once.
+        // Such a root is pruned at once, and settled without its LP.
         ASSERT_EQ(e.milp_nodes, 1u) << where;
+        ASSERT_EQ(a.milp_nodes, 1u) << where;
+        ASSERT_EQ(a.settled_nodes, 1u) << where;
         ++settled;
-        if (options.integrality_tolerance >= 0.0 && options.gap_tolerance > 0.0 &&
-            options.max_nodes > 1) {
-          ++settled_defaults;
-        }
+        if (options.max_nodes > 1) ++settled_defaults;
       } else if (e.milp_nodes > 1) {
         ++searched;
       }
@@ -740,7 +746,7 @@ TEST(SolveExact, RootBoundMatchesFullSearch) {
 enum class Branch {
   kHeuristicOnly,      // beyond exact_size_limit
   kEmptyRow,           // an app has no pair: no LP is built
-  kRootSettled,        // the row-minimum bound settled the warm start
+  kRootSettled,        // the row-minimum bound settled the root at the warm start
   kSearched,           // branch and bound returned a feasible answer
   kSearchEmpty,        // no answer from the search; greedy placed every app
   kExactNotFeasible,   // no feasible exact answer and no complete greedy
@@ -780,8 +786,7 @@ PreChange pre_change_unsharded(const AssignmentProblem& problem, const Assignmen
   AssignmentSolution greedy = solve_greedy(problem);
   if (greedy.feasible) improve_local_search(problem, greedy, 20);
   const ExactLp exact = exact_lp(problem);
-  if (greedy.feasible && milp_options.integrality_tolerance >= 0.0 &&
-      milp_options.max_nodes >= 1 && milp_options.gap_tolerance > 0.0) {
+  if (greedy.feasible && milp_options.max_nodes >= 1) {
     bool activation_nonnegative = true;
     for (std::size_t j = 0; j < problem.num_servers(); ++j) {
       if (exact.y_var[j] >= 0 && !(problem.activation_cost(j) >= 0.0)) {
@@ -796,14 +801,15 @@ PreChange pre_change_unsharded(const AssignmentProblem& problem, const Assignmen
       }
       bound += cheapest;
     }
-    const double incumbent = exact.lp.evaluate(exact_point(problem, exact, greedy));
+    const std::vector<double> point = exact_point(problem, exact, greedy);
+    const double incumbent = exact.lp.evaluate(point);
     if (activation_nonnegative && std::isfinite(incumbent) && bound >= incumbent &&
-        fits_exact_lp(problem, greedy)) {
+        exact.lp.is_feasible(point)) {
       greedy.stats = SolveStats{};
       greedy.stats.components = 1;
       greedy.stats.exact_shards = 1;
       greedy.stats.milp_nodes = 1;
-      greedy.stats.root_bound_shards = 1;
+      greedy.stats.settled_nodes = 1;
       out.solution = std::move(greedy);
       out.branch = Branch::kRootSettled;
       return out;
@@ -821,6 +827,7 @@ PreChange pre_change_unsharded(const AssignmentProblem& problem, const Assignmen
       greedy.stats.components = 1;
       greedy.stats.heuristic_shards = 1;
       greedy.stats.milp_nodes = milp.nodes_explored;
+      greedy.stats.settled_nodes = milp.settled_nodes;
       out.solution = std::move(greedy);
       out.branch = Branch::kSearchEmpty;
       return out;
@@ -849,6 +856,7 @@ PreChange pre_change_unsharded(const AssignmentProblem& problem, const Assignmen
   out.solution.stats.components = 1;
   out.solution.stats.exact_shards = 1;
   out.solution.stats.milp_nodes = milp.nodes_explored;
+  out.solution.stats.settled_nodes = milp.settled_nodes;
   out.branch = Branch::kSearched;
   return out;
 }
@@ -883,21 +891,15 @@ TEST(SolveUnsharded, MatchesPreChangePath) {
   }
   instances.emplace_back(1, 0, 1);  // no servers at all
   instances.emplace_back(3, 0, 2);
+  instances.push_back(stranded_warm_start_instance());  // the search can come up empty
 
   std::vector<AssignmentOptions> option_sets;
   for (const std::size_t limit : {AssignmentOptions{}.exact_size_limit, std::size_t{1000}}) {
     for (const std::size_t max_nodes : {std::size_t{0}, std::size_t{1}, std::size_t{500}}) {
-      for (const double integrality : {MilpOptions{}.integrality_tolerance, -1.0}) {
-        if (integrality < 0.0 && max_nodes > 1) continue;
-        for (const double gap : {0.0, MilpOptions{}.gap_tolerance}) {
-          AssignmentOptions options;
-          options.exact_size_limit = limit;
-          options.milp.max_nodes = max_nodes;
-          options.milp.integrality_tolerance = integrality;
-          options.milp.gap_tolerance = gap;
-          option_sets.push_back(options);
-        }
-      }
+      AssignmentOptions options;
+      options.exact_size_limit = limit;
+      options.milp.max_nodes = max_nodes;
+      option_sets.push_back(options);
     }
   }
 
@@ -925,7 +927,7 @@ TEST(SolveUnsharded, MatchesPreChangePath) {
       ASSERT_EQ(actual.stats.heuristic_shards, e.stats.heuristic_shards) << where;
       ASSERT_EQ(actual.stats.unplaceable_apps, e.stats.unplaceable_apps) << where;
       ASSERT_EQ(actual.stats.milp_nodes, e.stats.milp_nodes) << where;
-      ASSERT_EQ(actual.stats.root_bound_shards, e.stats.root_bound_shards) << where;
+      ASSERT_EQ(actual.stats.settled_nodes, e.stats.settled_nodes) << where;
       ++branches[static_cast<std::size_t>(expected.branch)];
       if (expected.branch == Branch::kSearched && !greedy_complete) ++greedy_stranded;
       if (expected.milp_proved_infeasible) ++proved_infeasible;
@@ -938,62 +940,6 @@ TEST(SolveUnsharded, MatchesPreChangePath) {
   EXPECT_GT(greedy_stranded, 0u);
   EXPECT_GT(proved_infeasible, 0u);
   EXPECT_GT(no_servers, 0u);
-}
-
-// fits_exact_lp must answer as LinearProgram::is_feasible does on the built
-// LP. Two apps share server 0 (off, so its capacity row is gated by y_0, or
-// on, with the capacity as right-hand side); the second app's demand steps
-// ulp by ulp across the point where the load reaches capacity + 1e-6.
-TEST(FitsExactLp, MatchesLpFeasibilityAtTheToleranceBoundary) {
-  for (const bool off : {true, false}) {
-    for (const double capacity : {3.0, 1.7, 1234.5}) {
-      std::size_t fits = 0;
-      std::size_t misses = 0;
-      double demand = capacity - 1.0 + 1e-6;
-      for (int step = 0; step < 8; ++step) demand = std::nextafter(demand, -kInfinity);
-      for (int step = 0; step <= 16; ++step, demand = std::nextafter(demand, kInfinity)) {
-        AssignmentProblem p(2, 2, 1);
-        p.set_capacity(0, 0, capacity);
-        p.set_capacity(1, 0, capacity);
-        p.set_initially_on(0, !off);
-        p.add_pair(0, 0, 1.0, {1.0});
-        p.add_pair(0, 1, 2.0, {1.0});
-        p.add_pair(1, 0, 1.0, {demand});
-        const AssignmentSolution both_on_0 = evaluate(p, {0, 0});
-        const ExactLp exact = exact_lp(p);
-        const bool lp_fits = exact.lp.is_feasible(exact_point(p, exact, both_on_0));
-        ASSERT_EQ(fits_exact_lp(p, both_on_0), lp_fits)
-            << "off " << off << " capacity " << capacity << " step " << step;
-        ++(lp_fits ? fits : misses);
-      }
-      // The sweep straddles the boundary.
-      EXPECT_GT(fits, 0u) << "off " << off << " capacity " << capacity;
-      EXPECT_GT(misses, 0u) << "off " << off << " capacity " << capacity;
-    }
-  }
-
-  // Random complete assignments of the exact-path instances, over every
-  // resource and power state, agree too; some pass and some do not.
-  std::size_t fits = 0;
-  std::size_t misses = 0;
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    const AssignmentProblem p = random_exact_instance(seed);
-    const ExactLp exact = exact_lp(p);
-    util::Rng rng(seed + 101);
-    for (int draw = 0; draw < 8; ++draw) {
-      std::vector<std::size_t> assignment(p.num_apps());
-      for (std::size_t i = 0; i < p.num_apps(); ++i) {
-        const std::span<const std::uint32_t> row = p.row_servers(i);
-        assignment[i] = row[rng.uniform_index(row.size())];
-      }
-      const AssignmentSolution solution = evaluate(p, assignment);
-      const bool lp_fits = exact.lp.is_feasible(exact_point(p, exact, solution));
-      ASSERT_EQ(fits_exact_lp(p, solution), lp_fits) << "seed " << seed << " draw " << draw;
-      ++(lp_fits ? fits : misses);
-    }
-  }
-  EXPECT_GT(fits, 100u);
-  EXPECT_GT(misses, 100u);
 }
 
 // Property suite: random multi-resource instances — exact is never worse

@@ -453,7 +453,6 @@ AssignmentSolution reference_solve_sharded(const AssignmentProblem& problem,
     stats.heuristic_shards += sub.stats.heuristic_shards;
     stats.unplaceable_apps += sub.stats.unplaceable_apps;
     stats.milp_nodes += sub.stats.milp_nodes;
-    stats.root_bound_shards += sub.stats.root_bound_shards;
     stats.settled_nodes += sub.stats.settled_nodes;
   }
   AssignmentSolution result = evaluate(problem, assignment);
@@ -475,7 +474,6 @@ void expect_same_solve(const AssignmentSolution& actual, const AssignmentSolutio
   ASSERT_EQ(a.heuristic_shards, e.heuristic_shards) << where;
   ASSERT_EQ(a.unplaceable_apps, e.unplaceable_apps) << where;
   ASSERT_EQ(a.milp_nodes, e.milp_nodes) << where;
-  ASSERT_EQ(a.root_bound_shards, e.root_bound_shards) << where;
   ASSERT_EQ(a.settled_nodes, e.settled_nodes) << where;
 }
 
@@ -531,8 +529,8 @@ AssignmentProblem settle_instance(std::uint64_t seed) {
   return p;
 }
 
-// The default path and every MILP option that decides whether an exact
-// shard may settle at its root.
+// The default path and every node budget and size limit that decides
+// whether a component may settle, and as which path.
 std::vector<std::pair<std::string, AssignmentOptions>> settle_option_sets() {
   std::vector<std::pair<std::string, AssignmentOptions>> sets;
   sets.emplace_back("default", AssignmentOptions{});
@@ -545,15 +543,6 @@ std::vector<std::pair<std::string, AssignmentOptions>> settle_option_sets() {
                         options);
     }
   }
-  // No point counts as integral, so the search spends its whole node budget:
-  // keep it small.
-  AssignmentOptions no_integrality;
-  no_integrality.milp.integrality_tolerance = -1.0;
-  no_integrality.milp.max_nodes = 20;
-  sets.emplace_back("integrality -1", no_integrality);
-  AssignmentOptions no_gap;
-  no_gap.milp.gap_tolerance = 0.0;
-  sets.emplace_back("gap 0", no_gap);
   return sets;
 }
 

@@ -788,7 +788,6 @@ LinearProgram fixed_node(const PlacementLp& instance, util::Rng& rng, double bra
 // incumbents straddle each node's LP optimum, so a bound that overshoots
 // the optimum by more than the gap fails here.
 TEST(SimplexOracle, NodeCertificatesSettleOnlyPrunedNodes) {
-  constexpr double kGap = 1e-9;
   struct Mode {
     double branch;
     double up;
@@ -809,8 +808,8 @@ TEST(SimplexOracle, NodeCertificatesSettleOnlyPrunedNodes) {
         const LpSolution ref = reference_solve_lp(node);
         const std::string where = "seed " + std::to_string(seed) + " draw " + std::to_string(draw);
         ASSERT_NE(ref.status, LpStatus::kIterationLimit) << where;
-        // With no gap only the infeasibility certificate may fire.
-        const NodeCertifier::Verdict plain = certifier.settle(node, 0.0, 0.0);
+        // With no incumbent only the infeasibility certificate may fire.
+        const NodeCertifier::Verdict plain = certifier.settle(node, kInfinity);
         ASSERT_NE(plain, NodeCertifier::Verdict::kBounded) << where;
         if (plain == NodeCertifier::Verdict::kInfeasible) {
           ASSERT_EQ(ref.status, LpStatus::kInfeasible) << where;
@@ -819,7 +818,7 @@ TEST(SimplexOracle, NodeCertificatesSettleOnlyPrunedNodes) {
         }
         if (ref.status == LpStatus::kUnbounded) {
           for (const double incumbent : {-1e6, 0.0, 1e6}) {
-            ASSERT_NE(certifier.settle(node, incumbent, kGap), NodeCertifier::Verdict::kBounded)
+            ASSERT_NE(certifier.settle(node, incumbent), NodeCertifier::Verdict::kBounded)
                 << where << " incumbent " << incumbent;
           }
           continue;
@@ -828,10 +827,10 @@ TEST(SimplexOracle, NodeCertificatesSettleOnlyPrunedNodes) {
         ++open_optimal;
         for (const double offset : {-1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-7, 1e-3, 1.0}) {
           const double incumbent = ref.objective + offset;
-          const NodeCertifier::Verdict verdict = certifier.settle(node, incumbent, kGap);
+          const NodeCertifier::Verdict verdict = certifier.settle(node, incumbent);
           ASSERT_NE(verdict, NodeCertifier::Verdict::kInfeasible) << where;
           if (verdict != NodeCertifier::Verdict::kBounded) continue;
-          const double cutoff = incumbent - kGap * (1.0 + std::abs(incumbent));
+          const double cutoff = incumbent - kGapTolerance * (1.0 + std::abs(incumbent));
           ASSERT_GE(ref.objective, cutoff) << where << " offset " << offset;
           ++bounded;
         }
@@ -855,7 +854,9 @@ MilpSolution reference_solve_milp(const LinearProgram& lp, const std::vector<int
   struct Node {
     std::vector<std::pair<int, std::pair<double, double>>> bounds;
   };
-  const auto is_integral = [](double v, double tol) { return std::abs(v - std::round(v)) <= tol; };
+  const auto is_integral = [](double v) {
+    return std::abs(v - std::round(v)) <= kIntegralityTolerance;
+  };
   MilpSolution result;
 
   double incumbent = kInfinity;
@@ -863,8 +864,7 @@ MilpSolution reference_solve_milp(const LinearProgram& lp, const std::vector<int
   if (warm_start && lp.is_feasible(*warm_start)) {
     bool integral = true;
     for (const int var : integer_vars) {
-      if (!is_integral((*warm_start)[static_cast<std::size_t>(var)],
-                       options.integrality_tolerance)) {
+      if (!is_integral((*warm_start)[static_cast<std::size_t>(var)])) {
         integral = false;
         break;
       }
@@ -911,11 +911,11 @@ MilpSolution reference_solve_milp(const LinearProgram& lp, const std::vector<int
       }
       const double cutoff =
           std::isfinite(incumbent)
-              ? incumbent - options.gap_tolerance * (1.0 + std::abs(incumbent))
+              ? incumbent - kGapTolerance * (1.0 + std::abs(incumbent))
               : kInfinity;
       if (relaxed.status == LpStatus::kOptimal && relaxed.objective < cutoff) {
         int branch_var = -1;
-        double branch_frac = options.integrality_tolerance;
+        double branch_frac = kIntegralityTolerance;
         for (const int var : integer_vars) {
           const double v = relaxed.values[static_cast<std::size_t>(var)];
           const double frac = std::abs(v - std::round(v));
@@ -979,11 +979,11 @@ void expect_same_milp(const MilpSolution& actual, const MilpSolution& expected,
   }
 }
 
-// solve_milp against the reference search over 400 corpus instances at one
-// gap tolerance: node budgets 1/50/500, cold and warm-started by the
-// reference's 50-node answer (an incumbent the bound certificate can reach).
-// Returns the nodes settled without an LP, and the nodes explored.
-std::pair<std::size_t, std::size_t> expect_milp_matches_reference(double gap) {
+// solve_milp against the reference search over 400 corpus instances: node
+// budgets 1/50/500, cold and warm-started by the reference's 50-node answer
+// (an incumbent the bound certificate can reach). Returns the nodes settled
+// without an LP, and the nodes explored.
+std::pair<std::size_t, std::size_t> expect_milp_matches_reference() {
   std::size_t settled = 0;
   std::size_t explored = 0;
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
@@ -997,7 +997,6 @@ std::pair<std::size_t, std::size_t> expect_milp_matches_reference(double gap) {
     for (const std::size_t budget : {1u, 50u, 500u}) {
       MilpOptions options;
       options.max_nodes = budget;
-      options.gap_tolerance = gap;
       for (const bool use_warm : {false, true}) {
         const auto& start = use_warm ? warm : std::nullopt;
         const MilpSolution actual = solve_milp(instance.lp, instance.integer_vars, options, start);
@@ -1015,14 +1014,8 @@ std::pair<std::size_t, std::size_t> expect_milp_matches_reference(double gap) {
   return {settled, explored};
 }
 
-// With no gap only the infeasibility certificate settles nodes.
-TEST(SimplexOracle, MilpMatchesReferenceSearchWithoutGap) {
-  const auto [settled, explored] = expect_milp_matches_reference(0.0);
-  EXPECT_GE(settled, explored / 20);
-}
-
 TEST(SimplexOracle, MilpMatchesReferenceSearchAtDefaultGap) {
-  const auto [settled, explored] = expect_milp_matches_reference(MilpOptions{}.gap_tolerance);
+  const auto [settled, explored] = expect_milp_matches_reference();
   EXPECT_GE(settled, explored / 20);
 }
 

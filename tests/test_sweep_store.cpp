@@ -61,6 +61,10 @@ TEST(SweepStore, FingerprintIgnoresCosmeticFieldsButTracksConfig) {
   different = scenarios[0];
   different.forecaster = "persistence";
   EXPECT_NE(SweepStore::fingerprint(different), SweepStore::fingerprint(scenarios[0]));
+
+  // Pinned: the key this scenario had while the MILP's integrality and gap
+  // tolerances were settable options, so entries stored then stay hits.
+  EXPECT_EQ(SweepStore::fingerprint(scenarios[0]), "a0db6536423f5b18d81976f9d5974fb5");
 }
 
 TEST(SweepStore, OutcomeRoundTripsThroughTheStore) {
