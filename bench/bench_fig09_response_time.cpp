@@ -43,9 +43,9 @@ int main() {
     core::PlacementService placement(policy);
     const std::vector<double> intensity =
         core::site_mean_intensity(cluster, service, /*now=*/12, /*horizon=*/1);
+    core::PlacementLayout layout(cluster, latency);
     core::PlacementInput input;
-    input.cluster = &cluster;
-    input.latency = &latency;
+    input.layout = &layout;
     input.site_mean_intensity = &intensity;
     std::vector<sim::Application> apps;
     for (std::size_t s = 0; s < cities.size(); ++s) {

@@ -53,9 +53,9 @@ double run_once(Instance& inst, double* out_ms) {
   sim::EdgeCluster working = inst.cluster;  // fresh copy: placement mutates
   const std::vector<double> intensity =
       core::site_mean_intensity(working, inst.service, /*now=*/12, /*horizon=*/1);
+  core::PlacementLayout layout(working, inst.latency);
   core::PlacementInput input;
-  input.cluster = &working;
-  input.latency = &inst.latency;
+  input.layout = &layout;
   input.site_mean_intensity = &intensity;
   const core::PlacementResult result = service.place(input, inst.apps);
   if (out_ms != nullptr) *out_ms = result.solve_time_ms;

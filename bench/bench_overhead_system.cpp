@@ -55,9 +55,9 @@ void BM_DecisionLatency(benchmark::State& state) {
     core::PlacementService service(core::PolicyConfig::carbon_edge());
     const std::vector<double> intensity =
         core::site_mean_intensity(working, testbed.service, /*now=*/12, /*horizon=*/1);
+    core::PlacementLayout layout(working, testbed.latency);
     core::PlacementInput input;
-    input.cluster = &working;
-    input.latency = &testbed.latency;
+    input.layout = &layout;
     input.site_mean_intensity = &intensity;
     benchmark::DoNotOptimize(service.place(input, apps));
   }
@@ -77,9 +77,9 @@ int main(int argc, char** argv) {
   core::PlacementService service(core::PolicyConfig::carbon_edge());
   const std::vector<double> intensity =
       core::site_mean_intensity(working, testbed.service, /*now=*/12, /*horizon=*/1);
+  core::PlacementLayout layout(working, testbed.latency);
   core::PlacementInput input;
-  input.cluster = &working;
-  input.latency = &testbed.latency;
+  input.layout = &layout;
   input.site_mean_intensity = &intensity;
   const core::PlacementResult placement = service.place(input, one_batch(5));
   core::Orchestrator orchestrator;

@@ -48,12 +48,14 @@ int main() {
 
   // 4. Run the CarbonEdge placement (Algorithm 1) at noon on January 1st.
   //    The optimizer reads each site's mean forecast intensity Ī over the
-  //    next 24 hours from one table, built once for this placement.
+  //    next 24 hours from one table, built once for this placement, and
+  //    the cluster's server columns and latency bands from a layout that
+  //    every later placement on this cluster could reuse.
   const std::vector<double> intensity =
       core::site_mean_intensity(cluster, carbon_service, /*now=*/12, /*horizon=*/24);
+  core::PlacementLayout layout(cluster, latency);
   core::PlacementInput input;
-  input.cluster = &cluster;
-  input.latency = &latency;
+  input.layout = &layout;
   input.site_mean_intensity = &intensity;
 
   core::PlacementService service(core::PolicyConfig::carbon_edge());

@@ -38,9 +38,10 @@ PlacementResult PlacementService::place(const PlacementInput& input,
   // Solve timing through the sanctioned obs::Clock shim: telemetry only —
   // it feeds solve_time_ms and the span counters, never a decision.
   const std::uint64_t t0_ns = obs::now_ns();
-  BuiltProblem built = build_problem(input, apps, policy_);
-  const solver::AssignmentSolution solution = solver::solve_auto(built.problem, options_);
+  build_problem(input, apps, policy_, built_);
+  solver::solve_auto(built_.problem, options_, workspace_, solution_);
   const std::uint64_t t1_ns = obs::now_ns();
+  const solver::AssignmentSolution& solution = solution_;
   result.solve_time_ms = static_cast<double>(t1_ns - t0_ns) / 1e6;
   result.objective = solution.total_cost;
   result.solver_stats = solution.stats;
@@ -49,20 +50,22 @@ PlacementResult PlacementService::place(const PlacementInput& input,
   // evaluate() reports a server on only if it started on or received an
   // app, and power states have not changed since the build, so every server
   // switched on here carries load.
-  for (std::size_t j = 0; j < built.servers.size(); ++j) {
-    sim::EdgeServer& server = *built.servers[j].server;
+  const std::span<const sim::EdgeCluster::ServerRef> servers = input.layout->servers();
+  for (std::size_t j = 0; j < servers.size(); ++j) {
+    sim::EdgeServer& server = *servers[j].server;
     if (!server.powered_on() && !solution.powered_on.empty() && solution.powered_on[j]) {
       server.set_powered_on(true);
     }
   }
 
+  result.decisions.reserve(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
     const std::size_t j = solution.assignment[i];
     if (j == solver::kUnassigned) {
       result.rejected.push_back(apps[i].id);
       continue;
     }
-    const auto& ref = built.servers[j];
+    const auto& ref = servers[j];
     if (!ref.server->can_host(apps[i].model, apps[i].rps)) {
       // Defense in depth: heuristic solutions are validated upstream, but a
       // placement that no longer fits (e.g. float-boundary drift) is
@@ -73,12 +76,14 @@ PlacementResult PlacementService::place(const PlacementInput& input,
     ref.server->host(sim::AppInstance{apps[i].id, apps[i].model, apps[i].rps});
     PlacementDecision decision;
     decision.app = apps[i].id;
+    decision.batch_index = i;
     decision.site = ref.site;
     decision.server = ref.server->id();
-    const std::size_t p = built.problem.find_pair(i, j);
-    decision.rtt_ms = built.rtt_ms[p];
-    decision.energy_wh = built.energy_wh[p];
-    decision.carbon_g = built.carbon_g[p];
+    decision.column = j;
+    const std::size_t p = built_.problem.find_pair(i, j);
+    decision.rtt_ms = built_.rtt_ms[p];
+    decision.energy_wh = built_.energy_wh[p];
+    decision.carbon_g = built_.carbon_g[p];
     result.decisions.push_back(decision);
   }
   return result;

@@ -16,18 +16,22 @@
 #include "sim/server.hpp"
 #include "sim/workload.hpp"
 #include "solver/assignment.hpp"
+#include "solver/decompose.hpp"
 
 namespace carbonedge::core {
 
 struct PlacementDecision {
   sim::AppId app = sim::kNoApp;
+  std::size_t batch_index = 0;  // the app's position in the placed batch
   std::size_t site = 0;
   std::uint32_t server = 0;  // server id within the site
+  std::size_t column = 0;    // the server's column in the PlacementLayout
   double rtt_ms = 0.0;
   double energy_wh = 0.0;  // expected per-epoch dynamic energy
   double carbon_g = 0.0;   // expected per-epoch operational carbon (Ī-based)
 };
 
+/// decisions and rejected partition the batch, each in batch order.
 struct PlacementResult {
   std::vector<PlacementDecision> decisions;
   std::vector<sim::AppId> rejected;     // no feasible server
@@ -45,17 +49,24 @@ struct PlacementResult {
     const sim::EdgeCluster& cluster, const carbon::CarbonIntensityService& carbon,
     carbon::HourIndex now, std::uint32_t horizon);
 
+/// Serial: one caller at a time. The built problem, the solver workspace
+/// and the solution are kept between calls and reset in place, so a
+/// service that places every epoch (one per SimulationEngine) stops paying
+/// for their set-up once they have grown.
 class PlacementService {
  public:
   explicit PlacementService(PolicyConfig policy, solver::AssignmentOptions options = {});
 
-  /// Run Algorithm 1 on one batch and commit the outcome to the cluster
-  /// (hosts the applications, powers on activated servers).
+  /// Run Algorithm 1 on one batch and commit the outcome to the layout's
+  /// cluster (hosts the applications, powers on activated servers).
   PlacementResult place(const PlacementInput& input, std::span<const sim::Application> apps);
 
  private:
   PolicyConfig policy_;
   solver::AssignmentOptions options_;
+  BuiltProblem built_;
+  solver::ShardWorkspace workspace_;
+  solver::AssignmentSolution solution_;
 };
 
 }  // namespace carbonedge::core

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "util/stats.hpp"
 
@@ -51,79 +52,113 @@ struct Range {
 
 }  // namespace
 
+PlacementLayout::PlacementLayout(sim::EdgeCluster& cluster, const geo::LatencyProvider& latency)
+    : latency_(&latency),
+      servers_(cluster.all_servers()),
+      site_first_(cluster.size() + 1, 0),
+      bands_(cluster.size()) {
+  if (latency.size() != cluster.size()) {
+    throw std::invalid_argument("placement layout: latency covers " +
+                                std::to_string(latency.size()) + " sites, the cluster " +
+                                std::to_string(cluster.size()));
+  }
+  // all_servers() is site-major, so counting each site's servers and
+  // summing gives every site's first column.
+  for (const auto& ref : servers_) ++site_first_[ref.site + 1];
+  for (std::size_t s = 0; s < cluster.size(); ++s) site_first_[s + 1] += site_first_[s];
+}
+
+std::span<const InBandSite> PlacementLayout::cut_band(Band& band, std::size_t origin,
+                                                      double limit_rtt_ms) {
+  // A banded provider lists only the origin's neighborhood (every other
+  // site is +inf, exactly what the Eq. 2 filter drops), so the row walk
+  // touches the band rather than every site.
+  band.sites.clear();
+  const std::span<const std::uint32_t> row_sites = latency_->neighbors(origin);
+  const std::span<const double> row_ms = latency_->row_ms(origin);
+  for (std::size_t k = 0; k < row_sites.size(); ++k) {
+    const double rtt = 2.0 * row_ms[k];
+    if (rtt > limit_rtt_ms + 1e-9) continue;  // Eq. 2 filter
+    band.sites.push_back({row_sites[k], rtt});
+  }
+  band.limit_rtt_ms = limit_rtt_ms;
+  return band.sites;
+}
+
 BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::Application> apps,
                            const PolicyConfig& policy) {
-  if (input.cluster == nullptr || input.latency == nullptr ||
-      input.site_mean_intensity == nullptr ||
-      input.site_mean_intensity->size() != input.cluster->size()) {
-    throw std::invalid_argument("placement input needs cluster, latency, and site intensities");
+  BuiltProblem built;
+  build_problem(input, apps, policy, built);
+  return built;
+}
+
+void build_problem(const PlacementInput& input, std::span<const sim::Application> apps,
+                   const PolicyConfig& policy, BuiltProblem& built) {
+  if (input.layout == nullptr || input.site_mean_intensity == nullptr ||
+      input.site_mean_intensity->size() != input.layout->num_sites()) {
+    throw std::invalid_argument("placement input needs a layout and site intensities");
+  }
+  PlacementLayout& layout = *input.layout;
+  for (const sim::Application& app : apps) {
+    if (app.origin_site >= layout.num_sites()) {
+      throw std::invalid_argument("placement input: origin_site " +
+                                  std::to_string(app.origin_site) + " out of range");
+    }
   }
   // Ī of server column j is intensity[servers[j].site].
   const std::vector<double>& intensity = *input.site_mean_intensity;
-
-  BuiltProblem built;
-  built.servers = input.cluster->all_servers();
+  const std::span<const sim::EdgeCluster::ServerRef> servers = layout.servers();
   const std::size_t num_apps = apps.size();
-  const std::size_t num_servers = built.servers.size();
-
-  // all_servers() is site-major, so site s owns the columns
-  // [site_first[s], site_first[s+1]) and visiting an app's candidate sites
-  // in ascending order yields its servers ascending. A banded provider lists
-  // only the origin's neighborhood (every other site is +inf, exactly what
-  // the Eq. 2 filter drops), so the build touches the band rather than
-  // every server.
-  const std::size_t num_sites = input.cluster->sites().size();
-  std::vector<std::size_t> site_first(num_sites + 1, 0);
-  for (const auto& ref : built.servers) ++site_first[ref.site + 1];
-  for (std::size_t s = 0; s < num_sites; ++s) site_first[s + 1] += site_first[s];
+  const std::size_t num_servers = servers.size();
 
   // One read of each column's server: its remaining capacity (2 resources:
   // memory MB, compute), power state, and device, or kFailed for a crashed
   // server, which takes no load.
   constexpr std::uint8_t kFailed = sim::kDeviceCount;
-  std::vector<std::uint8_t> column_device(num_servers);
-  solver::AssignmentProblem problem(num_apps, num_servers, 2);
+  std::vector<std::uint8_t>& column_device = built.column_device;
+  column_device.resize(num_servers);
+  solver::AssignmentProblem& problem = built.problem;
+  problem.reset(num_apps, num_servers, 2);
   for (std::size_t j = 0; j < num_servers; ++j) {
-    const sim::EdgeServer& server = *built.servers[j].server;
+    const sim::EdgeServer& server = *servers[j].server;
     column_device[j] = server.failed() ? kFailed : static_cast<std::uint8_t>(server.device());
     problem.set_capacity(j, 0, server.memory_free_mb());
     problem.set_capacity(j, 1, server.compute_free());
     problem.set_initially_on(j, server.powered_on());
   }
 
-  // Visits app i's sites that pass the Eq. 2 filter as (site, RTT ms),
-  // walking the origin's row as (site, one-way ms) together.
-  const auto for_each_site = [&](std::size_t i, auto&& visit) {
-    const sim::Application& app = apps[i];
-    const std::span<const std::uint32_t> row_sites = input.latency->neighbors(app.origin_site);
-    const std::span<const double> row_ms = input.latency->row_ms(app.origin_site);
-    for (std::size_t k = 0; k < row_sites.size(); ++k) {
-      const double rtt = 2.0 * row_ms[k];
-      if (rtt > app.latency_limit_rtt_ms + 1e-9) continue;  // Eq. 2 filter
-      visit(row_sites[k], rtt);
-    }
+  // App i's sites that pass the Eq. 2 filter, ascending, so visiting their
+  // column ranges in order yields the app's servers ascending.
+  const auto sites_of = [&](std::size_t i) {
+    return layout.in_band(apps[i].origin_site, apps[i].latency_limit_rtt_ms);
   };
   // Visits the feasible (latency + model-support) pairs in (app, server)
   // order as (app, column, site, RTT ms, the app's terms on that device).
   const auto for_each_pair = [&](auto&& visit) {
     for (std::size_t i = 0; i < num_apps; ++i) {
       const AppTerms terms = app_terms(apps[i], input.epoch_hours);
-      for_each_site(i, [&](std::size_t s, double rtt) {
-        for (std::size_t j = site_first[s]; j < site_first[s + 1]; ++j) {
+      for (const InBandSite& band : sites_of(i)) {
+        for (std::size_t j = layout.site_first(band.site); j < layout.site_first(band.site + 1);
+             ++j) {
           if (column_device[j] == kFailed) continue;
           const DeviceTerms& t = terms[column_device[j]];
-          if (t.supported) visit(i, j, s, rtt, t);
+          if (t.supported) visit(i, j, band.site, band.rtt_ms, t);
         }
-      });
+      }
     }
   };
 
   // Storage for every in-band server: an upper bound on the pair count.
   std::size_t in_band = 0;
   for (std::size_t i = 0; i < num_apps; ++i) {
-    for_each_site(i, [&](std::size_t s, double) { in_band += site_first[s + 1] - site_first[s]; });
+    for (const InBandSite& band : sites_of(i)) {
+      in_band += layout.site_first(band.site + 1) - layout.site_first(band.site);
+    }
   }
   problem.reserve(in_band);
+  built.energy_wh.clear();
+  built.carbon_g.clear();
+  built.rtt_ms.clear();
   built.energy_wh.reserve(in_band);
   built.carbon_g.reserve(in_band);
   built.rtt_ms.reserve(in_band);
@@ -177,10 +212,10 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
   // CarbonEdge; energy for Energy-aware; normalized blend for Eq. 8): an
   // initially-off server's base power over the epoch.
   for (std::size_t j = 0; j < num_servers; ++j) {
-    const sim::EdgeServer& server = *built.servers[j].server;
+    const sim::EdgeServer& server = *servers[j].server;
     const double energy =
         server.powered_on() ? 0.0 : server.config().base_power_w * input.epoch_hours;  // Wh
-    const double carbon = energy / 1000.0 * intensity[built.servers[j].site];        // g
+    const double carbon = energy / 1000.0 * intensity[servers[j].site];              // g
     double activation = 0.0;
     switch (policy.kind) {
       case PolicyKind::kLatencyAware:
@@ -201,9 +236,6 @@ BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::App
     }
     problem.set_activation_cost(j, activation);
   }
-
-  built.problem = std::move(problem);
-  return built;
 }
 
 }  // namespace carbonedge::core

@@ -97,30 +97,19 @@ std::vector<std::shared_ptr<const carbon::CarbonTrace>> resolve_site_traces(
   return traces;
 }
 
-/// Calls `visit(site)` for each site within `app`'s RTT limit of its origin,
-/// in ascending site order, until `visit` returns true. Only the origin's
-/// latency row is walked, as (site, one-way ms): sites outside it are +inf
-/// RTT, never feasible.
-template <typename Visit>
-void visit_in_band(const geo::LatencyProvider& latency, const sim::Application& app,
-                   Visit&& visit) {
-  const std::span<const std::uint32_t> row_sites = latency.neighbors(app.origin_site);
-  const std::span<const double> row_ms = latency.row_ms(app.origin_site);
-  for (std::size_t k = 0; k < row_sites.size(); ++k) {
-    if (2.0 * row_ms[k] > app.latency_limit_rtt_ms + 1e-9) continue;
-    if (visit(static_cast<std::size_t>(row_sites[k]))) return;
-  }
-}
-
 }  // namespace
 
 /// The epoch step() is running, shared by its phases.
 struct SimulationEngine::Epoch {
+  explicit Epoch(std::vector<sim::Application>& batch_buffer) : batch(batch_buffer) {
+    batch.clear();
+  }
+
   std::uint32_t index = 0;
   carbon::HourIndex hour = 0;
   /// What placement sees: crash victims, immediate arrivals, released
-  /// deferrals and evicted migrants, in that order.
-  std::vector<sim::Application> batch;
+  /// deferrals and evicted migrants, in that order. The engine's buffer.
+  std::vector<sim::Application>& batch;
   /// Each evicted migrant's previous server.
   std::unordered_map<sim::AppId, PreviousPlacement> moved_from;
   /// Filled as the phases run: failures and migrations count into it as
@@ -137,6 +126,7 @@ SimulationEngine::SimulationEngine(sim::EdgeCluster cluster,
       cluster_(std::move(cluster)),
       carbon_(&carbon),
       latency_(&latency),
+      layout_(cluster_, latency),
       site_traces_(resolve_site_traces(cluster_, carbon)),
       site_mean_intensity_(site_traces_.size()),
       service_(config.policy, config.solver_options),
@@ -169,7 +159,7 @@ void SimulationEngine::crash_server(Epoch& epoch, std::size_t site, sim::EdgeSer
   // rejections) if the shrunken cluster cannot re-place them at once.
   // lint: unordered-iteration-ok(coordinator-only erase walk; bucket order determines batch order, which is itself a deterministic function of the insert/erase history — no fp accumulation here)
   for (auto it = hosted_.begin(); it != hosted_.end();) {
-    if (it->second.site == site && it->second.server == server.id()) {
+    if (&server_at(it->second.column) == &server) {
       displaced_from_.insert_or_assign(it->first, kNoAccountedSite);
       epoch.batch.push_back(it->second.app);
       ++result_.apps_redeployed;
@@ -213,7 +203,7 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
                             const StepOptions& options) {
   check_inputs(arrivals, options.failures);
   const obs::Span span(phases().epoch);
-  Epoch epoch;
+  Epoch epoch(batch_);
   epoch.index = epoch_;
   epoch.hour = hour_of(epoch_);
   epoch.record.epoch = epoch_;
@@ -320,7 +310,7 @@ void SimulationEngine::depart() {
   // lint: unordered-iteration-ok(coordinator-only erase walk over deterministic bucket order; evictions commute and nothing is accumulated in fp)
   for (auto it = hosted_.begin(); it != hosted_.end();) {
     if (it->second.app.remaining_epochs <= 1) {
-      find_server(it->second.site, it->second.server).evict(it->first);
+      server_at(it->second.column).evict(it->first);
       it = hosted_.erase(it);
     } else {
       --it->second.app.remaining_epochs;
@@ -403,8 +393,8 @@ void SimulationEngine::evict_migrants(Epoch& epoch, std::optional<bool> migrate_
   }
   for (const sim::AppId id : to_move) {
     auto& entry = hosted_.at(id);
-    find_server(entry.site, entry.server).evict(id);
-    epoch.moved_from.emplace(id, PreviousPlacement{entry.site, entry.server});
+    server_at(entry.column).evict(id);
+    epoch.moved_from.emplace(id, PreviousPlacement{entry.site, entry.column});
     epoch.batch.push_back(entry.app);
     hosted_.erase(id);
   }
@@ -412,17 +402,17 @@ void SimulationEngine::evict_migrants(Epoch& epoch, std::optional<bool> migrate_
 
 bool SimulationEngine::vetoes_move(const HostedApp& entry) {
   // Veto moves whose projected benefit cannot repay the transfer.
-  const sim::EdgeServer& current = find_server(entry.site, entry.server);
+  const sim::EdgeServer& current = server_at(entry.column);
   const double current_rate = carbon_rate_g(entry.app, current, entry.site);
   double best_rate = current_rate;
-  visit_in_band(*latency_, entry.app, [&](std::size_t site) {
-    for (const sim::EdgeServer& server : cluster_.sites()[site].servers()) {
+  for (const InBandSite& band :
+       layout_.in_band(entry.app.origin_site, entry.app.latency_limit_rtt_ms)) {
+    for (const sim::EdgeServer& server : cluster_.sites()[band.site].servers()) {
       if (!server.can_host(entry.app.model, entry.app.rps)) continue;
-      const double rate = carbon_rate_g(entry.app, server, site);
+      const double rate = carbon_rate_g(entry.app, server, band.site);
       if (rate >= 0.0) best_rate = std::min(best_rate, rate);
     }
-    return false;
-  });
+  }
   const double lifetime = std::min<double>(config_.migration.benefit_horizon_epochs,
                                            entry.app.remaining_epochs);
   const double benefit = (current_rate - best_rate) * lifetime;
@@ -432,8 +422,7 @@ bool SimulationEngine::vetoes_move(const HostedApp& entry) {
 PlacementResult SimulationEngine::place(const Epoch& epoch) {
   // Algorithm 1 + deployment, under PlacementService's own core.place span.
   PlacementInput input;
-  input.cluster = &cluster_;
-  input.latency = latency_;
+  input.layout = &layout_;
   input.site_mean_intensity = &site_mean_intensity_;
   input.epoch_hours = config_.epoch_hours;
   PlacementResult placement = service_.place(input, epoch.batch);
@@ -443,30 +432,37 @@ PlacementResult SimulationEngine::place(const Epoch& epoch) {
 
 void SimulationEngine::commit(Epoch& epoch, const PlacementResult& placement) {
   const obs::Span span(phases().commit);
-  std::unordered_map<sim::AppId, const sim::Application*> by_id;
-  by_id.reserve(epoch.batch.size());
-  for (const sim::Application& app : epoch.batch) by_id.emplace(app.id, &app);
+  const std::vector<sim::Application>& batch = epoch.batch;
   for (const PlacementDecision& decision : placement.decisions) {
+    const sim::Application& app = batch[decision.batch_index];
     hosted_.emplace(decision.app,
-                    HostedApp{*by_id.at(decision.app), decision.site, decision.server});
+                    HostedApp{app, decision.site, decision.column, decision.rtt_ms});
     // Account data movement for re-optimized (or earlier-displaced) apps
     // that changed site.
     const auto prev = epoch.moved_from.find(decision.app);
     const auto limbo = displaced_from_.find(decision.app);
     if (prev != epoch.moved_from.end()) {
       if (prev->second.site != decision.site) {
-        account_move(epoch, *by_id.at(decision.app), prev->second.site);
+        account_move(epoch, app, prev->second.site);
       }
     } else if (limbo != displaced_from_.end()) {
       if (limbo->second != kNoAccountedSite && limbo->second != decision.site) {
-        account_move(epoch, *by_id.at(decision.app), limbo->second);
+        account_move(epoch, app, limbo->second);
       }
       displaced_from_.erase(limbo);
     }
   }
+  // Decisions and rejections partition the batch, each in batch order, so
+  // the members no decision names are placement.rejected, in its order.
   std::uint32_t fresh_rejected = 0;
-  for (const sim::AppId id : placement.rejected) {
-    if (!restore_migrant(epoch, *by_id.at(id))) ++fresh_rejected;
+  std::size_t next_decision = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (next_decision < placement.decisions.size() &&
+        placement.decisions[next_decision].batch_index == i) {
+      ++next_decision;
+      continue;
+    }
+    if (!restore_migrant(epoch, batch[i])) ++fresh_rejected;
   }
   epoch.record.apps_placed = static_cast<std::uint32_t>(placement.decisions.size());
   epoch.record.apps_rejected = fresh_rejected;
@@ -490,10 +486,12 @@ bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app
       prev != epoch.moved_from.end() ? prev->second.site : limbo->second;
   sim::EdgeServer* target = nullptr;
   std::size_t target_site = home_site;
+  std::size_t target_column = 0;
   if (prev != epoch.moved_from.end()) {
-    sim::EdgeServer& old_server = find_server(prev->second.site, prev->second.server);
+    sim::EdgeServer& old_server = server_at(prev->second.column);
     if (old_server.powered_on() && old_server.can_host(app.model, app.rps)) {
       target = &old_server;
+      target_column = prev->second.column;
     }
   }
   if (target == nullptr) {
@@ -503,16 +501,18 @@ bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app
     // site's first. can_host() does not cover power state, and activating
     // a cold server here would bypass the optimizer's Eq. 5 activation
     // decision, so off servers are skipped.
-    visit_in_band(*latency_, app, [&](std::size_t site) {
-      for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
+    for (const InBandSite& band : layout_.in_band(app.origin_site, app.latency_limit_rtt_ms)) {
+      for (std::size_t j = layout_.site_first(band.site);
+           target == nullptr && j < layout_.site_first(band.site + 1); ++j) {
+        sim::EdgeServer& server = server_at(j);
         if (server.powered_on() && server.can_host(app.model, app.rps)) {
           target = &server;
-          target_site = site;
-          return true;
+          target_site = band.site;
+          target_column = j;
         }
       }
-      return false;
-    });
+      if (target != nullptr) break;
+    }
   }
   if (prev != epoch.moved_from.end() && (target == nullptr || target_site == home_site)) {
     // The optimizer's intended migration did not happen and the app
@@ -522,7 +522,8 @@ bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app
   }
   if (target != nullptr) {
     target->host(sim::AppInstance{app.id, app.model, app.rps});
-    hosted_.emplace(app.id, HostedApp{app, target_site, target->id()});
+    hosted_.emplace(app.id, HostedApp{app, target_site, target_column,
+                                      2.0 * latency_->one_way_ms(app.origin_site, target_site)});
     // Landing away from the app's previous site is a real (forced) move and
     // pays the transfer emissions like any other migration — except for
     // crash victims, whose old server is gone.
@@ -562,8 +563,8 @@ void SimulationEngine::fold_app_samples(Epoch& epoch) {
   snapshot_hosted();
   for (const auto& hosted : hosted_snapshot_) {
     const HostedApp& entry = *hosted.second;
-    const double rtt = 2.0 * latency_->one_way_ms(entry.app.origin_site, entry.site);
-    const sim::EdgeServer& server = find_server(entry.site, entry.server);
+    const double rtt = entry.rtt_ms;
+    const sim::EdgeServer& server = server_at(entry.column);
     const double response = rtt + server.mean_service_ms(entry.app.model);
     const double rps = entry.app.rps;
     epoch.record.rtt_weighted_sum_ms += rtt * rps;

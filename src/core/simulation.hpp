@@ -19,6 +19,7 @@
 #include "core/placement_service.hpp"
 #include "core/policy.hpp"
 #include "core/power_manager.hpp"
+#include "core/problem.hpp"
 #include "geo/latency.hpp"
 #include "sim/datacenter.hpp"
 #include "sim/server.hpp"
@@ -157,8 +158,10 @@ class SimulationEngine {
   /// `cluster` is the initial state (a pristine copy, never shared).
   /// `latency` and `carbon` must outlive the engine. Each site's trace is
   /// resolved here, once, so construction throws std::out_of_range when
-  /// `carbon` has no trace for a site's zone. `budget` is unused; the
-  /// ledger bench (bench/ledger/) still passes one.
+  /// `carbon` has no trace for a site's zone, and the placement layout is
+  /// built here too, so it throws std::invalid_argument when `latency` does
+  /// not cover exactly the cluster's sites. `budget` is unused; the ledger
+  /// bench (bench/ledger/) still passes one.
   SimulationEngine(sim::EdgeCluster cluster, const carbon::CarbonIntensityService& carbon,
                    const geo::LatencyProvider& latency, const SimulationConfig& config,
                    util::ParallelismBudget* budget = nullptr);
@@ -195,10 +198,14 @@ class SimulationEngine {
   [[nodiscard]] SimulationResult finish();
 
  private:
+  // Where an app runs, fixed from the epoch it lands until it leaves: its
+  // server as a layout column (an index, not a scan) and the round trip
+  // from its origin, which the accounting fold reads every epoch.
   struct HostedApp {
     sim::Application app;
     std::size_t site = 0;
-    std::uint32_t server = 0;
+    std::size_t column = 0;
+    double rtt_ms = 0.0;
   };
 
   // Where a re-optimization candidate was hosted before it was evicted
@@ -206,7 +213,7 @@ class SimulationEngine {
   // the app if the solver rejects it.
   struct PreviousPlacement {
     std::size_t site = 0;
-    std::uint32_t server = 0;
+    std::size_t column = 0;
   };
   struct Epoch;  // the per-epoch record step() threads through its phases
 
@@ -225,6 +232,9 @@ class SimulationEngine {
   void power_sweep();
 
   [[nodiscard]] sim::EdgeServer& find_server(std::size_t site, std::uint32_t server_id);
+  [[nodiscard]] sim::EdgeServer& server_at(std::size_t column) {
+    return *layout_.servers()[column].server;
+  }
   /// Crash one server: displace its apps into the epoch's batch, mark it
   /// failed, and schedule the repair. Shared by drawn and injected failures.
   void crash_server(Epoch& epoch, std::size_t site, sim::EdgeServer& server);
@@ -250,6 +260,9 @@ class SimulationEngine {
   sim::EdgeCluster cluster_;
   const carbon::CarbonIntensityService* carbon_;
   const geo::LatencyProvider* latency_;
+  // cluster_'s columns and per-origin latency bands, built once: placement
+  // builds its problems on it, and hosted apps name their servers by column.
+  PlacementLayout layout_;
   // Site s's carbon trace (carbon_->shared_trace of its zone), resolved at
   // construction so per-site queries index instead of hashing the zone.
   std::vector<std::shared_ptr<const carbon::CarbonTrace>> site_traces_;
@@ -265,6 +278,8 @@ class SimulationEngine {
   bool finished_ = false;
 
   std::unordered_map<sim::AppId, HostedApp> hosted_;
+  // The epoch's placement batch; cleared, not freed, between epochs.
+  std::vector<sim::Application> batch_;
   // (site, server id) -> epoch at which the server comes back.
   std::map<std::pair<std::size_t, std::uint32_t>, std::uint32_t> under_repair_;
   // Temporally flexible applications waiting for a low-intensity start.

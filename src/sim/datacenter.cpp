@@ -49,7 +49,10 @@ std::vector<geo::City> EdgeCluster::cities() const {
 }
 
 std::vector<EdgeCluster::ServerRef> EdgeCluster::all_servers() {
+  std::size_t count = 0;
+  for (const EdgeDataCenter& dc : sites_) count += dc.servers().size();
   std::vector<ServerRef> refs;
+  refs.reserve(count);
   for (std::size_t site = 0; site < sites_.size(); ++site) {
     for (EdgeServer& server : sites_[site].servers()) {
       refs.push_back(ServerRef{site, &server});

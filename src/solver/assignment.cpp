@@ -117,13 +117,23 @@ AssignmentSolution solve_heuristic(const AssignmentProblem& problem, const Serve
 }  // namespace
 
 AssignmentProblem::AssignmentProblem(std::size_t num_apps, std::size_t num_servers,
-                                     std::size_t num_resources)
-    : num_apps_(num_apps),
-      num_servers_(num_servers),
-      num_resources_(num_resources == 0 ? 1 : num_resources),
-      capacity_(num_servers * num_resources_, 0.0),
-      activation_cost_(num_servers, 0.0),
-      initially_on_(num_servers, 1) {}
+                                     std::size_t num_resources) {
+  reset(num_apps, num_servers, num_resources);
+}
+
+void AssignmentProblem::reset(std::size_t num_apps, std::size_t num_servers,
+                              std::size_t num_resources) {
+  num_apps_ = num_apps;
+  num_servers_ = num_servers;
+  num_resources_ = num_resources == 0 ? 1 : num_resources;
+  row_start_.clear();
+  server_.clear();
+  cost_.clear();
+  demand_.clear();
+  capacity_.assign(num_servers * num_resources_, 0.0);
+  activation_cost_.assign(num_servers, 0.0);
+  initially_on_.assign(num_servers, 1);
+}
 
 void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cost,
                                  std::span<const double> demand) {
@@ -194,39 +204,13 @@ void AssignmentProblem::set_initially_on(std::size_t server, bool on) {
   initially_on_[server] = on ? 1 : 0;
 }
 
-AssignmentSolution evaluate(const AssignmentProblem& problem,
-                            const std::vector<std::size_t>& assignment) {
-  AssignmentSolution solution;
-  solution.assignment = assignment;
-  solution.assignment.resize(problem.num_apps(), kUnassigned);
-  solution.powered_on.assign(problem.num_servers(), 0);
-  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
-    solution.powered_on[j] = problem.initially_on(j) ? 1 : 0;
-  }
-  double total = 0.0;
-  solution.unassigned_count = 0;
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    const std::size_t j = solution.assignment[i];
-    if (j == kUnassigned) {
-      ++solution.unassigned_count;
-      continue;
-    }
-    const std::size_t p = problem.find_pair(i, j);
-    if (p == kNoPair) continue;  // infeasible pair: validate() below rejects it
-    total += problem.cost(p);
-    if (!solution.powered_on[j]) {
-      solution.powered_on[j] = 1;
-      total += problem.activation_cost(j);
-    }
-  }
-  solution.total_cost = total;
-  solution.feasible = solution.unassigned_count == 0 && validate(problem, solution);
-  return solution;
-}
+namespace {
 
-bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol) {
+/// validate() with `load` as its per server x resource scratch.
+bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol,
+              std::vector<double>& load) {
   if (solution.assignment.size() != problem.num_apps()) return false;
-  std::vector<double> load(problem.num_servers() * problem.num_resources(), 0.0);
+  load.assign(problem.num_servers() * problem.num_resources(), 0.0);
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
     const std::size_t j = solution.assignment[i];
     if (j == kUnassigned) continue;
@@ -249,6 +233,50 @@ bool validate(const AssignmentProblem& problem, const AssignmentSolution& soluti
     }
   }
   return true;
+}
+
+}  // namespace
+
+AssignmentSolution evaluate(const AssignmentProblem& problem,
+                            const std::vector<std::size_t>& assignment) {
+  AssignmentSolution solution;
+  std::vector<double> load;
+  evaluate(problem, assignment, solution, load);
+  return solution;
+}
+
+void evaluate(const AssignmentProblem& problem, std::span<const std::size_t> assignment,
+              AssignmentSolution& solution, std::vector<double>& load) {
+  solution.assignment.assign(assignment.begin(), assignment.end());
+  solution.assignment.resize(problem.num_apps(), kUnassigned);
+  solution.powered_on.resize(problem.num_servers());
+  for (std::size_t j = 0; j < problem.num_servers(); ++j) {
+    solution.powered_on[j] = problem.initially_on(j) ? 1 : 0;
+  }
+  solution.stats = {};
+  double total = 0.0;
+  solution.unassigned_count = 0;
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    const std::size_t j = solution.assignment[i];
+    if (j == kUnassigned) {
+      ++solution.unassigned_count;
+      continue;
+    }
+    const std::size_t p = problem.find_pair(i, j);
+    if (p == kNoPair) continue;  // infeasible pair: validate() below rejects it
+    total += problem.cost(p);
+    if (!solution.powered_on[j]) {
+      solution.powered_on[j] = 1;
+      total += problem.activation_cost(j);
+    }
+  }
+  solution.total_cost = total;
+  solution.feasible = solution.unassigned_count == 0 && validate(problem, solution, 1e-6, load);
+}
+
+bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol) {
+  std::vector<double> load;
+  return validate(problem, solution, tol, load);
 }
 
 // ---------------------------------------------------------------------------
@@ -677,8 +705,16 @@ AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
 }
 
 AssignmentSolution solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options) {
+  ShardWorkspace workspace;
+  AssignmentSolution solution;
+  solve_auto(problem, options, workspace, solution);
+  return solution;
+}
+
+void solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options,
+                ShardWorkspace& workspace, AssignmentSolution& solution) {
   const obs::Span span(solve_phase());
-  AssignmentSolution solution = solve_sharded(problem, options);
+  solve_sharded(problem, options, workspace, solution);
   SolverMetrics& metrics = solver_metrics();
   metrics.solves.add();
   metrics.components.add(solution.stats.components);
@@ -689,7 +725,6 @@ AssignmentSolution solve_auto(const AssignmentProblem& problem, const Assignment
   metrics.milp_settled_nodes.add(solution.stats.settled_nodes);
   metrics.settled_shards.add(solution.stats.settled_shards);
   metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));
-  return solution;
 }
 
 }  // namespace carbonedge::solver

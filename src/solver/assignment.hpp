@@ -52,6 +52,11 @@ class AssignmentProblem {
  public:
   AssignmentProblem(std::size_t num_apps, std::size_t num_servers, std::size_t num_resources = 1);
 
+  /// Empty the problem and give it new dimensions, as the constructor does,
+  /// keeping the storage: a caller that rebuilds a problem every epoch
+  /// appends into buffers that have already grown.
+  void reset(std::size_t num_apps, std::size_t num_servers, std::size_t num_resources = 1);
+
   [[nodiscard]] std::size_t num_apps() const noexcept { return num_apps_; }
   [[nodiscard]] std::size_t num_servers() const noexcept { return num_servers_; }
   [[nodiscard]] std::size_t num_resources() const noexcept { return num_resources_; }
@@ -125,9 +130,9 @@ class AssignmentProblem {
   }
 
  private:
-  std::size_t num_apps_;
-  std::size_t num_servers_;
-  std::size_t num_resources_;
+  std::size_t num_apps_ = 0;
+  std::size_t num_servers_ = 0;
+  std::size_t num_resources_ = 1;
   // Pair storage. row_start_ holds the first pair of apps 0..size()-1 (the
   // apps a pair has been added for, and any skipped before them); rows of
   // later apps are empty and start at num_pairs().
@@ -167,6 +172,12 @@ struct AssignmentSolution {
 /// Recompute cost/power state/feasibility of an assignment vector.
 [[nodiscard]] AssignmentSolution evaluate(const AssignmentProblem& problem,
                                           const std::vector<std::size_t>& assignment);
+
+/// evaluate() into `solution`, reusing its vectors, with `load` as the
+/// feasibility check's per server x resource scratch. `assignment` must not
+/// alias solution.assignment. The stats are zeroed, as evaluate() leaves them.
+void evaluate(const AssignmentProblem& problem, std::span<const std::size_t> assignment,
+              AssignmentSolution& solution, std::vector<double>& load);
 
 /// Check all Eq. 1-5 analogues: capacities respected, only feasible pairs
 /// used, power states consistent.
@@ -222,5 +233,13 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
 /// solve_sharded); records the solve in the solver.* metrics.
 [[nodiscard]] AssignmentSolution solve_auto(const AssignmentProblem& problem,
                                             const AssignmentOptions& options = {});
+
+struct ShardWorkspace;  // decompose.hpp
+
+/// solve_auto into `solution`, with the decomposition's buffers taken from
+/// `workspace` and reset in place: the same answer, without per-solve
+/// set-up once the buffers have grown.
+void solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options,
+                ShardWorkspace& workspace, AssignmentSolution& solution);
 
 }  // namespace carbonedge::solver

@@ -8,11 +8,13 @@ namespace carbonedge::solver {
 
 namespace {
 
-// Union-find with path halving; unions keep the smaller root, so component
-// representatives (and therefore component order) are input-deterministic.
+// Union-find with path halving over a caller's buffer; unions keep the
+// smaller root, so component representatives (and therefore component
+// order) are input-deterministic.
 class UnionFind {
  public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
+  UnionFind(std::vector<std::size_t>& parent, std::size_t n) : parent_(parent) {
+    parent_.resize(n);
     std::iota(parent_.begin(), parent_.end(), std::size_t{0});
   }
 
@@ -31,18 +33,38 @@ class UnionFind {
   }
 
  private:
-  std::vector<std::size_t> parent_;
+  std::vector<std::size_t>& parent_;
 };
+
+/// local_server_index into `local`, reusing its storage.
+void fill_local_server_index(std::size_t num_servers, std::span<const Component> components,
+                             std::vector<std::size_t>& local) {
+  local.assign(num_servers, kUnassigned);
+  for (const Component& component : components) {
+    for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
+      local[component.servers[jj]] = jj;
+    }
+  }
+}
 
 }  // namespace
 
 std::vector<Component> connected_components(const AssignmentProblem& problem) {
+  ShardWorkspace workspace;
+  const std::size_t count = connected_components(problem, workspace).size();
+  workspace.components.resize(count);
+  return std::move(workspace.components);
+}
+
+std::span<const Component> connected_components(const AssignmentProblem& problem,
+                                                ShardWorkspace& workspace) {
   const std::size_t apps = problem.num_apps();
   const std::size_t servers = problem.num_servers();
   // The union-find walks the pair rows (short under banded geographies),
   // apps ascending and servers ascending within a row.
-  UnionFind uf(apps + servers);
-  std::vector<std::uint8_t> server_used(servers, 0);
+  UnionFind uf(workspace.parent, apps + servers);
+  std::vector<std::uint8_t>& server_used = workspace.server_used;
+  server_used.assign(servers, 0);
   for (std::size_t i = 0; i < apps; ++i) {
     for (const std::uint32_t j : problem.row_servers(i)) {
       uf.unite(i, apps + j);
@@ -52,15 +74,21 @@ std::vector<Component> connected_components(const AssignmentProblem& problem) {
 
   // Bucket members by root. Every component contains an app, so scanning
   // apps in index order discovers every component exactly once and fixes
-  // the "ordered by smallest app index" contract.
+  // the "ordered by smallest app index" contract. A component takes the
+  // next slot, emptied but keeping its storage.
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> component_of_root(apps + servers, kNone);
-  std::vector<Component> components;
+  std::vector<std::size_t>& component_of_root = workspace.component_of_root;
+  component_of_root.assign(apps + servers, kNone);
+  std::vector<Component>& components = workspace.components;
+  std::size_t count = 0;
   for (std::size_t i = 0; i < apps; ++i) {
     const std::size_t root = uf.find(i);
     if (component_of_root[root] == kNone) {
-      component_of_root[root] = components.size();
-      components.emplace_back();
+      component_of_root[root] = count;
+      if (count == components.size()) components.emplace_back();
+      components[count].apps.clear();
+      components[count].servers.clear();
+      ++count;
     }
     components[component_of_root[root]].apps.push_back(i);
   }
@@ -68,17 +96,13 @@ std::vector<Component> connected_components(const AssignmentProblem& problem) {
     if (!server_used[j]) continue;
     components[component_of_root[uf.find(apps + j)]].servers.push_back(j);
   }
-  return components;
+  return std::span<const Component>(components).first(count);
 }
 
 std::vector<std::size_t> local_server_index(std::size_t num_servers,
                                             std::span<const Component> components) {
-  std::vector<std::size_t> local(num_servers, kUnassigned);
-  for (const Component& component : components) {
-    for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
-      local[component.servers[jj]] = jj;
-    }
-  }
+  std::vector<std::size_t> local;
+  fill_local_server_index(num_servers, components, local);
   return local;
 }
 
@@ -179,7 +203,15 @@ bool settle_component(const AssignmentProblem& problem, const Component& compone
 
 AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                  const AssignmentOptions& options) {
-  const std::vector<Component> components = connected_components(problem);
+  ShardWorkspace workspace;
+  AssignmentSolution solution;
+  solve_sharded(problem, options, workspace, solution);
+  return solution;
+}
+
+void solve_sharded(const AssignmentProblem& problem, const AssignmentOptions& options,
+                   ShardWorkspace& workspace, AssignmentSolution& solution) {
+  const std::span<const Component> components = connected_components(problem, workspace);
   // One component holding every app and server needs no extraction copy:
   // unless it settles, it goes to solve_unsharded whole.
   const bool whole = components.size() == 1 &&
@@ -189,9 +221,11 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
   // Components are settled or solved in index order; a solved one extracts
   // its sub-problem through the shared index, built on first use, and its
   // answer is stitched back at once.
-  std::vector<std::size_t> local;
-  std::vector<double> load(problem.num_servers() * problem.num_resources(), 0.0);
-  std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
+  bool local_built = false;
+  std::vector<double>& load = workspace.load;
+  load.assign(problem.num_servers() * problem.num_resources(), 0.0);
+  std::vector<std::size_t>& assignment = workspace.assignment;
+  assignment.assign(problem.num_apps(), kUnassigned);
   SolveStats stats;
   stats.components = components.size();
   for (const Component& component : components) {
@@ -200,10 +234,16 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
       continue;
     }
     if (settle_component(problem, component, options, load, assignment, stats)) continue;
-    if (whole) return solve_unsharded(problem, options);
-    if (local.empty()) local = local_server_index(problem.num_servers(), components);
+    if (whole) {
+      solution = solve_unsharded(problem, options);
+      return;
+    }
+    if (!local_built) {
+      fill_local_server_index(problem.num_servers(), components, workspace.local);
+      local_built = true;
+    }
     const AssignmentSolution sub =
-        solve_unsharded(extract_component(problem, component, local), options);
+        solve_unsharded(extract_component(problem, component, workspace.local), options);
     for (std::size_t k = 0; k < component.apps.size(); ++k) {
       const std::size_t jj = sub.assignment[k];
       assignment[component.apps[k]] = jj == kUnassigned ? kUnassigned : component.servers[jj];
@@ -217,10 +257,10 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
 
   // Components are server-disjoint, so re-evaluating the stitched assignment
   // against the parent problem reproduces the sum of the sub-costs
-  // (placement plus activation) exactly.
-  AssignmentSolution result = evaluate(problem, assignment);
-  result.stats = stats;
-  return result;
+  // (placement plus activation) exactly. The settle loads are spent, so
+  // their buffer is the feasibility check's scratch.
+  evaluate(problem, assignment, solution, load);
+  solution.stats = stats;
 }
 
 }  // namespace carbonedge::solver

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,11 +39,33 @@ struct Component {
   std::vector<std::size_t> servers;
 };
 
+/// The buffers one caller's solves reuse, reset in place by each solve: the
+/// union-find, the components (slots keep their vectors' storage between
+/// solves), the shared local server index, the settle certificate's load
+/// (also the final feasibility check's scratch) and the stitched
+/// assignment. Owned by one serial caller (a PlacementService holds one) and
+/// never shared between threads; nothing in it outlives a solve except
+/// storage.
+struct ShardWorkspace {
+  std::vector<std::size_t> parent;             // union-find over apps ∪ servers
+  std::vector<std::uint8_t> server_used;
+  std::vector<std::size_t> component_of_root;
+  std::vector<Component> components;           // slots; a solve uses a prefix
+  std::vector<std::size_t> local;
+  std::vector<double> load;
+  std::vector<std::size_t> assignment;
+};
+
 /// Connected components, ordered by smallest app index. Every component has
 /// at least one app; an app with no feasible server forms an app-only
 /// singleton (empty server list). Servers with no feasible app belong to no
 /// component — they cannot receive load and keep their initial power state.
 [[nodiscard]] std::vector<Component> connected_components(const AssignmentProblem& problem);
+
+/// connected_components into `workspace`: the same components, as a view
+/// of workspace.components valid until its next use.
+std::span<const Component> connected_components(const AssignmentProblem& problem,
+                                                ShardWorkspace& workspace);
 
 /// Every component server's position in its component's server list,
 /// indexed by parent-problem server (`num_servers` entries); servers in no
@@ -80,5 +103,9 @@ struct Component {
 /// returned stats report the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                                const AssignmentOptions& options = {});
+
+/// solve_sharded into `solution`, on `workspace`'s buffers.
+void solve_sharded(const AssignmentProblem& problem, const AssignmentOptions& options,
+                   ShardWorkspace& workspace, AssignmentSolution& solution);
 
 }  // namespace carbonedge::solver

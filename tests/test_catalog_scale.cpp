@@ -131,9 +131,9 @@ core::BuiltProblem banded_batch_problem() {
   }
   const std::vector<double> intensity =
       core::site_mean_intensity(cluster, service, /*now=*/0, /*horizon=*/1);
+  core::PlacementLayout layout(cluster, banded);
   core::PlacementInput input;
-  input.cluster = &cluster;
-  input.latency = &banded;
+  input.layout = &layout;
   input.site_mean_intensity = &intensity;
   return core::build_problem(input, apps, core::PolicyConfig::carbon_edge());
 }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -628,6 +629,39 @@ TEST(SolveSharded, SettledShardsMatchFullSearch) {
   EXPECT_GE(whole, 20u);
   EXPECT_GE(unplaceable, 50u);
   EXPECT_GE(bridged, 5u);
+}
+
+// One workspace and one solution carried through a run of instances whose
+// sizes and component counts rise and fall, as a PlacementService carries
+// them through epochs: each solve must equal a solve on fresh buffers, and
+// the components it sees must be the fresh ones, not a previous solve's.
+TEST(SolveSharded, WorkspaceReuseMatchesFreshSolve) {
+  const auto option_sets = settle_option_sets();
+  ShardWorkspace workspace;
+  AssignmentSolution reused;
+  std::size_t shrank = 0;
+  std::size_t previous_components = 0;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    const AssignmentProblem p =
+        seed % 3 == 0 ? random_sparse_instance(seed) : settle_instance(seed);
+    const std::string where = "seed " + std::to_string(seed);
+    const std::vector<Component> fresh = connected_components(p);
+    const std::span<const Component> kept = connected_components(p, workspace);
+    ASSERT_EQ(kept.size(), fresh.size()) << where;
+    for (std::size_t c = 0; c < fresh.size(); ++c) {
+      ASSERT_EQ(kept[c].apps, fresh[c].apps) << where;
+      ASSERT_EQ(kept[c].servers, fresh[c].servers) << where;
+    }
+    shrank += fresh.size() < previous_components ? 1 : 0;
+    previous_components = fresh.size();
+
+    const AssignmentOptions& options = option_sets[seed % option_sets.size()].second;
+    solve_sharded(p, options, workspace, reused);
+    const AssignmentSolution expected = solve_sharded(p, options);
+    expect_same_solve(reused, expected, where);
+    ASSERT_EQ(reused.stats.settled_shards, expected.stats.settled_shards) << where;
+  }
+  EXPECT_GE(shrank, 50u);
 }
 
 // The capacity headroom the settle certificate keeps free on every server,

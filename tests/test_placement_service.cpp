@@ -9,10 +9,13 @@ struct Fixture {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService carbon;
   geo::LatencyProvider latency;
+  PlacementLayout layout;
 
-  Fixture() : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)) {
+  Fixture()
+      : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, sim::DeviceType::kA2)),
+        latency(geo::LatencyModel{}, cluster.cities()),
+        layout(cluster, latency) {
     carbon.add_region(geo::florida_region());
-    latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
   std::vector<double> intensity;  // Ī per site, refilled by input()
@@ -20,8 +23,7 @@ struct Fixture {
   PlacementInput input(carbon::HourIndex now = 12) {
     intensity = site_mean_intensity(cluster, carbon, now, /*horizon=*/1);
     PlacementInput in;
-    in.cluster = &cluster;
-    in.latency = &latency;
+    in.layout = &layout;
     in.site_mean_intensity = &intensity;
     return in;
   }
@@ -40,6 +42,19 @@ struct Fixture {
     return apps;
   }
 };
+
+TEST(PlacementService, RejectsOriginOutOfRange) {
+  // An origin past the cluster's sites would index the latency rows and the
+  // band memo out of bounds; the build refuses the batch before any commit.
+  Fixture f;
+  PlacementService service(PolicyConfig::carbon_edge());
+  std::vector<sim::Application> apps = f.one_per_site();
+  apps.back().origin_site = f.cluster.size() + 3;
+  EXPECT_THROW((void)service.place(f.input(), apps), std::invalid_argument);
+  for (const auto& ref : f.layout.servers()) EXPECT_EQ(ref.server->app_count(), 0u);
+  apps.back().origin_site = f.cluster.size() - 1;
+  EXPECT_EQ(service.place(f.input(), apps).decisions.size(), apps.size());
+}
 
 TEST(PlacementService, EmptyBatchIsNoop) {
   Fixture f;

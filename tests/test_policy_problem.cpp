@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <span>
+#include <utility>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -19,11 +22,13 @@ struct Fixture {
   sim::EdgeCluster cluster;
   carbon::CarbonIntensityService carbon;
   geo::LatencyProvider latency;
+  PlacementLayout layout;
 
   explicit Fixture(sim::DeviceType device = sim::DeviceType::kA2)
-      : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, device)) {
+      : cluster(sim::make_uniform_cluster(geo::florida_region(), 1, device)),
+        latency(geo::LatencyModel{}, cluster.cities()),
+        layout(cluster, latency) {
     carbon.add_region(geo::florida_region());
-    latency = geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
   }
 
   std::vector<double> intensity;  // Ī per site, refilled by input()
@@ -31,8 +36,7 @@ struct Fixture {
   PlacementInput input(carbon::HourIndex now = 12, std::uint32_t horizon = 1) {
     intensity = site_mean_intensity(cluster, carbon, now, horizon);
     PlacementInput in;
-    in.cluster = &cluster;
-    in.latency = &latency;
+    in.layout = &layout;
     in.site_mean_intensity = &intensity;
     return in;
   }
@@ -59,14 +63,40 @@ TEST(Policy, NamesAndDescribe) {
 TEST(BuildProblem, RequiresAllInputs) {
   Fixture f;
   const std::vector<sim::Application> apps = {app_at(0)};
-  PlacementInput no_cluster = f.input();
-  no_cluster.cluster = nullptr;
-  EXPECT_THROW(build_problem(no_cluster, apps, PolicyConfig::carbon_edge()),
+  PlacementInput no_layout = f.input();
+  no_layout.layout = nullptr;
+  EXPECT_THROW(build_problem(no_layout, apps, PolicyConfig::carbon_edge()),
                std::invalid_argument);
-  PlacementInput no_latency = f.input();
-  no_latency.latency = nullptr;
-  EXPECT_THROW(build_problem(no_latency, apps, PolicyConfig::carbon_edge()),
+}
+
+TEST(BuildProblem, RejectsOriginOutsideTheLayout) {
+  Fixture f;
+  std::vector<sim::Application> apps = {app_at(0), app_at(1)};
+  apps[1].origin_site = f.cluster.size() + 3;
+  BuiltProblem built;
+  EXPECT_THROW(build_problem(f.input(), apps, PolicyConfig::carbon_edge(), built),
                std::invalid_argument);
+  EXPECT_EQ(built.problem.num_apps(), 0u);  // thrown before the build touched it
+  apps[1].origin_site = f.cluster.size();
+  EXPECT_THROW((void)build_problem(f.input(), apps, PolicyConfig::carbon_edge()),
+               std::invalid_argument);
+}
+
+TEST(PlacementLayout, RejectsLatencyOverOtherSites) {
+  sim::EdgeCluster cluster = sim::make_uniform_cluster(geo::florida_region(), 1,
+                                                       sim::DeviceType::kA2);
+  const std::vector<geo::City> cities = cluster.cities();
+  const geo::LatencyProvider fewer(geo::LatencyModel{},
+                                   std::span<const geo::City>(cities).first(2));
+  EXPECT_THROW(PlacementLayout(cluster, fewer), std::invalid_argument);
+  std::vector<geo::City> more = cities;
+  more.push_back(cities.front());
+  const geo::LatencyProvider wider(geo::LatencyModel{}, more);
+  EXPECT_THROW(PlacementLayout(cluster, wider), std::invalid_argument);
+  const geo::LatencyProvider exact(geo::LatencyModel{}, cities);
+  const PlacementLayout layout(cluster, exact);
+  EXPECT_EQ(layout.num_sites(), cluster.size());
+  EXPECT_EQ(layout.servers().size(), cluster.all_servers().size());
 }
 
 TEST(BuildProblem, RejectsIntensityTableOfWrongSize) {
@@ -101,10 +131,10 @@ TEST(BuildProblem, ReadsMeanIntensityFromTheTableBySite) {
   const BuiltProblem carbon = build_problem(in, apps, PolicyConfig::carbon_edge());
   const BuiltProblem intensity = build_problem(in, apps, PolicyConfig::intensity_aware());
   ASSERT_GT(carbon.problem.num_pairs(), 1u);
-  for (std::size_t j = 0; j < carbon.servers.size(); ++j) {
+  for (std::size_t j = 0; j < f.layout.servers().size(); ++j) {
     const std::size_t p = carbon.problem.find_pair(0, j);
     if (p == solver::kNoPair) continue;
-    const double site_ci = table[carbon.servers[j].site];
+    const double site_ci = table[f.layout.servers()[j].site];
     EXPECT_EQ(carbon.carbon_g[p], carbon.energy_wh[p] / 1000.0 * site_ci) << j;
     EXPECT_EQ(intensity.problem.cost(p), site_ci) << j;
   }
@@ -133,7 +163,7 @@ TEST(BuildProblem, DimensionsMatchClusterAndBatch) {
   EXPECT_EQ(built.problem.num_apps(), 2u);
   EXPECT_EQ(built.problem.num_servers(), 5u);
   EXPECT_EQ(built.problem.num_resources(), 2u);
-  EXPECT_EQ(built.servers.size(), 5u);
+  EXPECT_EQ(f.layout.servers().size(), 5u);
 }
 
 TEST(BuildProblem, LatencyFilterMarksDistantServersInfeasible) {
@@ -166,7 +196,7 @@ TEST(BuildProblem, CarbonCostIsEnergyTimesIntensity) {
   for (std::size_t j = 0; j < 5; ++j) {
     const std::size_t p = built.problem.find_pair(0, j);
     if (p == solver::kNoPair) continue;
-    const double site_ci = f.intensity[built.servers[j].site];
+    const double site_ci = f.intensity[f.layout.servers()[j].site];
     EXPECT_NEAR(built.carbon_g[p], built.energy_wh[p] / 1000.0 * site_ci, 1e-9);
     EXPECT_NEAR(built.problem.cost(p), built.carbon_g[p], 1e-12);
   }
@@ -179,7 +209,7 @@ TEST(BuildProblem, MeanIntensityUsesForecastWindow) {
   const BuiltProblem carbon = build_problem(in, apps, PolicyConfig::carbon_edge());
   const BuiltProblem intensity = build_problem(in, apps, PolicyConfig::intensity_aware());
   const auto& trace = f.carbon.trace("Jacksonville");
-  ASSERT_EQ(carbon.servers[0].site, 0u);  // column 0 sits at Jacksonville
+  ASSERT_EQ(f.layout.servers()[0].site, 0u);  // column 0 sits at Jacksonville
   const std::size_t p = carbon.problem.find_pair(0, 0);
   ASSERT_NE(p, solver::kNoPair);
   EXPECT_NEAR(intensity.problem.cost(p), trace.mean_over(100, 24), 1e-9);
@@ -200,7 +230,7 @@ TEST(BuildProblem, PolicyObjectivesDiffer) {
     if (p == solver::kNoPair) continue;
     EXPECT_NEAR(latency.problem.cost(p), latency.rtt_ms[p], 1e-12);
     EXPECT_NEAR(energy.problem.cost(p), energy.energy_wh[p], 1e-12);
-    EXPECT_NEAR(intensity.problem.cost(p), f.intensity[intensity.servers[j].site], 1e-12);
+    EXPECT_NEAR(intensity.problem.cost(p), f.intensity[f.layout.servers()[j].site], 1e-12);
   }
 }
 
@@ -268,19 +298,28 @@ TEST(BuildProblem, EnergyScalesWithEpochHours) {
   EXPECT_NEAR(b2.energy_wh[p], 2.0 * b1.energy_wh[p], 1e-9);
 }
 
+// What a build must produce, with the columns it was built over.
+struct FreshBuild {
+  std::vector<sim::EdgeCluster::ServerRef> servers;
+  solver::AssignmentProblem problem{0, 0, 1};
+  std::vector<double> energy_wh;
+  std::vector<double> carbon_g;
+  std::vector<double> rtt_ms;
+};
+
 // The two-pass build_problem kept as a reference: it collects every
 // feasible pair's (app, server, demands) into temporaries, then derives the
 // Eq. 8 ranges with minmax_element and appends the pairs in a second pass.
 // The production build must reproduce its output bit for bit.
-BuiltProblem reference_build_problem(const PlacementInput& input,
-                                     std::span<const sim::Application> apps,
-                                     const PolicyConfig& policy) {
-  const std::vector<double>& intensity = *input.site_mean_intensity;
-  BuiltProblem built;
-  built.servers = input.cluster->all_servers();
+FreshBuild reference_build_problem(sim::EdgeCluster& cluster, const geo::LatencyProvider& latency,
+                                   const std::vector<double>& intensity, double epoch_hours,
+                                   std::span<const sim::Application> apps,
+                                   const PolicyConfig& policy) {
+  FreshBuild built;
+  built.servers = cluster.all_servers();
   const std::size_t num_apps = apps.size();
   const std::size_t num_servers = built.servers.size();
-  const std::size_t num_sites = input.cluster->sites().size();
+  const std::size_t num_sites = cluster.sites().size();
   std::vector<std::size_t> site_first(num_sites + 1, 0);
   for (const auto& ref : built.servers) ++site_first[ref.site + 1];
   for (std::size_t s = 0; s < num_sites; ++s) site_first[s + 1] += site_first[s];
@@ -289,8 +328,8 @@ BuiltProblem reference_build_problem(const PlacementInput& input,
   std::vector<double> pair_demand;
   for (std::size_t i = 0; i < num_apps; ++i) {
     const sim::Application& app = apps[i];
-    const std::span<const std::uint32_t> row_sites = input.latency->neighbors(app.origin_site);
-    const std::span<const double> row_ms = input.latency->row_ms(app.origin_site);
+    const std::span<const std::uint32_t> row_sites = latency.neighbors(app.origin_site);
+    const std::span<const double> row_ms = latency.row_ms(app.origin_site);
     for (std::size_t k = 0; k < row_sites.size(); ++k) {
       const std::size_t s = row_sites[k];
       const double rtt = 2.0 * row_ms[k];
@@ -301,7 +340,7 @@ BuiltProblem reference_build_problem(const PlacementInput& input,
         const sim::ProfileResult prof = sim::profile_of(app.model, server.device());
         if (!prof.supported) continue;
         const double watts = prof.profile.energy_j * app.rps;
-        const double energy = watts * input.epoch_hours;
+        const double energy = watts * epoch_hours;
         built.energy_wh.push_back(energy);
         built.carbon_g.push_back(energy / 1000.0 * intensity[s]);
         built.rtt_ms.push_back(rtt);
@@ -347,7 +386,7 @@ BuiltProblem reference_build_problem(const PlacementInput& input,
   for (std::size_t j = 0; j < num_servers; ++j) {
     const sim::EdgeServer& server = *built.servers[j].server;
     const double energy =
-        server.powered_on() ? 0.0 : server.config().base_power_w * input.epoch_hours;
+        server.powered_on() ? 0.0 : server.config().base_power_w * epoch_hours;
     const double carbon = energy / 1000.0 * intensity[built.servers[j].site];
     double activation = 0.0;
     switch (policy.kind) {
@@ -372,17 +411,20 @@ void expect_same_bits(const std::vector<double>& got, const std::vector<double>&
   }
 }
 
-void expect_bit_identical(const BuiltProblem& got, const BuiltProblem& want) {
+// `got`, built over the columns `servers`, against `want`, bit for bit.
+void expect_same_build(const BuiltProblem& got,
+                       std::span<const sim::EdgeCluster::ServerRef> servers,
+                       const FreshBuild& want) {
   const solver::AssignmentProblem& g = got.problem;
   const solver::AssignmentProblem& w = want.problem;
   ASSERT_EQ(g.num_apps(), w.num_apps());
   ASSERT_EQ(g.num_servers(), w.num_servers());
   ASSERT_EQ(g.num_resources(), w.num_resources());
   ASSERT_EQ(g.num_pairs(), w.num_pairs());
-  ASSERT_EQ(got.servers.size(), want.servers.size());
+  ASSERT_EQ(servers.size(), want.servers.size());
   for (std::size_t j = 0; j < g.num_servers(); ++j) {
-    EXPECT_EQ(got.servers[j].site, want.servers[j].site) << j;
-    EXPECT_EQ(got.servers[j].server, want.servers[j].server) << j;
+    EXPECT_EQ(servers[j].site, want.servers[j].site) << j;
+    EXPECT_EQ(servers[j].server, want.servers[j].server) << j;
     for (std::size_t k = 0; k < g.num_resources(); ++k) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(g.capacity(j, k)),
                 std::bit_cast<std::uint64_t>(w.capacity(j, k)))
@@ -475,15 +517,16 @@ TEST(BuildProblem, MatchesTwoPassReference) {
       app.latency_limit_rtt_ms = rng.uniform(1.0, 30.0);
     }
 
+    PlacementLayout layout(cluster, latency);
     PlacementInput input;
-    input.cluster = &cluster;
-    input.latency = &latency;
+    input.layout = &layout;
     input.site_mean_intensity = &intensity;
     input.epoch_hours = rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.1, 3.0);
     const PolicyConfig& policy = policies[seed % policies.size()];
     SCOPED_TRACE(describe(policy));
-    const BuiltProblem want = reference_build_problem(input, apps, policy);
-    expect_bit_identical(build_problem(input, apps, policy), want);
+    const FreshBuild want =
+        reference_build_problem(cluster, latency, intensity, input.epoch_hours, apps, policy);
+    expect_same_build(build_problem(input, apps, policy), layout.servers(), want);
 
     // Tally the cases the instances must exercise.
     for (const auto& ref : want.servers) {
@@ -507,6 +550,251 @@ TEST(BuildProblem, MatchesTwoPassReference) {
   EXPECT_GE(cut_sites, 1000u);
   EXPECT_GE(empty_batches, 10u);
   EXPECT_GE(pairs, 10000u);
+}
+
+// The per-call build_problem as it stood before placement kept a layout
+// across calls: it lists the cluster's servers and site ranges afresh, scans
+// each app's whole latency row (twice: once to size the pair storage, once
+// to emit), and builds into new buffers. A long-lived layout and build
+// buffers must reproduce it bit for bit.
+FreshBuild per_call_build_problem(sim::EdgeCluster& cluster, const geo::LatencyProvider& latency,
+                                  const std::vector<double>& intensity, double epoch_hours,
+                                  std::span<const sim::Application> apps,
+                                  const PolicyConfig& policy) {
+  struct Terms {
+    bool supported = false;
+    double energy_wh = 0.0;
+    double energy_kwh = 0.0;
+    double memory_mb = 0.0;
+    double compute = 0.0;
+  };
+  using AppTerms = std::array<Terms, sim::kDeviceCount>;
+  const auto app_terms = [&](const sim::Application& app) {
+    AppTerms terms{};
+    for (const sim::DeviceType device : sim::kAllDevices) {
+      const sim::ProfileResult prof = sim::profile_of(app.model, device);
+      if (!prof.supported) continue;
+      const double energy = prof.profile.energy_j * app.rps * epoch_hours;
+      terms[static_cast<std::size_t>(device)] = {
+          true, energy, energy / 1000.0, prof.profile.memory_mb,
+          sim::compute_demand_per_rps(app.model, device) * app.rps};
+    }
+    return terms;
+  };
+
+  FreshBuild built;
+  built.servers = cluster.all_servers();
+  const std::size_t num_apps = apps.size();
+  const std::size_t num_servers = built.servers.size();
+  const std::size_t num_sites = cluster.sites().size();
+  std::vector<std::size_t> site_first(num_sites + 1, 0);
+  for (const auto& ref : built.servers) ++site_first[ref.site + 1];
+  for (std::size_t s = 0; s < num_sites; ++s) site_first[s + 1] += site_first[s];
+
+  constexpr std::uint8_t kFailed = sim::kDeviceCount;
+  std::vector<std::uint8_t> column_device(num_servers);
+  solver::AssignmentProblem problem(num_apps, num_servers, 2);
+  for (std::size_t j = 0; j < num_servers; ++j) {
+    const sim::EdgeServer& server = *built.servers[j].server;
+    column_device[j] = server.failed() ? kFailed : static_cast<std::uint8_t>(server.device());
+    problem.set_capacity(j, 0, server.memory_free_mb());
+    problem.set_capacity(j, 1, server.compute_free());
+    problem.set_initially_on(j, server.powered_on());
+  }
+  const auto for_each_site = [&](std::size_t i, auto&& visit) {
+    const sim::Application& app = apps[i];
+    const std::span<const std::uint32_t> row_sites = latency.neighbors(app.origin_site);
+    const std::span<const double> row_ms = latency.row_ms(app.origin_site);
+    for (std::size_t k = 0; k < row_sites.size(); ++k) {
+      const double rtt = 2.0 * row_ms[k];
+      if (rtt > app.latency_limit_rtt_ms + 1e-9) continue;
+      visit(row_sites[k], rtt);
+    }
+  };
+  const auto for_each_pair = [&](auto&& visit) {
+    for (std::size_t i = 0; i < num_apps; ++i) {
+      const AppTerms terms = app_terms(apps[i]);
+      for_each_site(i, [&](std::size_t s, double rtt) {
+        for (std::size_t j = site_first[s]; j < site_first[s + 1]; ++j) {
+          if (column_device[j] == kFailed) continue;
+          const Terms& t = terms[column_device[j]];
+          if (t.supported) visit(i, j, s, rtt, t);
+        }
+      });
+    }
+  };
+  std::size_t in_band = 0;
+  for (std::size_t i = 0; i < num_apps; ++i) {
+    for_each_site(i, [&](std::size_t s, double) { in_band += site_first[s + 1] - site_first[s]; });
+  }
+  problem.reserve(in_band);
+
+  // Eq. 8's min/max: the first minimum and the last maximum in visit order.
+  double energy_lo = 0.0, energy_hi = 0.0, carbon_lo = 0.0, carbon_hi = 0.0;
+  bool empty = true;
+  if (policy.kind == PolicyKind::kMultiObjective) {
+    for_each_pair([&](std::size_t, std::size_t, std::size_t s, double, const Terms& t) {
+      const double carbon = t.energy_kwh * intensity[s];
+      if (empty || t.energy_wh < energy_lo) energy_lo = t.energy_wh;
+      if (empty || !(t.energy_wh < energy_hi)) energy_hi = t.energy_wh;
+      if (empty || carbon < carbon_lo) carbon_lo = carbon;
+      if (empty || !(carbon < carbon_hi)) carbon_hi = carbon;
+      empty = false;
+    });
+  }
+  const auto blend = [&](double energy, double carbon) {
+    const double e = util::minmax_normalize(energy, energy_lo, energy_hi);
+    const double c = util::minmax_normalize(carbon, carbon_lo, carbon_hi);
+    return policy.alpha * e + (1.0 - policy.alpha) * c;
+  };
+  for_each_pair([&](std::size_t i, std::size_t j, std::size_t s, double rtt, const Terms& t) {
+    const double carbon = t.energy_kwh * intensity[s];
+    built.energy_wh.push_back(t.energy_wh);
+    built.carbon_g.push_back(carbon);
+    built.rtt_ms.push_back(rtt);
+    double cost = 0.0;
+    switch (policy.kind) {
+      case PolicyKind::kLatencyAware: cost = rtt; break;
+      case PolicyKind::kEnergyAware: cost = t.energy_wh; break;
+      case PolicyKind::kIntensityAware: cost = intensity[s]; break;
+      case PolicyKind::kCarbonEdge: cost = carbon; break;
+      case PolicyKind::kMultiObjective: cost = blend(t.energy_wh, carbon); break;
+    }
+    problem.add_pair(i, j, cost, {t.memory_mb, t.compute});
+  });
+  for (std::size_t j = 0; j < num_servers; ++j) {
+    const sim::EdgeServer& server = *built.servers[j].server;
+    const double energy =
+        server.powered_on() ? 0.0 : server.config().base_power_w * epoch_hours;
+    const double carbon = energy / 1000.0 * intensity[built.servers[j].site];
+    double activation = 0.0;
+    switch (policy.kind) {
+      case PolicyKind::kLatencyAware: activation = 0.0; break;
+      case PolicyKind::kEnergyAware: activation = energy; break;
+      case PolicyKind::kIntensityAware: activation = 0.0; break;
+      case PolicyKind::kCarbonEdge: activation = carbon; break;
+      case PolicyKind::kMultiObjective: activation = blend(energy, carbon); break;
+    }
+    problem.set_activation_cost(j, activation);
+  }
+  built.problem = std::move(problem);
+  return built;
+}
+
+// Between epochs, a random share of servers changes power state, fails or
+// recovers, takes on an app or loses one: everything a build reads of a
+// server, moved under a layout that outlives it.
+void perturb_servers(sim::EdgeCluster& cluster, util::Rng& rng, sim::AppId& next_id,
+                     std::vector<std::pair<sim::EdgeServer*, sim::AppId>>& hosted) {
+  for (sim::EdgeDataCenter& dc : cluster.sites()) {
+    for (sim::EdgeServer& server : dc.servers()) {
+      if (rng.bernoulli(0.1)) server.set_failed(!server.failed());
+      if (!server.failed() && server.app_count() == 0 && rng.bernoulli(0.15)) {
+        server.set_powered_on(!server.powered_on());
+      }
+      if (server.powered_on() && rng.bernoulli(0.3)) {
+        const sim::ModelType model = sim::kAllModels[rng.uniform_index(sim::kModelCount)];
+        const double rps = rng.uniform(0.5, 4.0);
+        if (server.can_host(model, rps)) {
+          server.host({next_id, model, rps});
+          hosted.emplace_back(&server, next_id++);
+        }
+      }
+    }
+  }
+  for (std::size_t k = hosted.size(); k-- > 0;) {
+    if (!rng.bernoulli(0.3)) continue;
+    hosted[k].first->evict(hosted[k].second);
+    hosted.erase(hosted.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+}
+
+TEST(BuildProblem, LayoutReuseMatchesFreshBuild) {
+  const std::vector<PolicyConfig> policies = {
+      PolicyConfig::latency_aware(),       PolicyConfig::energy_aware(),
+      PolicyConfig::intensity_aware(),     PolicyConfig::carbon_edge(),
+      PolicyConfig::multi_objective(0.0),  PolicyConfig::multi_objective(0.35),
+      PolicyConfig::multi_objective(1.0)};
+  const std::vector<geo::Region> regions = {geo::florida_region(), geo::central_eu_region(),
+                                            geo::cdn_region(geo::Continent::kNorthAmerica, 24)};
+  const std::vector<double> limits = {3.0, 8.0, 14.0, 20.0, 30.0};
+  std::size_t banded = 0;
+  std::size_t failed = 0;
+  std::size_t off = 0;
+  std::size_t mixed_origins = 0;
+  std::size_t pairs = 0;
+  std::array<std::size_t, 5> kinds{};
+  for (std::uint64_t seed = 0; seed < 48; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 29);
+    const geo::Region& region = regions[seed % regions.size()];
+    sim::EdgeCluster cluster = random_cluster(region, rng);
+    const bool band = seed % 2 == 1;
+    const geo::LatencyProvider latency =
+        band ? geo::LatencyProvider(geo::LatencyModel{}, cluster.cities(), rng.uniform(2.0, 12.0))
+             : geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
+    banded += band ? 1 : 0;
+    PlacementLayout layout(cluster, latency);
+    BuiltProblem built;  // one set of build buffers for every epoch
+    sim::AppId next_id = 1000;
+    std::vector<std::pair<sim::EdgeServer*, sim::AppId>> hosted;
+    for (std::uint32_t epoch = 0; epoch < 12; ++epoch) {
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      if (epoch > 0) perturb_servers(cluster, rng, next_id, hosted);
+      std::vector<double> intensity(cluster.size());
+      for (double& value : intensity) value = rng.uniform(20.0, 650.0);
+      const double epoch_hours = rng.bernoulli(0.5) ? 3.0 : rng.uniform(0.1, 3.0);
+
+      // Origins come from a pool of three sites, so one origin recurs in a
+      // batch under different RTT limits.
+      const std::array<std::size_t, 3> pool = {rng.uniform_index(cluster.size()),
+                                               rng.uniform_index(cluster.size()),
+                                               rng.uniform_index(cluster.size())};
+      std::vector<sim::Application> apps(rng.uniform_index(25));
+      for (std::size_t i = 0; i < apps.size(); ++i) {
+        sim::Application& app = apps[i];
+        app.id = i;
+        app.model = sim::kAllModels[rng.uniform_index(sim::kModelCount)];
+        app.origin_site = pool[rng.uniform_index(pool.size())];
+        app.rps = rng.uniform(0.5, 25.0);
+        app.latency_limit_rtt_ms =
+            rng.bernoulli(0.8) ? limits[rng.uniform_index(limits.size())] : rng.uniform(1.0, 30.0);
+      }
+      const PolicyConfig& policy = policies[(seed * 5 + epoch) % policies.size()];
+      SCOPED_TRACE(describe(policy));
+      const FreshBuild want =
+          per_call_build_problem(cluster, latency, intensity, epoch_hours, apps, policy);
+      PlacementInput input;
+      input.layout = &layout;
+      input.site_mean_intensity = &intensity;
+      input.epoch_hours = epoch_hours;
+      build_problem(input, apps, policy, built);
+      expect_same_build(built, layout.servers(), want);
+
+      ++kinds[static_cast<std::size_t>(policy.kind)];
+      for (const std::size_t origin : pool) {
+        std::vector<double> seen;
+        for (const sim::Application& app : apps) {
+          if (app.origin_site != origin) continue;
+          if (std::ranges::find(seen, app.latency_limit_rtt_ms) == seen.end()) {
+            seen.push_back(app.latency_limit_rtt_ms);
+          }
+        }
+        mixed_origins += seen.size() > 1 ? 1 : 0;
+      }
+      for (const auto& ref : want.servers) {
+        failed += ref.server->failed() ? 1 : 0;
+        off += !ref.server->failed() && !ref.server->powered_on() ? 1 : 0;
+      }
+      pairs += want.problem.num_pairs();
+    }
+  }
+  EXPECT_GE(banded, 20u);
+  EXPECT_GE(failed, 200u);
+  EXPECT_GE(off, 200u);
+  EXPECT_GE(mixed_origins, 500u);
+  EXPECT_GE(pairs, 10000u);
+  for (const std::size_t count : kinds) EXPECT_GE(count, 40u);
 }
 
 }  // namespace
