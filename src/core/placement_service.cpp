@@ -80,7 +80,7 @@ PlacementResult PlacementService::place(const PlacementInput& input,
     decision.site = ref.site;
     decision.server = ref.server->id();
     decision.column = j;
-    const std::size_t p = built_.problem.find_pair(i, j);
+    const std::size_t p = solution.pairs[i];
     decision.rtt_ms = built_.rtt_ms[p];
     decision.energy_wh = built_.energy_wh[p];
     decision.carbon_g = built_.carbon_g[p];

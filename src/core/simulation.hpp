@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -277,7 +278,9 @@ class SimulationEngine {
   std::uint32_t epoch_ = 0;
   bool finished_ = false;
 
-  std::unordered_map<sim::AppId, HostedApp> hosted_;
+  // Pooled nodes: iteration order depends on hashes and history, not addresses.
+  std::pmr::unsynchronized_pool_resource hosted_pool_;
+  std::pmr::unordered_map<sim::AppId, HostedApp> hosted_{&hosted_pool_};
   // The epoch's placement batch; cleared, not freed, between epochs.
   std::vector<sim::Application> batch_;
   // (site, server id) -> epoch at which the server comes back.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -70,48 +71,72 @@ obs::Phase& milp_phase() {
   return phase;
 }
 
-/// The pairs regrouped by server: of(j) lists server j's (app, pair)
-/// entries, apps ascending.
-class ServerColumns {
- public:
-  using Entry = std::pair<std::size_t, std::size_t>;
+// A component's solve reads the parent problem in place. Its loops walk
+// component.apps and component.servers, both ascending, so every scan, sum
+// and tie-break runs in the order a copy of the component would give.
 
-  explicit ServerColumns(const AssignmentProblem& problem)
-      : start_(problem.num_servers() + 1, 0), entries_(problem.num_pairs()) {
-    for (std::size_t p = 0; p < problem.num_pairs(); ++p) ++start_[problem.server(p) + 1];
-    for (std::size_t j = 0; j < problem.num_servers(); ++j) start_[j + 1] += start_[j];
-    std::vector<std::size_t> fill(start_.begin(), start_.end() - 1);
-    for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-        entries_[fill[problem.server(p)]++] = {i, p};
-      }
-    }
-  }
-
-  [[nodiscard]] std::span<const Entry> of(std::size_t server) const noexcept {
-    return std::span<const Entry>(entries_).subspan(start_[server],
-                                                    start_[server + 1] - start_[server]);
-  }
-
- private:
-  std::vector<std::size_t> start_;
-  std::vector<Entry> entries_;
+/// How one component's solve ended (its pairs are in the workspace). A shell
+/// has no placement to evaluate: every app unplaced, and no power states.
+struct ShardAnswer {
+  bool feasible = false;
+  bool shell = false;
+  SolveStats stats;
 };
 
-// The solvers over a prebuilt ServerColumns, so one shard builds it once.
-// solve_exact's `warm` is solve_heuristic's answer on the same problem.
-AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerColumns& columns,
-                               const MilpOptions& options, const AssignmentSolution& warm);
-AssignmentSolution solve_greedy(const AssignmentProblem& problem, const ServerColumns& columns);
-std::size_t improve_local_search(const AssignmentProblem& problem, const ServerColumns& columns,
-                                 AssignmentSolution& solution, std::size_t max_rounds);
+using ColumnEntry = std::pair<std::size_t, std::size_t>;  // (app, pair)
 
-/// Greedy + local search: the heuristic path's answer and the exact path's
-/// warm start. Its stats report one heuristic shard.
-AssignmentSolution solve_heuristic(const AssignmentProblem& problem, const ServerColumns& columns) {
-  AssignmentSolution solution = solve_greedy(problem, columns);
-  improve_local_search(problem, columns, solution, kLocalSearchRounds);
-  return solution;
+/// Regroup the component's pairs by server into the workspace's columns,
+/// apps ascending within each.
+void fill_columns(const AssignmentProblem& problem, const Component& shard,
+                  ShardWorkspace& workspace) {
+  std::vector<std::size_t>& first = workspace.column_begin;
+  std::vector<std::size_t>& last = workspace.column_end;
+  first.resize(problem.num_servers());
+  last.resize(problem.num_servers());
+  for (const std::size_t j : shard.servers) last[j] = 0;
+  for (const std::size_t i : shard.apps) {
+    for (const std::uint32_t j : problem.row_servers(i)) ++last[j];
+  }
+  std::size_t next = 0;
+  for (const std::size_t j : shard.servers) {
+    first[j] = next;
+    next += last[j];
+    last[j] = first[j];  // the fill cursor
+  }
+  workspace.column.resize(next);
+  for (const std::size_t i : shard.apps) {
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      workspace.column[last[problem.server(p)]++] = {i, p};
+    }
+  }
+}
+
+/// Server `server`'s column: its (app, pair) entries, apps ascending.
+std::span<const ColumnEntry> column(const ShardWorkspace& workspace, std::size_t server) {
+  const std::size_t first = workspace.column_begin[server];
+  return std::span<const ColumnEntry>(workspace.column)
+      .subspan(first, workspace.column_end[server] - first);
+}
+
+/// evaluate()'s feasibility of the component's `pairs`: every app placed,
+/// and every server's load, summed in app order, within capacity + 1e-6.
+bool shard_feasible(const AssignmentProblem& problem, const Component& shard,
+                    std::span<const std::size_t> pairs, std::vector<double>& load) {
+  const std::size_t resources = problem.num_resources();
+  load.resize(problem.num_servers() * resources);
+  for (const std::size_t j : shard.servers) std::fill_n(&load[j * resources], resources, 0.0);
+  for (const std::size_t i : shard.apps) {
+    const std::size_t p = pairs[i];
+    if (p == kNoPair) return false;
+    const std::size_t j = problem.server(p);
+    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(p, k);
+  }
+  for (const std::size_t j : shard.servers) {
+    for (std::size_t k = 0; k < resources; ++k) {
+      if (load[j * resources + k] > problem.capacity(j, k) + 1e-6) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -155,36 +180,6 @@ void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cos
   demand_.insert(demand_.end(), demand.begin(), demand.end());
 }
 
-void AssignmentProblem::append_row(std::size_t app, const AssignmentProblem& parent,
-                                   std::size_t parent_app, std::span<const std::size_t> local) {
-  if (app >= num_apps_ || parent.num_resources_ != num_resources_ ||
-      local.size() < parent.num_servers_) {
-    throw std::invalid_argument("append_row: app out of range, or parent and row do not match");
-  }
-  if (app < row_start_.size()) {
-    throw std::invalid_argument("append_row: rows must arrive in ascending app order");
-  }
-  const std::size_t first = parent.row_begin(parent_app);
-  const std::size_t last = parent.row_end(parent_app);
-  if (first == last) return;
-  const std::size_t begin = num_pairs();
-  for (std::size_t p = first; p < last; ++p) {
-    const std::size_t server = local[parent.server_[p]];
-    if (server >= num_servers_ || (p > first && server <= server_.back())) {
-      server_.resize(begin);
-      throw std::invalid_argument("append_row: mapped servers must be in range and ascending");
-    }
-    server_.push_back(static_cast<std::uint32_t>(server));
-  }
-  row_start_.resize(app + 1, begin);
-  const auto from = static_cast<std::ptrdiff_t>(first);
-  const auto to = static_cast<std::ptrdiff_t>(last);
-  cost_.insert(cost_.end(), parent.cost_.begin() + from, parent.cost_.begin() + to);
-  demand_.insert(demand_.end(),
-                 parent.demand_.begin() + from * static_cast<std::ptrdiff_t>(num_resources_),
-                 parent.demand_.begin() + to * static_cast<std::ptrdiff_t>(num_resources_));
-}
-
 void AssignmentProblem::reserve(std::size_t pairs) {
   row_start_.reserve(num_apps_);
   server_.reserve(pairs);
@@ -206,15 +201,17 @@ void AssignmentProblem::set_initially_on(std::size_t server, bool on) {
 
 namespace {
 
-/// validate() with `load` as its per server x resource scratch.
+/// validate() with `load` as scratch and pair_of(i, j) giving app i's pair
+/// on its server j (kNoPair if none).
+template <typename PairOf>
 bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol,
-              std::vector<double>& load) {
+              std::vector<double>& load, PairOf pair_of) {
   if (solution.assignment.size() != problem.num_apps()) return false;
   load.assign(problem.num_servers() * problem.num_resources(), 0.0);
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
     const std::size_t j = solution.assignment[i];
     if (j == kUnassigned) continue;
-    const std::size_t p = problem.find_pair(i, j);
+    const std::size_t p = pair_of(i, j);
     if (p == kNoPair) return false;  // Eq. 2 (latency) or out-of-range server
     if (!solution.powered_on.empty() && !solution.powered_on[j]) return false;  // Eq. 5
     for (std::size_t k = 0; k < problem.num_resources(); ++k) {
@@ -235,20 +232,9 @@ bool validate(const AssignmentProblem& problem, const AssignmentSolution& soluti
   return true;
 }
 
-}  // namespace
-
-AssignmentSolution evaluate(const AssignmentProblem& problem,
-                            const std::vector<std::size_t>& assignment) {
-  AssignmentSolution solution;
-  std::vector<double> load;
-  evaluate(problem, assignment, solution, load);
-  return solution;
-}
-
-void evaluate(const AssignmentProblem& problem, std::span<const std::size_t> assignment,
-              AssignmentSolution& solution, std::vector<double>& load) {
-  solution.assignment.assign(assignment.begin(), assignment.end());
-  solution.assignment.resize(problem.num_apps(), kUnassigned);
+/// evaluate()'s body once solution.assignment and solution.pairs are set.
+void evaluate_placement(const AssignmentProblem& problem, AssignmentSolution& solution,
+                        std::vector<double>& load) {
   solution.powered_on.resize(problem.num_servers());
   for (std::size_t j = 0; j < problem.num_servers(); ++j) {
     solution.powered_on[j] = problem.initially_on(j) ? 1 : 0;
@@ -262,7 +248,7 @@ void evaluate(const AssignmentProblem& problem, std::span<const std::size_t> ass
       ++solution.unassigned_count;
       continue;
     }
-    const std::size_t p = problem.find_pair(i, j);
+    const std::size_t p = solution.pairs[i];
     if (p == kNoPair) continue;  // infeasible pair: validate() below rejects it
     total += problem.cost(p);
     if (!solution.powered_on[j]) {
@@ -271,78 +257,114 @@ void evaluate(const AssignmentProblem& problem, std::span<const std::size_t> ass
     }
   }
   solution.total_cost = total;
-  solution.feasible = solution.unassigned_count == 0 && validate(problem, solution, 1e-6, load);
+  solution.feasible =
+      solution.unassigned_count == 0 &&
+      validate(problem, solution, 1e-6, load,
+               [&](std::size_t i, std::size_t) { return solution.pairs[i]; });
+}
+
+}  // namespace
+
+AssignmentSolution evaluate(const AssignmentProblem& problem,
+                            const std::vector<std::size_t>& assignment) {
+  AssignmentSolution solution;
+  solution.assignment = assignment;
+  solution.assignment.resize(problem.num_apps(), kUnassigned);
+  solution.pairs.resize(problem.num_apps());
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    const std::size_t j = solution.assignment[i];
+    solution.pairs[i] = j == kUnassigned ? kNoPair : problem.find_pair(i, j);
+  }
+  std::vector<double> load;
+  evaluate_placement(problem, solution, load);
+  return solution;
+}
+
+void evaluate_pairs(const AssignmentProblem& problem, std::span<const std::size_t> pairs,
+                    AssignmentSolution& solution, std::vector<double>& load) {
+  solution.pairs.assign(pairs.begin(), pairs.end());
+  solution.assignment.resize(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    solution.assignment[i] = pairs[i] == kNoPair ? kUnassigned : problem.server(pairs[i]);
+  }
+  evaluate_placement(problem, solution, load);
 }
 
 bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol) {
   std::vector<double> load;
-  return validate(problem, solution, tol, load);
+  return validate(problem, solution, tol, load,
+                  [&](std::size_t i, std::size_t j) { return problem.find_pair(i, j); });
 }
 
 // ---------------------------------------------------------------------------
 // Exact MILP path
 // ---------------------------------------------------------------------------
 
-AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptions& options) {
-  const ServerColumns columns(problem);
-  return solve_exact(problem, columns, options, solve_heuristic(problem, columns));
-}
-
 namespace {
 
-AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerColumns& columns,
-                               const MilpOptions& options, const AssignmentSolution& warm) {
+ShardAnswer solve_exact(const AssignmentProblem& problem, const Component& shard,
+                        const MilpOptions& options, const ShardAnswer& warm,
+                        ShardWorkspace& workspace) {
   const obs::Span span(milp_phase());
-  const std::size_t apps = problem.num_apps();
-  const std::size_t servers = problem.num_servers();
-  const std::size_t pairs = problem.num_pairs();
+  std::vector<std::size_t>& answer = workspace.exact_pairs;
+  answer.resize(problem.num_apps());
+  for (const std::size_t i : shard.apps) answer[i] = kNoPair;
+  ShardAnswer out;
+  out.stats.components = 1;
 
-  for (std::size_t i = 0; i < apps; ++i) {
+  for (const std::size_t i : shard.apps) {
     if (problem.row_begin(i) != problem.row_end(i)) continue;
-    AssignmentSolution infeasible;
-    infeasible.assignment.assign(apps, kUnassigned);
-    infeasible.unassigned_count = apps;
     // No shard was actually solved (the MILP was never built), so
     // exact_shards stays 0. This monolithic path reports one component
     // regardless of how many apps are unplaceable; only the sharded path
     // isolates each unplaceable app as its own singleton component.
-    infeasible.stats.components = 1;
-    for (std::size_t a = 0; a < apps; ++a) {
-      if (problem.row_begin(a) == problem.row_end(a)) ++infeasible.stats.unplaceable_apps;
+    out.shell = true;
+    for (const std::size_t a : shard.apps) {
+      if (problem.row_begin(a) == problem.row_end(a)) ++out.stats.unplaceable_apps;
     }
-    return infeasible;  // some app has no feasible server at all
+    return out;  // some app has no feasible server at all
   }
 
   LinearProgram lp;
   std::vector<int> integer_vars;
-  // Variables: x_p for pair p is LP variable p; then y_j for each
-  // initially-off server with at least one pair.
-  for (std::size_t p = 0; p < pairs; ++p) {
-    integer_vars.push_back(lp.add_variable(problem.cost(p), 0.0, 1.0));
+  // Variables: x_p for each pair, apps ascending and each row in server
+  // order (a copy's pair order); then y_j for each initially-off server
+  // with at least one pair.
+  std::vector<std::size_t>& first_var = workspace.first_var;
+  first_var.resize(problem.num_apps());
+  for (const std::size_t i : shard.apps) {
+    first_var[i] = integer_vars.size();
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      integer_vars.push_back(lp.add_variable(problem.cost(p), 0.0, 1.0));
+    }
   }
-  std::vector<int> y_var(servers, -1);
-  for (std::size_t j = 0; j < servers; ++j) {
-    if (problem.initially_on(j) || columns.of(j).empty()) continue;
+  const auto x_var = [&](std::size_t app, std::size_t pair) {
+    return static_cast<int>(first_var[app] + (pair - problem.row_begin(app)));
+  };
+  std::vector<int>& y_var = workspace.y_var;
+  y_var.resize(problem.num_servers());
+  for (const std::size_t j : shard.servers) {
+    y_var[j] = -1;
+    if (problem.initially_on(j) || column(workspace, j).empty()) continue;
     y_var[j] = lp.add_variable(problem.activation_cost(j), 0.0, 1.0);
     integer_vars.push_back(y_var[j]);
   }
 
   // Eq. 3: each app placed exactly once.
-  for (std::size_t i = 0; i < apps; ++i) {
+  for (const std::size_t i : shard.apps) {
     std::vector<std::pair<int, double>> terms;
     for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-      terms.emplace_back(static_cast<int>(p), 1.0);
+      terms.emplace_back(x_var(i, p), 1.0);
     }
     lp.add_constraint(std::move(terms), Sense::kEqual, 1.0);
   }
   // Eq. 1: capacity per server/resource, gated by y for off servers.
-  for (std::size_t j = 0; j < servers; ++j) {
-    if (columns.of(j).empty()) continue;
+  for (const std::size_t j : shard.servers) {
+    const std::span<const ColumnEntry> entries = column(workspace, j);
+    if (entries.empty()) continue;
     for (std::size_t k = 0; k < problem.num_resources(); ++k) {
       std::vector<std::pair<int, double>> terms;
-      for (const auto& [i, p] : columns.of(j)) {
-        terms.emplace_back(static_cast<int>(p), problem.demand(p, k));
-      }
+      for (const auto& [i, p] : entries) terms.emplace_back(x_var(i, p), problem.demand(p, k));
       if (y_var[j] >= 0) {
         terms.emplace_back(y_var[j], -problem.capacity(j, k));
         lp.add_constraint(std::move(terms), Sense::kLessEqual, 0.0);
@@ -356,21 +378,22 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
     // per-pair rows are the tightest linear linking and make incumbent
     // pruning bite far earlier (fewer B&B nodes per exact solve).
     if (y_var[j] >= 0) {
-      for (const auto& [i, p] : columns.of(j)) {
-        lp.add_constraint({{static_cast<int>(p), 1.0}, {y_var[j], -1.0}}, Sense::kLessEqual, 0.0);
+      for (const auto& [i, p] : entries) {
+        lp.add_constraint({{x_var(i, p), 1.0}, {y_var[j], -1.0}}, Sense::kLessEqual, 0.0);
       }
     }
   }
 
-  // solve_milp takes the point as its incumbent only if it passes the LP.
+  // solve_milp takes the point as its incumbent only if it passes the LP. A
+  // feasible warm start places every app, and an off server it uses is on.
   std::optional<std::vector<double>> start;
   if (warm.feasible) {
     std::vector<double> values(lp.num_variables(), 0.0);
-    for (std::size_t i = 0; i < apps; ++i) {
-      values[problem.find_pair(i, warm.assignment[i])] = 1.0;
-    }
-    for (std::size_t j = 0; j < servers; ++j) {
-      if (y_var[j] >= 0 && warm.powered_on[j]) values[static_cast<std::size_t>(y_var[j])] = 1.0;
+    for (const std::size_t i : shard.apps) {
+      const std::size_t p = workspace.pairs[i];
+      values[static_cast<std::size_t>(x_var(i, p))] = 1.0;
+      const int y = y_var[problem.server(p)];
+      if (y >= 0) values[static_cast<std::size_t>(y)] = 1.0;
     }
     start = std::move(values);
   }
@@ -380,38 +403,29 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
     // The search came up empty (node budget exhausted before any incumbent,
     // or a numerically stranded warm start). The heuristic placement is
     // still a valid answer that direct callers would otherwise lose —
-    // return it instead of an all-kUnassigned shell.
+    // return it instead of an all-unplaced shell.
     if (warm.feasible) {
-      AssignmentSolution fallback = warm;  // one heuristic shard
-      fallback.stats.milp_nodes = milp.nodes_explored;
-      fallback.stats.settled_nodes = milp.settled_nodes;
-      return fallback;
+      out = warm;  // one heuristic shard
+      for (const std::size_t i : shard.apps) answer[i] = workspace.pairs[i];
+    } else {
+      out.shell = true;
+      out.stats.exact_shards = 1;
     }
-    AssignmentSolution infeasible;
-    infeasible.assignment.assign(apps, kUnassigned);
-    infeasible.unassigned_count = apps;
-    infeasible.stats.components = 1;
-    infeasible.stats.exact_shards = 1;
-    infeasible.stats.milp_nodes = milp.nodes_explored;
-    infeasible.stats.settled_nodes = milp.settled_nodes;
-    return infeasible;
-  }
-
-  std::vector<std::size_t> assignment(apps, kUnassigned);
-  for (std::size_t i = 0; i < apps; ++i) {
-    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
-      if (milp.values[p] > 0.5) {
-        assignment[i] = problem.server(p);
-        break;
+  } else {
+    for (const std::size_t i : shard.apps) {
+      for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+        if (milp.values[static_cast<std::size_t>(x_var(i, p))] > 0.5) {
+          answer[i] = p;
+          break;
+        }
       }
     }
+    out.feasible = shard_feasible(problem, shard, answer, workspace.load);
+    out.stats.exact_shards = 1;
   }
-  AssignmentSolution solution = evaluate(problem, assignment);
-  solution.stats.components = 1;
-  solution.stats.exact_shards = 1;
-  solution.stats.milp_nodes = milp.nodes_explored;
-  solution.stats.settled_nodes = milp.settled_nodes;
-  return solution;
+  out.stats.milp_nodes = milp.nodes_explored;
+  out.stats.settled_nodes = milp.settled_nodes;
+  return out;
 }
 
 }  // namespace
@@ -422,88 +436,70 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const ServerCol
 
 namespace {
 
-struct GreedyState {
-  std::vector<double> remaining;       // server x resource
-  std::vector<std::uint8_t> planned_on;
-
-  explicit GreedyState(const AssignmentProblem& p)
-      : remaining(p.num_servers() * p.num_resources()), planned_on(p.num_servers()) {
-    for (std::size_t j = 0; j < p.num_servers(); ++j) {
-      planned_on[j] = p.initially_on(j) ? 1 : 0;
-      for (std::size_t k = 0; k < p.num_resources(); ++k) {
-        remaining[j * p.num_resources() + k] = p.capacity(j, k);
-      }
+void solve_greedy(const AssignmentProblem& problem, const Component& shard,
+                  ShardWorkspace& workspace) {
+  const std::size_t resources = problem.num_resources();
+  std::vector<double>& remaining = workspace.remaining;  // server x resource
+  std::vector<std::uint8_t>& planned_on = workspace.planned_on;
+  remaining.resize(problem.num_servers() * resources);
+  planned_on.resize(problem.num_servers());
+  for (const std::size_t j : shard.servers) {
+    planned_on[j] = problem.initially_on(j) ? 1 : 0;
+    for (std::size_t k = 0; k < resources; ++k) {
+      remaining[j * resources + k] = problem.capacity(j, k);
     }
   }
-
-  [[nodiscard]] bool fits(const AssignmentProblem& p, std::size_t pair) const {
-    const std::size_t j = p.server(pair);
-    for (std::size_t k = 0; k < p.num_resources(); ++k) {
-      if (p.demand(pair, k) > remaining[j * p.num_resources() + k] + 1e-9) return false;
+  // Whether `pair` fits in `room`, its server's remaining capacity.
+  const auto fits_in = [&](const double* room, std::size_t pair) {
+    for (std::size_t k = 0; k < resources; ++k) {
+      if (problem.demand(pair, k) > room[k] + 1e-9) return false;
     }
     return true;
-  }
-
-  [[nodiscard]] double effective_cost(const AssignmentProblem& p, std::size_t pair) const {
-    const std::size_t j = p.server(pair);
-    double c = p.cost(pair);
-    if (!planned_on[j]) c += p.activation_cost(j);
-    return c;
-  }
-
-  void commit(const AssignmentProblem& p, std::size_t pair) {
-    const std::size_t j = p.server(pair);
-    for (std::size_t k = 0; k < p.num_resources(); ++k) {
-      remaining[j * p.num_resources() + k] -= p.demand(pair, k);
+  };
+  // An unplaced app's option: its two smallest effective costs over the
+  // pairs that still fit, counted with multiplicity, and the first pair
+  // that attains the smallest.
+  const auto scan_row = [&](std::size_t app) {
+    ShardWorkspace::GreedyOption option{kInfinity, kInfinity, kNoPair};
+    for (std::size_t p = problem.row_begin(app); p < problem.row_end(app); ++p) {
+      const std::size_t j = problem.server(p);
+      if (!fits_in(&remaining[j * resources], p)) continue;
+      double c = problem.cost(p);
+      if (!planned_on[j]) c += problem.activation_cost(j);
+      if (c < option.best) {
+        option.second = option.best;
+        option.best = c;
+        option.best_pair = p;
+      } else if (c < option.second) {
+        option.second = c;
+      }
     }
-    planned_on[j] = 1;
+    return option;
+  };
+
+  // pair_of[i] is kNoPair until app i is placed. option[i] always equals a
+  // fresh scan_row of unplaced app i. A commit on server j changes only j's
+  // remaining capacity and power state, so only the apps with a pair on j
+  // can need a rescan.
+  std::vector<std::size_t>& pair_of = workspace.pairs;
+  std::vector<ShardWorkspace::GreedyOption>& option = workspace.option;
+  pair_of.resize(problem.num_apps());
+  option.resize(problem.num_apps());
+  for (const std::size_t i : shard.apps) {
+    pair_of[i] = kNoPair;
+    option[i] = scan_row(i);
   }
-};
+  std::vector<double>& before = workspace.remaining_before;
+  before.resize(resources);
 
-/// An unplaced app's cheapest and second-cheapest effective cost over the
-/// pairs that still fit, and the pair that attains the cheapest (kNoPair
-/// when none fits).
-struct GreedyOption {
-  double best = kInfinity;
-  double second = kInfinity;
-  std::size_t best_pair = kNoPair;
-};
-
-GreedyOption scan_row(const AssignmentProblem& problem, const GreedyState& state, std::size_t app) {
-  GreedyOption option;
-  for (std::size_t p = problem.row_begin(app); p < problem.row_end(app); ++p) {
-    if (!state.fits(problem, p)) continue;
-    const double c = state.effective_cost(problem, p);
-    if (c < option.best) {
-      option.second = option.best;
-      option.best = c;
-      option.best_pair = p;
-    } else if (c < option.second) {
-      option.second = c;
-    }
-  }
-  return option;
-}
-
-AssignmentSolution solve_greedy(const AssignmentProblem& problem, const ServerColumns& columns) {
-  const std::size_t apps = problem.num_apps();
-  GreedyState state(problem);
-  std::vector<std::size_t> assignment(apps, kUnassigned);
-  std::vector<std::uint8_t> placed(apps, 0);
-  // option[i] always equals a fresh scan_row of unplaced app i. A commit on
-  // server j changes only j's remaining capacity and power state, so only
-  // the apps with a pair on j can need a rescan.
-  std::vector<GreedyOption> option(apps);
-  for (std::size_t i = 0; i < apps; ++i) option[i] = scan_row(problem, state, i);
-
-  for (std::size_t round = 0; round < apps; ++round) {
+  for (std::size_t round = 0; round < shard.apps.size(); ++round) {
     // Pick the unplaced app with the largest regret (gap between its best
     // and second-best feasible option); ties favor the costlier best option.
     std::size_t pick = kUnassigned;
     double pick_regret = -1.0;
     double pick_best_cost = -kInfinity;
-    for (std::size_t i = 0; i < apps; ++i) {
-      if (placed[i]) continue;
+    for (const std::size_t i : shard.apps) {
+      if (pair_of[i] != kNoPair) continue;
       const auto [best, second, best_pair] = option[i];
       if (best_pair == kNoPair) {
         // This app can no longer be placed; greedy fails over to a partial
@@ -521,67 +517,71 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem, const ServerCo
     if (pick == kUnassigned) break;  // nothing placeable remains
     const std::size_t pick_pair = option[pick].best_pair;
     const std::size_t j = problem.server(pick_pair);
-    assignment[pick] = j;
-    placed[pick] = 1;
-    const bool was_on = state.planned_on[j] != 0;
-    // With nonnegative demands a commit only shrinks j's headroom, so a pair
-    // that fits now fitted before. add_pair does not require nonnegative
-    // demands; after any other commit, a pair that fits now is rescanned.
-    const bool shrank = std::ranges::all_of(problem.demands(pick_pair),
-                                            [](double d) { return d >= 0.0; });
-    state.commit(problem, pick_pair);
+    pair_of[pick] = pick_pair;
+    // With nonnegative demands a commit on a server already on changes no
+    // cost and only shrinks its headroom: a pair that fits now fitted
+    // before, and one that did not fit before does not fit now. add_pair
+    // allows negative demands; after such a commit, a fitting pair's app
+    // is rescanned.
+    const bool was_on = planned_on[j] != 0;
+    const bool only_shrank =
+        was_on && std::ranges::all_of(problem.demands(pick_pair), [](double d) { return d >= 0.0; });
+    double* room = &remaining[j * resources];
+    std::copy_n(room, resources, before.begin());
+    for (std::size_t k = 0; k < resources; ++k) room[k] -= problem.demand(pick_pair, k);
+    planned_on[j] = 1;
     // scan_row keeps the two smallest fitting costs, counted with
     // multiplicity, and the first pair that attains the smallest. App i's
     // other pairs are untouched, so its option changes only if its pair p
     // on j changed cost or fit in a way that reaches those two values.
-    for (const auto& [i, p] : columns.of(j)) {
-      if (placed[i]) continue;
-      if (state.fits(problem, p)) {
-        if (was_on && shrank) continue;  // same cost, same fit
+    for (const auto& [i, p] : column(workspace, j)) {
+      if (pair_of[i] != kNoPair) continue;
+      if (fits_in(room, p)) {
+        if (only_shrank) continue;  // same cost, same fit
       } else {
+        if (only_shrank && !fits_in(before.data(), p)) continue;  // never an option
         // p dropped out (or never fitted). Costing more than the second
         // smallest, it was neither of the two smallest nor the best pair.
-        double before = problem.cost(p);
-        if (!was_on) before += problem.activation_cost(j);
-        if (before > option[i].second) continue;
+        double cost_before = problem.cost(p);
+        if (!was_on) cost_before += problem.activation_cost(j);
+        if (cost_before > option[i].second) continue;
       }
-      option[i] = scan_row(problem, state, i);
+      option[i] = scan_row(i);
     }
   }
-  AssignmentSolution solution = evaluate(problem, assignment);
-  solution.stats.components = 1;
-  solution.stats.heuristic_shards = 1;
-  return solution;
 }
 
-std::size_t improve_local_search(const AssignmentProblem& problem, const ServerColumns& columns,
-                                 AssignmentSolution& solution, std::size_t max_rounds) {
-  const std::size_t apps = problem.num_apps();
-  const std::size_t servers = problem.num_servers();
+std::size_t improve_local_search(const AssignmentProblem& problem, const Component& shard,
+                                 ShardWorkspace& workspace, std::size_t max_rounds) {
   const std::size_t resources = problem.num_resources();
 
   // pair_of[i]: the pair app i currently uses (kNoPair when unplaced, or
   // placed on a pair the problem lacks — such apps are never moved).
-  std::vector<std::size_t> pair_of(apps, kNoPair);
-  std::vector<double> load(servers * resources, 0.0);
-  std::vector<std::size_t> count(servers, 0);
-  for (std::size_t i = 0; i < apps; ++i) {
-    const std::size_t j = solution.assignment[i];
-    if (j == kUnassigned) continue;
-    pair_of[i] = problem.find_pair(i, j);
-    if (pair_of[i] == kNoPair) continue;
-    for (std::size_t k = 0; k < resources; ++k) {
-      load[j * resources + k] += problem.demand(pair_of[i], k);
-    }
-    ++count[j];
-  }
+  std::vector<std::size_t>& pair_of = workspace.pairs;
+  std::vector<double>& load = workspace.load;
+  std::vector<std::size_t>& count = workspace.count;
   // Swap-scan lookups without row searches: app a's pairs scattered by
   // server, and the apps after `after` that have a pair on `server`.
-  std::vector<std::size_t> a_pair_on(servers, kNoPair);
+  std::vector<std::size_t>& a_pair_on = workspace.pair_on;
+  load.resize(problem.num_servers() * resources);
+  count.resize(problem.num_servers());
+  a_pair_on.resize(problem.num_servers());
+  for (const std::size_t j : shard.servers) {
+    std::fill_n(&load[j * resources], resources, 0.0);
+    count[j] = 0;
+    a_pair_on[j] = kNoPair;
+  }
+  for (const std::size_t i : shard.apps) {
+    const std::size_t p = pair_of[i];
+    if (p == kNoPair) continue;
+    const std::size_t j = problem.server(p);
+    for (std::size_t k = 0; k < resources; ++k) load[j * resources + k] += problem.demand(p, k);
+    ++count[j];
+  }
   const auto partners = [&](std::size_t server, std::size_t after) {
-    const std::span<const ServerColumns::Entry> column = columns.of(server);
-    const auto first = std::ranges::upper_bound(column, after, {}, &ServerColumns::Entry::first);
-    return column.subspan(static_cast<std::size_t>(first - column.begin()));
+    const std::span<const ColumnEntry> entries = column(workspace, server);
+    const auto first = std::ranges::upper_bound(entries, after, {}, &ColumnEntry::first);
+    return entries.subspan(static_cast<std::size_t>(first - entries.begin()));
   };
 
   const auto activation_delta_gain = [&](std::size_t j) {
@@ -610,104 +610,168 @@ std::size_t improve_local_search(const AssignmentProblem& problem, const ServerC
     // Relocate moves. `from` is refreshed after every applied move: the app
     // now lives on its new server and further candidate targets must be
     // evaluated against that.
-    for (std::size_t i = 0; i < apps; ++i) {
+    for (const std::size_t i : shard.apps) {
       if (pair_of[i] == kNoPair) continue;
-      std::size_t from = solution.assignment[i];
+      std::size_t from = problem.server(pair_of[i]);
       for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
         const std::size_t to = problem.server(p);
         if (to == from) continue;
-        if (!fits_after(p, to, kNoPair)) continue;
+        // The cheap cost test first: a move must improve and fit.
         const double delta = problem.cost(p) - problem.cost(pair_of[i]) +
                              activation_delta_gain(to) - activation_delta_release(from);
-        if (delta < -1e-9) {
-          for (std::size_t k = 0; k < resources; ++k) {
-            load[from * resources + k] -= problem.demand(pair_of[i], k);
-            load[to * resources + k] += problem.demand(p, k);
-          }
-          --count[from];
-          ++count[to];
-          solution.assignment[i] = to;
-          pair_of[i] = p;
-          from = to;
-          improved = true;
-          ++improvements;
+        if (!(delta < -1e-9) || !fits_after(p, to, kNoPair)) continue;
+        for (std::size_t k = 0; k < resources; ++k) {
+          load[from * resources + k] -= problem.demand(pair_of[i], k);
+          load[to * resources + k] += problem.demand(p, k);
         }
+        --count[from];
+        ++count[to];
+        pair_of[i] = p;
+        from = to;
+        improved = true;
+        ++improvements;
       }
     }
 
     // Pairwise swaps of a with each later app b that has a pair on a's
     // server sa, ascending. `sa` is refreshed after every applied swap — app
     // a moved, so later candidates come from its new server.
-    for (std::size_t a = 0; a < apps; ++a) {
+    for (const std::size_t a : shard.apps) {
       if (pair_of[a] == kNoPair) continue;
       for (std::size_t p = problem.row_begin(a); p < problem.row_end(a); ++p) {
         a_pair_on[problem.server(p)] = p;
       }
-      std::size_t sa = solution.assignment[a];
-      for (auto column = partners(sa, a); !column.empty();) {
-        const auto [b, b_to_sa] = column.front();
-        column = column.subspan(1);
+      std::size_t sa = problem.server(pair_of[a]);
+      for (auto entries = partners(sa, a); !entries.empty();) {
+        const auto [b, b_to_sa] = entries.front();
+        entries = entries.subspan(1);
         if (pair_of[b] == kNoPair) continue;
-        const std::size_t sb = solution.assignment[b];
+        const std::size_t sb = problem.server(pair_of[b]);
         if (sb == sa) continue;
         const std::size_t a_to_sb = a_pair_on[sb];
         if (a_to_sb == kNoPair) continue;
-        if (!fits_after(a_to_sb, sb, pair_of[b]) || !fits_after(b_to_sa, sa, pair_of[a])) continue;
         const double delta = problem.cost(a_to_sb) + problem.cost(b_to_sa) -
                              problem.cost(pair_of[a]) - problem.cost(pair_of[b]);
-        if (delta < -1e-9) {
-          for (std::size_t k = 0; k < resources; ++k) {
-            load[sa * resources + k] += problem.demand(b_to_sa, k) - problem.demand(pair_of[a], k);
-            load[sb * resources + k] += problem.demand(a_to_sb, k) - problem.demand(pair_of[b], k);
-          }
-          solution.assignment[a] = sb;
-          solution.assignment[b] = sa;
-          pair_of[a] = a_to_sb;
-          pair_of[b] = b_to_sa;
-          sa = sb;
-          column = partners(sa, b);
-          improved = true;
-          ++improvements;
+        if (!(delta < -1e-9) || !fits_after(a_to_sb, sb, pair_of[b]) ||
+            !fits_after(b_to_sa, sa, pair_of[a])) {
+          continue;
         }
+        for (std::size_t k = 0; k < resources; ++k) {
+          load[sa * resources + k] += problem.demand(b_to_sa, k) - problem.demand(pair_of[a], k);
+          load[sb * resources + k] += problem.demand(a_to_sb, k) - problem.demand(pair_of[b], k);
+        }
+        pair_of[a] = a_to_sb;
+        pair_of[b] = b_to_sa;
+        sa = sb;
+        entries = partners(sa, b);
+        improved = true;
+        ++improvements;
       }
       for (const std::uint32_t j : problem.row_servers(a)) a_pair_on[j] = kNoPair;
     }
 
     if (!improved) break;
   }
+  return improvements;
+}
 
+/// Greedy + local search on the component, columns included: the heuristic
+/// answer and the exact path's warm start (one heuristic shard).
+ShardAnswer solve_heuristic(const AssignmentProblem& problem, const Component& shard,
+                            ShardWorkspace& workspace) {
+  fill_columns(problem, shard, workspace);
+  solve_greedy(problem, shard, workspace);
+  improve_local_search(problem, shard, workspace, kLocalSearchRounds);
+  ShardAnswer answer;
+  answer.feasible = shard_feasible(problem, shard, workspace.pairs, workspace.load);
+  answer.stats.components = 1;
+  answer.stats.heuristic_shards = 1;
+  return answer;
+}
+
+/// A problem solved whole, as one component: the public solvers' path.
+struct WholeProblem {
+  explicit WholeProblem(const AssignmentProblem& problem) {
+    component.apps.resize(problem.num_apps());
+    component.servers.resize(problem.num_servers());
+    std::iota(component.apps.begin(), component.apps.end(), std::size_t{0});
+    std::iota(component.servers.begin(), component.servers.end(), std::size_t{0});
+  }
+
+  Component component;
+  ShardWorkspace workspace;
+};
+
+}  // namespace
+
+AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptions& options) {
+  WholeProblem whole(problem);
+  ShardWorkspace& workspace = whole.workspace;
+  const ShardAnswer warm = solve_heuristic(problem, whole.component, workspace);
+  const ShardAnswer exact = solve_exact(problem, whole.component, options, warm, workspace);
+  AssignmentSolution solution;
+  if (exact.shell) {
+    solution.assignment.assign(problem.num_apps(), kUnassigned);
+    solution.unassigned_count = problem.num_apps();
+  } else {
+    evaluate_pairs(problem, workspace.exact_pairs, solution, workspace.load);
+  }
+  solution.stats = exact.stats;
+  return solution;
+}
+
+AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
+  WholeProblem whole(problem);
+  fill_columns(problem, whole.component, whole.workspace);
+  solve_greedy(problem, whole.component, whole.workspace);
+  AssignmentSolution solution;
+  evaluate_pairs(problem, whole.workspace.pairs, solution, whole.workspace.load);
+  solution.stats.components = 1;
+  solution.stats.heuristic_shards = 1;
+  return solution;
+}
+
+std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
+                                 std::size_t max_rounds) {
+  WholeProblem whole(problem);
+  std::vector<std::size_t>& pairs = whole.workspace.pairs;
+  pairs.resize(problem.num_apps());
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    const std::size_t j = solution.assignment[i];
+    pairs[i] = j == kUnassigned ? kNoPair : problem.find_pair(i, j);
+  }
+  fill_columns(problem, whole.component, whole.workspace);
+  const std::size_t improvements =
+      improve_local_search(problem, whole.component, whole.workspace, max_rounds);
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    if (pairs[i] != kNoPair) solution.assignment[i] = problem.server(pairs[i]);
+  }
   AssignmentSolution refreshed = evaluate(problem, solution.assignment);
   refreshed.stats = solution.stats;  // improvement does not change the path taken
   solution = std::move(refreshed);
   return improvements;
 }
 
-}  // namespace
-
-AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
-  return solve_greedy(problem, ServerColumns(problem));
-}
-
-std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
-                                 std::size_t max_rounds) {
-  return improve_local_search(problem, ServerColumns(problem), solution, max_rounds);
+SolveStats solve_component(const AssignmentProblem& problem, const Component& component,
+                           const AssignmentOptions& options, ShardWorkspace& workspace) {
+  const ShardAnswer heuristic = solve_heuristic(problem, component, workspace);
+  if (component.apps.size() * component.servers.size() <= options.exact_size_limit) {
+    const ShardAnswer exact = solve_exact(problem, component, options.milp, heuristic, workspace);
+    if (exact.feasible) {
+      for (const std::size_t i : component.apps) workspace.pairs[i] = workspace.exact_pairs[i];
+      return exact.stats;
+    }
+  }
+  return heuristic.stats;
 }
 
 AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                    const AssignmentOptions& options) {
-  const ServerColumns columns(problem);
-  AssignmentSolution heuristic = solve_heuristic(problem, columns);
-  if (problem.num_apps() * problem.num_servers() <= options.exact_size_limit) {
-    AssignmentSolution exact = solve_exact(problem, columns, options.milp, heuristic);
-    if (exact.feasible) return exact;
-  }
-  return heuristic;
-}
-
-AssignmentSolution solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options) {
-  ShardWorkspace workspace;
+  WholeProblem whole(problem);
+  const SolveStats stats = solve_component(problem, whole.component, options, whole.workspace);
   AssignmentSolution solution;
-  solve_auto(problem, options, workspace, solution);
+  evaluate_pairs(problem, whole.workspace.pairs, solution, whole.workspace.load);
+  solution.stats = stats;
   return solution;
 }
 

@@ -17,20 +17,21 @@
 //  * solve_greedy + improve_local_search — regret greedy with relocate/swap
 //                    improvement; any scale, near-optimal in practice.
 //  * solve_exact   — branch-and-bound MILP; exact, testbed scale. The
-//                    heuristic above is its warm start; a root whose
-//                    row-minimum bound (the sum of the apps' cheapest costs)
-//                    already reaches it settles without an LP, which is most
-//                    small shards.
+//                    heuristic above is its warm start. It always builds the
+//                    LP; a root whose row-minimum bound (the sum of the apps'
+//                    cheapest costs) already reaches the warm start is closed
+//                    by NodeCertifier without a simplex solve.
 // solve_auto first shards the instance into connected components of the
 // feasible-pair graph (see decompose.hpp — latency pre-filtering makes real
 // batches block-diagonal, and the decomposition is exact) and then takes
 // the components one after another on the calling thread. A component
 // where every app's cheapest pair fits with room to spare settles on those
-// pairs without a solve: both paths would return exactly them, and it
-// reports the stats of the path it stands in for. Every other component
-// runs the heuristic once, and one within exact_size_limit hands it to the
-// exact path, which keeps it whenever it finds no feasible answer of its
-// own.
+// pairs without a solve (most small shards end there, before the exact
+// path): both paths would return exactly them, and it reports the stats of
+// the path it stands in for. Every other component is solved in place on
+// the parent problem: the heuristic runs once, and one within
+// exact_size_limit hands it to the exact path, which keeps it whenever it
+// finds no feasible answer of its own.
 #pragma once
 
 #include <algorithm>
@@ -72,15 +73,6 @@ class AssignmentProblem {
                 std::initializer_list<double> demand) {
     add_pair(app, server, cost, std::span<const double>(demand.begin(), demand.size()));
   }
-
-  /// Append row `parent_app` of `parent` as row `app`, mapping each pair's
-  /// server j to local[j] (`local` covers the parent's servers); costs and
-  /// demands are copied in bulk. The row must come after every row that
-  /// holds pairs, and the mapped servers must be in range and ascending; an
-  /// empty row appends nothing. Throws std::invalid_argument otherwise, or
-  /// when the resource counts differ, and then appends nothing.
-  void append_row(std::size_t app, const AssignmentProblem& parent, std::size_t parent_app,
-                  std::span<const std::size_t> local);
 
   /// Reserve storage for `pairs` pairs (and the row starts of every app), so
   /// a caller that knows the final pair count appends without regrowth.
@@ -163,6 +155,7 @@ struct SolveStats {
 struct AssignmentSolution {
   bool feasible = false;
   std::vector<std::size_t> assignment;    // app -> server, kUnassigned if unplaced
+  std::vector<std::size_t> pairs;         // app -> its pair, kNoPair if none
   std::vector<std::uint8_t> powered_on;   // final y_j
   double total_cost = 0.0;                // placement + activation of new servers
   std::size_t unassigned_count = 0;
@@ -173,11 +166,11 @@ struct AssignmentSolution {
 [[nodiscard]] AssignmentSolution evaluate(const AssignmentProblem& problem,
                                           const std::vector<std::size_t>& assignment);
 
-/// evaluate() into `solution`, reusing its vectors, with `load` as the
-/// feasibility check's per server x resource scratch. `assignment` must not
-/// alias solution.assignment. The stats are zeroed, as evaluate() leaves them.
-void evaluate(const AssignmentProblem& problem, std::span<const std::size_t> assignment,
-              AssignmentSolution& solution, std::vector<double>& load);
+/// evaluate() of each app's pair (kNoPair: unplaced), without a row search,
+/// into `solution`'s vectors, with `load` as per server x resource scratch.
+/// `pairs` must not alias solution.pairs. The stats are zeroed.
+void evaluate_pairs(const AssignmentProblem& problem, std::span<const std::size_t> pairs,
+                    AssignmentSolution& solution, std::vector<double>& load);
 
 /// Check all Eq. 1-5 analogues: capacities respected, only feasible pairs
 /// used, power states consistent.
@@ -199,11 +192,12 @@ struct AssignmentOptions {
 inline constexpr std::size_t kLocalSearchRounds = 20;
 
 /// Branch and bound on the Eq. 1-7 MILP, warm-started by greedy + local
-/// search. When the warm start passes the LP, the off servers' activation
-/// costs are >= 0 and the sum of each app's cheapest pair cost reaches the
-/// warm start's objective, NodeCertifier settles the root without its LP and
-/// the warm start is returned (milp_nodes and settled_nodes 1). An app with
-/// no pair makes the whole problem infeasible without building the LP.
+/// search. The LP is always built. When the warm start passes it, the off
+/// servers' activation costs are >= 0 and the sum of each app's cheapest
+/// pair cost reaches the warm start's objective, NodeCertifier closes the
+/// root without a simplex solve and the warm start is returned (milp_nodes
+/// and settled_nodes 1). An app with no pair makes the whole problem
+/// infeasible without building the LP.
 [[nodiscard]] AssignmentSolution solve_exact(const AssignmentProblem& problem,
                                              const MilpOptions& options = {});
 
@@ -213,11 +207,13 @@ inline constexpr std::size_t kLocalSearchRounds = 20;
 /// are cached; a commit on server j revisits only the apps with a pair on j,
 /// and rescans such an app's row only when the commit can change its two
 /// cheapest fitting costs: j was off (its activation cost just dropped out),
-/// or the app's pair on j stopped fitting while it was among them. A round
-/// costs one pass over the cached options plus j's column and those rows.
+/// or the app's pair on j stopped fitting while it was among them (and
+/// fitted before the commit, when j was on and the demands are >= 0). A
+/// round costs one pass over the cached options plus j's column and rows.
 [[nodiscard]] AssignmentSolution solve_greedy(const AssignmentProblem& problem);
 
 /// Relocate/swap improvement; returns the number of improving moves applied.
+/// `solution` is re-evaluated even when none applies; its stats are kept.
 std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
                                  std::size_t max_rounds = kLocalSearchRounds);
 
@@ -228,17 +224,13 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
 [[nodiscard]] AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                                  const AssignmentOptions& options = {});
 
-/// Shard into connected components (exact), settle each uncontended one on
-/// its cheapest pairs and route the rest through solve_unsharded (see
-/// solve_sharded); records the solve in the solver.* metrics.
-[[nodiscard]] AssignmentSolution solve_auto(const AssignmentProblem& problem,
-                                            const AssignmentOptions& options = {});
-
 struct ShardWorkspace;  // decompose.hpp
 
-/// solve_auto into `solution`, with the decomposition's buffers taken from
-/// `workspace` and reset in place: the same answer, without per-solve
-/// set-up once the buffers have grown.
+/// Shard into connected components (exact), settle each uncontended one on
+/// its cheapest pairs and solve the rest as solve_unsharded would (see
+/// solve_sharded), into `solution`, with every buffer taken from
+/// `workspace` and reset in place; records the solve in the solver.*
+/// metrics.
 void solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options,
                 ShardWorkspace& workspace, AssignmentSolution& solution);
 

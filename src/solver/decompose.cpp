@@ -36,25 +36,7 @@ class UnionFind {
   std::vector<std::size_t>& parent_;
 };
 
-/// local_server_index into `local`, reusing its storage.
-void fill_local_server_index(std::size_t num_servers, std::span<const Component> components,
-                             std::vector<std::size_t>& local) {
-  local.assign(num_servers, kUnassigned);
-  for (const Component& component : components) {
-    for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
-      local[component.servers[jj]] = jj;
-    }
-  }
-}
-
 }  // namespace
-
-std::vector<Component> connected_components(const AssignmentProblem& problem) {
-  ShardWorkspace workspace;
-  const std::size_t count = connected_components(problem, workspace).size();
-  workspace.components.resize(count);
-  return std::move(workspace.components);
-}
 
 std::span<const Component> connected_components(const AssignmentProblem& problem,
                                                 ShardWorkspace& workspace) {
@@ -99,34 +81,6 @@ std::span<const Component> connected_components(const AssignmentProblem& problem
   return std::span<const Component>(components).first(count);
 }
 
-std::vector<std::size_t> local_server_index(std::size_t num_servers,
-                                            std::span<const Component> components) {
-  std::vector<std::size_t> local;
-  fill_local_server_index(num_servers, components, local);
-  return local;
-}
-
-AssignmentProblem extract_component(const AssignmentProblem& problem, const Component& component,
-                                    std::span<const std::size_t> local) {
-  const std::size_t resources = problem.num_resources();
-  AssignmentProblem sub(component.apps.size(), component.servers.size(), resources);
-  for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
-    const std::size_t j = component.servers[jj];
-    for (std::size_t k = 0; k < resources; ++k) sub.set_capacity(jj, k, problem.capacity(j, k));
-    sub.set_activation_cost(jj, problem.activation_cost(j));
-    sub.set_initially_on(jj, problem.initially_on(j));
-  }
-  std::size_t pairs = 0;
-  for (const std::size_t i : component.apps) pairs += problem.row_end(i) - problem.row_begin(i);
-  sub.reserve(pairs);
-  // Every pair of a member app lands on a member server, and local indices
-  // ascend with the parent's, so each copied row stays ascending.
-  for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
-    sub.append_row(ii, problem, component.apps[ii], local);
-  }
-  return sub;
-}
-
 namespace {
 
 // The settle certificate's bounds (see settle_component).
@@ -135,10 +89,10 @@ constexpr double kSettleCostBound = 65536.0;  // 2^16
 constexpr std::size_t kSettleMaxApps = std::size_t{1} << 20;
 
 /// Settle `component` without a solve when every app's cheapest pair fits:
-/// place each app on the server of its first least-cost pair p*, add the
-/// stats the full path would report to `stats`, and return true. Returns
-/// false, with `stats` unchanged, when a condition fails; the caller then
-/// overwrites the component's `assignment` entries. `load` (server x
+/// place each app on its first least-cost pair p*, add the stats the full
+/// path would report to `stats`, and return true. Returns false, with
+/// `stats` unchanged, when a condition fails; the caller then overwrites
+/// the component's `pairs` entries. `load` (server x
 /// resource, zero on the component's servers) is scratch; components are
 /// server-disjoint, so one array serves a whole solve.
 ///
@@ -158,7 +112,7 @@ constexpr std::size_t kSettleMaxApps = std::size_t{1} << 20;
 ///    NodeCertifier settles the root whenever the node budget lets it run.
 bool settle_component(const AssignmentProblem& problem, const Component& component,
                       const AssignmentOptions& options, std::vector<double>& load,
-                      std::vector<std::size_t>& assignment, SolveStats& stats) {
+                      std::vector<std::size_t>& pairs, SolveStats& stats) {
   const bool exact =
       component.apps.size() * component.servers.size() <= options.exact_size_limit;
   if (exact && options.milp.max_nodes < 1) return false;  // the root would not run
@@ -172,7 +126,7 @@ bool settle_component(const AssignmentProblem& problem, const Component& compone
     }
     const std::size_t j = problem.server(best);
     if (!problem.initially_on(j) && problem.activation_cost(j) != 0.0) return false;
-    assignment[i] = j;
+    pairs[i] = best;
     for (std::size_t k = 0; k < resources; ++k) {
       const double demand = problem.demand(best, k);
       if (!(demand >= 0.0)) return false;
@@ -212,54 +166,34 @@ AssignmentSolution solve_sharded(const AssignmentProblem& problem,
 void solve_sharded(const AssignmentProblem& problem, const AssignmentOptions& options,
                    ShardWorkspace& workspace, AssignmentSolution& solution) {
   const std::span<const Component> components = connected_components(problem, workspace);
-  // One component holding every app and server needs no extraction copy:
-  // unless it settles, it goes to solve_unsharded whole.
-  const bool whole = components.size() == 1 &&
-                     components.front().apps.size() == problem.num_apps() &&
-                     components.front().servers.size() == problem.num_servers();
 
-  // Components are settled or solved in index order; a solved one extracts
-  // its sub-problem through the shared index, built on first use, and its
-  // answer is stitched back at once.
-  bool local_built = false;
+  // Components are settled or solved in index order, each writing its apps'
+  // pairs into the stitched answer.
   std::vector<double>& load = workspace.load;
   load.assign(problem.num_servers() * problem.num_resources(), 0.0);
-  std::vector<std::size_t>& assignment = workspace.assignment;
-  assignment.assign(problem.num_apps(), kUnassigned);
+  std::vector<std::size_t>& pairs = workspace.pairs;
+  pairs.assign(problem.num_apps(), kNoPair);
   SolveStats stats;
   stats.components = components.size();
   for (const Component& component : components) {
     if (component.servers.empty()) {
-      stats.unplaceable_apps += component.apps.size();  // they stay kUnassigned
+      stats.unplaceable_apps += component.apps.size();  // they stay unplaced
       continue;
     }
-    if (settle_component(problem, component, options, load, assignment, stats)) continue;
-    if (whole) {
-      solution = solve_unsharded(problem, options);
-      return;
-    }
-    if (!local_built) {
-      fill_local_server_index(problem.num_servers(), components, workspace.local);
-      local_built = true;
-    }
-    const AssignmentSolution sub =
-        solve_unsharded(extract_component(problem, component, workspace.local), options);
-    for (std::size_t k = 0; k < component.apps.size(); ++k) {
-      const std::size_t jj = sub.assignment[k];
-      assignment[component.apps[k]] = jj == kUnassigned ? kUnassigned : component.servers[jj];
-    }
-    stats.exact_shards += sub.stats.exact_shards;
-    stats.heuristic_shards += sub.stats.heuristic_shards;
-    stats.unplaceable_apps += sub.stats.unplaceable_apps;
-    stats.milp_nodes += sub.stats.milp_nodes;
-    stats.settled_nodes += sub.stats.settled_nodes;
+    if (settle_component(problem, component, options, load, pairs, stats)) continue;
+    const SolveStats shard = solve_component(problem, component, options, workspace);
+    stats.exact_shards += shard.exact_shards;
+    stats.heuristic_shards += shard.heuristic_shards;
+    stats.unplaceable_apps += shard.unplaceable_apps;
+    stats.milp_nodes += shard.milp_nodes;
+    stats.settled_nodes += shard.settled_nodes;
   }
 
-  // Components are server-disjoint, so re-evaluating the stitched assignment
-  // against the parent problem reproduces the sum of the sub-costs
-  // (placement plus activation) exactly. The settle loads are spent, so
-  // their buffer is the feasibility check's scratch.
-  evaluate(problem, assignment, solution, load);
+  // Components are server-disjoint, so evaluating the stitched pairs against
+  // the parent problem reproduces the sum of the shard costs (placement plus
+  // activation) exactly. The settle loads are spent, so their buffer is the
+  // feasibility check's scratch.
+  evaluate_pairs(problem, pairs, solution, load);
   solution.stats = stats;
 }
 

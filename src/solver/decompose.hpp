@@ -16,15 +16,18 @@
 //
 // Most shards are uncontended: every app's first cheapest pair fits on its
 // server with room to spare. Such a component settles on those pairs, read
-// straight from the parent's rows, before any extraction; greedy, local
-// search and the exact path's root bound would all return exactly that
-// answer, so nothing is solved and the stats are the ones the solve would
-// have reported (solver.settled_shards counts these components).
+// straight from the parent's rows; greedy, local search and the exact path
+// would all return exactly that answer, so nothing is solved and the stats
+// are the ones the solve would have reported (solver.settled_shards counts
+// these components). Every other component is solved in place on the
+// parent's rows (solve_component): nothing is copied out, and each app's
+// answer is its pair, so the stitched answer needs no row search.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "solver/assignment.hpp"
@@ -32,57 +35,62 @@
 namespace carbonedge::solver {
 
 /// One connected component of the feasible-pair graph: parent-problem app
-/// and server indices, each in increasing order (extraction preserves
-/// relative order, so per-component solves are deterministic).
+/// and server indices, each in increasing order (a shard solve walks them
+/// in this order, so per-component solves are deterministic).
 struct Component {
   std::vector<std::size_t> apps;
   std::vector<std::size_t> servers;
 };
 
-/// The buffers one caller's solves reuse, reset in place by each solve: the
-/// union-find, the components (slots keep their vectors' storage between
-/// solves), the shared local server index, the settle certificate's load
-/// (also the final feasibility check's scratch) and the stitched
-/// assignment. Owned by one serial caller (a PlacementService holds one) and
-/// never shared between threads; nothing in it outlives a solve except
-/// storage.
+/// The buffers one caller's solves reuse, reset in place by each solve:
+/// the decomposition's and every contended component's solve buffers.
+/// Buffers indexed by app or server span the whole problem, and a
+/// component's solve touches only its own entries. Owned by one serial
+/// caller (a PlacementService holds one) and never shared between threads;
+/// nothing in it outlives a solve except storage.
 struct ShardWorkspace {
+  // Greedy's cache for one unplaced app: its two cheapest effective costs
+  // over the pairs that still fit, and the pair of the cheapest.
+  struct GreedyOption { double best, second; std::size_t best_pair; };
+
   std::vector<std::size_t> parent;             // union-find over apps ∪ servers
   std::vector<std::uint8_t> server_used;
   std::vector<std::size_t> component_of_root;
   std::vector<Component> components;           // slots; a solve uses a prefix
-  std::vector<std::size_t> local;
+  // Server x resource: the settle certificate's sums, a solved component's
+  // local-search loads, and the stitched answer's feasibility scratch.
   std::vector<double> load;
-  std::vector<std::size_t> assignment;
+  std::vector<std::size_t> pairs;              // app -> pair (kNoPair: unplaced)
+  // Server j's (app, pair) entries: column[column_begin[j] .. column_end[j]).
+  std::vector<std::size_t> column_begin;
+  std::vector<std::size_t> column_end;
+  std::vector<std::pair<std::size_t, std::size_t>> column;
+  std::vector<double> remaining;               // greedy: server x resource
+  std::vector<double> remaining_before;        // greedy: one server's, before a commit
+  std::vector<std::uint8_t> planned_on;
+  std::vector<GreedyOption> option;
+  std::vector<std::size_t> count;              // local search: apps per server
+  std::vector<std::size_t> pair_on;            // local search: one app's pair per server
+  std::vector<std::size_t> first_var;          // exact path: LP variable of an app's first pair
+  std::vector<int> y_var;                      // exact path: y_j's LP variable, or -1
+  std::vector<std::size_t> exact_pairs;        // exact path: its answer, app -> pair
 };
 
-/// Connected components, ordered by smallest app index. Every component has
-/// at least one app; an app with no feasible server forms an app-only
+/// Connected components, ordered by smallest app index, as a view of
+/// workspace.components valid until its next use. Every component has at
+/// least one app; an app with no feasible server forms an app-only
 /// singleton (empty server list). Servers with no feasible app belong to no
 /// component — they cannot receive load and keep their initial power state.
-[[nodiscard]] std::vector<Component> connected_components(const AssignmentProblem& problem);
-
-/// connected_components into `workspace`: the same components, as a view
-/// of workspace.components valid until its next use.
 std::span<const Component> connected_components(const AssignmentProblem& problem,
                                                 ShardWorkspace& workspace);
 
-/// Every component server's position in its component's server list,
-/// indexed by parent-problem server (`num_servers` entries); servers in no
-/// component map to kUnassigned. Components are server-disjoint, so one
-/// array indexes them all.
-[[nodiscard]] std::vector<std::size_t> local_server_index(std::size_t num_servers,
-                                                          std::span<const Component> components);
-
-/// The sub-problem induced by `component`: row/column `k` of the result is
-/// app `component.apps[k]` / server `component.servers[k]` of `problem`.
-/// `local` is local_server_index over a component list that contains
-/// `component`: the sub-problem's pair storage is sized exactly, then each
-/// member app's row is copied in bulk by AssignmentProblem::append_row, one
-/// read of `local` per pair.
-[[nodiscard]] AssignmentProblem extract_component(const AssignmentProblem& problem,
-                                                  const Component& component,
-                                                  std::span<const std::size_t> local);
+/// Solve `component` of `problem` in place, as solve_unsharded solves the
+/// component's own sub-problem: greedy + local search, and within
+/// exact_size_limit the exact path warm-started by them. Writes each member
+/// app's pair (kNoPair when unplaced) into workspace.pairs and returns the
+/// component's stats.
+SolveStats solve_component(const AssignmentProblem& problem, const Component& component,
+                           const AssignmentOptions& options, ShardWorkspace& workspace);
 
 /// Solve by decomposition, component by component in order. A component
 /// settles on every app's first least-cost pair when
@@ -95,12 +103,10 @@ std::span<const Component> connected_components(const AssignmentProblem& problem
 ///    (max_nodes >= 1).
 /// It then reports one exact shard settled at its root (milp_nodes and
 /// settled_nodes 1) within exact_size_limit, else one heuristic shard,
-/// plus settled_shards 1. Any other component is extracted through one
-/// local_server_index (built on first use), goes through solve_unsharded
-/// (exact_size_limit applies per component) and is stitched back; a
-/// component spanning the whole problem goes to solve_unsharded without
-/// extraction. Exact whenever every component is solved exactly; the
-/// returned stats report the decomposition shape and per-shard paths.
+/// plus settled_shards 1. Any other component goes through
+/// solve_component, which writes its pairs straight into the stitched
+/// answer. Exact whenever every component is solved exactly; the returned
+/// stats report the decomposition shape and per-shard paths.
 [[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
                                                const AssignmentOptions& options = {});
 

@@ -5,9 +5,19 @@
 #include <vector>
 
 #include "solver/assignment.hpp"
+#include "solver/decompose.hpp"
 #include "solver/lp.hpp"
 
 namespace carbonedge::testutil {
+
+/// solver::solve_auto on fresh buffers.
+inline solver::AssignmentSolution solve_auto(const solver::AssignmentProblem& problem,
+                                             const solver::AssignmentOptions& options = {}) {
+  solver::ShardWorkspace workspace;
+  solver::AssignmentSolution solution;
+  solver::solve_auto(problem, options, workspace, solution);
+  return solution;
+}
 
 /// The LP relaxation of a unit-slot AssignmentProblem: one resource, unit
 /// demands, integral capacities and no activation costs. Its constraint

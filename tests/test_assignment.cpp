@@ -415,9 +415,48 @@ TEST(LocalSearch, FixesGreedyMisstep) {
   EXPECT_TRUE(validate(p, sol));
 }
 
+// improve_local_search re-evaluates the solution it is handed even when no
+// move applies: a hand-built solution with a stale cost and feasibility
+// flag comes back with both recomputed, and its stats kept.
+TEST(LocalSearch, RefreshesStaleSolutionWithoutMoves) {
+  AssignmentProblem p(2, 2, 1);
+  p.set_capacity(0, 0, 2.0);
+  p.set_capacity(1, 0, 2.0);
+  p.set_initially_on(1, false);
+  p.set_activation_cost(1, 3.0);
+  p.add_pair(0, 0, 1.0, {1.0});
+  p.add_pair(0, 1, 4.0, {1.0});
+  p.add_pair(1, 0, 2.0, {1.0});
+  AssignmentSolution sol;
+  sol.assignment = {0, 0};  // already optimal: no relocate or swap improves it
+  sol.feasible = false;
+  sol.total_cost = 1234.5;
+  sol.unassigned_count = 7;
+  sol.stats.components = 1;
+  sol.stats.heuristic_shards = 1;
+  EXPECT_EQ(improve_local_search(p, sol), 0u);
+  const AssignmentSolution fresh = evaluate(p, {0, 0});
+  EXPECT_TRUE(sol.feasible);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sol.total_cost),
+            std::bit_cast<std::uint64_t>(fresh.total_cost));
+  EXPECT_EQ(sol.total_cost, 3.0);
+  EXPECT_EQ(sol.unassigned_count, 0u);
+  EXPECT_EQ(sol.powered_on, fresh.powered_on);
+  EXPECT_EQ(sol.stats.components, 1u);
+  EXPECT_EQ(sol.stats.heuristic_shards, 1u);
+
+  // And the other way round: a stale "feasible" on an overloaded placement.
+  p.set_capacity(0, 0, 1.5);
+  sol.feasible = true;
+  sol.total_cost = 0.0;
+  EXPECT_EQ(improve_local_search(p, sol), 0u);  // app 1 has no other server
+  EXPECT_FALSE(sol.feasible);
+  EXPECT_EQ(sol.total_cost, 3.0);
+}
+
 TEST(SolveAuto, UnitSlotInstanceSolvesExactly) {
   AssignmentProblem p = simple_problem(3, 2);
-  const AssignmentSolution sol = solve_auto(p);
+  const AssignmentSolution sol = testutil::solve_auto(p);
   ASSERT_TRUE(sol.feasible);
   const AssignmentSolution exact = solve_exact(p);
   EXPECT_NEAR(sol.total_cost, exact.total_cost, 1e-9);
@@ -433,7 +472,7 @@ TEST(SolveAuto, UnplaceableAppLeavesOthersPlaced) {
   p.set_capacity(0, 0, 1.0);
   p.set_capacity(1, 0, 1.0);
 
-  const AssignmentSolution sol = solve_auto(p);
+  const AssignmentSolution sol = testutil::solve_auto(p);
   EXPECT_FALSE(sol.feasible);
   EXPECT_EQ(sol.unassigned_count, 1u);
   EXPECT_NE(sol.assignment[0], kUnassigned);  // placeable apps still land
@@ -870,10 +909,10 @@ AssignmentProblem with_empty_row(const AssignmentProblem& p, std::size_t at) {
     q.set_activation_cost(j, p.activation_cost(j));
     q.set_initially_on(j, p.initially_on(j));
   }
-  std::vector<std::size_t> identity(p.num_servers());
-  for (std::size_t j = 0; j < identity.size(); ++j) identity[j] = j;
   for (std::size_t i = 0; i < p.num_apps(); ++i) {
-    q.append_row(i < at ? i : i + 1, p, i, identity);
+    for (std::size_t pair = p.row_begin(i); pair < p.row_end(i); ++pair) {
+      q.add_pair(i < at ? i : i + 1, p.server(pair), p.cost(pair), p.demands(pair));
+    }
   }
   return q;
 }
@@ -1015,7 +1054,7 @@ TEST_P(RandomTransport, FlowMatchesMilp) {
   ASSERT_EQ(optimum.status, LpStatus::kOptimal);
   const double tolerance = 1e-9 * std::max(1.0, std::abs(optimum.objective));
 
-  const AssignmentSolution automatic = solve_auto(p);
+  const AssignmentSolution automatic = testutil::solve_auto(p);
   ASSERT_TRUE(automatic.feasible);
   EXPECT_NEAR(automatic.total_cost, optimum.objective, tolerance) << "seed " << GetParam();
 

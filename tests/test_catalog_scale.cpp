@@ -23,6 +23,7 @@
 #include "sim/device.hpp"
 #include "sim/workload.hpp"
 #include "solver/assignment.hpp"
+#include "solver_test_util.hpp"
 #include "store/codecs.hpp"
 #include "util/hash.hpp"
 #include "util/random.hpp"
@@ -161,7 +162,7 @@ TEST(CatalogScale, BandedHeuristicPlacementMatchesRecordedDigest) {
   const core::BuiltProblem built = banded_batch_problem();
   solver::AssignmentOptions options;
   options.exact_size_limit = 0;
-  const solver::AssignmentSolution solution = solver::solve_auto(built.problem, options);
+  const solver::AssignmentSolution solution = testutil::solve_auto(built.problem, options);
   EXPECT_EQ(solution.stats.heuristic_shards, solution.stats.components);
   EXPECT_EQ(solution.unassigned_count, 0u);
   util::Fingerprint fp;

@@ -11,10 +11,19 @@
 #include <utility>
 #include <vector>
 
+#include "solver_test_util.hpp"
 #include "util/random.hpp"
 
 namespace carbonedge::solver {
 namespace {
+
+// The components as a vector of their own.
+std::vector<Component> connected_components(const AssignmentProblem& problem) {
+  ShardWorkspace workspace;
+  const std::size_t count = connected_components(problem, workspace).size();
+  workspace.components.resize(count);
+  return std::move(workspace.components);
+}
 
 // K independent blocks glued into one problem: block-diagonal feasibility,
 // two resources, one cold spare per block so activation decisions are in
@@ -111,6 +120,42 @@ TEST(ConnectedComponents, BridgingAppMergesBlocks) {
   EXPECT_EQ(connected_components(bridged).size(), 1u);
 }
 
+// Every component server's position in its component's server list, by
+// parent server; servers in no component map to kUnassigned.
+std::vector<std::size_t> local_server_index(std::size_t num_servers,
+                                            std::span<const Component> components) {
+  std::vector<std::size_t> local(num_servers, kUnassigned);
+  for (const Component& component : components) {
+    for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
+      local[component.servers[jj]] = jj;
+    }
+  }
+  return local;
+}
+
+// The sub-problem solve_sharded copied out of a contended component before
+// shards were solved in place: the member rows, servers renumbered through
+// `local` (local_server_index over a component list that contains
+// `component`), pair for pair. The oracles below solve these copies.
+AssignmentProblem extract_component(const AssignmentProblem& problem, const Component& component,
+                                    std::span<const std::size_t> local) {
+  const std::size_t resources = problem.num_resources();
+  AssignmentProblem sub(component.apps.size(), component.servers.size(), resources);
+  for (std::size_t jj = 0; jj < component.servers.size(); ++jj) {
+    const std::size_t j = component.servers[jj];
+    for (std::size_t k = 0; k < resources; ++k) sub.set_capacity(jj, k, problem.capacity(j, k));
+    sub.set_activation_cost(jj, problem.activation_cost(j));
+    sub.set_initially_on(jj, problem.initially_on(j));
+  }
+  for (std::size_t ii = 0; ii < component.apps.size(); ++ii) {
+    const std::size_t i = component.apps[ii];
+    for (std::size_t p = problem.row_begin(i); p < problem.row_end(i); ++p) {
+      sub.add_pair(ii, local[problem.server(p)], problem.cost(p), problem.demands(p));
+    }
+  }
+  return sub;
+}
+
 TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
   const AssignmentProblem p = block_instance(2, 3, 2, 11);
   const std::vector<Component> components = connected_components(p);
@@ -148,8 +193,8 @@ TEST(ExtractComponent, PreservesCostsDemandsCapacitiesAndPowerState) {
 }
 
 // The extraction before the shared server index: a binary search over
-// component.servers per pair. Kept as the oracle extract_component must
-// reproduce bit for bit.
+// component.servers per pair. The indexed oracle copy above must reproduce
+// it bit for bit.
 AssignmentProblem reference_extract(const AssignmentProblem& problem, const Component& component) {
   const std::size_t resources = problem.num_resources();
   AssignmentProblem sub(component.apps.size(), component.servers.size(), resources);
@@ -260,65 +305,6 @@ TEST(ExtractComponent, IndexedExtractionMatchesBinarySearchReference) {
   EXPECT_GE(components_checked, 1000u);
 }
 
-// A hand-made component whose member apps are not contiguous and whose
-// rows are empty in the middle and at the end: the bulk row copy must keep
-// every row's bounds, and append_row must refuse a row that would break the
-// problem's layout, leaving it unchanged.
-TEST(ExtractComponent, BulkRowCopyKeepsEmptyRowsAndRejectsBrokenRows) {
-  AssignmentProblem p(6, 5, 2);
-  for (std::size_t j = 0; j < 5; ++j) {
-    p.set_capacity(j, 0, 1.0 + static_cast<double>(j));
-    p.set_capacity(j, 1, 0.5);
-  }
-  p.set_initially_on(4, false);
-  p.set_activation_cost(4, 2.5);
-  p.add_pair(0, 0, 1.5, {0.1, 0.2});
-  p.add_pair(0, 2, 2.5, {0.3, 0.4});
-  p.add_pair(1, 1, 3.5, {0.5, 0.6});
-  p.add_pair(3, 0, 4.5, {0.7, 0.8});  // app 2 keeps no pair
-  p.add_pair(3, 4, 5.5, {0.9, 1.0});
-  p.add_pair(4, 3, 6.5, {1.1, 1.2});  // app 5 keeps no pair
-  const Component component{{0, 2, 3, 5}, {0, 2, 4}};
-  const std::vector<std::size_t> local = local_server_index(p.num_servers(), {&component, 1});
-
-  const AssignmentProblem sub = extract_component(p, component, local);
-  expect_bit_identical(sub, reference_extract(p, component));
-  EXPECT_EQ(sub.num_pairs(), 4u);
-  const std::vector<std::pair<std::size_t, std::size_t>> rows = {{0, 2}, {2, 2}, {2, 4}, {4, 4}};
-  for (std::size_t ii = 0; ii < rows.size(); ++ii) {
-    EXPECT_EQ(sub.row_begin(ii), rows[ii].first) << ii;
-    EXPECT_EQ(sub.row_end(ii), rows[ii].second) << ii;
-  }
-  EXPECT_EQ(sub.server(3), 2u);
-  EXPECT_EQ(bits(sub.cost(3)), bits(5.5));
-  EXPECT_EQ(bits(sub.demand(3, 1)), bits(1.0));
-
-  AssignmentProblem rows_out(3, 3, 2);
-  rows_out.append_row(1, p, 0, local);
-  ASSERT_EQ(rows_out.num_pairs(), 2u);
-  // An earlier row, the same row again, or a row past the last app.
-  EXPECT_THROW(rows_out.append_row(0, p, 3, local), std::invalid_argument);
-  EXPECT_THROW(rows_out.append_row(1, p, 3, local), std::invalid_argument);
-  EXPECT_THROW(rows_out.append_row(3, p, 3, local), std::invalid_argument);
-  // App 1's server 1 is no member: it maps to kUnassigned.
-  EXPECT_THROW(rows_out.append_row(2, p, 1, local), std::invalid_argument);
-  // A mapping past the sub-problem's servers, and one that reverses a row.
-  const std::vector<std::size_t> past = {0, 0, 3, 0, 2};
-  EXPECT_THROW(rows_out.append_row(2, p, 0, past), std::invalid_argument);
-  const std::vector<std::size_t> reversed = {2, 0, 1, 0, 0};
-  EXPECT_THROW(rows_out.append_row(2, p, 0, reversed), std::invalid_argument);
-  // A mapping shorter than the parent's servers, and a resource mismatch.
-  EXPECT_THROW(rows_out.append_row(2, p, 0, std::span(local).first(4)), std::invalid_argument);
-  AssignmentProblem one_resource(1, 3, 1);
-  EXPECT_THROW(one_resource.append_row(0, p, 0, local), std::invalid_argument);
-  // A refused row appends nothing, and the next valid row still fits.
-  EXPECT_EQ(rows_out.num_pairs(), 2u);
-  rows_out.append_row(2, p, 3, local);
-  EXPECT_EQ(rows_out.row_begin(2), 2u);
-  EXPECT_EQ(rows_out.row_end(2), 4u);
-  EXPECT_EQ(rows_out.row_servers(2)[1], 2u);
-}
-
 // Differential property: the stitched sharded solve must reproduce the
 // monolithic exact optimum on multi-component instances (the decomposition
 // is exact — nothing couples components).
@@ -359,7 +345,7 @@ TEST_P(ShardedVsUnsharded, AutoCostNeverWorseThanMonolithicAuto) {
   const AssignmentProblem p = block_instance(2 + seed % 4, 3, 2, seed * 2953 + 5);
 
   const AssignmentOptions options;
-  const AssignmentSolution sharded = solve_auto(p, options);
+  const AssignmentSolution sharded = testutil::solve_auto(p, options);
   const AssignmentSolution mono = solve_unsharded(p, options);
 
   // Sharding never loses a placement the monolith found (each component is
@@ -400,7 +386,7 @@ TEST(SolveAuto, ShardingKeepsLargeMultiComponentBatchesExact) {
   // with the (limit-free) monolithic exact optimum.
   const AssignmentProblem p = block_instance(6, 3, 2, 1234);
   AssignmentOptions options;  // exact_size_limit = 64
-  const AssignmentSolution sharded = solve_auto(p, options);
+  const AssignmentSolution sharded = testutil::solve_auto(p, options);
   const AssignmentSolution exact = solve_exact(p);
   ASSERT_TRUE(exact.feasible);
   ASSERT_TRUE(sharded.feasible);
@@ -755,6 +741,210 @@ TEST(SolveSharded, SettleDeclinesInsideCapacityHeadroom) {
   }
   // Just below S the full search does move an app, so the decline matters.
   EXPECT_GT(moved_off_cheapest, 0u);
+}
+
+// The settle certificate of solve_sharded (decompose.cpp), as it stood when
+// contended shards were copied out: true when `component` settles on every
+// app's first least-cost pair, written into `assignment`.
+bool reference_settles(const AssignmentProblem& problem, const Component& component,
+                       const AssignmentOptions& options, std::vector<double>& load,
+                       std::vector<std::size_t>& assignment) {
+  const bool exact =
+      component.apps.size() * component.servers.size() <= options.exact_size_limit;
+  if (exact && options.milp.max_nodes < 1) return false;
+  const std::size_t resources = problem.num_resources();
+  for (const std::size_t i : component.apps) {
+    std::size_t best = problem.row_begin(i);
+    for (std::size_t p = best; p < problem.row_end(i); ++p) {
+      if (!(std::abs(problem.cost(p)) <= 65536.0)) return false;
+      if (problem.cost(p) < problem.cost(best)) best = p;
+    }
+    const std::size_t j = problem.server(best);
+    if (!problem.initially_on(j) && problem.activation_cost(j) != 0.0) return false;
+    assignment[i] = j;
+    for (std::size_t k = 0; k < resources; ++k) {
+      const double demand = problem.demand(best, k);
+      if (!(demand >= 0.0)) return false;
+      load[j * resources + k] += demand;
+    }
+  }
+  for (const std::size_t j : component.servers) {
+    const double activation = problem.activation_cost(j);
+    if (!(std::isfinite(activation) && activation >= 0.0)) return false;
+    for (std::size_t k = 0; k < resources; ++k) {
+      const double capacity = problem.capacity(j, k);
+      const double headroom = kSettleHeadroom * std::max(1.0, std::abs(capacity));
+      if (!(load[j * resources + k] <= capacity - headroom)) return false;
+    }
+  }
+  return true;
+}
+
+// solve_sharded as it was when every contended component was copied into
+// its own AssignmentProblem and solved by solve_unsharded: the oracle the
+// in-place shard solve must reproduce bit for bit, every stat included.
+AssignmentSolution copy_then_solve_sharded(const AssignmentProblem& problem,
+                                           const AssignmentOptions& options) {
+  const std::vector<Component> components = connected_components(problem);
+  const bool whole = components.size() == 1 &&
+                     components.front().apps.size() == problem.num_apps() &&
+                     components.front().servers.size() == problem.num_servers();
+  const std::vector<std::size_t> local = local_server_index(problem.num_servers(), components);
+  std::vector<double> load(problem.num_servers() * problem.num_resources(), 0.0);
+  std::vector<std::size_t> assignment(problem.num_apps(), kUnassigned);
+  SolveStats stats;
+  stats.components = components.size();
+  for (const Component& component : components) {
+    if (component.servers.empty()) {
+      stats.unplaceable_apps += component.apps.size();
+      continue;
+    }
+    if (reference_settles(problem, component, options, load, assignment)) {
+      ++stats.settled_shards;
+      if (component.apps.size() * component.servers.size() <= options.exact_size_limit) {
+        ++stats.exact_shards;
+        ++stats.milp_nodes;
+        ++stats.settled_nodes;
+      } else {
+        ++stats.heuristic_shards;
+      }
+      continue;
+    }
+    if (whole) return solve_unsharded(problem, options);
+    const AssignmentSolution sub =
+        solve_unsharded(extract_component(problem, component, local), options);
+    for (std::size_t k = 0; k < component.apps.size(); ++k) {
+      const std::size_t jj = sub.assignment[k];
+      assignment[component.apps[k]] = jj == kUnassigned ? kUnassigned : component.servers[jj];
+    }
+    stats.exact_shards += sub.stats.exact_shards;
+    stats.heuristic_shards += sub.stats.heuristic_shards;
+    stats.unplaceable_apps += sub.stats.unplaceable_apps;
+    stats.milp_nodes += sub.stats.milp_nodes;
+    stats.settled_nodes += sub.stats.settled_nodes;
+  }
+  AssignmentSolution result = evaluate(problem, assignment);
+  result.stats = stats;
+  return result;
+}
+
+// Blocks that mostly contend: three in four have capacities of one or two
+// apps per server, so the cheapest pairs collide and the shard is solved.
+// Blocks run from 1x1 to 10x8 (exact-size shards and larger ones), off
+// servers activate for 0 or a positive cost, one demand in twenty is
+// negative, about one app in fifteen keeps no pair, and a bridging pair
+// sometimes merges a block with the next.
+AssignmentProblem contended_instance(std::uint64_t seed) {
+  util::Rng rng(seed * 0xbf58476d1ce4e5b9ULL + 29);
+  const std::size_t resources = 1 + rng.uniform_index(2);
+  const std::size_t blocks = 1 + rng.uniform_index(5);
+  std::vector<std::size_t> app_start{0};
+  std::vector<std::size_t> server_start{0};
+  for (std::size_t b = 0; b < blocks; ++b) {
+    app_start.push_back(app_start.back() + 1 + rng.uniform_index(10));
+    server_start.push_back(server_start.back() + 1 + rng.uniform_index(8));
+  }
+  AssignmentProblem p(app_start.back(), server_start.back(), resources);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const bool tight = rng.bernoulli(0.75);
+    for (std::size_t j = server_start[b]; j < server_start[b + 1]; ++j) {
+      for (std::size_t k = 0; k < resources; ++k) {
+        p.set_capacity(j, k, tight ? rng.uniform(0.6, 2.2) : rng.uniform(5.0, 12.0));
+      }
+      if (rng.bernoulli(0.4)) {
+        p.set_initially_on(j, false);
+        p.set_activation_cost(j, rng.bernoulli(0.4) ? 0.0 : rng.uniform(0.5, 4.0));
+      }
+    }
+    std::vector<double> demand(resources);
+    for (std::size_t i = app_start[b]; i < app_start[b + 1]; ++i) {
+      if (rng.bernoulli(0.06)) continue;
+      for (std::size_t j = server_start[b]; j < server_start[b + 1]; ++j) {
+        if (rng.bernoulli(0.2)) continue;
+        const double cost = rng.bernoulli(0.5) ? static_cast<double>(1 + rng.uniform_index(3))
+                                               : rng.uniform(0.5, 6.0);
+        for (double& d : demand) {
+          d = rng.bernoulli(0.05) ? -rng.uniform(0.05, 0.5) : rng.uniform(0.3, 1.0);
+        }
+        p.add_pair(i, j, cost, demand);
+      }
+      if (b + 1 < blocks && rng.bernoulli(0.03)) {
+        for (double& d : demand) d = rng.uniform(0.3, 1.0);
+        p.add_pair(i, server_start[b + 1], rng.uniform(0.5, 6.0), demand);
+      }
+    }
+  }
+  return p;
+}
+
+void expect_same_stats(const SolveStats& a, const SolveStats& e, const std::string& where) {
+  ASSERT_EQ(a.components, e.components) << where;
+  ASSERT_EQ(a.exact_shards, e.exact_shards) << where;
+  ASSERT_EQ(a.heuristic_shards, e.heuristic_shards) << where;
+  ASSERT_EQ(a.unplaceable_apps, e.unplaceable_apps) << where;
+  ASSERT_EQ(a.milp_nodes, e.milp_nodes) << where;
+  ASSERT_EQ(a.settled_nodes, e.settled_nodes) << where;
+  ASSERT_EQ(a.settled_shards, e.settled_shards) << where;
+}
+
+// Contended shards, solved fresh and on one reused workspace, must equal the
+// copy-then-solve path under every size limit and node budget: answer,
+// power states, cost bits and every counter.
+TEST(SolveSharded, InPlaceShardsMatchCopyThenSolve) {
+  std::vector<std::pair<std::string, AssignmentOptions>> option_sets;
+  option_sets.emplace_back("heuristic only", AssignmentOptions{});
+  option_sets.back().second.exact_size_limit = 0;
+  for (const std::size_t nodes : {std::size_t{0}, std::size_t{1}, std::size_t{500}}) {
+    AssignmentOptions options;
+    options.milp.max_nodes = nodes;
+    option_sets.emplace_back("nodes " + std::to_string(nodes), options);
+  }
+  ShardWorkspace workspace;
+  AssignmentSolution reused;
+  std::size_t solved = 0;          // components neither settled nor unplaceable
+  std::size_t lp_solved = 0;       // solves where some B&B node solved its LP
+  std::size_t searched = 0;        // solves whose MILP explored more than the root
+  std::size_t heuristic_only = 0;  // contended components past the size limit
+  std::size_t stranded = 0;        // answers that leave a placeable app unplaced
+  std::size_t negative = 0;        // instances with a negative demand
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    const AssignmentProblem p = contended_instance(seed);
+    const std::vector<Component> components = connected_components(p);
+    bool has_negative = false;
+    for (std::size_t q = 0; q < p.num_pairs(); ++q) {
+      for (std::size_t k = 0; k < p.num_resources(); ++k) has_negative |= p.demand(q, k) < 0.0;
+    }
+    negative += has_negative ? 1 : 0;
+    for (const auto& [name, options] : option_sets) {
+      const std::string where = "seed " + std::to_string(seed) + ", " + name;
+      const AssignmentSolution expected = copy_then_solve_sharded(p, options);
+      const AssignmentSolution actual = solve_sharded(p, options);
+      expect_same_solve(actual, expected, where);
+      expect_same_stats(actual.stats, expected.stats, where);
+      solve_sharded(p, options, workspace, reused);
+      expect_same_solve(reused, expected, where + ", reused workspace");
+      expect_same_stats(reused.stats, expected.stats, where + ", reused workspace");
+
+      const SolveStats& s = expected.stats;
+      solved += components.size() - s.unplaceable_apps - s.settled_shards;
+      lp_solved += s.milp_nodes > s.settled_nodes ? 1 : 0;
+      searched += s.milp_nodes > s.exact_shards ? 1 : 0;
+      for (const Component& component : components) {
+        if (!component.servers.empty() &&
+            component.apps.size() * component.servers.size() > options.exact_size_limit) {
+          ++heuristic_only;
+        }
+      }
+      stranded += expected.unassigned_count > s.unplaceable_apps ? 1 : 0;
+    }
+  }
+  // Every branch the in-place solve replaces must actually run.
+  EXPECT_GE(solved, 2000u);
+  EXPECT_GE(lp_solved, 300u);
+  EXPECT_GE(searched, 100u);
+  EXPECT_GE(heuristic_only, 500u);
+  EXPECT_GE(stranded, 300u);
+  EXPECT_GE(negative, 100u);
 }
 
 }  // namespace

@@ -220,7 +220,7 @@ TEST(LintD2, QuietOnLookupsSnapshotsAndAnnotatedIteration) {
 TEST(LintD3, FiresOnRngDrawInInlineParallelLambda) {
   const std::string src =
       "void step() {\n"
-      "  parallel_items(n, [&](std::size_t k) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
       "    slots_[k] = rng.bernoulli(0.5);\n"
       "  });\n"
       "}\n";
@@ -234,7 +234,7 @@ TEST(LintD3, FiresOnSharedMutationViaNamedLambda) {
       "    total_ += weigh(i);\n"
       "    log_.push_back(i);\n"
       "  };\n"
-      "  util::parallel_for(pool, 0, n, body, 1);\n"
+      "  util::parallel_for(budget, n, body);\n"
       "}\n";
   const auto findings = lint_one("src/x.cpp", src);
   EXPECT_EQ(count_rule(findings, "D3"), 2u);  // += and push_back
@@ -243,7 +243,7 @@ TEST(LintD3, FiresOnSharedMutationViaNamedLambda) {
 TEST(LintD3, QuietOnDisjointSlotWritesAndOutsideParallelSections) {
   const std::string disjoint =
       "void step() {\n"
-      "  parallel_items(n, [&](std::size_t k) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
       "    slots_[k] = compute(k);\n"
       "    local_sum[k] = slots_[k] * 2.0;\n"
       "  });\n"
@@ -258,19 +258,27 @@ TEST(LintD3, QuietOnDisjointSlotWritesAndOutsideParallelSections) {
   EXPECT_TRUE(lint_one("src/x.cpp", serial).empty());
 }
 
-TEST(LintD3, FiresInSubmitLambdaAndHonorsAnnotation) {
+TEST(LintD3, FiresInUnnamedItemLambdaAndHonorsAnnotation) {
   const std::string src =
       "void f() {\n"
-      "  pool.submit([&] { counter_ += 1; });\n"
+      "  parallel_for(budget, n, [&](std::size_t) { counter_ += 1; });\n"
       "}\n";
   EXPECT_TRUE(has_rule(lint_one("src/x.cpp", src), "D3"));
 
   const std::string annotated =
       "void f() {\n"
       "  // lint: parallel-state-ok(counter_ is atomic; relaxed telemetry only)\n"
-      "  pool.submit([&] { counter_ += 1; });\n"
+      "  parallel_for(budget, n, [&](std::size_t) { counter_ += 1; });\n"
       "}\n";
   EXPECT_TRUE(lint_one("src/x.cpp", annotated).empty());
+
+  // parallel_for is the only parallel loop: a call that merely shares a
+  // name with a deleted one (a task queue's submit) runs on this thread.
+  const std::string serial =
+      "void f() {\n"
+      "  queue.submit([&] { counter_ += 1; });\n"
+      "}\n";
+  EXPECT_TRUE(lint_one("src/x.cpp", serial).empty());
 }
 
 // ------------------------------------------------------------------- D4 --
@@ -412,7 +420,7 @@ TEST(LintOutput, FindingsAreSortedByFileThenLine) {
 TEST(LintD6, FiresOnCapturedWriteThatIsNotASlotWrite) {
   const std::string src =
       "void sweep() {\n"
-      "  parallel_items(n, [&](std::size_t k) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
       "    best = evaluate(k);\n"
       "  });\n"
       "}\n";
@@ -422,7 +430,7 @@ TEST(LintD6, FiresOnCapturedWriteThatIsNotASlotWrite) {
 TEST(LintD6, FiresWhenSlotIndexDoesNotDeriveFromTheItemParameter) {
   const std::string src =
       "void sweep() {\n"
-      "  parallel_items(n, [&](std::size_t k) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
       "    out[cursor] = evaluate(k);\n"
       "  });\n"
       "}\n";
@@ -432,7 +440,8 @@ TEST(LintD6, FiresWhenSlotIndexDoesNotDeriveFromTheItemParameter) {
 TEST(LintD6, QuietOnSanctionedSlotWritesIncludingDerivedLocals) {
   const std::string src =
       "void sweep() {\n"
-      "  parallel_items(n, [&](std::size_t k, const Scenario& cell) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
+      "    const Scenario& cell = cells[k];\n"
       "    const std::size_t row = cell.index * stride + k;\n"
       "    out[row] = evaluate(cell);\n"
       "    double acc = 0.0;\n"
@@ -446,13 +455,13 @@ TEST(LintD6, QuietOnSanctionedSlotWritesIncludingDerivedLocals) {
 TEST(LintD6, ByValueCapturesAreSeedsAndAnnotationSuppresses) {
   const std::string by_value =
       "void sweep() {\n"
-      "  pool.submit([&out, base](std::size_t k) { out[base + k] = 1.0; });\n"
+      "  parallel_for(budget, n, [&out, base](std::size_t k) { out[base + k] = 1.0; });\n"
       "}\n";
   EXPECT_TRUE(lint_one("src/x.cpp", by_value).empty());
 
   const std::string annotated =
       "void sweep() {\n"
-      "  parallel_items(n, [&](std::size_t k) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
       "    // lint: slot-write-ok(guarded by the per-chunk mutex two lines up)\n"
       "    best = evaluate(k);\n"
       "  });\n"
@@ -466,7 +475,7 @@ TEST(LintD7, FiresOnAccumulationIntoCapturedVariable) {
   const std::string src =
       "void sweep() {\n"
       "  double total = 0.0;\n"
-      "  parallel_items(n, [&](std::size_t k) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
       "    total += evaluate(k);\n"
       "  });\n"
       "}\n";
@@ -476,7 +485,7 @@ TEST(LintD7, FiresOnAccumulationIntoCapturedVariable) {
 TEST(LintD7, FiresOnSelfAssignmentFoldForm) {
   const std::string src =
       "void sweep() {\n"
-      "  parallel_for(pool, 0, n, [&](std::size_t i) {\n"
+      "  parallel_for(budget, n, [&](std::size_t i) {\n"
       "    acc = acc + weigh(i);\n"
       "  });\n"
       "}\n";
@@ -498,7 +507,7 @@ TEST(LintD7, FiresOnAccumulationOverUnorderedContainer) {
 TEST(LintD7, QuietOnOrderedFoldAnnotationAndPerSlotWrites) {
   const std::string annotated =
       "void sweep() {\n"
-      "  parallel_items(n, [&](std::size_t k) {\n"
+      "  parallel_for(budget, n, [&](std::size_t k) {\n"
       "    // lint: ordered-fold-ok(integer event counter; addition commutes)\n"
       "    events += count(k);\n"
       "  });\n"
@@ -507,7 +516,7 @@ TEST(LintD7, QuietOnOrderedFoldAnnotationAndPerSlotWrites) {
 
   const std::string slots =
       "void sweep() {\n"
-      "  parallel_items(n, [&](std::size_t k) { partial[k] = evaluate(k); });\n"
+      "  parallel_for(budget, n, [&](std::size_t k) { partial[k] = evaluate(k); });\n"
       "  double total = 0.0;\n"
       "  for (double p : partial) total += p;\n"  // serial fold: fine
       "}\n";

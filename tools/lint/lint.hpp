@@ -15,9 +15,8 @@
 //       or .begin() loops) must either be the serial-snapshot idiom or
 //       carry a reasoned `unordered-iteration-ok` annotation — folding or
 //       emitting in bucket order is how fp sums drift.
-//   D3  inside parallel sections (lambdas passed to parallel_items /
-//       parallel_for / a task queue's submit, directly or via a named
-//       lambda):
+//   D3  inside parallel sections (lambdas passed to util::parallel_for,
+//       directly or via a named lambda):
 //       no RNG draws (coordinator-only RNG is the PR 5 contract) and no
 //       mutation of shared member state (`name_` identifiers) except
 //       disjoint-slot writes (`name_[index] = ...`).

@@ -162,7 +162,7 @@ struct LambdaParts {
     if (const auto parts = parse_lambda(s, open)) named[(*it)[1].str()] = *parts;
   }
 
-  static const std::regex kCall(R"(\b(?:parallel_items|parallel_for|submit)\s*\()");
+  static const std::regex kCall(R"(\bparallel_for\s*\()");
   std::vector<ParallelRegion> regions;
   const auto add = [&](const LambdaParts& parts) {
     regions.push_back({parts.body, seeds_of(s, parts)});

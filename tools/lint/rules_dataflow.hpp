@@ -31,7 +31,7 @@ struct Region {
 
 /// One code region that executes on worker lanes: the body of a lambda
 /// passed (directly, or via a named `auto body = [...]` variable) to
-/// parallel_items / parallel_for / a task queue's submit, plus the names the
+/// util::parallel_for, the one parallel loop, plus the names the
 /// slot-index analysis treats as per-item seeds — the lambda's parameters
 /// and its explicit by-value captures (each task gets its own copy, so
 /// indexing by them is the disjoint-slot pattern).
