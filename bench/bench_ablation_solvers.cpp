@@ -194,6 +194,7 @@ int main() {
   // the monolithic pair counts above are far beyond solve_auto's default.
   shard_options.exact_size_limit = 64;
   std::size_t mono_capped = 0;  // monolithic B&Bs truncated at the node cap
+  ShardWorkspace workspace;     // reused across solves, as a PlacementService does
   for (const BlockShape& shape : block_shapes) {
     double mono_cost = 0.0;
     double shard_cost = 0.0;
@@ -209,7 +210,11 @@ int main() {
           block_instance(shape.blocks, shape.apps_per, shape.servers_per, seed * 104729);
       const Timed mono = timed([&] { return solve_exact(p); });
       if (mono.cost() < 0.0) continue;  // skip infeasible draws
-      const Timed sharded = timed([&] { return solve_sharded(p, shard_options); });
+      const Timed sharded = timed([&] {
+        AssignmentSolution s;
+        solve_auto(p, shard_options, workspace, s);
+        return s;
+      });
       if (sharded.cost() < 0.0) continue;  // never mix -1 sentinels into a mean
       if (mono.solution.stats.milp_nodes >= MilpOptions{}.max_nodes) ++mono_capped;
       mono_cost += mono.cost();

@@ -60,11 +60,12 @@ PlacementResult PlacementService::place(const PlacementInput& input,
 
   result.decisions.reserve(apps.size());
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    const std::size_t j = solution.assignment[i];
-    if (j == solver::kUnassigned) {
+    const std::size_t p = solution.pairs[i];
+    if (p == solver::kNoPair) {
       result.rejected.push_back(apps[i].id);
       continue;
     }
+    const std::size_t j = built_.problem.server(p);
     const auto& ref = servers[j];
     if (!ref.server->can_host(apps[i].model, apps[i].rps)) {
       // Defense in depth: heuristic solutions are validated upstream, but a
@@ -80,7 +81,6 @@ PlacementResult PlacementService::place(const PlacementInput& input,
     decision.site = ref.site;
     decision.server = ref.server->id();
     decision.column = j;
-    const std::size_t p = solution.pairs[i];
     decision.rtt_ms = built_.rtt_ms[p];
     decision.energy_wh = built_.energy_wh[p];
     decision.carbon_g = built_.carbon_g[p];

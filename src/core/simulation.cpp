@@ -82,9 +82,11 @@ SimMetrics& sim_metrics() {
   return metrics;
 }
 
-/// Displaced-app sentinel: crash victims whose redeployment is not a
-/// data-movement migration.
+/// Displacement sentinels: the site of a crash victim, whose redeployment
+/// is not a data-movement migration, and the column of any displaced app
+/// but a migrant evicted this epoch.
 constexpr std::size_t kNoAccountedSite = static_cast<std::size_t>(-1);
+constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
 
 /// Each site's trace, in site order.
 std::vector<std::shared_ptr<const carbon::CarbonTrace>> resolve_site_traces(
@@ -110,8 +112,6 @@ struct SimulationEngine::Epoch {
   /// What placement sees: crash victims, immediate arrivals, released
   /// deferrals and evicted migrants, in that order. The engine's buffer.
   std::vector<sim::Application>& batch;
-  /// Each evicted migrant's previous server.
-  std::unordered_map<sim::AppId, PreviousPlacement> moved_from;
   /// Filled as the phases run: failures and migrations count into it as
   /// they happen, placement outcomes at commit, sites and samples last.
   sim::EpochRecord record;
@@ -139,13 +139,6 @@ carbon::HourIndex SimulationEngine::hour_of(std::uint32_t epoch) const noexcept 
                                static_cast<double>(epoch) * config_.epoch_hours)));
 }
 
-sim::EdgeServer& SimulationEngine::find_server(std::size_t site, std::uint32_t server_id) {
-  for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
-    if (server.id() == server_id) return server;
-  }
-  throw std::logic_error("hosted app references unknown server");
-}
-
 void SimulationEngine::snapshot_hosted() {
   hosted_snapshot_.clear();
   hosted_snapshot_.reserve(hosted_.size());
@@ -153,14 +146,14 @@ void SimulationEngine::snapshot_hosted() {
   for (const auto& [id, entry] : hosted_) hosted_snapshot_.emplace_back(id, &entry);
 }
 
-void SimulationEngine::crash_server(Epoch& epoch, std::size_t site, sim::EdgeServer& server) {
+void SimulationEngine::crash_server(Epoch& epoch, std::size_t column) {
   // Re-batch the apps that were on the crashed server. Marking them
   // displaced keeps them alive (retried, never counted as fresh
   // rejections) if the shrunken cluster cannot re-place them at once.
   // lint: unordered-iteration-ok(coordinator-only erase walk; bucket order determines batch order, which is itself a deterministic function of the insert/erase history — no fp accumulation here)
   for (auto it = hosted_.begin(); it != hosted_.end();) {
-    if (&server_at(it->second.column) == &server) {
-      displaced_from_.insert_or_assign(it->first, kNoAccountedSite);
+    if (it->second.column == column) {
+      displaced_from_.insert_or_assign(it->first, Displacement{kNoAccountedSite, kNoColumn});
       epoch.batch.push_back(it->second.app);
       ++result_.apps_redeployed;
       it = hosted_.erase(it);
@@ -168,8 +161,8 @@ void SimulationEngine::crash_server(Epoch& epoch, std::size_t site, sim::EdgeSer
       ++it;
     }
   }
-  server.set_failed(true);
-  under_repair_[{site, server.id()}] = epoch.index + config_.failures.repair_epochs;
+  server_at(column).set_failed(true);
+  under_repair_[column] = epoch.index + config_.failures.repair_epochs;
   ++result_.server_failures;
   ++epoch.record.failures;
 }
@@ -201,7 +194,7 @@ void SimulationEngine::account_move(Epoch& epoch, const sim::Application& app,
 
 void SimulationEngine::step(std::vector<sim::Application> arrivals,
                             const StepOptions& options) {
-  check_inputs(arrivals, options.failures);
+  const std::vector<std::size_t> failed_columns = check_inputs(arrivals, options.failures);
   const obs::Span span(phases().epoch);
   Epoch epoch(batch_);
   epoch.index = epoch_;
@@ -209,7 +202,7 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   epoch.record.epoch = epoch_;
 
   fill_site_intensity(epoch);
-  apply_failures(epoch, options.failures);
+  apply_failures(epoch, failed_columns);
   depart();
   admit_and_release(epoch, std::move(arrivals));
   evict_migrants(epoch, options.migrate);
@@ -222,8 +215,9 @@ void SimulationEngine::step(std::vector<sim::Application> arrivals,
   ++epoch_;
 }
 
-void SimulationEngine::check_inputs(std::span<const sim::Application> arrivals,
-                                    std::span<const ServerFailureEvent> failures) const {
+std::vector<std::size_t> SimulationEngine::check_inputs(
+    std::span<const sim::Application> arrivals,
+    std::span<const ServerFailureEvent> failures) const {
   if (finished_) throw std::logic_error("SimulationEngine::step after finish()");
   if (epoch_ >= config_.epochs) {
     throw std::logic_error("SimulationEngine::step beyond configured horizon");
@@ -237,19 +231,25 @@ void SimulationEngine::check_inputs(std::span<const sim::Application> arrivals,
                                   " out of range");
     }
   }
+  // A failure event's server becomes its layout column here.
+  std::vector<std::size_t> columns;
   for (const ServerFailureEvent& event : failures) {
     if (event.site >= cluster_.size()) {
       throw std::invalid_argument("failure event: site " + std::to_string(event.site) +
                                   " out of range");
     }
     const std::vector<sim::EdgeServer>& servers = cluster_.sites()[event.site].servers();
-    if (std::none_of(servers.begin(), servers.end(), [&](const sim::EdgeServer& server) {
-          return server.id() == event.server_id;
-        })) {
+    const auto it = std::find_if(servers.begin(), servers.end(), [&](const sim::EdgeServer& server) {
+      return server.id() == event.server_id;
+    });
+    if (it == servers.end()) {
       throw std::invalid_argument("failure event: site " + std::to_string(event.site) +
                                   " has no server " + std::to_string(event.server_id));
     }
+    columns.push_back(layout_.site_first(event.site) +
+                      static_cast<std::size_t>(it - servers.begin()));
   }
+  return columns;
 }
 
 void SimulationEngine::fill_site_intensity(const Epoch& epoch) {
@@ -265,12 +265,12 @@ void SimulationEngine::fill_site_intensity(const Epoch& epoch) {
 }
 
 void SimulationEngine::apply_failures(Epoch& epoch,
-                                      std::span<const ServerFailureEvent> failures) {
+                                      std::span<const std::size_t> failed_columns) {
   const obs::Span span(phases().apply_failures);
   // Repairs, then injected failures, then fresh drawn failures.
   for (auto it = under_repair_.begin(); it != under_repair_.end();) {
     if (epoch.index >= it->second) {
-      sim::EdgeServer& server = find_server(it->first.first, it->first.second);
+      sim::EdgeServer& server = server_at(it->first);
       server.set_failed(false);
       server.set_powered_on(true);
       it = under_repair_.erase(it);
@@ -282,22 +282,21 @@ void SimulationEngine::apply_failures(Epoch& epoch,
   // dead must not also consume a Bernoulli draw below (it is no longer
   // eligible), and with an empty span this block is a no-op — the drawn
   // failure stream is untouched, which the replay oracle relies on.
-  for (const ServerFailureEvent& event : failures) {
-    sim::EdgeServer& server = find_server(event.site, event.server_id);
-    if (server.failed()) continue;  // already down: repair timer keeps running
-    crash_server(epoch, event.site, server);
+  for (const std::size_t column : failed_columns) {
+    if (server_at(column).failed()) continue;  // already down: repair timer keeps running
+    crash_server(epoch, column);
   }
   if (config_.failures.mtbf_epochs > 0.0) {
     const double fail_p = 1.0 / config_.failures.mtbf_epochs;
-    // One Bernoulli per eligible (powered-on, healthy) server in site/server
-    // order. Crashing a server never changes another's power or failure
-    // state, so eligibility is stable across the pass.
-    for (std::size_t site = 0; site < cluster_.size(); ++site) {
-      for (sim::EdgeServer& server : cluster_.sites()[site].servers()) {
-        if (!server.powered_on() || server.failed()) continue;
-        if (!failure_rng_.bernoulli(fail_p)) continue;
-        crash_server(epoch, site, server);
-      }
+    // One Bernoulli per eligible (powered-on, healthy) server in column
+    // order, which is site/server order. Crashing a server never changes
+    // another's power or failure state, so eligibility is stable across the
+    // pass.
+    for (std::size_t column = 0; column < layout_.servers().size(); ++column) {
+      const sim::EdgeServer& server = server_at(column);
+      if (!server.powered_on() || server.failed()) continue;
+      if (!failure_rng_.bernoulli(fail_p)) continue;
+      crash_server(epoch, column);
     }
   }
 }
@@ -394,7 +393,7 @@ void SimulationEngine::evict_migrants(Epoch& epoch, std::optional<bool> migrate_
   for (const sim::AppId id : to_move) {
     auto& entry = hosted_.at(id);
     server_at(entry.column).evict(id);
-    epoch.moved_from.emplace(id, PreviousPlacement{entry.site, entry.column});
+    displaced_from_.emplace(id, Displacement{site_of(entry.column), entry.column});
     epoch.batch.push_back(entry.app);
     hosted_.erase(id);
   }
@@ -403,7 +402,8 @@ void SimulationEngine::evict_migrants(Epoch& epoch, std::optional<bool> migrate_
 bool SimulationEngine::vetoes_move(const HostedApp& entry) {
   // Veto moves whose projected benefit cannot repay the transfer.
   const sim::EdgeServer& current = server_at(entry.column);
-  const double current_rate = carbon_rate_g(entry.app, current, entry.site);
+  const std::size_t site = site_of(entry.column);
+  const double current_rate = carbon_rate_g(entry.app, current, site);
   double best_rate = current_rate;
   for (const InBandSite& band :
        layout_.in_band(entry.app.origin_site, entry.app.latency_limit_rtt_ms)) {
@@ -416,7 +416,7 @@ bool SimulationEngine::vetoes_move(const HostedApp& entry) {
   const double lifetime = std::min<double>(config_.migration.benefit_horizon_epochs,
                                            entry.app.remaining_epochs);
   const double benefit = (current_rate - best_rate) * lifetime;
-  return benefit < migration_cost(entry.app, entry.site).second * config_.migration.hysteresis;
+  return benefit < migration_cost(entry.app, site).second * config_.migration.hysteresis;
 }
 
 PlacementResult SimulationEngine::place(const Epoch& epoch) {
@@ -435,21 +435,16 @@ void SimulationEngine::commit(Epoch& epoch, const PlacementResult& placement) {
   const std::vector<sim::Application>& batch = epoch.batch;
   for (const PlacementDecision& decision : placement.decisions) {
     const sim::Application& app = batch[decision.batch_index];
-    hosted_.emplace(decision.app,
-                    HostedApp{app, decision.site, decision.column, decision.rtt_ms});
+    hosted_.emplace(decision.app, HostedApp{app, decision.column, decision.rtt_ms});
     // Account data movement for re-optimized (or earlier-displaced) apps
     // that changed site.
-    const auto prev = epoch.moved_from.find(decision.app);
-    const auto limbo = displaced_from_.find(decision.app);
-    if (prev != epoch.moved_from.end()) {
-      if (prev->second.site != decision.site) {
-        account_move(epoch, app, prev->second.site);
+    const auto from = displaced_from_.find(decision.app);
+    if (from != displaced_from_.end()) {
+      const std::size_t from_site = from->second.site;
+      if (from_site != kNoAccountedSite && from_site != decision.site) {
+        account_move(epoch, app, from_site);
       }
-    } else if (limbo != displaced_from_.end()) {
-      if (limbo->second != kNoAccountedSite && limbo->second != decision.site) {
-        account_move(epoch, app, limbo->second);
-      }
-      displaced_from_.erase(limbo);
+      displaced_from_.erase(from);
     }
   }
   // Decisions and rejections partition the batch, each in batch order, so
@@ -479,19 +474,18 @@ bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app
   // capacity, so it is normally reclaimable — and count the non-move as a
   // skipped migration, not a rejection. Only fresh arrivals can be
   // genuinely rejected.
-  const auto prev = epoch.moved_from.find(app.id);
-  const auto limbo = displaced_from_.find(app.id);
-  if (prev == epoch.moved_from.end() && limbo == displaced_from_.end()) return false;
-  const std::size_t home_site =
-      prev != epoch.moved_from.end() ? prev->second.site : limbo->second;
+  const auto from = displaced_from_.find(app.id);
+  if (from == displaced_from_.end()) return false;
+  const std::size_t home_site = from->second.site;
+  const bool migrant = from->second.column != kNoColumn;
   sim::EdgeServer* target = nullptr;
   std::size_t target_site = home_site;
   std::size_t target_column = 0;
-  if (prev != epoch.moved_from.end()) {
-    sim::EdgeServer& old_server = server_at(prev->second.column);
+  if (migrant) {
+    sim::EdgeServer& old_server = server_at(from->second.column);
     if (old_server.powered_on() && old_server.can_host(app.model, app.rps)) {
       target = &old_server;
-      target_column = prev->second.column;
+      target_column = from->second.column;
     }
   }
   if (target == nullptr) {
@@ -514,7 +508,7 @@ bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app
       if (target != nullptr) break;
     }
   }
-  if (prev != epoch.moved_from.end() && (target == nullptr || target_site == home_site)) {
+  if (migrant && (target == nullptr || target_site == home_site)) {
     // The optimizer's intended migration did not happen and the app
     // stayed (or parked) at home; landing on another site is instead a
     // real move, charged below.
@@ -522,7 +516,7 @@ bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app
   }
   if (target != nullptr) {
     target->host(sim::AppInstance{app.id, app.model, app.rps});
-    hosted_.emplace(app.id, HostedApp{app, target_site, target_column,
+    hosted_.emplace(app.id, HostedApp{app, target_column,
                                       2.0 * latency_->one_way_ms(app.origin_site, target_site)});
     // Landing away from the app's previous site is a real (forced) move and
     // pays the transfer emissions like any other migration — except for
@@ -530,13 +524,13 @@ bool SimulationEngine::restore_migrant(Epoch& epoch, const sim::Application& app
     if (home_site != kNoAccountedSite && target_site != home_site) {
       account_move(epoch, app, home_site);
     }
-    if (limbo != displaced_from_.end()) displaced_from_.erase(limbo);
+    displaced_from_.erase(from);
   } else {
     // No capacity anywhere this epoch (another app took the freed slot and
     // the cluster is saturated): keep the app alive and retry at the next
     // epoch via the deferral queue rather than dropping it. The epoch it
     // sits out is real downtime for a live app — account it.
-    displaced_from_.insert_or_assign(app.id, home_site);
+    from->second.column = kNoColumn;  // parked: it keeps only its site
     ++result_.app_downtime_epochs;
     sim::Application retry = app;
     retry.max_defer_epochs = 0;

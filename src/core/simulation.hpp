@@ -134,8 +134,9 @@ struct ServerFailureEvent {
 ///
 /// step() runs one epoch as a fixed sequence of phases, each a private
 /// member under its own `core.step.<phase>` span inside `core.epoch_step`:
-///   1. check_inputs        range-check the fed sites and servers (no span;
-///                          throws before any state changes)
+///   1. check_inputs        range-check the fed sites and servers and map
+///                          each failure to its column (no span; throws
+///                          before any state changes)
 ///   2. fill_site_intensity Ī per site at the epoch's hour
 ///   3. apply_failures      repairs, then injected, then drawn crashes
 ///   4. depart              apps whose lifetime ran out leave
@@ -149,8 +150,8 @@ struct ServerFailureEvent {
 ///   9. account_sites       one record per site
 ///  10. fold_app_samples    each hosted app's latency sample
 ///  11. power_sweep         power management between epochs
-/// The phases share one Epoch record (epoch, hour, batch, moved-from map
-/// and the EpochRecord being built), passed by reference.
+/// The phases share one Epoch record (epoch, hour, batch and the
+/// EpochRecord being built), passed by reference.
 ///
 /// Threading: an engine is serial; the epoch body and the placement
 /// solver's components all run on the calling thread.
@@ -200,29 +201,27 @@ class SimulationEngine {
 
  private:
   // Where an app runs, fixed from the epoch it lands until it leaves: its
-  // server as a layout column (an index, not a scan) and the round trip
-  // from its origin, which the accounting fold reads every epoch.
+  // server as a layout column (an index, not a scan; site_of gives its
+  // site) and the round trip from its origin, read by the accounting fold.
   struct HostedApp {
     sim::Application app;
-    std::size_t site = 0;
     std::size_t column = 0;
     double rtt_ms = 0.0;
   };
 
-  // Where a re-optimization candidate was hosted before it was evicted
-  // into the batch: for data-movement accounting on moves, and to restore
-  // the app if the solver rejects it.
-  struct PreviousPlacement {
+  // Where a displaced app last ran (see displaced_from_).
+  struct Displacement {
     std::size_t site = 0;
     std::size_t column = 0;
   };
   struct Epoch;  // the per-epoch record step() threads through its phases
 
   // step()'s phases, in the order it runs them (see the class comment).
-  void check_inputs(std::span<const sim::Application> arrivals,
-                    std::span<const ServerFailureEvent> failures) const;
+  [[nodiscard]] std::vector<std::size_t> check_inputs(
+      std::span<const sim::Application> arrivals,
+      std::span<const ServerFailureEvent> failures) const;
   void fill_site_intensity(const Epoch& epoch);
-  void apply_failures(Epoch& epoch, std::span<const ServerFailureEvent> failures);
+  void apply_failures(Epoch& epoch, std::span<const std::size_t> failed_columns);
   void depart();
   void admit_and_release(Epoch& epoch, std::vector<sim::Application> arrivals);
   void evict_migrants(Epoch& epoch, std::optional<bool> migrate_override);
@@ -232,13 +231,16 @@ class SimulationEngine {
   void fold_app_samples(Epoch& epoch);
   void power_sweep();
 
-  [[nodiscard]] sim::EdgeServer& find_server(std::size_t site, std::uint32_t server_id);
   [[nodiscard]] sim::EdgeServer& server_at(std::size_t column) {
     return *layout_.servers()[column].server;
   }
-  /// Crash one server: displace its apps into the epoch's batch, mark it
-  /// failed, and schedule the repair. Shared by drawn and injected failures.
-  void crash_server(Epoch& epoch, std::size_t site, sim::EdgeServer& server);
+  [[nodiscard]] std::size_t site_of(std::size_t column) const {
+    return layout_.servers()[column].site;
+  }
+  /// Crash the server at `column`: displace its apps into the epoch's
+  /// batch, mark it failed, and schedule the repair. Shared by drawn and
+  /// injected failures.
+  void crash_server(Epoch& epoch, std::size_t column);
   /// The cost-aware filter: true when moving `entry` cannot repay its
   /// transfer emissions.
   [[nodiscard]] bool vetoes_move(const HostedApp& entry);
@@ -283,17 +285,17 @@ class SimulationEngine {
   std::pmr::unordered_map<sim::AppId, HostedApp> hosted_{&hosted_pool_};
   // The epoch's placement batch; cleared, not freed, between epochs.
   std::vector<sim::Application> batch_;
-  // (site, server id) -> epoch at which the server comes back.
-  std::map<std::pair<std::size_t, std::uint32_t>, std::uint32_t> under_repair_;
+  // Failed server's column -> epoch at which it comes back.
+  std::map<std::size_t, std::uint32_t> under_repair_;
   // Temporally flexible applications waiting for a low-intensity start.
   std::vector<sim::Application> deferred_;
-  // Formerly-hosted applications that lost their server — bumped by a
-  // rejected re-optimization or orphaned by a crash — awaiting re-placement;
-  // they retry through the deferral queue and must never be counted as
-  // fresh rejections. Maps the app to the site it last ran on, for
-  // migration accounting when it lands again; kNoAccountedSite marks crash
-  // victims, whose redeployment is not a data-movement migration.
-  std::unordered_map<sim::AppId, std::size_t> displaced_from_;
+  // Formerly-hosted applications that lost their server, each with where
+  // it last ran: a migrant evicted this epoch keeps its site and column (to
+  // charge a move or restore it if rejected), an app parked for a later
+  // epoch only its site, and a crash victim neither (kNoAccountedSite,
+  // kNoColumn): its redeployment is not a data-movement migration. Parked
+  // apps retry through the deferral queue, never as fresh rejections.
+  std::unordered_map<sim::AppId, Displacement> displaced_from_;
 
   // Reused buffer (allocated once, refilled per walk): the hosted map's
   // iteration order, materialized so the migration veto and the per-app

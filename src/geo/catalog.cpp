@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -118,13 +119,13 @@ SiteCatalog::SiteCatalog(std::vector<City> sites)
     if (c.name.empty()) {
       throw std::invalid_argument("site catalog: empty site name");
     }
-    if (c.location.lat_deg < -90.0 || c.location.lat_deg > 90.0 ||
-        c.location.lon_deg < -180.0 || c.location.lon_deg > 180.0) {
+    // Negated comparisons, so a NaN fails them too.
+    if (!(std::abs(c.location.lat_deg) <= 90.0) || !(std::abs(c.location.lon_deg) <= 180.0)) {
       throw std::invalid_argument("site catalog: coordinate out of range for " +
                                   c.name);
     }
-    if (c.population_k < 0.0) {
-      throw std::invalid_argument("site catalog: negative population for " +
+    if (!(c.population_k >= 0.0 && std::isfinite(c.population_k))) {
+      throw std::invalid_argument("site catalog: negative or non-finite population for " +
                                   c.name);
     }
     by_name_.push_back(static_cast<SiteId>(i));

@@ -1,6 +1,7 @@
 #include "geo/catalog_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -20,6 +21,12 @@ double parse_double(std::string_view field, std::size_t line_no,
       std::from_chars(field.data(), field.data() + field.size(), value);
   if (ec != std::errc{} || ptr != field.data() + field.size()) {
     fail(line_no, std::string("malformed ") + label + " '" +
+                      std::string(field) + "'");
+  }
+  // from_chars reads "nan" and "inf", which every range check below lets
+  // through.
+  if (!std::isfinite(value)) {
+    fail(line_no, std::string("non-finite ") + label + " '" +
                       std::string(field) + "'");
   }
   return value;

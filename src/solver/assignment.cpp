@@ -4,9 +4,9 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "solver/decompose.hpp"
 #include "solver/lp.hpp"
@@ -14,57 +14,6 @@
 namespace carbonedge::solver {
 
 namespace {
-
-// Registry mirrors of SolveStats, aggregated at the solve_auto entry (the
-// path every placement goes through). All integer counts of deterministic
-// solver decisions, so deterministic view even when solves run on worker
-// lanes. The size histogram observes integer values only — its sum stays
-// exact and commutative, hence thread-count independent.
-struct SolverMetrics {
-  obs::Counter& solves;
-  obs::Counter& components;
-  obs::Counter& exact_shards;
-  obs::Counter& heuristic_shards;
-  obs::Counter& unplaceable_apps;
-  obs::Counter& milp_nodes;
-  obs::Counter& milp_settled_nodes;
-  obs::Counter& settled_shards;
-  obs::Histogram& problem_apps;
-};
-
-SolverMetrics& solver_metrics() {
-  obs::Registry& registry = obs::Registry::global();
-  static SolverMetrics metrics{
-      registry.counter("solver.solves", "assignment problems solved (solve_auto entries)",
-                       obs::View::kDeterministic),
-      registry.counter("solver.components", "connected components across all solves",
-                       obs::View::kDeterministic),
-      registry.counter("solver.exact_shards", "components solved by the MILP",
-                       obs::View::kDeterministic),
-      registry.counter("solver.heuristic_shards",
-                       "components solved by greedy + local search",
-                       obs::View::kDeterministic),
-      registry.counter("solver.unplaceable_apps", "apps with no feasible server at all",
-                       obs::View::kDeterministic),
-      registry.counter("solver.milp_nodes", "B&B nodes explored across exact shards",
-                       obs::View::kDeterministic),
-      registry.counter("solver.milp_settled_nodes",
-                       "B&B nodes settled by a certificate without an LP",
-                       obs::View::kDeterministic),
-      registry.counter("solver.settled_shards",
-                       "components settled on every app's cheapest pair without a solve",
-                       obs::View::kDeterministic),
-      registry.histogram("solver.problem_apps", "apps per solved assignment problem",
-                         obs::View::kDeterministic,
-                         {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-                          4096.0})};
-  return metrics;
-}
-
-obs::Phase& solve_phase() {
-  static obs::Phase phase("solver.solve");
-  return phase;
-}
 
 obs::Phase& milp_phase() {
   static obs::Phase phase("solver.milp");
@@ -201,18 +150,22 @@ void AssignmentProblem::set_initially_on(std::size_t server, bool on) {
 
 namespace {
 
-/// validate() with `load` as scratch and pair_of(i, j) giving app i's pair
-/// on its server j (kNoPair if none).
-template <typename PairOf>
+/// Whether `pair` is one of app `app`'s own pairs (Eq. 2: only feasible
+/// pairs exist).
+bool in_row(const AssignmentProblem& problem, std::size_t app, std::size_t pair) {
+  return pair >= problem.row_begin(app) && pair < problem.row_end(app);
+}
+
+/// validate() with `load` as scratch.
 bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol,
-              std::vector<double>& load, PairOf pair_of) {
-  if (solution.assignment.size() != problem.num_apps()) return false;
+              std::vector<double>& load) {
+  if (solution.pairs.size() != problem.num_apps()) return false;
   load.assign(problem.num_servers() * problem.num_resources(), 0.0);
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    const std::size_t j = solution.assignment[i];
-    if (j == kUnassigned) continue;
-    const std::size_t p = pair_of(i, j);
-    if (p == kNoPair) return false;  // Eq. 2 (latency) or out-of-range server
+    const std::size_t p = solution.pairs[i];
+    if (p == kNoPair) continue;
+    if (!in_row(problem, i, p)) return false;
+    const std::size_t j = problem.server(p);
     if (!solution.powered_on.empty() && !solution.powered_on[j]) return false;  // Eq. 5
     for (std::size_t k = 0; k < problem.num_resources(); ++k) {
       load[j * problem.num_resources() + k] += problem.demand(p, k);
@@ -232,7 +185,7 @@ bool validate(const AssignmentProblem& problem, const AssignmentSolution& soluti
   return true;
 }
 
-/// evaluate()'s body once solution.assignment and solution.pairs are set.
+/// evaluate()'s body once solution.pairs is set.
 void evaluate_placement(const AssignmentProblem& problem, AssignmentSolution& solution,
                         std::vector<double>& load) {
   solution.powered_on.resize(problem.num_servers());
@@ -243,13 +196,12 @@ void evaluate_placement(const AssignmentProblem& problem, AssignmentSolution& so
   double total = 0.0;
   solution.unassigned_count = 0;
   for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    const std::size_t j = solution.assignment[i];
-    if (j == kUnassigned) {
+    const std::size_t p = solution.pairs[i];
+    if (p == kNoPair) {
       ++solution.unassigned_count;
       continue;
     }
-    const std::size_t p = solution.pairs[i];
-    if (p == kNoPair) continue;  // infeasible pair: validate() below rejects it
+    const std::size_t j = problem.server(p);
     total += problem.cost(p);
     if (!solution.powered_on[j]) {
       solution.powered_on[j] = 1;
@@ -257,43 +209,38 @@ void evaluate_placement(const AssignmentProblem& problem, AssignmentSolution& so
     }
   }
   solution.total_cost = total;
-  solution.feasible =
-      solution.unassigned_count == 0 &&
-      validate(problem, solution, 1e-6, load,
-               [&](std::size_t i, std::size_t) { return solution.pairs[i]; });
+  solution.feasible = solution.unassigned_count == 0 && validate(problem, solution, 1e-6, load);
 }
 
 }  // namespace
 
 AssignmentSolution evaluate(const AssignmentProblem& problem,
                             const std::vector<std::size_t>& assignment) {
-  AssignmentSolution solution;
-  solution.assignment = assignment;
-  solution.assignment.resize(problem.num_apps(), kUnassigned);
-  solution.pairs.resize(problem.num_apps());
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    const std::size_t j = solution.assignment[i];
-    solution.pairs[i] = j == kUnassigned ? kNoPair : problem.find_pair(i, j);
+  std::vector<std::size_t> pairs(problem.num_apps(), kNoPair);
+  for (std::size_t i = 0; i < std::min(assignment.size(), pairs.size()); ++i) {
+    const std::size_t j = assignment[i];
+    if (j == kUnassigned) continue;
+    pairs[i] = problem.find_pair(i, j);
+    if (pairs[i] == kNoPair) {
+      throw std::invalid_argument("evaluate: app " + std::to_string(i) + " has no pair on server " +
+                                  std::to_string(j));
+    }
   }
+  AssignmentSolution solution;
   std::vector<double> load;
-  evaluate_placement(problem, solution, load);
+  evaluate_pairs(problem, pairs, solution, load);
   return solution;
 }
 
 void evaluate_pairs(const AssignmentProblem& problem, std::span<const std::size_t> pairs,
                     AssignmentSolution& solution, std::vector<double>& load) {
   solution.pairs.assign(pairs.begin(), pairs.end());
-  solution.assignment.resize(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    solution.assignment[i] = pairs[i] == kNoPair ? kUnassigned : problem.server(pairs[i]);
-  }
   evaluate_placement(problem, solution, load);
 }
 
 bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution, double tol) {
   std::vector<double> load;
-  return validate(problem, solution, tol, load,
-                  [&](std::size_t i, std::size_t j) { return problem.find_pair(i, j); });
+  return validate(problem, solution, tol, load);
 }
 
 // ---------------------------------------------------------------------------
@@ -555,8 +502,7 @@ std::size_t improve_local_search(const AssignmentProblem& problem, const Compone
                                  ShardWorkspace& workspace, std::size_t max_rounds) {
   const std::size_t resources = problem.num_resources();
 
-  // pair_of[i]: the pair app i currently uses (kNoPair when unplaced, or
-  // placed on a pair the problem lacks — such apps are never moved).
+  // pair_of[i]: the pair app i currently uses (kNoPair when unplaced).
   std::vector<std::size_t>& pair_of = workspace.pairs;
   std::vector<double>& load = workspace.load;
   std::vector<std::size_t>& count = workspace.count;
@@ -711,7 +657,7 @@ AssignmentSolution solve_exact(const AssignmentProblem& problem, const MilpOptio
   const ShardAnswer exact = solve_exact(problem, whole.component, options, warm, workspace);
   AssignmentSolution solution;
   if (exact.shell) {
-    solution.assignment.assign(problem.num_apps(), kUnassigned);
+    solution.pairs.assign(problem.num_apps(), kNoPair);
     solution.unassigned_count = problem.num_apps();
   } else {
     evaluate_pairs(problem, workspace.exact_pairs, solution, workspace.load);
@@ -733,22 +679,23 @@ AssignmentSolution solve_greedy(const AssignmentProblem& problem) {
 
 std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
                                  std::size_t max_rounds) {
-  WholeProblem whole(problem);
-  std::vector<std::size_t>& pairs = whole.workspace.pairs;
-  pairs.resize(problem.num_apps());
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    const std::size_t j = solution.assignment[i];
-    pairs[i] = j == kUnassigned ? kNoPair : problem.find_pair(i, j);
+  if (solution.pairs.size() != problem.num_apps()) {
+    throw std::invalid_argument("improve_local_search: need one pair per app");
   }
+  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
+    if (solution.pairs[i] != kNoPair && !in_row(problem, i, solution.pairs[i])) {
+      throw std::invalid_argument("improve_local_search: app " + std::to_string(i) +
+                                  " names a pair outside its row");
+    }
+  }
+  WholeProblem whole(problem);
+  whole.workspace.pairs = solution.pairs;
   fill_columns(problem, whole.component, whole.workspace);
   const std::size_t improvements =
       improve_local_search(problem, whole.component, whole.workspace, max_rounds);
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    if (pairs[i] != kNoPair) solution.assignment[i] = problem.server(pairs[i]);
-  }
-  AssignmentSolution refreshed = evaluate(problem, solution.assignment);
-  refreshed.stats = solution.stats;  // improvement does not change the path taken
-  solution = std::move(refreshed);
+  const SolveStats stats = solution.stats;  // improvement does not change the path taken
+  evaluate_pairs(problem, whole.workspace.pairs, solution, whole.workspace.load);
+  solution.stats = stats;
   return improvements;
 }
 
@@ -773,22 +720,6 @@ AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
   evaluate_pairs(problem, whole.workspace.pairs, solution, whole.workspace.load);
   solution.stats = stats;
   return solution;
-}
-
-void solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options,
-                ShardWorkspace& workspace, AssignmentSolution& solution) {
-  const obs::Span span(solve_phase());
-  solve_sharded(problem, options, workspace, solution);
-  SolverMetrics& metrics = solver_metrics();
-  metrics.solves.add();
-  metrics.components.add(solution.stats.components);
-  metrics.exact_shards.add(solution.stats.exact_shards);
-  metrics.heuristic_shards.add(solution.stats.heuristic_shards);
-  metrics.unplaceable_apps.add(solution.stats.unplaceable_apps);
-  metrics.milp_nodes.add(solution.stats.milp_nodes);
-  metrics.milp_settled_nodes.add(solution.stats.settled_nodes);
-  metrics.settled_shards.add(solution.stats.settled_shards);
-  metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));
 }
 
 }  // namespace carbonedge::solver

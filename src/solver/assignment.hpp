@@ -13,6 +13,10 @@
 // term; Eq. 4-5 power-state constraints). Every solver walks rows, so its
 // work scales with the feasible support rather than apps x servers.
 //
+// An answer names each app's pair (AssignmentSolution::pairs, kNoPair when
+// unplaced); the app runs on problem.server(pair). evaluate() turns a
+// hand-built app -> server vector into one.
+//
 // Two solution paths, cross-validated in tests:
 //  * solve_greedy + improve_local_search — regret greedy with relocate/swap
 //                    improvement; any scale, near-optimal in practice.
@@ -21,17 +25,18 @@
 //                    LP; a root whose row-minimum bound (the sum of the apps'
 //                    cheapest costs) already reaches the warm start is closed
 //                    by NodeCertifier without a simplex solve.
-// solve_auto first shards the instance into connected components of the
-// feasible-pair graph (see decompose.hpp — latency pre-filtering makes real
-// batches block-diagonal, and the decomposition is exact) and then takes
-// the components one after another on the calling thread. A component
-// where every app's cheapest pair fits with room to spare settles on those
-// pairs without a solve (most small shards end there, before the exact
-// path): both paths would return exactly them, and it reports the stats of
-// the path it stands in for. Every other component is solved in place on
-// the parent problem: the heuristic runs once, and one within
-// exact_size_limit hands it to the exact path, which keeps it whenever it
-// finds no feasible answer of its own.
+// solve_unsharded runs them on one instance as a whole. Placement goes
+// through the one sharded entry, solve_auto (decompose.hpp): it splits the
+// instance into connected components of the feasible-pair graph (latency
+// pre-filtering makes real batches block-diagonal, and the decomposition is
+// exact) and takes them one after another on the calling thread. A
+// component where every app's cheapest pair fits with room to spare
+// settles on those pairs without a solve (most small shards end there,
+// before the exact path): both paths would return exactly them, and it
+// reports the stats of the path it stands in for. Every other component is
+// solved in place on the parent problem: the heuristic runs once, and one
+// within exact_size_limit hands it to the exact path, which keeps it
+// whenever it finds no feasible answer of its own.
 #pragma once
 
 #include <algorithm>
@@ -46,7 +51,8 @@ namespace carbonedge::solver {
 
 inline constexpr std::size_t kUnassigned = static_cast<std::size_t>(-1);
 
-/// find_pair's answer for a pair the problem does not contain (infeasible).
+/// find_pair's answer for a pair the problem does not contain (infeasible),
+/// and an unplaced app's entry in AssignmentSolution::pairs.
 inline constexpr std::size_t kNoPair = static_cast<std::size_t>(-1);
 
 class AssignmentProblem {
@@ -154,15 +160,16 @@ struct SolveStats {
 
 struct AssignmentSolution {
   bool feasible = false;
-  std::vector<std::size_t> assignment;    // app -> server, kUnassigned if unplaced
-  std::vector<std::size_t> pairs;         // app -> its pair, kNoPair if none
+  std::vector<std::size_t> pairs;         // app -> its pair, kNoPair if unplaced
   std::vector<std::uint8_t> powered_on;   // final y_j
   double total_cost = 0.0;                // placement + activation of new servers
   std::size_t unassigned_count = 0;
   SolveStats stats;                       // telemetry; not part of the answer
 };
 
-/// Recompute cost/power state/feasibility of an assignment vector.
+/// The solution that places app i on server assignment[i] (kUnassigned, or
+/// no entry: unplaced), with its cost, power states and feasibility. Throws
+/// std::invalid_argument when an app names a server it has no pair with.
 [[nodiscard]] AssignmentSolution evaluate(const AssignmentProblem& problem,
                                           const std::vector<std::size_t>& assignment);
 
@@ -172,8 +179,8 @@ struct AssignmentSolution {
 void evaluate_pairs(const AssignmentProblem& problem, std::span<const std::size_t> pairs,
                     AssignmentSolution& solution, std::vector<double>& load);
 
-/// Check all Eq. 1-5 analogues: capacities respected, only feasible pairs
-/// used, power states consistent.
+/// Check all Eq. 1-5 analogues: one entry per app, each pair in its own
+/// app's row, capacities respected, power states consistent.
 [[nodiscard]] bool validate(const AssignmentProblem& problem, const AssignmentSolution& solution,
                             double tol = 1e-6);
 
@@ -212,8 +219,10 @@ inline constexpr std::size_t kLocalSearchRounds = 20;
 /// round costs one pass over the cached options plus j's column and rows.
 [[nodiscard]] AssignmentSolution solve_greedy(const AssignmentProblem& problem);
 
-/// Relocate/swap improvement; returns the number of improving moves applied.
-/// `solution` is re-evaluated even when none applies; its stats are kept.
+/// Relocate/swap improvement of solution.pairs; returns the number of
+/// improving moves applied. `solution` is re-evaluated even when none
+/// applies; its stats are kept. Throws std::invalid_argument unless
+/// solution.pairs has one entry per app, each kNoPair or in its app's row.
 std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSolution& solution,
                                  std::size_t max_rounds = kLocalSearchRounds);
 
@@ -223,15 +232,5 @@ std::size_t improve_local_search(const AssignmentProblem& problem, AssignmentSol
 /// MILP returns no feasible one.
 [[nodiscard]] AssignmentSolution solve_unsharded(const AssignmentProblem& problem,
                                                  const AssignmentOptions& options = {});
-
-struct ShardWorkspace;  // decompose.hpp
-
-/// Shard into connected components (exact), settle each uncontended one on
-/// its cheapest pairs and solve the rest as solve_unsharded would (see
-/// solve_sharded), into `solution`, with every buffer taken from
-/// `workspace` and reset in place; records the solve in the solver.*
-/// metrics.
-void solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options,
-                ShardWorkspace& workspace, AssignmentSolution& solution);
 
 }  // namespace carbonedge::solver

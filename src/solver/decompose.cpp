@@ -4,9 +4,63 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
+
 namespace carbonedge::solver {
 
 namespace {
+
+// Registry mirrors of SolveStats, aggregated at the solve_auto entry (the
+// path every placement goes through). All integer counts of deterministic
+// solver decisions, so deterministic view even when solves run on worker
+// lanes. The size histogram observes integer values only — its sum stays
+// exact and commutative, hence thread-count independent.
+struct SolverMetrics {
+  obs::Counter& solves;
+  obs::Counter& components;
+  obs::Counter& exact_shards;
+  obs::Counter& heuristic_shards;
+  obs::Counter& unplaceable_apps;
+  obs::Counter& milp_nodes;
+  obs::Counter& milp_settled_nodes;
+  obs::Counter& settled_shards;
+  obs::Histogram& problem_apps;
+};
+
+SolverMetrics& solver_metrics() {
+  obs::Registry& registry = obs::Registry::global();
+  static SolverMetrics metrics{
+      registry.counter("solver.solves", "assignment problems solved (solve_auto entries)",
+                       obs::View::kDeterministic),
+      registry.counter("solver.components", "connected components across all solves",
+                       obs::View::kDeterministic),
+      registry.counter("solver.exact_shards", "components solved by the MILP",
+                       obs::View::kDeterministic),
+      registry.counter("solver.heuristic_shards",
+                       "components solved by greedy + local search",
+                       obs::View::kDeterministic),
+      registry.counter("solver.unplaceable_apps", "apps with no feasible server at all",
+                       obs::View::kDeterministic),
+      registry.counter("solver.milp_nodes", "B&B nodes explored across exact shards",
+                       obs::View::kDeterministic),
+      registry.counter("solver.milp_settled_nodes",
+                       "B&B nodes settled by a certificate without an LP",
+                       obs::View::kDeterministic),
+      registry.counter("solver.settled_shards",
+                       "components settled on every app's cheapest pair without a solve",
+                       obs::View::kDeterministic),
+      registry.histogram("solver.problem_apps", "apps per solved assignment problem",
+                         obs::View::kDeterministic,
+                         {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+                          4096.0})};
+  return metrics;
+}
+
+obs::Phase& solve_phase() {
+  static obs::Phase phase("solver.solve");
+  return phase;
+}
 
 // Union-find with path halving over a caller's buffer; unions keep the
 // smaller root, so component representatives (and therefore component
@@ -155,16 +209,9 @@ bool settle_component(const AssignmentProblem& problem, const Component& compone
 
 }  // namespace
 
-AssignmentSolution solve_sharded(const AssignmentProblem& problem,
-                                 const AssignmentOptions& options) {
-  ShardWorkspace workspace;
-  AssignmentSolution solution;
-  solve_sharded(problem, options, workspace, solution);
-  return solution;
-}
-
-void solve_sharded(const AssignmentProblem& problem, const AssignmentOptions& options,
-                   ShardWorkspace& workspace, AssignmentSolution& solution) {
+void solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options,
+                ShardWorkspace& workspace, AssignmentSolution& solution) {
+  const obs::Span span(solve_phase());
   const std::span<const Component> components = connected_components(problem, workspace);
 
   // Components are settled or solved in index order, each writing its apps'
@@ -195,6 +242,17 @@ void solve_sharded(const AssignmentProblem& problem, const AssignmentOptions& op
   // feasibility check's scratch.
   evaluate_pairs(problem, pairs, solution, load);
   solution.stats = stats;
+
+  SolverMetrics& metrics = solver_metrics();
+  metrics.solves.add();
+  metrics.components.add(stats.components);
+  metrics.exact_shards.add(stats.exact_shards);
+  metrics.heuristic_shards.add(stats.heuristic_shards);
+  metrics.unplaceable_apps.add(stats.unplaceable_apps);
+  metrics.milp_nodes.add(stats.milp_nodes);
+  metrics.milp_settled_nodes.add(stats.settled_nodes);
+  metrics.settled_shards.add(stats.settled_shards);
+  metrics.problem_apps.observe(static_cast<double>(problem.num_apps()));
 }
 
 }  // namespace carbonedge::solver

@@ -1,5 +1,5 @@
 // Placement-instance sharding: connected-component decomposition of the
-// feasible-pair bipartite graph.
+// feasible-pair bipartite graph, and solve_auto, the one sharded solve.
 //
 // Eq. 2 latency pre-filtering makes real placement batches block-diagonal:
 // an application in one metro cannot land on another metro's servers, so
@@ -9,9 +9,9 @@
 // every server belongs to at most one — so solving each component
 // separately and stitching the sub-solutions back is exact: the stitched
 // cost equals the monolithic optimum whenever every component is solved
-// exactly. Components are taken one after another on the calling thread
-// (parallelism belongs to runner::ScenarioRunner's cells), and solve_auto
-// applies exact_size_limit per component, so batches that were
+// exactly. solve_auto takes the components one after another on the
+// calling thread (parallelism belongs to runner::ScenarioRunner's cells)
+// and applies exact_size_limit per component, so batches that were
 // heuristic-only as monoliths become exactly solvable shard by shard.
 //
 // Most shards are uncontended: every app's first cheapest pair fits on its
@@ -92,8 +92,10 @@ std::span<const Component> connected_components(const AssignmentProblem& problem
 SolveStats solve_component(const AssignmentProblem& problem, const Component& component,
                            const AssignmentOptions& options, ShardWorkspace& workspace);
 
-/// Solve by decomposition, component by component in order. A component
-/// settles on every app's first least-cost pair when
+/// Solve by decomposition, component by component in order, into
+/// `solution`, with every buffer taken from `workspace` and reset in place;
+/// records the solve in the solver.* metrics under the solver.solve span.
+/// A component settles on every app's first least-cost pair when
 ///  - each such pair's server is on or activates for exactly 0, and every
 ///    server of the component has a finite activation cost >= 0;
 ///  - the chosen demands are >= 0 and, summed per server and resource, stay
@@ -105,13 +107,9 @@ SolveStats solve_component(const AssignmentProblem& problem, const Component& co
 /// settled_nodes 1) within exact_size_limit, else one heuristic shard,
 /// plus settled_shards 1. Any other component goes through
 /// solve_component, which writes its pairs straight into the stitched
-/// answer. Exact whenever every component is solved exactly; the returned
+/// answer. Exact whenever every component is solved exactly; the solution's
 /// stats report the decomposition shape and per-shard paths.
-[[nodiscard]] AssignmentSolution solve_sharded(const AssignmentProblem& problem,
-                                               const AssignmentOptions& options = {});
-
-/// solve_sharded into `solution`, on `workspace`'s buffers.
-void solve_sharded(const AssignmentProblem& problem, const AssignmentOptions& options,
-                   ShardWorkspace& workspace, AssignmentSolution& solution);
+void solve_auto(const AssignmentProblem& problem, const AssignmentOptions& options,
+                ShardWorkspace& workspace, AssignmentSolution& solution);
 
 }  // namespace carbonedge::solver

@@ -19,6 +19,16 @@ inline solver::AssignmentSolution solve_auto(const solver::AssignmentProblem& pr
   return solution;
 }
 
+/// Each app's server in `solution`, solver::kUnassigned when it is unplaced.
+inline std::vector<std::size_t> servers_of(const solver::AssignmentProblem& problem,
+                                           const solver::AssignmentSolution& solution) {
+  std::vector<std::size_t> servers;
+  for (const std::size_t pair : solution.pairs) {
+    servers.push_back(pair == solver::kNoPair ? solver::kUnassigned : problem.server(pair));
+  }
+  return servers;
+}
+
 /// The LP relaxation of a unit-slot AssignmentProblem: one resource, unit
 /// demands, integral capacities and no activation costs. Its constraint
 /// matrix (app rows sum x = 1, server rows sum x <= capacity) is totally

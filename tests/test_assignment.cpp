@@ -94,6 +94,18 @@ TEST(Evaluate, CountsUnassigned) {
   const AssignmentSolution sol = evaluate(p, {0, kUnassigned, 1});
   EXPECT_FALSE(sol.feasible);
   EXPECT_EQ(sol.unassigned_count, 1u);
+  EXPECT_EQ(sol.pairs[1], kNoPair);
+}
+
+// A hand-built answer that puts an app on a server it has no pair with
+// (Eq. 2's latency filter, or past the servers) has no pair to name.
+TEST(Evaluate, ThrowsOnServerWithoutPair) {
+  // Pair (0, 1) is latency-infeasible.
+  const AssignmentProblem p =
+      simple_problem(2, 2, [](std::size_t i, std::size_t j) { return !(i == 0 && j == 1); });
+  EXPECT_THROW((void)evaluate(p, {1, 0}), std::invalid_argument);
+  EXPECT_THROW((void)evaluate(p, {0, 2}), std::invalid_argument);  // no server 2
+  EXPECT_NO_THROW((void)evaluate(p, {0, 1}));
 }
 
 TEST(Validate, RejectsCapacityViolation) {
@@ -104,20 +116,32 @@ TEST(Validate, RejectsCapacityViolation) {
   EXPECT_FALSE(validate(p, sol));
 }
 
+// An answer names one pair per app, each from the app's own row. A pair of
+// another app's row (here app 1's pair on server 1, where app 0 is latency
+// infeasible), a pair past the last, or a missing entry is refused.
 TEST(Validate, RejectsInfeasiblePairUse) {
-  // Pair (0, 1) is latency-infeasible.
+  // Pair (0, 1) is latency-infeasible: app 0 owns pair 0, app 1 pairs 1-2.
   const AssignmentProblem p =
       simple_problem(2, 2, [](std::size_t i, std::size_t j) { return !(i == 0 && j == 1); });
+  ASSERT_EQ(p.find_pair(1, 1), 2u);
   AssignmentSolution sol;
-  sol.assignment = {1, 0};
   sol.powered_on = {1, 1};
+  sol.pairs = {0, 2};
+  EXPECT_TRUE(validate(p, sol));
+  sol.pairs = {2, 1};  // app 0 on app 1's pair
+  EXPECT_FALSE(validate(p, sol));
+  sol.pairs = {0, 0};  // app 1 on app 0's pair
+  EXPECT_FALSE(validate(p, sol));
+  sol.pairs = {0, 3};  // no pair 3
+  EXPECT_FALSE(validate(p, sol));
+  sol.pairs = {0};  // no entry for app 1
   EXPECT_FALSE(validate(p, sol));
 }
 
 TEST(Validate, RejectsPoweredOffHosting) {
   AssignmentProblem p = simple_problem(1, 1);
   AssignmentSolution sol;
-  sol.assignment = {0};
+  sol.pairs = {0};
   sol.powered_on = {0};  // claims server off while hosting (Eq. 5)
   EXPECT_FALSE(validate(p, sol));
 }
@@ -125,7 +149,7 @@ TEST(Validate, RejectsPoweredOffHosting) {
 TEST(Validate, RejectsPoweringOffInitiallyOnServer) {
   AssignmentProblem p = simple_problem(1, 2);
   AssignmentSolution sol;
-  sol.assignment = {0};
+  sol.pairs = {p.find_pair(0, 0)};
   sol.powered_on = {1, 0};  // server 1 initially on but reported off (Eq. 4)
   EXPECT_FALSE(validate(p, sol));
 }
@@ -134,8 +158,7 @@ TEST(SolveExact, PicksCheapestFeasible) {
   AssignmentProblem p = simple_problem(2, 3);
   const AssignmentSolution sol = solve_exact(p);
   ASSERT_TRUE(sol.feasible);
-  EXPECT_EQ(sol.assignment[0], 0u);
-  EXPECT_EQ(sol.assignment[1], 0u);  // costs i+j favor server 0
+  EXPECT_EQ(testutil::servers_of(p, sol), (std::vector<std::size_t>{0, 0}));  // costs i+j
   EXPECT_DOUBLE_EQ(sol.total_cost, 0.0 + 1.0);
 }
 
@@ -144,7 +167,7 @@ TEST(SolveExact, RespectsCapacity) {
   p.set_capacity(0, 0, 1.0);
   const AssignmentSolution sol = solve_exact(p);
   ASSERT_TRUE(sol.feasible);
-  EXPECT_NE(sol.assignment[0], sol.assignment[1]);
+  EXPECT_NE(p.server(sol.pairs[0]), p.server(sol.pairs[1]));
 }
 
 TEST(SolveExact, WeighsActivationAgainstPlacement) {
@@ -163,12 +186,15 @@ TEST(SolveExact, WeighsActivationAgainstPlacement) {
     }
     return p;
   };
-  const AssignmentSolution one = solve_exact(build(1));
+  const AssignmentProblem one_app = build(1);
+  const AssignmentSolution one = solve_exact(one_app);
   ASSERT_TRUE(one.feasible);
-  EXPECT_EQ(one.assignment[0], 0u);  // 4 < 1 + 5
-  const AssignmentSolution three = solve_exact(build(3));
+  EXPECT_EQ(testutil::servers_of(one_app, one), (std::vector<std::size_t>{0}));  // 4 < 1 + 5
+  const AssignmentProblem three_apps = build(3);
+  const AssignmentSolution three = solve_exact(three_apps);
   ASSERT_TRUE(three.feasible);
-  for (const std::size_t j : three.assignment) EXPECT_EQ(j, 1u);  // 3+5 < 12
+  EXPECT_EQ(testutil::servers_of(three_apps, three),
+            (std::vector<std::size_t>{1, 1, 1}));  // 3+5 < 12
 }
 
 TEST(SolveExact, InfeasibleWhenAppHasNoServer) {
@@ -192,7 +218,7 @@ TEST(SolveGreedy, HandlesTightCapacities) {
   ASSERT_TRUE(sol.feasible);
   // All four servers used exactly once.
   std::array<int, 4> used{};
-  for (const std::size_t j : sol.assignment) ++used[j];
+  for (const std::size_t j : testutil::servers_of(p, sol)) ++used[j];
   for (const int u : used) EXPECT_EQ(u, 1);
 }
 
@@ -369,7 +395,7 @@ TEST(SolveGreedy, MatchesFullRescanReference) {
     const AssignmentProblem p = random_greedy_instance(seed);
     const AssignmentSolution expected = full_rescan_greedy(p);
     const AssignmentSolution actual = solve_greedy(p);
-    ASSERT_EQ(actual.assignment, expected.assignment) << "seed " << seed;
+    ASSERT_EQ(actual.pairs, expected.pairs) << "seed " << seed;
     ASSERT_EQ(actual.unassigned_count, expected.unassigned_count) << "seed " << seed;
     ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.total_cost),
               std::bit_cast<std::uint64_t>(expected.total_cost))
@@ -387,7 +413,7 @@ TEST(SolveGreedy, MatchesFullRescanReference) {
     const AssignmentProblem p = random_catalog_instance(seed);
     const AssignmentSolution expected = full_rescan_greedy(p);
     const AssignmentSolution actual = solve_greedy(p);
-    ASSERT_EQ(actual.assignment, expected.assignment) << "catalog seed " << seed;
+    ASSERT_EQ(actual.pairs, expected.pairs) << "catalog seed " << seed;
     ASSERT_EQ(actual.unassigned_count, expected.unassigned_count) << "catalog seed " << seed;
     ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.total_cost),
               std::bit_cast<std::uint64_t>(expected.total_cost))
@@ -428,7 +454,7 @@ TEST(LocalSearch, RefreshesStaleSolutionWithoutMoves) {
   p.add_pair(0, 1, 4.0, {1.0});
   p.add_pair(1, 0, 2.0, {1.0});
   AssignmentSolution sol;
-  sol.assignment = {0, 0};  // already optimal: no relocate or swap improves it
+  sol.pairs = {p.find_pair(0, 0), p.find_pair(1, 0)};  // already optimal: no move improves it
   sol.feasible = false;
   sol.total_cost = 1234.5;
   sol.unassigned_count = 7;
@@ -454,6 +480,22 @@ TEST(LocalSearch, RefreshesStaleSolutionWithoutMoves) {
   EXPECT_EQ(sol.total_cost, 3.0);
 }
 
+// improve_local_search moves an answer's pairs, so it refuses one that
+// names a pair outside its app's row, or has no entry for some app.
+TEST(LocalSearch, RejectsPairsOutsideTheirRows) {
+  // Pair (0, 1) is latency-infeasible: app 0 owns pair 0, app 1 pairs 1-2.
+  const AssignmentProblem p =
+      simple_problem(2, 2, [](std::size_t i, std::size_t j) { return !(i == 0 && j == 1); });
+  AssignmentSolution sol = evaluate(p, {0, 1});
+  sol.pairs = {2, 1};  // app 0 on app 1's pair
+  EXPECT_THROW(improve_local_search(p, sol), std::invalid_argument);
+  sol.pairs = {0};
+  EXPECT_THROW(improve_local_search(p, sol), std::invalid_argument);
+  sol.pairs = {0, kNoPair};
+  EXPECT_NO_THROW(improve_local_search(p, sol));
+  EXPECT_EQ(sol.unassigned_count, 1u);
+}
+
 TEST(SolveAuto, UnitSlotInstanceSolvesExactly) {
   AssignmentProblem p = simple_problem(3, 2);
   const AssignmentSolution sol = testutil::solve_auto(p);
@@ -475,9 +517,9 @@ TEST(SolveAuto, UnplaceableAppLeavesOthersPlaced) {
   const AssignmentSolution sol = testutil::solve_auto(p);
   EXPECT_FALSE(sol.feasible);
   EXPECT_EQ(sol.unassigned_count, 1u);
-  EXPECT_NE(sol.assignment[0], kUnassigned);  // placeable apps still land
-  EXPECT_NE(sol.assignment[1], kUnassigned);
-  EXPECT_EQ(sol.assignment[2], kUnassigned);
+  EXPECT_NE(sol.pairs[0], kNoPair);  // placeable apps still land
+  EXPECT_NE(sol.pairs[1], kNoPair);
+  EXPECT_EQ(sol.pairs[2], kNoPair);
 
   // Never worse than the heuristic on the whole instance.
   AssignmentSolution heuristic = solve_greedy(p);
@@ -579,9 +621,7 @@ ExactLp exact_lp(const AssignmentProblem& problem) {
 std::vector<double> exact_point(const AssignmentProblem& problem, const ExactLp& exact,
                                 const AssignmentSolution& solution) {
   std::vector<double> values(exact.lp.num_variables(), 0.0);
-  for (std::size_t i = 0; i < problem.num_apps(); ++i) {
-    values[problem.find_pair(i, solution.assignment[i])] = 1.0;
-  }
+  for (const std::size_t p : solution.pairs) values[p] = 1.0;
   for (std::size_t j = 0; j < problem.num_servers(); ++j) {
     if (exact.y_var[j] >= 0 && solution.powered_on[j]) {
       values[static_cast<std::size_t>(exact.y_var[j])] = 1.0;
@@ -641,7 +681,7 @@ ReferenceExact reference_exact(const AssignmentProblem& problem, const MilpOptio
       out.solution = std::move(greedy);
       return out;
     }
-    out.solution.assignment.assign(apps, kUnassigned);
+    out.solution.pairs.assign(apps, kNoPair);
     out.solution.unassigned_count = apps;
     out.solution.stats.components = 1;
     out.solution.stats.exact_shards = 1;
@@ -747,7 +787,7 @@ TEST(SolveExact, RootBoundMatchesFullSearch) {
       const ReferenceExact expected = reference_exact(p, options);
       const AssignmentSolution actual = solve_exact(p, options);
       const std::string where = "seed " + std::to_string(seed) + " options " + std::to_string(o);
-      ASSERT_EQ(actual.assignment, expected.solution.assignment) << where;
+      ASSERT_EQ(actual.pairs, expected.solution.pairs) << where;
       ASSERT_EQ(actual.powered_on, expected.solution.powered_on) << where;
       ASSERT_EQ(actual.feasible, expected.solution.feasible) << where;
       ASSERT_EQ(actual.unassigned_count, expected.solution.unassigned_count) << where;
@@ -954,7 +994,7 @@ TEST(SolveUnsharded, MatchesPreChangePath) {
       const AssignmentSolution actual = solve_unsharded(p, option_sets[o]);
       const std::string where = "instance " + std::to_string(n) + " options " + std::to_string(o);
       const AssignmentSolution& e = expected.solution;
-      ASSERT_EQ(actual.assignment, e.assignment) << where;
+      ASSERT_EQ(actual.pairs, e.pairs) << where;
       ASSERT_EQ(actual.powered_on, e.powered_on) << where;
       ASSERT_EQ(actual.feasible, e.feasible) << where;
       ASSERT_EQ(actual.unassigned_count, e.unassigned_count) << where;

@@ -166,7 +166,9 @@ TEST(CatalogScale, BandedHeuristicPlacementMatchesRecordedDigest) {
   EXPECT_EQ(solution.stats.heuristic_shards, solution.stats.components);
   EXPECT_EQ(solution.unassigned_count, 0u);
   util::Fingerprint fp;
-  for (const std::size_t server : solution.assignment) fp.mix(static_cast<std::uint64_t>(server));
+  for (const std::size_t server : testutil::servers_of(built.problem, solution)) {
+    fp.mix(static_cast<std::uint64_t>(server));
+  }
   fp.mix(std::bit_cast<std::uint64_t>(solution.total_cost));
   EXPECT_EQ(fp.digest().hex(), "39ab22d09c99f963c4947820cf809902");
 }

@@ -133,7 +133,7 @@ std::vector<std::size_t> local_server_index(std::size_t num_servers,
   return local;
 }
 
-// The sub-problem solve_sharded copied out of a contended component before
+// The sub-problem solve_auto copied out of a contended component before
 // shards were solved in place: the member rows, servers renumbered through
 // `local` (local_server_index over a component list that contains
 // `component`), pair for pair. The oracles below solve these copies.
@@ -318,7 +318,7 @@ TEST_P(ShardedVsMonolithic, StitchedCostEqualsMonolithicExact) {
   const AssignmentSolution mono = solve_exact(p);
   AssignmentOptions options;
   options.exact_size_limit = 64;  // every component is testbed scale
-  const AssignmentSolution sharded = solve_sharded(p, options);
+  const AssignmentSolution sharded = testutil::solve_auto(p, options);
 
   // Random infeasible pairs can split a block further (or strand an app),
   // so the block count is a lower bound; every solved shard must have gone
@@ -371,13 +371,13 @@ TEST(SolveSharded, UnplaceableAppsAreIsolatedNotContagious) {
   const AssignmentProblem p =
       block_instance(2, 2, 2, 21, /*infeasible_p=*/0.0, /*strand_app=*/2);
   AssignmentOptions options;
-  const AssignmentSolution sharded = solve_sharded(p, options);
+  const AssignmentSolution sharded = testutil::solve_auto(p, options);
   EXPECT_FALSE(sharded.feasible);  // the batch as a whole is not fully placed
   EXPECT_EQ(sharded.unassigned_count, 1u);
-  EXPECT_EQ(sharded.assignment[2], kUnassigned);
+  EXPECT_EQ(sharded.pairs[2], kNoPair);
   EXPECT_EQ(sharded.stats.unplaceable_apps, 1u);
   // Every other app landed.
-  for (const std::size_t i : {0u, 1u, 3u}) EXPECT_NE(sharded.assignment[i], kUnassigned);
+  for (const std::size_t i : {0u, 1u, 3u}) EXPECT_NE(sharded.pairs[i], kNoPair);
 }
 
 TEST(SolveAuto, ShardingKeepsLargeMultiComponentBatchesExact) {
@@ -406,12 +406,12 @@ TEST(SolveSharded, SingleComponentSpanningProblemSkipsExtraction) {
     }
     p.set_capacity(i, 0, 2.0);
   }
-  const AssignmentSolution sol = solve_sharded(p, {});
+  const AssignmentSolution sol = testutil::solve_auto(p);
   ASSERT_TRUE(sol.feasible);
   EXPECT_EQ(sol.stats.components, 1u);
 }
 
-// solve_sharded before components could settle without a solve: every
+// solve_auto before components could settle without a solve: every
 // component is extracted and goes through solve_unsharded. Kept as the
 // oracle a settled component must reproduce bit for bit, stats included.
 AssignmentSolution reference_solve_sharded(const AssignmentProblem& problem,
@@ -430,11 +430,11 @@ AssignmentSolution reference_solve_sharded(const AssignmentProblem& problem,
       stats.unplaceable_apps += component.apps.size();
       continue;
     }
-    const AssignmentSolution sub =
-        solve_unsharded(extract_component(problem, component, local), options);
+    const AssignmentProblem copy = extract_component(problem, component, local);
+    const AssignmentSolution sub = solve_unsharded(copy, options);
     for (std::size_t k = 0; k < component.apps.size(); ++k) {
-      const std::size_t jj = sub.assignment[k];
-      if (jj != kUnassigned) assignment[component.apps[k]] = component.servers[jj];
+      const std::size_t q = sub.pairs[k];
+      if (q != kNoPair) assignment[component.apps[k]] = component.servers[copy.server(q)];
     }
     stats.exact_shards += sub.stats.exact_shards;
     stats.heuristic_shards += sub.stats.heuristic_shards;
@@ -449,7 +449,7 @@ AssignmentSolution reference_solve_sharded(const AssignmentProblem& problem,
 
 void expect_same_solve(const AssignmentSolution& actual, const AssignmentSolution& expected,
                        const std::string& where) {
-  ASSERT_EQ(actual.assignment, expected.assignment) << where;
+  ASSERT_EQ(actual.pairs, expected.pairs) << where;
   ASSERT_EQ(actual.powered_on, expected.powered_on) << where;
   ASSERT_EQ(actual.feasible, expected.feasible) << where;
   ASSERT_EQ(actual.unassigned_count, expected.unassigned_count) << where;
@@ -593,7 +593,7 @@ TEST(SolveSharded, SettledShardsMatchFullSearch) {
     }
     for (const auto& [name, options] : option_sets) {
       const std::string where = label + ", " + name;
-      const AssignmentSolution actual = solve_sharded(p, options);
+      const AssignmentSolution actual = testutil::solve_auto(p, options);
       expect_same_solve(actual, reference_solve_sharded(p, options), where);
       const std::size_t solved = components.size() - actual.stats.unplaceable_apps;
       ASSERT_LE(actual.stats.settled_shards, solved) << where;
@@ -642,8 +642,8 @@ TEST(SolveSharded, WorkspaceReuseMatchesFreshSolve) {
     previous_components = fresh.size();
 
     const AssignmentOptions& options = option_sets[seed % option_sets.size()].second;
-    solve_sharded(p, options, workspace, reused);
-    const AssignmentSolution expected = solve_sharded(p, options);
+    solve_auto(p, options, workspace, reused);
+    const AssignmentSolution expected = testutil::solve_auto(p, options);
     expect_same_solve(reused, expected, where);
     ASSERT_EQ(reused.stats.settled_shards, expected.stats.settled_shards) << where;
   }
@@ -698,10 +698,10 @@ TEST(SolveSharded, SettleDeclinesInsideCapacityHeadroom) {
         std::size_t settled = 0;
         for (const AssignmentOptions& options : {AssignmentOptions{}, heuristic_only}) {
           const AssignmentSolution expected = reference_solve_sharded(p, options);
-          const AssignmentSolution actual = solve_sharded(p, options);
+          const AssignmentSolution actual = testutil::solve_auto(p, options);
           expect_same_solve(actual, expected, where + ", capacity " + std::to_string(capacity));
-          if (std::any_of(expected.assignment.begin(), expected.assignment.begin() + 3,
-                          [](std::size_t j) { return j != 0; })) {
+          const std::vector<std::size_t> servers = testutil::servers_of(p, expected);
+          if (std::any_of(servers.begin(), servers.begin() + 3, [](std::size_t j) { return j != 0; })) {
             ++moved_off_cheapest;
           }
           settled += actual.stats.settled_shards > (block ? 1u : 0u) ? 1 : 0;
@@ -743,7 +743,7 @@ TEST(SolveSharded, SettleDeclinesInsideCapacityHeadroom) {
   EXPECT_GT(moved_off_cheapest, 0u);
 }
 
-// The settle certificate of solve_sharded (decompose.cpp), as it stood when
+// The settle certificate of solve_auto (decompose.cpp), as it stood when
 // contended shards were copied out: true when `component` settles on every
 // app's first least-cost pair, written into `assignment`.
 bool reference_settles(const AssignmentProblem& problem, const Component& component,
@@ -780,7 +780,7 @@ bool reference_settles(const AssignmentProblem& problem, const Component& compon
   return true;
 }
 
-// solve_sharded as it was when every contended component was copied into
+// solve_auto as it was when every contended component was copied into
 // its own AssignmentProblem and solved by solve_unsharded: the oracle the
 // in-place shard solve must reproduce bit for bit, every stat included.
 AssignmentSolution copy_then_solve_sharded(const AssignmentProblem& problem,
@@ -811,11 +811,11 @@ AssignmentSolution copy_then_solve_sharded(const AssignmentProblem& problem,
       continue;
     }
     if (whole) return solve_unsharded(problem, options);
-    const AssignmentSolution sub =
-        solve_unsharded(extract_component(problem, component, local), options);
+    const AssignmentProblem copy = extract_component(problem, component, local);
+    const AssignmentSolution sub = solve_unsharded(copy, options);
     for (std::size_t k = 0; k < component.apps.size(); ++k) {
-      const std::size_t jj = sub.assignment[k];
-      assignment[component.apps[k]] = jj == kUnassigned ? kUnassigned : component.servers[jj];
+      const std::size_t q = sub.pairs[k];
+      assignment[component.apps[k]] = q == kNoPair ? kUnassigned : component.servers[copy.server(q)];
     }
     stats.exact_shards += sub.stats.exact_shards;
     stats.heuristic_shards += sub.stats.heuristic_shards;
@@ -918,10 +918,10 @@ TEST(SolveSharded, InPlaceShardsMatchCopyThenSolve) {
     for (const auto& [name, options] : option_sets) {
       const std::string where = "seed " + std::to_string(seed) + ", " + name;
       const AssignmentSolution expected = copy_then_solve_sharded(p, options);
-      const AssignmentSolution actual = solve_sharded(p, options);
+      const AssignmentSolution actual = testutil::solve_auto(p, options);
       expect_same_solve(actual, expected, where);
       expect_same_stats(actual.stats, expected.stats, where);
-      solve_sharded(p, options, workspace, reused);
+      solve_auto(p, options, workspace, reused);
       expect_same_solve(reused, expected, where + ", reused workspace");
       expect_same_stats(reused.stats, expected.stats, where + ", reused workspace");
 

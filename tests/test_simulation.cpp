@@ -86,6 +86,93 @@ TEST(SimulationEngine, OutOfRangeSitesThrowBeforeAnyStateChanges) {
   EXPECT_EQ(engine.next_epoch(), 1u);
 }
 
+// An injected crash names its server by (site, server id); the engine
+// turns that into the server's layout column. At a site of two servers the
+// event for id 1 must take down id 1 alone, redeploy only its apps, and
+// bring it back after repair_epochs; a second event while it is down must
+// not restart the repair timer.
+TEST(SimulationEngine, InjectedCrashOfSecondServerAtASite) {
+  const auto region = geo::florida_region();
+  const auto service = make_service(region);
+  const EdgeSimulation simulation(sim::make_uniform_cluster(region, 2, sim::DeviceType::kA2),
+                                  service);
+  SimulationConfig config = testbed_config(8);
+  config.failures.repair_epochs = 3;
+  SimulationEngine engine(simulation.pristine_cluster(), service, simulation.latency(), config);
+
+  // Enough long-lived apps from every site that both servers of a site
+  // carry load.
+  std::vector<sim::Application> arrivals;
+  for (std::size_t site = 0; site < engine.cluster().size(); ++site) {
+    for (int k = 0; k < 8; ++k) {
+      sim::Application app;
+      app.id = static_cast<sim::AppId>(arrivals.size() + 1);
+      app.model = sim::ModelType::kResNet50;
+      app.rps = 4.0;
+      app.latency_limit_rtt_ms = 25.0;
+      app.origin_site = site;
+      app.remaining_epochs = 100;
+      arrivals.push_back(app);
+    }
+  }
+  engine.step(arrivals);
+
+  const auto hosted_ids = [&](std::size_t site, std::size_t index) {
+    std::vector<sim::AppId> ids;
+    for (const sim::AppInstance& app : engine.cluster().sites()[site].servers()[index].apps()) {
+      ids.push_back(app.id);
+    }
+    return ids;
+  };
+  std::size_t site = engine.cluster().size();
+  for (std::size_t s = 0; s < engine.cluster().size(); ++s) {
+    if (!hosted_ids(s, 1).empty()) {
+      site = s;
+      break;
+    }
+  }
+  ASSERT_LT(site, engine.cluster().size()) << "no site's server 1 carries load";
+  const sim::EdgeServer& crashed = engine.cluster().sites()[site].servers()[1];
+  ASSERT_EQ(crashed.id(), 1u);
+  const std::size_t victims = hosted_ids(site, 1).size();
+  // Every other server's apps, which the crash must leave in place.
+  std::vector<std::vector<std::vector<sim::AppId>>> before(engine.cluster().size());
+  for (std::size_t s = 0; s < engine.cluster().size(); ++s) {
+    for (std::size_t j = 0; j < engine.cluster().sites()[s].servers().size(); ++j) {
+      before[s].push_back(hosted_ids(s, j));
+    }
+  }
+
+  const ServerFailureEvent failure{site, 1};
+  SimulationEngine::StepOptions options;
+  options.failures = std::span(&failure, 1);
+  engine.step({}, options);  // epoch 1: the crash, back at epoch 1 + 3
+  EXPECT_TRUE(crashed.failed());
+  EXPECT_FALSE(engine.cluster().sites()[site].servers()[0].failed());
+  EXPECT_EQ(engine.partial().server_failures, 1u);
+  EXPECT_EQ(engine.partial().apps_redeployed, victims);
+  for (std::size_t s = 0; s < engine.cluster().size(); ++s) {
+    for (std::size_t j = 0; j < before[s].size(); ++j) {
+      if (s == site && j == 1) continue;
+      const std::vector<sim::AppId> now = hosted_ids(s, j);
+      for (const sim::AppId id : before[s][j]) {
+        EXPECT_NE(std::find(now.begin(), now.end(), id), now.end())
+            << "app " << id << " left site " << s << " server " << j;
+      }
+    }
+  }
+
+  engine.step({}, options);  // epoch 2: already down, the timer keeps running
+  EXPECT_EQ(engine.partial().server_failures, 1u);
+  EXPECT_EQ(engine.partial().apps_redeployed, victims);
+  engine.step({});  // epoch 3
+  EXPECT_TRUE(crashed.failed());
+  engine.step({});  // epoch 4: repaired
+  EXPECT_FALSE(crashed.failed());
+  EXPECT_TRUE(crashed.powered_on());
+  EXPECT_EQ(engine.partial().server_failures, 1u);
+}
+
 TEST(Simulation, RunProducesOneRecordPerEpoch) {
   const auto region = geo::florida_region();
   const auto service = make_service(region);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -70,6 +71,15 @@ TEST(ParseSitesTsv, RejectsMalformedRows) {
   expect_parse_error("\tUS\tNA\t1\t2\t3\n", "name");                // empty name
   expect_parse_error("A\tUS\tNA\t1\t2\t3\nA\tUS\tNA\t4\t5\t6\n", "duplicate");
   expect_parse_error("A\tUS\tNA\tabc\t2\t3\n", "line 1");           // non-numeric
+  // from_chars reads these; no range check may let them through.
+  expect_parse_error("A\tUS\tNA\tnan\t2\t3\n", "latitude 'nan'");
+  expect_parse_error("A\tUS\tNA\t-nan\t2\t3\n", "latitude '-nan'");
+  expect_parse_error("A\tUS\tNA\t1\tnan\t3\n", "longitude 'nan'");
+  expect_parse_error("A\tUS\tNA\t1\tinf\t3\n", "longitude 'inf'");
+  expect_parse_error("A\tUS\tNA\t1\t2\tnan\n", "population 'nan'");
+  expect_parse_error("A\tUS\tNA\t1\t2\t-nan\n", "population '-nan'");
+  expect_parse_error("A\tUS\tNA\t1\t2\tinf\n", "population 'inf'");
+  expect_parse_error("A\tUS\tNA\t1\t2\t3\nB\tUS\tNA\tnan\t2\t3\n", "line 2");
 }
 
 TEST(SiteCatalog, CompiledFindMatchesLinearScanAndMissesCleanly) {
@@ -127,6 +137,21 @@ TEST(SiteCatalog, ConstructorRejectsBrokenInvariants) {
   std::vector<geo::City> bad_lat = geo::parse_sites_tsv(kGoodDump);
   bad_lat[0].location.lat_deg = 123.0;
   EXPECT_THROW(geo::SiteCatalog{std::move(bad_lat)}, std::invalid_argument);
+
+  // NaN fails every ordered comparison, so it needs its own check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<geo::City> nan_lat = geo::parse_sites_tsv(kGoodDump);
+  nan_lat[0].location.lat_deg = nan;
+  EXPECT_THROW(geo::SiteCatalog{std::move(nan_lat)}, std::invalid_argument);
+  std::vector<geo::City> nan_lon = geo::parse_sites_tsv(kGoodDump);
+  nan_lon[1].location.lon_deg = nan;
+  EXPECT_THROW(geo::SiteCatalog{std::move(nan_lon)}, std::invalid_argument);
+  std::vector<geo::City> nan_population = geo::parse_sites_tsv(kGoodDump);
+  nan_population[2].population_k = nan;
+  EXPECT_THROW(geo::SiteCatalog{std::move(nan_population)}, std::invalid_argument);
+  std::vector<geo::City> inf_population = geo::parse_sites_tsv(kGoodDump);
+  inf_population[2].population_k = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(geo::SiteCatalog{std::move(inf_population)}, std::invalid_argument);
 }
 
 TEST(SiteCatalogCodec, RoundTripsBitExactly) {
