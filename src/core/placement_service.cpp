@@ -81,9 +81,10 @@ PlacementResult PlacementService::place(const PlacementInput& input,
     decision.site = ref.site;
     decision.server = ref.server->id();
     decision.column = j;
-    decision.rtt_ms = built_.rtt_ms[p];
-    decision.energy_wh = built_.energy_wh[p];
-    decision.carbon_g = built_.carbon_g[p];
+    const PairQuantities quantities = pair_quantities(input, apps[i], j);
+    decision.rtt_ms = quantities.rtt_ms;
+    decision.energy_wh = quantities.energy_wh;
+    decision.carbon_g = quantities.carbon_g;
     result.decisions.push_back(decision);
   }
   return result;

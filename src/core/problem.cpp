@@ -22,13 +22,18 @@ struct DeviceTerms {
 
 using AppTerms = std::array<DeviceTerms, sim::kDeviceCount>;
 
+/// Dynamic energy (Wh) over the epoch: the draw energy_j x rps (W) times
+/// the epoch's hours. The build and pair_quantities both evaluate it here.
+double epoch_energy_wh(const sim::ProfileResult& prof, double rps, double epoch_hours) {
+  return prof.profile.energy_j * rps * epoch_hours;
+}
+
 AppTerms app_terms(const sim::Application& app, double epoch_hours) {
   AppTerms terms{};
   for (const sim::DeviceType device : sim::kAllDevices) {
     const sim::ProfileResult prof = sim::profile_of(app.model, device);
     if (!prof.supported) continue;
-    const double watts = prof.profile.energy_j * app.rps;  // dynamic draw
-    const double energy = watts * epoch_hours;              // Wh over the epoch
+    const double energy = epoch_energy_wh(prof, app.rps, epoch_hours);
     terms[static_cast<std::size_t>(device)] = {
         true, energy, energy / 1000.0, prof.profile.memory_mb,
         sim::compute_demand_per_rps(app.model, device) * app.rps};
@@ -85,6 +90,15 @@ std::span<const InBandSite> PlacementLayout::cut_band(Band& band, std::size_t or
   return band.sites;
 }
 
+PairQuantities pair_quantities(const PlacementInput& input, const sim::Application& app,
+                               std::size_t column) {
+  const sim::EdgeCluster::ServerRef& ref = input.layout->servers()[column];
+  const double energy =
+      epoch_energy_wh(sim::profile_of(app.model, ref.server->device()), app.rps, input.epoch_hours);
+  return {energy, energy / 1000.0 * (*input.site_mean_intensity)[ref.site],
+          input.layout->rtt_ms(app.origin_site, ref.site)};
+}
+
 BuiltProblem build_problem(const PlacementInput& input, std::span<const sim::Application> apps,
                            const PolicyConfig& policy) {
   BuiltProblem built;
@@ -127,17 +141,15 @@ void build_problem(const PlacementInput& input, std::span<const sim::Application
     problem.set_initially_on(j, server.powered_on());
   }
 
-  // App i's sites that pass the Eq. 2 filter, ascending, so visiting their
-  // column ranges in order yields the app's servers ascending.
-  const auto sites_of = [&](std::size_t i) {
-    return layout.in_band(apps[i].origin_site, apps[i].latency_limit_rtt_ms);
-  };
   // Visits the feasible (latency + model-support) pairs in (app, server)
   // order as (app, column, site, RTT ms, the app's terms on that device).
+  // An app's in-band sites ascend, so visiting their column ranges in order
+  // yields its servers ascending.
   const auto for_each_pair = [&](auto&& visit) {
     for (std::size_t i = 0; i < num_apps; ++i) {
       const AppTerms terms = app_terms(apps[i], input.epoch_hours);
-      for (const InBandSite& band : sites_of(i)) {
+      for (const InBandSite& band :
+           layout.in_band(apps[i].origin_site, apps[i].latency_limit_rtt_ms)) {
         for (std::size_t j = layout.site_first(band.site); j < layout.site_first(band.site + 1);
              ++j) {
           if (column_device[j] == kFailed) continue;
@@ -147,21 +159,6 @@ void build_problem(const PlacementInput& input, std::span<const sim::Application
       }
     }
   };
-
-  // Storage for every in-band server: an upper bound on the pair count.
-  std::size_t in_band = 0;
-  for (std::size_t i = 0; i < num_apps; ++i) {
-    for (const InBandSite& band : sites_of(i)) {
-      in_band += layout.site_first(band.site + 1) - layout.site_first(band.site);
-    }
-  }
-  problem.reserve(in_band);
-  built.energy_wh.clear();
-  built.carbon_g.clear();
-  built.rtt_ms.clear();
-  built.energy_wh.reserve(in_band);
-  built.carbon_g.reserve(in_band);
-  built.rtt_ms.reserve(in_band);
 
   // Only the Eq. 8 blend reads the min/max over the feasible pairs' energy
   // and carbon, so only it walks the pairs twice.
@@ -179,14 +176,11 @@ void build_problem(const PlacementInput& input, std::span<const sim::Application
     return policy.alpha * e + (1.0 - policy.alpha) * c;
   };
 
-  // Each pair goes straight into the problem with its physical quantities
-  // and its policy-specific objective.
+  // Each pair goes straight into the problem with its policy-specific
+  // objective.
   for_each_pair([&](std::size_t i, std::size_t j, std::size_t s, double rtt,
                     const DeviceTerms& t) {
     const double carbon = t.energy_kwh * intensity[s];
-    built.energy_wh.push_back(t.energy_wh);
-    built.carbon_g.push_back(carbon);
-    built.rtt_ms.push_back(rtt);
     double cost = 0.0;
     switch (policy.kind) {
       case PolicyKind::kLatencyAware:

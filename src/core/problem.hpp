@@ -4,7 +4,9 @@
 // pre-filtering). The build queries no forecaster, and it computes each
 // quantity once from what it depends on: per app the terms of each device
 // type, per column the server's state, per pair only Ī scaling and the
-// policy cost, appended straight into the problem.
+// policy cost, appended straight into the problem. No pair keeps its
+// physical quantities: pair_quantities recomputes them, with the build's
+// own expressions, for the one pair each placed app ends up on.
 //
 // What does not change between epochs lives in a PlacementLayout, built
 // once per (cluster, latency provider): the site-major server columns, each
@@ -65,6 +67,12 @@ class PlacementLayout {
     return cut_band(band, origin, limit_rtt_ms);
   }
 
+  /// The RTT between `origin` and `site`: an in-band site's InBandSite::rtt_ms
+  /// bit for bit, read from the latency row without touching the band memo.
+  [[nodiscard]] double rtt_ms(std::size_t origin, std::size_t site) const noexcept {
+    return latency_->rtt_ms(origin, site);
+  }
+
  private:
   struct Band {
     // The limit `sites` was cut at; NaN, which equals no limit, until the
@@ -88,31 +96,41 @@ struct PlacementInput {
   double epoch_hours = 1.0;  // energy integration window
 };
 
-/// The built problem plus the physical quantities behind the policy costs,
-/// kept for accounting and for the multi-objective normalization. Its
-/// columns are the layout's servers().
+/// The built problem, whose columns are the layout's servers(), and the
+/// build's scratch; both are reset in place by every build.
 struct BuiltProblem {
   solver::AssignmentProblem problem{0, 0, 1};
-  // Per-pair physical quantities, indexed like the problem's pairs:
-  // per-epoch dynamic energy (Wh), operational carbon (g), and network
-  // round-trip (ms).
-  std::vector<double> energy_wh;
-  std::vector<double> carbon_g;
-  std::vector<double> rtt_ms;
-  // Build scratch: per column, the server's device index, or
-  // sim::kDeviceCount for a failed server.
+  // Per column, the server's device index, or sim::kDeviceCount for a
+  // failed server.
   std::vector<std::uint8_t> column_device;
 };
+
+/// The physical quantities behind a pair's policy cost: per-epoch dynamic
+/// energy (Wh), operational carbon (g) and network round trip (ms).
+struct PairQuantities {
+  double energy_wh = 0.0;
+  double carbon_g = 0.0;
+  double rtt_ms = 0.0;
+};
+
+/// The quantities of placing `app` on layout column `column`, bit for bit
+/// the ones build_problem derives its costs from: energy_j x rps x
+/// epoch_hours, energy / 1000 x Ī of the column's site, and the origin's
+/// 2 x one-way entry for that site. Meaningful for a pair the build emitted
+/// (an in-band, live server whose device runs the app's model); reads
+/// neither the band memo nor the server's load.
+[[nodiscard]] PairQuantities pair_quantities(const PlacementInput& input,
+                                             const sim::Application& app, std::size_t column);
 
 /// Build the assignment problem for a batch of applications under `policy`
 /// into `built`, whose buffers are reset in place. Resource dimensions:
 /// device memory (MB) and compute busy-fraction, taken from each server's
 /// *remaining* capacity (incremental placement). Each app's in-band sites
-/// come from the layout; one walk over the feasible pairs fills the problem
-/// and the per-pair vectors, and the multi-objective policy walks them once
-/// more first, for Eq. 8's min/max. Throws std::invalid_argument, before
-/// touching `built`, on a missing layout, a missing or wrong-size Ī table,
-/// or an app whose origin_site is not a site of the layout.
+/// come from the layout; one walk over the feasible pairs fills the problem,
+/// and the multi-objective policy walks them once more first, for Eq. 8's
+/// min/max. Throws std::invalid_argument, before touching `built`, on a
+/// missing layout, a missing or wrong-size Ī table, or an app whose
+/// origin_site is not a site of the layout.
 void build_problem(const PlacementInput& input, std::span<const sim::Application> apps,
                    const PolicyConfig& policy, BuiltProblem& built);
 

@@ -139,13 +139,6 @@ carbon::HourIndex SimulationEngine::hour_of(std::uint32_t epoch) const noexcept 
                                static_cast<double>(epoch) * config_.epoch_hours)));
 }
 
-void SimulationEngine::snapshot_hosted() {
-  hosted_snapshot_.clear();
-  hosted_snapshot_.reserve(hosted_.size());
-  // lint: unordered-iteration-ok(this IS the serial snapshot: bucket order is a pure function of the deterministic insert/erase history, so every run replays the same order)
-  for (const auto& [id, entry] : hosted_) hosted_snapshot_.emplace_back(id, &entry);
-}
-
 void SimulationEngine::crash_server(Epoch& epoch, std::size_t column) {
   // Re-batch the apps that were on the crashed server. Marking them
   // displaced keeps them alive (retried, never counted as fresh
@@ -381,10 +374,11 @@ void SimulationEngine::evict_migrants(Epoch& epoch, std::optional<bool> migrate_
   if (!migrate) return;
 
   const obs::Span span(phases().reopt);
+  // The veto walk only reads hosted_; the moves are erased after it.
   std::vector<sim::AppId> to_move;
-  snapshot_hosted();
-  for (const auto& [id, hosted] : hosted_snapshot_) {
-    if (config_.migration.cost_aware && vetoes_move(*hosted)) {
+  // lint: unordered-iteration-ok(coordinator-only read walk: bucket order is a pure function of the deterministic insert/erase history and fixes the batch order; nothing is accumulated in fp)
+  for (const auto& [id, hosted] : hosted_) {
+    if (config_.migration.cost_aware && vetoes_move(hosted)) {
       ++result_.migrations_skipped;
       continue;
     }
@@ -553,16 +547,18 @@ void SimulationEngine::account_sites(Epoch& epoch) const {
 void SimulationEngine::fold_app_samples(Epoch& epoch) {
   const obs::Span span(phases().fold_app_samples);
   // Each hosted app's latency sample folds into the epoch sums and the
-  // response histogram, in snapshot order.
-  snapshot_hosted();
-  for (const auto& hosted : hosted_snapshot_) {
-    const HostedApp& entry = *hosted.second;
+  // response histogram, in the hosted map's order.
+  // lint: unordered-iteration-ok(coordinator-only read walk: bucket order is a pure function of the deterministic insert/erase history, so every run folds the samples in the same fp order)
+  for (const auto& [id, entry] : hosted_) {
     const double rtt = entry.rtt_ms;
     const sim::EdgeServer& server = server_at(entry.column);
     const double response = rtt + server.mean_service_ms(entry.app.model);
     const double rps = entry.app.rps;
+    // lint: ordered-fold-ok(the fp sums run in bucket order, which the insert/erase history fixes, so every run replays them; the same order the walk's D2 reason covers)
     epoch.record.rtt_weighted_sum_ms += rtt * rps;
+    // lint: ordered-fold-ok(bucket order, as the sum above)
     epoch.record.response_weighted_sum_ms += response * rps;
+    // lint: ordered-fold-ok(bucket order, as the sum above)
     epoch.record.rps_total += rps;
     result_.telemetry.add_response_sample(response, rps);
   }

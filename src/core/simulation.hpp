@@ -257,7 +257,6 @@ class SimulationEngine {
                                                          std::size_t site) const;
   /// Charge the data movement of an app that left `from_site` this epoch.
   void account_move(Epoch& epoch, const sim::Application& app, std::size_t from_site);
-  void snapshot_hosted();
 
   SimulationConfig config_;
   sim::EdgeCluster cluster_;
@@ -296,11 +295,6 @@ class SimulationEngine {
   // kNoColumn): its redeployment is not a data-movement migration. Parked
   // apps retry through the deferral queue, never as fresh rejections.
   std::unordered_map<sim::AppId, Displacement> displaced_from_;
-
-  // Reused buffer (allocated once, refilled per walk): the hosted map's
-  // iteration order, materialized so the migration veto and the per-app
-  // accounting fold walk it in a fixed order.
-  std::vector<std::pair<sim::AppId, const HostedApp*>> hosted_snapshot_;
 };
 
 /// Owns a pristine cluster copy; every run() starts from that state, so the

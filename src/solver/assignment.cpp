@@ -109,8 +109,8 @@ void AssignmentProblem::reset(std::size_t num_apps, std::size_t num_servers,
   initially_on_.assign(num_servers, 1);
 }
 
-void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cost,
-                                 std::span<const double> demand) {
+void AssignmentProblem::reject_pair(std::size_t app, std::size_t server, double cost,
+                                    std::span<const double> demand) const {
   if (app >= num_apps_ || server >= num_servers_) {
     throw std::invalid_argument("add_pair: app or server out of range");
   }
@@ -118,34 +118,10 @@ void AssignmentProblem::add_pair(std::size_t app, std::size_t server, double cos
   if (demand.size() != num_resources_) {
     throw std::invalid_argument("add_pair: need one demand per resource");
   }
-  // row_start_.size() - 1 is the app the last pair was added for.
-  if (app + 1 < row_start_.size() ||
-      (app + 1 == row_start_.size() && server <= server_.back())) {
+  if (!appends_in_order(app, server)) {
     throw std::invalid_argument("add_pair: pairs must arrive in ascending (app, server) order");
   }
-  while (row_start_.size() <= app) row_start_.push_back(num_pairs());
-  server_.push_back(static_cast<std::uint32_t>(server));
-  cost_.push_back(cost);
-  demand_.insert(demand_.end(), demand.begin(), demand.end());
-}
-
-void AssignmentProblem::reserve(std::size_t pairs) {
-  row_start_.reserve(num_apps_);
-  server_.reserve(pairs);
-  cost_.reserve(pairs);
-  demand_.reserve(pairs * num_resources_);
-}
-
-void AssignmentProblem::set_capacity(std::size_t server, std::size_t resource, double capacity) {
-  capacity_[server * num_resources_ + resource] = capacity;
-}
-
-void AssignmentProblem::set_activation_cost(std::size_t server, double cost) {
-  activation_cost_[server] = cost;
-}
-
-void AssignmentProblem::set_initially_on(std::size_t server, bool on) {
-  initially_on_[server] = on ? 1 : 0;
+  throw std::invalid_argument("add_pair: demands must be finite");
 }
 
 namespace {
@@ -383,6 +359,106 @@ ShardAnswer solve_exact(const AssignmentProblem& problem, const Component& shard
 
 namespace {
 
+/// Greedy's unplaced apps that can still be placed, in pick order: an
+/// indexed binary max-heap over the workspace's pick_heap and heap_slot.
+/// Keys order by regret descending, then best cost descending, then app
+/// ascending (component apps ascend, so that is position order); the top is
+/// the app a scan of every unplaced app would pick first. Every app in the
+/// heap carries its current key: set() replaces it in place.
+class PickHeap {
+ public:
+  using Key = ShardWorkspace::GreedyKey;
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  /// An empty heap over `shard`'s apps.
+  PickHeap(const AssignmentProblem& problem, const Component& shard, ShardWorkspace& workspace)
+      : heap_(workspace.pick_heap), slot_(workspace.heap_slot) {
+    heap_.clear();
+    slot_.resize(problem.num_apps());
+    for (const std::size_t i : shard.apps) slot_[i] = kAbsent;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t top() const noexcept { return heap_.front().app; }
+
+  /// Set `app`'s key to `option`'s, or take it out when that option cannot
+  /// be picked.
+  void set(std::size_t app, const ShardWorkspace::GreedyOption& option) {
+    Key key;
+    if (!key_of(app, option, key)) return remove(app);
+    if (slot_[app] == kAbsent) {
+      slot_[app] = heap_.size();
+      heap_.push_back(key);
+    } else {
+      heap_[slot_[app]] = key;
+    }
+    restore(slot_[app]);
+  }
+
+  void remove(std::size_t app) {
+    const std::size_t k = slot_[app];
+    if (k == kAbsent) return;
+    slot_[app] = kAbsent;
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (k == heap_.size()) return;
+    heap_[k] = last;
+    restore(k);
+  }
+
+ private:
+  /// The scan's key for `option`: false when the app cannot be picked, that
+  /// is when no pair fits or its regret is NaN (two pairs at -inf, from a
+  /// -inf activation cost), which no comparison selects.
+  static bool key_of(std::size_t app, const ShardWorkspace::GreedyOption& option, Key& key) {
+    if (option.best_pair == kNoPair) return false;
+    const double regret = (option.second == kInfinity) ? kInfinity : option.second - option.best;
+    if (std::isnan(regret)) return false;
+    key = {regret, option.best, app};
+    return true;
+  }
+  /// Move the key at `k`, which may now order either way against its
+  /// neighbors, to its place.
+  void restore(std::size_t k) {
+    const std::size_t app = heap_[k].app;
+    sift_up(k);
+    sift_down(slot_[app]);
+  }
+  static bool before(const Key& a, const Key& b) noexcept {
+    if (a.regret != b.regret) return a.regret > b.regret;
+    if (a.best != b.best) return a.best > b.best;
+    return a.app < b.app;
+  }
+  void sift_up(std::size_t k) {
+    const Key key = heap_[k];
+    while (k > 0) {
+      const std::size_t parent = (k - 1) / 2;
+      if (!before(key, heap_[parent])) break;
+      heap_[k] = heap_[parent];
+      slot_[heap_[k].app] = k;
+      k = parent;
+    }
+    heap_[k] = key;
+    slot_[key.app] = k;
+  }
+  void sift_down(std::size_t k) {
+    const Key key = heap_[k];
+    const std::size_t size = heap_.size();
+    for (std::size_t child = 2 * k + 1; child < size; child = 2 * k + 1) {
+      if (child + 1 < size && before(heap_[child + 1], heap_[child])) ++child;
+      if (!before(heap_[child], key)) break;
+      heap_[k] = heap_[child];
+      slot_[heap_[k].app] = k;
+      k = child;
+    }
+    heap_[k] = key;
+    slot_[key.app] = k;
+  }
+
+  std::vector<Key>& heap_;
+  std::vector<std::size_t>& slot_;
+};
+
 void solve_greedy(const AssignmentProblem& problem, const Component& shard,
                   ShardWorkspace& workspace) {
   const std::size_t resources = problem.num_resources();
@@ -425,43 +501,31 @@ void solve_greedy(const AssignmentProblem& problem, const Component& shard,
   };
 
   // pair_of[i] is kNoPair until app i is placed. option[i] always equals a
-  // fresh scan_row of unplaced app i. A commit on server j changes only j's
-  // remaining capacity and power state, so only the apps with a pair on j
-  // can need a rescan.
+  // fresh scan_row of unplaced app i, and `heap` holds every unplaced app
+  // whose option can be picked, keyed by it. A commit on server j changes
+  // only j's remaining capacity and power state, so only the apps with a
+  // pair on j can need a rescan.
   std::vector<std::size_t>& pair_of = workspace.pairs;
   std::vector<ShardWorkspace::GreedyOption>& option = workspace.option;
   pair_of.resize(problem.num_apps());
   option.resize(problem.num_apps());
+  PickHeap heap(problem, shard, workspace);
   for (const std::size_t i : shard.apps) {
     pair_of[i] = kNoPair;
     option[i] = scan_row(i);
+    heap.set(i, option[i]);
   }
   std::vector<double>& before = workspace.remaining_before;
   before.resize(resources);
 
-  for (std::size_t round = 0; round < shard.apps.size(); ++round) {
-    // Pick the unplaced app with the largest regret (gap between its best
-    // and second-best feasible option); ties favor the costlier best option.
-    std::size_t pick = kUnassigned;
-    double pick_regret = -1.0;
-    double pick_best_cost = -kInfinity;
-    for (const std::size_t i : shard.apps) {
-      if (pair_of[i] != kNoPair) continue;
-      const auto [best, second, best_pair] = option[i];
-      if (best_pair == kNoPair) {
-        // This app can no longer be placed; greedy fails over to a partial
-        // answer which evaluate() marks infeasible.
-        continue;
-      }
-      const double regret = (second == kInfinity) ? kInfinity : second - best;
-      if (regret > pick_regret ||
-          (regret == pick_regret && best > pick_best_cost)) {
-        pick_regret = regret;
-        pick_best_cost = best;
-        pick = i;
-      }
-    }
-    if (pick == kUnassigned) break;  // nothing placeable remains
+  // Each round places the unplaced app with the largest regret (gap between
+  // its best and second-best fitting option); ties favor the costlier best
+  // option, then the earlier app. An app with no fitting pair left is not
+  // in the heap: greedy ends with a partial answer, which evaluate() marks
+  // infeasible.
+  while (!heap.empty()) {
+    const std::size_t pick = heap.top();
+    heap.remove(pick);
     const std::size_t pick_pair = option[pick].best_pair;
     const std::size_t j = problem.server(pick_pair);
     pair_of[pick] = pick_pair;
@@ -494,6 +558,7 @@ void solve_greedy(const AssignmentProblem& problem, const Component& shard,
         if (cost_before > option[i].second) continue;
       }
       option[i] = scan_row(i);
+      heap.set(i, option[i]);
     }
   }
 }

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -72,17 +73,23 @@ class AssignmentProblem {
   /// Append the feasible pair (app, server) with its objective cost and one
   /// demand per resource. Pairs arrive in strictly ascending (app, server)
   /// order. Throws std::invalid_argument on an out-of-order, duplicate or
-  /// out-of-range pair, a non-finite cost, or a demand count other than
-  /// num_resources().
-  void add_pair(std::size_t app, std::size_t server, double cost, std::span<const double> demand);
+  /// out-of-range pair, a non-finite cost or demand, or a demand count other
+  /// than num_resources(); a rejected pair leaves the problem unchanged.
+  void add_pair(std::size_t app, std::size_t server, double cost, std::span<const double> demand) {
+    if (app >= num_apps_ || server >= num_servers_ || !std::isfinite(cost) ||
+        demand.size() != num_resources_ || !appends_in_order(app, server) ||
+        !std::ranges::all_of(demand, [](double d) { return std::isfinite(d); })) [[unlikely]] {
+      reject_pair(app, server, cost, demand);
+    }
+    while (row_start_.size() <= app) row_start_.push_back(num_pairs());
+    server_.push_back(static_cast<std::uint32_t>(server));
+    cost_.push_back(cost);
+    demand_.insert(demand_.end(), demand.begin(), demand.end());
+  }
   void add_pair(std::size_t app, std::size_t server, double cost,
                 std::initializer_list<double> demand) {
     add_pair(app, server, cost, std::span<const double>(demand.begin(), demand.size()));
   }
-
-  /// Reserve storage for `pairs` pairs (and the row starts of every app), so
-  /// a caller that knows the final pair count appends without regrowth.
-  void reserve(std::size_t pairs);
 
   /// Pairs are numbered in (app, server) order; app `app` owns the indices
   /// [row_begin(app), row_end(app)), servers ascending.
@@ -113,21 +120,34 @@ class AssignmentProblem {
     return row_begin(app) + static_cast<std::size_t>(it - row.begin());
   }
 
-  void set_capacity(std::size_t server, std::size_t resource, double capacity);
+  void set_capacity(std::size_t server, std::size_t resource, double capacity) {
+    capacity_[server * num_resources_ + resource] = capacity;
+  }
   [[nodiscard]] double capacity(std::size_t server, std::size_t resource) const noexcept {
     return capacity_[server * num_resources_ + resource];
   }
 
-  void set_activation_cost(std::size_t server, double cost);
+  void set_activation_cost(std::size_t server, double cost) { activation_cost_[server] = cost; }
   [[nodiscard]] double activation_cost(std::size_t server) const noexcept {
     return activation_cost_[server];
   }
-  void set_initially_on(std::size_t server, bool on);
+  void set_initially_on(std::size_t server, bool on) { initially_on_[server] = on ? 1 : 0; }
   [[nodiscard]] bool initially_on(std::size_t server) const noexcept {
     return initially_on_[server] != 0;
   }
 
  private:
+  /// Whether the pair (app, server), app in range, comes after every pair
+  /// added so far; row_start_.size() - 1 is the app the last one was added
+  /// for.
+  [[nodiscard]] bool appends_in_order(std::size_t app, std::size_t server) const noexcept {
+    return app + 1 > row_start_.size() || (app + 1 == row_start_.size() && server > server_.back());
+  }
+  /// add_pair's failure path: throws the std::invalid_argument naming the
+  /// first broken condition.
+  [[noreturn]] [[gnu::cold]] void reject_pair(std::size_t app, std::size_t server, double cost,
+                                              std::span<const double> demand) const;
+
   std::size_t num_apps_ = 0;
   std::size_t num_servers_ = 0;
   std::size_t num_resources_ = 1;
@@ -210,13 +230,15 @@ inline constexpr std::size_t kLocalSearchRounds = 20;
 
 /// Regret greedy: each round places the unplaced app with the largest gap
 /// between its cheapest and second-cheapest fitting option (ties go to the
-/// costlier cheapest option), until none can be placed. Each app's options
-/// are cached; a commit on server j revisits only the apps with a pair on j,
-/// and rescans such an app's row only when the commit can change its two
-/// cheapest fitting costs: j was off (its activation cost just dropped out),
-/// or the app's pair on j stopped fitting while it was among them (and
-/// fitted before the commit, when j was on and the demands are >= 0). A
-/// round costs one pass over the cached options plus j's column and rows.
+/// costlier cheapest option, then the earlier app), until none can be
+/// placed. Each app's options are cached; a commit on server j revisits only
+/// the apps with a pair on j, and rescans such an app's row only when the
+/// commit can change its two cheapest fitting costs: j was off (its
+/// activation cost just dropped out), or the app's pair on j stopped
+/// fitting while it was among them (and fitted before the commit, when j
+/// was on and the demands are >= 0). The pick comes from an indexed max-heap
+/// of the placeable apps' keys, updated as they are rescanned, so a round
+/// costs j's column and rows plus O(log apps) per rescanned app.
 [[nodiscard]] AssignmentSolution solve_greedy(const AssignmentProblem& problem);
 
 /// Relocate/swap improvement of solution.pairs; returns the number of

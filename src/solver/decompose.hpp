@@ -52,6 +52,8 @@ struct ShardWorkspace {
   // Greedy's cache for one unplaced app: its two cheapest effective costs
   // over the pairs that still fit, and the pair of the cheapest.
   struct GreedyOption { double best, second; std::size_t best_pair; };
+  // Greedy's pick key for one unplaced app that can still be placed.
+  struct GreedyKey { double regret, best; std::size_t app; };
 
   std::vector<std::size_t> parent;             // union-find over apps ∪ servers
   std::vector<std::uint8_t> server_used;
@@ -69,6 +71,8 @@ struct ShardWorkspace {
   std::vector<double> remaining_before;        // greedy: one server's, before a commit
   std::vector<std::uint8_t> planned_on;
   std::vector<GreedyOption> option;
+  std::vector<GreedyKey> pick_heap;            // greedy: binary max-heap of pick keys
+  std::vector<std::size_t> heap_slot;          // greedy: app -> its pick_heap index
   std::vector<std::size_t> count;              // local search: apps per server
   std::vector<std::size_t> pair_on;            // local search: one app's pair per server
   std::vector<std::size_t> first_var;          // exact path: LP variable of an app's first pair

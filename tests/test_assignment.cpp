@@ -78,6 +78,25 @@ TEST(AssignmentProblem, AddPairRejectsBrokenContract) {
   EXPECT_EQ(p.num_pairs(), 3u);
 }
 
+TEST(AssignmentProblem, AddPairRejectsNonFiniteDemand) {
+  // A NaN demand compares false against every capacity, so greedy and
+  // validate() would both let it through, while the settle certificate
+  // rejects it. Each value goes into a fresh problem, so the throw cannot
+  // come from an earlier pair's (app, server) order.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInfinity, -kInfinity}) {
+    SCOPED_TRACE(bad);
+    AssignmentProblem p(2, 1, 2);
+    p.set_capacity(0, 0, 1.0);
+    p.set_capacity(0, 1, 1.0);
+    EXPECT_THROW(p.add_pair(0, 0, 1.0, {bad, 0.5}), std::invalid_argument);
+    EXPECT_THROW(p.add_pair(0, 0, 1.0, {0.5, bad}), std::invalid_argument);
+    EXPECT_EQ(p.num_pairs(), 0u);  // rejected pairs leave no trace
+    p.add_pair(0, 0, 1.0, {0.1, 0.1});
+    p.add_pair(1, 0, 1.0, {0.9, 0.9});
+    EXPECT_EQ(p.num_pairs(), 2u);
+  }
+}
+
 TEST(Evaluate, ComputesCostAndPowerStates) {
   AssignmentProblem p = simple_problem(2, 2);
   p.set_initially_on(1, false);
@@ -389,6 +408,49 @@ AssignmentProblem random_catalog_instance(std::uint64_t seed) {
   return p;
 }
 
+// A catalog-sized instance shaped against the greedy's pick order: up to
+// ~600 apps, about a third of them with a single pair (infinite regret, and
+// under integer costs many such apps tie on their best cost too, so the
+// position decides), and many one-app servers, so apps that could be placed
+// at the start lose their last fitting pair mid-solve. One seed in four
+// gives some off servers an activation cost of -inf: an app with two pairs
+// on such servers has a NaN regret, which the scan never picks, until a
+// commit turns one of them on.
+AssignmentProblem random_pick_order_instance(std::uint64_t seed) {
+  util::Rng rng(seed * 0xa0761d6478bd642fULL + 7);
+  const bool ties = seed % 2 == 0;
+  const bool minus_inf = seed % 4 == 3;
+  const std::size_t apps = 300 + rng.uniform_index(301);
+  const std::size_t servers = 100 + rng.uniform_index(300);
+  AssignmentProblem p(apps, servers, 2);
+  for (std::size_t j = 0; j < servers; ++j) {
+    const double scale = rng.bernoulli(0.4) ? 1.0 : ties ? std::floor(rng.uniform(2.0, 7.0))
+                                                         : rng.uniform(2.0, 7.0);
+    p.set_capacity(j, 0, scale);
+    p.set_capacity(j, 1, scale);
+    if (rng.bernoulli(0.35)) {
+      p.set_initially_on(j, false);
+      const double activation = minus_inf && rng.bernoulli(0.3) ? -kInfinity
+                                : ties ? static_cast<double>(rng.uniform_index(3))
+                                       : rng.uniform(0.0, 4.0);
+      p.set_activation_cost(j, activation);
+    }
+  }
+  for (std::size_t i = 0; i < apps; ++i) {
+    const std::size_t origin = rng.uniform_index(servers);
+    const std::size_t width = rng.bernoulli(0.35) ? 1 : 2 + rng.uniform_index(7);
+    const std::size_t first = origin >= width / 2 ? origin - width / 2 : 0;
+    for (std::size_t j = first; j < std::min(servers, first + width); ++j) {
+      if (width > 1 && rng.bernoulli(0.15)) continue;  // latency-infeasible pair
+      const double cost = ties ? static_cast<double>(rng.uniform_index(3)) : rng.uniform(0.0, 10.0);
+      const double memory = ties ? 1.0 : rng.uniform(0.5, 1.0);
+      const double compute = ties ? 1.0 : rng.uniform(0.5, 1.0);
+      p.add_pair(i, j, cost, {memory, compute});
+    }
+  }
+  return p;
+}
+
 TEST(SolveGreedy, MatchesFullRescanReference) {
   std::size_t partial = 0;
   for (std::uint64_t seed = 0; seed < 240; ++seed) {
@@ -421,6 +483,46 @@ TEST(SolveGreedy, MatchesFullRescanReference) {
     if (expected.unassigned_count > 0) ++catalog_partial;
   }
   EXPECT_GE(catalog_partial, 6u);
+
+  // Pick-order instances. Tally what they must exercise: single-pair apps
+  // that tie on their best cost, apps stranded although one of their pairs
+  // fitted at the start, and apps that start with a NaN regret.
+  std::size_t tied_single = 0;
+  std::size_t stranded = 0;
+  std::size_t nan_regret = 0;
+  std::size_t largest = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const AssignmentProblem p = random_pick_order_instance(seed);
+    const AssignmentSolution expected = full_rescan_greedy(p);
+    const AssignmentSolution actual = solve_greedy(p);
+    ASSERT_EQ(actual.pairs, expected.pairs) << "pick-order seed " << seed;
+    ASSERT_EQ(actual.unassigned_count, expected.unassigned_count) << "pick-order seed " << seed;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(actual.total_cost),
+              std::bit_cast<std::uint64_t>(expected.total_cost))
+        << "pick-order seed " << seed;
+    largest = std::max(largest, p.num_apps());
+    std::vector<double> single_costs;
+    for (std::size_t i = 0; i < p.num_apps(); ++i) {
+      std::size_t minus_inf_pairs = 0;
+      bool fitted = false;
+      for (std::size_t q = p.row_begin(i); q < p.row_end(i); ++q) {
+        const std::size_t j = p.server(q);
+        fitted = fitted || (p.demand(q, 0) <= p.capacity(j, 0) && p.demand(q, 1) <= p.capacity(j, 1));
+        if (!p.initially_on(j) && p.activation_cost(j) == -kInfinity) ++minus_inf_pairs;
+      }
+      if (p.row_end(i) - p.row_begin(i) == 1) {
+        const double cost = p.cost(p.row_begin(i));
+        if (std::ranges::find(single_costs, cost) != single_costs.end()) ++tied_single;
+        single_costs.push_back(cost);
+      }
+      if (fitted && expected.pairs[i] == kNoPair) ++stranded;
+      if (minus_inf_pairs >= 2) ++nan_regret;
+    }
+  }
+  EXPECT_GE(largest, 550u);
+  EXPECT_GE(tied_single, 500u);
+  EXPECT_GE(stranded, 200u);
+  EXPECT_GE(nan_regret, 20u);
 }
 
 TEST(LocalSearch, FixesGreedyMisstep) {

@@ -147,7 +147,6 @@ TEST(CatalogScale, ThousandSiteBandedBatchStaysSparse) {
   EXPECT_EQ(cells, 500u * 1000u);
   EXPECT_GT(built.problem.num_pairs(), 0u);
   EXPECT_LT(built.problem.num_pairs(), cells / 4u);
-  EXPECT_EQ(built.energy_wh.size(), built.problem.num_pairs());
 }
 
 // Digest of the banded batch's placement with every component forced

@@ -8,7 +8,9 @@
 #include <utility>
 #include <bit>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "core/placement_service.hpp"
 #include "core/policy.hpp"
@@ -135,7 +137,9 @@ TEST(BuildProblem, ReadsMeanIntensityFromTheTableBySite) {
     const std::size_t p = carbon.problem.find_pair(0, j);
     if (p == solver::kNoPair) continue;
     const double site_ci = table[f.layout.servers()[j].site];
-    EXPECT_EQ(carbon.carbon_g[p], carbon.energy_wh[p] / 1000.0 * site_ci) << j;
+    const PairQuantities q = pair_quantities(in, apps[0], j);
+    EXPECT_EQ(q.carbon_g, q.energy_wh / 1000.0 * site_ci) << j;
+    EXPECT_EQ(carbon.problem.cost(p), q.carbon_g) << j;
     EXPECT_EQ(intensity.problem.cost(p), site_ci) << j;
   }
 }
@@ -192,13 +196,15 @@ TEST(BuildProblem, UnsupportedModelsAreInfeasible) {
 TEST(BuildProblem, CarbonCostIsEnergyTimesIntensity) {
   Fixture f;
   const std::vector<sim::Application> apps = {app_at(0, 40.0)};
-  const BuiltProblem built = build_problem(f.input(7), apps, PolicyConfig::carbon_edge());
+  const PlacementInput in = f.input(7);
+  const BuiltProblem built = build_problem(in, apps, PolicyConfig::carbon_edge());
   for (std::size_t j = 0; j < 5; ++j) {
     const std::size_t p = built.problem.find_pair(0, j);
     if (p == solver::kNoPair) continue;
     const double site_ci = f.intensity[f.layout.servers()[j].site];
-    EXPECT_NEAR(built.carbon_g[p], built.energy_wh[p] / 1000.0 * site_ci, 1e-9);
-    EXPECT_NEAR(built.problem.cost(p), built.carbon_g[p], 1e-12);
+    const PairQuantities q = pair_quantities(in, apps[0], j);
+    EXPECT_NEAR(q.carbon_g, q.energy_wh / 1000.0 * site_ci, 1e-9);
+    EXPECT_NEAR(built.problem.cost(p), q.carbon_g, 1e-12);
   }
 }
 
@@ -213,23 +219,27 @@ TEST(BuildProblem, MeanIntensityUsesForecastWindow) {
   const std::size_t p = carbon.problem.find_pair(0, 0);
   ASSERT_NE(p, solver::kNoPair);
   EXPECT_NEAR(intensity.problem.cost(p), trace.mean_over(100, 24), 1e-9);
-  EXPECT_NEAR(carbon.carbon_g[p], carbon.energy_wh[p] / 1000.0 * trace.mean_over(100, 24), 1e-9);
+  const PairQuantities q = pair_quantities(in, apps[0], 0);
+  EXPECT_NEAR(q.carbon_g, q.energy_wh / 1000.0 * trace.mean_over(100, 24), 1e-9);
+  EXPECT_EQ(carbon.problem.cost(p), q.carbon_g);
 }
 
 TEST(BuildProblem, PolicyObjectivesDiffer) {
   Fixture f;
   const std::vector<sim::Application> apps = {app_at(2, 40.0)};
-  const BuiltProblem latency = build_problem(f.input(), apps, PolicyConfig::latency_aware());
-  const BuiltProblem energy = build_problem(f.input(), apps, PolicyConfig::energy_aware());
-  const BuiltProblem intensity = build_problem(f.input(), apps, PolicyConfig::intensity_aware());
+  const PlacementInput in = f.input();
+  const BuiltProblem latency = build_problem(in, apps, PolicyConfig::latency_aware());
+  const BuiltProblem energy = build_problem(in, apps, PolicyConfig::energy_aware());
+  const BuiltProblem intensity = build_problem(in, apps, PolicyConfig::intensity_aware());
   // The policy changes costs only: all three share one pair layout.
   ASSERT_EQ(energy.problem.num_pairs(), latency.problem.num_pairs());
   ASSERT_EQ(intensity.problem.num_pairs(), latency.problem.num_pairs());
   for (std::size_t j = 0; j < 5; ++j) {
     const std::size_t p = latency.problem.find_pair(0, j);
     if (p == solver::kNoPair) continue;
-    EXPECT_NEAR(latency.problem.cost(p), latency.rtt_ms[p], 1e-12);
-    EXPECT_NEAR(energy.problem.cost(p), energy.energy_wh[p], 1e-12);
+    const PairQuantities q = pair_quantities(in, apps[0], j);
+    EXPECT_NEAR(latency.problem.cost(p), q.rtt_ms, 1e-12);
+    EXPECT_NEAR(energy.problem.cost(p), q.energy_wh, 1e-12);
     EXPECT_NEAR(intensity.problem.cost(p), f.intensity[f.layout.servers()[j].site], 1e-12);
   }
 }
@@ -237,8 +247,9 @@ TEST(BuildProblem, PolicyObjectivesDiffer) {
 TEST(BuildProblem, MultiObjectiveEndpointsMatchPureObjectives) {
   Fixture f;
   const std::vector<sim::Application> apps = {app_at(0, 40.0), app_at(3, 40.0)};
-  const BuiltProblem alpha0 = build_problem(f.input(), apps, PolicyConfig::multi_objective(0.0));
-  const BuiltProblem alpha1 = build_problem(f.input(), apps, PolicyConfig::multi_objective(1.0));
+  const PlacementInput in = f.input();
+  const BuiltProblem alpha0 = build_problem(in, apps, PolicyConfig::multi_objective(0.0));
+  const BuiltProblem alpha1 = build_problem(in, apps, PolicyConfig::multi_objective(1.0));
   // alpha=0 costs are normalized carbon: ordering matches carbon ordering.
   // alpha only changes costs, so both problems share one pair layout.
   ASSERT_EQ(alpha1.problem.num_pairs(), alpha0.problem.num_pairs());
@@ -248,10 +259,12 @@ TEST(BuildProblem, MultiObjectiveEndpointsMatchPureObjectives) {
         const std::size_t pj = alpha0.problem.find_pair(i, j);
         const std::size_t pk = alpha0.problem.find_pair(i, k);
         if (pj == solver::kNoPair || pk == solver::kNoPair) continue;
-        const bool carbon_less = alpha0.carbon_g[pj] < alpha0.carbon_g[pk];
+        const PairQuantities qj = pair_quantities(in, apps[i], j);
+        const PairQuantities qk = pair_quantities(in, apps[i], k);
+        const bool carbon_less = qj.carbon_g < qk.carbon_g;
         const bool cost_less = alpha0.problem.cost(pj) < alpha0.problem.cost(pk);
         EXPECT_EQ(carbon_less, cost_less);
-        const bool energy_less = alpha1.energy_wh[pj] < alpha1.energy_wh[pk];
+        const bool energy_less = qj.energy_wh < qk.energy_wh;
         const bool cost1_less = alpha1.problem.cost(pj) < alpha1.problem.cost(pk);
         EXPECT_EQ(energy_less, cost1_less);
       }
@@ -295,7 +308,8 @@ TEST(BuildProblem, EnergyScalesWithEpochHours) {
   const std::size_t p = b1.problem.find_pair(0, 0);
   ASSERT_NE(p, solver::kNoPair);
   ASSERT_EQ(b2.problem.find_pair(0, 0), p);
-  EXPECT_NEAR(b2.energy_wh[p], 2.0 * b1.energy_wh[p], 1e-9);
+  EXPECT_NEAR(pair_quantities(in2, apps[0], 0).energy_wh,
+              2.0 * pair_quantities(in1, apps[0], 0).energy_wh, 1e-9);
 }
 
 // What a build must produce, with the columns it was built over.
@@ -411,10 +425,11 @@ void expect_same_bits(const std::vector<double>& got, const std::vector<double>&
   }
 }
 
-// `got`, built over the columns `servers`, against `want`, bit for bit.
-void expect_same_build(const BuiltProblem& got,
-                       std::span<const sim::EdgeCluster::ServerRef> servers,
-                       const FreshBuild& want) {
+// `got`, built from `input` and `apps`, against `want`, bit for bit: the
+// problem, the columns, and each pair's quantities through pair_quantities.
+void expect_same_build(const BuiltProblem& got, const PlacementInput& input,
+                       std::span<const sim::Application> apps, const FreshBuild& want) {
+  const std::span<const sim::EdgeCluster::ServerRef> servers = input.layout->servers();
   const solver::AssignmentProblem& g = got.problem;
   const solver::AssignmentProblem& w = want.problem;
   ASSERT_EQ(g.num_apps(), w.num_apps());
@@ -435,9 +450,18 @@ void expect_same_build(const BuiltProblem& got,
         << "activation " << j;
     EXPECT_EQ(g.initially_on(j), w.initially_on(j)) << j;
   }
+  std::vector<double> energy_wh;
+  std::vector<double> carbon_g;
+  std::vector<double> rtt_ms;
   for (std::size_t i = 0; i < g.num_apps(); ++i) {
     EXPECT_EQ(g.row_begin(i), w.row_begin(i)) << i;
     EXPECT_EQ(g.row_end(i), w.row_end(i)) << i;
+    for (const std::uint32_t j : g.row_servers(i)) {
+      const PairQuantities q = pair_quantities(input, apps[i], j);
+      energy_wh.push_back(q.energy_wh);
+      carbon_g.push_back(q.carbon_g);
+      rtt_ms.push_back(q.rtt_ms);
+    }
   }
   for (std::size_t p = 0; p < g.num_pairs(); ++p) {
     EXPECT_EQ(g.server(p), w.server(p)) << p;
@@ -449,9 +473,9 @@ void expect_same_build(const BuiltProblem& got,
           << "demand " << p << "/" << k;
     }
   }
-  expect_same_bits(got.energy_wh, want.energy_wh, "energy_wh");
-  expect_same_bits(got.carbon_g, want.carbon_g, "carbon_g");
-  expect_same_bits(got.rtt_ms, want.rtt_ms, "rtt_ms");
+  expect_same_bits(energy_wh, want.energy_wh, "energy_wh");
+  expect_same_bits(carbon_g, want.carbon_g, "carbon_g");
+  expect_same_bits(rtt_ms, want.rtt_ms, "rtt_ms");
 }
 
 // Every server state build_problem reads, mixed at random: 0-3 servers of
@@ -526,7 +550,7 @@ TEST(BuildProblem, MatchesTwoPassReference) {
     SCOPED_TRACE(describe(policy));
     const FreshBuild want =
         reference_build_problem(cluster, latency, intensity, input.epoch_hours, apps, policy);
-    expect_same_build(build_problem(input, apps, policy), layout.servers(), want);
+    expect_same_build(build_problem(input, apps, policy), input, apps, want);
 
     // Tally the cases the instances must exercise.
     for (const auto& ref : want.servers) {
@@ -554,8 +578,7 @@ TEST(BuildProblem, MatchesTwoPassReference) {
 
 // The per-call build_problem as it stood before placement kept a layout
 // across calls: it lists the cluster's servers and site ranges afresh, scans
-// each app's whole latency row (twice: once to size the pair storage, once
-// to emit), and builds into new buffers. A long-lived layout and build
+// each app's whole latency row, and builds into new buffers. A long-lived layout and build
 // buffers must reproduce it bit for bit.
 FreshBuild per_call_build_problem(sim::EdgeCluster& cluster, const geo::LatencyProvider& latency,
                                   const std::vector<double>& intensity, double epoch_hours,
@@ -623,12 +646,6 @@ FreshBuild per_call_build_problem(sim::EdgeCluster& cluster, const geo::LatencyP
       });
     }
   };
-  std::size_t in_band = 0;
-  for (std::size_t i = 0; i < num_apps; ++i) {
-    for_each_site(i, [&](std::size_t s, double) { in_band += site_first[s + 1] - site_first[s]; });
-  }
-  problem.reserve(in_band);
-
   // Eq. 8's min/max: the first minimum and the last maximum in visit order.
   double energy_lo = 0.0, energy_hi = 0.0, carbon_lo = 0.0, carbon_hi = 0.0;
   bool empty = true;
@@ -769,7 +786,7 @@ TEST(BuildProblem, LayoutReuseMatchesFreshBuild) {
       input.site_mean_intensity = &intensity;
       input.epoch_hours = epoch_hours;
       build_problem(input, apps, policy, built);
-      expect_same_build(built, layout.servers(), want);
+      expect_same_build(built, input, apps, want);
 
       ++kinds[static_cast<std::size_t>(policy.kind)];
       for (const std::size_t origin : pool) {
@@ -795,6 +812,188 @@ TEST(BuildProblem, LayoutReuseMatchesFreshBuild) {
   EXPECT_GE(mixed_origins, 500u);
   EXPECT_GE(pairs, 10000u);
   for (const std::size_t count : kinds) EXPECT_GE(count, 40u);
+}
+
+// A hand-made cluster with every case the ledger's uniform A2 clusters
+// never build: devices of four types (so some models have no pair on some
+// servers), a failed server, a loaded one and an off one, and apps of one
+// origin under different RTT limits, built into one long-lived BuiltProblem
+// under every policy.
+TEST(BuildProblem, MixedDevicesFailuresAndLimitsMatchReference) {
+  using sim::DeviceType;
+  const geo::Region region = geo::florida_region();
+  sim::EdgeCluster cluster(region);
+  const std::vector<std::vector<DeviceType>> devices = {
+      {DeviceType::kA2, DeviceType::kXeonCpu},
+      {DeviceType::kOrinNano},
+      {DeviceType::kGtx1080, DeviceType::kA2, DeviceType::kXeonCpu},
+      {DeviceType::kXeonCpu},
+      {DeviceType::kA2, DeviceType::kOrinNano}};
+  ASSERT_EQ(cluster.size(), devices.size());
+  for (std::size_t s = 0; s < devices.size(); ++s) {
+    for (std::size_t k = 0; k < devices[s].size(); ++k) {
+      sim::ServerConfig config;
+      config.name = cluster.sites()[s].zone() + "-" + std::to_string(k);
+      config.device = devices[s][k];
+      cluster.sites()[s].add_server(config);
+    }
+  }
+  cluster.sites()[2].servers()[1].set_failed(true);         // the A2 at site 2
+  cluster.sites()[4].servers()[1].set_powered_on(false);    // the Orin at site 4
+  cluster.sites()[0].servers()[0].host({1, sim::ModelType::kResNet50, 3.0});
+  const geo::LatencyProvider latency(geo::LatencyModel{}, cluster.cities());
+  PlacementLayout layout(cluster, latency);
+  const std::vector<double> intensity = {412.5, 95.25, 233.0, 640.75, 18.5};
+
+  // Origin 0 recurs under four limits, origin 2 under two; every model
+  // appears, the CPU-only one among them.
+  const std::vector<std::tuple<std::size_t, double, sim::ModelType>> specs = {
+      {0, 4.0, sim::ModelType::kResNet50},   {0, 30.0, sim::ModelType::kSciCpu},
+      {2, 30.0, sim::ModelType::kYoloV4},    {0, 12.0, sim::ModelType::kEfficientNetB0},
+      {2, 6.0, sim::ModelType::kSciCpu},     {0, 30.0, sim::ModelType::kYoloV4},
+      {4, 9.0, sim::ModelType::kResNet50},   {0, 4.0, sim::ModelType::kSciCpu}};
+  std::vector<sim::Application> apps;
+  for (const auto& [origin, limit, model] : specs) {
+    sim::Application app;
+    app.id = 500 + apps.size();
+    app.model = model;
+    app.origin_site = origin;
+    app.rps = 1.5 + static_cast<double>(apps.size());
+    app.latency_limit_rtt_ms = limit;
+    apps.push_back(app);
+  }
+
+  const std::vector<PolicyConfig> policies = {
+      PolicyConfig::latency_aware(),       PolicyConfig::energy_aware(),
+      PolicyConfig::intensity_aware(),     PolicyConfig::carbon_edge(),
+      PolicyConfig::multi_objective(0.0),  PolicyConfig::multi_objective(0.35),
+      PolicyConfig::multi_objective(1.0)};
+  BuiltProblem reused;
+  for (const double epoch_hours : {1.0, 0.25}) {
+    for (const PolicyConfig& policy : policies) {
+      SCOPED_TRACE(describe(policy) + " hours " + std::to_string(epoch_hours));
+      PlacementInput input;
+      input.layout = &layout;
+      input.site_mean_intensity = &intensity;
+      input.epoch_hours = epoch_hours;
+      const FreshBuild want =
+          reference_build_problem(cluster, latency, intensity, epoch_hours, apps, policy);
+      build_problem(input, apps, policy, reused);
+      expect_same_build(reused, input, apps, want);
+      expect_same_build(build_problem(input, apps, policy), input, apps, want);
+    }
+  }
+
+  // The cases above are really there: the failed column has no pair, some
+  // in-band server runs no model of some app, and the limits cut origin 0's
+  // row differently.
+  const FreshBuild want =
+      reference_build_problem(cluster, latency, intensity, 1.0, apps, PolicyConfig::carbon_edge());
+  std::size_t unsupported = 0;
+  std::set<std::size_t> band_sizes;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    std::size_t in_band = 0;
+    for (std::size_t j = 0; j < layout.servers().size(); ++j) {
+      const auto& ref = layout.servers()[j];
+      if (latency.rtt_ms(apps[i].origin_site, ref.site) > apps[i].latency_limit_rtt_ms + 1e-9) {
+        continue;
+      }
+      ++in_band;
+      if (ref.server->failed()) {
+        EXPECT_EQ(want.problem.find_pair(i, j), solver::kNoPair);
+      } else if (!sim::profile_of(apps[i].model, ref.server->device()).supported) {
+        EXPECT_EQ(want.problem.find_pair(i, j), solver::kNoPair);
+        ++unsupported;
+      }
+    }
+    if (apps[i].origin_site == 0) band_sizes.insert(in_band);
+  }
+  EXPECT_GE(unsupported, 5u);
+  EXPECT_GE(band_sizes.size(), 2u);
+  EXPECT_TRUE(layout.servers()[4].server->failed());
+  EXPECT_FALSE(layout.servers()[8].server->powered_on());
+}
+
+// PlacementService::place over several epochs on one long-lived layout and
+// service: each decision's RTT, energy and carbon are its pair's values in
+// the two-pass reference build, bit for bit, whatever the policy, device or
+// RTT limit.
+TEST(PlacementService, DecisionQuantitiesMatchTwoPassReference) {
+  const std::vector<PolicyConfig> policies = {
+      PolicyConfig::latency_aware(),       PolicyConfig::energy_aware(),
+      PolicyConfig::intensity_aware(),     PolicyConfig::carbon_edge(),
+      PolicyConfig::multi_objective(0.35)};
+  const std::vector<geo::Region> regions = {geo::florida_region(), geo::central_eu_region(),
+                                            geo::cdn_region(geo::Continent::kNorthAmerica, 24)};
+  const std::vector<double> limits = {3.0, 8.0, 14.0, 20.0, 30.0};
+  std::size_t decisions = 0;
+  std::size_t mixed_devices = 0;
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 53);
+    sim::EdgeCluster cluster = random_cluster(regions[seed % regions.size()], rng);
+    const geo::LatencyProvider latency =
+        seed % 2 == 1
+            ? geo::LatencyProvider(geo::LatencyModel{}, cluster.cities(), rng.uniform(2.0, 12.0))
+            : geo::LatencyProvider(geo::LatencyModel{}, cluster.cities());
+    PlacementLayout layout(cluster, latency);
+    const PolicyConfig& policy = policies[seed % policies.size()];
+    SCOPED_TRACE(describe(policy));
+    // A small node budget keeps the exact path's hard components quick;
+    // the quantities do not depend on which pair the solver picks.
+    solver::AssignmentOptions options;
+    options.milp.max_nodes = 100;
+    PlacementService service(policy, options);
+    sim::AppId next_id = 1000;
+    std::vector<std::pair<sim::EdgeServer*, sim::AppId>> hosted;
+    for (std::uint32_t epoch = 0; epoch < 6; ++epoch) {
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      if (epoch > 0) perturb_servers(cluster, rng, next_id, hosted);
+      std::vector<double> intensity(cluster.size());
+      for (double& value : intensity) value = rng.uniform(20.0, 650.0);
+      const double epoch_hours = rng.bernoulli(0.5) ? 1.0 : rng.uniform(0.1, 3.0);
+      // Three origins per batch, each under mixed limits.
+      const std::array<std::size_t, 3> pool = {rng.uniform_index(cluster.size()),
+                                               rng.uniform_index(cluster.size()),
+                                               rng.uniform_index(cluster.size())};
+      std::vector<sim::Application> apps(1 + rng.uniform_index(30));
+      for (std::size_t i = 0; i < apps.size(); ++i) {
+        sim::Application& app = apps[i];
+        app.id = next_id++;
+        app.model = sim::kAllModels[rng.uniform_index(sim::kModelCount)];
+        app.origin_site = pool[rng.uniform_index(pool.size())];
+        app.rps = rng.uniform(0.5, 12.0);
+        app.latency_limit_rtt_ms = limits[rng.uniform_index(limits.size())];
+      }
+      const FreshBuild want =
+          reference_build_problem(cluster, latency, intensity, epoch_hours, apps, policy);
+      PlacementInput input;
+      input.layout = &layout;
+      input.site_mean_intensity = &intensity;
+      input.epoch_hours = epoch_hours;
+      const PlacementResult result = service.place(input, apps);
+      std::set<sim::DeviceType> devices;
+      for (const PlacementDecision& d : result.decisions) {
+        const std::size_t p = want.problem.find_pair(d.batch_index, d.column);
+        ASSERT_NE(p, solver::kNoPair) << d.batch_index << " on " << d.column;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(d.rtt_ms), std::bit_cast<std::uint64_t>(want.rtt_ms[p]))
+            << "rtt " << p;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(d.energy_wh),
+                  std::bit_cast<std::uint64_t>(want.energy_wh[p]))
+            << "energy " << p;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(d.carbon_g),
+                  std::bit_cast<std::uint64_t>(want.carbon_g[p]))
+            << "carbon " << p;
+        sim::EdgeServer* server = layout.servers()[d.column].server;
+        hosted.emplace_back(server, d.app);
+        devices.insert(server->device());
+      }
+      decisions += result.decisions.size();
+      mixed_devices += devices.size() > 1 ? 1 : 0;
+    }
+  }
+  EXPECT_GE(decisions, 600u);
+  EXPECT_GE(mixed_devices, 40u);
 }
 
 }  // namespace
